@@ -25,13 +25,23 @@ void accumulate_energy_gradient(const WavefunctionModel& model,
                                 std::span<const Real> local_energies,
                                 std::span<Real> grad,
                                 WavefunctionModel::Workspace* ws) {
+  accumulate_energy_gradient(model, batch, local_energies,
+                             mean(local_energies), Real(batch.rows()), grad,
+                             ws);
+}
+
+void accumulate_energy_gradient(const WavefunctionModel& model,
+                                const Matrix& batch,
+                                std::span<const Real> local_energies,
+                                Real batch_mean, Real batch_count,
+                                std::span<Real> grad,
+                                WavefunctionModel::Workspace* ws) {
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(local_energies.size() == bs,
                "energy gradient: local energy size mismatch");
-  const Real l_bar = mean(local_energies);
   Vector coeff(bs);
   for (std::size_t k = 0; k < bs; ++k)
-    coeff[k] = 2 * (local_energies[k] - l_bar) / Real(bs);
+    coeff[k] = 2 * (local_energies[k] - batch_mean) / batch_count;
   model.accumulate_log_psi_gradient_ws(batch, coeff.span(), grad, ws);
 }
 

@@ -34,4 +34,16 @@ void accumulate_energy_gradient(const WavefunctionModel& model,
                                 std::span<Real> grad,
                                 WavefunctionModel::Workspace* ws = nullptr);
 
+/// One rank's share of a data-parallel energy gradient: the same sum over
+/// this batch, centred on `batch_mean` and divided by `batch_count`, the
+/// mean and sample count of the whole (allreduced) batch. Summing every rank's share
+/// gives the gradient over the whole batch; with this batch's own mean and
+/// size it is the overload above, bit for bit.
+void accumulate_energy_gradient(const WavefunctionModel& model,
+                                const Matrix& batch,
+                                std::span<const Real> local_energies,
+                                Real batch_mean, Real batch_count,
+                                std::span<Real> grad,
+                                WavefunctionModel::Workspace* ws = nullptr);
+
 }  // namespace vqmc

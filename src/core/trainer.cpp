@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/error.hpp"
@@ -16,67 +17,62 @@ namespace vqmc {
 
 namespace {
 
-/// Feed the per-iteration phase breakdown into the thread-current metrics
-/// registry (merged across ranks in distributed runs; see DESIGN.md §5d).
-void record_phase_metrics(const PhaseBreakdown& phases) {
-  if (!telemetry::enabled()) return;
-  telemetry::MetricsRegistry& registry = telemetry::metrics();
-  registry.counter("trainer.iterations").add();
-  registry.histogram("phase.sample_seconds").observe(phases.sample);
-  registry.histogram("phase.local_energy_seconds")
-      .observe(phases.local_energy);
-  registry.histogram("phase.gradient_seconds").observe(phases.gradient);
-  if (phases.sr_solve > 0)
-    registry.histogram("phase.sr_seconds").observe(phases.sr_solve);
-  if (phases.allreduce > 0)
-    registry.histogram("phase.allreduce_seconds").observe(phases.allreduce);
-  registry.histogram("phase.optimizer_seconds").observe(phases.optimizer);
-  if (phases.checkpoint > 0)
-    registry.histogram("phase.checkpoint_seconds")
-        .observe(phases.checkpoint);
-}
+constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
 
-/// Append this iteration to the crash-evidence ring (DESIGN.md §5i).
-void record_flight(const IterationMetrics& metrics) {
-  if (!telemetry::enabled()) return;
-  telemetry::FlightRecord record;
-  record.iteration = metrics.iteration;
-  record.rank = std::max(0, log_rank());
-  record.live_ranks = 1;
-  record.wall_us = telemetry::now_us();
-  record.energy = double(metrics.energy);
-  record.guard_trips = metrics.guard_trips;
-  record.sample_seconds = metrics.phases.sample;
-  record.local_energy_seconds = metrics.phases.local_energy;
-  record.gradient_seconds = metrics.phases.gradient;
-  record.sr_seconds = metrics.phases.sr_solve;
-  record.allreduce_seconds = metrics.phases.allreduce;
-  record.optimizer_seconds = metrics.phases.optimizer;
-  record.comm_wait_seconds = metrics.phases.allreduce;
-  telemetry::FlightRecorder::instance().record(record);
+// trainer_state layout: [base_lr, best_energy, have_best, seconds,
+// divergence {best, have_best, consecutive}, have_snapshot], the rollback
+// snapshot (d values, iff held), then the 8 HealthCounters tallies. Its
+// length is 16 or 16 + d, so neither earlier layout can be misread as it:
+// the serial one had 8 or 8 + d fields (field 7 flags the d), the
+// distributed one 5.
+constexpr std::size_t kBaseFields = 8;
+constexpr std::uint64_t health::HealthCounters::*kHealthTallies[] = {
+    &health::HealthCounters::guard_trips,
+    &health::HealthCounters::nonfinite_energy,
+    &health::HealthCounters::nonfinite_gradient,
+    &health::HealthCounters::nonfinite_update,
+    &health::HealthCounters::sr_breakdowns,
+    &health::HealthCounters::divergences,
+    &health::HealthCounters::skipped_iterations,
+    &health::HealthCounters::rollbacks};
+constexpr std::size_t kHealthFields = std::size(kHealthTallies);
+
+/// " on k of n rank(s)": which ranks a reduced flag vector blames.
+std::string on_ranks(int bad, int live) {
+  return " on " + std::to_string(bad) + " of " + std::to_string(live) +
+         " rank(s)";
 }
 
 }  // namespace
 
 VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
                          WavefunctionModel& model, Sampler& sampler,
-                         Optimizer& optimizer, TrainerConfig config)
+                         Optimizer& optimizer, TrainerConfig config,
+                         parallel::Communicator& comm)
     : hamiltonian_(hamiltonian),
       model_(model),
       sampler_(sampler),
       optimizer_(optimizer),
       config_(config),
+      comm_(comm),
       engine_(hamiltonian, model, config.local_energy_chunk),
       sr_(config.sr) {
   VQMC_REQUIRE(config_.iterations >= 0, "trainer: iterations must be >= 0");
   VQMC_REQUIRE(config_.batch_size >= 1, "trainer: batch size must be >= 1");
+  VQMC_REQUIRE(!config_.use_sr || comm_.size() == 1,
+               "trainer: stochastic reconfiguration runs on one rank only, "
+               "not on " + std::to_string(comm_.size()));
   const std::size_t n = hamiltonian_.num_spins();
+  const std::size_t d = model_.num_parameters();
+  const std::size_t ranks = std::size_t(comm_.size());
   batch_ = Matrix(config_.batch_size, n);
   local_energies_ = Vector(config_.batch_size);
-  gradient_ = Vector(model_.num_parameters());
+  energy_payload_.assign(2 + 2 * ranks, Real(0));
+  gradient_ = Vector(d + ranks);
+  known_alive_.assign(ranks, 1);
   if (config_.use_sr) {
-    natural_gradient_ = Vector(model_.num_parameters());
-    per_sample_o_ = Matrix(config_.batch_size, model_.num_parameters());
+    natural_gradient_ = Vector(d);
+    per_sample_o_ = Matrix(config_.batch_size, d);
   }
   model_ws_ = model_.make_workspace();
   VQMC_REQUIRE(config_.max_grad_norm >= 0,
@@ -87,7 +83,7 @@ VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
   base_learning_rate_ = optimizer_.learning_rate();
   divergence_ = health::DivergenceDetector(config_.guard);
   if (config_.guard.policy == health::GuardPolicy::RollbackAndBackoff)
-    snapshot_ = Vector(model_.num_parameters());
+    snapshot_ = Vector(d);
   VQMC_REQUIRE(config_.checkpoint_every >= 0,
                "trainer: checkpoint_every must be >= 0");
   if (!config_.checkpoint_path.empty() && config_.checkpoint_every > 0) {
@@ -96,19 +92,41 @@ VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
   }
 }
 
+void VqmcTrainer::allreduce(std::span<Real> payload, PhaseBreakdown& phases) {
+  Timer timer;
+  {
+    TELEMETRY_SPAN("allreduce");
+    // The thread-CPU clock read is a syscall, i.e. a preemption point: read
+    // it inside the span so park time before the collective is wait time.
+    busy_seconds_ += busy_.seconds();
+    comm_.allreduce_sum(payload);
+  }
+  phases.allreduce += timer.seconds();
+  busy_.reset();
+}
+
+bool VqmcTrainer::is_reporter() const {
+  const auto lowest =
+      std::find(known_alive_.begin(), known_alive_.end(), char(1));
+  return lowest - known_alive_.begin() == comm_.rank();
+}
+
 void VqmcTrainer::handle_guard_trip(const std::string& reason) {
   ++health_.guard_trips;
   health_.last_trip_reason = reason;
-  telemetry::jsonl_event(
-      "guard_trip",
-      {{"reason", reason}, {"trips", health_.guard_trips}});
   if (telemetry::enabled())
     telemetry::metrics().counter("trainer.guard_trips").add();
-  if (config_.guard.policy != health::GuardPolicy::Throw)
-    log_warn("trainer: health guard tripped at iteration ", iteration_, ": ",
-             reason);
+  if (is_reporter()) {
+    if (config_.guard.policy != health::GuardPolicy::Throw)
+      log_warn("trainer: health guard tripped at iteration ", iteration_,
+               ": ", reason);
+    telemetry::jsonl_event(
+        "guard_trip", {{"reason", reason}, {"trips", health_.guard_trips}});
+  }
   switch (config_.guard.policy) {
     case health::GuardPolicy::Throw:
+      // Every rank decides from the same reduced flags, so every rank
+      // throws here together and none is left inside a collective.
       throw Error("trainer: health guard tripped at iteration " +
                   std::to_string(iteration_) + ": " + reason);
     case health::GuardPolicy::SkipIteration:
@@ -135,6 +153,10 @@ IterationMetrics VqmcTrainer::step() {
   Timer timer;
   PhaseBreakdown phases;
   Timer phase_timer;
+  busy_.reset();
+  const std::size_t ranks = std::size_t(comm_.size());
+  const std::size_t rank = std::size_t(comm_.rank());
+  const std::size_t d = model_.num_parameters();
 
   // 1. Sample a batch from the current model distribution.
   {
@@ -147,111 +169,172 @@ IterationMetrics VqmcTrainer::step() {
   phases.sample = phase_timer.seconds();
 
   // 2. Local energies (Eq. 3), guarded: a single NaN/inf local energy must
-  // not reach the gradient, the optimizer or the metrics unnoticed.
+  // not reach a reduction, the gradient, the optimizer or the metrics
+  // unnoticed. A sick rank contributes zeros plus its flag.
   phase_timer.reset();
-  bool tripped = false;
-  std::string trip_reason;
   EnergyEstimate est;
+  std::size_t bad_energies = 0;
   {
     TELEMETRY_SPAN("local_energy");
     engine_.compute(batch_, local_energies_.span());
-    const std::size_t bad = health::count_nonfinite(local_energies_.span());
-    if (bad > 0) {
-      ++health_.nonfinite_energy;
-      tripped = true;
-      trip_reason = "non-finite local energies (" + std::to_string(bad) +
-                    " of " + std::to_string(local_energies_.size()) + ")";
-      est.mean = est.std_dev = std::numeric_limits<Real>::quiet_NaN();
-    } else {
+    bad_energies = health::count_nonfinite(local_energies_.span());
+    std::fill(energy_payload_.begin(), energy_payload_.end(), Real(0));
+    if (bad_energies == 0) {
       est = estimate_energy(local_energies_.span());
-      if (divergence_.update(est.mean)) {
-        ++health_.divergences;
-        tripped = true;
-        trip_reason = "energy divergence: batch mean exceeded the explosion "
-                      "threshold for " +
-                      std::to_string(config_.guard.divergence_window) +
-                      " consecutive iterations";
-      }
+      energy_payload_[0] = sum(local_energies_.span());
+      energy_payload_[1] = Real(batch_.rows());
+    } else {
+      est.std_dev = kNaN;
+      energy_payload_[2 + rank] = 1;
     }
+    energy_payload_[2 + ranks + rank] = 1;
   }
   phases.local_energy = phase_timer.seconds();
 
-  // 3. Energy gradient (Eq. 5). The current parameters just produced finite
-  // energies, so they become the last-good rollback snapshot.
-  phase_timer.reset();
-  if (!tripped) {
-    TELEMETRY_SPAN("gradient");
-    if (config_.guard.policy == health::GuardPolicy::RollbackAndBackoff) {
-      std::span<const Real> params = model_.parameters();
-      std::copy(params.begin(), params.end(), snapshot_.span().begin());
-      have_snapshot_ = true;
-    }
-    gradient_.fill(0);
-    accumulate_energy_gradient(model_, batch_, local_energies_.span(),
-                               gradient_.span(), model_ws_.get());
-    if (!health::all_finite(gradient_.span())) {
-      ++health_.nonfinite_gradient;
-      tripped = true;
-      trip_reason = "non-finite energy gradient";
+  // 3. First allreduce: the batch mean over every live rank and the count
+  // of samples behind it. A whole group folds to batch_size * ranks, so the
+  // divisor equals the fixed one; after a shrink it counts the survivors.
+  allreduce(energy_payload_, phases);
+  const Real count = energy_payload_[1];
+  const Real mean = count > 0 ? energy_payload_[0] / count : kNaN;
+  int bad_energy_ranks = 0;
+  int live_ranks = 0;
+  const std::size_t first_new_shrink = shrink_events_.size();
+  for (std::size_t r = 0; r < ranks; ++r) {
+    bad_energy_ranks += energy_payload_[2 + r] > 0 ? 1 : 0;
+    const bool live = energy_payload_[2 + ranks + r] > 0;
+    live_ranks += live ? 1 : 0;
+    if (!live && known_alive_[r]) {
+      known_alive_[r] = 0;
+      shrink_events_.push_back({iteration_, int(r), 0});
     }
   }
-  phases.gradient = phase_timer.seconds();
+  // Every survivor sees the same flags and so records the same shrink log;
+  // only the lowest live rank reports it.
+  for (std::size_t i = first_new_shrink; i < shrink_events_.size(); ++i) {
+    ShrinkEvent& event = shrink_events_[i];
+    event.live_after = live_ranks;
+    if (!is_reporter()) continue;
+    log_warn("elastic shrink: rank " + std::to_string(event.rank) +
+             " left at iteration " + std::to_string(event.iteration) + ", " +
+             std::to_string(live_ranks) + " rank(s) remain");
+    telemetry::jsonl_event(
+        "shrink", {{"dead_rank", event.rank}, {"live_after", live_ranks}});
+  }
 
-  // 4. Optional SR preconditioning, guarded against solver breakdowns and
-  // non-finite natural gradients.
-  phase_timer.reset();
-  std::span<Real> update = gradient_.span();
-  if (!tripped && config_.use_sr) {
-    TELEMETRY_SPAN("sr_solve");
-    model_.log_psi_gradient_per_sample_ws(batch_, per_sample_o_,
-                                          model_ws_.get());
-    const SrReport sr = sr_.precondition(per_sample_o_, gradient_.span(),
-                                         natural_gradient_.span());
-    if (sr.breakdown) {
-      ++health_.sr_breakdowns;
-      tripped = true;
-      trip_reason = "SR breakdown: " + sr.reason;
-    } else {
-      update = natural_gradient_.span();
-      if (!health::all_finite(update)) {
-        ++health_.nonfinite_update;
-        tripped = true;
-        trip_reason = "non-finite natural gradient after SR";
+  bool tripped = false;
+  std::string trip_reason;
+  if (bad_energy_ranks > 0) {
+    if (bad_energies > 0) ++health_.nonfinite_energy;
+    tripped = true;
+    trip_reason = "non-finite local energies" +
+                  on_ranks(bad_energy_ranks, live_ranks);
+  } else if (divergence_.update(mean)) {
+    ++health_.divergences;
+    tripped = true;
+    trip_reason = "energy divergence: batch mean exceeded the explosion "
+                  "threshold for " +
+                  std::to_string(config_.guard.divergence_window) +
+                  " consecutive iterations";
+  }
+
+  // 4. Energy gradient (Eq. 5) and the second allreduce. The current
+  // parameters just produced finite energies, so they become the last-good
+  // rollback snapshot.
+  const std::span<Real> gradient = gradient_.span().first(d);
+  if (!tripped) {
+    phase_timer.reset();
+    bool bad_gradient = false;
+    {
+      TELEMETRY_SPAN("gradient");
+      if (config_.guard.policy == health::GuardPolicy::RollbackAndBackoff) {
+        std::span<const Real> params = model_.parameters();
+        std::copy(params.begin(), params.end(), snapshot_.span().begin());
+        have_snapshot_ = true;
+      }
+      gradient_.fill(0);
+      accumulate_energy_gradient(model_, batch_, local_energies_.span(),
+                                 mean, count, gradient, model_ws_.get());
+      bad_gradient = !health::all_finite(gradient);
+      if (bad_gradient) {
+        std::fill(gradient.begin(), gradient.end(), Real(0));
+        gradient_[d + rank] = 1;
       }
     }
+    phases.gradient = phase_timer.seconds();
+    allreduce(gradient_.span(), phases);
+    int bad_gradient_ranks = 0;
+    for (std::size_t r = 0; r < ranks; ++r)
+      bad_gradient_ranks += gradient_[d + r] > 0 ? 1 : 0;
+    if (bad_gradient_ranks > 0) {
+      if (bad_gradient) ++health_.nonfinite_gradient;
+      tripped = true;
+      trip_reason = "non-finite energy gradient" +
+                    on_ranks(bad_gradient_ranks, live_ranks);
+    }
   }
-  phases.sr_solve = phase_timer.seconds();
 
-  // 5. Clipping, schedule and the optimizer step — or the recovery action.
+  // 5. Optional SR preconditioning (one rank only), guarded against solver
+  // breakdowns and non-finite natural gradients.
+  std::span<Real> update = gradient;
+  if (!tripped && config_.use_sr) {
+    phase_timer.reset();
+    {
+      TELEMETRY_SPAN("sr_solve");
+      model_.log_psi_gradient_per_sample_ws(batch_, per_sample_o_,
+                                            model_ws_.get());
+      const SrReport sr = sr_.precondition(per_sample_o_, gradient,
+                                           natural_gradient_.span());
+      if (sr.breakdown) {
+        ++health_.sr_breakdowns;
+        tripped = true;
+        trip_reason = "SR breakdown: " + sr.reason;
+      } else {
+        update = natural_gradient_.span();
+        if (!health::all_finite(update)) {
+          ++health_.nonfinite_update;
+          tripped = true;
+          trip_reason = "non-finite natural gradient after SR";
+        }
+      }
+    }
+    phases.sr_solve = phase_timer.seconds();
+  }
+
+  // 6. Clipping, schedule and the optimizer step — or the recovery action.
   phase_timer.reset();
   if (!tripped) {
-    TELEMETRY_SPAN("optimizer");
-    if (config_.max_grad_norm > 0) {
-      Real norm2 = 0;
-      for (Real v : update) norm2 += v * v;
-      const Real norm = std::sqrt(norm2);
-      if (norm > config_.max_grad_norm)
-        scale(update, config_.max_grad_norm / norm);
-    }
-    if (config_.lr_schedule != nullptr) {
-      optimizer_.set_learning_rate(
-          base_learning_rate_ * config_.lr_schedule->multiplier(iteration_));
-    }
-    optimizer_.step(model_.parameters(), update);
+    {
+      TELEMETRY_SPAN("optimizer");
+      if (config_.max_grad_norm > 0) {
+        Real norm2 = 0;
+        for (Real v : update) norm2 += v * v;
+        const Real norm = std::sqrt(norm2);
+        if (norm > config_.max_grad_norm)
+          scale(update, config_.max_grad_norm / norm);
+      }
+      if (config_.lr_schedule != nullptr) {
+        optimizer_.set_learning_rate(
+            base_learning_rate_ *
+            config_.lr_schedule->multiplier(iteration_));
+      }
+      optimizer_.step(model_.parameters(), update);
 
-    if (!have_best_ || est.min < best_energy_) {
-      best_energy_ = est.min;
-      have_best_ = true;
+      if (!have_best_ || est.min < best_energy_) {
+        best_energy_ = est.min;
+        have_best_ = true;
+      }
     }
+    phases.optimizer = phase_timer.seconds();
   } else {
     handle_guard_trip(trip_reason);
   }
-  phases.optimizer = phase_timer.seconds();
+  busy_seconds_ += busy_.seconds();
 
   training_seconds_ += timer.seconds();
   IterationMetrics metrics;
   metrics.iteration = iteration_++;
-  metrics.energy = est.mean;
+  metrics.energy = mean;
   metrics.std_dev = est.std_dev;
   metrics.best_energy = best_energy_;
   metrics.seconds = training_seconds_;
@@ -267,8 +350,8 @@ IterationMetrics VqmcTrainer::step() {
                        {"seconds", phases.checkpoint}});
   }
   metrics.phases = phases;
-  record_phase_metrics(phases);
-  record_flight(metrics);
+  allreduce_wait_seconds_ += phases.allreduce;
+  record_telemetry(metrics, live_ranks);
   // Sink I/O happens after the iteration span closes so it is not charged
   // to iteration wall time; guarded on active() because the field list
   // allocates.
@@ -280,11 +363,54 @@ IterationMetrics VqmcTrainer::step() {
                       {"sample_seconds", phases.sample},
                       {"local_energy_seconds", phases.local_energy},
                       {"gradient_seconds", phases.gradient},
+                      {"allreduce_wait_seconds", phases.allreduce},
                       {"optimizer_seconds", phases.optimizer}});
   }
   history_.push_back(metrics);
   telemetry::set_iteration(-1);
   return metrics;
+}
+
+void VqmcTrainer::record_telemetry(const IterationMetrics& metrics,
+                                   int live_ranks) {
+  if (!telemetry::enabled()) return;
+  // The thread-current registry: the global one for a serial run, the
+  // rank's own in a distributed run (merged across ranks at the end).
+  telemetry::MetricsRegistry& registry = telemetry::metrics();
+  const PhaseBreakdown& phases = metrics.phases;
+  registry.counter("trainer.iterations").add();
+  registry.gauge("trainer.iteration").set(double(metrics.iteration));
+  registry.gauge("comm.live_ranks").set(double(live_ranks));
+  registry.histogram("comm.allreduce_wait_seconds").observe(phases.allreduce);
+  // A phase that did not run this iteration (an update skipped by a guard,
+  // SR when it is off) records nothing.
+  const auto observe = [&registry](const char* name, double seconds) {
+    if (seconds > 0) registry.histogram(name).observe(seconds);
+  };
+  observe("phase.sample_seconds", phases.sample);
+  observe("phase.local_energy_seconds", phases.local_energy);
+  observe("phase.gradient_seconds", phases.gradient);
+  observe("phase.sr_seconds", phases.sr_solve);
+  observe("phase.allreduce_seconds", phases.allreduce);
+  observe("phase.optimizer_seconds", phases.optimizer);
+  observe("phase.checkpoint_seconds", phases.checkpoint);
+
+  // Append this iteration to the crash-evidence ring (DESIGN.md §5i).
+  telemetry::FlightRecord record;
+  record.iteration = metrics.iteration;
+  record.rank = comm_.rank();
+  record.live_ranks = live_ranks;
+  record.wall_us = telemetry::now_us();
+  record.energy = double(metrics.energy);
+  record.guard_trips = metrics.guard_trips;
+  record.sample_seconds = phases.sample;
+  record.local_energy_seconds = phases.local_energy;
+  record.gradient_seconds = phases.gradient;
+  record.sr_seconds = phases.sr_solve;
+  record.allreduce_seconds = phases.allreduce;
+  record.optimizer_seconds = phases.optimizer;
+  record.comm_wait_seconds = phases.allreduce;
+  telemetry::FlightRecorder::instance().record(record);
 }
 
 // Both loops count from iteration_ rather than 0 so a restored trainer
@@ -313,9 +439,6 @@ TrainingSnapshot VqmcTrainer::snapshot() const {
   snap.parameters.assign(params.begin(), params.end());
   snap.optimizer_state = optimizer_.serialize_state();
   snap.sampler_state = sampler_.serialize_state();
-  // Trainer-local state: [base_lr, best_energy, have_best, seconds,
-  // divergence {best, have_best, consecutive}, have_snapshot,
-  // rollback snapshot (iff held)].
   const health::DivergenceDetector::State div = divergence_.state();
   snap.trainer_state = {base_learning_rate_,
                         best_energy_,
@@ -328,6 +451,8 @@ TrainingSnapshot VqmcTrainer::snapshot() const {
   if (have_snapshot_)
     snap.trainer_state.insert(snap.trainer_state.end(),
                               snapshot_.span().begin(), snapshot_.span().end());
+  for (const auto tally : kHealthTallies)
+    snap.trainer_state.push_back(Real(health_.*tally));
   return snap;
 }
 
@@ -347,8 +472,26 @@ void VqmcTrainer::restore(const TrainingSnapshot& snap) {
                    snap.sampler_name + "' vs '" + sampler_.name() + "')");
   VQMC_REQUIRE(snap.parameters.size() == model_.num_parameters(),
                "trainer restore: parameter payload size mismatch");
-  VQMC_REQUIRE(snap.trainer_state.size() >= 8,
-               "trainer restore: trainer state too short");
+  VQMC_REQUIRE(snap.iteration >= 0, "trainer restore: negative iteration");
+  const std::vector<Real>& state = snap.trainer_state;
+  const bool have_snapshot = state.size() > 7 && state[7] != 0;
+  const std::size_t rollback = have_snapshot ? model_.num_parameters() : 0;
+  VQMC_REQUIRE(state.size() == kBaseFields + rollback + kHealthFields,
+               "trainer restore: trainer state has " +
+                   std::to_string(state.size()) + " fields, expected " +
+                   std::to_string(kBaseFields + rollback + kHealthFields) +
+                   " (a checkpoint from an older layout?)");
+  // The divergence streak and the guard tallies are counts read from a
+  // file; converting a double outside the target's range is undefined, so
+  // such a value is rejected before anything is restored.
+  const auto tallies = state.begin() + std::ptrdiff_t(kBaseFields + rollback);
+  const auto is_tally = [](Real v) {
+    return v >= 0 && v <= Real(std::uint64_t(1) << 53);
+  };
+  VQMC_REQUIRE(state[6] >= 0 &&
+                   state[6] <= Real(std::numeric_limits<int>::max()) &&
+                   std::all_of(tallies, state.end(), is_tally),
+               "trainer restore: count field out of range");
 
   std::span<Real> params = model_.parameters();
   std::copy(snap.parameters.begin(), snap.parameters.end(), params.begin());
@@ -356,25 +499,25 @@ void VqmcTrainer::restore(const TrainingSnapshot& snap) {
   sampler_.restore_state(snap.sampler_state);
 
   iteration_ = int(snap.iteration);
-  base_learning_rate_ = snap.trainer_state[0];
-  best_energy_ = snap.trainer_state[1];
-  have_best_ = snap.trainer_state[2] != 0;
-  training_seconds_ = double(snap.trainer_state[3]);
+  base_learning_rate_ = state[0];
+  best_energy_ = state[1];
+  have_best_ = state[2] != 0;
+  training_seconds_ = double(state[3]);
   health::DivergenceDetector::State div;
-  div.best = snap.trainer_state[4];
-  div.have_best = snap.trainer_state[5] != 0;
-  div.consecutive = int(snap.trainer_state[6]);
+  div.best = state[4];
+  div.have_best = state[5] != 0;
+  div.consecutive = int(state[6]);
   divergence_.set_state(div);
-  have_snapshot_ = snap.trainer_state[7] != 0;
+  have_snapshot_ = have_snapshot;
   if (have_snapshot_) {
-    VQMC_REQUIRE(
-        snap.trainer_state.size() == 8 + model_.num_parameters(),
-        "trainer restore: rollback snapshot payload size mismatch");
-    if (snapshot_.size() != model_.num_parameters())
-      snapshot_ = Vector(model_.num_parameters());
-    std::copy(snap.trainer_state.begin() + 8, snap.trainer_state.end(),
+    if (snapshot_.size() != rollback) snapshot_ = Vector(rollback);
+    std::copy(state.begin() + kBaseFields,
+              state.begin() + std::ptrdiff_t(kBaseFields + rollback),
               snapshot_.span().begin());
   }
+  auto tally = tallies;
+  for (const auto field : kHealthTallies)
+    health_.*field = std::uint64_t(*tally++);
 }
 
 EnergyEstimate VqmcTrainer::evaluate(std::size_t eval_batch_size) {

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file trainer.hpp
-/// \brief The VQMC training loop (right panel of Figure 1): sample ->
+/// \brief The VQMC training step (right panel of Figure 1): sample ->
 /// measure local energies -> estimate gradient (optionally SR-preconditioned)
-/// -> update parameters.
+/// -> update parameters, on one rank or as one of N data-parallel ranks
+/// (Section 4).
 
 #include <functional>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "optim/lr_schedule.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/stochastic_reconfiguration.hpp"
+#include "parallel/communicator.hpp"
 #include "sampler/sampler.hpp"
 
 namespace vqmc {
@@ -75,13 +77,16 @@ struct PhaseBreakdown {
 /// Per-iteration metrics (the red/blue curves of Figure 2).
 struct IterationMetrics {
   int iteration = 0;
-  Real energy = 0;       ///< batch mean local energy (training loss)
-  Real std_dev = 0;      ///< batch std of the stochastic objective
-  Real best_energy = 0;  ///< lowest local energy seen so far in training
+  /// Batch mean local energy (training loss), over every live rank's batch.
+  Real energy = 0;
+  /// Batch std of the stochastic objective (this rank's batch).
+  Real std_dev = 0;
+  /// Lowest local energy this rank has seen so far in training.
+  Real best_energy = 0;
   double seconds = 0;    ///< cumulative training wall time
   /// Cumulative health-guard trips up to and including this iteration.
-  /// On a tripped iteration `energy`/`std_dev` are NaN when the batch local
-  /// energies were non-finite.
+  /// On a tripped iteration `std_dev` is NaN when this rank's local energies
+  /// were non-finite, and `energy` when no live rank's were finite.
   std::uint64_t guard_trips = 0;
   /// Reason of the most recent guard trip; empty while the run is healthy.
   std::string guard_reason;
@@ -89,14 +94,46 @@ struct IterationMetrics {
   PhaseBreakdown phases;
 };
 
-/// Single-device VQMC trainer.
+/// One elastic-shrink event: `rank` was detected dead at `iteration`,
+/// leaving `live_after` ranks in the group.
+struct ShrinkEvent {
+  int iteration = 0;
+  int rank = 0;
+  int live_after = 0;
+};
+
+/// The VQMC trainer, for one rank or for one of N data-parallel ranks.
 ///
-/// The trainer borrows (does not own) the Hamiltonian, model, sampler and
-/// optimizer so callers can compose them freely; all four must outlive it.
+/// The trainer borrows (does not own) the Hamiltonian, model, sampler,
+/// optimizer and communicator so callers can compose them freely; all must
+/// outlive it. With the default SelfCommunicator it is the single-device
+/// trainer. Given an endpoint of an N-rank group, every rank runs its own
+/// trainer over its own model replica and sampler stream, and step() joins
+/// them with two allreduces per iteration:
+///
+///   1. [energy_sum, count, bad_0..R-1, live_0..R-1] after the local
+///      energies: the batch mean over every live rank, the surviving sample
+///      count, the ranks whose energies were non-finite and the ranks still
+///      alive;
+///   2. [gradient_0..d-1, bad_0..R-1] after the gradient, skipped when the
+///      first one tripped a guard: the sum of every rank's gradient, each
+///      centred on the reduced mean and divided by the reduced count, and
+///      the ranks whose gradient was non-finite.
+///
+/// A rank with non-finite values contributes zeros plus its flag, so the
+/// reduced payload stays finite. Every guard decision is made from reduced
+/// data, so every rank takes the same branch and the replicas stay
+/// bit-identical through recoveries. A rank that left the group contributes
+/// nothing; the survivors see its live flag drop to 0, record a
+/// ShrinkEvent, and the reduced count rescales the gradient by itself. On
+/// one rank both collectives are no-ops and the numbers are the serial
+/// trainer's, bit for bit. SR runs on one rank only (`use_sr` with more
+/// than one rank throws vqmc::Error).
 class VqmcTrainer {
  public:
   VqmcTrainer(const Hamiltonian& hamiltonian, WavefunctionModel& model,
-              Sampler& sampler, Optimizer& optimizer, TrainerConfig config);
+              Sampler& sampler, Optimizer& optimizer, TrainerConfig config,
+              parallel::Communicator& comm = parallel::self_communicator());
 
   /// Run one training iteration and return its metrics.
   IterationMetrics step();
@@ -126,35 +163,69 @@ class VqmcTrainer {
   [[nodiscard]] double training_seconds() const { return training_seconds_; }
 
   /// Run-health tally: guard trips by cause and the recoveries applied.
+  /// Trips are counted on every rank; the non-finite energy and gradient
+  /// causes count the batches *this rank* measured non-finite.
   [[nodiscard]] const health::HealthCounters& health_counters() const {
     return health_;
   }
 
+  /// Index of the next iteration step() runs.
+  [[nodiscard]] int iteration() const { return iteration_; }
+
+  /// Ranks detected dead so far, in detection order.
+  [[nodiscard]] const std::vector<ShrinkEvent>& shrink_events() const {
+    return shrink_events_;
+  }
+
+  /// Thread CPU seconds this rank spent computing (sampling, local
+  /// energies, gradient, SR, update) — the per-device cost of Eq. 14.
+  [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
+
+  /// Wall seconds this rank spent inside the step's allreduces, from
+  /// barrier arrival: fast ranks wait for slow ones.
+  [[nodiscard]] double allreduce_wait_seconds() const {
+    return allreduce_wait_seconds_;
+  }
+
   /// Capture the full mutable training state at the current iteration
   /// boundary: model parameters, optimizer moments, sampler RNG/chain state,
-  /// iteration counter and guard state. Restoring it into an identically
-  /// configured trainer makes the continuation bit-identical to a run that
-  /// was never interrupted.
+  /// iteration counter, guard state and the guard tallies of
+  /// health_counters(). Restoring it into an identically configured trainer
+  /// makes the continuation bit-identical to a run that was never
+  /// interrupted (the text of the last trip reason is not kept).
   [[nodiscard]] TrainingSnapshot snapshot() const;
 
   /// Inverse of snapshot(). Verifies the snapshot's identity fields (model /
-  /// optimizer / sampler kinds and sizes) against this trainer and throws
-  /// vqmc::Error on any mismatch.
+  /// optimizer / sampler kinds and sizes) and the trainer-state layout
+  /// against this trainer and throws vqmc::Error on any mismatch.
   void restore(const TrainingSnapshot& snapshot);
 
  private:
+  /// One timed allreduce_sum of `payload`. The span and the timer open at
+  /// barrier arrival, so time a rank is parked before the collective counts
+  /// as allreduce wait.
+  void allreduce(std::span<Real> payload, PhaseBreakdown& phases);
+  /// True on the lowest live rank, which alone logs group-wide events.
+  [[nodiscard]] bool is_reporter() const;
   /// Apply the configured guard policy after a trip; throws under Throw.
   void handle_guard_trip(const std::string& reason);
+  /// Phase histograms, gauges and the flight record of one iteration.
+  void record_telemetry(const IterationMetrics& metrics, int live_ranks);
+
   const Hamiltonian& hamiltonian_;
   WavefunctionModel& model_;
   Sampler& sampler_;
   Optimizer& optimizer_;
   TrainerConfig config_;
+  parallel::Communicator& comm_;
   LocalEnergyEngine engine_;
   StochasticReconfiguration sr_;
 
   Matrix batch_;
   Vector local_energies_;
+  /// [energy_sum, count, bad_0..R-1, live_0..R-1]: the first allreduce.
+  std::vector<Real> energy_payload_;
+  /// [gradient_0..d-1, bad_0..R-1]: the second allreduce.
   Vector gradient_;
   Vector natural_gradient_;
   Matrix per_sample_o_;
@@ -175,6 +246,12 @@ class VqmcTrainer {
   /// maintained under RollbackAndBackoff).
   Vector snapshot_;
   bool have_snapshot_ = false;
+
+  std::vector<char> known_alive_;
+  std::vector<ShrinkEvent> shrink_events_;
+  ThreadCpuTimer busy_;
+  double busy_seconds_ = 0;
+  double allreduce_wait_seconds_ = 0;
 
   /// Periodic-checkpoint bookkeeping; null unless configured.
   std::unique_ptr<CheckpointKeeper> keeper_;

@@ -3,12 +3,14 @@
 /// \file communicator.hpp
 /// \brief MPI-style collective-communication interface.
 ///
-/// The distributed trainer is written against this interface so the same
-/// code runs on a single process (SelfCommunicator), on thread-backed
-/// virtual devices (ThreadCommunicator), or — by dropping in a thin adapter
-/// — on real MPI ranks.  Only the collectives the paper's data-parallel
-/// scheme needs are included: the gradient averaging is one allreduce per
-/// iteration (Section 4), parameters are broadcast once at startup.
+/// The training step (VqmcTrainer) is written against this interface so the
+/// same code runs on a single process (SelfCommunicator), on thread-backed
+/// virtual devices (ThreadCommunicator), on socket-connected processes, or
+/// — by dropping in a thin adapter — on real MPI ranks.  The interface is
+/// header-only, so vqmc_core uses it without linking vqmc_parallel.  Only
+/// the collectives the paper's data-parallel scheme needs are included: the
+/// sample sums of one iteration are two allreduces (Section 4), parameters
+/// are broadcast once at startup.
 ///
 /// Failure contract (the fault-tolerance layer builds on these rules):
 ///  * Implementations may enforce a per-collective deadline; a collective
@@ -101,5 +103,12 @@ class SelfCommunicator final : public Communicator {
   void broadcast(std::span<Real> /*data*/, int /*root*/) override {}
   void barrier() override {}
 };
+
+/// A process-wide SelfCommunicator: it holds no state, so every serial
+/// trainer can share it (VqmcTrainer's default communicator).
+inline SelfCommunicator& self_communicator() {
+  static SelfCommunicator self;
+  return self;
+}
 
 }  // namespace vqmc::parallel

@@ -4,23 +4,18 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/health.hpp"
 #include "common/logging.hpp"
-#include "common/timer.hpp"
 #include "core/checkpoint.hpp"
-#include "core/estimators.hpp"
-#include "core/local_energy.hpp"
+#include "core/factory.hpp"
+#include "core/trainer.hpp"
 #include "nn/made.hpp"
 #include "obs/exposition.hpp"
-#include "optim/optimizer.hpp"
 #include "parallel/thread_communicator.hpp"
 #include "rng/splitmix.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/jsonl.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/tracer.hpp"
 #include "tensor/kernels.hpp"
@@ -63,157 +58,92 @@ double modeled_run_seconds(const DistributedConfig& config,
                                  config.local_energy_chunk);
 }
 
-/// Everything one endpoint knows when its part of the run ends. Global
-/// fields are identical on every rank that reached the end (they derive
-/// from allreduced data only); the `*_per_rank` vectors come from one
-/// trailing gather allreduce, so ranks dead by then read 0.
+/// Everything one endpoint knows when its part of the run ends. `result`
+/// is this endpoint's view: its global fields are identical on every rank
+/// that reached the end (they derive from allreduced data only), and its
+/// per-rank fields come from one trailing gather allreduce, so slots of
+/// ranks dead by then read 0.
 struct RankOutcome {
-  std::vector<Real> energy_history;
-  std::vector<ShrinkEvent> shrink_events;
-  Real converged_energy = 0;
-  Real converged_std = 0;
-  bool replicas_identical = false;
-  std::uint64_t guard_trips = 0;
-  std::string last_trip_reason;
-  int final_live_ranks = 0;
-  std::vector<Real> final_parameters;
-  telemetry::MetricsSnapshot merged_metrics;
-  bool reached_end = false;      ///< false when this rank died mid-run
+  DistributedResult result;
+  bool reached_end = false;        ///< false when this rank died mid-run
   bool is_final_reporter = false;  ///< lowest rank alive at the end
   // This rank's own tallies (valid even when it died mid-run):
   double my_busy_seconds = 0;
   double my_allreduce_wait_seconds = 0;
   std::uint64_t my_bad_contributions = 0;
-  // Gathered across the ranks that survived to the end:
-  std::vector<double> busy_seconds_per_rank;
-  std::vector<double> allreduce_wait_seconds_per_rank;
-  std::vector<std::uint64_t> bad_contributions_per_rank;
 };
 
-/// The per-rank training body, shared verbatim by the thread-backed driver
-/// and the multi-process (socket-backed) driver.
+/// One rank's driver, shared by the thread-backed and the multi-process
+/// (socket-backed) entry points: it builds the rank's replica, sampler,
+/// optimizer and trainer, loops VqmcTrainer::step over `comm`, and runs the
+/// final evaluation and the trailing gathers.
 RankOutcome run_rank(const Hamiltonian& hamiltonian,
                      const AutoregressiveModel& prototype,
-                     const DistributedConfig& config, Communicator& comm,
-                     const FaultPlan& plan,
+                     const DistributedConfig& config, Communicator& endpoint,
                      const std::function<void(long long)>& iteration_hook) {
-  const int rank = comm.rank();
-  const int num_ranks = comm.size();
+  const int rank = endpoint.rank();
+  const int num_ranks = endpoint.size();
   const std::size_t n = hamiltonian.num_spins();
-  const std::size_t mbs = config.mini_batch_size;
-  const health::GuardPolicy policy = config.guard.policy;
+  // Rank attribution for this thread: log lines gain a "[rank N]" prefix,
+  // trace spans and JSONL events carry the rank field.
+  set_log_rank(rank);
+
+  // Optional scripted faults for this rank (test hook): route the rank's
+  // collectives through the fault-injecting decorator.
+  FaultPlan plan;
+  if (std::size_t(rank) < config.fault_plans.size())
+    plan = config.fault_plans[std::size_t(rank)];
+  FaultInjectingCommunicator injected(endpoint, plan);
+  Communicator& comm = plan.empty() ? endpoint : injected;
 
   RankOutcome outcome;
-  outcome.energy_history.assign(std::size_t(config.iterations), Real(0));
+  DistributedResult& result = outcome.result;
+  result.energy_history.assign(std::size_t(config.iterations), Real(0));
+  result.guard_trips_per_rank.assign(std::size_t(num_ranks), 0);
+  result.allreduce_wait_seconds_per_rank.assign(std::size_t(num_ranks), 0.0);
 
   // Per-rank replica and private RNG stream. Replicas start identical
   // (same prototype); the sampler streams differ per rank — and are
   // independent of the cluster size, so a group that shrinks to the same
   // live set as a smaller cluster follows the identical trajectory.
-  std::unique_ptr<WavefunctionModel> replica_base = prototype.clone();
-  auto* replica = dynamic_cast<AutoregressiveModel*>(replica_base.get());
-  VQMC_REQUIRE(replica != nullptr, "distributed: clone lost its type");
+  const std::unique_ptr<WavefunctionModel> replica = prototype.clone();
   const std::uint64_t rank_seed =
       config.seed ^ rng::splitmix64_once(std::uint64_t(rank) + 1);
-  AutoregressiveSampler sampler(*replica, rank_seed);
-  LocalEnergyEngine engine(hamiltonian, *replica, config.local_energy_chunk);
-  std::unique_ptr<Optimizer> optimizer =
-      config.optimizer == "SGD" ? make_sgd(0.1) : make_adam(0.01);
-
-  const std::size_t d = replica->num_parameters();
-  Matrix batch(mbs, n);
-  Vector local_energies(mbs);
-  Vector gradient(d);
-  Vector coeff(mbs);
-  // Guard- and liveness-aware collective buffers. Per-rank flags ride
-  // along in the same allreduce as the payload, so detecting a sick or
-  // dead rank costs no extra collective:
-  //   stats    = [energy_sum, count, bad_0..R-1, live_0..R-1]
-  //   grad_ext = [gradient_0..d-1, bad_0..R-1]
-  // A rank whose local values are non-finite contributes zeros plus its
-  // bad flag, so the folded payload stays finite for everyone. A dead rank
-  // contributes nothing at all (the reduction skips it), so its live slot
-  // stays 0 — that is how the survivors detect the shrink, and
-  // stats[count] automatically becomes the surviving sample count used to
-  // rescale the gradient average.
-  std::vector<Real> stats(2 + 2 * std::size_t(num_ranks));
-  Vector grad_ext(d + std::size_t(num_ranks));
-  Vector snapshot;
-  bool have_snapshot = false;
-  if (policy == health::GuardPolicy::RollbackAndBackoff) snapshot = Vector(d);
-  health::DivergenceDetector divergence(config.guard);
-  std::uint64_t trips = 0;
-  std::string last_reason;
-  std::vector<char> known_alive(std::size_t(num_ranks), 1);
-  // Per-thread CPU time: wall time would charge a virtual device for the
-  // periods it sat descheduled when the host core is oversubscribed.
-  ThreadCpuTimer busy;
+  const std::unique_ptr<Sampler> sampler =
+      make_sampler("AUTO", *replica, rank_seed);
+  const std::unique_ptr<Optimizer> optimizer =
+      make_optimizer(config.optimizer);
+  TrainerConfig trainer_config;
+  trainer_config.iterations = config.iterations;
+  trainer_config.batch_size = config.mini_batch_size;
+  trainer_config.local_energy_chunk = config.local_energy_chunk;
+  trainer_config.guard = config.guard;
+  VqmcTrainer trainer(hamiltonian, *replica, *sampler, *optimizer,
+                      trainer_config, comm);
 
   // Checkpoint/restart: each rank keeps its own TrainingSnapshot under
   // "<base>.rank<r>". Written at the top of an iteration (before any work of
   // that iteration), so a boundary kill at iteration k resumes exactly at
   // the last cadence point <= k and replays a bit-identical tail.
   std::unique_ptr<CheckpointKeeper> keeper;
-  int start_iteration = 0;
   if (!config.checkpoint_base.empty()) {
     const std::string rank_path =
         config.checkpoint_base + ".rank" + std::to_string(rank);
     keeper = std::make_unique<CheckpointKeeper>(rank_path);
     if (config.resume) {
-      const TrainingSnapshot loaded = load_training_checkpoint(rank_path);
-      VQMC_REQUIRE(loaded.model_name == replica->name() &&
-                       loaded.num_spins == n && loaded.num_parameters == d,
-                   "distributed: checkpoint '" + rank_path +
-                       "' was written for a different model");
-      VQMC_REQUIRE(loaded.optimizer_name == optimizer->name(),
-                   "distributed: checkpoint optimizer mismatch");
-      VQMC_REQUIRE(loaded.sampler_name == sampler.name(),
-                   "distributed: checkpoint sampler mismatch");
-      std::copy(loaded.parameters.begin(), loaded.parameters.end(),
-                replica->parameters().begin());
-      optimizer->restore_state(loaded.optimizer_state);
-      sampler.restore_state(loaded.sampler_state);
-      VQMC_REQUIRE(loaded.trainer_state.size() >= 5,
-                   "distributed: checkpoint trainer state truncated");
-      health::DivergenceDetector::State guard_state;
-      guard_state.best = loaded.trainer_state[0];
-      guard_state.have_best = loaded.trainer_state[1] != 0;
-      guard_state.consecutive = int(loaded.trainer_state[2]);
-      divergence.set_state(guard_state);
-      trips = std::uint64_t(loaded.trainer_state[3]);
-      outcome.my_bad_contributions = std::uint64_t(loaded.trainer_state[4]);
-      start_iteration = int(loaded.iteration);
-      VQMC_REQUIRE(start_iteration >= 0 &&
-                       start_iteration <= config.iterations,
+      trainer.restore(load_training_checkpoint(rank_path));
+      VQMC_REQUIRE(trainer.iteration() <= config.iterations,
                    "distributed: checkpoint iteration out of range");
     }
   }
-  const auto write_checkpoint = [&](int iter) {
-    TrainingSnapshot snap;
-    snap.model_name = replica->name();
-    snap.optimizer_name = optimizer->name();
-    snap.sampler_name = sampler.name();
-    snap.num_spins = n;
-    snap.num_parameters = d;
-    snap.iteration = iter;
-    snap.parameters.assign(replica->parameters().begin(),
-                           replica->parameters().end());
-    snap.optimizer_state = optimizer->serialize_state();
-    snap.sampler_state = sampler.serialize_state();
-    const health::DivergenceDetector::State guard_state = divergence.state();
-    snap.trainer_state = {guard_state.best, guard_state.have_best ? Real(1)
-                                                                  : Real(0),
-                          Real(guard_state.consecutive), Real(trips),
-                          Real(outcome.my_bad_contributions)};
-    keeper->write(snap);
-  };
+  const int start_iteration = trainer.iteration();
 
   // Per-rank metrics: this thread's `metrics()` calls — including the
-  // sampler's and the communicator's — land in a private registry.
-  // Pre-creating every instrument the rank can touch makes the instrument
-  // set (and therefore the pack_additive payload layout) identical on every
-  // rank regardless of which guard/recovery/death branches actually ran,
-  // which the end-of-run allreduce merge requires.
+  // trainer's, the sampler's and the communicator's — land in a private
+  // registry. Pre-creating every instrument the rank can touch makes the
+  // instrument set (and therefore the pack_additive payload layout)
+  // identical on every rank regardless of which guard/recovery/death
+  // branches actually ran, which the end-of-run allreduce merge requires.
   telemetry::MetricsRegistry rank_registry;
   const telemetry::ScopedMetricsRegistry scoped_registry(rank_registry);
   rank_registry.counter("sampler.auto.batches");
@@ -235,9 +165,8 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
   rank_registry.histogram("phase.optimizer_seconds");
   // Gauges ride a trailing allreduce_max (not the additive merge), but the
   // layout-identical rule is the same — pre-create them all.
-  telemetry::Gauge& iteration_gauge = rank_registry.gauge("trainer.iteration");
-  telemetry::Gauge& live_ranks_gauge = rank_registry.gauge("comm.live_ranks");
-  live_ranks_gauge.set(double(num_ranks));
+  rank_registry.gauge("trainer.iteration");
+  rank_registry.gauge("comm.live_ranks").set(double(num_ranks));
 
   // Live exposition (DESIGN.md §5i): a per-rank scrape server over this
   // rank's private registry + flight-recorder slice. Rank 0 also gets the
@@ -274,8 +203,21 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
         });
   }
 
+  // This rank's own view; kept on every exit path, so a rank that dies
+  // mid-run still reports what it did.
+  std::uint64_t bad_evaluations = 0;
+  const auto keep_own_view = [&] {
+    const health::HealthCounters& health = trainer.health_counters();
+    outcome.my_busy_seconds = trainer.busy_seconds();
+    outcome.my_allreduce_wait_seconds = trainer.allreduce_wait_seconds();
+    outcome.my_bad_contributions =
+        health.nonfinite_energy + health.nonfinite_gradient + bad_evaluations;
+    result.shrink_events = trainer.shrink_events();
+  };
+
   try {
-    for (int iter = start_iteration; iter < config.iterations; ++iter) {
+    while (trainer.iteration() < config.iterations) {
+      const int iter = trainer.iteration();
       // Real-process fault seam (vqmc_launch): kills never return, a
       // scripted leave throws RankDeadError, a stop blocks until SIGCONT.
       if (iteration_hook) iteration_hook(iter);
@@ -290,256 +232,12 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
 
       if (keeper && config.checkpoint_every > 0 && iter > start_iteration &&
           iter % config.checkpoint_every == 0) {
-        write_checkpoint(iter);
-      }
-
-      telemetry::set_iteration(iter);
-      telemetry::Span iteration_span("iteration");
-      rank_registry.counter("trainer.iterations").add();
-      iteration_gauge.set(double(iter));
-
-      busy.reset();
-      Timer phase_timer;
-      {
-        TELEMETRY_SPAN("sample");
-        sampler.sample(batch);
-      }
-      const double sample_seconds = phase_timer.seconds();
-      rank_registry.histogram("phase.sample_seconds").observe(sample_seconds);
-      phase_timer.reset();
-      std::size_t bad_le = 0;
-      {
-        // The finite scan is O(mbs) post-processing of the energies; it
-        // lives inside the span so phase spans tile the iteration.
-        TELEMETRY_SPAN("local_energy");
-        engine.compute(batch, local_energies.span());
-        bad_le = health::count_nonfinite(local_energies.span());
-      }
-      const double le_seconds = phase_timer.seconds();
-
-      // The span (and wait timer) opens at barrier *arrival* — once this
-      // rank is ready to reduce.  On a contended substrate the scheduler
-      // can park the thread anywhere between here and the collective
-      // (the thread-CPU clock read below is a syscall, i.e. a preemption
-      // point); that park time is straggler wait and belongs to the
-      // allreduce phase, not to an untracked gap.
-      Timer allreduce_timer;
-      {
-        TELEMETRY_SPAN("allreduce");
-        rank_registry.histogram("phase.local_energy_seconds")
-            .observe(le_seconds);
-        outcome.my_busy_seconds += busy.seconds();
-        std::fill(stats.begin(), stats.end(), Real(0));
-        if (bad_le == 0) {
-          stats[0] = sum(local_energies.span());
-          stats[1] = Real(mbs);
-        } else {
-          stats[2 + std::size_t(rank)] = 1;
-        }
-        stats[2 + std::size_t(num_ranks) + std::size_t(rank)] = 1;  // live
-        comm.allreduce_sum(std::span<Real>(stats.data(), stats.size()));
-      }
-      double iter_allreduce = allreduce_timer.seconds();
-      int bad_energy_ranks = 0;
-      int live_ranks = 0;
-      for (int r = 0; r < num_ranks; ++r) {
-        bad_energy_ranks += stats[2 + std::size_t(r)] > 0 ? 1 : 0;
-        const bool live =
-            stats[2 + std::size_t(num_ranks) + std::size_t(r)] > 0;
-        live_ranks += live ? 1 : 0;
-        if (!live && known_alive[std::size_t(r)]) {
-          known_alive[std::size_t(r)] = 0;
-          int live_after = 0;
-          for (int q = 0; q < num_ranks; ++q)
-            live_after +=
-                stats[2 + std::size_t(num_ranks) + std::size_t(q)] > 0 ? 1
-                                                                       : 0;
-          // Every survivor sees identical flags, so every survivor records
-          // the identical shrink log; only the lowest surviving rank
-          // *reports* it (one log line / JSONL event per event).
-          outcome.shrink_events.push_back(ShrinkEvent{iter, r, live_after});
-          int reporter = 0;
-          while (reporter < num_ranks &&
-                 stats[2 + std::size_t(num_ranks) + std::size_t(reporter)] <=
-                     0)
-            ++reporter;
-          if (rank == reporter) {
-            log_warn("elastic shrink: rank " + std::to_string(r) +
-                     " left at iteration " + std::to_string(iter) + ", " +
-                     std::to_string(live_after) + " rank(s) remain");
-            telemetry::jsonl_event(
-                "shrink", {{"dead_rank", r}, {"live_after", live_after}});
-          }
-        }
-      }
-      // Surviving effective batch: the allreduced sample count. Healthy
-      // full-strength runs fold to mbs * num_ranks exactly, so the
-      // rescaling is bit-identical to the fixed divisor it replaces; after
-      // an elastic shrink it becomes mbs * live_ranks automatically.
-      const Real effective_batch = stats[1];
-      const Real global_mean =
-          stats[1] > 0 ? stats[0] / stats[1]
-                       : std::numeric_limits<Real>::quiet_NaN();
-
-      // Trip decisions are made from allreduced data only, so every rank
-      // takes the same branch — the bit-identical-replicas invariant holds
-      // through recoveries too.
-      bool tripped = false;
-      std::string reason;
-      double gradient_seconds = 0;
-      double optimizer_seconds = 0;
-      if (bad_energy_ranks > 0) {
-        tripped = true;
-        reason = "non-finite local energies on " +
-                 std::to_string(bad_energy_ranks) + " rank(s)";
-        if (bad_le > 0) ++outcome.my_bad_contributions;
-      } else if (divergence.update(global_mean)) {
-        tripped = true;
-        reason = "energy divergence: global batch mean exceeded the "
-                 "explosion threshold for " +
-                 std::to_string(config.guard.divergence_window) +
-                 " consecutive iterations";
-      }
-
-      if (!tripped) {
-        busy.reset();
-        phase_timer.reset();
-        bool bad_grad = false;
-        {
-          TELEMETRY_SPAN("gradient");
-          if (policy == health::GuardPolicy::RollbackAndBackoff) {
-            std::copy(replica->parameters().begin(),
-                      replica->parameters().end(), snapshot.begin());
-            have_snapshot = true;
-          }
-          // Local gradient contribution with *global* centering, so the
-          // allreduced sum is exactly the serial gradient over the full
-          // surviving batch.
-          for (std::size_t k = 0; k < mbs; ++k)
-            coeff[k] = 2 * (local_energies[k] - global_mean) / effective_batch;
-          gradient.fill(0);
-          replica->accumulate_log_psi_gradient(batch, coeff.span(),
-                                               gradient.span());
-          // The O(d) finite scan and pack into the extended payload are
-          // gradient post-processing; inside the span so phase spans tile
-          // the iteration.
-          bad_grad = !health::all_finite(gradient.span());
-          std::copy(gradient.begin(), gradient.end(), grad_ext.begin());
-          for (int r = 0; r < num_ranks; ++r)
-            grad_ext[d + std::size_t(r)] = 0;
-          if (bad_grad) {
-            for (std::size_t i = 0; i < d; ++i) grad_ext[i] = 0;
-            grad_ext[d + std::size_t(rank)] = 1;
-          }
-        }
-        gradient_seconds = phase_timer.seconds();
-        rank_registry.histogram("phase.gradient_seconds")
-            .observe(gradient_seconds);
-        outcome.my_busy_seconds += busy.seconds();
-
-        allreduce_timer.reset();
-        {
-          TELEMETRY_SPAN("allreduce");
-          comm.allreduce_sum(grad_ext.span());
-        }
-        iter_allreduce += allreduce_timer.seconds();
-        int bad_grad_ranks = 0;
-        for (int r = 0; r < num_ranks; ++r)
-          bad_grad_ranks += grad_ext[d + std::size_t(r)] > 0 ? 1 : 0;
-        if (bad_grad_ranks > 0) {
-          tripped = true;
-          reason = "non-finite gradient on " + std::to_string(bad_grad_ranks) +
-                   " rank(s)";
-          if (bad_grad) ++outcome.my_bad_contributions;
-        } else {
-          busy.reset();
-          phase_timer.reset();
-          {
-            TELEMETRY_SPAN("optimizer");
-            optimizer->step(replica->parameters(),
-                            std::span<const Real>(grad_ext.data(), d));
-          }
-          optimizer_seconds = phase_timer.seconds();
-          rank_registry.histogram("phase.optimizer_seconds")
-              .observe(optimizer_seconds);
-          outcome.my_busy_seconds += busy.seconds();
-        }
-      }
-
-      if (tripped) {
-        ++trips;
-        last_reason = reason;
-        rank_registry.counter("trainer.guard_trips").add();
-        {
-          // The lowest surviving rank reports (every survivor sees the
-          // same allreduced flags, so exactly one rank logs).
-          int reporter = 0;
-          while (reporter < num_ranks && !known_alive[std::size_t(reporter)])
-            ++reporter;
-          if (rank == reporter) {
-            if (policy != health::GuardPolicy::Throw)
-              log_warn("health guard tripped at iteration " +
-                       std::to_string(iter) + ": " + reason);
-            telemetry::jsonl_event(
-                "guard_trip", {{"reason", reason}, {"trips", trips}});
-          }
-        }
-        switch (policy) {
-          case health::GuardPolicy::Throw:
-            // Every rank reaches this point together (the trip decision is
-            // post-allreduce), so throwing here cannot strand a peer inside
-            // a collective.
-            throw Error("distributed: health guard tripped at iteration " +
-                        std::to_string(iter) + ": " + reason);
-          case health::GuardPolicy::SkipIteration:
-            break;
-          case health::GuardPolicy::RollbackAndBackoff:
-            if (have_snapshot)
-              std::copy(snapshot.begin(), snapshot.end(),
-                        replica->parameters().begin());
-            optimizer->set_learning_rate(optimizer->learning_rate() *
-                                         config.guard.backoff_factor);
-            divergence.reset_streak();
-            break;
-        }
+        keeper->write(trainer.snapshot());
       }
 
       // Every rank records the (identical, allreduced) iteration energy.
-      outcome.energy_history[std::size_t(iter)] = global_mean;
-
-      outcome.my_allreduce_wait_seconds += iter_allreduce;
-      rank_registry.histogram("comm.allreduce_wait_seconds")
-          .observe(iter_allreduce);
-      rank_registry.histogram("phase.allreduce_seconds")
-          .observe(iter_allreduce);
-      live_ranks_gauge.set(double(live_ranks));
-      if (telemetry::enabled()) {
-        telemetry::FlightRecord flight;
-        flight.iteration = iter;
-        flight.rank = rank;
-        flight.live_ranks = live_ranks;
-        flight.wall_us = telemetry::now_us();
-        flight.energy = double(global_mean);
-        flight.guard_trips = trips;
-        flight.sample_seconds = sample_seconds;
-        flight.local_energy_seconds = le_seconds;
-        flight.gradient_seconds = gradient_seconds;
-        flight.allreduce_seconds = iter_allreduce;
-        flight.optimizer_seconds = optimizer_seconds;
-        flight.comm_wait_seconds = iter_allreduce;
-        telemetry::FlightRecorder::instance().record(flight);
-      }
-      // Sink I/O happens after the iteration span closes so it is not
-      // charged to iteration wall time; guarded on active() because the
-      // field list allocates.
-      iteration_span.end();
-      if (telemetry::JsonlLogger::instance().active()) {
-        telemetry::jsonl_event(
-            "iteration", {{"energy", double(global_mean)},
-                          {"allreduce_wait_seconds", iter_allreduce}});
-      }
+      result.energy_history[std::size_t(iter)] = trainer.step().energy;
     }
-    telemetry::set_iteration(-1);
 
     // Final evaluation: fresh samples on every surviving rank, global
     // mean/std. A rank with non-finite evaluation energies is excluded
@@ -547,11 +245,12 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
     // estimate; the exclusion is reported through guard_trips_per_rank and
     // last_trip_reason. Liveness flags ride along so the survivors agree
     // on who reports the result.
+    std::string last_reason = trainer.health_counters().last_trip_reason;
     const std::size_t eb = std::max<std::size_t>(1, config.eval_batch_per_rank);
     Matrix eval_batch(eb, n);
     Vector eval_energies(eb);
-    sampler.sample(eval_batch);
-    engine.compute(eval_batch, eval_energies.span());
+    sampler->sample(eval_batch);
+    trainer.local_energy_engine().compute(eval_batch, eval_energies.span());
     const bool bad_eval = !health::all_finite(eval_energies.span());
     std::vector<Real> moments(4 + std::size_t(num_ranks), Real(0));
     moments[0] = sum(eval_energies.span());
@@ -560,7 +259,7 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
     if (bad_eval) {
       moments[0] = moments[1] = moments[2] = 0;
       moments[3] = 1;
-      ++outcome.my_bad_contributions;
+      ++bad_evaluations;
     }
     moments[4 + std::size_t(rank)] = 1;  // live
     comm.allreduce_sum(std::span<Real>(moments.data(), moments.size()));
@@ -603,6 +302,7 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
     // Gather the per-rank tallies (busy time, allreduce wait, bad
     // contributions) with one more trailing allreduce so every survivor —
     // including a standalone vqmc_launch process — holds the full vectors.
+    keep_own_view();
     std::vector<Real> gathered(3 * std::size_t(num_ranks), Real(0));
     gathered[std::size_t(rank)] = Real(outcome.my_busy_seconds);
     gathered[std::size_t(num_ranks) + std::size_t(rank)] =
@@ -621,16 +321,13 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
           std::span<Real>(gauge_payload.data(), gauge_payload.size()));
       merged.apply_gauge_max(gauge_payload);
     }
-    outcome.busy_seconds_per_rank.resize(std::size_t(num_ranks));
-    outcome.allreduce_wait_seconds_per_rank.resize(std::size_t(num_ranks));
-    outcome.bad_contributions_per_rank.resize(std::size_t(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) {
-      outcome.busy_seconds_per_rank[std::size_t(r)] =
-          double(gathered[std::size_t(r)]);
-      outcome.allreduce_wait_seconds_per_rank[std::size_t(r)] =
-          double(gathered[std::size_t(num_ranks) + std::size_t(r)]);
-      outcome.bad_contributions_per_rank[std::size_t(r)] = std::uint64_t(
-          gathered[2 * std::size_t(num_ranks) + std::size_t(r)]);
+    for (std::size_t r = 0; r < std::size_t(num_ranks); ++r) {
+      result.max_rank_busy_seconds =
+          std::max(result.max_rank_busy_seconds, double(gathered[r]));
+      result.allreduce_wait_seconds_per_rank[r] =
+          double(gathered[std::size_t(num_ranks) + r]);
+      result.guard_trips_per_rank[r] =
+          std::uint64_t(gathered[2 * std::size_t(num_ranks) + r]);
     }
 
     const Real mean = moments[2] > 0
@@ -640,15 +337,15 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
         moments[2] > 0
             ? std::max<Real>(0, moments[1] / moments[2] - mean * mean)
             : std::numeric_limits<Real>::quiet_NaN();
-    outcome.converged_energy = mean;
-    outcome.converged_std = std::sqrt(var);
-    outcome.replicas_identical = spread == Real(0);
-    outcome.guard_trips = trips;
-    outcome.last_trip_reason = last_reason;
-    outcome.final_live_ranks = final_live;
-    outcome.final_parameters.assign(replica->parameters().begin(),
-                                    replica->parameters().end());
-    outcome.merged_metrics = std::move(merged);
+    result.converged_energy = mean;
+    result.converged_std = std::sqrt(var);
+    result.replicas_identical = spread == Real(0);
+    result.guard_trips = trainer.health_counters().guard_trips;
+    result.last_trip_reason = last_reason;
+    result.final_live_ranks = final_live;
+    result.final_parameters.assign(replica->parameters().begin(),
+                                   replica->parameters().end());
+    result.merged_metrics = std::move(merged);
     outcome.reached_end = true;
     outcome.is_final_reporter = rank == final_reporter;
   } catch (const RankDeadError&) {
@@ -657,6 +354,7 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
     // outcome and the shrink itself is detected and reported by the
     // survivors through the liveness flags.
     telemetry::set_iteration(-1);
+    keep_own_view();
   } catch (const Error& e) {
     // Aborting mid-run (comm timeout, guard Throw, corruption): leave the
     // flight-recorder evidence behind before unwinding. A no-op unless a
@@ -675,62 +373,37 @@ DistributedResult train_distributed(const Hamiltonian& hamiltonian,
                                     const DistributedConfig& config,
                                     const DeviceCostModel& device) {
   validate_config(config);
-
-  const int num_ranks = config.shape.total();
-
-  DistributedResult result;
-  result.energy_history.assign(std::size_t(config.iterations), Real(0));
-  result.guard_trips_per_rank.assign(std::size_t(num_ranks), 0);
-  result.allreduce_wait_seconds_per_rank.assign(std::size_t(num_ranks), 0.0);
-  std::mutex result_mutex;
-  std::vector<double> busy_seconds(std::size_t(num_ranks), 0.0);
-
+  const std::size_t num_ranks = std::size_t(config.shape.total());
+  std::vector<RankOutcome> outcomes(num_ranks);
   GroupOptions group_options;
   group_options.timeout_seconds = config.comm_timeout_seconds;
+  run_thread_group(
+      int(num_ranks),
+      [&](Communicator& endpoint) {
+        outcomes[std::size_t(endpoint.rank())] =
+            run_rank(hamiltonian, prototype, config, endpoint, {});
+      },
+      group_options);
 
-  run_thread_group(num_ranks, [&](Communicator& endpoint) {
-    const int rank = endpoint.rank();
-    // Rank attribution for this thread: log lines gain a "[rank N]" prefix,
-    // trace spans and JSONL events carry the rank field.
-    set_log_rank(rank);
-
-    // Optional scripted faults for this rank (test hook): route the rank's
-    // collectives through the fault-injecting decorator.
-    FaultPlan plan;
-    if (std::size_t(rank) < config.fault_plans.size())
-      plan = config.fault_plans[std::size_t(rank)];
-    FaultInjectingCommunicator injected(endpoint, plan);
-    Communicator& comm = plan.empty() ? endpoint : injected;
-
-    RankOutcome outcome =
-        run_rank(hamiltonian, prototype, config, comm, plan, {});
-
-    // Cross-rank assembly. Per-rank tallies come from each rank's own
-    // outcome (so ranks that died mid-run still report theirs); the global
-    // fields come from the final reporter — the lowest rank alive at the
-    // end — whose local view equals every other survivor's.
-    const std::lock_guard<std::mutex> lock(result_mutex);
-    busy_seconds[std::size_t(rank)] = outcome.my_busy_seconds;
-    result.guard_trips_per_rank[std::size_t(rank)] =
-        outcome.my_bad_contributions;
-    result.allreduce_wait_seconds_per_rank[std::size_t(rank)] =
-        outcome.my_allreduce_wait_seconds;
-    if (outcome.reached_end && outcome.is_final_reporter) {
-      result.energy_history = std::move(outcome.energy_history);
-      result.shrink_events = std::move(outcome.shrink_events);
-      result.converged_energy = outcome.converged_energy;
-      result.converged_std = outcome.converged_std;
-      result.replicas_identical = outcome.replicas_identical;
-      result.guard_trips = outcome.guard_trips;
-      result.last_trip_reason = outcome.last_trip_reason;
-      result.final_live_ranks = outcome.final_live_ranks;
-      result.final_parameters = std::move(outcome.final_parameters);
-      result.merged_metrics = std::move(outcome.merged_metrics);
-    }
-  }, group_options);
-
-  for (double s : busy_seconds)
-    result.max_rank_busy_seconds = std::max(result.max_rank_busy_seconds, s);
+  // Cross-rank assembly. The global fields come from the final reporter —
+  // the lowest rank alive at the end — whose view equals every other
+  // survivor's; per-rank tallies come from each rank's own outcome, so
+  // ranks that died mid-run still report theirs.
+  DistributedResult result;
+  for (RankOutcome& outcome : outcomes)
+    if (outcome.reached_end && outcome.is_final_reporter)
+      result = std::move(outcome.result);
+  result.energy_history.resize(std::size_t(config.iterations), Real(0));
+  result.guard_trips_per_rank.resize(num_ranks);
+  result.allreduce_wait_seconds_per_rank.resize(num_ranks);
+  result.max_rank_busy_seconds = 0;
+  for (std::size_t r = 0; r < num_ranks; ++r) {
+    result.guard_trips_per_rank[r] = outcomes[r].my_bad_contributions;
+    result.allreduce_wait_seconds_per_rank[r] =
+        outcomes[r].my_allreduce_wait_seconds;
+    result.max_rank_busy_seconds =
+        std::max(result.max_rank_busy_seconds, outcomes[r].my_busy_seconds);
+  }
   result.modeled_seconds = modeled_run_seconds(config, prototype, device,
                                                hamiltonian.num_spins());
   return result;
@@ -747,37 +420,8 @@ DistributedResult train_distributed_on(
                    std::to_string(config.shape.total()) +
                    " ranks) does not match the communicator world (" +
                    std::to_string(comm.size()) + ")");
-  set_log_rank(comm.rank());
-
-  FaultPlan plan;
-  if (std::size_t(comm.rank()) < config.fault_plans.size())
-    plan = config.fault_plans[std::size_t(comm.rank())];
-  FaultInjectingCommunicator injected(comm, plan);
-  Communicator& routed = plan.empty() ? comm : injected;
-
-  RankOutcome outcome =
-      run_rank(hamiltonian, prototype, config, routed, plan, iteration_hook);
-
-  DistributedResult result;
-  result.energy_history = std::move(outcome.energy_history);
-  result.shrink_events = std::move(outcome.shrink_events);
-  result.converged_energy = outcome.converged_energy;
-  result.converged_std = outcome.converged_std;
-  result.replicas_identical = outcome.replicas_identical;
-  result.guard_trips = outcome.guard_trips;
-  result.last_trip_reason = outcome.last_trip_reason;
-  result.final_live_ranks = outcome.final_live_ranks;
-  result.final_parameters = std::move(outcome.final_parameters);
-  result.merged_metrics = std::move(outcome.merged_metrics);
-  result.guard_trips_per_rank = std::move(outcome.bad_contributions_per_rank);
-  result.allreduce_wait_seconds_per_rank =
-      std::move(outcome.allreduce_wait_seconds_per_rank);
-  for (const double s : outcome.busy_seconds_per_rank)
-    result.max_rank_busy_seconds = std::max(result.max_rank_busy_seconds, s);
-  // A rank that died mid-run never reaches the trailing gather; size the
-  // per-rank vectors anyway so callers can index them uniformly.
-  result.guard_trips_per_rank.resize(std::size_t(comm.size()), 0);
-  result.allreduce_wait_seconds_per_rank.resize(std::size_t(comm.size()), 0.0);
+  DistributedResult result =
+      run_rank(hamiltonian, prototype, config, comm, iteration_hook).result;
   result.modeled_seconds = modeled_run_seconds(config, prototype, device,
                                                hamiltonian.num_spins());
   return result;

@@ -5,8 +5,9 @@
 /// parallelization).
 ///
 /// Every rank holds an identical replica of the model, draws its own `mbs`
-/// exact AUTO samples, measures local energies, and contributes to two
-/// allreduces per iteration:
+/// exact AUTO samples and runs the one training step, VqmcTrainer::step,
+/// over its communicator endpoint. The step contributes to two allreduces
+/// per iteration:
 ///
 ///   1. (sum of local energies, count, flags) -> the global batch mean L;
 ///   2. the local gradient sum               -> the global averaged gradient.
@@ -15,7 +16,14 @@
 /// replicas stay bit-identical (the thread communicator folds reductions in
 /// a fixed order) — the invariant the tests assert.  This is exactly the
 /// paper's scheme with an effective batch size bs = L x mbs and O(hn)
-/// communication per iteration.
+/// communication per iteration; on one rank it is the serial trainer, bit
+/// for bit.
+///
+/// The entry points below are drivers around that step: they build each
+/// rank's replica, sampler, optimizer and trainer through the factories,
+/// run the per-rank metrics registry, scrape server, scripted faults,
+/// iteration hook and top-of-iteration checkpoints, and finish with a
+/// global evaluation and the trailing gathers.
 ///
 /// Fault tolerance (DESIGN.md §5c): collectives take an optional deadline
 /// (a hung rank aborts the group with vqmc::CommTimeoutError instead of
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "common/health.hpp"
+#include "core/trainer.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 #include "nn/wavefunction.hpp"
 #include "parallel/cost_model.hpp"
@@ -77,14 +86,6 @@ struct DistributedConfig {
   /// additionally aggregates the group, so scraping `obs_endpoint` mid-run
   /// returns per-rank allreduce waits, iteration counters and membership.
   std::string obs_endpoint;
-};
-
-/// One elastic-shrink event: `rank` was detected dead at `iteration`,
-/// leaving `live_after` ranks in the group.
-struct ShrinkEvent {
-  int iteration = 0;
-  int rank = 0;
-  int live_after = 0;
 };
 
 struct DistributedResult {
@@ -136,9 +137,9 @@ DistributedResult train_distributed(const Hamiltonian& hamiltonian,
 
 /// Run ONE rank of the same data-parallel training on an already-connected
 /// communicator endpoint — any backend (thread, socket, self). This is what
-/// a vqmc_launch worker process calls after its socket rendezvous; the
-/// training loop, elastic shrink, guards and checkpointing are byte-for-byte
-/// the code the thread-backed driver runs.
+/// a vqmc_launch worker process calls after its socket rendezvous; it runs
+/// the same rank driver, and so the same VqmcTrainer::step, as the
+/// thread-backed driver.
 ///
 /// Returns this endpoint's complete view of the run. Global fields
 /// (energy_history, converged stats, shrink_events, final_parameters,

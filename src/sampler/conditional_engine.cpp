@@ -113,9 +113,9 @@ std::uint64_t sample_conditionals_batched(const Made& model,
       const std::size_t far_len = h > b1 ? h - b1 : 0;
       std::fill(ws.flip_masks.begin(), ws.flip_masks.end(), 0);
       for (std::size_t i = b0; i < b1; ++i) {
-        // One batched kernel call per site: logits[k] is bitwise identical
-        // to the single-row relu_dot_panels the per-row loop used to make,
-        // so the historical draw streams are preserved exactly.
+        // One batched kernel call per site: logits[k] is bitwise the value
+        // of the one-row call the per-row loop used to make, so the
+        // historical draw streams are preserved exactly.
         relu_dot_panels_batch(w2_ext.row(i), a_base, hp, bs, mw.w2p.row(i),
                               logits);
         ws.flips.clear();

@@ -10,9 +10,9 @@
 /// kernel call, takes the Bernoulli draws in site-major / row-minor order
 /// within each slice's private RNG stream, then applies the rank-1
 /// A1 += column_i(W1m) updates as a gathered pass over exactly the rows
-/// that drew 1.  Because the batched kernel is per-row bitwise identical
-/// to the single-row relu_dot_panels and the draw order is unchanged, the
-/// engine reproduces the historical FastMadeSampler / ModelSnapshot draw
+/// that drew 1.  Because the batched kernel gives each row bitwise the
+/// value of a one-row call and the draw order is unchanged, the engine
+/// reproduces the historical FastMadeSampler / ModelSnapshot draw
 /// streams bit for bit.
 ///
 /// Non-finite conditionals (NaN/inf sigmoid output from an unhealthy

@@ -185,23 +185,6 @@ void PackedRowPanels::refill(const Matrix& b, RowExtentsView ext) {
   }
 }
 
-void gemv_extents(const Matrix& a, RowExtentsView ext, std::span<const Real> x,
-                  std::span<Real> y) {
-  VQMC_REQUIRE(a.cols() == x.size() && a.rows() == y.size(),
-               "gemv_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == a.rows(), "gemv_extents: extent row mismatch");
-  VQMC_DISPATCH(gemv_extents(a, ext, x, y))
-}
-
-void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
-                     Matrix& c) {
-  VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
-                   c.cols() == b.rows(),
-               "gemm_nt_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == b.rows(), "gemm_nt_extents: extent row mismatch");
-  VQMC_DISPATCH(gemm_nt_extents(a, b, ext, c))
-}
-
 void gemm_nt_panels(const Matrix& a, RowExtentsView ext,
                     const PackedRowPanels& b, Matrix& c) {
   VQMC_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(),
@@ -227,11 +210,6 @@ void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
   VQMC_REQUIRE(ext.rows() == c.rows(),
                "gemm_tn_accumulate_extents: extent row mismatch");
   VQMC_DISPATCH(gemm_tn_accumulate_extents(a, b, ext, c))
-}
-
-Real relu_dot_panels(std::span<const ColSpan> spans, const Real* a,
-                     const Real* packed_row) {
-  VQMC_DISPATCH(relu_dot_panels(spans, a, packed_row))
 }
 
 void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,

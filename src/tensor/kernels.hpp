@@ -199,16 +199,6 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
 // scalar references in kernels_ref.hpp are the exact ground truth).
 // ---------------------------------------------------------------------------
 
-/// y[r] = sum over r's extents of A(r, c) * x[c]  (A: m x k, extents over
-/// A's rows). Rows with no extents produce 0.
-void gemv_extents(const Matrix& a, RowExtentsView ext, std::span<const Real> x,
-                  std::span<Real> y);
-
-/// C = A B^T with per-B-row extents: C(r, j) reduces only over B row j's
-/// intervals (A: m x k, B: n x k, C: m x n, ext.rows() == n).
-void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
-                     Matrix& c);
-
 /// C = A B with per-B-row extents: B row l contributes only its interval
 /// columns (A: m x k, B: k x n, C: m x n, ext.rows() == k).
 void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
@@ -234,34 +224,31 @@ void extents_add_flat(const Matrix& src, RowExtentsView ext,
 // Packed-panel forms: the B operand pre-packed per parameter version.
 // ---------------------------------------------------------------------------
 
-/// C = A B^T with B's in-extent entries given as packed panels; bitwise
-/// identical to gemm_nt_extents on the unpacked matrix (identical values
-/// stream through the identical canonical dots).  `ext` must be the extents
-/// the panels were packed with.
+/// C = A B^T with per-B-row extents, B's in-extent entries given as packed
+/// panels: C(r, j) reduces only over B row j's intervals (A: m x k, C: m x
+/// n, ext.rows() == b.rows() == n).  `ext` must be the extents the panels
+/// were packed with.
 void gemm_nt_panels(const Matrix& a, RowExtentsView ext,
                     const PackedRowPanels& b, Matrix& c);
 
-/// Fused extent-restricted dot with ReLU applied to `a` on the fly:
-/// sum over spans of max(a[c], 0) * packed value.  `packed_row` points at
-/// one panel row (PackedRowPanels::row).  This is the ancestral samplers'
-/// logit primitive — FastMadeSampler and ModelSnapshot::sample share it so
-/// their draws stay mutually bit-identical.
-Real relu_dot_panels(std::span<const ColSpan> spans, const Real* a,
-                     const Real* packed_row);
-
-/// Batched relu_dot_panels over `rows` activation rows sharing one packed
-/// panel row: out[r] = relu_dot_panels(spans, a + r * lda, packed_row),
-/// bitwise, for every r.  `a` is a row-major block with leading dimension
-/// `lda`.  This is the batched conditional engine's per-site logit kernel —
-/// one call evaluates site i's logit for the whole micro-batch with 4-row
-/// register blocking, so batching never perturbs a row's value.
+/// Fused extent-restricted dot with ReLU applied to the activations on the
+/// fly, over `rows` activation rows sharing one packed panel row:
+/// out[r] = sum over spans of max(a[r * lda + c], 0) * packed value.
+/// `a` is a row-major block with leading dimension `lda`; `packed_row`
+/// points at one panel row (PackedRowPanels::row).  This is the ancestral
+/// samplers' logit primitive — the batched conditional engine evaluates
+/// site i's logit for the whole micro-batch in one call with 4-row register
+/// blocking, and each out[r] is bitwise the value of a one-row call, so
+/// batching never perturbs a row's value (FastMadeSampler and
+/// ModelSnapshot::sample share it and stay mutually bit-identical).
 void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
                            std::size_t lda, std::size_t rows,
                            const Real* packed_row, Real* out);
 
-/// Blocked relu_dot_panels over panel rows [row_begin, ext.rows()) and a
-/// fixed activation block: out(i - row_begin, r) is bitwise identical to
-/// relu_dot_panels(ext.row(i), a + r * lda, panels.row(i)) for every cell.
+/// Blocked relu_dot_panels_batch over panel rows [row_begin, ext.rows())
+/// and a fixed activation block: out(i - row_begin, r) is bitwise identical
+/// to the one-row relu_dot_panels_batch of activation row r against panel
+/// row i, for every cell.
 /// `out` must be pre-shaped (ext.rows() - row_begin) x rows.  This is the
 /// conditional engine's frozen-tail kernel: once no remaining site can
 /// change the pre-activations, all remaining logits are one blocked pass

@@ -30,18 +30,12 @@ namespace vqmc {
   void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c);                  \
   void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);                  \
   void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);       \
-  void gemv_extents(const Matrix& a, RowExtentsView ext,                      \
-                    std::span<const Real> x, std::span<Real> y);              \
-  void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,  \
-                       Matrix& c);                                            \
   void gemm_nt_panels(const Matrix& a, RowExtentsView ext,                    \
                       const PackedRowPanels& b, Matrix& c);                   \
   void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,  \
                        Matrix& c);                                            \
   void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,           \
                                   RowExtentsView ext, Matrix& c);             \
-  Real relu_dot_panels(std::span<const ColSpan> spans, const Real* a,         \
-                       const Real* packed_row);                               \
   void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,   \
                              std::size_t lda, std::size_t rows,               \
                              const Real* packed_row, Real* out);              \

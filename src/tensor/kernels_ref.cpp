@@ -98,23 +98,6 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-void gemv_extents(const Matrix& a, RowExtentsView ext, std::span<const Real> x,
-                  std::span<Real> y) {
-  VQMC_REQUIRE(a.cols() == x.size() && a.rows() == y.size(),
-               "ref::gemv_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == a.rows(),
-               "ref::gemv_extents: extent row mismatch");
-  const std::size_t m = a.rows(), k = a.cols();
-  const Real* pa = a.data();
-  for (std::size_t r = 0; r < m; ++r) {
-    const Real* row = pa + r * k;
-    Real acc = 0;
-    for (const ColSpan& s : ext.row(r))
-      for (std::size_t c = s.begin; c < s.end; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
 void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
                      Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&

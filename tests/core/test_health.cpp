@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -251,6 +253,78 @@ TEST(HealthGuards, IntermittentNaNRunCompletesUnderRollback) {
   };
   run(health::GuardPolicy::RollbackAndBackoff);
   EXPECT_THROW(run(health::GuardPolicy::Throw), Error);
+}
+
+TEST(HealthGuards, ResumedRunKeepsTheGuardTally) {
+  // A trip before the checkpoint must survive the kill: the resumed run's
+  // guard_trips and health counters continue from the checkpointed tally,
+  // exactly like the uninterrupted run's.
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(5, 59);
+  const std::string path = "/tmp/vqmc_health_resume_tally.bin";
+  const int total = 10;
+  const int kill_at = 6;
+  const auto inject_at = [](int iteration) {
+    return iteration == 2 || iteration == 7;
+  };
+  const auto make_config = [&](bool checkpoint) {
+    TrainerConfig cfg;
+    cfg.iterations = total;
+    cfg.batch_size = 16;
+    cfg.guard.policy = health::GuardPolicy::SkipIteration;
+    if (checkpoint) {
+      cfg.checkpoint_path = path;
+      cfg.checkpoint_every = 5;
+      cfg.checkpoint_keep_last = 1;
+    }
+    return cfg;
+  };
+  const auto train = [&](VqmcTrainer& trainer, FaultyModel& model, int until) {
+    while (trainer.iteration() < until) {
+      model.set_inject_log_psi(inject_at(trainer.iteration()));
+      trainer.step();
+    }
+  };
+
+  FaultyModel ref_model(5, 6, 60);
+  AutoregressiveSampler ref_sampler(ref_model, 61);
+  Adam ref_adam(0.02);
+  VqmcTrainer reference(tim, ref_model, ref_sampler, ref_adam,
+                        make_config(false));
+  train(reference, ref_model, total);
+  ASSERT_EQ(reference.health_counters().guard_trips, 2u);
+
+  {
+    FaultyModel model(5, 6, 60);
+    AutoregressiveSampler sampler(model, 61);
+    Adam adam(0.02);
+    VqmcTrainer victim(tim, model, sampler, adam, make_config(true));
+    train(victim, model, kill_at);  // checkpoint at 5 holds one trip
+  }
+
+  FaultyModel model(5, 6, 60);
+  AutoregressiveSampler sampler(model, 61);
+  Adam adam(0.02);
+  VqmcTrainer resumed(tim, model, sampler, adam, make_config(false));
+  resumed.restore(load_training_checkpoint(path));
+  ASSERT_EQ(resumed.iteration(), 5);
+  train(resumed, model, total);
+
+  for (const IterationMetrics& m : resumed.history()) {
+    const IterationMetrics& want =
+        reference.history()[std::size_t(m.iteration)];
+    EXPECT_EQ(m.guard_trips, want.guard_trips) << "iteration " << m.iteration;
+    if (std::isnan(want.energy))
+      EXPECT_TRUE(std::isnan(m.energy)) << "iteration " << m.iteration;
+    else
+      EXPECT_EQ(m.energy, want.energy) << "iteration " << m.iteration;
+  }
+  const health::HealthCounters& got = resumed.health_counters();
+  const health::HealthCounters& want = reference.health_counters();
+  EXPECT_EQ(got.guard_trips, want.guard_trips);
+  EXPECT_EQ(got.nonfinite_energy, want.nonfinite_energy);
+  EXPECT_EQ(got.skipped_iterations, want.skipped_iterations);
+  std::remove(path.c_str());
+  std::remove((path + ".iter5").c_str());
 }
 
 TEST(HealthGuards, InvalidBackoffFactorRejected) {

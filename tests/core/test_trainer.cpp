@@ -426,5 +426,66 @@ TEST(TrainerCheckpoint, RestoreRejectsEveryIdentityMismatch) {
   EXPECT_NO_THROW(stack.trainer->restore(good));
 }
 
+TEST(TrainerCheckpoint, RestoreRejectsTheOlderSerialTrainerStateLayout) {
+  // The serial layout before the guard tallies were appended: 8 fields, or
+  // 8 + d when field 7 flags a held rollback snapshot.
+  TrainerConfig cfg;
+  cfg.iterations = 2;
+  cfg.batch_size = 16;
+  Stack stack("ADAM", cfg);
+  stack.trainer->run();
+  const TrainingSnapshot good = stack.trainer->snapshot();
+  const std::vector<Real> params = good.parameters;
+
+  TrainingSnapshot plain = good;
+  plain.trainer_state = {0.01, -7.5, 1.0, 12.5, -7.0, 1.0, 0.0, 0.0};
+  EXPECT_THROW(stack.trainer->restore(plain), Error);
+
+  TrainingSnapshot with_rollback = plain;
+  with_rollback.trainer_state[7] = 1.0;
+  with_rollback.trainer_state.insert(with_rollback.trainer_state.end(),
+                                     params.begin(), params.end());
+  EXPECT_THROW(stack.trainer->restore(with_rollback), Error);
+}
+
+TEST(TrainerCheckpoint, RestoreRejectsCountFieldsNoCountCanHold) {
+  // The divergence streak and the guard tallies are converted to integers
+  // on restore; a negative, NaN or oversized value must be refused, and
+  // the trainer left as it was.
+  TrainerConfig cfg;
+  cfg.iterations = 2;
+  cfg.batch_size = 16;
+  Stack stack("ADAM", cfg);
+  stack.trainer->run();
+  const TrainingSnapshot good = stack.trainer->snapshot();
+  const std::vector<Real> before = good.parameters;
+  const std::size_t first_tally = 8;  // no rollback snapshot held
+  for (const Real bad : {Real(-1), std::numeric_limits<Real>::quiet_NaN(),
+                         Real(1e30)}) {
+    TrainingSnapshot streak = good;
+    streak.trainer_state[6] = bad;
+    EXPECT_THROW(stack.trainer->restore(streak), Error);
+    TrainingSnapshot tally = good;
+    tally.trainer_state[first_tally] = bad;
+    EXPECT_THROW(stack.trainer->restore(tally), Error);
+  }
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(stack.made.parameters()[i], before[i]);
+  EXPECT_NO_THROW(stack.trainer->restore(good));
+}
+
+TEST(TrainerCheckpoint, RestoreRejectsTheOlderDistributedTrainerStateLayout) {
+  // The distributed rank layout: [divergence best, have_best, consecutive,
+  // trips, bad contributions].
+  TrainerConfig cfg;
+  cfg.iterations = 2;
+  cfg.batch_size = 16;
+  Stack stack("ADAM", cfg);
+  stack.trainer->run();
+  TrainingSnapshot old = stack.trainer->snapshot();
+  old.trainer_state = {-7.0, 1.0, 0.0, 2.0, 1.0};
+  EXPECT_THROW(stack.trainer->restore(old), Error);
+}
+
 }  // namespace
 }  // namespace vqmc

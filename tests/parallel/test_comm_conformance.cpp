@@ -19,18 +19,34 @@
 namespace vqmc::parallel {
 namespace {
 
+enum class Backend : int { kThreads, kSockets };
+
+// Pointer-free on purpose: GoogleTest prints a param that has no operator<<
+// as its raw bytes, and gtest_discover_tests copies that text into every
+// ctest name. A pointer (a name string, a std::function target) would put a
+// load address into the names, so they would change with every build.
 struct BackendParam {
-  const char* name;
-  // Runs `body` on `num_ranks` endpoints with the given collective deadline.
-  std::function<void(int, const std::function<void(Communicator&)>&, double)>
-      run;
+  char name[32];
+  Backend backend;
+  int node_size;  // sockets only; 0 = flat ring
 };
 
 class CommConformance : public ::testing::TestWithParam<BackendParam> {
  protected:
+  // Runs `body` on `num_ranks` endpoints with the given collective deadline.
   void run(int num_ranks, const std::function<void(Communicator&)>& body,
            double timeout_seconds = 0) {
-    GetParam().run(num_ranks, body, timeout_seconds);
+    const BackendParam& param = GetParam();
+    if (param.backend == Backend::kThreads) {
+      GroupOptions options;
+      options.timeout_seconds = timeout_seconds;
+      run_thread_group(num_ranks, body, options);
+    } else {
+      SocketGroupOptions options;
+      options.timeout_seconds = timeout_seconds;
+      options.node_size = param.node_size;
+      run_socket_group(num_ranks, body, options);
+    }
   }
 };
 
@@ -162,32 +178,10 @@ TEST_P(CommConformance, ScalarOverloadsMatchSpanForms) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, CommConformance,
-    ::testing::Values(
-        BackendParam{"threads",
-                     [](int ranks,
-                        const std::function<void(Communicator&)>& body,
-                        double timeout) {
-                       GroupOptions options;
-                       options.timeout_seconds = timeout;
-                       run_thread_group(ranks, body, options);
-                     }},
-        BackendParam{"sockets",
-                     [](int ranks,
-                        const std::function<void(Communicator&)>& body,
-                        double timeout) {
-                       SocketGroupOptions options;
-                       options.timeout_seconds = timeout;
-                       run_socket_group(ranks, body, options);
-                     }},
-        BackendParam{"sockets_hierarchical",
-                     [](int ranks,
-                        const std::function<void(Communicator&)>& body,
-                        double timeout) {
-                       SocketGroupOptions options;
-                       options.timeout_seconds = timeout;
-                       options.node_size = 2;
-                       run_socket_group(ranks, body, options);
-                     }}),
+    ::testing::Values(BackendParam{"threads", Backend::kThreads, 0},
+                      BackendParam{"sockets", Backend::kSockets, 0},
+                      BackendParam{"sockets_hierarchical", Backend::kSockets,
+                                   2}),
     [](const ::testing::TestParamInfo<BackendParam>& info) {
       return std::string(info.param.name);
     });

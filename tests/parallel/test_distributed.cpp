@@ -12,6 +12,8 @@
 #include "hamiltonian/transverse_field_ising.hpp"
 #include "nn/made.hpp"
 #include "optim/adam.hpp"
+#include "parallel/communicator.hpp"
+#include "parallel/thread_communicator.hpp"
 #include "rng/splitmix.hpp"
 #include "sampler/autoregressive_sampler.hpp"
 
@@ -317,6 +319,136 @@ TEST(DistributedTrainer, OneBadRankUnderThrowFailsFast) {
   OneBadCloneModel proto(5, 6, 22);
   DistributedConfig cfg = small_config(3, 8, 8);  // guard defaults to Throw
   EXPECT_THROW(train_distributed(tim, proto, cfg), Error);
+}
+
+/// MADE whose log-psi is NaN while the shared `poison` flag is set — in the
+/// original and in every clone — so a test script that flips the flag per
+/// iteration faults the serial trainer and a distributed replica alike.
+class ScriptedNanModel final : public AutoregressiveModel {
+ public:
+  ScriptedNanModel(std::size_t n, std::size_t hidden, std::uint64_t seed,
+                   std::shared_ptr<bool> poison)
+      : inner_(n, hidden), poison_(std::move(poison)) {
+    inner_.initialize(seed);
+  }
+
+  [[nodiscard]] std::size_t num_spins() const override {
+    return inner_.num_spins();
+  }
+  [[nodiscard]] std::size_t num_parameters() const override {
+    return inner_.num_parameters();
+  }
+  [[nodiscard]] std::span<Real> parameters() override {
+    return inner_.parameters();
+  }
+  [[nodiscard]] std::span<const Real> parameters() const override {
+    return inner_.parameters();
+  }
+  void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
+  void log_psi(const Matrix& batch, std::span<Real> out) const override {
+    inner_.log_psi(batch, out);
+    if (*poison_) out[0] = std::numeric_limits<Real>::quiet_NaN();
+  }
+  void accumulate_log_psi_gradient(const Matrix& batch,
+                                   std::span<const Real> coeff,
+                                   std::span<Real> grad) const override {
+    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
+  }
+  void log_psi_gradient_per_sample(const Matrix& batch,
+                                   Matrix& out) const override {
+    inner_.log_psi_gradient_per_sample(batch, out);
+  }
+  void conditionals(const Matrix& batch, Matrix& out) const override {
+    inner_.conditionals(batch, out);
+  }
+  [[nodiscard]] std::string name() const override { return "ScriptedNan"; }
+  [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
+    return std::make_unique<ScriptedNanModel>(*this);
+  }
+
+ private:
+  Made inner_;
+  std::shared_ptr<bool> poison_;
+};
+
+/// The guard path through one step: a 1-rank train_distributed_on over a
+/// SelfCommunicator and the serial trainer see NaN local energies on the
+/// same iterations and must trip, recover and train identically.
+void expect_guard_path_parity(health::GuardPolicy policy) {
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(5, 23);
+  const int iterations = 12;
+  const std::size_t batch = 16;
+  const auto poisoned = [](long long iteration) {
+    return iteration == 3 || iteration == 4 || iteration == 9;
+  };
+  const auto poison = std::make_shared<bool>(false);
+
+  ScriptedNanModel proto(5, 6, 24, poison);
+  DistributedConfig cfg = small_config(1, iterations, batch);
+  cfg.guard.policy = policy;
+  SelfCommunicator self;
+  const DistributedResult dist = train_distributed_on(
+      tim, proto, cfg, self, {},
+      [&](long long iteration) { *poison = poisoned(iteration); });
+
+  ScriptedNanModel serial(5, 6, 24, poison);
+  AutoregressiveSampler sampler(serial, cfg.seed ^ rng::splitmix64_once(1));
+  Adam adam(0.01);
+  TrainerConfig tcfg;
+  tcfg.iterations = iterations;
+  tcfg.batch_size = batch;
+  tcfg.guard.policy = policy;
+  VqmcTrainer trainer(tim, serial, sampler, adam, tcfg);
+  while (trainer.iteration() < iterations) {
+    *poison = poisoned(trainer.iteration());
+    trainer.step();
+  }
+
+  EXPECT_EQ(trainer.health_counters().guard_trips, 3u);
+  EXPECT_EQ(dist.guard_trips, trainer.health_counters().guard_trips);
+  ASSERT_EQ(dist.energy_history.size(), trainer.history().size());
+  for (std::size_t i = 0; i < dist.energy_history.size(); ++i) {
+    const Real want = trainer.history()[i].energy;
+    if (std::isnan(want))
+      EXPECT_TRUE(std::isnan(dist.energy_history[i])) << "iteration " << i;
+    else
+      EXPECT_EQ(dist.energy_history[i], want) << "iteration " << i;
+  }
+  ASSERT_EQ(dist.final_parameters.size(), serial.num_parameters());
+  for (std::size_t i = 0; i < serial.num_parameters(); ++i)
+    EXPECT_EQ(dist.final_parameters[i], serial.parameters()[i])
+        << "parameter " << i;
+}
+
+TEST(DistributedTrainer, TrainerRejectsSrOnMoreThanOneRank) {
+  // The SR solve is not distributed: a trainer built over a 2-rank
+  // endpoint with use_sr must refuse at construction, before any
+  // collective, on every rank.
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(4, 25);
+  std::atomic<int> rejected{0};
+  run_thread_group(2, [&](Communicator& comm) {
+    Made made(4, 4);
+    made.initialize(26);
+    AutoregressiveSampler sampler(made, 27);
+    Adam adam(0.01);
+    TrainerConfig tcfg;
+    tcfg.batch_size = 8;
+    tcfg.use_sr = true;
+    try {
+      VqmcTrainer trainer(tim, made, sampler, adam, tcfg, comm);
+    } catch (const Error&) {
+      ++rejected;
+    }
+  });
+  EXPECT_EQ(rejected.load(), 2);
+}
+
+TEST(DistributedTrainer, SingleRankGuardPathMatchesSerialUnderSkip) {
+  expect_guard_path_parity(health::GuardPolicy::SkipIteration);
+}
+
+TEST(DistributedTrainer, SingleRankGuardPathMatchesSerialUnderRollback) {
+  expect_guard_path_parity(health::GuardPolicy::RollbackAndBackoff);
 }
 
 }  // namespace

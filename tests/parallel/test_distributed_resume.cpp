@@ -10,11 +10,16 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "core/trainer.hpp"
 #include "hamiltonian/transverse_field_ising.hpp"
 #include "nn/made.hpp"
+#include "optim/adam.hpp"
 #include "parallel/distributed_trainer.hpp"
 #include "parallel/socket_communicator.hpp"
 #include "parallel/thread_communicator.hpp"
+#include "rng/splitmix.hpp"
+#include "sampler/autoregressive_sampler.hpp"
 
 namespace vqmc::parallel {
 namespace {
@@ -139,6 +144,45 @@ TEST(DistributedCheckpoint, ResumeReplaysTheTailBitIdentically) {
     EXPECT_EQ(second.energy_history[i], Real(0));
 
   remove_rank_checkpoints(base, ranks);
+}
+
+TEST(DistributedCheckpoint, OneRankCheckpointContinuesInTheSerialTrainer) {
+  // One training step and one checkpoint layout for 1..N ranks: the rank
+  // snapshot of a 1-rank run restores into a serial VqmcTrainer built from
+  // the same parts, which then lands on the distributed run's final state.
+  const std::string base = "/tmp/vqmc_dist_to_serial_test";
+  remove_rank_checkpoints(base, 1);
+
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(6, 1);
+  Made made(6, 8);
+  made.initialize(2);
+  DistributedConfig cfg = resume_config(1);
+  cfg.checkpoint_base = base;
+  cfg.checkpoint_every = 4;
+  const DistributedResult dist = train_distributed(tim, made, cfg);
+
+  // <base>.rank0 holds the top-of-iteration-8 state.
+  Made serial(6, 8);
+  AutoregressiveSampler sampler(serial, cfg.seed ^ rng::splitmix64_once(1));
+  Adam adam(0.01);
+  TrainerConfig tcfg;
+  tcfg.iterations = cfg.iterations;
+  tcfg.batch_size = cfg.mini_batch_size;
+  VqmcTrainer trainer(tim, serial, sampler, adam, tcfg);
+  trainer.restore(load_training_checkpoint(base + ".rank0"));
+  ASSERT_EQ(trainer.iteration(), 8);
+  trainer.run();
+
+  ASSERT_EQ(dist.final_parameters.size(), serial.num_parameters());
+  for (std::size_t i = 0; i < serial.num_parameters(); ++i)
+    EXPECT_EQ(serial.parameters()[i], dist.final_parameters[i])
+        << "parameter " << i;
+  ASSERT_EQ(trainer.history().size(), 4u);
+  for (const IterationMetrics& m : trainer.history())
+    EXPECT_EQ(m.energy, dist.energy_history[std::size_t(m.iteration)])
+        << "iteration " << m.iteration;
+
+  remove_rank_checkpoints(base, 1);
 }
 
 TEST(DistributedCheckpoint, ResumeRejectsAForeignModel) {

@@ -371,43 +371,6 @@ TEST(RowExtents, FromMaskRoundTripsRandomMasks) {
 // touched, and each kernel is bitwise-deterministic run to run.
 constexpr Real kExtentTol = 1e-12;
 
-TEST(Kernels, GemvExtentsMatchesScalarReferenceOnMaskedMatrix) {
-  const std::size_t m = 17, k = 23;
-  Matrix mask = random_mask(m, k, 21, 0.5);
-  for (std::size_t j = 0; j < k; ++j) mask(4, j) = 0;  // force an empty row
-  const Matrix a = apply_mask(random_matrix(m, k, 22), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-
-  Vector x(k), want(m), packed(m), again(m);
-  rng::Xoshiro256 gen(23);
-  for (std::size_t i = 0; i < k; ++i) x[i] = rng::uniform(gen, -1.0, 1.0);
-  packed.span()[4] = 99.0;  // must be overwritten with 0 (empty row)
-  ref::gemv_extents(a, ext.view(), x.span(), want.span());
-  gemv_extents(a, ext.view(), x.span(), packed.span());
-  for (std::size_t r = 0; r < m; ++r)
-    EXPECT_NEAR(packed[r], want[r], kExtentTol) << "row " << r;
-  EXPECT_EQ(packed[4], 0.0);
-
-  gemv_extents(a, ext.view(), x.span(), again.span());  // deterministic
-  for (std::size_t r = 0; r < m; ++r) EXPECT_EQ(packed[r], again[r]);
-}
-
-TEST(Kernels, GemmNtExtentsMatchesScalarReferenceOnMaskedMatrix) {
-  const std::size_t m = 7, k = 19, n = 11;
-  const Matrix mask = random_mask(n, k, 31, 0.5);
-  const Matrix a = random_matrix(m, k, 32);
-  const Matrix b = apply_mask(random_matrix(n, k, 33), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-
-  Matrix want(m, n), packed(m, n), again(m, n);
-  ref::gemm_nt_extents(a, b, ext.view(), want);
-  gemm_nt_extents(a, b, ext.view(), packed);
-  expect_matrix_near(packed, want, kExtentTol);
-
-  gemm_nt_extents(a, b, ext.view(), again);  // deterministic
-  expect_matrix_bitwise_equal(packed, again);
-}
-
 TEST(Kernels, GemmNnExtentsMatchesScalarReferenceOnMaskedMatrix) {
   const std::size_t m = 9, k = 13, n = 15;
   const Matrix mask = random_mask(k, n, 51, 0.5);

@@ -87,6 +87,22 @@ std::vector<simd::Level> testable_levels() {
   return levels;
 }
 
+/// C = A B^T over B's extents through the packed-panel kernel, the form
+/// production calls (B packed the way the MADE plan packs its weights).
+void gemm_nt_packed(const Matrix& a, const Matrix& b, RowExtentsView ext,
+                    Matrix& c) {
+  gemm_nt_panels(a, ext, PackedRowPanels::pack(b, ext), c);
+}
+
+/// One activation row through the batched ReLU-dot kernel (rows = 1, so
+/// the leading dimension is never read).
+Real relu_dot_one_row(std::span<const ColSpan> spans, const Real* a,
+                      const Real* packed_row) {
+  Real out = 0;
+  relu_dot_panels_batch(spans, a, 0, 1, packed_row, &out);
+  return out;
+}
+
 /// One masked problem instance: a (m x k), b (n x k) masked, extents over
 /// b's rows — shapes chosen per test.
 struct MaskedCase {
@@ -118,7 +134,7 @@ void expect_gemm_parity_at_current_level(const MaskedCase& mc,
   const std::size_t m = mc.a.rows(), n = mc.b.rows();
   Matrix want(m, n), got(m, n);
   ref::gemm_nt_extents(mc.a, mc.b, mc.ext.view(), want);
-  gemm_nt_extents(mc.a, mc.b, mc.ext.view(), got);
+  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), got);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t j = 0; j < n; ++j) {
       Real abs_sum = 0;
@@ -131,16 +147,9 @@ void expect_gemm_parity_at_current_level(const MaskedCase& mc,
       EXPECT_NEAR(got(r, j), want(r, j), ulp_bound(terms, abs_sum))
           << label << " C(" << r << "," << j << ") L=" << terms;
     }
-
-  // The packed-panel form is bitwise identical to the extents form.
-  const PackedRowPanels panels = PackedRowPanels::pack(mc.b, mc.ext.view());
-  Matrix via_panels(m, n);
-  gemm_nt_panels(mc.a, mc.ext.view(), panels, via_panels);
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(via_panels.data()[i], got.data()[i]) << label << " flat " << i;
 }
 
-TEST(SimdKernels, GemmNtExtentsParitySweepAcrossLevelsSizesAndThreads) {
+TEST(SimdKernels, GemmNtPanelsParitySweepAcrossLevelsSizesAndThreads) {
   LevelGuard guard;
   const std::size_t sizes[] = {1, 7, 100, 300, 1000};
   for (const simd::Level level : testable_levels()) {
@@ -155,32 +164,6 @@ TEST(SimdKernels, GemmNtExtentsParitySweepAcrossLevelsSizesAndThreads) {
 #ifdef _OPENMP
       }
 #endif
-    }
-  }
-}
-
-TEST(SimdKernels, GemvExtentsParityAcrossLevels) {
-  LevelGuard guard;
-  for (const simd::Level level : testable_levels()) {
-    simd::force_level(level);
-    for (const std::size_t n : {1ul, 7ul, 100ul, 300ul, 1000ul}) {
-      const MaskedCase mc(1, n, n, 2000 + n, 0.5);
-      Vector x(n), want(n), got(n);
-      rng::Xoshiro256 gen(7 + n);
-      for (std::size_t i = 0; i < n; ++i) x[i] = rng::uniform(gen, -1.0, 1.0);
-      ref::gemv_extents(mc.b, mc.ext.view(), x.span(), want.span());
-      gemv_extents(mc.b, mc.ext.view(), x.span(), got.span());
-      for (std::size_t r = 0; r < n; ++r) {
-        Real abs_sum = 0;
-        std::size_t terms = 0;
-        for (const ColSpan s : mc.ext.view().row(r))
-          for (std::size_t c = s.begin; c < s.end; ++c) {
-            abs_sum += std::abs(mc.b(r, c) * x[c]);
-            ++terms;
-          }
-        EXPECT_NEAR(got[r], want[r], ulp_bound(terms, abs_sum))
-            << simd::level_name(level) << " n=" << n << " row " << r;
-      }
     }
   }
 }
@@ -245,18 +228,6 @@ TEST(SimdKernels, AllEmptyExtentsZeroOutputsAndTouchNothing) {
     b.fill(0.0);
     const RowExtents ext = RowExtents::from_mask(mask);
 
-    Matrix c(m, n);
-    c.fill(123.0);
-    gemm_nt_extents(a, b, ext.view(), c);
-    for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c.data()[i], 0.0);
-
-    Vector y(n);
-    y.span()[0] = 55.0;
-    Vector x(k);
-    x.fill(1.0);
-    gemv_extents(b, ext.view(), x.span(), y.span());
-    for (std::size_t r = 0; r < n; ++r) EXPECT_EQ(y[r], 0.0);
-
     const Matrix c1 = random_matrix(n, k, 42);
     Matrix acc = c1;
     gemm_tn_accumulate_extents(random_matrix(3, n, 43), random_matrix(3, k, 44),
@@ -287,7 +258,7 @@ TEST(SimdKernels, EveryTailLengthAroundTheVectorWidthMatchesReference) {
       const RowExtents ext = RowExtents::from_mask(mask);
       Matrix want(2, 1), got(2, 1);
       ref::gemm_nt_extents(a, b, ext.view(), want);
-      gemm_nt_extents(a, b, ext.view(), got);
+      gemm_nt_packed(a, b, ext.view(), got);
       for (std::size_t r = 0; r < 2; ++r) {
         Real abs_sum = 0;
         for (std::size_t c = 0; c < k; ++c)
@@ -306,12 +277,12 @@ TEST(SimdKernels, EveryTailLengthAroundTheVectorWidthMatchesReference) {
 TEST(SimdKernels, RepeatedRunsAreBitwiseIdenticalIncludingAcrossThreadCounts) {
   const MaskedCase mc(16, 300, 300, 77, 0.5);
   Matrix first(16, 300), repeat(16, 300);
-  gemm_nt_extents(mc.a, mc.b, mc.ext.view(), first);
+  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), first);
   for (int run = 0; run < 3; ++run) {
 #ifdef _OPENMP
     omp_set_num_threads(run % 2 == 0 ? 1 : 8);
 #endif
-    gemm_nt_extents(mc.a, mc.b, mc.ext.view(), repeat);
+    gemm_nt_packed(mc.a, mc.b, mc.ext.view(), repeat);
     for (std::size_t i = 0; i < first.size(); ++i)
       ASSERT_EQ(first.data()[i], repeat.data()[i])
           << "run " << run << " flat " << i;
@@ -327,11 +298,11 @@ TEST(SimdKernels, RowValuesAreIndependentOfBatchPosition) {
   // rows into batches and must never perturb a value).
   const MaskedCase mc(9, 100, 100, 88, 0.5);
   Matrix full(9, 100);
-  gemm_nt_extents(mc.a, mc.b, mc.ext.view(), full);
+  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), full);
   for (std::size_t r = 0; r < 9; ++r) {
     Matrix one(1, 100), out(1, 100);
     for (std::size_t c = 0; c < 100; ++c) one(0, c) = mc.a(r, c);
-    gemm_nt_extents(one, mc.b, mc.ext.view(), out);
+    gemm_nt_packed(one, mc.b, mc.ext.view(), out);
     for (std::size_t j = 0; j < 100; ++j)
       ASSERT_EQ(out(0, j), full(r, j)) << "row " << r << " col " << j;
   }
@@ -394,7 +365,7 @@ TEST(SimdKernels, ReluDotPanelsMatchesReferenceAcrossLevels) {
           ref::relu_dot_panels(ext.view().row(r), a.row(0).data(),
                                panels.row(r));
       const Real got =
-          relu_dot_panels(ext.view().row(r), a.row(0).data(), panels.row(r));
+          relu_dot_one_row(ext.view().row(r), a.row(0).data(), panels.row(r));
       Real abs_sum = 0;
       std::size_t terms = 0;
       const Real* pv = panels.row(r);
@@ -411,8 +382,8 @@ TEST(SimdKernels, ReluDotPanelsMatchesReferenceAcrossLevels) {
 
 TEST(SimdKernels, ReluDotPanelsBatchBitwiseEqualsSingleRowAcrossLevels) {
   // The batched conditional engine's contract: out[r] of the batch kernel is
-  // *bitwise* the single-row relu_dot_panels value, for every batch size and
-  // row-tile split — plus reference parity within the documented ULP bound.
+  // *bitwise* the value of a one-row call, for every batch size and row-tile
+  // split — plus reference parity within the documented ULP bound.
   LevelGuard guard;
   const Matrix mask = random_mask(6, 41, 143, 0.6);
   const Matrix b = apply_mask(random_matrix(6, 41, 144), mask);
@@ -427,8 +398,8 @@ TEST(SimdKernels, ReluDotPanelsBatchBitwiseEqualsSingleRowAcrossLevels) {
         relu_dot_panels_batch(ext.view().row(pr), a.data(), 41, rows,
                               panels.row(pr), got.data());
         for (std::size_t r = 0; r < rows; ++r) {
-          const Real single = relu_dot_panels(ext.view().row(pr),
-                                              a.row(r).data(), panels.row(pr));
+          const Real single = relu_dot_one_row(
+              ext.view().row(pr), a.row(r).data(), panels.row(pr));
           EXPECT_EQ(got[r], single)
               << simd::level_name(level) << " rows " << rows << " panel row "
               << pr << " batch row " << r;
@@ -452,7 +423,7 @@ TEST(SimdKernels, ReluDotPanelsBatchBitwiseEqualsSingleRowAcrossLevels) {
 
 TEST(SimdKernels, ReluDotPanelsBatchSubVectorTailSweepAcrossLevels) {
   // Every reduction tail length around the register width (1..36 columns,
-  // one full-width span), at every level: bitwise vs the single-row kernel,
+  // one full-width span), at every level: bitwise vs a one-row call,
   // tolerance vs the scalar reference.
   LevelGuard guard;
   constexpr std::size_t kRows = 5;
@@ -469,8 +440,8 @@ TEST(SimdKernels, ReluDotPanelsBatchSubVectorTailSweepAcrossLevels) {
       relu_dot_panels_batch(ext.view().row(0), a.data(), len, kRows,
                             panels.row(0), got);
       for (std::size_t r = 0; r < kRows; ++r) {
-        EXPECT_EQ(got[r], relu_dot_panels(ext.view().row(0), a.row(r).data(),
-                                          panels.row(0)))
+        EXPECT_EQ(got[r], relu_dot_one_row(ext.view().row(0),
+                                           a.row(r).data(), panels.row(0)))
             << simd::level_name(level) << " len " << len << " row " << r;
         Real abs_sum = 0;
         for (std::size_t j = 0; j < len; ++j)
@@ -487,8 +458,8 @@ TEST(SimdKernels, ReluDotPanelsBatchSubVectorTailSweepAcrossLevels) {
 
 TEST(SimdKernels, DotPanelsBlockKernelsBitwiseEqualSingleRowAcrossLevels) {
   // The conditional engine's frozen-tail kernels: relu_dot_panels_block must
-  // reproduce the single-row relu_dot_panels bitwise for every (site, row)
-  // cell, and dot_panels_block on the materialized relu of the same rows
+  // reproduce a one-row relu_dot_panels_batch call bitwise for every
+  // (site, row) cell, and dot_panels_block on the materialized relu of the same rows
   // must reproduce relu_dot_panels_block bitwise — the blocked loops only
   // reorder *which* cells are computed when, never the per-cell reduction.
   // nsites > kColBlock so the panel-block loop takes more than one trip.
@@ -516,8 +487,8 @@ TEST(SimdKernels, DotPanelsBlockKernelsBitwiseEqualSingleRowAcrossLevels) {
                                  rows, want);
       for (std::size_t s = kBegin; s < kSites; ++s)
         for (std::size_t r = 0; r < rows; ++r) {
-          const Real single = relu_dot_panels(ext.view().row(s),
-                                              a.row(r).data(), panels.row(s));
+          const Real single = relu_dot_one_row(
+              ext.view().row(s), a.row(r).data(), panels.row(s));
           EXPECT_EQ(got(s - kBegin, r), single)
               << simd::level_name(level) << " rows " << rows << " site " << s
               << " row " << r;
