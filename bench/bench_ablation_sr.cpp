@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "nn/made.hpp"
 #include "optim/sgd.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 using namespace vqmc;
 using namespace vqmc::bench;
@@ -27,7 +26,7 @@ Real final_energy(const TransverseFieldIsing& tim, Real lambda,
   Made made = hidden == 0 ? Made::with_default_hidden(tim.num_spins())
                           : Made(tim.num_spins(), hidden);
   made.initialize(seed);
-  AutoregressiveSampler sampler(made, seed + 1);
+  const auto sampler = make_sampler("AUTO", made, seed + 1);
   Sgd sgd(0.1);
   TrainerConfig cfg;
   cfg.iterations = iterations;
@@ -35,7 +34,7 @@ Real final_energy(const TransverseFieldIsing& tim, Real lambda,
   cfg.use_sr = true;
   cfg.sr.regularization = lambda;
   cfg.sr.dense_threshold = dense_threshold;
-  VqmcTrainer trainer(tim, made, sampler, sgd, cfg);
+  VqmcTrainer trainer(tim, made, *sampler, sgd, cfg);
   trainer.run();
   return trainer.evaluate(512).mean;
 }
@@ -79,12 +78,12 @@ int main(int argc, char** argv) {
     // Plain SGD reference.
     Made made = Made::with_default_hidden(std::size_t(n));
     made.initialize(1);
-    AutoregressiveSampler sampler(made, 2);
+    const auto sampler = make_sampler("AUTO", made, 2);
     Sgd sgd(0.1);
     TrainerConfig cfg;
     cfg.iterations = scale.iterations;
     cfg.batch_size = scale.batch_size;
-    VqmcTrainer trainer(tim, made, sampler, sgd, cfg);
+    VqmcTrainer trainer(tim, made, *sampler, sgd, cfg);
     trainer.run();
     row.push_back(format_fixed(trainer.evaluate(512).mean, 2));
     sweep.add_row(row);

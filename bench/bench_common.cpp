@@ -1,7 +1,9 @@
 #include "bench_common.hpp"
 
+#include <array>
 #include <cmath>
 #include <iostream>
+#include <sstream>
 
 namespace vqmc::bench {
 
@@ -93,16 +95,27 @@ PhaseBreakdown sum_phases(const std::vector<IterationMetrics>& history) {
   return total;
 }
 
+namespace {
+
+/// The phases in reporting order, under their metrics-JSON names.
+std::array<std::pair<const char*, double>, 7> named_phases(
+    const PhaseBreakdown& phases) {
+  return {{{"sample", phases.sample},
+           {"local_energy", phases.local_energy},
+           {"gradient", phases.gradient},
+           {"sr", phases.sr_solve},
+           {"allreduce", phases.allreduce},
+           {"optimizer", phases.optimizer},
+           {"checkpoint", phases.checkpoint}}};
+}
+
+}  // namespace
+
 std::string format_phase_breakdown(const PhaseBreakdown& phases) {
   const double total = phases.total();
   if (total <= 0) return "";
-  const std::pair<const char*, double> parts[] = {
-      {"sample", phases.sample},       {"local_energy", phases.local_energy},
-      {"gradient", phases.gradient},   {"sr", phases.sr_solve},
-      {"allreduce", phases.allreduce}, {"optimizer", phases.optimizer},
-      {"checkpoint", phases.checkpoint}};
   std::string out;
-  for (const auto& [name, seconds] : parts) {
+  for (const auto& [name, seconds] : named_phases(phases)) {
     const double share = seconds / total;
     if (share < 0.005) continue;
     if (!out.empty()) out += " | ";
@@ -112,6 +125,18 @@ std::string format_phase_breakdown(const PhaseBreakdown& phases) {
     out += '%';
   }
   return out;
+}
+
+std::string phases_to_json(const PhaseBreakdown& phases) {
+  std::ostringstream json;
+  json << '{';
+  const char* sep = "";
+  for (const auto& [name, seconds] : named_phases(phases)) {
+    json << sep << '"' << name << "\": " << seconds;
+    sep = ", ";
+  }
+  json << '}';
+  return json.str();
 }
 
 std::pair<Real, Real> mean_std(const std::vector<Real>& values) {

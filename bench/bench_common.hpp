@@ -74,6 +74,11 @@ PhaseBreakdown sum_phases(const std::vector<IterationMetrics>& history);
 /// attributed).
 std::string format_phase_breakdown(const PhaseBreakdown& phases);
 
+/// The seven phases as a JSON object of seconds, keyed like the trainer's
+/// metrics JSON: {"sample": s, "local_energy": s, "gradient": s, "sr": s,
+/// "allreduce": s, "optimizer": s, "checkpoint": s}.
+std::string phases_to_json(const PhaseBreakdown& phases);
+
 /// Build the (model, sampler, optimizer) combo from row labels and train it
 /// on `hamiltonian`. `hidden == 0` selects the family default.
 ComboResult run_combo(const Hamiltonian& hamiltonian,

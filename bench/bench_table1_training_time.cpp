@@ -5,6 +5,13 @@
 /// Expected shape (paper): MADE&AUTO is faster by an order of magnitude at
 /// every size, and both columns grow with n — MADE roughly linearly in its
 /// sampling dimension, RBM&MCMC with the burn-in length k = 3n + 100.
+///
+/// The JSON artifact records, per measured n, both columns' total seconds
+/// and their seven-phase split (sample, local_energy, gradient, sr,
+/// allreduce, optimizer, checkpoint), plus the SIMD level and OpenMP thread
+/// count that produced them.
+
+#include <omp.h>
 
 #include <fstream>
 #include <iostream>
@@ -14,6 +21,7 @@
 #include "nn/made.hpp"
 #include "parallel/cost_model.hpp"
 #include "sampler/metropolis_sampler.hpp"
+#include "tensor/simd.hpp"
 
 using namespace vqmc;
 using namespace vqmc::bench;
@@ -53,7 +61,10 @@ int main(int argc, char** argv) {
                   << ", \"made_auto_seconds\": " << made.train_seconds
                   << ", \"speedup\": "
                   << rbm.train_seconds / std::max(1e-9, made.train_seconds)
-                  << "}";
+                  << ",\n     \"rbm_mcmc_phases\": "
+                  << phases_to_json(rbm.phase_totals)
+                  << ",\n     \"made_auto_phases\": "
+                  << phases_to_json(made.phase_totals) << "}";
     std::cout << "n=" << n << ": RBM&MCMC " << format_fixed(rbm.train_seconds, 2)
               << "s, MADE&AUTO " << format_fixed(made.train_seconds, 2)
               << "s (speedup "
@@ -73,8 +84,11 @@ int main(int argc, char** argv) {
   table.add_row(made_row);
   std::cout << "\n" << table.to_string() << "\n";
   std::cout
-      << "NOTE: measured times above run on a flop-bound CPU substrate, "
-         "where MADE's large-batch matmuls dominate. The paper's V100 "
+      << "NOTE: measured times above run on a flop-bound CPU substrate. "
+         "MADE&AUTO samples through the O(h n) conditional engine, so its "
+         "time goes to the local energy: every sample's n single-flip "
+         "neighbours each cost a full MADE forward pass, O(h n^2) per "
+         "sample (see the MADE&AUTO phase shares). The paper's V100 "
          "timings are per-pass *latency*-bound, which is what penalizes "
          "MCMC's k + bs/c tiny-batch chain steps. The modeled section below "
          "applies the V100-class cost model (see src/parallel/cost_model.hpp)"
@@ -116,6 +130,9 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ostringstream json;
     json << "{\n  \"bench\": \"table1_training_time\",\n";
+    json << "  \"simd_level\": \""
+         << simd::level_name(simd::active_level()) << "\",\n";
+    json << "  \"threads\": " << omp_get_max_threads() << ",\n";
     json << "  \"iterations\": " << scale.iterations
          << ",\n  \"batch_size\": " << scale.batch_size
          << ",\n  \"full_scale\": " << (opts.get_flag("full") ? "true" : "false")

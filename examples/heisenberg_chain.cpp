@@ -10,6 +10,7 @@
 
 #include "common/options.hpp"
 #include "common/table.hpp"
+#include "core/factory.hpp"
 #include "core/trainer.hpp"
 #include "hamiltonian/exact.hpp"
 #include "hamiltonian/heisenberg.hpp"
@@ -17,7 +18,6 @@
 #include "nn/made.hpp"
 #include "nn/rnn.hpp"
 #include "optim/adam.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 int main(int argc, char** argv) {
   using namespace vqmc;
@@ -50,12 +50,12 @@ int main(int argc, char** argv) {
 
   auto run_model = [&](AutoregressiveModel& model) {
     model.initialize(7);
-    AutoregressiveSampler sampler(model, 11);
+    const auto sampler = make_sampler("AUTO", model, 11);
     Adam optimizer(0.03);
     TrainerConfig config;
     config.iterations = opts.get_int("iterations");
     config.batch_size = std::size_t(opts.get_int("batch"));
-    VqmcTrainer trainer(hamiltonian, model, sampler, optimizer, config);
+    VqmcTrainer trainer(hamiltonian, model, *sampler, optimizer, config);
     trainer.run();
     const EnergyEstimate est = trainer.evaluate(1024);
     const std::string rel =

@@ -12,11 +12,11 @@
 #include "baselines/local_search.hpp"
 #include "baselines/random_cut.hpp"
 #include "common/options.hpp"
+#include "core/factory.hpp"
 #include "core/trainer.hpp"
 #include "hamiltonian/maxcut.hpp"
 #include "nn/made.hpp"
 #include "optim/adam.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 int main(int argc, char** argv) {
   using namespace vqmc;
@@ -54,12 +54,12 @@ int main(int argc, char** argv) {
   // --- VQMC ----------------------------------------------------------------
   Made model = Made::with_default_hidden(n);
   model.initialize(seed);
-  AutoregressiveSampler sampler(model, seed + 1);
+  const auto sampler = make_sampler("AUTO", model, seed + 1);
   Adam optimizer(0.05);
   TrainerConfig config;
   config.iterations = opts.get_int("iterations");
   config.batch_size = std::size_t(opts.get_int("batch"));
-  VqmcTrainer trainer(problem, model, sampler, optimizer, config);
+  VqmcTrainer trainer(problem, model, *sampler, optimizer, config);
   trainer.run();
 
   Matrix samples;

@@ -18,13 +18,13 @@
 
 #include "common/options.hpp"
 #include "common/table.hpp"
+#include "core/factory.hpp"
 #include "core/trainer.hpp"
 #include "hamiltonian/qubo.hpp"
 #include "nn/made.hpp"
 #include "optim/adam.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 int main(int argc, char** argv) {
   using namespace vqmc;
@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
   // VQMC heuristic.
   Made model = Made::with_default_hidden(n);
   model.initialize(seed + 1);
-  AutoregressiveSampler sampler(model, seed + 2);
+  const auto sampler = make_sampler("AUTO", model, seed + 2);
   Adam optimizer(0.05);
   TrainerConfig config;
   config.iterations = opts.get_int("iterations");
   config.batch_size = 256;
-  VqmcTrainer trainer(problem, model, sampler, optimizer, config);
+  VqmcTrainer trainer(problem, model, *sampler, optimizer, config);
   trainer.run();
 
   Matrix samples;

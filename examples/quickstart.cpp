@@ -9,12 +9,12 @@
 
 #include <iostream>
 
+#include "core/factory.hpp"
 #include "core/trainer.hpp"
 #include "hamiltonian/exact.hpp"
 #include "hamiltonian/transverse_field_ising.hpp"
 #include "nn/made.hpp"
 #include "optim/adam.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 int main() {
   using namespace vqmc;
@@ -33,14 +33,14 @@ int main() {
   //    h = 5 (log n)^2, sampled exactly by the AUTO sampler.
   Made model = Made::with_default_hidden(n);
   model.initialize(/*seed=*/7);
-  AutoregressiveSampler sampler(model, /*seed=*/11);
+  const auto sampler = make_sampler("AUTO", model, /*seed=*/11);
   Adam optimizer(/*learning_rate=*/0.02);
 
   // 4. Train: sample -> measure local energies -> gradient step.
   TrainerConfig config;
   config.iterations = 300;
   config.batch_size = 256;
-  VqmcTrainer trainer(hamiltonian, model, sampler, optimizer, config);
+  VqmcTrainer trainer(hamiltonian, model, *sampler, optimizer, config);
   trainer.run();
 
   // 5. Evaluate on fresh samples and report.

@@ -12,12 +12,12 @@
 
 #include "common/options.hpp"
 #include "common/table.hpp"
+#include "core/factory.hpp"
 #include "core/trainer.hpp"
 #include "hamiltonian/exact.hpp"
 #include "hamiltonian/transverse_field_ising.hpp"
 #include "nn/made.hpp"
 #include "optim/sgd.hpp"
-#include "sampler/autoregressive_sampler.hpp"
 
 int main(int argc, char** argv) {
   using namespace vqmc;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
   Made model = Made::with_default_hidden(n);
   model.initialize(seed + 1);
-  AutoregressiveSampler sampler(model, seed + 2);
+  const auto sampler = make_sampler("AUTO", model, seed + 2);
   Sgd optimizer(0.1);  // the paper's SGD+SR setting
 
   TrainerConfig config;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   config.batch_size = std::size_t(opts.get_int("batch"));
   config.use_sr = !opts.get_flag("no-sr");
   config.sr.regularization = 1e-3;  // the paper's lambda
-  VqmcTrainer trainer(hamiltonian, model, sampler, optimizer, config);
+  VqmcTrainer trainer(hamiltonian, model, *sampler, optimizer, config);
 
   std::cout << "TIM n=" << n << ", optimizer SGD(0.1)"
             << (config.use_sr ? "+SR(1e-3)" : "") << "\n";

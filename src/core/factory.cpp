@@ -46,16 +46,15 @@ std::unique_ptr<Sampler> make_sampler(const std::string& kind,
                                       std::uint64_t seed,
                                       MetropolisConfig mcmc) {
   if (kind == "AUTO") {
+    // The model's type picks the path: MADE runs the O(h n) batched
+    // conditional engine, whose draws are bit-identical to Algorithm 1;
+    // the other autoregressive models run Algorithm 1 itself.
+    if (const auto* made = dynamic_cast<const Made*>(&model))
+      return std::make_unique<FastMadeSampler>(*made, seed);
     const auto* ar = dynamic_cast<const AutoregressiveModel*>(&model);
     VQMC_REQUIRE(ar != nullptr,
                  "AUTO sampling requires an autoregressive model");
     return std::make_unique<AutoregressiveSampler>(*ar, seed);
-  }
-  if (kind == "AUTO-fast") {
-    const auto* made = dynamic_cast<const Made*>(&model);
-    VQMC_REQUIRE(made != nullptr,
-                 "AUTO-fast sampling is specialized to the MADE architecture");
-    return std::make_unique<FastMadeSampler>(*made, seed);
   }
   if (kind == "MCMC") {
     if (mcmc.burn_in == 0) mcmc.burn_in = paper_burn_in(model.num_spins());
@@ -63,7 +62,7 @@ std::unique_ptr<Sampler> make_sampler(const std::string& kind,
     return std::make_unique<MetropolisSampler>(model, mcmc);
   }
   throw Error("unknown sampler kind '" + kind +
-              "' (expected AUTO, AUTO-fast or MCMC)");
+              "' (expected AUTO or MCMC)");
 }
 
 std::unique_ptr<Optimizer> make_optimizer(const std::string& kind) {

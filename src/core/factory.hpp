@@ -23,6 +23,10 @@ std::unique_ptr<WavefunctionModel> make_model(const std::string& kind,
                                               std::uint64_t seed = 0);
 
 /// "AUTO" (requires an autoregressive model) or "MCMC".
+/// AUTO on a Made returns the FastMadeSampler (the batched conditional
+/// engine, O(h n) per row, draws bit-identical to Algorithm 1); on the
+/// other autoregressive models (DeepMADE, RNN) it returns the
+/// AutoregressiveSampler.  Both report name() == "AUTO".
 /// MCMC uses the supplied config (burn_in == 0 selects the paper's
 /// k = 3n + 100).
 std::unique_ptr<Sampler> make_sampler(const std::string& kind,

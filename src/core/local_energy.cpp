@@ -15,7 +15,8 @@ LocalEnergyEngine::LocalEnergyEngine(const Hamiltonian& hamiltonian,
       model_(model),
       chunk_size_(std::max<std::size_t>(1, chunk_size)),
       max_log_ratio_(max_log_ratio),
-      model_ws_(model.make_workspace()) {
+      batch_ws_(model.make_workspace()),
+      chunk_ws_(model.make_workspace()) {
   VQMC_REQUIRE(hamiltonian_.num_spins() == model_.num_spins(),
                "local energy: Hamiltonian and model disagree on spin count");
   VQMC_REQUIRE(max_log_ratio_ > 0, "local energy: clamp must be positive");
@@ -23,17 +24,24 @@ LocalEnergyEngine::LocalEnergyEngine(const Hamiltonian& hamiltonian,
 
 void LocalEnergyEngine::flush_chunk(std::span<Real> out) {
   if (chunk_fill_ == 0) return;
-  // Evaluate log psi at the buffered connected configurations. The buffer
-  // may be partially filled; evaluate a view of the filled prefix.
-  Matrix view(chunk_fill_, chunk_configs_.cols());
-  std::copy_n(chunk_configs_.data(), chunk_fill_ * chunk_configs_.cols(),
-              view.data());
-  if (chunk_log_psi_.size() != chunk_fill_) chunk_log_psi_ = Vector(chunk_fill_);
-  model_.log_psi_ws(view, chunk_log_psi_.span(), model_ws_.get());
+  // Evaluate log psi at the buffered connected configurations: a full
+  // chunk in place, a partial one through a persistent copy of the filled
+  // prefix (same shape on every step of a fixed batch, so it is reused).
+  const Matrix* configs = &chunk_configs_;
+  if (chunk_fill_ < chunk_size_) {
+    const std::size_t n = chunk_configs_.cols();
+    ensure_shape(partial_configs_, chunk_fill_, n);
+    std::copy_n(chunk_configs_.data(), chunk_fill_ * n,
+                partial_configs_.data());
+    configs = &partial_configs_;
+  }
+  const std::span<Real> chunk_log_psi =
+      chunk_log_psi_.span().first(chunk_fill_);
+  model_.log_psi_ws(*configs, chunk_log_psi, chunk_ws_.get());
   ++forward_passes_;
   for (std::size_t r = 0; r < chunk_fill_; ++r) {
     const std::size_t k = chunk_sample_[r];
-    const Real log_ratio = std::clamp(chunk_log_psi_[r] - log_psi_x_[k],
+    const Real log_ratio = std::clamp(chunk_log_psi[r] - log_psi_x_[k],
                                       -max_log_ratio_, max_log_ratio_);
     out[k] += chunk_value_[r] * std::exp(log_ratio);
   }
@@ -55,27 +63,37 @@ void LocalEnergyEngine::compute(const Matrix& batch, std::span<Real> out) {
 
   // log psi at the sample configurations (denominator of the ratios).
   if (log_psi_x_.size() != bs) log_psi_x_ = Vector(bs);
-  model_.log_psi_ws(batch, log_psi_x_.span(), model_ws_.get());
+  model_.log_psi_ws(batch, log_psi_x_.span(), batch_ws_.get());
   ++forward_passes_;
 
   // Gather connected configurations into fixed-size chunks.
   if (chunk_configs_.rows() != chunk_size_ || chunk_configs_.cols() != n) {
     chunk_configs_ = Matrix(chunk_size_, n);
+    chunk_log_psi_ = Vector(chunk_size_);
     chunk_sample_.resize(chunk_size_);
     chunk_value_.resize(chunk_size_);
   }
 
-  for (std::size_t k = 0; k < bs; ++k) {
-    const auto x = batch.row(k);
-    hamiltonian_.for_each_off_diagonal(
-        x, [&](std::span<const std::size_t> flips, Real value) {
-          auto dst = chunk_configs_.row(chunk_fill_);
-          std::copy(x.begin(), x.end(), dst.begin());
-          for (std::size_t site : flips) dst[site] = 1 - dst[site];
-          chunk_sample_[chunk_fill_] = k;
-          chunk_value_[chunk_fill_] = value;
-          if (++chunk_fill_ == chunk_size_) flush_chunk(out);
-        });
+  // The visitor captures two pointers, small enough for std::function to
+  // store it inline: building it once per call allocates nothing.
+  struct Cursor {
+    std::size_t k;
+    std::span<const Real> x;
+    std::span<Real> out;
+  } cursor{0, {}, out};
+  const OffDiagonalVisitor gather = [this, &cursor](
+                                        std::span<const std::size_t> flips,
+                                        Real value) {
+    auto dst = chunk_configs_.row(chunk_fill_);
+    std::copy(cursor.x.begin(), cursor.x.end(), dst.begin());
+    for (std::size_t site : flips) dst[site] = 1 - dst[site];
+    chunk_sample_[chunk_fill_] = cursor.k;
+    chunk_value_[chunk_fill_] = value;
+    if (++chunk_fill_ == chunk_size_) flush_chunk(cursor.out);
+  };
+  for (cursor.k = 0; cursor.k < bs; ++cursor.k) {
+    cursor.x = batch.row(cursor.k);
+    hamiltonian_.for_each_off_diagonal(cursor.x, gather);
   }
   flush_chunk(out);
 }

@@ -59,12 +59,16 @@ class LocalEnergyEngine {
   Real max_log_ratio_;
   std::uint64_t forward_passes_ = 0;
 
-  // Scratch reused across compute() calls.
-  /// Model evaluation workspace (null for models without one); every
-  /// log_psi in the chunk loop reuses it instead of allocating scratch.
-  std::unique_ptr<WavefunctionModel::Workspace> model_ws_;
+  // Scratch reused across compute() calls, so a repeated batch shape
+  // allocates nothing.
+  /// Model evaluation workspaces (null for models without one): one for
+  /// the sample batch and one for the chunks, so the two shapes never
+  /// reshape each other's activations.
+  std::unique_ptr<WavefunctionModel::Workspace> batch_ws_;
+  std::unique_ptr<WavefunctionModel::Workspace> chunk_ws_;
   Vector log_psi_x_;
   Matrix chunk_configs_;
+  Matrix partial_configs_;  ///< the filled prefix of a partial chunk
   Vector chunk_log_psi_;
   std::vector<std::size_t> chunk_sample_;  ///< sample index per chunk row
   std::vector<Real> chunk_value_;          ///< H_xy per chunk row

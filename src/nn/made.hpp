@@ -36,7 +36,7 @@
 /// (tolerance-based parity tests pin this against the scalar references).
 ///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
-/// evaluations, masked_weights_public) uses only call-local scratch or a
+/// evaluations, masked()) uses only call-local scratch or a
 /// caller-owned Workspace — the one piece of shared mutable state, the
 /// masked-weights cache, is rebuilt under an internal lock at most once per
 /// parameter version — so concurrent read-only use of one Made instance
@@ -172,7 +172,7 @@ class Made final : public AutoregressiveModel {
   [[nodiscard]] const Matrix& mask1() const { return mask1_; }
   [[nodiscard]] const Matrix& mask2() const { return mask2_; }
 
-  // -- Masked compute plan (used by FastMadeSampler, serve, tests) -----------
+  // -- Masked compute plan (used by the conditional engine, serve, tests) ----
 
   /// Per-row extents of mask1 (prefix [0, m_k) per hidden row).
   [[nodiscard]] const RowExtents& w1_extents() const { return plan_.w1; }
@@ -197,20 +197,12 @@ class Made final : public AutoregressiveModel {
     return version_.value();
   }
 
-  // -- Incremental-evaluation API (used by FastMadeSampler) ------------------
+  // -- Biases (read by the batched conditional engine) ----------------------
   // Ancestral sampling only ever *appends* one spin at a time, so the
-  // hidden pre-activations can be updated in O(h) per flipped input instead
-  // of recomputed in O(h n). These accessors expose the pieces the fast
-  // sampler needs; they are part of the public API because writing custom
-  // high-throughput samplers is a legitimate downstream use.
-
-  /// Masked weights (M .* W) copied out of the cache (compatibility
-  /// surface; hot paths should hold the shared masked() snapshot instead).
-  void masked_weights_public(Matrix& w1m, Matrix& w2m) const {
-    const std::shared_ptr<const MaskedWeights> mw = masked();
-    w1m = mw->w1m;
-    w2m = mw->w2m;
-  }
+  // engine (sampler/conditional_engine.hpp) seeds its running hidden
+  // pre-activations with bias1(), updates them in O(h) per flipped input
+  // from masked()->w1_col_values instead of recomputing them in O(h n), and
+  // adds bias2() to each site's logit.
   [[nodiscard]] std::span<const Real> bias1() const {
     return {b1(), h_};
   }

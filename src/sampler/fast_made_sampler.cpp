@@ -14,11 +14,11 @@ void FastMadeSampler::sample(Matrix& out) { sample_ws(out, nullptr); }
 
 void FastMadeSampler::sample_ws(Matrix& out,
                                 WavefunctionModel::Workspace* ws) {
-  TELEMETRY_SPAN("sample.auto_fast");
+  TELEMETRY_SPAN("sample.auto");
   const std::size_t n = model_.num_spins();
-  VQMC_REQUIRE(out.cols() == n, "AUTO-fast: output batch has wrong spin count");
+  VQMC_REQUIRE(out.cols() == n, "AUTO: output batch has wrong spin count");
   const std::size_t bs = out.rows();
-  VQMC_REQUIRE(bs > 0, "AUTO-fast: batch must be non-empty");
+  VQMC_REQUIRE(bs > 0, "AUTO: batch must be non-empty");
 
   // Fetch the packed masked weights from the model's version-counter cache
   // (rebuilt only when the parameters actually moved since the last call).
@@ -37,9 +37,9 @@ void FastMadeSampler::sample_ws(Matrix& out,
 
   if (telemetry::enabled()) {
     telemetry::MetricsRegistry& registry = telemetry::metrics();
-    registry.counter("sampler.auto_fast.batches").add();
-    registry.counter("sampler.auto_fast.forward_passes").add(n);
-    registry.counter("sampler.auto_fast.samples").add(bs);
+    registry.counter("sampler.auto.batches").add();
+    registry.counter("sampler.auto.forward_passes").add(n);
+    registry.counter("sampler.auto.samples").add(bs);
     // Created unconditionally (add(0) registers the instrument): the
     // cross-rank metrics merge requires every rank to expose the identical
     // instrument set whether or not the guard ever fired.

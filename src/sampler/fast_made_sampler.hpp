@@ -2,7 +2,10 @@
 
 /// \file fast_made_sampler.hpp
 /// \brief Incremental ancestral sampler for MADE: O(bs h n) per batch
-/// instead of Algorithm 1's O(bs h n^2).
+/// instead of Algorithm 1's O(bs h n^2).  make_sampler("AUTO") returns it
+/// for a Made, so trainers, distributed ranks and benches all draw through
+/// it; AutoregressiveSampler remains for the other autoregressive models
+/// and as this sampler's bitwise test oracle.
 ///
 /// Algorithm 1 re-runs the full forward pass (two O(h n) matmuls per row)
 /// for each of the n sites even though, between consecutive passes, exactly
@@ -19,8 +22,11 @@
 /// dominates the paper's per-iteration cost (Section 4's O(h n^2 mbs)
 /// becomes O(h n mbs)).
 ///
-/// Cost accounting: the statistics still count n "forward passes" per batch
-/// to stay comparable with the baseline sampler's Figure-1 accounting.
+/// Cost accounting and instruments: the statistics still count n "forward
+/// passes" per batch to stay comparable with the baseline sampler's
+/// Figure-1 accounting, and the sampler reports name() == "AUTO" and emits
+/// the same `sample.auto` span and `sampler.auto.*` counters, so
+/// checkpoints, rank registries and dashboards see one AUTO sampler.
 ///
 /// The masked weights come straight from the model's version-counter cache
 /// (Made::masked(), see masked_plan.hpp) — nothing is materialized per
@@ -50,7 +56,7 @@
 
 namespace vqmc {
 
-/// Drop-in accelerated AUTO sampler specialized to the Made architecture.
+/// The AUTO sampler for the Made architecture.
 class FastMadeSampler final : public Sampler {
  public:
   /// \param model the MADE wavefunction (not owned; must outlive the
@@ -66,7 +72,7 @@ class FastMadeSampler final : public Sampler {
   }
   void reset_statistics() override { stats_ = {}; }
   [[nodiscard]] bool is_exact() const override { return true; }
-  [[nodiscard]] std::string name() const override { return "AUTO-fast"; }
+  [[nodiscard]] std::string name() const override { return "AUTO"; }
 
   /// State layout: the 4 RNG words (draws are otherwise stateless).
   [[nodiscard]] std::vector<std::uint64_t> serialize_state() const override {
@@ -74,7 +80,7 @@ class FastMadeSampler final : public Sampler {
     return {words.begin(), words.end()};
   }
   void restore_state(const std::vector<std::uint64_t>& state) override {
-    VQMC_REQUIRE(state.size() == 4, "AUTO-fast: sampler state size mismatch");
+    VQMC_REQUIRE(state.size() == 4, "AUTO: sampler state size mismatch");
     gen_.set_state({state[0], state[1], state[2], state[3]});
   }
 

@@ -6,11 +6,12 @@
 /// All tensor storage goes through AlignedBuffer so that the gemm/gemv
 /// kernels can assume 64-byte alignment (one cache line; also sufficient for
 /// AVX-512 loads if the compiler vectorizes).  The buffer value-initializes
-/// its contents — freshly allocated tensors are zero.
+/// its contents — freshly allocated tensors are zero.  Storage comes from
+/// the aligned operator new, so a replaced global allocator (the tests'
+/// allocation counter) sees every tensor allocation.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <new>
 #include <utility>
 
@@ -72,17 +73,13 @@ class AlignedBuffer {
       data_ = nullptr;
       return;
     }
-    const std::size_t bytes =
-        (count * sizeof(T) + kTensorAlignment - 1) / kTensorAlignment *
-        kTensorAlignment;
-    void* raw = std::aligned_alloc(kTensorAlignment, bytes);
-    if (raw == nullptr) throw std::bad_alloc();
-    data_ = static_cast<T*>(raw);
+    data_ = static_cast<T*>(::operator new(
+        count * sizeof(T), std::align_val_t{kTensorAlignment}));
     std::fill_n(data_, count, T{});
   }
 
   void release() noexcept {
-    std::free(data_);
+    ::operator delete(data_, std::align_val_t{kTensorAlignment});
     data_ = nullptr;
     size_ = 0;
   }

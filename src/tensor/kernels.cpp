@@ -113,13 +113,6 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y) {
   VQMC_DISPATCH(gemv_t(a, x, y))
 }
 
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c) {
-  VQMC_REQUIRE(a.cols() == b.rows() && c.rows() == a.rows() &&
-                   c.cols() == b.cols(),
-               "gemm_nn: shape mismatch");
-  VQMC_DISPATCH(gemm_nn(a, b, c))
-}
-
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
                    c.cols() == b.rows(),
@@ -218,14 +211,6 @@ void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
   VQMC_DISPATCH(relu_dot_panels_batch(spans, a, lda, rows, packed_row, out))
 }
 
-void relu_dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
-                           std::size_t row_begin, const Real* a,
-                           std::size_t lda, std::size_t rows, Matrix& out) {
-  VQMC_REQUIRE(out.rows() == ext.rows() - row_begin && out.cols() == rows,
-               "relu_dot_panels_block: output shape mismatch");
-  VQMC_DISPATCH(relu_dot_panels_block(ext, panels, row_begin, a, lda, rows, out))
-}
-
 void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out) {
@@ -310,18 +295,6 @@ void relu_backward_inplace(const Matrix& pre, Matrix& grad) {
 }
 
 void sigmoid_inplace(Matrix& a) { VQMC_DISPATCH(sigmoid_inplace(a)) }
-
-void hadamard(const Matrix& a, const Matrix& b, Matrix& c) {
-  VQMC_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols() &&
-                   a.rows() == c.rows() && a.cols() == c.cols(),
-               "hadamard: shape mismatch");
-  const Real* pa = a.data();
-  const Real* pb = b.data();
-  Real* pc = c.data();
-  const std::size_t total = a.size();
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < total; ++i) pc[i] = pa[i] * pb[i];
-}
 
 void column_sum_accumulate(const Matrix& a, std::span<Real> out) {
   VQMC_REQUIRE(a.cols() == out.size(), "column_sum: shape mismatch");

@@ -182,9 +182,6 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 // Level-3: matrix-matrix.
 // ---------------------------------------------------------------------------
 
-/// C = A B      (A: m x k, B: k x n, C: m x n).
-void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c);
-
 /// C = A B^T    (A: m x k, B: n x k, C: m x n).
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
 
@@ -245,27 +242,19 @@ void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
                            std::size_t lda, std::size_t rows,
                            const Real* packed_row, Real* out);
 
-/// Blocked relu_dot_panels_batch over panel rows [row_begin, ext.rows())
-/// and a fixed activation block: out(i - row_begin, r) is bitwise identical
-/// to the one-row relu_dot_panels_batch of activation row r against panel
-/// row i, for every cell.
-/// `out` must be pre-shaped (ext.rows() - row_begin) x rows.  This is the
-/// conditional engine's frozen-tail kernel: once no remaining site can
-/// change the pre-activations, all remaining logits are one blocked pass
-/// with row-tile-outer ordering (activation rows stay cache-resident while
-/// the packed panels stream once per tile) instead of a per-site sweep
-/// that re-reads the whole activation block for every site.
-void relu_dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
-                           std::size_t row_begin, const Real* a,
-                           std::size_t lda, std::size_t rows, Matrix& out);
-
-/// Plain-dot sibling of relu_dot_panels_block for callers that already hold
-/// the materialized rectified activations: dot_panels_block(ext, p, rb,
-/// relu(a), ...) is bitwise identical per cell to relu_dot_panels_block(ext,
-/// p, rb, a, ...) — the dot4/dot accumulation structure is the same, only
-/// the per-element vmax disappears from the inner loop.  Worth it when one
-/// activation block feeds many output rows (the frozen tail rectifies once
-/// and streams ~n-h sites over the result).
+/// Blocked extent-restricted dot over panel rows [row_begin, ext.rows())
+/// and a fixed block of already-rectified activations: out(i - row_begin,
+/// r) = sum over panel row i's spans of a[r * lda + c] * packed value.
+/// `out` must be pre-shaped (ext.rows() - row_begin) x rows.  On a = relu(x)
+/// every cell is bitwise identical to the one-row relu_dot_panels_batch of
+/// x's row r against panel row i — the dot4/dot accumulation structure is
+/// the same, only the per-element vmax is gone from the inner loop.  This
+/// is the conditional engine's frozen-tail kernel: once no remaining site
+/// can change the pre-activations, the engine rectifies them once and
+/// computes all remaining logits in one blocked pass with row-tile-outer
+/// ordering (activation rows stay cache-resident while the packed panels
+/// stream once per tile) instead of a per-site sweep that re-reads the
+/// whole activation block for every site.
 void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out);
@@ -311,9 +300,6 @@ void relu_backward_inplace(const Matrix& pre, Matrix& grad);
 
 /// A := sigmoid(A) elementwise, numerically stable for large |x|.
 void sigmoid_inplace(Matrix& a);
-
-/// Elementwise Hadamard product: C = A .* B (same shapes).
-void hadamard(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// Column sums of A into out (length cols), accumulated: out += sum_r A(r,:).
 void column_sum_accumulate(const Matrix& a, std::span<Real> out);

@@ -27,7 +27,6 @@ namespace vqmc {
   void axpy(Real alpha, std::span<const Real> x, std::span<Real> y);          \
   void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);     \
   void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);   \
-  void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c);                  \
   void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);                  \
   void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);       \
   void gemm_nt_panels(const Matrix& a, RowExtentsView ext,                    \
@@ -39,9 +38,6 @@ namespace vqmc {
   void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,   \
                              std::size_t lda, std::size_t rows,               \
                              const Real* packed_row, Real* out);              \
-  void relu_dot_panels_block(RowExtentsView ext, const PackedRowPanels& p,    \
-                             std::size_t row_begin, const Real* a,            \
-                             std::size_t lda, std::size_t rows, Matrix& out); \
   void dot_panels_block(RowExtentsView ext, const PackedRowPanels& p,         \
                         std::size_t row_begin, const Real* a,                 \
                         std::size_t lda, std::size_t rows, Matrix& out);      \

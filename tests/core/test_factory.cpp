@@ -4,6 +4,8 @@
 
 #include "common/error.hpp"
 #include "nn/made.hpp"
+#include "sampler/autoregressive_sampler.hpp"
+#include "sampler/fast_made_sampler.hpp"
 
 namespace vqmc {
 namespace {
@@ -60,15 +62,27 @@ TEST(Factory, SamplerKinds) {
   EXPECT_EQ(mcmc->name(), "MCMC");
   EXPECT_FALSE(mcmc->is_exact());
 
-  const auto fast = make_sampler("AUTO-fast", *made, 1);
-  EXPECT_EQ(fast->name(), "AUTO-fast");
-  EXPECT_TRUE(fast->is_exact());
-
   const auto rbm = make_model("RBM", 8);
   EXPECT_THROW(make_sampler("AUTO", *rbm, 1), Error);  // RBM is not AR
-  const auto deep = make_model("DEEPMADE", 8, 6);
-  EXPECT_THROW(make_sampler("AUTO-fast", *deep, 1), Error);  // MADE-only
   EXPECT_THROW(make_sampler("GIBBS", *made, 1), Error);
+  // The engine's former opt-in label is gone; AUTO is the only exact label.
+  EXPECT_THROW(make_sampler("AUTO-fast", *made, 1), Error);
+}
+
+TEST(Factory, AutoPicksTheSamplerFromTheModelType) {
+  // MADE runs the batched conditional engine; the other autoregressive
+  // models run Algorithm 1.  Either way the sampler calls itself AUTO.
+  const auto made = make_model("MADE", 8, 6);
+  const auto on_made = make_sampler("AUTO", *made, 1);
+  EXPECT_NE(dynamic_cast<FastMadeSampler*>(on_made.get()), nullptr);
+  EXPECT_EQ(on_made->name(), "AUTO");
+  for (const std::string kind : {"DEEPMADE", "RNN"}) {
+    const auto model = make_model(kind, 8, 6);
+    const auto sampler = make_sampler("AUTO", *model, 1);
+    EXPECT_NE(dynamic_cast<AutoregressiveSampler*>(sampler.get()), nullptr)
+        << kind;
+    EXPECT_EQ(sampler->name(), "AUTO") << kind;
+  }
 }
 
 TEST(Factory, McmcDefaultsToPaperBurnIn) {

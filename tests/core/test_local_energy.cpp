@@ -11,6 +11,7 @@
 #include "nn/rbm.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/alloc_count.hpp"
 #include "tensor/kernels.hpp"
 
 namespace vqmc {
@@ -173,6 +174,42 @@ TEST(LocalEnergy, ClampDoesNotPerturbHealthyModels) {
   engine_loose.compute(configs, loose.span());
   for (std::size_t i = 0; i < configs.rows(); ++i)
     EXPECT_EQ(tight[i], loose[i]);
+}
+
+/// Runs compute() twice on one batch of a Made and asserts that the second
+/// call does not touch the heap (the first call shapes the model
+/// workspaces and chunk buffers) and reproduces the first call's values.
+void expect_repeat_compute_allocates_nothing(std::size_t bs,
+                                             std::size_t chunk_size) {
+  constexpr std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 15);
+  Made made(n, 9);
+  randomize_parameters(made, 16);
+  Matrix batch(bs, n);
+  rng::Xoshiro256 gen(17);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+
+  LocalEnergyEngine engine(tim, made, chunk_size);
+  Vector first(bs), again(bs);
+  engine.compute(batch, first.span());
+
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  engine.compute(batch, again.span());
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
+  for (std::size_t k = 0; k < bs; ++k) EXPECT_EQ(again[k], first[k]);
+}
+
+TEST(LocalEnergy, RepeatedBatchOfWholeChunksAllocatesNothing) {
+  // 8 rows x 6 single-flip neighbours = 48 connected configurations: four
+  // full chunks of 12, each evaluated in place.
+  expect_repeat_compute_allocates_nothing(8, 12);
+}
+
+TEST(LocalEnergy, RepeatedBatchInOnePartialChunkAllocatesNothing) {
+  // 48 connected configurations fill part of one 1024-row chunk, which is
+  // evaluated through the persistent partial-chunk buffer.
+  expect_repeat_compute_allocates_nothing(8, 1024);
 }
 
 TEST(LocalEnergy, MismatchedSpinCountsRejected) {

@@ -19,6 +19,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_ref.hpp"
 
 namespace vqmc {
 namespace {
@@ -115,7 +116,7 @@ struct DenseReference {
     column_sum_accumulate(g2, grad.subspan(off_b2, n));
 
     Matrix g1(bs, h);
-    gemm_nn(g2, w2m, g1);
+    ref::gemm_nn(g2, w2m, g1);
     relu_backward_inplace(a1, g1);
 
     Matrix dw1(h, n);

@@ -87,7 +87,27 @@ TEST(FastMadeSampler, AccountingMatchesAlgorithmOne) {
   sampler.sample(out);
   EXPECT_EQ(sampler.statistics().forward_passes, 7u);
   EXPECT_TRUE(sampler.is_exact());
-  EXPECT_EQ(sampler.name(), "AUTO-fast");
+  EXPECT_EQ(sampler.name(), "AUTO");
+}
+
+TEST(FastMadeSampler, CountsOnTheAutoInstruments) {
+  // One AUTO sampler, one set of instrument names: a batch adds n to the
+  // same forward-pass counter Algorithm 1 uses.
+  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  telemetry::MetricsRegistry registry;
+  const telemetry::ScopedMetricsRegistry scope(registry);
+  Made made(7, 4);
+  FastMadeSampler sampler(made, 6);
+  Matrix out(16, 7);
+  sampler.sample(out);
+  std::uint64_t forward_passes = 0, samples = 0;
+  for (const auto& counter : registry.snapshot().counters) {
+    if (counter.name == "sampler.auto.forward_passes")
+      forward_passes = counter.value;
+    if (counter.name == "sampler.auto.samples") samples = counter.value;
+  }
+  EXPECT_EQ(forward_passes, 7u);
+  EXPECT_EQ(samples, 16u);
 }
 
 TEST(FastMadeSampler, WrongShapeRejected) {

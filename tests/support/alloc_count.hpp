@@ -3,8 +3,9 @@
 /// \file alloc_count.hpp
 /// \brief Binary-wide heap-allocation counter for zero-allocation tests.
 ///
-/// alloc_count.cpp replaces the global operator new/delete pair with a
-/// counting shim; link it into the test target (sources list) and assert
+/// alloc_count.cpp replaces the global operator new/delete pairs (plain and
+/// aligned, so AlignedBuffer tensor storage counts too) with a counting
+/// shim; link it into the test target (sources list) and assert
 /// `allocation_count()` does not move across a span that must stay off the
 /// heap. Only one test binary may link the .cpp once — the replacement is
 /// process-global.
