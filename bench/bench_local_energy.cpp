@@ -1,0 +1,316 @@
+/// \file bench_local_energy.cpp
+/// \brief Local energy through the single-flip ratio path vs the chunked
+/// full-forward path, in the same run (DESIGN.md §5l).
+///
+/// Each case builds a dense random TIM and a MADE or RBM, then times
+/// LocalEnergyEngine::compute twice on one batch: once on the model itself
+/// (every TIM entry flips one site, so the engine takes the flip path) and
+/// once on a forwarding wrapper that hides log_psi_flip_ratios (so the
+/// engine evaluates every connected configuration with a full forward).
+/// The two paths' timed blocks alternate, and the reported speedup is the
+/// median of the paired ratios full / flip, so host-speed drift cancels.  The two paths must
+/// agree within the documented bound kFlipRatioTolerance (local_energy.hpp)
+/// relative to |H_xx| + sum_y |H_xy| psi(y)/psi(x).
+///
+/// Cases: MADE and RBM at n = 20, 50, 100, 128 with 256 rows, plus one
+/// 1-row MADE case at n = 1000 (the serving shape).  Writes
+/// BENCH_local_energy.json; exits nonzero when the paths disagree beyond
+/// the bound or when the flip path is slower than the full-forward path
+/// at n = 128.
+///
+///   ./build/bench/bench_local_energy --commit $(git rev-parse --short HEAD)
+
+#include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "common/options.hpp"
+#include "common/table.hpp"
+#include "common/timer.hpp"
+#include "core/local_energy.hpp"
+#include "hamiltonian/transverse_field_ising.hpp"
+#include "nn/made.hpp"
+#include "nn/rbm.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
+#include "tensor/simd.hpp"
+
+using namespace vqmc;
+
+namespace {
+
+constexpr std::size_t kSpins[] = {20, 50, 100, 128};
+constexpr std::size_t kRows = 256;
+constexpr std::size_t kServeSpins = 1000;  ///< the 1-row case
+constexpr std::size_t kGateSpins = 128;
+
+/// Forwards everything but log_psi_flip_ratios, so an engine bound to it
+/// takes the full-forward path on the wrapped model's own evaluations.
+class FullForwardModel final : public WavefunctionModel {
+ public:
+  explicit FullForwardModel(WavefunctionModel& inner) : inner_(inner) {}
+
+  std::unique_ptr<Workspace> make_workspace() const override {
+    return inner_.make_workspace();
+  }
+  std::size_t num_spins() const override { return inner_.num_spins(); }
+  std::size_t num_parameters() const override {
+    return inner_.num_parameters();
+  }
+  std::span<Real> parameters() override { return inner_.parameters(); }
+  std::span<const Real> parameters() const override {
+    return std::as_const(inner_).parameters();
+  }
+  void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
+  void log_psi(const Matrix& batch, std::span<Real> out) const override {
+    inner_.log_psi(batch, out);
+  }
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  Workspace* ws) const override {
+    inner_.log_psi_ws(batch, out, ws);
+  }
+  void accumulate_log_psi_gradient(const Matrix& batch,
+                                   std::span<const Real> coeff,
+                                   std::span<Real> grad) const override {
+    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
+  }
+  void log_psi_gradient_per_sample(const Matrix& batch,
+                                   Matrix& out) const override {
+    inner_.log_psi_gradient_per_sample(batch, out);
+  }
+  bool is_normalized() const override { return inner_.is_normalized(); }
+  std::string name() const override { return inner_.name(); }
+  std::unique_ptr<WavefunctionModel> clone() const override {
+    return inner_.clone();
+  }
+
+ private:
+  WavefunctionModel& inner_;
+};
+
+/// |H| entrywise: its local energy |H_xx| + sum_y |H_xy| psi(y)/psi(x) is
+/// the scale of the documented parity bound.
+class AbsoluteHamiltonian final : public Hamiltonian {
+ public:
+  explicit AbsoluteHamiltonian(const Hamiltonian& inner) : inner_(inner) {}
+  std::size_t num_spins() const override { return inner_.num_spins(); }
+  std::size_t row_sparsity() const override { return inner_.row_sparsity(); }
+  Real diagonal(std::span<const Real> x) const override {
+    return std::abs(inner_.diagonal(x));
+  }
+  void for_each_off_diagonal(std::span<const Real> x,
+                             const OffDiagonalVisitor& visit) const override {
+    inner_.for_each_off_diagonal(
+        x, [&](std::span<const std::size_t> flips, Real value) {
+          visit(flips, std::abs(value));
+        });
+  }
+  std::string name() const override {
+    std::string name = "|";
+    name += inner_.name();
+    name += '|';
+    return name;
+  }
+
+ private:
+  const Hamiltonian& inner_;
+};
+
+std::string scientific(double value) {
+  std::ostringstream out;
+  out.precision(2);
+  out << std::scientific << value;
+  return out.str();
+}
+
+/// Per-call milliseconds of `fn` over one timed block of `calls`.
+double block_ms(const std::function<void()>& fn, std::size_t calls) {
+  Timer timer;
+  for (std::size_t c = 0; c < calls; ++c) fn();
+  return timer.milliseconds() / double(calls);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+struct CaseResult {
+  std::string model;
+  std::size_t spins = 0;
+  std::size_t hidden = 0;
+  std::size_t rows = 0;
+  double flip_ms = 0;
+  double full_ms = 0;
+  double ratio = 0;          ///< median of paired full / flip blocks
+  double max_rel_diff = 0;   ///< max_k |flip - full| / scale_k
+  bool parity_ok = false;
+};
+
+CaseResult run_case(const std::string& kind, std::size_t n, std::size_t rows,
+                    double block_seconds, int repeats) {
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 7);
+  std::unique_ptr<WavefunctionModel> model;
+  std::size_t hidden = 0;
+  if (kind == "MADE") {
+    hidden = made_default_hidden(n);
+    model = std::make_unique<Made>(n, hidden);
+  } else {
+    hidden = n;
+    model = std::make_unique<Rbm>(n, hidden);
+  }
+  model->initialize(11);
+  FullForwardModel full_model(*model);
+
+  rng::Xoshiro256 gen(n * 31 + rows);
+  Matrix batch(rows, n);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+
+  LocalEnergyEngine flip(tim, *model);
+  LocalEnergyEngine full(tim, full_model);
+  Vector flip_out(rows), full_out(rows), scale(rows);
+  // Warm both paths (shapes the scratch, fills the weight caches).
+  flip.compute(batch, flip_out.span());
+  full.compute(batch, full_out.span());
+  const AbsoluteHamiltonian abs_tim(tim);
+  LocalEnergyEngine(abs_tim, *model).compute(batch, scale.span());
+
+  CaseResult r;
+  r.model = kind;
+  r.spins = n;
+  r.hidden = hidden;
+  r.rows = rows;
+  for (std::size_t k = 0; k < rows; ++k)
+    r.max_rel_diff = std::max(
+        r.max_rel_diff, double(std::abs(flip_out[k] - full_out[k]) / scale[k]));
+  r.parity_ok = r.max_rel_diff <= kFlipRatioTolerance;
+
+  // Calibrate calls per timed block off one full-forward call.
+  Timer probe;
+  full.compute(batch, full_out.span());
+  const double probe_s = std::max(probe.seconds(), 1e-6);
+  const std::size_t calls =
+      std::max<std::size_t>(2, std::size_t(block_seconds / probe_s));
+  // Alternate the two paths' blocks so host-speed drift hits both alike;
+  // the ratio is the median of the per-pair ratios.
+  std::vector<double> flip_ms, full_ms, ratios;
+  for (int rep = 0; rep < repeats; ++rep) {
+    flip_ms.push_back(
+        block_ms([&] { flip.compute(batch, flip_out.span()); }, calls));
+    full_ms.push_back(
+        block_ms([&] { full.compute(batch, full_out.span()); }, calls));
+    ratios.push_back(full_ms.back() / flip_ms.back());
+  }
+  r.flip_ms = median(flip_ms);
+  r.full_ms = median(full_ms);
+  r.ratio = median(ratios);
+  return r;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  OptionParser opts("bench_local_energy",
+                    "local energy: single-flip ratio path vs full-forward "
+                    "path in one run; writes BENCH_local_energy.json");
+  opts.add_option("repeats", "5", "timed blocks per path (median reported)");
+  opts.add_option("seconds", "0.2", "target measurement time per block");
+  opts.add_option("commit", "unknown", "commit id recorded in the artifact");
+  opts.add_option("out", "BENCH_local_energy.json", "JSON artifact path");
+  if (!opts.parse(argc, argv)) return 0;
+
+  const int repeats = opts.get_int("repeats");
+  const double block_seconds = opts.get_double("seconds");
+  const char* simd_level = simd::level_name(simd::active_level());
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+#else
+  const int threads = 1;
+#endif
+  std::cout << "local energy on dense TIM, flip path vs full-forward path, "
+            << threads << " thread(s), simd level " << simd_level
+            << ", median of " << repeats << " blocks\n\n";
+
+  std::vector<CaseResult> results;
+  for (const std::size_t n : kSpins)
+    for (const char* kind : {"MADE", "RBM"})
+      results.push_back(run_case(kind, n, kRows, block_seconds, repeats));
+  results.push_back(run_case("MADE", kServeSpins, 1, block_seconds, repeats));
+
+  Table table("Local energy per compute() call");
+  table.set_header({"model", "n", "h", "rows", "flip ms", "full ms",
+                    "full/flip", "max rel diff"});
+  bool parity_ok = true;
+  bool gate_ok = true;
+  for (const CaseResult& r : results) {
+    table.add_row({r.model, std::to_string(r.spins), std::to_string(r.hidden),
+                   std::to_string(r.rows), format_fixed(r.flip_ms, 3),
+                   format_fixed(r.full_ms, 3), format_fixed(r.ratio, 2),
+                   scientific(r.max_rel_diff)});
+    parity_ok &= r.parity_ok;
+    if (r.spins == kGateSpins) gate_ok &= r.ratio >= 1.0;
+  }
+  std::cout << table.to_string();
+
+  std::ostringstream json;
+  json << "{\n  \"bench\": \"local_energy\",\n"
+       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
+       << "  \"cpu_model\": \"" << cpu_model() << "\",\n"
+       << "  \"simd_level\": \"" << simd_level << "\",\n"
+       << "  \"threads\": " << threads << ",\n"
+       << "  \"hamiltonian\": \"TIM random_dense\",\n"
+       << "  \"parity_bound\": " << kFlipRatioTolerance << ",\n"
+       << "  \"cases\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const CaseResult& r = results[i];
+    json << "    {\"model\": \"" << r.model << "\", \"spins\": " << r.spins
+         << ", \"hidden\": " << r.hidden << ", \"rows\": " << r.rows
+         << ", \"flip_ms_per_call\": " << r.flip_ms
+         << ", \"full_forward_ms_per_call\": " << r.full_ms
+         << ", \"speedup_flip_over_full\": " << r.ratio
+         << ", \"max_rel_disagreement\": " << r.max_rel_diff
+         << ", \"parity_ok\": " << (r.parity_ok ? "true" : "false") << "}"
+         << (i + 1 < results.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"gate_spins\": " << kGateSpins
+       << ",\n  \"flip_not_slower_at_gate\": " << (gate_ok ? "true" : "false")
+       << ",\n  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n}\n";
+  const std::string out_path = opts.get_string("out");
+  std::ofstream(out_path) << json.str();
+  std::cout << "\nwrote " << out_path << "\n";
+
+  if (!parity_ok) {
+    std::cerr << "FAIL: flip and full-forward paths disagree beyond "
+              << kFlipRatioTolerance << "\n";
+    return 1;
+  }
+  if (!gate_ok) {
+    std::cerr << "FAIL: flip path slower than full-forward at n = "
+              << kGateSpins << "\n";
+    return 1;
+  }
+  return 0;
+}

@@ -85,10 +85,11 @@ int main(int argc, char** argv) {
   std::cout << "\n" << table.to_string() << "\n";
   std::cout
       << "NOTE: measured times above run on a flop-bound CPU substrate. "
-         "MADE&AUTO samples through the O(h n) conditional engine, so its "
-         "time goes to the local energy: every sample's n single-flip "
-         "neighbours each cost a full MADE forward pass, O(h n^2) per "
-         "sample (see the MADE&AUTO phase shares). The paper's V100 "
+         "MADE&AUTO samples through the O(h n) conditional engine and "
+         "evaluates its n single-flip neighbours through the incremental "
+         "flip-ratio path (O(h n^2 / 6) per sample instead of one O(h n) "
+         "forward per neighbour); the local energy is still its largest "
+         "phase (see the MADE&AUTO phase shares). The paper's V100 "
          "timings are per-pass *latency*-bound, which is what penalizes "
          "MCMC's k + bs/c tiny-batch chain steps. The modeled section below "
          "applies the V100-class cost model (see src/parallel/cost_model.hpp)"

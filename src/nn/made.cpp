@@ -4,6 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
@@ -16,6 +20,9 @@ namespace {
 /// Conditionals are clamped away from {0,1} before logs; the gradient uses
 /// the (x - p) form which needs no clamping.
 constexpr Real kProbEps = 1e-12;
+
+/// log(max(sel, eps)): one clamped Bernoulli log-likelihood term.
+Real clamped_log(Real sel) { return std::log(sel < kProbEps ? kProbEps : sel); }
 
 }  // namespace
 
@@ -40,6 +47,22 @@ Made::Made(std::size_t n, std::size_t hidden)
     for (std::size_t i = 0; i < n_; ++i) mask2_(i, k) = (i + 1 > mk) ? 1 : 0;
   }
   plan_.build(mask1_, mask2_);
+
+  // Flip geometry: counts of units per degree, prefix-summed.
+  flip_lo_.assign(n_, 0);
+  for (std::size_t k = 0; k < h_; ++k) ++flip_lo_[1 + (k % (n_ - 1))];
+  for (std::size_t j = 1; j < n_; ++j) flip_lo_[j] += flip_lo_[j - 1];
+  if (h_ > n_ - 1) {
+    // Cyclic degrees: a stable sort of the units by degree, and the
+    // sorted W2 rows' prefix extents [0, flip_lo_[j]).
+    for (std::size_t d = 1; d < n_; ++d)
+      for (std::size_t k = d - 1; k < h_; k += n_ - 1)
+        flip_perm_.push_back(std::uint32_t(k));
+    Matrix prefix(n_, h_);
+    for (std::size_t j = 0; j < n_; ++j)
+      for (std::size_t t = 0; t < flip_lo_[j]; ++t) prefix(j, t) = 1;
+    flip_w2_ext_ = RowExtents::from_mask(prefix);
+  }
   initialize(0);
 }
 
@@ -103,8 +126,35 @@ std::shared_ptr<const Made::MaskedWeights> Made::masked() const {
   });
 }
 
+std::shared_ptr<const Made::FlipWeights> Made::flip_weights(
+    const MaskedWeights& mw) const {
+  return flip_cache_.fetch(mw.version, [&] {
+    auto fw = std::make_shared<FlipWeights>();
+    fw->version = mw.version;
+    Matrix w2s(n_, h_);
+    for (std::size_t j = 0; j < n_; ++j)
+      for (std::size_t t = 0; t < flip_lo_[j]; ++t)
+        w2s(j, t) = mw.w2m(j, flip_perm_[t]);
+    fw->w2s = PackedRowPanels::pack(w2s, flip_w2_ext_.view());
+    const ColPanelGeometry& cg = plan_.w1_cols;
+    fw->w1s = AlignedBuffer<Real>(cg.rows.size());
+    for (std::size_t i = 0; i < n_; ++i) {
+      Real* dst = fw->w1s.data() + cg.offsets[i];
+      for (std::size_t t = flip_lo_[i]; t < h_; ++t)
+        *dst++ = mw.w1m(flip_perm_[t], i);
+    }
+    return fw;
+  });
+}
+
 void Made::forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
                    Matrix& p) const {
+  forward_logits(batch, mw, ws, p);
+  sigmoid_inplace(p);
+}
+
+void Made::forward_logits(const Matrix& batch, const MaskedWeights& mw,
+                          Workspace& ws, Matrix& z) const {
   VQMC_REQUIRE(batch.cols() == n_, "MADE: batch has wrong spin count");
   const std::size_t bs = batch.rows();
 
@@ -118,10 +168,9 @@ void Made::forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
   ws.h1 = ws.a1;
   relu_inplace(ws.h1);
 
-  ensure_shape(p, bs, n_);
-  gemm_nt_panels(ws.h1, plan_.w2.view(), mw.w2p, p);
-  add_row_broadcast(p, bias2());
-  sigmoid_inplace(p);
+  ensure_shape(z, bs, n_);
+  gemm_nt_panels(ws.h1, plan_.w2.view(), mw.w2p, z);
+  add_row_broadcast(z, bias2());
 }
 
 void Made::conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const {
@@ -276,6 +325,155 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch,
   log_psi_gradient_per_sample(batch, out, ws);
 }
 
+void Made::log_psi_flip_ratios(const Matrix& batch,
+                               std::span<const std::size_t> sites,
+                               Matrix& out, Workspace& ws) const {
+  VQMC_REQUIRE(batch.cols() == n_, "MADE: batch has wrong spin count");
+  const std::size_t bs = batch.rows();
+  const std::size_t m = sites.size();
+  VQMC_REQUIRE(out.rows() == bs && out.cols() == m,
+               "MADE: flip-ratio output shape mismatch");
+  for (const std::size_t i : sites)
+    VQMC_REQUIRE(i < n_, "MADE: flip site out of range");
+  if (bs == 0 || m == 0) return;
+
+  // Degree-ordered operands: the forward's own packings when the natural
+  // order is degree-sorted (h <= n - 1), else the lazily built sorted copy.
+  const std::shared_ptr<const MaskedWeights> mw = masked();
+  const bool natural = flip_perm_.empty();
+  std::shared_ptr<const FlipWeights> fw;
+  if (!natural) fw = flip_weights(*mw);
+  const PackedRowPanels& w2s = natural ? mw->w2p : fw->w2s;
+  const Real* w1s = natural ? mw->w1_col_values.data() : fw->w1s.data();
+  const std::vector<std::size_t>& w1_off = plan_.w1_cols.offsets;
+
+  // One batched forward that keeps the logits; p is log_psi's p bitwise.
+  forward_logits(batch, *mw, ws, ws.z);
+  ensure_shape(ws.p, bs, n_);
+  std::copy_n(ws.z.data(), bs * n_, ws.p.data());
+  sigmoid_inplace(ws.p);
+
+  // Lanes are (row, site) pairs.  A batch of at least L rows runs tiles of
+  // L rows that flip one site at a time; a smaller batch fills the lanes
+  // with L sites of one row instead, so no lane idles.  Row tiles are the
+  // faster layout when there are rows to fill them (DESIGN.md §5l): a site
+  // tile runs its lowest site's triangle in every lane.  Either way each
+  // lane sums the same terms in the same order (a unit or conditional a
+  // lane's flip does not move contributes an exact zero or nothing), so a
+  // row's ratios are bitwise the same in both layouts.
+  constexpr std::size_t L = kFlipLanes;
+  const bool row_tiles = bs >= L;
+  const std::size_t groups = row_tiles ? (bs + L - 1) / L : bs;
+  const std::size_t site_groups = (m + L - 1) / L;
+  const std::size_t tasks = row_tiles ? groups : bs * site_groups;
+#ifdef _OPENMP
+  const std::size_t threads = std::size_t(omp_get_max_threads());
+#else
+  const std::size_t threads = 1;
+#endif
+  ensure_shape(ws.xt, groups, n_ * L);
+  ensure_shape(ws.zt, groups, n_ * L);
+  ensure_shape(ws.llt, groups, n_ * L);
+  ensure_shape(ws.at, groups, h_ * L);
+  ensure_shape(ws.wt, threads, h_ * L);
+  ensure_shape(ws.dht, threads, h_ * L);
+  ensure_shape(ws.znt, threads, n_ * L);
+
+  // Lane-major inputs per row group: a row tile's L rows (a short last
+  // tile repeats its last row), or one row copied into every lane.
+  const auto lane_row = [&](std::size_t g, std::size_t l) {
+    return row_tiles ? std::min(g * L + l, bs - 1) : g;
+  };
+#pragma omp parallel for schedule(static)
+  for (std::size_t g = 0; g < groups; ++g) {
+    Real* xt = ws.xt.row(g).data();
+    Real* zt = ws.zt.row(g).data();
+    Real* llt = ws.llt.row(g).data();
+    Real* at = ws.at.row(g).data();
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::size_t r = lane_row(g, l);
+      const bool repeat = l > 0 && r == lane_row(g, l - 1);
+      const Real* x = batch.row(r).data();
+      const Real* z = ws.z.row(r).data();
+      const Real* p = ws.p.row(r).data();
+      const Real* a = ws.a1.row(r).data();
+      for (std::size_t j = 0; j < n_; ++j) {
+        xt[j * L + l] = x[j];
+        zt[j * L + l] = z[j];
+        llt[j * L + l] = repeat ? llt[j * L + l - 1]
+                                : clamped_log(x[j] != 0 ? p[j] : 1 - p[j]);
+      }
+      for (std::size_t c = 0; c < h_; ++c)
+        at[c * L + l] = a[natural ? c : flip_perm_[c]];
+    }
+  }
+
+#pragma omp parallel for schedule(static)
+  for (std::size_t task = 0; task < tasks; ++task) {
+#ifdef _OPENMP
+    const std::size_t thread = std::size_t(omp_get_thread_num());
+#else
+    const std::size_t thread = 0;
+#endif
+    const std::size_t g = row_tiles ? task : task / site_groups;
+    const Real* xt = ws.xt.row(g).data();
+    const Real* zt = ws.zt.row(g).data();
+    const Real* llt = ws.llt.row(g).data();
+    const Real* at = ws.at.row(g).data();
+    Real* wt = ws.wt.row(thread).data();
+    Real* dht = ws.dht.row(thread).data();
+    Real* znt = ws.znt.row(thread).data();
+    const std::size_t passes = row_tiles ? m : 1;
+    for (std::size_t pass = 0; pass < passes; ++pass) {
+      // The lanes' sites (a short site group repeats its last site).
+      std::size_t q[L], site[L], lo[L];
+      for (std::size_t l = 0; l < L; ++l) {
+        q[l] = row_tiles ? pass
+                         : std::min((task % site_groups) * L + l, m - 1);
+        site[l] = sites[q[l]];
+        // Sorted units [lo, h) read input i; output j reads sorted units
+        // [0, flip_lo_[j]), so each changed logit is one dot over
+        // [lo, flip_lo_[j]) — a triangle that shrinks as i grows.
+        lo[l] = flip_lo_[site[l]];
+      }
+      const std::size_t i0 = *std::min_element(site, site + L);
+      const std::size_t lo0 = flip_lo_[i0];
+      // Terms [first, last) of the lane's sum over the sites from i0: the
+      // flipped site itself, and every later one when hidden units move.
+      std::size_t first[L], last[L];
+      for (std::size_t l = 0; l < L; ++l) {
+        first[l] = site[l] - i0;
+        last[l] = lo[l] < h_ ? n_ - i0 : first[l] + 1;
+      }
+      Real sums[L];
+      if (lo0 < h_) {
+        Real sign[L];
+        for (std::size_t l = 0; l < L; ++l) {
+          // A 0 -> 1 flip adds W1[:, i] to the pre-activations.
+          sign[l] = 1 - 2 * xt[site[l] * L + l];
+          const Real* w = w1s + w1_off[site[l]];
+          for (std::size_t c = lo0; c < lo[l]; ++c) wt[c * L + l] = 0;
+          for (std::size_t c = lo[l]; c < h_; ++c)
+            wt[c * L + l] = w[c - lo[l]];
+        }
+        relu_shift_delta_lanes(at + lo0 * L, wt + lo0 * L, sign, h_ - lo0,
+                               dht + lo0 * L);
+        triangle_dot_lanes(w2s, lo0, i0, dht, zt, znt);
+        bernoulli_logit_delta_lanes(xt + i0 * L, znt, llt + i0 * L, n_ - i0,
+                                    first, last, kProbEps, sums);
+      } else {
+        const std::size_t len = *std::max_element(site, site + L) - i0 + 1;
+        bernoulli_logit_delta_lanes(xt + i0 * L, zt + i0 * L, llt + i0 * L,
+                                    len, first, last, kProbEps, sums);
+      }
+      for (std::size_t l = 0; l < L; ++l) {
+        const std::size_t r = row_tiles ? g * L + l : g;
+        if (r < bs) out(r, q[l]) = sums[l] / 2;
+      }
+    }
+  }
+}
+
 // -- Workspace-aware virtual variants ----------------------------------------
 
 void Made::log_psi_ws(const Matrix& batch, std::span<Real> out,
@@ -304,6 +502,19 @@ void Made::log_psi_gradient_per_sample_ws(
   } else {
     log_psi_gradient_per_sample(batch, out);
   }
+}
+
+bool Made::log_psi_flip_ratios(const Matrix& batch,
+                               std::span<const std::size_t> sites,
+                               Matrix& out,
+                               WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi_flip_ratios(batch, sites, out, *w);
+  } else {
+    Workspace local;
+    log_psi_flip_ratios(batch, sites, out, local);
+  }
+  return true;
 }
 
 }  // namespace vqmc

@@ -35,6 +35,14 @@
 /// masked path within the accumulation-order contract of kernels.hpp
 /// (tolerance-based parity tests pin this against the scalar references).
 ///
+/// Single-flip ratios (DESIGN.md §5l): flipping input i moves only the
+/// hidden units of degree > i, and output j reads only the units of degree
+/// <= j, so with the hidden units in degree order each changed logit is one
+/// contiguous dot over a shrinking triangle.  When h <= n - 1 the natural
+/// order is already degree-sorted and the flip path reads the `w2p` /
+/// `w1_col_values` packings below; cyclic masks (h > n - 1) get a
+/// degree-sorted copy, built lazily once per parameter version.
+///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
 /// evaluations, masked()) uses only call-local scratch or a
 /// caller-owned Workspace — the one piece of shared mutable state, the
@@ -111,6 +119,18 @@ class Made final : public AutoregressiveModel {
     std::vector<std::uint32_t> flips;  ///< rows that drew 1 at this site
     std::vector<std::uint64_t> flip_masks;  ///< per row, flips of a 64-site block
     std::vector<const Real*> col_ptrs;      ///< per block site, far column segment
+    // Flip-ratio scratch (log_psi_flip_ratios), O(bs (h + n)) in all: the
+    // logits, lane-major copies of each row group's inputs (one matrix row
+    // per group, L = kFlipLanes lanes), and per-thread scratch of the
+    // flip being evaluated.
+    Matrix z;    ///< bs x n, logits of the sample rows
+    Matrix xt;   ///< groups x n*L, configurations
+    Matrix zt;   ///< groups x n*L, logits
+    Matrix llt;  ///< groups x n*L, per-site Bernoulli log-likelihood terms
+    Matrix at;   ///< groups x h*L, pre-activations in degree order
+    Matrix wt;   ///< threads x h*L, W1 columns of the flipped sites
+    Matrix dht;  ///< threads x h*L, hidden-unit changes
+    Matrix znt;  ///< threads x n*L, changed logits
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -153,6 +173,9 @@ class Made final : public AutoregressiveModel {
   void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
                                       WavefunctionModel::Workspace* ws)
       const override;
+  bool log_psi_flip_ratios(const Matrix& batch,
+                           std::span<const std::size_t> sites, Matrix& out,
+                           WavefunctionModel::Workspace* ws) const override;
 
   // Concrete-type overloads for callers that own a Made::Workspace.
   void log_psi(const Matrix& batch, std::span<Real> out, Workspace& ws) const;
@@ -162,6 +185,9 @@ class Made final : public AutoregressiveModel {
   void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
                                    Workspace& ws) const;
   void conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const;
+  void log_psi_flip_ratios(const Matrix& batch,
+                           std::span<const std::size_t> sites, Matrix& out,
+                           Workspace& ws) const;
 
   // AutoregressiveModel interface.
   void conditionals(const Matrix& batch, Matrix& out) const override;
@@ -226,6 +252,21 @@ class Made final : public AutoregressiveModel {
   /// caller-visible output).
   void forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
                Matrix& p) const;
+  /// forward() up to the output logits: `z` gets the pre-sigmoid values.
+  void forward_logits(const Matrix& batch, const MaskedWeights& mw,
+                      Workspace& ws, Matrix& z) const;
+
+  /// Degree-sorted weight copy for cyclic masks (h > n - 1), one per
+  /// parameter version: `w2s` row j packs W2[j, perm[t]] for t < lo[j], and
+  /// `w1s` packs W1[perm[t], i] for t in [lo[i], h) at the offsets of
+  /// plan_.w1_cols (the same counts as the natural packing).
+  struct FlipWeights {
+    PackedRowPanels w2s;
+    AlignedBuffer<Real> w1s;
+    std::uint64_t version = 0;
+  };
+  [[nodiscard]] std::shared_ptr<const FlipWeights> flip_weights(
+      const MaskedWeights& mw) const;
 
   std::size_t n_;
   std::size_t h_;
@@ -235,6 +276,16 @@ class Made final : public AutoregressiveModel {
   MaskedPlan plan_;
   ParamVersion version_;
   VersionedCache<MaskedWeights> cache_;
+
+  // Flip-path geometry, fixed by the masks.  flip_lo_[j] counts the hidden
+  // units of degree <= j: output j reads sorted units [0, flip_lo_[j]) and
+  // a flip at site i moves sorted units [flip_lo_[i], h).  Cyclic masks
+  // also record the degree-sorting permutation and the extents of the
+  // sorted W2 rows; the natural order leaves both empty.
+  std::vector<std::size_t> flip_lo_;
+  std::vector<std::uint32_t> flip_perm_;
+  RowExtents flip_w2_ext_;
+  VersionedCache<FlipWeights> flip_cache_;
 };
 
 }  // namespace vqmc

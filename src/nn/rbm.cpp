@@ -30,61 +30,110 @@ void Rbm::initialize(std::uint64_t seed) {
   for (std::size_t i = 0; i < n_; ++i) p[i] = rng::uniform(gen, -0.01, 0.01);
   p += n_;
   p[0] = 0;  // a0
+  version_.bump();
 }
 
-void Rbm::hidden_preactivations(const Matrix& batch, Matrix& theta) const {
+std::shared_ptr<const Rbm::Weights> Rbm::weights() const {
+  const std::uint64_t v = version_.value();
+  return cache_.fetch(v, [&] {
+    auto cached = std::make_shared<Weights>();
+    cached->version = v;
+    cached->w = Matrix(h_, n_);
+    std::copy_n(w(), h_ * n_, cached->w.data());
+    cached->wt = Matrix(n_, h_);
+    for (std::size_t l = 0; l < h_; ++l)
+      for (std::size_t j = 0; j < n_; ++j) cached->wt(j, l) = cached->w(l, j);
+    return cached;
+  });
+}
+
+void Rbm::hidden_preactivations(const Matrix& batch, const Weights& w,
+                                Workspace& ws) const {
   VQMC_REQUIRE(batch.cols() == n_, "RBM: batch has wrong spin count");
-  const std::size_t bs = batch.rows();
-  // View the flat W block as an h x n matrix (copy; gemm needs Matrix).
-  Matrix wm(h_, n_);
-  std::copy_n(w(), h_ * n_, wm.data());
-  theta = Matrix(bs, h_);
-  gemm_nt(batch, wm, theta);
-  add_row_broadcast(theta, std::span<const Real>(c(), h_));
+  ensure_shape(ws.theta, batch.rows(), h_);
+  gemm_nt(batch, w.w, ws.theta);
+  add_row_broadcast(ws.theta, std::span<const Real>(c(), h_));
 }
 
-void Rbm::log_psi(const Matrix& batch, std::span<Real> out) const {
+void Rbm::log_psi(const Matrix& batch, std::span<Real> out,
+                  Workspace& ws) const {
   VQMC_REQUIRE(out.size() == batch.rows(), "RBM: output size mismatch");
-  Matrix theta;
-  hidden_preactivations(batch, theta);
+  hidden_preactivations(batch, *weights(), ws);
   const std::size_t bs = batch.rows();
   const Real* pa = a();
   const Real bias0 = a0();
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
-    const Real* th = theta.row(k).data();
-    Real acc = bias0;
-    for (std::size_t l = 0; l < h_; ++l) acc += log_cosh(th[l]);
+    Real acc = bias0 + sum_log_cosh(ws.theta.row(k));
     const Real* x = batch.row(k).data();
     for (std::size_t j = 0; j < n_; ++j) acc += pa[j] * x[j];
     out[k] = acc;
   }
 }
 
+void Rbm::log_psi(const Matrix& batch, std::span<Real> out) const {
+  Workspace ws;
+  log_psi(batch, out, ws);
+}
+
+void Rbm::log_psi_flip_ratios(const Matrix& batch,
+                              std::span<const std::size_t> sites, Matrix& out,
+                              Workspace& ws) const {
+  VQMC_REQUIRE(batch.cols() == n_, "RBM: batch has wrong spin count");
+  const std::size_t bs = batch.rows();
+  const std::size_t m = sites.size();
+  VQMC_REQUIRE(out.rows() == bs && out.cols() == m,
+               "RBM: flip-ratio output shape mismatch");
+  for (const std::size_t i : sites)
+    VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
+  if (bs == 0 || m == 0) return;
+  const std::shared_ptr<const Weights> w = weights();
+  hidden_preactivations(batch, *w, ws);
+  ensure_shape(ws.shifted, bs, h_);
+  const Real* pa = a();
+#pragma omp parallel for schedule(static)
+  for (std::size_t k = 0; k < bs; ++k) {
+    const Real* theta = ws.theta.row(k).data();
+    Real* shifted = ws.shifted.row(k).data();
+    const Real base = sum_log_cosh(ws.theta.row(k));
+    for (std::size_t q = 0; q < m; ++q) {
+      const std::size_t i = sites[q];
+      const Real* col = w->wt.row(i).data();
+      // A 0 -> 1 flip adds W[:, i] to theta and a_i to the visible term.
+      const bool up = batch(k, i) == 0;
+      for (std::size_t l = 0; l < h_; ++l)
+        shifted[l] = up ? theta[l] + col[l] : theta[l] - col[l];
+      const Real change = sum_log_cosh(ws.shifted.row(k)) - base;
+      out(k, q) = up ? change + pa[i] : change - pa[i];
+    }
+  }
+}
+
 void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
                                       std::span<const Real> coeff,
-                                      std::span<Real> grad) const {
+                                      std::span<Real> grad,
+                                      Workspace& ws) const {
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(coeff.size() == bs, "RBM: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "RBM: gradient size mismatch");
 
-  Matrix theta;
-  hidden_preactivations(batch, theta);
+  hidden_preactivations(batch, *weights(), ws);
 
   // t(k, l) = coeff_k * tanh(theta_{k,l}) — the per-hidden-unit gradients.
-  Matrix t(bs, h_);
+  ensure_shape(ws.t, bs, h_);
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
-    const Real* th = theta.row(k).data();
-    Real* tr = t.row(k).data();
+    const Real* th = ws.theta.row(k).data();
+    Real* tr = ws.t.row(k).data();
     for (std::size_t l = 0; l < h_; ++l) tr[l] = coeff[k] * std::tanh(th[l]);
   }
 
   // dW = t^T X, dc = column sums of t.
-  Matrix dw(h_, n_);
-  gemm_tn_accumulate(t, batch, dw);
-  for (std::size_t i = 0; i < h_ * n_; ++i) grad[i] += dw.data()[i];
-  column_sum_accumulate(t, grad.subspan(h_ * n_, h_));
+  ensure_shape(ws.dw, h_, n_);
+  ws.dw.fill(0);
+  gemm_tn_accumulate(ws.t, batch, ws.dw);
+  for (std::size_t i = 0; i < h_ * n_; ++i) grad[i] += ws.dw.data()[i];
+  column_sum_accumulate(ws.t, grad.subspan(h_ * n_, h_));
 
   // da_j = sum_k coeff_k x_{k,j}; da0 = sum_k coeff_k.
   Real* ga = grad.data() + h_ * n_ + h_;
@@ -98,13 +147,20 @@ void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
   grad[h_ * n_ + h_ + n_] += c_sum;
 }
 
-void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
+void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad) const {
+  Workspace ws;
+  accumulate_log_psi_gradient(batch, coeff, grad, ws);
+}
+
+void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
+                                      Workspace& ws) const {
   const std::size_t bs = batch.rows();
   const std::size_t d = num_parameters();
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
                "RBM: per-sample gradient shape mismatch");
-  Matrix theta;
-  hidden_preactivations(batch, theta);
+  hidden_preactivations(batch, *weights(), ws);
 
   const std::size_t off_c = h_ * n_;
   const std::size_t off_a = off_c + h_;
@@ -113,7 +169,7 @@ void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
     const Real* x = batch.row(k).data();
-    const Real* th = theta.row(k).data();
+    const Real* th = ws.theta.row(k).data();
     Real* o = out.row(k).data();
     for (std::size_t l = 0; l < h_; ++l) {
       const Real tl = std::tanh(th[l]);
@@ -124,6 +180,53 @@ void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
     for (std::size_t j = 0; j < n_; ++j) o[off_a + j] = x[j];
     o[off_a0] = 1;
   }
+}
+
+void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
+  Workspace ws;
+  log_psi_gradient_per_sample(batch, out, ws);
+}
+
+// -- Workspace-aware virtual variants ----------------------------------------
+
+void Rbm::log_psi_ws(const Matrix& batch, std::span<Real> out,
+                     WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi(batch, out, *w);
+  } else {
+    log_psi(batch, out);
+  }
+}
+
+void Rbm::accumulate_log_psi_gradient_ws(
+    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
+    WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    accumulate_log_psi_gradient(batch, coeff, grad, *w);
+  } else {
+    accumulate_log_psi_gradient(batch, coeff, grad);
+  }
+}
+
+void Rbm::log_psi_gradient_per_sample_ws(
+    const Matrix& batch, Matrix& out, WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi_gradient_per_sample(batch, out, *w);
+  } else {
+    log_psi_gradient_per_sample(batch, out);
+  }
+}
+
+bool Rbm::log_psi_flip_ratios(const Matrix& batch,
+                              std::span<const std::size_t> sites, Matrix& out,
+                              WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi_flip_ratios(batch, sites, out, *w);
+  } else {
+    Workspace local;
+    log_psi_flip_ratios(batch, sites, out, local);
+  }
+  return true;
 }
 
 }  // namespace vqmc

@@ -14,9 +14,23 @@
 /// through MCMC (Section 2.2).  Parameter layout:
 ///
 ///   [ W (h x n) | c (h) | a (n) | a0 (1) ]
+///
+/// Like Made, the RBM keeps its weight matrix W and its transpose in a
+/// cache behind a parameter version (masked_plan.hpp), bumped whenever the
+/// mutable parameters() span is handed out, and evaluates over a
+/// caller-owned Workspace; a repeated evaluation allocates nothing.  The
+/// same thread-safety and mutable-span rules as made.hpp apply.
+///
+/// Single-flip ratios (DESIGN.md §5l): with theta = W x + c cached per row,
+/// a flip at site i moves theta by +-W[:, i] (a row of the cached W^T), so
+///   log psi(x') - log psi(x) = +-a_i
+///       + sum_l [log cosh(theta_l +- W_li) - log cosh theta_l],
+/// O(h) per flip through the SIMD sum_log_cosh kernel.
 
 #include <cstdint>
+#include <memory>
 
+#include "nn/masked_plan.hpp"
 #include "nn/wavefunction.hpp"
 
 namespace vqmc {
@@ -28,12 +42,28 @@ class Rbm final : public WavefunctionModel {
   /// \param hidden number of hidden units (the paper uses h = n)
   Rbm(std::size_t n, std::size_t hidden);
 
+  /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace).
+  struct Workspace final : WavefunctionModel::Workspace {
+    Matrix theta;    ///< bs x h, hidden pre-activations
+    Matrix shifted;  ///< bs x h, theta of the current flip
+    Matrix t;        ///< bs x h, coeff-weighted tanh(theta)
+    Matrix dw;       ///< h x n, W gradient scratch
+  };
+
+  [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
+      const override {
+    return std::make_unique<Workspace>();
+  }
+
   // WavefunctionModel interface.
   [[nodiscard]] std::size_t num_spins() const override { return n_; }
   [[nodiscard]] std::size_t num_parameters() const override {
     return params_.size();
   }
-  [[nodiscard]] std::span<Real> parameters() override { return params_.span(); }
+  [[nodiscard]] std::span<Real> parameters() override {
+    version_.bump();  // handing out the mutable span is the write path
+    return params_.span();
+  }
   [[nodiscard]] std::span<const Real> parameters() const override {
     return params_.span();
   }
@@ -50,9 +80,47 @@ class Rbm final : public WavefunctionModel {
     return std::make_unique<Rbm>(*this);
   }
 
+  // Workspace-aware variants (identical results, reused scratch).
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  WavefunctionModel::Workspace* ws) const override;
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      WavefunctionModel::Workspace* ws)
+      const override;
+  void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
+                                      WavefunctionModel::Workspace* ws)
+      const override;
+  bool log_psi_flip_ratios(const Matrix& batch,
+                           std::span<const std::size_t> sites, Matrix& out,
+                           WavefunctionModel::Workspace* ws) const override;
+
+  // Concrete-type overloads for callers that own an Rbm::Workspace.
+  void log_psi(const Matrix& batch, std::span<Real> out, Workspace& ws) const;
+  void accumulate_log_psi_gradient(const Matrix& batch,
+                                   std::span<const Real> coeff,
+                                   std::span<Real> grad, Workspace& ws) const;
+  void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
+                                   Workspace& ws) const;
+  void log_psi_flip_ratios(const Matrix& batch,
+                           std::span<const std::size_t> sites, Matrix& out,
+                           Workspace& ws) const;
+
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
  private:
+  /// W as an h x n matrix and its n x h transpose, for one parameter
+  /// version (see Made::MaskedWeights for the sharing rules).
+  struct Weights {
+    Matrix w;   ///< h x n, the forward's gemm operand
+    Matrix wt;  ///< n x h, row i = W[:, i], the flip path's shift
+    std::uint64_t version = 0;
+  };
+
+  /// W and W^T for the current parameters, rebuilt at most once per
+  /// parameter write; the snapshot stays valid if the parameters change.
+  [[nodiscard]] std::shared_ptr<const Weights> weights() const;
+
   [[nodiscard]] const Real* w() const { return params_.data(); }
   [[nodiscard]] const Real* c() const { return params_.data() + h_ * n_; }
   [[nodiscard]] const Real* a() const {
@@ -60,12 +128,15 @@ class Rbm final : public WavefunctionModel {
   }
   [[nodiscard]] Real a0() const { return params_[h_ * n_ + h_ + n_]; }
 
-  /// theta = X W^T + c (bs x h): hidden pre-activations.
-  void hidden_preactivations(const Matrix& batch, Matrix& theta) const;
+  /// theta = X W^T + c (bs x h): hidden pre-activations into ws.theta.
+  void hidden_preactivations(const Matrix& batch, const Weights& w,
+                             Workspace& ws) const;
 
   std::size_t n_;
   std::size_t h_;
   Vector params_;
+  ParamVersion version_;
+  VersionedCache<Weights> cache_;
 };
 
 }  // namespace vqmc

@@ -14,6 +14,14 @@
 ///  * `AutoregressiveModel` — additionally factorizes pi(x) = psi(x)^2 as a
 ///    product of conditionals computable in one forward pass (MADE), which
 ///    enables exact AUTO sampling and makes the model normalized.
+///
+/// Local energies need log psi at every configuration connected to a
+/// sample, and most Hamiltonian entries flip one site.  A model whose
+/// amplitude changes locally under one flip overrides
+/// `log_psi_flip_ratios` (MADE and RBM do); the local-energy engine sends
+/// every single-site entry through it and evaluates flipped copies with
+/// log_psi only for multi-site entries and for models without it
+/// (DESIGN.md §5l).
 
 #include <cstdint>
 #include <memory>
@@ -103,6 +111,27 @@ class WavefunctionModel {
                                               Workspace* ws) const {
     (void)ws;
     log_psi_gradient_per_sample(batch, out);
+  }
+
+  /// Single-flip log-amplitude ratios over a caller-owned workspace:
+  ///
+  ///   out(k, q) = log|psi(x_k with site sites[q] flipped)| - log|psi(x_k)|
+  ///
+  /// for every row x_k of `batch` (bs x n) and every listed site (each
+  /// < n); `out` must be bs x sites.size().  Each row's ratios depend only
+  /// on that row, bitwise, whatever the batch around it or the thread
+  /// count.  They agree with log_psi on explicitly flipped copies within
+  /// kFlipRatioTolerance (core/local_energy.hpp).  Returns false, leaving
+  /// `out` untouched, when the model has no such path — the default —
+  /// and callers then evaluate flipped copies through log_psi.
+  virtual bool log_psi_flip_ratios(const Matrix& batch,
+                                   std::span<const std::size_t> sites,
+                                   Matrix& out, Workspace* ws) const {
+    (void)batch;
+    (void)sites;
+    (void)out;
+    (void)ws;
+    return false;
   }
 
   /// True if sum_x psi(x)^2 == 1 by construction.

@@ -53,6 +53,7 @@ struct DistributedConfig {
   int iterations = 300;
   std::size_t mini_batch_size = 4;  ///< mbs per device (Figure 4 uses 4)
   std::string optimizer = "ADAM";   ///< "SGD" or "ADAM"
+  /// Full-forward chunk of the local-energy engine (TrainerConfig's).
   std::size_t local_energy_chunk = 1024;
   std::size_t eval_batch_per_rank = 64;  ///< final-evaluation draw per rank
   std::uint64_t seed = 0;

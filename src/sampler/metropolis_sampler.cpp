@@ -69,7 +69,7 @@ void MetropolisSampler::restart_chains() {
   for (std::size_t chain = 0; chain < config_.num_chains; ++chain)
     for (std::size_t j = 0; j < n; ++j)
       states_(chain, j) = rng::bernoulli(gen_, 0.5) ? Real(1) : Real(0);
-  model_.log_psi(states_, state_log_psi_.span());
+  model_.log_psi_ws(states_, state_log_psi_.span(), ws_);
   ++stats_.forward_passes;
   chains_initialized_ = true;
 }
@@ -115,7 +115,7 @@ void MetropolisSampler::step() {
   }
 
   // One batched forward pass evaluates every chain's proposal.
-  model_.log_psi(proposals_, proposal_log_psi_.span());
+  model_.log_psi_ws(proposals_, proposal_log_psi_.span(), ws_);
   ++stats_.forward_passes;
 
   // MH accepts with min(1, pi'/pi) = min(1, e^{2 dlogpsi}); heat bath with
@@ -146,8 +146,16 @@ void MetropolisSampler::step() {
   }
 }
 
-void MetropolisSampler::sample(Matrix& out) {
+void MetropolisSampler::sample(Matrix& out) { sample_ws(out, nullptr); }
+
+void MetropolisSampler::sample_ws(Matrix& out,
+                                  WavefunctionModel::Workspace* ws) {
   TELEMETRY_SPAN("sample.mcmc");
+  if (ws == nullptr) {
+    if (!own_ws_) own_ws_ = model_.make_workspace();
+    ws = own_ws_.get();
+  }
+  ws_ = ws;
   const std::uint64_t nonfinite_before = stats_.nonfinite_rejections;
   const std::size_t n = model_.num_spins();
   VQMC_REQUIRE(out.cols() == n, "MCMC: output batch has wrong spin count");
@@ -167,7 +175,7 @@ void MetropolisSampler::sample(Matrix& out) {
     } else {
       // Persistent chains still need a fresh log-psi: the model parameters
       // have typically changed since the previous call.
-      model_.log_psi(states_, state_log_psi_.span());
+      model_.log_psi_ws(states_, state_log_psi_.span(), ws_);
       ++stats_.forward_passes;
       // Optional re-equilibration toward the updated distribution (see
       // MetropolisConfig::reburn_in for the bias trade-off).

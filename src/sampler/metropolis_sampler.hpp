@@ -16,8 +16,13 @@
 ///
 /// Forward-pass accounting: one batched model evaluation per MH step across
 /// all chains, so a call costs k + j * ceil(bs/c) forward passes (Figure 1).
+///
+/// Every evaluation of a call runs over one model workspace: the caller's
+/// (sample_ws; the trainer passes its own) or one the sampler keeps, so a
+/// chain step allocates nothing once the workspace is shaped.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nn/wavefunction.hpp"
@@ -83,6 +88,7 @@ class MetropolisSampler final : public Sampler {
   MetropolisSampler(const WavefunctionModel& model, MetropolisConfig config);
 
   void sample(Matrix& out) override;
+  void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) override;
 
   [[nodiscard]] const SamplerStatistics& statistics() const override {
     return stats_;
@@ -121,6 +127,10 @@ class MetropolisSampler final : public Sampler {
   Matrix proposals_;          ///< scratch c x n
   Vector proposal_log_psi_;   ///< scratch
   std::vector<std::size_t> flip_sites_;  ///< scratch
+  /// Model workspace of the sample call in progress (never null inside
+  /// one), and the sampler's own for callers that pass none.
+  WavefunctionModel::Workspace* ws_ = nullptr;
+  std::unique_ptr<WavefunctionModel::Workspace> own_ws_;
   bool chains_initialized_ = false;
 };
 

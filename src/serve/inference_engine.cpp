@@ -521,8 +521,13 @@ void InferenceEngine::execute_batch(BatchPlan& plan, Made::Workspace& ws,
       if (kind == Kind::LogPsi) {
         snapshot.log_psi(all, values, ws);
       } else {
-        LocalEnergyEngine engine(*config_.hamiltonian, snapshot.model());
-        engine.compute(all, values);
+        if (scratch.local_energy) {
+          scratch.local_energy->bind(snapshot.model());
+        } else {
+          scratch.local_energy = std::make_unique<LocalEnergyEngine>(
+              *config_.hamiltonian, snapshot.model());
+        }
+        scratch.local_energy->compute(all, values);
       }
       const double end_us = telemetry::now_us();
       row = 0;

@@ -61,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/local_energy.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 #include "serve/model_fleet.hpp"
 #include "serve/model_snapshot.hpp"
@@ -246,7 +247,10 @@ class InferenceEngine {
                                          double timeout_us = 0);
 
   /// Evaluate local energies for each row of `configs`.  Requires
-  /// ServeConfig::hamiltonian.
+  /// ServeConfig::hamiltonian.  Each worker keeps one LocalEnergyEngine —
+  /// the trainer's engine, flip path included — rebound to every batch's
+  /// snapshot, so a repeated batch shape allocates nothing beyond the
+  /// response payloads, and each value is bitwise the engine's.
   std::future<EvalResult> submit_local_energy(Matrix configs,
                                               const RequestOptions& options);
   std::future<EvalResult> submit_local_energy(Matrix configs,
@@ -341,6 +345,10 @@ class InferenceEngine {
     std::vector<rng::Xoshiro256> gens;              ///< per-request streams
     std::vector<ModelSnapshot::SampleSlice> slices; ///< fused row ranges
     std::vector<Real> values;                       ///< fused eval output
+    /// Local-energy engine, built on the worker's first local-energy batch
+    /// and rebound to each batch's snapshot, so its flip-path scratch
+    /// persists across batches.
+    std::unique_ptr<LocalEnergyEngine> local_energy;
   };
 
   void worker_loop();

@@ -316,10 +316,33 @@ Real sigmoid(Real x) {
   return z / (1 + z);
 }
 
-Real log_cosh(Real x) {
-  const Real ax = std::fabs(x);
-  // log cosh x = |x| + log(1 + exp(-2|x|)) - log 2.
-  return ax + std::log1p(std::exp(-2 * ax)) - Real(0.6931471805599453);
+Real sum_log_cosh(std::span<const Real> x) {
+  VQMC_DISPATCH(sum_log_cosh(x))
+}
+
+void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
+                            std::size_t len, Real* out) {
+  VQMC_DISPATCH(relu_shift_delta_lanes(a, w, sign, len, out))
+}
+
+void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
+                        std::size_t j_begin, const Real* a, const Real* base,
+                        Real* out) {
+  VQMC_REQUIRE(j_begin <= panels.rows(),
+               "triangle_dot_lanes: first row out of range");
+  VQMC_DISPATCH(triangle_dot_lanes(panels, lo, j_begin, a, base, out))
+}
+
+void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
+                                 const Real* base, std::size_t len,
+                                 const std::size_t* first,
+                                 const std::size_t* last, Real eps,
+                                 Real* out) {
+  for (std::size_t lane = 0; lane < kFlipLanes; ++lane)
+    VQMC_REQUIRE(first[lane] < last[lane] && last[lane] <= len,
+                 "bernoulli_logit_delta_lanes: lane range out of bounds");
+  VQMC_DISPATCH(
+      bernoulli_logit_delta_lanes(x, z, base, len, first, last, eps, out))
 }
 
 }  // namespace vqmc

@@ -44,9 +44,12 @@
 ///     row block, a block tail, or alone — coalescing rows into a batch
 ///     (the serving path) can never perturb any row's value.
 ///
-/// Vectorized transcendentals (sigmoid_inplace, bernoulli_log_likelihood)
-/// use polynomial exp/log accurate to a few ulp; they vectorize per row so
-/// property 3 holds for them too.
+/// Vectorized transcendentals (sigmoid_inplace, bernoulli_log_likelihood,
+/// sum_log_cosh) use polynomial exp/log accurate to a few ulp; they
+/// vectorize per row so property 3 holds for them too.  The MADE flip
+/// kernels (relu_shift_delta_lanes, triangle_dot_lanes,
+/// bernoulli_logit_delta_lanes) vectorize across (row, site) lanes
+/// instead, which gives property 3 by construction.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,6 +135,10 @@ class PackedRowPanels {
 
   [[nodiscard]] const Real* row(std::size_t r) const {
     return values_.data() + offsets_[r];
+  }
+  /// Number of packed values in row r.
+  [[nodiscard]] std::size_t row_size(std::size_t r) const {
+    return offsets_[r + 1] - offsets_[r];
   }
   [[nodiscard]] std::size_t rows() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -307,7 +314,63 @@ void column_sum_accumulate(const Matrix& a, std::span<Real> out);
 /// Stable elementwise sigmoid of a scalar.
 Real sigmoid(Real x);
 
-/// log(cosh(x)) computed stably for large |x| (|x| + log((1+e^-2|x|)/2)).
-Real log_cosh(Real x);
+// ---------------------------------------------------------------------------
+// Single-flip log-psi ratio primitives (DESIGN.md §5l).
+// ---------------------------------------------------------------------------
+
+/// sum_t log cosh(x_t), each term computed stably as
+/// |x| + log(1 + e^{-2|x|}) - log 2 (finite for every finite x; NaN
+/// propagates).  The RBM's log-psi and flip-ratio reduction.  Vectorized
+/// with the polynomial exp/log; per-row primitive (batch-position
+/// independent).
+Real sum_log_cosh(std::span<const Real> x);
+
+/// Lanes per tile of the MADE flip kernels below.  A tile stores a
+/// per-lane quantity v as v[t * kFlipLanes + lane], and each lane is one
+/// (sample row, flipped site) pair, so the kernels vectorize across
+/// lanes: a lane accumulates its terms one after another in index order,
+/// never re-associated.  A lane's result is therefore bitwise the same in
+/// any lane position, whatever its neighbours, at any thread count.
+inline constexpr std::size_t kFlipLanes = 8;
+
+/// MADE flip path's hidden-unit change over one lane-major tile:
+///   out[c * L + lane] = relu(a[c * L + lane] + sign[lane] * w[c * L + lane])
+///                       - relu(a[c * L + lane])
+/// for c < len, with relu(v) = v > 0 ? v : 0 (relu_inplace's, NaN -> 0) and
+/// sign[lane] = +-1: the change of the hidden units when the lane's input
+/// flips, w holding the lane's W1 column (0 where a unit does not read it,
+/// which makes that unit's change exactly 0).
+void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
+                            std::size_t len, Real* out);
+
+/// MADE flip path's suffix-triangle logit update over one lane-major tile.
+/// Panel row j holds a degree-sorted prefix of output j's weights
+/// (row_size(j) values); `a` holds the hidden-unit changes (row_size
+/// bound x kFlipLanes) and `base` the old logits (panels.rows() x
+/// kFlipLanes).  For every j in [j_begin, panels.rows()) and every lane:
+///
+///   out[(j - j_begin) * L + lane] = base[j * L + lane]
+///       + sum_{c in [lo, row_size(j))} panels.row(j)[c] * a[c * L + lane]
+///
+/// with the sum accumulated in ascending c.  Requires row_size(j) >= lo
+/// for every such j.
+void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
+                        std::size_t j_begin, const Real* a, const Real* base,
+                        Real* out);
+
+/// Per lane, sum over t in [first[lane], last[lane]) of
+///   log(max(x'_t != 0 ? s_t : 1 - s_t, eps)) - base_t,  s_t = sigmoid(z_t),
+/// over a lane-major tile (len x kFlipLanes each; `out` gets kFlipLanes
+/// sums, accumulated in ascending t), where x' is x with the lane's entry
+/// at t = first[lane] flipped: the change of a row's Bernoulli
+/// log-likelihood when its site first[lane] flips and the conditionals
+/// after it move to logits z, given the old per-term values `base`.  The
+/// MADE flip path evaluates every changed conditional of a tile in one
+/// call.  NaN logits give NaN.
+void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
+                                 const Real* base, std::size_t len,
+                                 const std::size_t* first,
+                                 const std::size_t* last, Real eps,
+                                 Real* out);
 
 }  // namespace vqmc

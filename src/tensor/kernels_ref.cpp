@@ -245,4 +245,60 @@ void sigmoid_inplace(Matrix& a) {
   for (std::size_t i = 0; i < total; ++i) p[i] = sigmoid(p[i]);
 }
 
+Real log_cosh(Real x) {
+  const Real ax = std::fabs(x);
+  // log cosh x = |x| + log(1 + exp(-2|x|)) - log 2.
+  return ax + std::log1p(std::exp(-2 * ax)) - Real(0.6931471805599453);
+}
+
+Real sum_log_cosh(std::span<const Real> x) {
+  Real acc = 0;
+  for (const Real v : x) acc += log_cosh(v);
+  return acc;
+}
+
+void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
+                            std::size_t len, Real* out) {
+  constexpr std::size_t L = kFlipLanes;
+  const auto relu = [](Real v) { return v > 0 ? v : Real(0); };
+  for (std::size_t c = 0; c < len; ++c)
+    for (std::size_t lane = 0; lane < L; ++lane) {
+      const Real before = a[c * L + lane];
+      out[c * L + lane] =
+          relu(before + sign[lane] * w[c * L + lane]) - relu(before);
+    }
+}
+
+void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
+                        std::size_t j_begin, const Real* a, const Real* base,
+                        Real* out) {
+  constexpr std::size_t L = kFlipLanes;
+  for (std::size_t lane = 0; lane < L; ++lane)
+    for (std::size_t j = j_begin; j < panels.rows(); ++j) {
+      const Real* w = panels.row(j);
+      Real acc = 0;
+      for (std::size_t c = lo; c < panels.row_size(j); ++c)
+        acc += w[c] * a[c * L + lane];
+      out[(j - j_begin) * L + lane] = base[j * L + lane] + acc;
+    }
+}
+
+void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
+                                 const Real* base, std::size_t len,
+                                 const std::size_t* first,
+                                 const std::size_t* last, Real eps,
+                                 Real* out) {
+  constexpr std::size_t L = kFlipLanes;
+  for (std::size_t lane = 0; lane < L; ++lane) {
+    Real acc = 0;
+    for (std::size_t t = first[lane]; t < last[lane] && t < len; ++t) {
+      const Real p = sigmoid(z[t * L + lane]);
+      const bool bit = (x[t * L + lane] != 0) != (t == first[lane]);
+      const Real sel = bit ? p : 1 - p;
+      acc += std::log(sel < eps ? eps : sel) - base[t * L + lane];
+    }
+    out[lane] = acc;
+  }
+}
+
 }  // namespace vqmc::ref

@@ -53,4 +53,19 @@ Real bernoulli_log_likelihood(std::span<const Real> x, const Real* p,
                               Real eps);
 void sigmoid_inplace(Matrix& a);
 
+/// log(cosh(x)) computed stably for large |x| (|x| + log((1+e^-2|x|)/2)):
+/// the scalar element of sum_log_cosh.
+Real log_cosh(Real x);
+Real sum_log_cosh(std::span<const Real> x);
+void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
+                            std::size_t len, Real* out);
+void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
+                        std::size_t j_begin, const Real* a, const Real* base,
+                        Real* out);
+void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
+                                 const Real* base, std::size_t len,
+                                 const std::size_t* first,
+                                 const std::size_t* last, Real eps,
+                                 Real* out);
+
 }  // namespace vqmc::ref

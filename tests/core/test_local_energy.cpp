@@ -3,15 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "hamiltonian/exact.hpp"
+#include "hamiltonian/heisenberg.hpp"
 #include "hamiltonian/maxcut.hpp"
 #include "hamiltonian/transverse_field_ising.hpp"
+#include "nn/deep_made.hpp"
 #include "nn/made.hpp"
 #include "nn/rbm.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/alloc_count.hpp"
+#include "support/forwarding_model.hpp"
 #include "tensor/kernels.hpp"
 
 namespace vqmc {
@@ -88,9 +98,10 @@ TEST(LocalEnergy, DiagonalHamiltonianNeedsNoForwardPasses) {
 }
 
 TEST(LocalEnergy, ChunkSizeDoesNotChangeResults) {
+  // Chunking belongs to the full-forward path: DeepMADE has no flip path.
   const std::size_t n = 5;
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 6);
-  Made made(n, 4);
+  DeepMade made(n, 4, 2);
   randomize_parameters(made, 7);
   const Matrix configs = all_configurations(n);
 
@@ -105,11 +116,12 @@ TEST(LocalEnergy, ChunkSizeDoesNotChangeResults) {
 }
 
 TEST(LocalEnergy, ForwardPassCountIsAsDocumented) {
-  // TIM connects each sample to n flips; with chunk c the engine does
-  // 1 + ceil(bs * n_nonzero_alpha / c) passes.
+  // TIM connects each sample to n flips; with chunk c the full-forward
+  // path (DeepMADE has no flip path) does 1 + ceil(bs * n_nonzero_alpha / c)
+  // passes.
   const std::size_t n = 6, bs = 8;
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 8);
-  Made made(n, 4);
+  DeepMade made(n, 4, 2);
   LocalEnergyEngine engine(tim, made, 16);
   Matrix batch(bs, n);
   Vector local(bs);
@@ -176,21 +188,21 @@ TEST(LocalEnergy, ClampDoesNotPerturbHealthyModels) {
     EXPECT_EQ(tight[i], loose[i]);
 }
 
-/// Runs compute() twice on one batch of a Made and asserts that the second
-/// call does not touch the heap (the first call shapes the model
-/// workspaces and chunk buffers) and reproduces the first call's values.
-void expect_repeat_compute_allocates_nothing(std::size_t bs,
+/// Runs compute() twice on one batch and asserts that the second call
+/// does not touch the heap (the first call shapes the model workspaces and
+/// the engine's buffers) and reproduces the first call's values.
+void expect_repeat_compute_allocates_nothing(WavefunctionModel& model,
+                                             std::size_t bs,
                                              std::size_t chunk_size) {
   constexpr std::size_t n = 6;
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 15);
-  Made made(n, 9);
-  randomize_parameters(made, 16);
+  randomize_parameters(model, 16);
   Matrix batch(bs, n);
   rng::Xoshiro256 gen(17);
   for (std::size_t i = 0; i < batch.size(); ++i)
     batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
 
-  LocalEnergyEngine engine(tim, made, chunk_size);
+  LocalEnergyEngine engine(tim, model, chunk_size);
   Vector first(bs), again(bs);
   engine.compute(batch, first.span());
 
@@ -200,16 +212,326 @@ void expect_repeat_compute_allocates_nothing(std::size_t bs,
   for (std::size_t k = 0; k < bs; ++k) EXPECT_EQ(again[k], first[k]);
 }
 
+// The three chunk cases run on DeepMADE, whose local energies take the
+// full-forward path the chunk buffers belong to.
+
 TEST(LocalEnergy, RepeatedBatchOfWholeChunksAllocatesNothing) {
   // 8 rows x 6 single-flip neighbours = 48 connected configurations: four
   // full chunks of 12, each evaluated in place.
-  expect_repeat_compute_allocates_nothing(8, 12);
+  DeepMade model(6, 9, 2);
+  expect_repeat_compute_allocates_nothing(model, 8, 12);
 }
 
 TEST(LocalEnergy, RepeatedBatchInOnePartialChunkAllocatesNothing) {
   // 48 connected configurations fill part of one 1024-row chunk, which is
   // evaluated through the persistent partial-chunk buffer.
-  expect_repeat_compute_allocates_nothing(8, 1024);
+  DeepMade model(6, 9, 2);
+  expect_repeat_compute_allocates_nothing(model, 8, 1024);
+}
+
+TEST(LocalEnergy, RepeatedBatchOfWholeAndPartialChunksAllocatesNothing) {
+  // 48 connected configurations: two full chunks of 20 and a partial one
+  // of 8.  The partial chunk has its own workspace, so the two shapes
+  // never reshape each other's activations.
+  DeepMade model(6, 9, 2);
+  expect_repeat_compute_allocates_nothing(model, 8, 20);
+}
+
+TEST(LocalEnergy, RepeatedBatchOnTheMadeFlipPathAllocatesNothing) {
+  Made natural(6, 5);  // h <= n - 1: the forward's own packings
+  expect_repeat_compute_allocates_nothing(natural, 8, 12);
+  Made cyclic(6, 9);   // h > n - 1: the degree-sorted copy
+  expect_repeat_compute_allocates_nothing(cyclic, 11, 12);
+}
+
+TEST(LocalEnergy, RepeatedBatchOnTheRbmFlipPathAllocatesNothing) {
+  Rbm rbm(6, 7);
+  expect_repeat_compute_allocates_nothing(rbm, 8, 12);
+}
+
+// ---------------------------------------------------------------------------
+// The single-flip ratio path (DESIGN.md §5l).
+// ---------------------------------------------------------------------------
+
+Matrix random_bits(std::size_t bs, std::size_t n, std::uint64_t seed) {
+  rng::Xoshiro256 gen(seed);
+  Matrix batch(bs, n);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+  return batch;
+}
+
+/// Checks model.log_psi_flip_ratios against log_psi on explicitly flipped
+/// copies, within the bound stated in local_energy.hpp, for every site in
+/// order and for a shuffled subset.
+void expect_flip_ratios_match_flipped_copies(const WavefunctionModel& model,
+                                             std::size_t bs,
+                                             std::uint64_t seed) {
+  const std::size_t n = model.num_spins();
+  const Matrix batch = random_bits(bs, n, seed);
+  Vector log_x(bs);
+  model.log_psi(batch, log_x.span());
+
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<std::size_t> subset;
+  for (std::size_t i = n; i-- > 0;)
+    if (i % 3 != 1) subset.push_back(i);
+  for (const std::vector<std::size_t>* sites : {&all, &subset}) {
+    Matrix ratios(bs, sites->size());
+    const auto ws = model.make_workspace();
+    ASSERT_TRUE(model.log_psi_flip_ratios(batch, *sites, ratios, ws.get()));
+    for (std::size_t q = 0; q < sites->size(); ++q) {
+      Matrix flipped = batch;
+      for (std::size_t k = 0; k < bs; ++k)
+        flipped(k, (*sites)[q]) = 1 - flipped(k, (*sites)[q]);
+      Vector log_y(bs);
+      model.log_psi(flipped, log_y.span());
+      for (std::size_t k = 0; k < bs; ++k) {
+        const Real bound =
+            kFlipRatioTolerance * std::max(Real(1), std::abs(log_x[k]));
+        EXPECT_NEAR(ratios(k, q), log_y[k] - log_x[k], bound)
+            << model.name() << " n=" << n << " row " << k << " site "
+            << (*sites)[q];
+      }
+    }
+  }
+}
+
+TEST(LocalEnergy, MadeFlipRatiosMatchFlippedCopies) {
+  for (const std::size_t n : {2ul, 3ul, 7ul, 20ul, 50ul, 128ul}) {
+    // h <= n - 1 (degree-sorted natural order) and h > n - 1 (cyclic
+    // degrees, through the sorted copy).
+    const std::size_t natural_h =
+        std::min(n - 1, made_default_hidden(n));
+    const std::size_t cyclic_h = std::max(n + 3, made_default_hidden(n));
+    for (const std::size_t h : {natural_h, cyclic_h}) {
+      Made made(n, h);
+      randomize_parameters(made, 100 + n + h);
+      // 11 rows run as row tiles, 3 rows as site tiles (local_energy.hpp).
+      expect_flip_ratios_match_flipped_copies(made, 11, 200 + n);
+      expect_flip_ratios_match_flipped_copies(made, 3, 300 + n);
+    }
+  }
+}
+
+TEST(LocalEnergy, RbmFlipRatiosMatchFlippedCopies) {
+  for (const std::size_t n : {4ul, 20ul, 128ul}) {
+    Rbm rbm(n, n);
+    randomize_parameters(rbm, 300 + n);
+    expect_flip_ratios_match_flipped_copies(rbm, 11, 400 + n);
+    Rbm narrow(n, n / 2 + 1);
+    randomize_parameters(narrow, 500 + n);
+    expect_flip_ratios_match_flipped_copies(narrow, 5, 600 + n);
+  }
+}
+
+TEST(LocalEnergy, FlipPathMatchesFullForwardPathWithinTheBound) {
+  const std::size_t n = 20, bs = 21;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 40);
+  Made made(n, made_default_hidden(n));
+  Rbm rbm(n, n);
+  for (WavefunctionModel* model : std::initializer_list<WavefunctionModel*>{
+           &made, &rbm}) {
+    randomize_parameters(*model, 41);
+    vqmc::testing::ForwardingModel full_model(*model);
+    const Matrix batch = random_bits(bs, n, 42);
+    Vector flip(bs), full(bs);
+    LocalEnergyEngine(tim, *model).compute(batch, flip.span());
+    LocalEnergyEngine(tim, full_model).compute(batch, full.span());
+    for (std::size_t k = 0; k < bs; ++k)
+      EXPECT_NEAR(flip[k], full[k],
+                  kFlipRatioTolerance * std::max(Real(1), std::abs(full[k])))
+          << model->name() << " row " << k;
+  }
+}
+
+TEST(LocalEnergy, FlipPathCountsOneBatchedEvaluationPerCompute) {
+  const std::size_t n = 6, bs = 8;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 8);
+  Made made(n, 4);
+  LocalEnergyEngine engine(tim, made, 16);
+  const Matrix batch = random_bits(bs, n, 9);
+  Vector local(bs);
+  engine.compute(batch, local.span());
+  EXPECT_EQ(engine.forward_passes(), 1u);
+  engine.compute(batch, local.span());
+  EXPECT_EQ(engine.forward_passes(), 2u);
+}
+
+/// Local energies of a model for every row of `batch`, computed three ways
+/// that must agree bitwise: the whole batch, each row alone, and the rows
+/// in reverse order.
+void expect_rows_independent_of_batch(const Hamiltonian& h,
+                                      const WavefunctionModel& model,
+                                      const Matrix& batch,
+                                      const Vector& reference) {
+  const std::size_t bs = batch.rows(), n = batch.cols();
+  LocalEnergyEngine engine(h, model);
+  Vector all(bs);
+  engine.compute(batch, all.span());
+  Matrix reversed(bs, n);
+  for (std::size_t k = 0; k < bs; ++k)
+    for (std::size_t j = 0; j < n; ++j) reversed(bs - 1 - k, j) = batch(k, j);
+  Vector rev(bs);
+  engine.compute(reversed, rev.span());
+  for (std::size_t k = 0; k < bs; ++k) {
+    Matrix row(1, n);
+    for (std::size_t j = 0; j < n; ++j) row(0, j) = batch(k, j);
+    Vector alone(1);
+    engine.compute(row, alone.span());
+    EXPECT_EQ(all[k], reference[k]) << model.name() << " row " << k;
+    EXPECT_EQ(alone[0], reference[k]) << model.name() << " row " << k;
+    EXPECT_EQ(rev[bs - 1 - k], reference[k]) << model.name() << " row " << k;
+  }
+}
+
+TEST(LocalEnergy, FlipPathRowsAreBitwiseIndependentOfBatchAndThreads) {
+  const std::size_t n = 20, bs = 19;  // two full lane tiles and a short one
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 50);
+  Made natural(n, 17);
+  Made cyclic(n, 45);
+  Rbm rbm(n, 24);
+  const Matrix batch = random_bits(bs, n, 51);
+#ifdef _OPENMP
+  const int threads_before = omp_get_max_threads();
+#endif
+  for (WavefunctionModel* model : std::initializer_list<WavefunctionModel*>{
+           &natural, &cyclic, &rbm}) {
+    randomize_parameters(*model, 52);
+    Vector reference(bs);
+#ifdef _OPENMP
+    omp_set_num_threads(1);
+#endif
+    LocalEnergyEngine(tim, *model).compute(batch, reference.span());
+    expect_rows_independent_of_batch(tim, *model, batch, reference);
+#ifdef _OPENMP
+    omp_set_num_threads(4);
+    expect_rows_independent_of_batch(tim, *model, batch, reference);
+    omp_set_num_threads(threads_before);
+#endif
+  }
+}
+
+TEST(LocalEnergy, XxzHeisenbergStaysOnTheFullForwardPath) {
+  // Pair exchanges flip two sites: the engine must evaluate them with full
+  // forwards, exactly as it does for a model without the flip path.
+  const std::size_t n = 6;
+  const XxzHeisenberg xxz = XxzHeisenberg::chain(n, 1.0, 1.0);
+  Made made(n, 9);
+  randomize_parameters(made, 60);
+  vqmc::testing::ForwardingModel full_model(made);
+  const Matrix configs = all_configurations(n);
+  Vector flip(configs.rows()), full(configs.rows());
+  LocalEnergyEngine engine(xxz, made, 16);
+  LocalEnergyEngine reference_engine(xxz, full_model, 16);
+  engine.compute(configs, flip.span());
+  reference_engine.compute(configs, full.span());
+  EXPECT_EQ(engine.forward_passes(), reference_engine.forward_passes());
+  const Vector reference = reference_local_energy(xxz, made);
+  for (std::size_t i = 0; i < configs.rows(); ++i) {
+    EXPECT_EQ(flip[i], full[i]) << "config " << i;
+    EXPECT_NEAR(flip[i], reference[i], 1e-9) << "config " << i;
+  }
+}
+
+/// Test-only operator mixing single-site and two-site entries: a transverse
+/// field on every site, XX couplings on a ring (two-site flips, connecting
+/// every pair regardless of alignment) and a ZZ diagonal.  Symmetric, so
+/// the exhaustive oracle applies.
+class MixedFlipHamiltonian final : public Hamiltonian {
+ public:
+  explicit MixedFlipHamiltonian(std::size_t n) : n_(n) {}
+  std::size_t num_spins() const override { return n_; }
+  std::size_t row_sparsity() const override { return 2 * n_ + 1; }
+  Real diagonal(std::span<const Real> x) const override {
+    Real e = 0;
+    for (std::size_t i = 0; i < n_; ++i)
+      e += 0.3 * ising_sign(x[i]) * ising_sign(x[(i + 1) % n_]);
+    return e;
+  }
+  void for_each_off_diagonal(std::span<const Real> x,
+                             const OffDiagonalVisitor& visit) const override {
+    (void)x;
+    std::size_t flips[2];
+    for (std::size_t i = 0; i < n_; ++i) {
+      flips[0] = i;
+      visit(std::span<const std::size_t>(flips, 1), -0.7 - 0.1 * Real(i));
+      flips[1] = (i + 1) % n_;
+      visit(std::span<const std::size_t>(flips, 2), -0.4);
+    }
+  }
+  std::string name() const override { return "mixed"; }
+
+ private:
+  std::size_t n_;
+};
+
+TEST(LocalEnergy, MixedSingleAndTwoSiteEntriesMatchTheExhaustiveOracle) {
+  for (const std::size_t n : {3ul, 5ul, 8ul}) {
+    const MixedFlipHamiltonian mixed(n);
+    Made natural(n, n - 1);
+    Made cyclic(n, 2 * n + 1);
+    Rbm rbm(n, n + 2);
+    DeepMade deep(n, n + 2, 2);
+    for (WavefunctionModel* model : std::initializer_list<WavefunctionModel*>{
+             &natural, &cyclic, &rbm, &deep}) {
+      randomize_parameters(*model, 70 + n);
+      const Matrix configs = all_configurations(n);
+      LocalEnergyEngine engine(mixed, *model, 7);
+      Vector local(configs.rows());
+      engine.compute(configs, local.span());
+      const Vector reference = reference_local_energy(mixed, *model);
+      for (std::size_t i = 0; i < configs.rows(); ++i)
+        EXPECT_NEAR(local[i], reference[i], 1e-9)
+            << model->name() << " n=" << n << " config " << i;
+    }
+  }
+}
+
+TEST(LocalEnergy, NanParametersGiveNonFiniteEnergiesOnBothPaths) {
+  // The trainer's health guard trips on a non-finite local energy; the
+  // flip path must not launder NaN parameters into finite values.
+  const std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 80);
+  Made made(n, 9);
+  Rbm rbm(n, 5);
+  const Matrix configs = all_configurations(n);
+  for (WavefunctionModel* model : std::initializer_list<WavefunctionModel*>{
+           &made, &rbm}) {
+    for (Real& p : model->parameters())
+      p = std::numeric_limits<Real>::quiet_NaN();
+    vqmc::testing::ForwardingModel full_model(*model);
+    Vector flip(configs.rows()), full(configs.rows());
+    LocalEnergyEngine(tim, *model).compute(configs, flip.span());
+    LocalEnergyEngine(tim, full_model).compute(configs, full.span());
+    for (std::size_t i = 0; i < configs.rows(); ++i) {
+      EXPECT_FALSE(std::isfinite(flip[i])) << model->name() << " " << i;
+      EXPECT_FALSE(std::isfinite(full[i])) << model->name() << " " << i;
+    }
+  }
+}
+
+TEST(LocalEnergy, BindSwitchesModelsAndKeepsResults) {
+  const std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 90);
+  Made a(n, 9), b(n, 9);
+  Rbm c(n, 4);
+  randomize_parameters(a, 91);
+  randomize_parameters(b, 92);
+  randomize_parameters(c, 93);
+  const Matrix batch = random_bits(7, n, 94);
+  LocalEnergyEngine engine(tim, a);
+  for (const WavefunctionModel* model :
+       std::initializer_list<const WavefunctionModel*>{&b, &c, &a}) {
+    engine.bind(*model);
+    Vector bound(7), fresh(7);
+    engine.compute(batch, bound.span());
+    LocalEnergyEngine(tim, *model).compute(batch, fresh.span());
+    for (std::size_t k = 0; k < 7; ++k) EXPECT_EQ(bound[k], fresh[k]);
+  }
+  Made wrong(n + 1, 4);
+  EXPECT_THROW(engine.bind(wrong), Error);
 }
 
 TEST(LocalEnergy, MismatchedSpinCountsRejected) {

@@ -21,9 +21,11 @@
 #include "nn/deep_made.hpp"
 #include "nn/made.hpp"
 #include "nn/rnn.hpp"
+#include "nn/rbm.hpp"
 #include "optim/adam.hpp"
 #include "optim/sgd.hpp"
 #include "sampler/autoregressive_sampler.hpp"
+#include "support/forwarding_model.hpp"
 
 namespace vqmc {
 namespace {
@@ -215,6 +217,41 @@ TEST(Trainer, WorksWithDeepMadeAndRnnModels) {
     EXPECT_LT(trainer.history().back().energy,
               trainer.history().front().energy)
         << "model kind " << kind;
+  }
+}
+
+TEST(Trainer, FlipPathTrainsLikeTheFullForwardPath) {
+  // Two identical MADE runs: one computes its local energies through the
+  // single-flip ratios, the other through a forwarding model that hides
+  // them, so every connected configuration takes a full forward.  The two
+  // round differently, never by more than the parity bound, so the
+  // trajectories agree far below the energies' own noise.
+  const std::size_t n = 16;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 35);
+  Made flip_made(n, made_default_hidden(n)), full_made(n, made_default_hidden(n));
+  flip_made.initialize(36);
+  full_made.initialize(36);
+  vqmc::testing::ForwardingModel full_model(full_made);
+  const auto flip_sampler = make_sampler("AUTO", flip_made, 37);
+  const auto full_sampler = make_sampler("AUTO", full_made, 37);
+  Adam flip_adam(0.01), full_adam(0.01);
+  TrainerConfig cfg;
+  cfg.iterations = 20;
+  cfg.batch_size = 64;
+  VqmcTrainer flip(tim, flip_made, *flip_sampler, flip_adam, cfg);
+  VqmcTrainer full(tim, full_model, *full_sampler, full_adam, cfg);
+  flip.run();
+  full.run();
+  ASSERT_EQ(flip.history().size(), 20u);
+  ASSERT_EQ(full.history().size(), 20u);
+  // One flip-ratio call per step, against log psi(x) plus one 1024-row
+  // chunk (64 rows x 16 flips) per step.
+  EXPECT_EQ(flip.local_energy_engine().forward_passes(), 20u);
+  EXPECT_EQ(full.local_energy_engine().forward_passes(), 40u);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const Real want = full.history()[i].energy;
+    EXPECT_NEAR(flip.history()[i].energy, want, 1e-9 * std::abs(want))
+        << "iteration " << i;
   }
 }
 

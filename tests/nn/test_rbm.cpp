@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "nn/gradient_check.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/alloc_count.hpp"
 #include "tensor/kernels.hpp"
 
 namespace vqmc {
@@ -107,6 +110,59 @@ TEST(Rbm, CloneIsIndependentDeepCopy) {
   EXPECT_EQ(copy->name(), "RBM");
   copy->parameters()[0] += 1.0;
   EXPECT_NE(copy->parameters()[0], rbm.parameters()[0]);
+}
+
+TEST(Rbm, RepeatedLogPsiWsAllocatesNothing) {
+  // W lives in the version-keyed cache and theta in the workspace: after
+  // the first call shapes both, an MCMC-style evaluation is heap-free.
+  Rbm rbm(7, 5);
+  randomize_parameters(rbm, 54);
+  const Matrix batch = random_bits(2, 7, 55);
+  const auto ws = rbm.make_workspace();
+  Vector first(2), again(2);
+  rbm.log_psi_ws(batch, first.span(), ws.get());
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  rbm.log_psi_ws(batch, again.span(), ws.get());
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
+  EXPECT_EQ(first[0], again[0]);
+  EXPECT_EQ(first[1], again[1]);
+}
+
+TEST(Rbm, WriteThroughParametersReachesTheNextEvaluation) {
+  Rbm rbm(4, 3);
+  randomize_parameters(rbm, 56);
+  const Matrix batch = random_bits(3, 4, 57);
+  const auto ws = rbm.make_workspace();
+  Vector before(3), after(3), fresh(3);
+  rbm.log_psi_ws(batch, before.span(), ws.get());  // caches W
+  rbm.parameters()[1] += 0.5;                        // a W entry
+  rbm.log_psi_ws(batch, after.span(), ws.get());
+  Rbm copy(4, 3);
+  std::span<Real> dst = copy.parameters();
+  const std::span<const Real> src = std::as_const(rbm).parameters();
+  std::copy(src.begin(), src.end(), dst.begin());
+  copy.log_psi(batch, fresh.span());
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(after[k], fresh[k]);
+  bool changed = false;
+  for (std::size_t k = 0; k < 3; ++k) changed |= after[k] != before[k];
+  EXPECT_TRUE(changed);
+}
+
+TEST(Rbm, CloneEvaluatesIndependentlyOfTheOriginal) {
+  Rbm rbm(5, 4);
+  randomize_parameters(rbm, 58);
+  const Matrix batch = random_bits(4, 5, 59);
+  Vector original(4);
+  rbm.log_psi(batch, original.span());  // the clone shares this cache entry
+  const auto copy = rbm.clone();
+  copy->parameters()[0] += 1.0;
+  Vector cloned(4), again(4);
+  copy->log_psi(batch, cloned.span());
+  rbm.log_psi(batch, again.span());
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_EQ(again[k], original[k]);
+  bool changed = false;
+  for (std::size_t k = 0; k < 4; ++k) changed |= cloned[k] != original[k];
+  EXPECT_TRUE(changed);
 }
 
 TEST(Rbm, LogPsiStableForLargeActivations) {

@@ -165,6 +165,25 @@ TEST(MetropolisSampler, DeterministicPerSeed) {
     EXPECT_EQ(xa.data()[i], xb.data()[i]);
 }
 
+TEST(MetropolisSampler, SampleWsMatchesSampleBitwise) {
+  // The trainer passes its model workspace; the chains must not notice.
+  Rbm rbm(6, 5);
+  randomize_parameters(rbm, 9);
+  MetropolisConfig cfg;
+  cfg.burn_in = 40;
+  cfg.seed = 10;
+  MetropolisSampler plain(rbm, cfg), with_ws(rbm, cfg);
+  const auto ws = rbm.make_workspace();
+  Matrix xa(16, 6), xb(16, 6);
+  for (int call = 0; call < 2; ++call) {
+    plain.sample(xa);
+    with_ws.sample_ws(xb, ws.get());
+    for (std::size_t i = 0; i < xa.size(); ++i)
+      ASSERT_EQ(xa.data()[i], xb.data()[i]) << "call " << call;
+  }
+  EXPECT_EQ(plain.statistics().accepted, with_ws.statistics().accepted);
+}
+
 TEST(MetropolisSampler, PairExchangeConservesMagnetization) {
   Rbm rbm(8, 4);
   randomize_parameters(rbm, 8);

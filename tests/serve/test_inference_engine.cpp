@@ -15,6 +15,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "sampler/fast_made_sampler.hpp"
+#include "support/alloc_count.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::serve {
@@ -199,6 +200,38 @@ TEST(InferenceEngine, LocalEnergyMatchesEngineDirect) {
   ASSERT_EQ(result.values.size(), 12u);
   for (std::size_t k = 0; k < 12; ++k)
     EXPECT_EQ(expected[k], result.values[k]);
+}
+
+TEST(InferenceEngine, RepeatedLocalEnergyBatchAllocatesOnlyThePayloads) {
+  // The worker keeps its LocalEnergyEngine across batches, so once the
+  // flip-path scratch is shaped a local-energy request allocates exactly
+  // what a log-psi request of the same rows does: the request, its future
+  // and the response payload.
+  const auto tim = TransverseFieldIsing::random_dense(12, 21);
+  Made made(12, 14);
+  randomize_parameters(made, 22);
+  ServeConfig config;
+  config.hamiltonian = &tim;
+  config.workers = 1;
+  config.max_wait_us = 0;
+  InferenceEngine engine(config);
+  engine.publish_model(made);
+  const Matrix configs = random_configs(10, 12, 23);
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)engine.submit_log_psi(configs).get();
+    (void)engine.submit_local_energy(configs).get();
+  }
+  for (int round = 0; round < 3; ++round) {
+    Matrix log_psi_input = configs, energy_input = configs;
+    const std::uint64_t start = vqmc::testing::allocation_count();
+    (void)engine.submit_log_psi(std::move(log_psi_input)).get();
+    const std::uint64_t mid = vqmc::testing::allocation_count();
+    const EvalResult energies =
+        engine.submit_local_energy(std::move(energy_input)).get();
+    const std::uint64_t end = vqmc::testing::allocation_count();
+    EXPECT_EQ(end - mid, mid - start) << "round " << round;
+    EXPECT_EQ(energies.values.size(), 10u);
+  }
 }
 
 TEST(InferenceEngine, LocalEnergyRequiresHamiltonian) {

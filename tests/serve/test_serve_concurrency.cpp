@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/local_energy.hpp"
+#include "hamiltonian/transverse_field_ising.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "sampler/fast_made_sampler.hpp"
@@ -75,6 +77,45 @@ TEST(ServeConcurrency, EightThreadsShareOneSnapshotBitForBit) {
 // The borrowed Made itself must also tolerate concurrent const use (the
 // documented contract FastMadeSampler and the snapshot rely on): one model,
 // one sampler instance per thread, identical streams.
+TEST(ServeConcurrency, WorkersShareOneSnapshotForLocalEnergies) {
+  // Four workers run their own LocalEnergyEngine over one snapshot's
+  // model.  h > n - 1, so the first flip-ratio calls race to build the
+  // degree-sorted weight copy; every response must equal the direct
+  // engine's value bitwise (TSan in CI watches the shared cache).
+  constexpr std::size_t kClients = 4;
+  constexpr int kRequests = 24;
+  const auto tim = TransverseFieldIsing::random_dense(10, 31);
+  Made made(10, 23);
+  randomize_parameters(made, 32);
+  ServeConfig config;
+  config.hamiltonian = &tim;
+  config.workers = 4;
+  config.max_batch_rows = 3;
+  InferenceEngine engine(config);
+  engine.publish_model(made);
+
+  std::vector<Matrix> configs;
+  std::vector<Vector> golden;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    configs.push_back(random_configs(2 + c, 10, 40 + c));
+    golden.emplace_back(2 + c);
+    LocalEnergyEngine(tim, made).compute(configs[c], golden[c].span());
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRequests; ++r) {
+        const EvalResult result = engine.submit_local_energy(configs[c]).get();
+        for (std::size_t k = 0; k < result.values.size(); ++k)
+          if (result.values[k] != golden[c][k]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ServeConcurrency, PerThreadSamplersShareOneFrozenModel) {
   constexpr std::size_t kThreads = 8;
 

@@ -169,11 +169,12 @@ TEST(Kernels, SigmoidStableAtExtremes) {
 }
 
 TEST(Kernels, LogCoshMatchesDirectFormSmallAndIsStableLarge) {
+  // The scalar oracle of sum_log_cosh.
   for (Real x : {-2.0, -0.3, 0.0, 0.7, 3.0})
-    EXPECT_NEAR(log_cosh(x), std::log(std::cosh(x)), 1e-12);
+    EXPECT_NEAR(ref::log_cosh(x), std::log(std::cosh(x)), 1e-12);
   // Large arguments: log cosh x ~ |x| - log 2.
-  EXPECT_NEAR(log_cosh(1000.0), 1000.0 - std::log(2.0), 1e-9);
-  EXPECT_TRUE(std::isfinite(log_cosh(1e8)));
+  EXPECT_NEAR(ref::log_cosh(1000.0), 1000.0 - std::log(2.0), 1e-9);
+  EXPECT_TRUE(std::isfinite(ref::log_cosh(1e8)));
 }
 
 TEST(Kernels, ColumnSumAccumulate) {

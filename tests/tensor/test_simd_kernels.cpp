@@ -23,9 +23,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -591,6 +594,205 @@ TEST(SimdKernels, BernoulliLogLikelihoodMatchesReferenceAcrossLevels) {
           bernoulli_log_likelihood(x.row(0), p.row(0).data(), kProbEps);
       EXPECT_EQ(got, again);  // deterministic
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Single-flip ratio kernels (DESIGN.md §5l).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kL = kFlipLanes;
+
+TEST(SimdKernels, SumLogCoshMatchesReferenceForEveryTailLengthAcrossLevels) {
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (std::size_t len = 1; len <= 36; ++len) {
+      rng::Xoshiro256 gen(900 + len);
+      std::vector<Real> x(len);
+      Real scale = 0;
+      for (Real& v : x) {
+        v = rng::uniform(gen, -6.0, 6.0);
+        scale += std::abs(v) + 1;
+      }
+      if (len > 3) {
+        x[1] = 0;      // log cosh 0 = 0
+        x[2] = 900;    // e^{-2|x|} underflows: |x| - log 2
+        x[3] = -1e-9;  // quadratic regime
+      }
+      scale += 900;
+      const Real want = ref::sum_log_cosh(x);
+      const Real got = sum_log_cosh(x);
+      EXPECT_NEAR(got, want, ulp_bound(len + 8, scale))
+          << simd::level_name(level) << " len=" << len;
+      EXPECT_EQ(got, sum_log_cosh(x));  // deterministic
+    }
+    std::vector<Real> with_nan = {0.5, std::numeric_limits<Real>::quiet_NaN(),
+                                  -0.25, 1, 2, 3, 4, 5, 6};
+    EXPECT_TRUE(std::isnan(sum_log_cosh(with_nan))) << simd::level_name(level);
+  }
+}
+
+/// Random lane-major tile data (len x kFlipLanes).
+std::vector<Real> random_lanes(std::size_t len, std::uint64_t seed, Real lo,
+                               Real hi) {
+  rng::Xoshiro256 gen(seed);
+  std::vector<Real> v(len * kL);
+  for (Real& e : v) e = rng::uniform(gen, lo, hi);
+  return v;
+}
+
+/// The same tile with lanes reversed: lane l of the result is lane
+/// kFlipLanes - 1 - l of `v`.
+std::vector<Real> reverse_lanes(const std::vector<Real>& v) {
+  std::vector<Real> out(v.size());
+  for (std::size_t t = 0; t < v.size() / kL; ++t)
+    for (std::size_t l = 0; l < kL; ++l)
+      out[t * kL + l] = v[t * kL + (kL - 1 - l)];
+  return out;
+}
+
+TEST(SimdKernels, ReluShiftDeltaLanesBitwiseEqualsReferenceAcrossLevels) {
+  // a +- w rounds once on every path and relu/subtraction are the scalar
+  // operations, so the kernel must match the oracle bit for bit.
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (std::size_t len = 1; len <= 36; ++len) {
+      std::vector<Real> a = random_lanes(len, 1000 + len, -1.0, 1.0);
+      std::vector<Real> w = random_lanes(len, 1100 + len, -1.0, 1.0);
+      w[kL + 3 < w.size() ? kL + 3 : 1] = 0;  // a unit the flip leaves alone
+      const Real sign[kL] = {1, -1, -1, 1, 1, 1, -1, -1};
+      a[0] = std::numeric_limits<Real>::quiet_NaN();  // relu(NaN) = 0
+      std::vector<Real> want(len * kL), got(len * kL);
+      ref::relu_shift_delta_lanes(a.data(), w.data(), sign, len, want.data());
+      relu_shift_delta_lanes(a.data(), w.data(), sign, len, got.data());
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << simd::level_name(level) << " len=" << len << " elem " << i;
+    }
+  }
+}
+
+/// Panels whose row j holds a prefix of row_sizes[j] values: the
+/// degree-sorted W2 rows of the MADE flip path.
+PackedRowPanels prefix_panels(const std::vector<std::size_t>& row_sizes,
+                              std::size_t cols, std::uint64_t seed) {
+  Matrix mask(row_sizes.size(), cols);
+  for (std::size_t j = 0; j < row_sizes.size(); ++j)
+    for (std::size_t c = 0; c < row_sizes[j]; ++c) mask(j, c) = 1;
+  const RowExtents ext = RowExtents::from_mask(mask);
+  return PackedRowPanels::pack(
+      apply_mask(random_matrix(row_sizes.size(), cols, seed), mask),
+      ext.view());
+}
+
+TEST(SimdKernels, TriangleDotLanesMatchesReferenceForEveryTailLengthAcrossLevels) {
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (std::size_t len = 1; len <= 36; ++len) {
+      // Nondecreasing row sizes with repeats, ending at len: every suffix
+      // length up to len, ragged four-row blocks and single-row tails.
+      std::vector<std::size_t> sizes;
+      for (std::size_t j = 0; j < len + 3; ++j)
+        sizes.push_back(std::min(len, j * len / (len + 1) + j % 2));
+      std::sort(sizes.begin(), sizes.end());
+      const std::size_t rows = sizes.size();
+      const PackedRowPanels panels = prefix_panels(sizes, len, 1200 + len);
+      const std::vector<Real> a = random_lanes(len, 1300 + len, -1.0, 1.0);
+      const std::vector<Real> base = random_lanes(rows, 1400 + len, -2, 2);
+      for (const std::size_t j_begin : {std::size_t(0), rows / 2}) {
+        const std::size_t lo = std::min(sizes[j_begin], len / 3);
+        std::vector<Real> want((rows - j_begin) * kL), got(want.size());
+        ref::triangle_dot_lanes(panels, lo, j_begin, a.data(), base.data(),
+                                want.data());
+        triangle_dot_lanes(panels, lo, j_begin, a.data(), base.data(),
+                           got.data());
+        for (std::size_t j = j_begin; j < rows; ++j)
+          for (std::size_t l = 0; l < kL; ++l) {
+            Real abs_sum = std::abs(base[j * kL + l]);
+            for (std::size_t c = lo; c < sizes[j]; ++c)
+              abs_sum += std::abs(panels.row(j)[c] * a[c * kL + l]);
+            const std::size_t at = (j - j_begin) * kL + l;
+            EXPECT_NEAR(got[at], want[at], ulp_bound(len + 1, abs_sum))
+                << simd::level_name(level) << " len=" << len << " j=" << j;
+          }
+        // Each lane is one row: reversing the lanes reverses the results
+        // bit for bit.
+        std::vector<Real> flipped(got.size());
+        triangle_dot_lanes(panels, lo, j_begin, reverse_lanes(a).data(),
+                           reverse_lanes(base).data(), flipped.data());
+        const std::vector<Real> expect = reverse_lanes(got);
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(flipped[i], expect[i]) << simd::level_name(level);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, BernoulliLogitDeltaLanesMatchesReferenceForEveryTailLengthAcrossLevels) {
+  LevelGuard guard;
+  constexpr Real kProbEps = 1e-12;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (std::size_t len = 1; len <= 36; ++len) {
+      std::vector<Real> x = random_lanes(len, 1500 + len, 0.0, 1.0);
+      for (Real& v : x) v = v < 0.5 ? 0 : 1;
+      std::vector<Real> z = random_lanes(len, 1600 + len, -8.0, 8.0);
+      z[0] = 40;   // 1 - p rounds to 0: the eps clamp
+      if (len > 1) z[kL + 1] = -40;
+      const std::vector<Real> base = random_lanes(len, 1700 + len, -3, 0);
+      // Whole-tile ranges (a row tile), and staggered per-lane ranges with
+      // single-term lanes (a site tile).
+      std::size_t first_all[kL], last_all[kL], first_mix[kL], last_mix[kL];
+      for (std::size_t l = 0; l < kL; ++l) {
+        first_all[l] = 0;
+        last_all[l] = len;
+        first_mix[l] = (l * 5) % len;
+        last_mix[l] = l % 3 == 0 ? first_mix[l] + 1 : len;
+      }
+      for (const auto& [first, last] :
+           {std::pair{first_all, last_all}, std::pair{first_mix, last_mix}}) {
+        Real want[kL], got[kL];
+        ref::bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
+                                         first, last, kProbEps, want);
+        bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
+                                    first, last, kProbEps, got);
+        for (std::size_t l = 0; l < kL; ++l) {
+          // Terms are logs in [log eps, 0] minus |base| <= 3, each off by a
+          // few ulp (polynomial exp/log and sigmoid).
+          EXPECT_NEAR(got[l], want[l], ulp_bound(len + 8, Real(len) * 31))
+              << simd::level_name(level) << " len=" << len << " lane " << l;
+        }
+        // Each lane is one (row, site) pair: reversing the lanes reverses
+        // the results bit for bit.
+        std::size_t rfirst[kL], rlast[kL];
+        for (std::size_t l = 0; l < kL; ++l) {
+          rfirst[l] = first[kL - 1 - l];
+          rlast[l] = last[kL - 1 - l];
+        }
+        Real flipped[kL];
+        bernoulli_logit_delta_lanes(reverse_lanes(x).data(),
+                                    reverse_lanes(z).data(),
+                                    reverse_lanes(base).data(), len, rfirst,
+                                    rlast, kProbEps, flipped);
+        for (std::size_t l = 0; l < kL; ++l)
+          ASSERT_EQ(flipped[l], got[kL - 1 - l]) << simd::level_name(level);
+      }
+    }
+    // A NaN logit poisons its own lane only, and only inside its range.
+    std::vector<Real> x(3 * kL, 1), z(3 * kL, 0.5), base(3 * kL, -0.4);
+    z[kL + 2] = std::numeric_limits<Real>::quiet_NaN();
+    z[2 * kL + 5] = std::numeric_limits<Real>::quiet_NaN();
+    std::size_t first[kL] = {0, 0, 0, 0, 0, 0, 0, 0};
+    std::size_t last[kL] = {3, 3, 3, 3, 3, 2, 3, 3};
+    Real out[kL];
+    bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), 3, first,
+                                last, kProbEps, out);
+    for (std::size_t l = 0; l < kL; ++l)
+      EXPECT_EQ(std::isnan(out[l]), l == 2) << simd::level_name(level);
   }
 }
 
