@@ -13,6 +13,7 @@
 #endif
 
 #include "common/error.hpp"
+#include "tensor/kernels.hpp"
 
 namespace vqmc {
 
@@ -35,9 +36,12 @@ bool fsync_parent_directory(const std::string& path) {
 
 namespace {
 
-constexpr std::uint64_t kParamMagic = 0x56514d43'43503031ULL;  // "VQMCCP01"
+constexpr std::uint64_t kParamMagic = 0x56514d43'43503032ULL;  // "VQMCCP02"
+/// The parameter format before CRC-32C (FNV-1a over the parameters only).
+constexpr std::uint64_t kParamMagicFnv = 0x56514d43'43503031ULL;  // "VQMCCP01"
 constexpr std::uint64_t kTrainMagic = 0x56514d43'54533031ULL;  // "VQMCTS01"
-constexpr std::uint64_t kTrainVersion = 1;
+/// 2: CRC-32C trailer; version 1 carried an FNV-1a one.
+constexpr std::uint64_t kTrainVersion = 2;
 
 struct Header {
   std::uint64_t magic = kParamMagic;
@@ -125,6 +129,11 @@ struct ByteWriter {
     bytes.insert(bytes.end(), p, p + n);
   }
   void u64(std::uint64_t value) { raw(&value, sizeof(value)); }
+  /// Close the record: its CRC-32C over every byte written so far.
+  void checksum() {
+    const std::uint32_t crc = crc32c(0, bytes.data(), bytes.size());
+    raw(&crc, sizeof(crc));
+  }
   void string(const std::string& s) {
     u64(s.size());
     raw(s.data(), s.size());
@@ -164,6 +173,19 @@ struct ByteReader {
     raw(&value, sizeof(value));
     return value;
   }
+  /// Verify the record's CRC-32C trailer, which must end the file.
+  /// Truncation has been ruled out structurally by the reads before it.
+  void checksum() {
+    VQMC_REQUIRE(remaining() >= sizeof(std::uint32_t),
+                 "checkpoint: '" + path + "' is truncated (checksum missing)");
+    VQMC_REQUIRE(remaining() == sizeof(std::uint32_t),
+                 "checkpoint: '" + path + "' has bytes after its checksum");
+    const std::uint32_t expected = crc32c(0, bytes.data(), pos);
+    std::uint32_t stored = 0;
+    raw(&stored, sizeof(stored));
+    VQMC_REQUIRE(stored == expected,
+                 "checkpoint: checksum mismatch (corrupt file)");
+  }
   std::string string(std::size_t max_length = 255) {
     const std::uint64_t length = u64();
     VQMC_REQUIRE(length <= max_length,
@@ -195,6 +217,26 @@ struct ByteReader {
 /// corrupted length field before any allocation is attempted.
 constexpr std::size_t kMaxPayload = std::size_t(1) << 32;
 
+/// The training record, CRC-32C trailer included, ready to write.
+std::vector<unsigned char> serialize_training(
+    const TrainingSnapshot& snapshot) {
+  ByteWriter out;
+  out.u64(kTrainMagic);
+  out.u64(kTrainVersion);
+  out.string(snapshot.model_name);
+  out.string(snapshot.optimizer_name);
+  out.string(snapshot.sampler_name);
+  out.u64(snapshot.num_spins);
+  out.u64(snapshot.num_parameters);
+  out.u64(std::uint64_t(snapshot.iteration));
+  out.reals(snapshot.parameters);
+  out.reals(snapshot.optimizer_state);
+  out.words(snapshot.sampler_state);
+  out.reals(snapshot.trainer_state);
+  out.checksum();
+  return std::move(out.bytes);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes) {
@@ -219,7 +261,7 @@ void save_checkpoint(const std::string& path, const WavefunctionModel& model) {
   out.raw(name.data(), name.size());
   const std::span<const Real> params = model.parameters();
   out.raw(params.data(), params.size() * sizeof(Real));
-  out.u64(fnv1a64(params.data(), params.size() * sizeof(Real)));
+  out.checksum();
   write_file_atomic(path, out.bytes.data(), out.bytes.size());
 }
 
@@ -229,6 +271,10 @@ void load_checkpoint(const std::string& path, WavefunctionModel& model) {
 
   Header header;
   in.raw(&header, sizeof(header));
+  VQMC_REQUIRE(header.magic != kParamMagicFnv,
+               "checkpoint: '" + path +
+                   "' is a VQMCCP01 checkpoint (FNV-1a checksum), a format "
+                   "this build no longer reads");
   VQMC_REQUIRE(header.magic == kParamMagic,
                "checkpoint: '" + path + "' is not a vqmc checkpoint");
   VQMC_REQUIRE(header.num_spins == model.num_spins(),
@@ -245,10 +291,7 @@ void load_checkpoint(const std::string& path, WavefunctionModel& model) {
 
   std::vector<Real> params(header.num_parameters);
   in.raw(params.data(), params.size() * sizeof(Real));
-  const std::uint64_t checksum = in.u64();
-  VQMC_REQUIRE(
-      checksum == fnv1a64(params.data(), params.size() * sizeof(Real)),
-      "checkpoint: checksum mismatch (corrupt file)");
+  in.checksum();
 
   std::span<Real> target = model.parameters();
   std::copy(params.begin(), params.end(), target.begin());
@@ -256,21 +299,8 @@ void load_checkpoint(const std::string& path, WavefunctionModel& model) {
 
 void save_training_checkpoint(const std::string& path,
                               const TrainingSnapshot& snapshot) {
-  ByteWriter out;
-  out.u64(kTrainMagic);
-  out.u64(kTrainVersion);
-  out.string(snapshot.model_name);
-  out.string(snapshot.optimizer_name);
-  out.string(snapshot.sampler_name);
-  out.u64(snapshot.num_spins);
-  out.u64(snapshot.num_parameters);
-  out.u64(std::uint64_t(snapshot.iteration));
-  out.reals(snapshot.parameters);
-  out.reals(snapshot.optimizer_state);
-  out.words(snapshot.sampler_state);
-  out.reals(snapshot.trainer_state);
-  out.u64(fnv1a64(out.bytes.data(), out.bytes.size()));
-  write_file_atomic(path, out.bytes.data(), out.bytes.size());
+  const std::vector<unsigned char> bytes = serialize_training(snapshot);
+  write_file_atomic(path, bytes.data(), bytes.size());
 }
 
 TrainingSnapshot load_training_checkpoint(const std::string& path) {
@@ -282,7 +312,8 @@ TrainingSnapshot load_training_checkpoint(const std::string& path) {
   const std::uint64_t version = in.u64();
   VQMC_REQUIRE(version == kTrainVersion,
                "checkpoint: '" + path + "' has unsupported format version " +
-                   std::to_string(version));
+                   std::to_string(version) + " (this build reads version " +
+                   std::to_string(kTrainVersion) + ")");
 
   TrainingSnapshot snapshot;
   snapshot.model_name = in.string();
@@ -298,12 +329,7 @@ TrainingSnapshot load_training_checkpoint(const std::string& path) {
 
   // Structural truncation has been ruled out above; now the trailing
   // checksum authenticates the bits.
-  VQMC_REQUIRE(in.remaining() == sizeof(std::uint64_t),
-               "checkpoint: '" + path + "' is truncated (checksum missing)");
-  const std::size_t payload = in.pos;
-  const std::uint64_t checksum = in.u64();
-  VQMC_REQUIRE(checksum == fnv1a64(bytes.data(), payload),
-               "checkpoint: checksum mismatch (corrupt file)");
+  in.checksum();
   return snapshot;
 }
 
@@ -316,8 +342,10 @@ CheckpointKeeper::CheckpointKeeper(std::string base_path, int keep_last)
 void CheckpointKeeper::write(const TrainingSnapshot& snapshot) {
   const std::string iter_path =
       base_path_ + ".iter" + std::to_string(snapshot.iteration);
-  save_training_checkpoint(iter_path, snapshot);
-  save_training_checkpoint(base_path_, snapshot);
+  // Serialized and checksummed once; both files get the same bytes.
+  const std::vector<unsigned char> bytes = serialize_training(snapshot);
+  write_file_atomic(iter_path, bytes.data(), bytes.size());
+  write_file_atomic(base_path_, bytes.data(), bytes.size());
   retained_.push_back(iter_path);
   while (retained_.size() > std::size_t(keep_last_)) {
     std::remove(retained_.front().c_str());

@@ -6,14 +6,20 @@
 ///
 /// Two formats live here:
 ///
-///  * **Parameter checkpoints** ("VQMCCP01"): the flat parameter vector with
-///    model identity (name, spin count, parameter count) and a FNV-1a
-///    checksum — enough to transplant trained weights.
-///  * **Training checkpoints** ("VQMCTS01"): the *entire* mutable training
-///    state — parameters, optimizer moments, sampler RNG/chain state,
-///    iteration counter and guard state — so a killed-and-resumed run is
-///    bit-identical to an uninterrupted one (DESIGN.md §5c). This is what
-///    the multi-hour paper-scale runs (Table 7) need to survive preemption.
+///  * **Parameter checkpoints** ("VQMCCP02"): the flat parameter vector with
+///    model identity (name, spin count, parameter count) — enough to
+///    transplant trained weights.
+///  * **Training checkpoints** ("VQMCTS01", format version 2): the *entire*
+///    mutable training state — parameters, optimizer moments, sampler
+///    RNG/chain state, iteration counter and guard state — so a
+///    killed-and-resumed run is bit-identical to an uninterrupted one
+///    (DESIGN.md §5c). This is what the multi-hour paper-scale runs
+///    (Table 7) need to survive preemption.
+///
+/// Each record ends in a u32 CRC-32C (`crc32c`, tensor/kernels.hpp) of
+/// every byte before it. Files of the FNV-1a formats ("VQMCCP01", training
+/// version 1) are rejected with a vqmc::Error that names the format; there
+/// is no converter.
 ///
 /// Both writers are crash-safe: the record is serialized in memory, written
 /// to `<path>.tmp`, fsync'd and atomically renamed over `<path>`, so a crash
@@ -41,7 +47,9 @@ void save_checkpoint(const std::string& path, const WavefunctionModel& model);
 /// architecture (mismatched name, spin count or parameter count).
 void load_checkpoint(const std::string& path, WavefunctionModel& model);
 
-/// FNV-1a 64-bit hash of a byte range (exposed for tests).
+/// FNV-1a 64-bit hash of a byte range: the parameter fingerprint that
+/// vqmc_launch and vqmc_bench print as `params_fnv`. No frame or checkpoint
+/// uses it; their checksum is crc32c.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes);
 
 /// Fsync the directory containing `path`, making a just-renamed file's
@@ -82,8 +90,9 @@ TrainingSnapshot load_training_checkpoint(const std::string& path);
 /// Periodic-checkpoint bookkeeping: every write() stores the snapshot both
 /// under `<base>` (the always-current resume point) and under
 /// `<base>.iter<N>` (history), pruning history beyond the newest
-/// `keep_last` entries. All writes are atomic, so a crash between the two
-/// writes leaves at worst a stale-but-valid `<base>`.
+/// `keep_last` entries. The snapshot is serialized and checksummed once and
+/// the same bytes go to both files. All writes are atomic, so a crash
+/// between the two writes leaves at worst a stale-but-valid `<base>`.
 class CheckpointKeeper {
  public:
   explicit CheckpointKeeper(std::string base_path, int keep_last = 3);

@@ -6,6 +6,20 @@ namespace vqmc::obs {
 
 namespace wire = parallel::wire;
 
+namespace {
+
+/// Largest status request: its payload is a format name ("raw", "json",
+/// "table", "prom") or empty.
+constexpr std::size_t kMaxRequestBytes = 64;
+
+/// Largest reply a scrape accepts. A rendering carries a few KB per rank
+/// (one status report, or one block of metric families), so 64 MiB leaves
+/// room for groups of thousands of ranks while a lying header costs the
+/// scraper no more than that.
+constexpr std::size_t kMaxReplyBytes = std::size_t(64) << 20;
+
+}  // namespace
+
 std::string rank_endpoint(const std::string& base, int rank) {
   if (rank == 0) return base;
   if (base.rfind("unix://", 0) == 0)
@@ -51,7 +65,8 @@ void StatusServer::serve_loop() {
     try {
       wire::Socket conn = wire::accept_from(listener_.socket, 0.5);
       wire::Frame request;
-      if (!wire::recv_frame(conn, request, options_.io_deadline_seconds))
+      if (!wire::recv_frame(conn, request, options_.io_deadline_seconds,
+                            kMaxRequestBytes))
         continue;
       const std::string format(request.payload.begin(),
                                request.payload.end());
@@ -135,7 +150,7 @@ std::string fetch_status(const std::string& endpoint,
                           payload.size(), deadline_seconds),
                "obs scrape: server closed the connection");
   wire::Frame reply;
-  VQMC_REQUIRE(recv_frame(conn, reply, deadline_seconds),
+  VQMC_REQUIRE(recv_frame(conn, reply, deadline_seconds, kMaxReplyBytes),
                "obs scrape: server closed without replying");
   return std::string(reply.payload.begin(), reply.payload.end());
 }

@@ -24,16 +24,37 @@ using wire::FrameType;
 
 constexpr std::uint64_t kNoBcastRoot = ~std::uint64_t(0);
 
+/// Longest string field (a listen endpoint) a rendezvous frame may carry.
+constexpr std::size_t kMaxStringBytes = 4096;
+/// Longest ABORT reason: abort_group clips to it, and every collective
+/// receive accepts at least this much, since an ABORT may arrive in place
+/// of the CONTRIB or RESULT it expects.
+constexpr std::size_t kMaxAbortReason = 4096;
+/// HELLO payload: [rank][listen endpoint string].
+constexpr std::size_t kHelloBytes = 2 * sizeof(std::uint64_t) + kMaxStringBytes;
+/// CONTRIB payload: [op][bcast_root][count][count reals][liveness bytes].
+constexpr std::size_t kContribHeader = 3 * sizeof(std::uint64_t);
+
+/// RESULT payload: [world][alive byte per rank][count][count reals]; the
+/// reals start here.
+std::size_t result_reals_offset(int world) {
+  return 2 * sizeof(std::uint64_t) + std::size_t(world);
+}
+
 /// Append a u64 to a byte payload (fixed little-endian host layout; all
-/// ranks of a group run the same build, and the frame checksum rejects any
-/// cross-build mixing).
+/// ranks of a group run the same build, and the frame magic and checksum
+/// reject any cross-build mixing).
 void put_u64(std::vector<unsigned char>& out, std::uint64_t value) {
   const std::size_t offset = out.size();
   out.resize(offset + sizeof(value));
   std::memcpy(out.data() + offset, &value, sizeof(value));
 }
 
-std::uint64_t get_u64(const std::vector<unsigned char>& in,
+void store_u64(unsigned char* at, std::uint64_t value) {
+  std::memcpy(at, &value, sizeof(value));
+}
+
+std::uint64_t get_u64(const wire::Bytes& in,
                       std::size_t& offset) {
   VQMC_REQUIRE(offset + sizeof(std::uint64_t) <= in.size(),
                "socket comm: frame payload truncated");
@@ -48,10 +69,10 @@ void put_string(std::vector<unsigned char>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-std::string get_string(const std::vector<unsigned char>& in,
+std::string get_string(const wire::Bytes& in,
                        std::size_t& offset) {
   const std::uint64_t length = get_u64(in, offset);
-  VQMC_REQUIRE(length <= 4096 && offset + length <= in.size(),
+  VQMC_REQUIRE(length <= kMaxStringBytes && offset + length <= in.size(),
                "socket comm: corrupt string field in frame");
   std::string s(reinterpret_cast<const char*>(in.data() + offset),
                 std::size_t(length));
@@ -70,6 +91,21 @@ std::string leader_endpoint_spec(const std::string& base, int rank) {
                "socket comm: cannot derive leader endpoint from '" + base +
                    "'");
   return base.substr(0, colon) + ":0";
+}
+
+/// dst[i] += src[i] (kSum) or dst[i] = max(dst[i], src[i]) (kMax) over
+/// `count` reals stored in wire buffers, which carry no alignment: the
+/// loads and stores go through memcpy.  The fold folds straight out of the
+/// receive buffer, in the caller's (ascending rank) order.
+void fold_reals(bool take_max, unsigned char* dst, const unsigned char* src,
+                std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    Real acc = 0, incoming = 0;
+    std::memcpy(&acc, dst + i * sizeof(Real), sizeof(Real));
+    std::memcpy(&incoming, src + i * sizeof(Real), sizeof(Real));
+    acc = take_max ? std::max(acc, incoming) : acc + incoming;
+    std::memcpy(dst + i * sizeof(Real), &acc, sizeof(Real));
+  }
 }
 
 }  // namespace
@@ -101,7 +137,7 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
     for (int joined = 1; joined < world_; ++joined) {
       wire::Socket conn = wire::accept_from(listener.socket, deadline);
       Frame hello;
-      VQMC_REQUIRE(wire::recv_frame(conn, hello, deadline) &&
+      VQMC_REQUIRE(wire::recv_frame(conn, hello, deadline, kHelloBytes) &&
                        hello.type == FrameType::kHello,
                    "socket comm: rendezvous peer hung up before HELLO");
       std::size_t offset = 0;
@@ -179,8 +215,13 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
   VQMC_REQUIRE(wire::send_frame(root_conn, FrameType::kHello, 0, hello.data(),
                                 hello.size(), deadline),
                "socket comm: rendezvous listener hung up on HELLO");
+  // WELCOME: [world][node_size][n_leaders][(rank, endpoint)...] with at
+  // most world - 1 leaders, whatever node size the root runs.
+  const std::size_t welcome_bytes =
+      3 * sizeof(std::uint64_t) +
+      std::size_t(world_ - 1) * (2 * sizeof(std::uint64_t) + kMaxStringBytes);
   Frame welcome;
-  if (!wire::recv_frame(root_conn, welcome, deadline) ||
+  if (!wire::recv_frame(root_conn, welcome, deadline, welcome_bytes) ||
       welcome.type != FrameType::kWelcome)
     throw CommTimeoutError(
         "socket comm: rendezvous ended before WELCOME (root died or group "
@@ -231,7 +272,7 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
     for (int expected = rank_ + 1; expected < node_end; ++expected) {
       wire::Socket conn = wire::accept_from(member_listener.socket, deadline);
       Frame hello_frame;
-      VQMC_REQUIRE(wire::recv_frame(conn, hello_frame, deadline) &&
+      VQMC_REQUIRE(wire::recv_frame(conn, hello_frame, deadline, kHelloBytes) &&
                        hello_frame.type == FrameType::kHello,
                    "socket comm: member hung up before HELLO");
       std::size_t hello_offset = 0;
@@ -268,7 +309,7 @@ void SocketCommunicator::mark_dead(int r) {
 void SocketCommunicator::abort_group(const std::string& reason) {
   if (aborted_) return;
   aborted_ = true;
-  abort_reason_ = reason;
+  abort_reason_ = reason.substr(0, kMaxAbortReason);
   telemetry::metrics().counter("comm.socket.aborts").add();
   // Best-effort fan-out of the abort in both directions; a frame that cannot
   // be delivered within the grace deadline goes to a peer that is itself
@@ -277,8 +318,8 @@ void SocketCommunicator::abort_group(const std::string& reason) {
   const auto try_send = [&](wire::Socket& socket) {
     if (!socket.valid()) return;
     try {
-      wire::send_frame(socket, FrameType::kAbort, seq_, reason.data(),
-                       reason.size(), grace);
+      wire::send_frame(socket, FrameType::kAbort, seq_, abort_reason_.data(),
+                       abort_reason_.size(), grace);
     } catch (const CommTimeoutError&) {
     }
   };
@@ -306,28 +347,28 @@ void SocketCommunicator::handle_child_death(Child& child, const char* how) {
   child.socket.close();
 }
 
-void SocketCommunicator::collect_and_fold(Op op, std::span<Real> data,
-                                          int bcast_root,
-                                          std::vector<Real>& fold,
-                                          bool& have_fold,
-                                          std::vector<char>& liveness) {
+bool SocketCommunicator::contributes(Op op, int bcast_root) const {
+  return op == Op::kSum || op == Op::kMax ||
+         (op == Op::kBcast && rank_ == bcast_root);
+}
+
+bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
+                                          int bcast_root, unsigned char* fold) {
+  const std::size_t fold_bytes = data.size() * sizeof(Real);
   // Own contribution first: the leader is the lowest rank of its subtree, so
   // seeding the fold with it preserves ascending-rank fold order.
-  const bool own_contributes =
-      op == Op::kSum || op == Op::kMax ||
-      (op == Op::kBcast && rank_ == bcast_root);
-  if (own_contributes) {
-    fold.assign(data.begin(), data.end());
-    have_fold = true;
-  }
+  bool have_fold = contributes(op, bcast_root);
+  if (have_fold && fold_bytes > 0) std::memcpy(fold, data.data(), fold_bytes);
 
   for (Child& child : children_) {
     if (child.gone) continue;
-    Frame frame;
+    // The exact CONTRIB this child can send, or an ABORT in its place.
+    const std::size_t max_payload = std::max(
+        kContribHeader + fold_bytes + child.covered.size(), kMaxAbortReason);
     bool alive_frame;
     try {
-      alive_frame =
-          wire::recv_frame(child.socket, frame, options_.timeout_seconds);
+      alive_frame = wire::recv_frame(child.socket, recv_,
+                                     options_.timeout_seconds, max_payload);
     } catch (const CommTimeoutError&) {
       // A connected-but-silent peer (hung, stopped, or deadlocked): the
       // deadline is the liveness check, and the whole group aborts exactly
@@ -341,11 +382,12 @@ void SocketCommunicator::collect_and_fold(Op op, std::span<Real> data,
       handle_child_death(child, "connection reset");
       continue;
     }
-    if (frame.type == FrameType::kAbort) {
-      abort_group(std::string(frame.payload.begin(), frame.payload.end()));
+    const wire::Bytes& payload = recv_.payload;
+    if (recv_.type == FrameType::kAbort) {
+      abort_group(std::string(payload.begin(), payload.end()));
       throw_aborted();
     }
-    if (frame.type == FrameType::kLeave) {
+    if (recv_.type == FrameType::kLeave) {
       // A LEAVE on this connection comes from the rank that owns it:
       // covered.front() (a leaf, or a leader whose members already left —
       // leave() forbids departing with live members). Any other covered
@@ -354,74 +396,55 @@ void SocketCommunicator::collect_and_fold(Op op, std::span<Real> data,
       child.gone = true;
       continue;
     }
-    VQMC_REQUIRE(frame.type == FrameType::kContrib,
+    VQMC_REQUIRE(recv_.type == FrameType::kContrib,
                  "socket comm: unexpected frame type in collective");
-    VQMC_REQUIRE(frame.seq == seq_,
+    VQMC_REQUIRE(recv_.seq == seq_,
                  "socket comm: collective sequence mismatch (peer skipped or "
                  "repeated a collective)");
     std::size_t offset = 0;
-    VQMC_REQUIRE(get_u64(frame.payload, offset) == std::uint64_t(op),
+    VQMC_REQUIRE(get_u64(payload, offset) == std::uint64_t(op),
                  "socket comm: collective op mismatch across ranks");
-    const std::uint64_t frame_root = get_u64(frame.payload, offset);
+    const std::uint64_t frame_root = get_u64(payload, offset);
     if (op == Op::kBcast)
       VQMC_REQUIRE(frame_root == std::uint64_t(bcast_root),
                    "socket comm: broadcast root mismatch across ranks");
-    const std::uint64_t count = get_u64(frame.payload, offset);
+    const std::uint64_t count = get_u64(payload, offset);
     if (count > 0) {
       VQMC_REQUIRE(count == data.size(),
                    "socket comm: collective payload size mismatch");
+      VQMC_REQUIRE(offset + fold_bytes <= payload.size(),
+                   "socket comm: collective payload truncated");
+      const unsigned char* incoming = payload.data() + offset;
       if (op == Op::kBcast) {
         VQMC_REQUIRE(!have_fold,
                      "socket comm: two broadcast payloads in one round");
-        fold.resize(data.size());
-        wire::decode_reals(frame.payload, offset, fold.data(), fold.size());
-        have_fold = true;
+        std::memcpy(fold, incoming, fold_bytes);
       } else if (!have_fold) {
-        fold.resize(data.size());
-        wire::decode_reals(frame.payload, offset, fold.data(), fold.size());
-        have_fold = true;
+        std::memcpy(fold, incoming, fold_bytes);
       } else {
-        std::vector<Real> incoming(data.size());
-        wire::decode_reals(frame.payload, offset, incoming.data(),
-                           incoming.size());
-        if (op == Op::kSum) {
-          for (std::size_t i = 0; i < fold.size(); ++i)
-            fold[i] += incoming[i];
-        } else {
-          for (std::size_t i = 0; i < fold.size(); ++i)
-            fold[i] = std::max(fold[i], incoming[i]);
-        }
+        fold_reals(op == Op::kMax, fold, incoming, data.size());
       }
+      have_fold = true;
+      offset += fold_bytes;
     }
-    offset += count * sizeof(Real);
     // Trailing liveness bytes: the sender's current view of every rank it
     // covers, in rank order.
-    VQMC_REQUIRE(offset + child.covered.size() <= frame.payload.size(),
+    VQMC_REQUIRE(offset + child.covered.size() <= payload.size(),
                  "socket comm: liveness section truncated");
     for (std::size_t i = 0; i < child.covered.size(); ++i) {
-      if (frame.payload[offset + i] == 0) mark_dead(child.covered[i]);
+      if (payload[offset + i] == 0) mark_dead(child.covered[i]);
     }
   }
-
-  // Report liveness for every rank this endpoint covers (its whole node for
-  // a leader; the root's view travels in the RESULT bitmap instead).
-  const int covered_end =
-      rank_ == 0 ? world_ : std::min(leader_rank_ + node_size_, world_);
-  liveness.clear();
-  for (int r = rank_; r < covered_end; ++r)
-    liveness.push_back(alive_[std::size_t(r)]);
+  return have_fold;
 }
 
-void SocketCommunicator::scatter_result(
-    const std::vector<unsigned char>& payload) {
+void SocketCommunicator::scatter_result(const Frame& result) {
   for (Child& child : children_) {
     if (child.gone) continue;
     bool delivered;
     try {
       delivered =
-          wire::send_frame(child.socket, FrameType::kResult, seq_,
-                           payload.data(), payload.size(),
-                           options_.timeout_seconds);
+          wire::send_frame(child.socket, result, options_.timeout_seconds);
     } catch (const CommTimeoutError&) {
       abort_group("collective timed out delivering a result (a peer rank is "
                   "wedged)");
@@ -448,50 +471,56 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
     return;
   }
 
-  std::vector<Real> fold;
-  bool have_fold = false;
-  std::vector<char> liveness;
-
+  const std::size_t data_bytes = data.size() * sizeof(Real);
+  const std::size_t reals_at = result_reals_offset(world_);
   if (rank_ == 0) {
-    collect_and_fold(op, data, bcast_root, fold, have_fold, liveness);
+    // The root folds every contribution straight into the RESULT payload,
+    // then checksums it once for all of its children.
+    wire::Bytes& result = result_.payload;
+    result.resize(reals_at + data_bytes);
+    const bool have_fold =
+        collect_and_fold(op, data, bcast_root, result.data() + reals_at);
     if (op != Op::kBarrier) {
       VQMC_REQUIRE(have_fold, "socket comm: collective folded zero payloads");
-      std::copy(fold.begin(), fold.end(), data.begin());
+      if (data_bytes > 0)
+        std::memcpy(data.data(), result.data() + reals_at, data_bytes);
     }
-    // RESULT: [world][alive bytes][count][reals].
-    std::vector<unsigned char> result;
-    put_u64(result, std::uint64_t(world_));
-    result.insert(result.end(), alive_.begin(), alive_.end());
-    put_u64(result, op == Op::kBarrier ? 0 : data.size());
-    if (op != Op::kBarrier)
-      wire::encode_reals(result, data.data(), data.size());
-    scatter_result(result);
+    store_u64(result.data(), std::uint64_t(world_));
+    std::memcpy(result.data() + sizeof(std::uint64_t), alive_.data(),
+                alive_.size());
+    store_u64(result.data() + reals_at - sizeof(std::uint64_t),
+              op == Op::kBarrier ? 0 : data.size());
+    result_.type = FrameType::kResult;
+    result_.seq = seq_;
+    wire::seal(result_);
+    scatter_result(result_);
   } else {
+    // CONTRIB upward: [op][bcast_root][count][reals][liveness bytes], the
+    // liveness of every rank this endpoint covers (its whole node for a
+    // leader, itself for a leaf). A leader folds its node into the reals.
+    const int covered_end =
+        is_leader_ ? std::min(leader_rank_ + node_size_, world_) : rank_ + 1;
+    const std::size_t covered = std::size_t(covered_end - rank_);
+    contrib_.resize(kContribHeader + data_bytes + covered);
+    unsigned char* reals = contrib_.data() + kContribHeader;
+    bool have_fold = contributes(op, bcast_root);
     if (is_leader_)
-      collect_and_fold(op, data, bcast_root, fold, have_fold, liveness);
-    else {
-      const bool own_contributes =
-          op == Op::kSum || op == Op::kMax ||
-          (op == Op::kBcast && rank_ == bcast_root);
-      if (own_contributes) {
-        fold.assign(data.begin(), data.end());
-        have_fold = true;
-      }
-      liveness.assign(1, 1);  // a leaf covers only itself
-    }
-
-    // CONTRIB upward: [op][bcast_root][count][reals][liveness bytes].
-    std::vector<unsigned char> contrib;
-    put_u64(contrib, std::uint64_t(op));
-    put_u64(contrib,
-            op == Op::kBcast ? std::uint64_t(bcast_root) : kNoBcastRoot);
-    put_u64(contrib, have_fold ? fold.size() : 0);
-    if (have_fold) wire::encode_reals(contrib, fold.data(), fold.size());
-    contrib.insert(contrib.end(), liveness.begin(), liveness.end());
+      have_fold = collect_and_fold(op, data, bcast_root, reals);
+    else if (have_fold && data_bytes > 0)
+      std::memcpy(reals, data.data(), data_bytes);
+    const std::size_t sent_count = have_fold ? data.size() : 0;
+    store_u64(contrib_.data(), std::uint64_t(op));
+    store_u64(contrib_.data() + sizeof(std::uint64_t),
+              op == Op::kBcast ? std::uint64_t(bcast_root) : kNoBcastRoot);
+    store_u64(contrib_.data() + 2 * sizeof(std::uint64_t), sent_count);
+    unsigned char* liveness = reals + sent_count * sizeof(Real);
+    for (int r = rank_; r < covered_end; ++r)
+      *liveness++ = is_leader_ ? alive_[std::size_t(r)] : 1;
+    contrib_.resize(std::size_t(liveness - contrib_.data()));
     bool sent;
     try {
       sent = wire::send_frame(upstream_, FrameType::kContrib, seq_,
-                              contrib.data(), contrib.size(),
+                              contrib_.data(), contrib_.size(),
                               options_.timeout_seconds);
     } catch (const CommTimeoutError&) {
       abort_group("collective timed out sending a contribution (the "
@@ -510,10 +539,10 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
     // endpoint races it with a local timeout.
     const double result_deadline =
         options_.timeout_seconds > 0 ? 2 * options_.timeout_seconds + 0.5 : 0;
-    Frame result;
     bool got;
     try {
-      got = wire::recv_frame(upstream_, result, result_deadline);
+      got = wire::recv_frame(upstream_, recv_, result_deadline,
+                             std::max(reals_at + data_bytes, kMaxAbortReason));
     } catch (const CommTimeoutError&) {
       abort_group("collective timed out after " +
                   std::to_string(options_.timeout_seconds) +
@@ -526,30 +555,31 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
                   ") died; this subtree cannot continue");
       throw_aborted();
     }
-    if (result.type == FrameType::kAbort) {
-      abort_group(std::string(result.payload.begin(), result.payload.end()));
+    const wire::Bytes& result = recv_.payload;
+    if (recv_.type == FrameType::kAbort) {
+      abort_group(std::string(result.begin(), result.end()));
       throw_aborted();
     }
-    VQMC_REQUIRE(result.type == FrameType::kResult,
+    VQMC_REQUIRE(recv_.type == FrameType::kResult,
                  "socket comm: unexpected frame type while awaiting result");
-    VQMC_REQUIRE(result.seq == seq_,
-                 "socket comm: result sequence mismatch");
+    VQMC_REQUIRE(recv_.seq == seq_, "socket comm: result sequence mismatch");
     std::size_t offset = 0;
-    VQMC_REQUIRE(get_u64(result.payload, offset) == std::uint64_t(world_),
+    VQMC_REQUIRE(get_u64(result, offset) == std::uint64_t(world_),
                  "socket comm: result world size mismatch");
-    VQMC_REQUIRE(offset + std::size_t(world_) <= result.payload.size(),
+    VQMC_REQUIRE(offset + std::size_t(world_) <= result.size(),
                  "socket comm: result membership bitmap truncated");
     for (int r = 0; r < world_; ++r)
-      if (result.payload[offset + std::size_t(r)] == 0) mark_dead(r);
+      if (result[offset + std::size_t(r)] == 0) mark_dead(r);
     offset += std::size_t(world_);
-    const std::uint64_t count = get_u64(result.payload, offset);
+    const std::uint64_t count = get_u64(result, offset);
     if (op != Op::kBarrier) {
       VQMC_REQUIRE(count == data.size(),
                    "socket comm: result payload size mismatch");
-      wire::decode_reals(result.payload, offset, data.data(), data.size());
+      wire::decode_reals(result, offset, data.data(), data.size());
     }
-    // A leader relays the verbatim result frame to its live members.
-    if (is_leader_) scatter_result(result.payload);
+    // A leader relays the verified result frame, checksum included, to its
+    // live members.
+    if (is_leader_) scatter_result(recv_);
   }
 
   ++seq_;

@@ -129,10 +129,15 @@ class SocketCommunicator final : public Communicator {
 
   void rendezvous(const std::string& endpoint);
   void round(Op op, std::span<Real> data, int bcast_root);
-  void collect_and_fold(Op op, std::span<Real> data, int bcast_root,
-                        std::vector<Real>& fold, bool& have_fold,
-                        std::vector<char>& liveness);
-  void scatter_result(const std::vector<unsigned char>& payload);
+  /// Whether this rank's own `data` enters the fold of `op`.
+  [[nodiscard]] bool contributes(Op op, int bcast_root) const;
+  /// Fold this rank's contribution and every live child's CONTRIB, in
+  /// ascending rank order, into the data.size() reals at `fold` (a wire
+  /// buffer, so unaligned). Returns whether any payload was folded.
+  bool collect_and_fold(Op op, std::span<const Real> data, int bcast_root,
+                        unsigned char* fold);
+  /// Write `result` (sealed or verified once) to every live child.
+  void scatter_result(const wire::Frame& result);
   void handle_child_death(Child& child, const char* how);
   void abort_group(const std::string& reason);
   [[noreturn]] void throw_aborted();
@@ -155,6 +160,12 @@ class SocketCommunicator final : public Communicator {
   std::string abort_reason_;
   long long connect_retries_ = 0;
   std::vector<int> observed_deaths_;
+
+  // Collective buffers, kept across rounds: a steady-state collective
+  // allocates nothing of payload size.
+  wire::Frame recv_;    ///< a child's CONTRIB, or the RESULT from upstream
+  wire::Frame result_;  ///< the root's RESULT, the fold target
+  wire::Bytes contrib_;  ///< CONTRIB sent upstream
 };
 
 /// Join (or, for rank 0, host) the socket group rendezvous at `endpoint`

@@ -15,14 +15,14 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
-#include "core/checkpoint.hpp"  // fnv1a64
 #include "rng/splitmix.hpp"
+#include "tensor/kernels.hpp"
 
 namespace vqmc::parallel::wire {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x56515750u;  // "VQWP"
+constexpr std::uint32_t kMagic = 0x32575156u;  // "VQW2"
 
 struct FrameHeader {
   std::uint32_t magic = kMagic;
@@ -30,6 +30,23 @@ struct FrameHeader {
   std::uint64_t seq = 0;
   std::uint64_t payload_bytes = 0;
 };
+
+FrameHeader make_header(FrameType type, std::uint64_t seq,
+                        std::size_t payload_bytes) {
+  FrameHeader header;
+  header.type = std::uint32_t(type);
+  header.seq = seq;
+  header.payload_bytes = payload_bytes;
+  return header;
+}
+
+/// The trailer: one CRC-32C over header || payload, so a frame delivered
+/// against the wrong sequence or with flipped payload bits is rejected
+/// before any fold.
+std::uint32_t frame_checksum(const FrameHeader& header, const void* payload,
+                             std::size_t payload_bytes) {
+  return crc32c(crc32c(0, &header, sizeof(header)), payload, payload_bytes);
+}
 
 double monotonic_seconds() {
   return std::chrono::duration<double>(
@@ -320,34 +337,44 @@ Socket accept_from(Socket& listener, double deadline_seconds) {
   }
 }
 
+namespace {
+
+/// Write header, payload and trailer; false when the peer is gone.
+bool write_frame(Socket& socket, const FrameHeader& header,
+                 const void* payload, std::size_t payload_bytes,
+                 std::uint32_t checksum, double deadline_seconds) {
+  const double deadline_at = deadline_at_from(deadline_seconds);
+  return send_all(socket.fd(), &header, sizeof(header), deadline_at) &&
+         send_all(socket.fd(), payload, payload_bytes, deadline_at) &&
+         send_all(socket.fd(), &checksum, sizeof(checksum), deadline_at);
+}
+
+}  // namespace
+
 bool send_frame(Socket& socket, FrameType type, std::uint64_t seq,
                 const void* payload, std::size_t payload_bytes,
                 double deadline_seconds) {
-  const double deadline_at = deadline_at_from(deadline_seconds);
-  FrameHeader header;
-  header.type = std::uint32_t(type);
-  header.seq = seq;
-  header.payload_bytes = payload_bytes;
-  // Checksum covers header and payload, so a frame delivered against the
-  // wrong sequence or with flipped payload bits is rejected before any fold.
-  std::uint64_t checksum = fnv1a64(&header, sizeof(header));
-  if (payload_bytes > 0) {
-    // Continue the FNV stream over the payload.
-    const auto* p = static_cast<const unsigned char*>(payload);
-    for (std::size_t i = 0; i < payload_bytes; ++i) {
-      checksum ^= p[i];
-      checksum *= 0x100000001b3ULL;
-    }
-  }
-  if (!send_all(socket.fd(), &header, sizeof(header), deadline_at))
-    return false;
-  if (payload_bytes > 0 &&
-      !send_all(socket.fd(), payload, payload_bytes, deadline_at))
-    return false;
-  return send_all(socket.fd(), &checksum, sizeof(checksum), deadline_at);
+  const FrameHeader header = make_header(type, seq, payload_bytes);
+  return write_frame(socket, header, payload, payload_bytes,
+                     frame_checksum(header, payload, payload_bytes),
+                     deadline_seconds);
 }
 
-bool recv_frame(Socket& socket, Frame& out, double deadline_seconds) {
+void seal(Frame& frame) {
+  frame.checksum =
+      frame_checksum(make_header(frame.type, frame.seq, frame.payload.size()),
+                     frame.payload.data(), frame.payload.size());
+}
+
+bool send_frame(Socket& socket, const Frame& frame, double deadline_seconds) {
+  return write_frame(socket,
+                     make_header(frame.type, frame.seq, frame.payload.size()),
+                     frame.payload.data(), frame.payload.size(),
+                     frame.checksum, deadline_seconds);
+}
+
+bool recv_frame(Socket& socket, Frame& out, double deadline_seconds,
+                std::size_t max_payload_bytes) {
   const double deadline_at = deadline_at_from(deadline_seconds);
   FrameHeader header;
   const std::size_t header_got =
@@ -355,30 +382,28 @@ bool recv_frame(Socket& socket, Frame& out, double deadline_seconds) {
   if (header_got == 0) return false;  // clean EOF at a frame boundary
   VQMC_REQUIRE(header_got == sizeof(header),
                "wire: connection closed inside a frame header");
-  VQMC_REQUIRE(header.magic == kMagic, "wire: bad frame magic (corrupt "
-                                       "stream or non-vqmc peer)");
-  VQMC_REQUIRE(header.payload_bytes <= (std::uint64_t(1) << 32),
-               "wire: implausible frame payload size (corrupt header)");
+  VQMC_REQUIRE(header.magic == kMagic,
+               "wire: bad frame magic (corrupt stream, non-vqmc peer, or a "
+               "peer built with another frame format)");
+  if (header.payload_bytes > max_payload_bytes)
+    throw Error("wire: frame header claims " +
+                std::to_string(header.payload_bytes) +
+                " payload bytes, more than the " +
+                std::to_string(max_payload_bytes) +
+                " this exchange accepts (corrupt stream or hostile peer)");
   out.type = FrameType(header.type);
   out.seq = header.seq;
   out.payload.resize(std::size_t(header.payload_bytes));
-  if (header.payload_bytes > 0) {
-    const std::size_t got = recv_all(socket.fd(), out.payload.data(),
-                                     out.payload.size(), deadline_at);
-    VQMC_REQUIRE(got == out.payload.size(),
-                 "wire: connection closed inside a frame payload");
-  }
-  std::uint64_t wire_checksum = 0;
-  const std::size_t trailer_got = recv_all(socket.fd(), &wire_checksum,
-                                           sizeof(wire_checksum), deadline_at);
-  VQMC_REQUIRE(trailer_got == sizeof(wire_checksum),
+  const std::size_t got = recv_all(socket.fd(), out.payload.data(),
+                                   out.payload.size(), deadline_at);
+  VQMC_REQUIRE(got == out.payload.size(),
+               "wire: connection closed inside a frame payload");
+  const std::size_t trailer_got = recv_all(
+      socket.fd(), &out.checksum, sizeof(out.checksum), deadline_at);
+  VQMC_REQUIRE(trailer_got == sizeof(out.checksum),
                "wire: connection closed inside a frame trailer");
-  std::uint64_t checksum = fnv1a64(&header, sizeof(header));
-  for (const unsigned char byte : out.payload) {
-    checksum ^= byte;
-    checksum *= 0x100000001b3ULL;
-  }
-  VQMC_REQUIRE(checksum == wire_checksum,
+  VQMC_REQUIRE(out.checksum == frame_checksum(header, out.payload.data(),
+                                              out.payload.size()),
                "wire: frame checksum mismatch (corrupt stream)");
   return true;
 }
@@ -387,15 +412,8 @@ bool poll_readable(const Socket& socket, double deadline_seconds) {
   return poll_fd(socket.fd(), POLLIN, deadline_at_from(deadline_seconds));
 }
 
-void encode_reals(std::vector<unsigned char>& out, const Real* data,
+void decode_reals(const Bytes& in, std::size_t offset, Real* data,
                   std::size_t count) {
-  const std::size_t offset = out.size();
-  out.resize(offset + count * sizeof(Real));
-  if (count > 0) std::memcpy(out.data() + offset, data, count * sizeof(Real));
-}
-
-void decode_reals(const std::vector<unsigned char>& in, std::size_t offset,
-                  Real* data, std::size_t count) {
   VQMC_REQUIRE(offset + count * sizeof(Real) <= in.size(),
                "wire: payload shorter than the expected Real span");
   if (count > 0) std::memcpy(data, in.data() + offset, count * sizeof(Real));

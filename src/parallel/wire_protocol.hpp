@@ -6,15 +6,17 @@
 ///
 /// Every message on a rank-to-rank connection is one *frame*:
 ///
-///   [u32 magic "VQWP"] [u32 type] [u64 seq] [u64 payload_bytes]
-///   [payload ...] [u64 fnv1a64(header || payload)]
+///   [u32 magic "VQW2"] [u32 type] [u64 seq] [u64 payload_bytes]
+///   [payload ...] [u32 crc32c(header || payload)]
 ///
 /// Frames are written and read atomically with poll()-enforced deadlines on
 /// non-blocking file descriptors, so a dead or wedged peer can never block a
 /// collective past its deadline — the timeout surfaces as the same typed
-/// vqmc::CommTimeoutError the thread backend throws.  A checksum mismatch or
-/// a torn frame is reported as corruption (vqmc::Error), never silently
-/// folded into a reduction.
+/// vqmc::CommTimeoutError the thread backend throws.  A checksum mismatch, a
+/// torn frame, a foreign magic (including the "VQWP" frames of builds that
+/// checksummed with FNV-1a) or a payload larger than the receiver's bound is
+/// reported as corruption (vqmc::Error), never silently folded into a
+/// reduction; an oversized claim is refused before anything is allocated.
 ///
 /// Endpoints are textual specs:
 ///   * `unix:///path/to/socket`  — AF_UNIX stream socket (same host);
@@ -25,7 +27,10 @@
 /// order (or seconds apart) still find the listener.
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/real.hpp"
@@ -44,11 +49,45 @@ enum class FrameType : std::uint32_t {
   kMetrics = 8,  ///< obs client -> server: Prometheus-text metrics request
 };
 
-/// One decoded frame.
+/// Allocator whose value-less construct() default-initializes, so growing
+/// a byte vector leaves the new bytes unwritten. Frame buffers are
+/// overwritten in full before they are read, and a communicator's buffers
+/// alternate between payload sizes (the trainer's statistics and its
+/// gradient), so zero-filling every regrowth would add a pass over each
+/// payload.
+template <class T>
+struct NoInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = NoInitAllocator<U>;
+  };
+  NoInitAllocator() = default;
+  template <class U>
+  NoInitAllocator(const NoInitAllocator<U>& /*other*/) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A frame payload buffer.
+using Bytes = std::vector<unsigned char, NoInitAllocator<unsigned char>>;
+
+/// One decoded frame.  A Frame kept across calls reuses its payload
+/// storage, so a steady stream of frames allocates nothing once the buffer
+/// has grown to the largest of them.
 struct Frame {
   FrameType type = FrameType::kContrib;
   std::uint64_t seq = 0;
-  std::vector<unsigned char> payload;
+  Bytes payload;
+  /// The trailer: CRC-32C of header || payload, as verified by recv_frame
+  /// or computed by seal().  send_frame(Socket&, const Frame&, ...) writes
+  /// it unchanged.
+  std::uint32_t checksum = 0;
 };
 
 /// A connected (or listening) socket endpoint. Owns the fd.
@@ -105,21 +144,32 @@ bool send_frame(Socket& socket, FrameType type, std::uint64_t seq,
                 const void* payload, std::size_t payload_bytes,
                 double deadline_seconds);
 
-/// Read one frame into `out`. Returns false on a clean or reset connection
-/// end (peer death) *at a frame boundary*; throws vqmc::CommTimeoutError on
-/// deadline expiry and vqmc::Error on a torn frame, bad magic, or checksum
-/// mismatch.
-bool recv_frame(Socket& socket, Frame& out, double deadline_seconds);
+/// Set `frame.checksum` for its current type, seq and payload.
+void seal(Frame& frame);
+
+/// Write `frame` with its stored checksum, computing nothing: a frame
+/// sealed once (or received and verified once) goes to any number of peers
+/// at the cost of the writes alone.  Same return and deadline contract as
+/// the overload above.
+bool send_frame(Socket& socket, const Frame& frame, double deadline_seconds);
+
+/// Read one frame into `out`, reusing its payload storage. Returns false on
+/// a clean or reset connection end (peer death) *at a frame boundary*;
+/// throws vqmc::CommTimeoutError on deadline expiry and vqmc::Error on a
+/// torn frame, bad magic, checksum mismatch, or a header claiming more than
+/// `max_payload_bytes` — the largest payload the caller's exchange accepts,
+/// checked before anything is allocated.
+bool recv_frame(Socket& socket, Frame& out, double deadline_seconds,
+                std::size_t max_payload_bytes);
 
 /// Block until `socket` is readable (or in error/EOF state) for up to
 /// `deadline_seconds` (<= 0 waits forever). Returns true if the socket woke
 /// the poll, false on timeout. Does not consume any bytes.
 bool poll_readable(const Socket& socket, double deadline_seconds);
 
-/// Helpers for Real payloads (the collectives move spans of Real).
-void encode_reals(std::vector<unsigned char>& out, const Real* data,
+/// Copy `count` Reals out of a payload at byte `offset`, checking that the
+/// payload holds them (the collectives move spans of Real).
+void decode_reals(const Bytes& in, std::size_t offset, Real* data,
                   std::size_t count);
-void decode_reals(const std::vector<unsigned char>& in, std::size_t offset,
-                  Real* data, std::size_t count);
 
 }  // namespace vqmc::parallel::wire

@@ -345,4 +345,8 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
       bernoulli_logit_delta_lanes(x, z, base, len, first, last, eps, out))
 }
 
+std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes) {
+  VQMC_DISPATCH(crc32c(crc, data, bytes))
+}
+
 }  // namespace vqmc

@@ -373,4 +373,17 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const std::size_t* last, Real eps,
                                  Real* out);
 
+// ---------------------------------------------------------------------------
+// Integrity checksum of wire frames and checkpoints (DESIGN.md §5h).
+// ---------------------------------------------------------------------------
+
+/// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, initial value and
+/// final xor 0xFFFFFFFF) of `bytes` bytes at `data`, continuing from `crc`,
+/// the CRC-32C of the bytes before them (0 for none), so that
+/// crc32c(crc32c(0, a), b) == crc32c(0, a || b).  The AVX2 and AVX-512
+/// tiers run one chain of the SSE4.2 crc32 instruction, 8 bytes per step;
+/// the generic tier is table-driven, slicing-by-8.  Every tier returns the
+/// value of the byte-at-a-time oracle ref::crc32c.
+std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes);
+
 }  // namespace vqmc

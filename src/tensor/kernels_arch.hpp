@@ -61,6 +61,8 @@ namespace vqmc {
                                    const std::size_t* first,                  \
                                    const std::size_t* last, Real eps,         \
                                    Real* out);                                \
+  std::uint32_t crc32c(std::uint32_t crc, const void* data,                   \
+                       std::size_t bytes);                                    \
   }
 
 VQMC_DECLARE_ARCH_KERNELS(arch_generic)

@@ -1,5 +1,6 @@
 #include "tensor/kernels_ref.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -299,6 +300,32 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
     }
     out[lane] = acc;
   }
+}
+
+namespace {
+
+/// Byte-at-a-time table of the reflected Castagnoli polynomial.
+constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t byte = 0; byte < 256; ++byte) {
+    std::uint32_t c = byte;
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));
+    table[byte] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+
+}  // namespace
+
+std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < bytes; ++i)
+    c = kCrc32cTable[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return ~c;
 }
 
 }  // namespace vqmc::ref

@@ -68,4 +68,7 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const std::size_t* last, Real eps,
                                  Real* out);
 
+/// Table-driven CRC-32C, one byte per step: the oracle of every tier.
+std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes);
+
 }  // namespace vqmc::ref

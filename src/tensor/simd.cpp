@@ -22,6 +22,9 @@ Level cpu_level() {
 #if defined(__x86_64__) || defined(_M_X64)
 #if VQMC_SIMD_AVX2 || VQMC_SIMD_AVX512
   __builtin_cpu_init();
+  // Both SIMD tiers also run crc32c on SSE4.2, which every AVX2 CPU has;
+  // checking it keeps a masked-off feature from reaching the instruction.
+  if (!__builtin_cpu_supports("sse4.2")) return Level::kGeneric;
 #if VQMC_SIMD_AVX512
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl"))

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 
 #include "common/error.hpp"
 #include "nn/made.hpp"
@@ -287,6 +289,62 @@ TEST(TrainingCheckpoint, KeeperRetainsOnlyTheNewestHistory) {
   EXPECT_EQ(load_training_checkpoint(base + ".iter4").iteration, 4);
   for (const std::string& path : keeper.retained()) std::remove(path.c_str());
   std::remove(base.c_str());
+}
+
+TEST(TrainingCheckpoint, KeeperWritesTheSameBytesToBothFiles) {
+  const std::string base = "/tmp/vqmc_keeper_identical_test.bin";
+  CheckpointKeeper keeper(base, 1);
+  TrainingSnapshot snap = example_snapshot();
+  snap.iteration = 7;
+  keeper.write(snap);
+  const std::vector<char> current = read_all_bytes(base);
+  ASSERT_FALSE(current.empty());
+  EXPECT_EQ(read_all_bytes(base + ".iter7"), current);
+  EXPECT_EQ(load_training_checkpoint(base).iteration, 7);
+  EXPECT_EQ(load_training_checkpoint(base + ".iter7").parameters,
+            snap.parameters);
+  std::remove((base + ".iter7").c_str());
+  std::remove(base.c_str());
+}
+
+/// Overwrite eight bytes of a file at `offset` with `value`.
+void patch_u64(const std::string& path, std::size_t offset,
+               std::uint64_t value) {
+  std::vector<char> bytes = read_all_bytes(path);
+  ASSERT_LE(offset + sizeof(value), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  write_all_bytes(path, bytes);
+}
+
+void expect_error_mentioning(const std::function<void()>& load,
+                             const std::string& needle) {
+  try {
+    load();
+    ADD_FAILURE() << "loaded a file of a retired format";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, FnvEraParameterFileIsRejectedByName) {
+  // "VQMCCP01" files carried an FNV-1a checksum; this build reads only
+  // "VQMCCP02" (CRC-32C) and names the old format when it meets one.
+  CheckpointCleanup cleanup;
+  Made made(5, 3);
+  save_checkpoint(kPath, made);
+  patch_u64(kPath, 0, 0x56514d43'43503031ULL);  // "VQMCCP01"
+  Made target(5, 3);
+  expect_error_mentioning([&] { load_checkpoint(kPath, target); },
+                          "VQMCCP01");
+}
+
+TEST(TrainingCheckpoint, VersionOneFileIsRejected) {
+  CheckpointCleanup cleanup;
+  save_training_checkpoint(kPath, example_snapshot());
+  patch_u64(kPath, 8, 1);  // format version 1: the FNV-1a trailer
+  expect_error_mentioning([&] { (void)load_training_checkpoint(kPath); },
+                          "unsupported format version 1");
 }
 
 TEST(Checkpoint, FsyncParentDirectoryCoversEveryPathShape) {

@@ -10,8 +10,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -34,6 +37,31 @@ std::string fresh_unix_endpoint(const char* tag) {
 // ---------------------------------------------------------------------------
 // Wire protocol
 
+/// Payload bound for the wire tests' small frames.
+constexpr std::size_t kTestMaxPayload = 1024;
+
+/// Write raw bytes into a socket (hand-built or mutated frames).
+void send_raw(const wire::Socket& socket,
+              const std::vector<unsigned char>& raw) {
+  ASSERT_EQ(::send(socket.fd(), raw.data(), raw.size(), 0),
+            ssize_t(raw.size()));
+}
+
+/// A frame header as the wire lays it out: magic, type, seq, payload bytes.
+std::vector<unsigned char> raw_header(std::uint32_t magic, wire::FrameType type,
+                                      std::uint64_t seq,
+                                      std::uint64_t payload_bytes) {
+  std::vector<unsigned char> raw(24);
+  const auto type_word = std::uint32_t(type);
+  std::memcpy(raw.data(), &magic, 4);
+  std::memcpy(raw.data() + 4, &type_word, 4);
+  std::memcpy(raw.data() + 8, &seq, 8);
+  std::memcpy(raw.data() + 16, &payload_bytes, 8);
+  return raw;
+}
+
+constexpr std::uint32_t kFrameMagic = 0x32575156u;  // "VQW2" little-endian
+
 TEST(WireProtocol, FrameRoundTripOverSocketPair) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -41,13 +69,13 @@ TEST(WireProtocol, FrameRoundTripOverSocketPair) {
   wire::Socket b(fds[1]);
 
   const std::vector<Real> payload = {1.5, -2.25, 3.0e17, 0.0};
-  std::vector<unsigned char> bytes;
-  wire::encode_reals(bytes, payload.data(), payload.size());
+  std::vector<unsigned char> bytes(payload.size() * sizeof(Real));
+  std::memcpy(bytes.data(), payload.data(), bytes.size());
   ASSERT_TRUE(wire::send_frame(a, wire::FrameType::kContrib, 42, bytes.data(),
                                bytes.size(), 5.0));
 
   wire::Frame frame;
-  ASSERT_TRUE(wire::recv_frame(b, frame, 5.0));
+  ASSERT_TRUE(wire::recv_frame(b, frame, 5.0, kTestMaxPayload));
   EXPECT_EQ(frame.type, wire::FrameType::kContrib);
   EXPECT_EQ(frame.seq, 42u);
   std::vector<Real> decoded(payload.size());
@@ -63,7 +91,7 @@ TEST(WireProtocol, EofReportsPeerDeathNotError) {
   wire::Socket b(fds[1]);
   a.close();
   wire::Frame frame;
-  EXPECT_FALSE(wire::recv_frame(b, frame, 5.0));
+  EXPECT_FALSE(wire::recv_frame(b, frame, 5.0, kTestMaxPayload));
 }
 
 TEST(WireProtocol, RecvDeadlineThrowsCommTimeout) {
@@ -72,7 +100,8 @@ TEST(WireProtocol, RecvDeadlineThrowsCommTimeout) {
   wire::Socket a(fds[0]);
   wire::Socket b(fds[1]);
   wire::Frame frame;
-  EXPECT_THROW((void)wire::recv_frame(b, frame, 0.05), CommTimeoutError);
+  EXPECT_THROW((void)wire::recv_frame(b, frame, 0.05, kTestMaxPayload),
+               CommTimeoutError);
 }
 
 TEST(WireProtocol, CorruptChecksumIsAProtocolError) {
@@ -89,7 +118,7 @@ TEST(WireProtocol, CorruptChecksumIsAProtocolError) {
   // Read the intact frame first to prove the channel works, then check that
   // garbage fails loudly rather than decoding to nonsense.
   wire::Frame frame;
-  ASSERT_TRUE(wire::recv_frame(b, frame, 5.0));
+  ASSERT_TRUE(wire::recv_frame(b, frame, 5.0, kTestMaxPayload));
   EXPECT_EQ(frame.payload.size(), sizeof(payload));
 
   int fds2[2];
@@ -106,14 +135,110 @@ TEST(WireProtocol, CorruptChecksumIsAProtocolError) {
     raw.insert(raw.end(), reinterpret_cast<unsigned char*>(&v),
                reinterpret_cast<unsigned char*>(&v) + 8);
   };
-  put32(0x50575156u);  // "VQWP" little-endian
+  put32(0x32575156u);  // "VQW2" little-endian
   put32(std::uint32_t(wire::FrameType::kContrib));
   put64(0);
   put64(8);
   for (int i = 0; i < 16; ++i) raw.push_back(0xAB);  // payload + bad checksum
   ASSERT_EQ(::send(c.fd(), raw.data(), raw.size(), 0), ssize_t(raw.size()));
   wire::Frame bad;
-  EXPECT_THROW((void)wire::recv_frame(d, bad, 5.0), Error);
+  EXPECT_THROW((void)wire::recv_frame(d, bad, 5.0, kTestMaxPayload), Error);
+}
+
+TEST(WireProtocol, EveryOneBitFlipOfAFrameIsATypedError) {
+  // Capture one small frame's wire image: 24-byte header, 8-byte payload,
+  // 4-byte CRC-32C trailer.
+  std::vector<unsigned char> image;
+  {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    wire::Socket a(fds[0]);
+    wire::Socket b(fds[1]);
+    const double payload = -3.75;
+    ASSERT_TRUE(wire::send_frame(a, wire::FrameType::kResult, 9, &payload,
+                                 sizeof(payload), 5.0));
+    image.resize(24 + 8 + 4);
+    ASSERT_EQ(::recv(b.fd(), image.data(), image.size(), MSG_WAITALL),
+              ssize_t(image.size()));
+  }
+  constexpr std::size_t kLengthField = 16;  // header bytes 16..23
+  for (std::size_t offset = 0; offset < image.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<unsigned char> mutated = image;
+      mutated[offset] =
+          static_cast<unsigned char>(mutated[offset] ^ (1u << bit));
+      int fds[2];
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+      wire::Socket a(fds[0]);
+      wire::Socket b(fds[1]);
+      send_raw(a, mutated);
+      a.close();  // a length that outruns the bytes ends in a torn frame
+      wire::Frame frame;
+      std::string what;
+      try {
+        (void)wire::recv_frame(b, frame, 5.0, kTestMaxPayload);
+      } catch (const CommTimeoutError& e) {
+        FAIL() << "offset " << offset << " bit " << bit << ": timeout "
+               << e.what();
+      } catch (const Error& e) {
+        what = e.what();
+      }
+      ASSERT_FALSE(what.empty())
+          << "offset " << offset << " bit " << bit << " was accepted";
+      // The magic and the length are checked before the checksum can be
+      // computed; every other bit — type, seq, payload, trailer — is the
+      // checksum's to catch.
+      const char* expected =
+          offset < 4 ? "bad frame magic"
+          : offset >= kLengthField && offset < kLengthField + 8 ? "wire: "
+                                                                : "checksum";
+      EXPECT_NE(what.find(expected), std::string::npos)
+          << "offset " << offset << " bit " << bit << ": " << what;
+    }
+  }
+}
+
+TEST(WireProtocol, FnvEraFrameGetsTheBadMagicError) {
+  // A frame from a build that checksummed with FNV-1a: magic "VQWP" and a
+  // u64 trailer.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  wire::Socket a(fds[0]);
+  wire::Socket b(fds[1]);
+  std::vector<unsigned char> raw =
+      raw_header(0x50575156u, wire::FrameType::kContrib, 0, 8);
+  raw.insert(raw.end(), 16, 0x5A);  // payload + old 8-byte trailer
+  send_raw(a, raw);
+  wire::Frame frame;
+  try {
+    (void)wire::recv_frame(b, frame, 5.0, kTestMaxPayload);
+    FAIL() << "a VQWP frame was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad frame magic"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WireProtocol, PayloadClaimAboveTheBoundFailsBeforeReading) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  wire::Socket a(fds[0]);
+  wire::Socket b(fds[1]);
+  send_raw(a, raw_header(kFrameMagic, wire::FrameType::kContrib, 0,
+                         0xFFFFFFFFull));
+  wire::Frame frame;
+  try {
+    (void)wire::recv_frame(b, frame, 5.0, kTestMaxPayload);
+    FAIL() << "a 4 GiB claim was accepted";
+  } catch (const CommTimeoutError& e) {
+    FAIL() << "waited for the claimed payload: " << e.what();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kTestMaxPayload)), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(frame.payload.capacity(), 0u);  // nothing was allocated
 }
 
 TEST(WireProtocol, ConnectRetriesWithBackoffUntilListenerAppears) {
@@ -124,7 +249,7 @@ TEST(WireProtocol, ConnectRetriesWithBackoffUntilListenerAppears) {
     wire::Listener listener = wire::listen_on(endpoint);
     wire::Socket conn = wire::accept_from(listener.socket, 5.0);
     wire::Frame frame;
-    (void)wire::recv_frame(conn, frame, 5.0);
+    (void)wire::recv_frame(conn, frame, 5.0, kTestMaxPayload);
   });
   wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/7,
                                        &attempts);
@@ -177,6 +302,100 @@ TEST(SocketCommunicator, SingleRankGroupIsSelfContained) {
     EXPECT_DOUBLE_EQ(value, 5.0);
     comm.barrier();
   });
+}
+
+/// Runs rank 0 of a 2-rank group in a thread while the test plays rank 1
+/// by hand; records what rank 0 threw and how long it took.
+struct LoneRoot {
+  std::exception_ptr error;
+  double seconds = 0;
+  std::thread thread;
+
+  LoneRoot(const std::string& endpoint, const SocketGroupOptions& options,
+           const std::function<void(Communicator&)>& body) {
+    thread = std::thread([this, endpoint, options, body] {
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        body(*connect_socket_group(endpoint, 0, 2, options));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    });
+  }
+  ~LoneRoot() {
+    if (thread.joinable()) thread.join();
+  }
+  LoneRoot(const LoneRoot&) = delete;
+  LoneRoot& operator=(const LoneRoot&) = delete;
+
+  /// The message of the vqmc::Error rank 0 threw; fails the test on no
+  /// error or a CommTimeoutError (a wait on the claimed bytes).
+  std::string error_message() {
+    thread.join();
+    if (!error) {
+      ADD_FAILURE() << "rank 0 accepted the lying header";
+      return {};
+    }
+    try {
+      std::rethrow_exception(error);
+    } catch (const CommTimeoutError& e) {
+      ADD_FAILURE() << "rank 0 waited for the claimed payload: " << e.what();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return {};
+  }
+};
+
+constexpr std::uint64_t kLyingClaim = 0xFFFFFFFFull;  // 2^32 - 1 bytes
+
+TEST(SocketCommunicator, LyingRendezvousHeaderFailsBeforeAllocating) {
+  // Rank 0 bounds a HELLO by its largest legal size (rank + one endpoint
+  // string), so a header claiming 4 GiB is refused at once instead of
+  // being allocated and waited for until the rendezvous deadline.
+  const std::string endpoint = fresh_unix_endpoint("lyinghello");
+  SocketGroupOptions options;
+  options.rendezvous_timeout_seconds = 10;
+  LoneRoot root(endpoint, options, [](Communicator&) {});
+  wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/3);
+  send_raw(conn, raw_header(kFrameMagic, wire::FrameType::kHello, 0,
+                            kLyingClaim));
+  const std::string what = root.error_message();
+  EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(2 * 8 + 4096)), std::string::npos)
+      << what;
+  EXPECT_LT(root.seconds, 5.0);
+}
+
+TEST(SocketCommunicator, LyingCollectiveHeaderFailsBeforeAllocating) {
+  // Rank 0 bounds a CONTRIB by its exact size for the collective at hand:
+  // 24 header bytes + 8 per real + one liveness byte per covered rank.
+  constexpr std::size_t kCount = 1000;
+  const std::string endpoint = fresh_unix_endpoint("lyingcontrib");
+  SocketGroupOptions options;
+  options.timeout_seconds = 10;
+  LoneRoot root(endpoint, options, [](Communicator& comm) {
+    std::vector<Real> data(kCount, 1.0);
+    comm.allreduce_sum(data);
+  });
+  // Rank 1 by hand: HELLO [rank 1][no listen endpoint], then WELCOME.
+  wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/4);
+  const std::uint64_t hello[2] = {1, 0};
+  ASSERT_TRUE(wire::send_frame(conn, wire::FrameType::kHello, 0, hello,
+                               sizeof(hello), 10.0));
+  wire::Frame welcome;
+  ASSERT_TRUE(wire::recv_frame(conn, welcome, 10.0, kTestMaxPayload));
+  ASSERT_EQ(welcome.type, wire::FrameType::kWelcome);
+  send_raw(conn, raw_header(kFrameMagic, wire::FrameType::kContrib, 0,
+                            kLyingClaim));
+  const std::string what = root.error_message();
+  EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+  EXPECT_NE(what.find(std::to_string(24 + 8 * kCount + 1)), std::string::npos)
+      << what;
+  EXPECT_LT(root.seconds, 5.0);
 }
 
 TEST(SocketCommunicator, HierarchicalTreeReducesCorrectlyAndDeterministically) {

@@ -796,5 +796,69 @@ TEST(SimdKernels, BernoulliLogitDeltaLanesMatchesReferenceForEveryTailLengthAcro
   }
 }
 
+// ---------------------------------------------------------------------------
+// CRC-32C, the frame and checkpoint checksum.
+// ---------------------------------------------------------------------------
+
+TEST(SimdKernels, Crc32cMatchesRfc3720VectorsAtEveryLevel) {
+  // RFC 3720 §B.4 test vectors, plus the customary "123456789" check value.
+  std::vector<unsigned char> zeros(32, 0x00), ones(32, 0xFF), up(32), down(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<unsigned char>(i);
+    down[i] = static_cast<unsigned char>(31 - i);
+  }
+  const char digits[] = "123456789";
+  const struct {
+    const char* label;
+    const void* data;
+    std::size_t bytes;
+    std::uint32_t crc;
+  } vectors[] = {
+      {"32 x 0x00", zeros.data(), 32, 0x8A9136AAu},
+      {"32 x 0xFF", ones.data(), 32, 0x62A8AB43u},
+      {"0x00..0x1F", up.data(), 32, 0x46DD794Eu},
+      {"0x1F..0x00", down.data(), 32, 0x113FDB5Cu},
+      {"123456789", digits, 9, 0xE3069283u},
+  };
+  for (const auto& v : vectors)
+    EXPECT_EQ(ref::crc32c(0, v.data, v.bytes), v.crc) << "ref " << v.label;
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (const auto& v : vectors)
+      EXPECT_EQ(crc32c(0, v.data, v.bytes), v.crc)
+          << simd::level_name(level) << " " << v.label;
+    EXPECT_EQ(crc32c(0, nullptr, 0), 0u) << simd::level_name(level);
+  }
+}
+
+TEST(SimdKernels, Crc32cEqualsReferenceForEveryLengthAlignmentAndSplit) {
+  // Lengths 0..300 from each of the 8 start offsets within a word, so the
+  // 8-byte loop meets every alignment and every byte-tail length; each
+  // buffer is also checksummed in two chained pieces split at every
+  // length's midpoint and at a word boundary.
+  std::vector<unsigned char> buffer(300 + 8 + 8);
+  rng::Xoshiro256 gen(0xc5c);
+  for (unsigned char& b : buffer)
+    b = static_cast<unsigned char>(rng::uniform(gen, 0.0, 256.0));
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (std::size_t align = 0; align < 8; ++align) {
+      for (std::size_t len = 0; len <= 300; ++len) {
+        const unsigned char* p = buffer.data() + align;
+        const std::uint32_t want = ref::crc32c(0, p, len);
+        ASSERT_EQ(crc32c(0, p, len), want)
+            << simd::level_name(level) << " align=" << align
+            << " len=" << len;
+        for (const std::size_t cut : {len / 2, std::min<std::size_t>(8, len)})
+          ASSERT_EQ(crc32c(crc32c(0, p, cut), p + cut, len - cut), want)
+              << simd::level_name(level) << " align=" << align
+              << " len=" << len << " cut=" << cut;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vqmc
