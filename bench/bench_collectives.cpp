@@ -65,6 +65,8 @@ struct AllreduceCase {
 };
 constexpr AllreduceCase kAllreduceCases[] = {
     {2, 30'454}, {2, 479'239}, {4, 30'454}, {4, 479'239}, {4, 8'490'424}};
+/// Most timed allreduce calls per case.
+constexpr int kMaxAllreduceCalls = 200;
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -171,8 +173,7 @@ Real rank_value(int rank, std::size_t i) {
   return Real(rank + 1) * Real(i % 7 + 1) * 0.5;
 }
 
-AllreduceResult run_allreduce(int ranks, std::size_t dim, double seconds,
-                              int max_calls) {
+AllreduceResult run_allreduce(int ranks, std::size_t dim, double seconds) {
   std::vector<double> times_ms;  // rank 0's
   std::vector<long long> mismatches(std::size_t(ranks), 0);
   const Real rank_sum = Real(ranks) * Real(ranks + 1) / 2;
@@ -200,7 +201,7 @@ AllreduceResult run_allreduce(int ranks, std::size_t dim, double seconds,
     Real calls = 0;
     if (rank == 0)
       calls = Real(std::clamp(int(seconds / std::max(warm_s, 1e-6)), 3,
-                              max_calls));
+                              kMaxAllreduceCalls));
     calls = comm.allreduce_sum(calls);
     for (int c = 0; c < int(calls); ++c) {
       fill();
@@ -232,7 +233,6 @@ int main(int argc, char** argv) {
   opts.add_option("repeats", "5", "checksum blocks per function (median)");
   opts.add_option("seconds", "0.2",
                   "target time per checksum block and per allreduce case");
-  opts.add_option("max-calls", "200", "most timed allreduce calls per case");
   opts.add_option("max-dim", "8490424",
                   "skip allreduce cases with more reals than this");
   opts.add_option("commit", "unknown", "commit id recorded in the artifact");
@@ -241,7 +241,6 @@ int main(int argc, char** argv) {
 
   const int repeats = opts.get_int("repeats");
   const double seconds = opts.get_double("seconds");
-  const int max_calls = opts.get_int("max-calls");
   const auto max_dim = std::size_t(opts.get_int("max-dim"));
   const char* simd_level = simd::level_name(simd::active_level());
 #ifdef _OPENMP
@@ -273,7 +272,7 @@ int main(int argc, char** argv) {
   std::vector<AllreduceResult> allreduces;
   for (const AllreduceCase& c : kAllreduceCases)
     if (c.dim <= max_dim)
-      allreduces.push_back(run_allreduce(c.ranks, c.dim, seconds, max_calls));
+      allreduces.push_back(run_allreduce(c.ranks, c.dim, seconds));
   Table allreduce_table("Socket allreduce_sum, flat star (ms per call)");
   allreduce_table.set_header(
       {"ranks", "d", "calls", "p25", "median", "p75", "mismatches"});

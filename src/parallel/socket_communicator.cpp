@@ -54,7 +54,7 @@ void store_u64(unsigned char* at, std::uint64_t value) {
   std::memcpy(at, &value, sizeof(value));
 }
 
-std::uint64_t get_u64(const wire::Bytes& in,
+std::uint64_t get_u64(const std::vector<unsigned char>& in,
                       std::size_t& offset) {
   VQMC_REQUIRE(offset + sizeof(std::uint64_t) <= in.size(),
                "socket comm: frame payload truncated");
@@ -69,7 +69,7 @@ void put_string(std::vector<unsigned char>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-std::string get_string(const wire::Bytes& in,
+std::string get_string(const std::vector<unsigned char>& in,
                        std::size_t& offset) {
   const std::uint64_t length = get_u64(in, offset);
   VQMC_REQUIRE(length <= kMaxStringBytes && offset + length <= in.size(),
@@ -382,7 +382,7 @@ bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
       handle_child_death(child, "connection reset");
       continue;
     }
-    const wire::Bytes& payload = recv_.payload;
+    const std::vector<unsigned char>& payload = recv_.payload;
     if (recv_.type == FrameType::kAbort) {
       abort_group(std::string(payload.begin(), payload.end()));
       throw_aborted();
@@ -476,7 +476,7 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
   if (rank_ == 0) {
     // The root folds every contribution straight into the RESULT payload,
     // then checksums it once for all of its children.
-    wire::Bytes& result = result_.payload;
+    std::vector<unsigned char>& result = result_.payload;
     result.resize(reals_at + data_bytes);
     const bool have_fold =
         collect_and_fold(op, data, bcast_root, result.data() + reals_at);
@@ -555,7 +555,7 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
                   ") died; this subtree cannot continue");
       throw_aborted();
     }
-    const wire::Bytes& result = recv_.payload;
+    const std::vector<unsigned char>& result = recv_.payload;
     if (recv_.type == FrameType::kAbort) {
       abort_group(std::string(result.begin(), result.end()));
       throw_aborted();

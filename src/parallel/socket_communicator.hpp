@@ -165,7 +165,7 @@ class SocketCommunicator final : public Communicator {
   // allocates nothing of payload size.
   wire::Frame recv_;    ///< a child's CONTRIB, or the RESULT from upstream
   wire::Frame result_;  ///< the root's RESULT, the fold target
-  wire::Bytes contrib_;  ///< CONTRIB sent upstream
+  std::vector<unsigned char> contrib_;  ///< CONTRIB sent upstream
 };
 
 /// Join (or, for rank 0, host) the socket group rendezvous at `endpoint`

@@ -412,8 +412,8 @@ bool poll_readable(const Socket& socket, double deadline_seconds) {
   return poll_fd(socket.fd(), POLLIN, deadline_at_from(deadline_seconds));
 }
 
-void decode_reals(const Bytes& in, std::size_t offset, Real* data,
-                  std::size_t count) {
+void decode_reals(const std::vector<unsigned char>& in, std::size_t offset,
+                  Real* data, std::size_t count) {
   VQMC_REQUIRE(offset + count * sizeof(Real) <= in.size(),
                "wire: payload shorter than the expected Real span");
   if (count > 0) std::memcpy(data, in.data() + offset, count * sizeof(Real));

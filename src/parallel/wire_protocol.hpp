@@ -27,10 +27,7 @@
 /// order (or seconds apart) still find the listener.
 
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tensor/real.hpp"
@@ -49,41 +46,13 @@ enum class FrameType : std::uint32_t {
   kMetrics = 8,  ///< obs client -> server: Prometheus-text metrics request
 };
 
-/// Allocator whose value-less construct() default-initializes, so growing
-/// a byte vector leaves the new bytes unwritten. Frame buffers are
-/// overwritten in full before they are read, and a communicator's buffers
-/// alternate between payload sizes (the trainer's statistics and its
-/// gradient), so zero-filling every regrowth would add a pass over each
-/// payload.
-template <class T>
-struct NoInitAllocator : std::allocator<T> {
-  template <class U>
-  struct rebind {
-    using other = NoInitAllocator<U>;
-  };
-  NoInitAllocator() = default;
-  template <class U>
-  NoInitAllocator(const NoInitAllocator<U>& /*other*/) noexcept {}
-  template <class U>
-  void construct(U* p) noexcept {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
-};
-
-/// A frame payload buffer.
-using Bytes = std::vector<unsigned char, NoInitAllocator<unsigned char>>;
-
 /// One decoded frame.  A Frame kept across calls reuses its payload
 /// storage, so a steady stream of frames allocates nothing once the buffer
 /// has grown to the largest of them.
 struct Frame {
   FrameType type = FrameType::kContrib;
   std::uint64_t seq = 0;
-  Bytes payload;
+  std::vector<unsigned char> payload;
   /// The trailer: CRC-32C of header || payload, as verified by recv_frame
   /// or computed by seal().  send_frame(Socket&, const Frame&, ...) writes
   /// it unchanged.
@@ -169,7 +138,7 @@ bool poll_readable(const Socket& socket, double deadline_seconds);
 
 /// Copy `count` Reals out of a payload at byte `offset`, checking that the
 /// payload holds them (the collectives move spans of Real).
-void decode_reals(const Bytes& in, std::size_t offset, Real* data,
-                  std::size_t count);
+void decode_reals(const std::vector<unsigned char>& in, std::size_t offset,
+                  Real* data, std::size_t count);
 
 }  // namespace vqmc::parallel::wire

@@ -320,7 +320,7 @@ void expect_error_mentioning(const std::function<void()>& load,
                              const std::string& needle) {
   try {
     load();
-    ADD_FAILURE() << "loaded a file of a retired format";
+    ADD_FAILURE() << "loaded a file it should have rejected";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << e.what();
@@ -345,6 +345,28 @@ TEST(TrainingCheckpoint, VersionOneFileIsRejected) {
   patch_u64(kPath, 8, 1);  // format version 1: the FNV-1a trailer
   expect_error_mentioning([&] { (void)load_training_checkpoint(kPath); },
                           "unsupported format version 1");
+}
+
+TEST(Checkpoint, BytesAfterTheChecksumAreRejected) {
+  // A record ends at its trailer: one byte appended to a valid parameter
+  // file or training file is refused, not ignored.
+  CheckpointCleanup cleanup;
+  Made made(5, 3);
+  randomize(made, 8);
+  save_checkpoint(kPath, made);
+  std::vector<char> bytes = read_all_bytes(kPath);
+  bytes.push_back('\0');
+  write_all_bytes(kPath, bytes);
+  Made target(5, 3);
+  expect_error_mentioning([&] { load_checkpoint(kPath, target); },
+                          "bytes after its checksum");
+
+  save_training_checkpoint(kPath, example_snapshot());
+  bytes = read_all_bytes(kPath);
+  bytes.push_back('\0');
+  write_all_bytes(kPath, bytes);
+  expect_error_mentioning([&] { (void)load_training_checkpoint(kPath); },
+                          "bytes after its checksum");
 }
 
 TEST(Checkpoint, FsyncParentDirectoryCoversEveryPathShape) {
