@@ -1,6 +1,5 @@
 #include "bench_common.hpp"
 
-#include <array>
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -64,7 +63,8 @@ ComboResult run_combo(const Hamiltonian& hamiltonian,
   ComboResult result;
   result.history = trainer.history();
   result.train_seconds = trainer.training_seconds();
-  result.phase_totals = sum_phases(result.history);
+  for (const IterationMetrics& m : result.history)
+    result.phase_totals += m.phases;
 
   Matrix samples;
   const EnergyEstimate est =
@@ -81,45 +81,15 @@ ComboResult run_combo(const Hamiltonian& hamiltonian,
   return result;
 }
 
-PhaseBreakdown sum_phases(const std::vector<IterationMetrics>& history) {
-  PhaseBreakdown total;
-  for (const IterationMetrics& m : history) {
-    total.sample += m.phases.sample;
-    total.local_energy += m.phases.local_energy;
-    total.gradient += m.phases.gradient;
-    total.sr_solve += m.phases.sr_solve;
-    total.allreduce += m.phases.allreduce;
-    total.optimizer += m.phases.optimizer;
-    total.checkpoint += m.phases.checkpoint;
-  }
-  return total;
-}
-
-namespace {
-
-/// The phases in reporting order, under their metrics-JSON names.
-std::array<std::pair<const char*, double>, 7> named_phases(
-    const PhaseBreakdown& phases) {
-  return {{{"sample", phases.sample},
-           {"local_energy", phases.local_energy},
-           {"gradient", phases.gradient},
-           {"sr", phases.sr_solve},
-           {"allreduce", phases.allreduce},
-           {"optimizer", phases.optimizer},
-           {"checkpoint", phases.checkpoint}}};
-}
-
-}  // namespace
-
 std::string format_phase_breakdown(const PhaseBreakdown& phases) {
   const double total = phases.total();
   if (total <= 0) return "";
   std::string out;
-  for (const auto& [name, seconds] : named_phases(phases)) {
-    const double share = seconds / total;
+  for (const Phase& phase : kPhases) {
+    const double share = phases.*phase.member / total;
     if (share < 0.005) continue;
     if (!out.empty()) out += " | ";
-    out += name;
+    out += phase.name;
     out += ' ';
     out += std::to_string(int(std::lround(share * 100)));
     out += '%';
@@ -131,8 +101,8 @@ std::string phases_to_json(const PhaseBreakdown& phases) {
   std::ostringstream json;
   json << '{';
   const char* sep = "";
-  for (const auto& [name, seconds] : named_phases(phases)) {
-    json << sep << '"' << name << "\": " << seconds;
+  for (const Phase& phase : kPhases) {
+    json << sep << '"' << phase.name << "\": " << phases.*phase.member;
     sep = ", ";
   }
   json << '}';

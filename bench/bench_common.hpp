@@ -65,18 +65,15 @@ struct ComboResult {
   std::vector<IterationMetrics> history;
 };
 
-/// Sum the per-iteration phase breakdowns of a history.
-PhaseBreakdown sum_phases(const std::vector<IterationMetrics>& history);
-
-/// One-line phase attribution, e.g.
+/// One-line phase attribution in kPhases order, e.g.
 /// "sample 42% | local_energy 31% | gradient 18% | optimizer 9%" (phases
 /// below 0.5% of the total are omitted; empty string when nothing was
 /// attributed).
 std::string format_phase_breakdown(const PhaseBreakdown& phases);
 
-/// The seven phases as a JSON object of seconds, keyed like the trainer's
-/// metrics JSON: {"sample": s, "local_energy": s, "gradient": s, "sr": s,
-/// "allreduce": s, "optimizer": s, "checkpoint": s}.
+/// Every kPhases row as a JSON object of seconds, keyed by the row's name
+/// like the trainer's metrics JSON: {"sample": s, ..., "sr": s, ...,
+/// "checkpoint": s}.
 std::string phases_to_json(const PhaseBreakdown& phases);
 
 /// Build the (model, sampler, optimizer) combo from row labels and train it

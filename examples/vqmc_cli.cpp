@@ -198,25 +198,16 @@ int main(int argc, char** argv) {
               << format_fixed(trainer.training_seconds(), 2) << " s\n";
 
     // Phase attribution over the whole run (DESIGN.md §5d).
-    PhaseBreakdown phase_totals;
-    for (const IterationMetrics& m : trainer.history()) {
-      phase_totals.sample += m.phases.sample;
-      phase_totals.local_energy += m.phases.local_energy;
-      phase_totals.gradient += m.phases.gradient;
-      phase_totals.sr_solve += m.phases.sr_solve;
-      phase_totals.allreduce += m.phases.allreduce;
-      phase_totals.optimizer += m.phases.optimizer;
-      phase_totals.checkpoint += m.phases.checkpoint;
-    }
-    if (phase_totals.total() > 0) {
-      std::cout << "phases: sample "
-                << format_fixed(phase_totals.sample, 2) << "s | local_energy "
-                << format_fixed(phase_totals.local_energy, 2)
-                << "s | gradient " << format_fixed(phase_totals.gradient, 2)
-                << "s | sr " << format_fixed(phase_totals.sr_solve, 2)
-                << "s | optimizer " << format_fixed(phase_totals.optimizer, 2)
-                << "s | checkpoint "
-                << format_fixed(phase_totals.checkpoint, 2) << "s\n";
+    PhaseBreakdown totals;
+    for (const IterationMetrics& m : trainer.history()) totals += m.phases;
+    if (totals.total() > 0) {
+      const char* sep = "phases: ";
+      for (const Phase& phase : kPhases) {
+        std::cout << sep << phase.name << ' '
+                  << format_fixed(totals.*phase.member, 2) << 's';
+        sep = " | ";
+      }
+      std::cout << '\n';
     }
 
     const health::HealthCounters& hc = trainer.health_counters();

@@ -50,8 +50,9 @@ std::string sanitize_reason(const std::string& reason) {
 std::string metrics_to_csv(const std::vector<IterationMetrics>& history) {
   std::ostringstream oss;
   oss << "iteration,energy,std_dev,best_energy,seconds,guard_trips,"
-         "guard_reason,sample_seconds,local_energy_seconds,gradient_seconds,"
-         "sr_seconds,allreduce_seconds,optimizer_seconds,checkpoint_seconds\n";
+         "guard_reason";
+  for (const Phase& phase : kPhases) oss << ',' << phase.key;
+  oss << '\n';
   for (const IterationMetrics& m : history) {
     oss << m.iteration << ',';
     emit_number(oss, m.energy);
@@ -62,13 +63,9 @@ std::string metrics_to_csv(const std::vector<IterationMetrics>& history) {
     oss << ',';
     emit_number(oss, m.seconds);
     oss << ',' << m.guard_trips << ',' << sanitize_reason(m.guard_reason);
-    const double phase_values[] = {
-        m.phases.sample,    m.phases.local_energy, m.phases.gradient,
-        m.phases.sr_solve,  m.phases.allreduce,    m.phases.optimizer,
-        m.phases.checkpoint};
-    for (const double v : phase_values) {
+    for (const Phase& phase : kPhases) {
       oss << ',';
-      emit_number(oss, v);
+      emit_number(oss, m.phases.*phase.member);
     }
     oss << '\n';
   }
@@ -91,20 +88,13 @@ std::string metrics_to_json(const std::vector<IterationMetrics>& history) {
     emit_number(oss, m.seconds);
     oss << ", \"guard_trips\": " << m.guard_trips << ", \"guard_reason\": \""
         << sanitize_reason(m.guard_reason) << "\"";
-    oss << ", \"phases\": {\"sample\": ";
-    emit_number(oss, m.phases.sample);
-    oss << ", \"local_energy\": ";
-    emit_number(oss, m.phases.local_energy);
-    oss << ", \"gradient\": ";
-    emit_number(oss, m.phases.gradient);
-    oss << ", \"sr\": ";
-    emit_number(oss, m.phases.sr_solve);
-    oss << ", \"allreduce\": ";
-    emit_number(oss, m.phases.allreduce);
-    oss << ", \"optimizer\": ";
-    emit_number(oss, m.phases.optimizer);
-    oss << ", \"checkpoint\": ";
-    emit_number(oss, m.phases.checkpoint);
+    oss << ", \"phases\": {";
+    const char* sep = "";
+    for (const Phase& phase : kPhases) {
+      oss << sep << '"' << phase.name << "\": ";
+      emit_number(oss, m.phases.*phase.member);
+      sep = ", ";
+    }
     oss << "}}";
   }
   oss << (history.empty() ? "]" : "\n]");

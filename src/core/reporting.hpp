@@ -16,14 +16,13 @@
 namespace vqmc {
 
 /// CSV with header
-/// `iteration,energy,std_dev,best_energy,seconds,guard_trips,guard_reason,`
-/// `sample_seconds,local_energy_seconds,gradient_seconds,sr_seconds,`
-/// `allreduce_seconds,optimizer_seconds,checkpoint_seconds` — the trailing
-/// seven columns are the iteration's phase breakdown (DESIGN.md §5d).
+/// `iteration,energy,std_dev,best_energy,seconds,guard_trips,guard_reason`
+/// followed by one `<name>_seconds` column per kPhases row, in table order
+/// (common/phases.hpp, DESIGN.md §5d): the iteration's phase breakdown.
 std::string metrics_to_csv(const std::vector<IterationMetrics>& history);
 
 /// JSON array of objects with the same fields; the phase breakdown is a
-/// nested `"phases"` object. Numbers are emitted with enough digits to
+/// nested `"phases"` object keyed by the kPhases names. Numbers are emitted with enough digits to
 /// round-trip doubles; non-finite energies (guard-tripped iterations)
 /// serialize as null.
 std::string metrics_to_json(const std::vector<IterationMetrics>& history);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -42,6 +43,47 @@ std::string on_ranks(int bad, int live) {
   return " on " + std::to_string(bad) + " of " + std::to_string(live) +
          " rank(s)";
 }
+
+/// Times one phase of the step: opens the phase's span under its kPhases
+/// name and, when the scope ends, adds the elapsed wall seconds to the
+/// phase's member, so the span and the seconds cover the same interval.
+/// Under -DVQMC_TELEMETRY=OFF only the span compiles out.
+class PhaseScope {
+ public:
+  PhaseScope(PhaseBreakdown& phases, double PhaseBreakdown::*member)
+      :
+#if VQMC_TELEMETRY_COMPILED
+        span_(std::find_if(std::begin(kPhases), std::end(kPhases),
+                           [member](const Phase& phase) {
+                             return phase.member == member;
+                           })->name),
+#endif
+        seconds_(phases.*member) {
+  }
+  ~PhaseScope() { end(); }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+  /// Close the phase now and return the seconds it added (0 once closed).
+  double end() {
+    if (!open_) return 0;
+    open_ = false;
+    const double elapsed = timer_.seconds();
+    seconds_ += elapsed;
+#if VQMC_TELEMETRY_COMPILED
+    span_.end();
+#endif
+    return elapsed;
+  }
+
+ private:
+#if VQMC_TELEMETRY_COMPILED
+  telemetry::Span span_;
+#endif
+  double& seconds_;
+  Timer timer_;
+  bool open_ = true;
+};
 
 }  // namespace
 
@@ -92,17 +134,15 @@ VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
   }
 }
 
-void VqmcTrainer::allreduce(std::span<Real> payload, PhaseBreakdown& phases) {
-  Timer timer;
-  {
-    TELEMETRY_SPAN("allreduce");
-    // The thread-CPU clock read is a syscall, i.e. a preemption point: read
-    // it inside the span so park time before the collective is wait time.
-    busy_seconds_ += busy_.seconds();
-    comm_.allreduce_sum(payload);
-  }
-  phases.allreduce += timer.seconds();
+double VqmcTrainer::allreduce(std::span<Real> payload, PhaseBreakdown& phases) {
+  PhaseScope scope(phases, &PhaseBreakdown::allreduce);
+  // The thread-CPU clock read is a syscall, i.e. a preemption point: read it
+  // inside the phase so park time before the collective is wait time.
+  busy_seconds_ += busy_.seconds();
+  comm_.allreduce_sum(payload);
+  const double wait = scope.end();
   busy_.reset();
+  return wait;
 }
 
 bool VqmcTrainer::is_reporter() const {
@@ -151,8 +191,7 @@ IterationMetrics VqmcTrainer::step() {
   telemetry::set_iteration(iteration_);
   telemetry::Span iteration_span("iteration");
   Timer timer;
-  PhaseBreakdown phases;
-  Timer phase_timer;
+  IterationMetrics metrics;
   busy_.reset();
   const std::size_t ranks = std::size_t(comm_.size());
   const std::size_t rank = std::size_t(comm_.rank());
@@ -160,22 +199,20 @@ IterationMetrics VqmcTrainer::step() {
 
   // 1. Sample a batch from the current model distribution.
   {
-    TELEMETRY_SPAN("sample");
+    const PhaseScope scope(metrics.phases, &PhaseBreakdown::sample);
     // Thread the trainer's model workspace through: the batched conditional
     // engine then shares the forward pass's scratch (zero steady-state
     // allocations in the sampling phase).
     sampler_.sample_ws(batch_, model_ws_.get());
   }
-  phases.sample = phase_timer.seconds();
 
   // 2. Local energies (Eq. 3), guarded: a single NaN/inf local energy must
   // not reach a reduction, the gradient, the optimizer or the metrics
   // unnoticed. A sick rank contributes zeros plus its flag.
-  phase_timer.reset();
   EnergyEstimate est;
   std::size_t bad_energies = 0;
   {
-    TELEMETRY_SPAN("local_energy");
+    const PhaseScope scope(metrics.phases, &PhaseBreakdown::local_energy);
     engine_.compute(batch_, local_energies_.span());
     bad_energies = health::count_nonfinite(local_energies_.span());
     std::fill(energy_payload_.begin(), energy_payload_.end(), Real(0));
@@ -189,12 +226,11 @@ IterationMetrics VqmcTrainer::step() {
     }
     energy_payload_[2 + ranks + rank] = 1;
   }
-  phases.local_energy = phase_timer.seconds();
 
   // 3. First allreduce: the batch mean over every live rank and the count
   // of samples behind it. A whole group folds to batch_size * ranks, so the
   // divisor equals the fixed one; after a shrink it counts the survivors.
-  allreduce(energy_payload_, phases);
+  double comm_wait = allreduce(energy_payload_, metrics.phases);
   const Real count = energy_payload_[1];
   const Real mean = count > 0 ? energy_payload_[0] / count : kNaN;
   int bad_energy_ranks = 0;
@@ -243,10 +279,9 @@ IterationMetrics VqmcTrainer::step() {
   // rollback snapshot.
   const std::span<Real> gradient = gradient_.span().first(d);
   if (!tripped) {
-    phase_timer.reset();
     bool bad_gradient = false;
     {
-      TELEMETRY_SPAN("gradient");
+      const PhaseScope scope(metrics.phases, &PhaseBreakdown::gradient);
       if (config_.guard.policy == health::GuardPolicy::RollbackAndBackoff) {
         std::span<const Real> params = model_.parameters();
         std::copy(params.begin(), params.end(), snapshot_.span().begin());
@@ -261,8 +296,7 @@ IterationMetrics VqmcTrainer::step() {
         gradient_[d + rank] = 1;
       }
     }
-    phases.gradient = phase_timer.seconds();
-    allreduce(gradient_.span(), phases);
+    comm_wait += allreduce(gradient_.span(), metrics.phases);
     int bad_gradient_ranks = 0;
     for (std::size_t r = 0; r < ranks; ++r)
       bad_gradient_ranks += gradient_[d + r] > 0 ? 1 : 0;
@@ -278,61 +312,51 @@ IterationMetrics VqmcTrainer::step() {
   // breakdowns and non-finite natural gradients.
   std::span<Real> update = gradient;
   if (!tripped && config_.use_sr) {
-    phase_timer.reset();
-    {
-      TELEMETRY_SPAN("sr_solve");
-      model_.log_psi_gradient_per_sample_ws(batch_, per_sample_o_,
-                                            model_ws_.get());
-      const SrReport sr = sr_.precondition(per_sample_o_, gradient,
-                                           natural_gradient_.span());
-      if (sr.breakdown) {
-        ++health_.sr_breakdowns;
+    const PhaseScope scope(metrics.phases, &PhaseBreakdown::sr_solve);
+    model_.log_psi_gradient_per_sample_ws(batch_, per_sample_o_,
+                                          model_ws_.get());
+    const SrReport sr =
+        sr_.precondition(per_sample_o_, gradient, natural_gradient_.span());
+    if (sr.breakdown) {
+      ++health_.sr_breakdowns;
+      tripped = true;
+      trip_reason = "SR breakdown: " + sr.reason;
+    } else {
+      update = natural_gradient_.span();
+      if (!health::all_finite(update)) {
+        ++health_.nonfinite_update;
         tripped = true;
-        trip_reason = "SR breakdown: " + sr.reason;
-      } else {
-        update = natural_gradient_.span();
-        if (!health::all_finite(update)) {
-          ++health_.nonfinite_update;
-          tripped = true;
-          trip_reason = "non-finite natural gradient after SR";
-        }
+        trip_reason = "non-finite natural gradient after SR";
       }
     }
-    phases.sr_solve = phase_timer.seconds();
   }
 
   // 6. Clipping, schedule and the optimizer step — or the recovery action.
-  phase_timer.reset();
   if (!tripped) {
-    {
-      TELEMETRY_SPAN("optimizer");
-      if (config_.max_grad_norm > 0) {
-        Real norm2 = 0;
-        for (Real v : update) norm2 += v * v;
-        const Real norm = std::sqrt(norm2);
-        if (norm > config_.max_grad_norm)
-          scale(update, config_.max_grad_norm / norm);
-      }
-      if (config_.lr_schedule != nullptr) {
-        optimizer_.set_learning_rate(
-            base_learning_rate_ *
-            config_.lr_schedule->multiplier(iteration_));
-      }
-      optimizer_.step(model_.parameters(), update);
-
-      if (!have_best_ || est.min < best_energy_) {
-        best_energy_ = est.min;
-        have_best_ = true;
-      }
+    const PhaseScope scope(metrics.phases, &PhaseBreakdown::optimizer);
+    if (config_.max_grad_norm > 0) {
+      Real norm2 = 0;
+      for (Real v : update) norm2 += v * v;
+      const Real norm = std::sqrt(norm2);
+      if (norm > config_.max_grad_norm)
+        scale(update, config_.max_grad_norm / norm);
     }
-    phases.optimizer = phase_timer.seconds();
+    if (config_.lr_schedule != nullptr) {
+      optimizer_.set_learning_rate(
+          base_learning_rate_ * config_.lr_schedule->multiplier(iteration_));
+    }
+    optimizer_.step(model_.parameters(), update);
+
+    if (!have_best_ || est.min < best_energy_) {
+      best_energy_ = est.min;
+      have_best_ = true;
+    }
   } else {
     handle_guard_trip(trip_reason);
   }
   busy_seconds_ += busy_.seconds();
 
   training_seconds_ += timer.seconds();
-  IterationMetrics metrics;
   metrics.iteration = iteration_++;
   metrics.energy = mean;
   metrics.std_dev = est.std_dev;
@@ -341,30 +365,26 @@ IterationMetrics VqmcTrainer::step() {
   metrics.guard_trips = health_.guard_trips;
   metrics.guard_reason = health_.last_trip_reason;
   if (keeper_ && iteration_ % config_.checkpoint_every == 0) {
-    TELEMETRY_SPAN("checkpoint");
-    phase_timer.reset();
+    PhaseScope scope(metrics.phases, &PhaseBreakdown::checkpoint);
     keeper_->write(snapshot());
-    phases.checkpoint = phase_timer.seconds();
-    telemetry::jsonl_event(
-        "checkpoint", {{"path", config_.checkpoint_path},
-                       {"seconds", phases.checkpoint}});
+    const double seconds = scope.end();
+    telemetry::jsonl_event("checkpoint", {{"path", config_.checkpoint_path},
+                                          {"seconds", seconds}});
   }
-  metrics.phases = phases;
-  allreduce_wait_seconds_ += phases.allreduce;
-  record_telemetry(metrics, live_ranks);
+  allreduce_wait_seconds_ += comm_wait;
+  record_telemetry(metrics, live_ranks, comm_wait);
   // Sink I/O happens after the iteration span closes so it is not charged
   // to iteration wall time; guarded on active() because the field list
   // allocates.
   iteration_span.end();
   if (telemetry::JsonlLogger::instance().active()) {
-    telemetry::jsonl_event(
-        "iteration", {{"energy", double(metrics.energy)},
-                      {"std_dev", double(metrics.std_dev)},
-                      {"sample_seconds", phases.sample},
-                      {"local_energy_seconds", phases.local_energy},
-                      {"gradient_seconds", phases.gradient},
-                      {"allreduce_wait_seconds", phases.allreduce},
-                      {"optimizer_seconds", phases.optimizer}});
+    [&metrics]<std::size_t... I>(std::index_sequence<I...>) {
+      telemetry::jsonl_event(
+          "iteration",
+          {{"energy", double(metrics.energy)},
+           {"std_dev", double(metrics.std_dev)},
+           {kPhases[I].key, metrics.phases.*kPhases[I].member}...});
+    }(std::make_index_sequence<std::size(kPhases)>());
   }
   history_.push_back(metrics);
   telemetry::set_iteration(-1);
@@ -372,28 +392,21 @@ IterationMetrics VqmcTrainer::step() {
 }
 
 void VqmcTrainer::record_telemetry(const IterationMetrics& metrics,
-                                   int live_ranks) {
+                                   int live_ranks, double comm_wait) {
   if (!telemetry::enabled()) return;
   // The thread-current registry: the global one for a serial run, the
   // rank's own in a distributed run (merged across ranks at the end).
   telemetry::MetricsRegistry& registry = telemetry::metrics();
-  const PhaseBreakdown& phases = metrics.phases;
   registry.counter("trainer.iterations").add();
   registry.gauge("trainer.iteration").set(double(metrics.iteration));
   registry.gauge("comm.live_ranks").set(double(live_ranks));
-  registry.histogram("comm.allreduce_wait_seconds").observe(phases.allreduce);
+  registry.histogram("comm.allreduce_wait_seconds").observe(comm_wait);
   // A phase that did not run this iteration (an update skipped by a guard,
   // SR when it is off) records nothing.
-  const auto observe = [&registry](const char* name, double seconds) {
-    if (seconds > 0) registry.histogram(name).observe(seconds);
-  };
-  observe("phase.sample_seconds", phases.sample);
-  observe("phase.local_energy_seconds", phases.local_energy);
-  observe("phase.gradient_seconds", phases.gradient);
-  observe("phase.sr_seconds", phases.sr_solve);
-  observe("phase.allreduce_seconds", phases.allreduce);
-  observe("phase.optimizer_seconds", phases.optimizer);
-  observe("phase.checkpoint_seconds", phases.checkpoint);
+  for (const Phase& phase : kPhases) {
+    const double seconds = metrics.phases.*phase.member;
+    if (seconds > 0) registry.histogram(phase.histogram).observe(seconds);
+  }
 
   // Append this iteration to the crash-evidence ring (DESIGN.md §5i).
   telemetry::FlightRecord record;
@@ -403,13 +416,7 @@ void VqmcTrainer::record_telemetry(const IterationMetrics& metrics,
   record.wall_us = telemetry::now_us();
   record.energy = double(metrics.energy);
   record.guard_trips = metrics.guard_trips;
-  record.sample_seconds = phases.sample;
-  record.local_energy_seconds = phases.local_energy;
-  record.gradient_seconds = phases.gradient;
-  record.sr_seconds = phases.sr_solve;
-  record.allreduce_seconds = phases.allreduce;
-  record.optimizer_seconds = phases.optimizer;
-  record.comm_wait_seconds = phases.allreduce;
+  record.phases = metrics.phases;
   telemetry::FlightRecorder::instance().record(record);
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/health.hpp"
+#include "common/phases.hpp"
 #include "common/timer.hpp"
 #include "core/checkpoint.hpp"
 #include "core/estimators.hpp"
@@ -55,25 +56,6 @@ struct TrainerConfig {
   std::string checkpoint_path;
   int checkpoint_every = 0;
   int checkpoint_keep_last = 3;
-};
-
-/// Where one iteration's wall time went (seconds, DESIGN.md §5d). The
-/// phases partition the step: sampling, local-energy measurement, energy
-/// gradient, SR preconditioning, gradient allreduce (distributed runs
-/// only), optimizer update, periodic checkpoint write.
-struct PhaseBreakdown {
-  double sample = 0;
-  double local_energy = 0;
-  double gradient = 0;
-  double sr_solve = 0;
-  double allreduce = 0;
-  double optimizer = 0;
-  double checkpoint = 0;
-
-  [[nodiscard]] double total() const {
-    return sample + local_energy + gradient + sr_solve + allreduce +
-           optimizer + checkpoint;
-  }
 };
 
 /// Per-iteration metrics (the red/blue curves of Figure 2).
@@ -203,16 +185,17 @@ class VqmcTrainer {
   void restore(const TrainingSnapshot& snapshot);
 
  private:
-  /// One timed allreduce_sum of `payload`. The span and the timer open at
-  /// barrier arrival, so time a rank is parked before the collective counts
-  /// as allreduce wait.
-  void allreduce(std::span<Real> payload, PhaseBreakdown& phases);
+  /// One allreduce_sum of `payload`, timed into the allreduce phase from
+  /// barrier arrival (park time before the collective is wait time);
+  /// returns its seconds.
+  double allreduce(std::span<Real> payload, PhaseBreakdown& phases);
   /// True on the lowest live rank, which alone logs group-wide events.
   [[nodiscard]] bool is_reporter() const;
   /// Apply the configured guard policy after a trip; throws under Throw.
   void handle_guard_trip(const std::string& reason);
   /// Phase histograms, gauges and the flight record of one iteration.
-  void record_telemetry(const IterationMetrics& metrics, int live_ranks);
+  void record_telemetry(const IterationMetrics& metrics, int live_ranks,
+                        double comm_wait);
 
   const Hamiltonian& hamiltonian_;
   WavefunctionModel& model_;

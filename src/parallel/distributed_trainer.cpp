@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/health.hpp"
 #include "common/logging.hpp"
+#include "common/phases.hpp"
 #include "core/checkpoint.hpp"
 #include "core/factory.hpp"
 #include "core/trainer.hpp"
@@ -158,11 +159,7 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
   rank_registry.counter("comm.socket.aborts");
   rank_registry.histogram("comm.socket.collective_seconds");
   rank_registry.histogram("comm.allreduce_wait_seconds");
-  rank_registry.histogram("phase.sample_seconds");
-  rank_registry.histogram("phase.local_energy_seconds");
-  rank_registry.histogram("phase.gradient_seconds");
-  rank_registry.histogram("phase.allreduce_seconds");
-  rank_registry.histogram("phase.optimizer_seconds");
+  for (const Phase& phase : kPhases) rank_registry.histogram(phase.histogram);
   // Gauges ride a trailing allreduce_max (not the additive merge), but the
   // layout-identical rule is the same — pre-create them all.
   rank_registry.gauge("trainer.iteration");

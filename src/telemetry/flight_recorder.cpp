@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -63,20 +64,20 @@ void escape_json(const char* reason, char* out, std::size_t cap) {
 /// snprintf is not formally async-signal-safe but does not allocate or lock
 /// for numeric conversions on the platforms we target — the same trade
 /// every practical crash reporter makes.
-int format_entry(char* buf, std::size_t cap, const FlightRecord& r) {
-  return std::snprintf(
-      buf, cap,
-      "{\"event\":\"iteration\",\"iteration\":%lld,\"rank\":%d,"
-      "\"energy\":%.17g,\"guard_trips\":%llu,\"sample_seconds\":%.9g,"
-      "\"local_energy_seconds\":%.9g,\"gradient_seconds\":%.9g,"
-      "\"sr_seconds\":%.9g,\"allreduce_seconds\":%.9g,"
-      "\"optimizer_seconds\":%.9g,\"comm_wait_seconds\":%.9g,"
-      "\"batch_occupancy\":%.9g,\"live_ranks\":%d,\"wall_us\":%.3f}\n",
-      static_cast<long long>(r.iteration), r.rank, double(r.energy),
-      static_cast<unsigned long long>(r.guard_trips), r.sample_seconds,
-      r.local_energy_seconds, r.gradient_seconds, r.sr_seconds,
-      r.allreduce_seconds, r.optimizer_seconds, r.comm_wait_seconds,
-      r.batch_occupancy, r.live_ranks, r.wall_us);
+std::size_t format_entry(char* buf, std::size_t cap, const FlightRecord& r) {
+  std::size_t len = 0;
+  const auto append = [&](const char* format, auto... args) {
+    const int n = std::snprintf(buf + len, cap - len, format, args...);
+    if (n > 0) len = std::min(cap - 1, len + std::size_t(n));
+  };
+  append("{\"event\":\"iteration\",\"iteration\":%lld,\"rank\":%d,"
+         "\"energy\":%.17g,\"guard_trips\":%llu",
+         static_cast<long long>(r.iteration), r.rank, double(r.energy),
+         static_cast<unsigned long long>(r.guard_trips));
+  for (const Phase& phase : kPhases)
+    append(",\"%s\":%.9g", phase.key, r.phases.*phase.member);
+  append(",\"live_ranks\":%d,\"wall_us\":%.3f}\n", r.live_ranks, r.wall_us);
+  return len;
 }
 
 /// Write the crash report to `path_out` (filled in here). Returns true if a
@@ -109,10 +110,9 @@ bool dump_report_unlocked(const RecorderState& s, const char* reason,
       static_cast<unsigned long long>(s.recorded),
       static_cast<unsigned long long>(s.size), signo);
   if (len > 0) write_all(fd, line, std::size_t(len));
-  for (std::size_t i = 0; i < s.size; ++i) {
-    len = format_entry(line, sizeof(line), s.ring[ring_index(s, i)]);
-    if (len > 0) write_all(fd, line, std::size_t(len));
-  }
+  for (std::size_t i = 0; i < s.size; ++i)
+    write_all(fd, line,
+              format_entry(line, sizeof(line), s.ring[ring_index(s, i)]));
   ::close(fd);
   return true;
 }

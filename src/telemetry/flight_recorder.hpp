@@ -8,8 +8,8 @@
 /// run dies mid-flight: a SIGKILL'd neighbor, a hung allreduce aborting the
 /// group, or a CG breakdown under GuardPolicy::Throw all unwind before any
 /// sink is written.  The flight recorder keeps the last `capacity` iteration
-/// summaries — energy, guard trips, phase timings, comm wait, live ranks —
-/// in a fixed-size, preallocated ring, and dumps them as a timestamped JSONL
+/// summaries — energy, guard trips, phase timings, live ranks — in a
+/// fixed-size, preallocated ring, and dumps them as a timestamped JSONL
 /// *crash report* when the process aborts:
 ///
 ///  * explicitly, from a CLI's catch block (`dump_crash_report(reason)`),
@@ -22,10 +22,9 @@
 ///   {"event":"crash_report","reason":...,"rank":...,"pid":...,
 ///    "unix_time":...,"recorded":N,"entries":K,"signal":S}
 ///   {"event":"iteration","iteration":...,"rank":...,"energy":...,
-///    "guard_trips":...,"sample_seconds":...,"local_energy_seconds":...,
-///    "gradient_seconds":...,"sr_seconds":...,"allreduce_seconds":...,
-///    "optimizer_seconds":...,"comm_wait_seconds":...,
-///    "batch_occupancy":...,"live_ranks":...,"wall_us":...}   (oldest first)
+///    "guard_trips":...,"<name>_seconds":... for every kPhases row
+///    (common/phases.hpp, in table order),"live_ranks":...,
+///    "wall_us":...}   (oldest first)
 ///
 /// Overhead discipline matches the rest of the subsystem: `record()` is a
 /// no-op when telemetry is disabled (compile-out makes it dead code), the
@@ -36,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/phases.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::telemetry {
@@ -49,14 +49,7 @@ struct FlightRecord {
   double wall_us = 0;  ///< telemetry::now_us() at record time
   double energy = 0;
   std::uint64_t guard_trips = 0;  ///< cumulative at record time
-  double sample_seconds = 0;
-  double local_energy_seconds = 0;
-  double gradient_seconds = 0;
-  double sr_seconds = 0;
-  double allreduce_seconds = 0;
-  double optimizer_seconds = 0;
-  double comm_wait_seconds = 0;  ///< allreduce wait incl. barrier park time
-  double batch_occupancy = 0;    ///< serve batch rows (0 for training)
+  PhaseBreakdown phases;
 };
 
 /// Process-global drop-oldest ring of FlightRecords.

@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "support/mini_json.hpp"
+#include "support/telemetry_gate.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace vqmc::obs {
@@ -51,6 +52,7 @@ TEST(RankEndpoint, DerivesPerRankSpecs) {
 }
 
 TEST(StatusServer, ServesEveryFormatOverTcp) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   telemetry::MetricsRegistry registry;
   registry.counter("trainer.iterations").add(42);
   registry.gauge("serve.queue_depth").set(3);
@@ -89,6 +91,7 @@ TEST(StatusServer, ServesEveryFormatOverTcp) {
 }
 
 TEST(StatusServer, ServesOverUnixSocketAndSurvivesSequentialScrapes) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   const std::string dir = make_scratch_dir("unix");
   telemetry::MetricsRegistry registry;
   telemetry::Counter& scrapes = registry.counter("scrapes");
@@ -116,6 +119,7 @@ TEST(StatusServer, RejectsUnknownFormatWithoutDying) {
 }
 
 TEST(StatusServer, AggregatesTheGroupAndReportsDeadRanks) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   const std::string dir = make_scratch_dir("group");
   const std::string base = "unix://" + dir + "/obs.sock";
 

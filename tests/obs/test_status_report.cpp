@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "support/mini_json.hpp"
+#include "support/telemetry_gate.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace vqmc::obs {
@@ -34,6 +35,7 @@ StatusReport sample_report(int rank, int world) {
 }
 
 TEST(StatusReport, EncodeDecodeRoundTripsExactly) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   const StatusReport original = sample_report(2, 4);
   const std::string text = original.encode();
   // Header + terminator frame the line-oriented payload.
@@ -109,6 +111,7 @@ GroupStatus sample_group() {
 }
 
 TEST(RenderPrometheus, EmitsWellFormedRankLabeledSeries) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   const std::string text = render_prometheus(sample_group());
   EXPECT_NE(text.find("vqmc_up 1\n"), std::string::npos);
   EXPECT_NE(text.find("vqmc_rank_reachable{rank=\"0\"} 1"),
@@ -164,6 +167,7 @@ TEST(SplitMetricName, SeparatesEmbeddedLabelBodies) {
 }
 
 TEST(RenderPrometheus, MergesEmbeddedLabelsWithRankAndGroupsFamilies) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   telemetry::MetricsRegistry registry;
   using telemetry::labeled_name;
   registry.counter(labeled_name("serve.model.submitted", {{"model", "m0"}}))
@@ -220,6 +224,7 @@ TEST(RenderPrometheus, MergesEmbeddedLabelsWithRankAndGroupsFamilies) {
 }
 
 TEST(RenderJson, ParsesAndCarriesPerRankReachability) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   const vqmc::testing::JsonValue doc =
       vqmc::testing::parse_json(render_json(sample_group()));
   ASSERT_TRUE(doc.is_object());

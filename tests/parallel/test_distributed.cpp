@@ -16,6 +16,7 @@
 #include "parallel/thread_communicator.hpp"
 #include "rng/splitmix.hpp"
 #include "sampler/autoregressive_sampler.hpp"
+#include "support/telemetry_gate.hpp"
 
 namespace vqmc::parallel {
 namespace {
@@ -73,6 +74,7 @@ TEST(DistributedTrainer, SingleRankMatchesSerialTrainerExactly) {
 }
 
 TEST(DistributedTrainer, MergedGaugesTakeTheMaxAcrossRanksNotTheSum) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // Regression for the cross-rank gauge merge: gauges are point-in-time
   // values and must ride the trailing allreduce_max, never the additive
   // payload — summing them made a 4-rank run report trainer.iteration as

@@ -11,6 +11,7 @@
 #include "rng/xoshiro.hpp"
 #include "sampler/autoregressive_sampler.hpp"
 #include "sampler/diagnostics.hpp"
+#include "support/telemetry_gate.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace vqmc {
@@ -93,7 +94,7 @@ TEST(FastMadeSampler, AccountingMatchesAlgorithmOne) {
 TEST(FastMadeSampler, CountsOnTheAutoInstruments) {
   // One AUTO sampler, one set of instrument names: a batch adds n to the
   // same forward-pass counter Algorithm 1 uses.
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetricsRegistry scope(registry);
   Made made(7, 4);
@@ -205,7 +206,7 @@ TEST(FastMadeSampler, NonfiniteInstrumentCreatedUnconditionally) {
   // The cross-rank metrics merge requires every rank to expose the same
   // instrument set; the counter must exist (at zero) even when no clamp
   // ever fires on this rank.
-  if (!telemetry::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetricsRegistry scope(registry);
   Made made(5, 6);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sampler/autoregressive_sampler.hpp"
 #include "support/alloc_count.hpp"
 #include "support/mini_json.hpp"
+#include "support/telemetry_gate.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::telemetry {
@@ -72,6 +74,7 @@ class FlightRecorderTest : public ::testing::Test {
 };
 
 TEST_F(FlightRecorderTest, RingDropsOldestBeyondCapacity) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(4);
   for (int i = 0; i < 10; ++i) rec.record(make_record(i));
@@ -83,6 +86,7 @@ TEST_F(FlightRecorderTest, RingDropsOldestBeyondCapacity) {
 }
 
 TEST_F(FlightRecorderTest, SnapshotAndLatestFilterByRank) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   for (int i = 0; i < 6; ++i) rec.record(make_record(i, /*rank=*/i % 2));
   EXPECT_EQ(rec.snapshot().size(), 6u);
@@ -98,6 +102,7 @@ TEST_F(FlightRecorderTest, SnapshotAndLatestFilterByRank) {
 }
 
 TEST_F(FlightRecorderTest, ClearKeepsCapacityAndEmptiesRing) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(8);
   for (int i = 0; i < 5; ++i) rec.record(make_record(i));
@@ -109,6 +114,7 @@ TEST_F(FlightRecorderTest, ClearKeepsCapacityAndEmptiesRing) {
 }
 
 TEST_F(FlightRecorderTest, IterationRateFromWallClockSpread) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   // Synthetic clock: 10 iterations spaced exactly 1 ms apart -> 1000 it/s.
   FlightRecord r = make_record(0);
@@ -151,6 +157,7 @@ TEST_F(FlightRecorderTest, DumpWithoutCrashDirOrEntriesWritesNothing) {
 }
 
 TEST_F(FlightRecorderTest, CrashReportFollowsTheDocumentedSchema) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(8);
   const std::string dir = make_scratch_dir("schema");
@@ -159,7 +166,8 @@ TEST_F(FlightRecorderTest, CrashReportFollowsTheDocumentedSchema) {
   for (int i = 0; i < 12; ++i) {
     FlightRecord r = make_record(i, /*rank=*/3);
     r.guard_trips = std::uint64_t(i);
-    r.comm_wait_seconds = 0.25;
+    for (std::size_t k = 0; k < std::size(kPhases); ++k)
+      r.phases.*kPhases[k].member = 0.25 * double(k + 1);
     rec.record(r);
   }
 
@@ -183,22 +191,28 @@ TEST_F(FlightRecorderTest, CrashReportFollowsTheDocumentedSchema) {
   EXPECT_TRUE(header.has("pid"));
   EXPECT_TRUE(header.has("unix_time"));
 
-  // Entries are oldest first and carry the full phase breakdown.
+  // Entries are oldest first and carry the full phase breakdown: one
+  // `<name>_seconds` key per kPhases row next to the non-phase keys.
+  std::set<std::string> keys = {"event",       "iteration",  "rank", "energy",
+                                "guard_trips", "live_ranks", "wall_us"};
+  for (const Phase& phase : kPhases) keys.insert(phase.key);
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const vqmc::testing::JsonValue entry = vqmc::testing::parse_json(lines[i]);
     EXPECT_EQ(entry.at("event").string_value, "iteration");
     EXPECT_DOUBLE_EQ(entry.at("iteration").number_value, double(3 + i));
     EXPECT_DOUBLE_EQ(entry.at("rank").number_value, 3.0);
-    EXPECT_DOUBLE_EQ(entry.at("comm_wait_seconds").number_value, 0.25);
-    for (const char* key :
-         {"energy", "guard_trips", "sample_seconds", "local_energy_seconds",
-          "gradient_seconds", "sr_seconds", "allreduce_seconds",
-          "optimizer_seconds", "batch_occupancy", "live_ranks", "wall_us"})
-      EXPECT_TRUE(entry.has(key)) << key;
+    std::set<std::string> entry_keys;
+    for (const auto& [key, value] : entry.object_value) entry_keys.insert(key);
+    EXPECT_EQ(entry_keys, keys);
+    for (std::size_t k = 0; k < std::size(kPhases); ++k)
+      EXPECT_DOUBLE_EQ(entry.at(kPhases[k].key).number_value,
+                       0.25 * double(k + 1))
+          << kPhases[k].key;
   }
 }
 
 TEST_F(FlightRecorderTest, CrashReportMatchesTheRunsMetricsCsv) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // The ring is evidence, not an approximation: a trainer's crash report
   // must agree row-for-row with the metrics CSV the same run would have
   // written at a clean exit.
@@ -254,6 +268,7 @@ TEST_F(FlightRecorderTest, CrashReportMatchesTheRunsMetricsCsv) {
 }
 
 TEST_F(FlightRecorderTest, DistributedAbortDumpsCrashReports) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // A hung collective aborts the group with CommTimeoutError; every rank's
   // unwind path must leave a crash report behind (the whole point of the
   // recorder — post-mortem sinks never run on this path).

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "support/mini_json.hpp"
+#include "support/telemetry_gate.hpp"
 
 namespace vqmc::telemetry {
 namespace {
@@ -19,6 +20,7 @@ namespace {
 constexpr double kQuantileTolerance = 0.20;
 
 TEST(Counter, AddsAndResets) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -29,6 +31,7 @@ TEST(Counter, AddsAndResets) {
 }
 
 TEST(Gauge, LastValueWins) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Gauge g;
   g.set(1.5);
   g.set(-2.25);
@@ -53,6 +56,7 @@ TEST(Histogram, ExtremeValuesClampToEdgeBuckets) {
 }
 
 TEST(Histogram, PercentilesOfUniformDistribution) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Histogram h;
   // 1..1000 ms uniformly: p50 ~ 0.5 s, p95 ~ 0.95 s, p99 ~ 0.99 s.
   for (int i = 1; i <= 1000; ++i) h.observe(double(i) * 1e-3);
@@ -64,6 +68,7 @@ TEST(Histogram, PercentilesOfUniformDistribution) {
 }
 
 TEST(Histogram, PercentilesOfBimodalDistribution) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Histogram h;
   // 90 fast (1 ms) + 10 slow (1 s): p50 in the fast mode, p95/p99 slow.
   for (int i = 0; i < 90; ++i) h.observe(1e-3);
@@ -79,6 +84,7 @@ TEST(Histogram, EmptyPercentileIsZero) {
 }
 
 TEST(MetricsRegistry, InstrumentsAreStableAndNamed) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   MetricsRegistry registry;
   Counter& a = registry.counter("x");
   Counter& b = registry.counter("x");
@@ -110,6 +116,7 @@ TEST(MetricsRegistry, SnapshotIsSortedByName) {
 }
 
 TEST(MetricsRegistry, ConcurrentCounterUpdatesAreExact) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   MetricsRegistry registry;
   Counter& c = registry.counter("hits");
   constexpr int kThreads = 8;
@@ -125,6 +132,7 @@ TEST(MetricsRegistry, ConcurrentCounterUpdatesAreExact) {
 }
 
 TEST(MetricsSnapshot, PackApplySummedMergesTwoRanks) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // Two "ranks" with identical instrument sets, different values — the
   // distributed merge is an element-wise sum of the packed payloads.
   MetricsRegistry rank0;
@@ -158,6 +166,7 @@ TEST(MetricsSnapshot, PackApplySummedMergesTwoRanks) {
 }
 
 TEST(MetricsSnapshot, AdditivePayloadExcludesGauges) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // Regression: gauges are point-in-time values, not additive tallies. The
   // old cross-rank merge summed them through pack_additive, so a 4-rank
   // group reported trainer.iteration = 4 * iter. They must stay out of the
@@ -178,6 +187,7 @@ TEST(MetricsSnapshot, AdditivePayloadExcludesGauges) {
 }
 
 TEST(MetricsSnapshot, PackApplyGaugeMaxMergesCrossRank) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   // The distributed gauge merge: element-wise max over the packed gauge
   // vectors (a trailing allreduce_max in train_distributed).
   MetricsRegistry rank0;
@@ -211,6 +221,7 @@ TEST(MetricsSnapshot, ApplyGaugeMaxRejectsMismatchedPayload) {
 }
 
 TEST(MetricsSnapshot, MergeFromHonorsTheGaugeMergePolicy) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   MetricsRegistry mine;
   MetricsRegistry theirs;
   for (MetricsRegistry* r : {&mine, &theirs}) {
@@ -257,6 +268,7 @@ TEST(MetricsSnapshot, ApplySummedRejectsMismatchedPayload) {
 }
 
 TEST(MetricsSnapshot, ToJsonParses) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   MetricsRegistry registry;
   registry.counter("n").add(7);
   registry.gauge("lr").set(0.01);
@@ -274,6 +286,7 @@ TEST(MetricsSnapshot, ToJsonParses) {
 }
 
 TEST(ScopedMetricsRegistry, RoutesAndRestoresThreadLocalCurrent) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   MetricsRegistry mine;
   EXPECT_EQ(&metrics(), &MetricsRegistry::global());
   {

@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "support/alloc_count.hpp"
 #include "support/mini_json.hpp"
+#include "support/telemetry_gate.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::telemetry {
@@ -32,6 +33,7 @@ TEST_F(TracerTest, InactiveTracerRecordsNothing) {
 }
 
 TEST_F(TracerTest, RecordsNestedSpansWithDepth) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start();
   {
     TELEMETRY_SPAN("outer");
@@ -54,6 +56,7 @@ TEST_F(TracerTest, RecordsNestedSpansWithDepth) {
 }
 
 TEST_F(TracerTest, CarriesIterationAndRankContext) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start();
   vqmc::set_log_rank(3);
   set_iteration(17);
@@ -68,6 +71,7 @@ TEST_F(TracerTest, CarriesIterationAndRankContext) {
 }
 
 TEST_F(TracerTest, ManyThreadsRecordConcurrently) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start();
   constexpr int kThreads = 4;
   constexpr int kSpansPerThread = 500;
@@ -94,6 +98,7 @@ TEST_F(TracerTest, ManyThreadsRecordConcurrently) {
 }
 
 TEST_F(TracerTest, RingBufferDropsOldestBeyondCapacity) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start(/*events_per_thread=*/8);
   for (int i = 0; i < 20; ++i) {
     TELEMETRY_SPAN("s");
@@ -104,6 +109,7 @@ TEST_F(TracerTest, RingBufferDropsOldestBeyondCapacity) {
 }
 
 TEST_F(TracerTest, ChromeJsonIsValidAndMonotone) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start();
   vqmc::set_log_rank(0);
   for (int i = 0; i < 3; ++i) {
@@ -143,6 +149,7 @@ TEST_F(TracerTest, ChromeJsonIsValidAndMonotone) {
 }
 
 TEST_F(TracerTest, StartClearsPreviousRun) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
   Tracer::instance().start();
   { TELEMETRY_SPAN("old"); }
   Tracer::instance().stop();
