@@ -73,7 +73,6 @@ std::string hex64(std::uint64_t value) {
 
 struct LaunchConfig {
   int ranks = 4;
-  int node_size = 0;
   double timeout_seconds = 10.0;
   double rendezvous_timeout_seconds = 30.0;
   PeerDeathPolicy on_peer_death = PeerDeathPolicy::kShrink;
@@ -98,7 +97,6 @@ struct LaunchConfig {
     SocketGroupOptions options;
     options.timeout_seconds = launch.timeout_seconds;
     options.rendezvous_timeout_seconds = launch.rendezvous_timeout_seconds;
-    options.node_size = launch.node_size;
     options.on_peer_death = launch.on_peer_death;
     std::unique_ptr<SocketCommunicator> comm =
         connect_socket_group_from_env(options);
@@ -247,8 +245,6 @@ int main(int argc, char** argv) {
   opts.add_option("iterations", "20", "training iterations");
   opts.add_option("mbs", "4", "mini-batch per rank");
   opts.add_option("seed", "13", "training seed");
-  opts.add_option("node-size", "0",
-                  "hierarchical reduction node size (0 = flat star)");
   opts.add_option("timeout", "10",
                   "collective deadline in seconds (0 = wait forever)");
   opts.add_option("rendezvous-timeout", "30", "rendezvous deadline (s)");
@@ -282,7 +278,6 @@ int main(int argc, char** argv) {
   LaunchConfig launch;
   launch.ranks = opts.get_int("ranks");
   launch.n = std::size_t(opts.get_int("n"));
-  launch.node_size = opts.get_int("node-size");
   launch.timeout_seconds = opts.get_double("timeout");
   launch.rendezvous_timeout_seconds = opts.get_double("rendezvous-timeout");
   launch.results_dir = opts.get_string("results-dir");
@@ -351,7 +346,6 @@ int main(int argc, char** argv) {
       ::setenv("VQMC_ENDPOINT", endpoint.c_str(), 1);
       ::setenv("VQMC_RANK", std::to_string(rank).c_str(), 1);
       ::setenv("VQMC_RANKS", std::to_string(launch.ranks).c_str(), 1);
-      ::setenv("VQMC_NODE_SIZE", std::to_string(launch.node_size).c_str(), 1);
       ::setenv("VQMC_FAULTS",
                format_process_fault_spec(plans[std::size_t(rank)], rank)
                    .c_str(),

@@ -53,6 +53,10 @@ namespace vqmc {
 /// (BENCH_local_energy.json).
 inline constexpr Real kFlipRatioTolerance = 1e-10;
 
+/// Rows per batched evaluation of the full-forward path: the engine's
+/// default, which the trainer uses and the cost model assumes.
+inline constexpr std::size_t kDefaultLocalEnergyChunk = 1024;
+
 /// Computes batches of local energies for a fixed Hamiltonian and a bound
 /// model.
 class LocalEnergyEngine {
@@ -68,7 +72,8 @@ class LocalEnergyEngine {
   ///        the local energy finite instead of overflowing to inf/NaN.
   LocalEnergyEngine(const Hamiltonian& hamiltonian,
                     const WavefunctionModel& model,
-                    std::size_t chunk_size = 1024, Real max_log_ratio = 30);
+                    std::size_t chunk_size = kDefaultLocalEnergyChunk,
+                    Real max_log_ratio = 30);
 
   /// Rebind to another model over the same spins (serve: a newly published
   /// snapshot).  The scratch, model workspaces included, is kept, so a

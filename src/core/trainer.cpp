@@ -97,7 +97,7 @@ VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
       optimizer_(optimizer),
       config_(config),
       comm_(comm),
-      engine_(hamiltonian, model, config.local_energy_chunk),
+      engine_(hamiltonian, model),
       sr_(config.sr) {
   VQMC_REQUIRE(config_.iterations >= 0, "trainer: iterations must be >= 0");
   VQMC_REQUIRE(config_.batch_size >= 1, "trainer: batch size must be >= 1");

@@ -33,10 +33,6 @@ struct TrainerConfig {
   std::size_t batch_size = 1024;
   bool use_sr = false;
   SrConfig sr;
-  /// Rows per batched wavefunction evaluation of the local-energy engine's
-  /// full-forward path (multi-site entries, models without single-flip
-  /// ratios); the flip path does not chunk (local_energy.hpp).
-  std::size_t local_energy_chunk = 1024;
   /// Optional learning-rate schedule (borrowed; must outlive the trainer).
   /// nullptr reproduces the paper's protocol (no scheduler).
   const LrSchedule* lr_schedule = nullptr;

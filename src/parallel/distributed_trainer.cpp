@@ -56,7 +56,7 @@ double modeled_run_seconds(const DistributedConfig& config,
   return double(config.iterations) *
          model_iteration_seconds(device, config.shape, n, hidden,
                                  config.mini_batch_size,
-                                 config.local_energy_chunk);
+                                 kDefaultLocalEnergyChunk);
 }
 
 /// Everything one endpoint knows when its part of the run ends. `result`
@@ -117,27 +117,23 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
   TrainerConfig trainer_config;
   trainer_config.iterations = config.iterations;
   trainer_config.batch_size = config.mini_batch_size;
-  trainer_config.local_energy_chunk = config.local_energy_chunk;
   trainer_config.guard = config.guard;
+  // Checkpoint/restart: each rank's trainer keeps its own TrainingSnapshot
+  // under "<base>.rank<r>", written after a cadence iteration completes, so
+  // a boundary kill at iteration k resumes exactly at the last cadence
+  // point <= k and replays a bit-identical tail.
+  if (!config.checkpoint_base.empty()) {
+    trainer_config.checkpoint_path =
+        config.checkpoint_base + ".rank" + std::to_string(rank);
+    trainer_config.checkpoint_every = config.checkpoint_every;
+  }
   VqmcTrainer trainer(hamiltonian, *replica, *sampler, *optimizer,
                       trainer_config, comm);
-
-  // Checkpoint/restart: each rank keeps its own TrainingSnapshot under
-  // "<base>.rank<r>". Written at the top of an iteration (before any work of
-  // that iteration), so a boundary kill at iteration k resumes exactly at
-  // the last cadence point <= k and replays a bit-identical tail.
-  std::unique_ptr<CheckpointKeeper> keeper;
-  if (!config.checkpoint_base.empty()) {
-    const std::string rank_path =
-        config.checkpoint_base + ".rank" + std::to_string(rank);
-    keeper = std::make_unique<CheckpointKeeper>(rank_path);
-    if (config.resume) {
-      trainer.restore(load_training_checkpoint(rank_path));
-      VQMC_REQUIRE(trainer.iteration() <= config.iterations,
-                   "distributed: checkpoint iteration out of range");
-    }
+  if (config.resume) {
+    trainer.restore(load_training_checkpoint(trainer_config.checkpoint_path));
+    VQMC_REQUIRE(trainer.iteration() <= config.iterations,
+                 "distributed: checkpoint iteration out of range");
   }
-  const int start_iteration = trainer.iteration();
 
   // Per-rank metrics: this thread's `metrics()` calls — including the
   // trainer's, the sampler's and the communicator's — land in a private
@@ -225,11 +221,6 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
         comm.leave();
         throw RankDeadError("fault injection: rank " + std::to_string(rank) +
                             " killed at iteration " + std::to_string(iter));
-      }
-
-      if (keeper && config.checkpoint_every > 0 && iter > start_iteration &&
-          iter % config.checkpoint_every == 0) {
-        keeper->write(trainer.snapshot());
       }
 
       // Every rank records the (identical, allreduced) iteration energy.

@@ -22,8 +22,8 @@
 /// The entry points below are drivers around that step: they build each
 /// rank's replica, sampler, optimizer and trainer through the factories,
 /// run the per-rank metrics registry, scrape server, scripted faults,
-/// iteration hook and top-of-iteration checkpoints, and finish with a
-/// global evaluation and the trailing gathers.
+/// iteration hook and checkpoint resume, and finish with a global
+/// evaluation and the trailing gathers.
 ///
 /// Fault tolerance (DESIGN.md §5c): collectives take an optional deadline
 /// (a hung rank aborts the group with vqmc::CommTimeoutError instead of
@@ -53,8 +53,6 @@ struct DistributedConfig {
   int iterations = 300;
   std::size_t mini_batch_size = 4;  ///< mbs per device (Figure 4 uses 4)
   std::string optimizer = "ADAM";   ///< "SGD" or "ADAM"
-  /// Full-forward chunk of the local-energy engine (TrainerConfig's).
-  std::size_t local_energy_chunk = 1024;
   std::size_t eval_batch_per_rank = 64;  ///< final-evaluation draw per rank
   std::uint64_t seed = 0;
   /// Run-health guards. Every rank scans its local energies and gradient
@@ -71,10 +69,12 @@ struct DistributedConfig {
   /// fault-free). Test hook: every recovery path is exercised
   /// deterministically through these plans.
   std::vector<FaultPlan> fault_plans;
-  /// Checkpoint/restart (DESIGN.md §5h). When non-empty, every rank keeps a
-  /// TrainingSnapshot under "<checkpoint_base>.rank<r>" so a killed run can
-  /// resume bit-identically. Snapshots are written at the *top* of every
-  /// `checkpoint_every`-th iteration, before any work of that iteration.
+  /// Checkpoint/restart (DESIGN.md §5h). When non-empty, every rank's
+  /// trainer keeps a TrainingSnapshot under "<checkpoint_base>.rank<r>"
+  /// (TrainerConfig::checkpoint_path) so a killed run can resume
+  /// bit-identically: written inside the step's checkpoint phase after
+  /// every `checkpoint_every`-th iteration completes, the last one
+  /// included, with the serial trainer's `.iter<N>` history and retention.
   std::string checkpoint_base;
   int checkpoint_every = 0;  ///< snapshot cadence in iterations; 0 disables
   /// Load "<checkpoint_base>.rank<r>" before training and continue from the

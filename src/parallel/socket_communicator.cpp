@@ -24,15 +24,16 @@ using wire::FrameType;
 
 constexpr std::uint64_t kNoBcastRoot = ~std::uint64_t(0);
 
-/// Longest string field (a listen endpoint) a rendezvous frame may carry.
-constexpr std::size_t kMaxStringBytes = 4096;
 /// Longest ABORT reason: abort_group clips to it, and every collective
 /// receive accepts at least this much, since an ABORT may arrive in place
 /// of the CONTRIB or RESULT it expects.
 constexpr std::size_t kMaxAbortReason = 4096;
-/// HELLO payload: [rank][listen endpoint string].
-constexpr std::size_t kHelloBytes = 2 * sizeof(std::uint64_t) + kMaxStringBytes;
-/// CONTRIB payload: [op][bcast_root][count][count reals][liveness bytes].
+/// HELLO payload: [rank].
+constexpr std::size_t kHelloBytes = sizeof(std::uint64_t);
+/// WELCOME payload: [world].
+constexpr std::size_t kWelcomeBytes = sizeof(std::uint64_t);
+/// CONTRIB payload: [op][bcast_root][count][count reals]; the reals start
+/// here.
 constexpr std::size_t kContribHeader = 3 * sizeof(std::uint64_t);
 
 /// RESULT payload: [world][alive byte per rank][count][count reals]; the
@@ -41,15 +42,8 @@ std::size_t result_reals_offset(int world) {
   return 2 * sizeof(std::uint64_t) + std::size_t(world);
 }
 
-/// Append a u64 to a byte payload (fixed little-endian host layout; all
-/// ranks of a group run the same build, and the frame magic and checksum
-/// reject any cross-build mixing).
-void put_u64(std::vector<unsigned char>& out, std::uint64_t value) {
-  const std::size_t offset = out.size();
-  out.resize(offset + sizeof(value));
-  std::memcpy(out.data() + offset, &value, sizeof(value));
-}
-
+/// Fixed little-endian host layout: all ranks of a group run the same
+/// build, and the frame magic and checksum reject any cross-build mixing.
 void store_u64(unsigned char* at, std::uint64_t value) {
   std::memcpy(at, &value, sizeof(value));
 }
@@ -62,35 +56,6 @@ std::uint64_t get_u64(const std::vector<unsigned char>& in,
   std::memcpy(&value, in.data() + offset, sizeof(value));
   offset += sizeof(value);
   return value;
-}
-
-void put_string(std::vector<unsigned char>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string get_string(const std::vector<unsigned char>& in,
-                       std::size_t& offset) {
-  const std::uint64_t length = get_u64(in, offset);
-  VQMC_REQUIRE(length <= kMaxStringBytes && offset + length <= in.size(),
-               "socket comm: corrupt string field in frame");
-  std::string s(reinterpret_cast<const char*>(in.data() + offset),
-                std::size_t(length));
-  offset += length;
-  return s;
-}
-
-/// Derive the listener endpoint for a non-root leader from the group's
-/// rendezvous endpoint: unix sockets get a ".l<rank>" path suffix, tcp
-/// listeners reuse the host with an ephemeral port.
-std::string leader_endpoint_spec(const std::string& base, int rank) {
-  if (base.rfind("unix://", 0) == 0)
-    return base + ".l" + std::to_string(rank);
-  const std::size_t colon = base.rfind(':');
-  VQMC_REQUIRE(base.rfind("tcp://", 0) == 0 && colon != std::string::npos,
-               "socket comm: cannot derive leader endpoint from '" + base +
-                   "'");
-  return base.substr(0, colon) + ":0";
 }
 
 /// dst[i] += src[i] (kSum) or dst[i] = max(dst[i], src[i]) (kMax) over
@@ -118,9 +83,6 @@ SocketCommunicator::SocketCommunicator(int rank, int world,
   VQMC_REQUIRE(rank_ >= 0 && rank_ < world_, "socket comm: rank out of range");
   VQMC_REQUIRE(options_.timeout_seconds >= 0,
                "socket comm: timeout must be >= 0");
-  node_size_ = options_.node_size <= 0 ? world_ : options_.node_size;
-  leader_rank_ = (rank_ / node_size_) * node_size_;
-  is_leader_ = rank_ == leader_rank_;
 }
 
 SocketCommunicator::~SocketCommunicator() = default;
@@ -130,10 +92,10 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
   const double deadline = options_.rendezvous_timeout_seconds;
 
   if (rank_ == 0) {
+    // Accept every other rank's HELLO [rank]; its connection becomes the
+    // child at its place in the fold order.
     wire::Listener listener = wire::listen_on(endpoint);
-    // Accept every other rank's HELLO: [rank][listen endpoint].
-    std::vector<wire::Socket> by_rank(static_cast<std::size_t>(world_));
-    std::vector<std::string> leader_endpoints(static_cast<std::size_t>(world_));
+    children_.resize(std::size_t(world_ - 1));
     for (int joined = 1; joined < world_; ++joined) {
       wire::Socket conn = wire::accept_from(listener.socket, deadline);
       Frame hello;
@@ -144,84 +106,35 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
       const std::uint64_t peer = get_u64(hello.payload, offset);
       VQMC_REQUIRE(peer >= 1 && peer < std::uint64_t(world_),
                    "socket comm: HELLO with out-of-range rank");
-      VQMC_REQUIRE(!by_rank[std::size_t(peer)].valid(),
+      Child& child = children_[std::size_t(peer) - 1];
+      VQMC_REQUIRE(!child.socket.valid(),
                    "socket comm: duplicate HELLO for rank " +
                        std::to_string(peer));
-      leader_endpoints[std::size_t(peer)] = get_string(hello.payload, offset);
-      by_rank[std::size_t(peer)] = std::move(conn);
+      child.rank = int(peer);
+      child.socket = std::move(conn);
     }
-    // WELCOME: [world][node_size][n_leaders][(rank, endpoint)...].
-    std::vector<unsigned char> welcome;
-    put_u64(welcome, std::uint64_t(world_));
-    put_u64(welcome, std::uint64_t(node_size_));
-    std::vector<int> leaders;
-    for (int r = node_size_; r < world_; r += node_size_) leaders.push_back(r);
-    put_u64(welcome, leaders.size());
-    for (const int leader : leaders) {
-      VQMC_REQUIRE(!leader_endpoints[std::size_t(leader)].empty(),
-                   "socket comm: leader rank " + std::to_string(leader) +
-                       " advertised no listener endpoint");
-      put_u64(welcome, std::uint64_t(leader));
-      put_string(welcome, leader_endpoints[std::size_t(leader)]);
-    }
-    for (int r = 1; r < world_; ++r) {
-      VQMC_REQUIRE(wire::send_frame(by_rank[std::size_t(r)],
-                                    FrameType::kWelcome, 0, welcome.data(),
-                                    welcome.size(), deadline),
-                   "socket comm: rank " + std::to_string(r) +
+    const std::uint64_t welcome = std::uint64_t(world_);
+    for (Child& child : children_) {
+      VQMC_REQUIRE(wire::send_frame(child.socket, FrameType::kWelcome, 0,
+                                    &welcome, sizeof(welcome), deadline),
+                   "socket comm: rank " + std::to_string(child.rank) +
                        " vanished during rendezvous");
     }
-    // Keep only direct children: node-0 members individually, every other
-    // node through its leader. Members of other nodes re-dial their leader
-    // and their rendezvous connection is dropped.
-    for (int r = 1; r < std::min(node_size_, world_); ++r) {
-      Child child;
-      child.covered = {r};
-      child.socket = std::move(by_rank[std::size_t(r)]);
-      children_.push_back(std::move(child));
-    }
-    for (const int leader : leaders) {
-      Child child;
-      for (int r = leader; r < std::min(leader + node_size_, world_); ++r)
-        child.covered.push_back(r);
-      child.socket = std::move(by_rank[std::size_t(leader)]);
-      children_.push_back(std::move(child));
-    }
-    std::sort(children_.begin(), children_.end(),
-              [](const Child& a, const Child& b) {
-                return a.covered.front() < b.covered.front();
-              });
     return;
   }
 
-  // Non-root: a leader binds its member listener before saying HELLO so the
-  // advertised endpoint is already live.
-  wire::Listener member_listener;
-  std::string my_listen_endpoint;
-  if (is_leader_) {
-    member_listener = wire::listen_on(leader_endpoint_spec(endpoint, rank_));
-    my_listen_endpoint = member_listener.endpoint;
-  }
-
-  wire::Socket root_conn = wire::connect_to(
+  upstream_ = wire::connect_to(
       endpoint, deadline, rng::splitmix64_once(std::uint64_t(rank_) + 0x9e37),
       &connect_retries_);
   telemetry::metrics()
       .counter("comm.socket.connect_retries")
       .add(std::uint64_t(connect_retries_));
-  std::vector<unsigned char> hello;
-  put_u64(hello, std::uint64_t(rank_));
-  put_string(hello, my_listen_endpoint);
-  VQMC_REQUIRE(wire::send_frame(root_conn, FrameType::kHello, 0, hello.data(),
-                                hello.size(), deadline),
+  const std::uint64_t hello = std::uint64_t(rank_);
+  VQMC_REQUIRE(wire::send_frame(upstream_, FrameType::kHello, 0, &hello,
+                                sizeof(hello), deadline),
                "socket comm: rendezvous listener hung up on HELLO");
-  // WELCOME: [world][node_size][n_leaders][(rank, endpoint)...] with at
-  // most world - 1 leaders, whatever node size the root runs.
-  const std::size_t welcome_bytes =
-      3 * sizeof(std::uint64_t) +
-      std::size_t(world_ - 1) * (2 * sizeof(std::uint64_t) + kMaxStringBytes);
   Frame welcome;
-  if (!wire::recv_frame(root_conn, welcome, deadline, welcome_bytes) ||
+  if (!wire::recv_frame(upstream_, welcome, deadline, kWelcomeBytes) ||
       welcome.type != FrameType::kWelcome)
     throw CommTimeoutError(
         "socket comm: rendezvous ended before WELCOME (root died or group "
@@ -229,67 +142,6 @@ void SocketCommunicator::rendezvous(const std::string& endpoint) {
   std::size_t offset = 0;
   VQMC_REQUIRE(get_u64(welcome.payload, offset) == std::uint64_t(world_),
                "socket comm: world size mismatch at rendezvous");
-  VQMC_REQUIRE(get_u64(welcome.payload, offset) == std::uint64_t(node_size_),
-               "socket comm: node size mismatch at rendezvous");
-  const std::uint64_t n_leaders = get_u64(welcome.payload, offset);
-  std::string my_leader_endpoint;
-  for (std::uint64_t i = 0; i < n_leaders; ++i) {
-    const std::uint64_t leader = get_u64(welcome.payload, offset);
-    const std::string spec = get_string(welcome.payload, offset);
-    if (int(leader) == leader_rank_) my_leader_endpoint = spec;
-  }
-
-  if (leader_rank_ == 0 || is_leader_) {
-    // Direct child of the root: the rendezvous connection is the upstream.
-    upstream_ = std::move(root_conn);
-  } else {
-    // Member of another node: upstream is the node leader.
-    root_conn.close();
-    VQMC_REQUIRE(!my_leader_endpoint.empty(),
-                 "socket comm: no endpoint advertised for leader rank " +
-                     std::to_string(leader_rank_));
-    long long retries = 0;
-    upstream_ = wire::connect_to(
-        my_leader_endpoint, deadline,
-        rng::splitmix64_once(std::uint64_t(rank_) + 0x51ed), &retries);
-    connect_retries_ += retries;
-    telemetry::metrics()
-        .counter("comm.socket.connect_retries")
-        .add(std::uint64_t(retries));
-    std::vector<unsigned char> member_hello;
-    put_u64(member_hello, std::uint64_t(rank_));
-    put_string(member_hello, std::string());
-    VQMC_REQUIRE(wire::send_frame(upstream_, FrameType::kHello, 0,
-                                  member_hello.data(), member_hello.size(),
-                                  deadline),
-                 "socket comm: leader hung up on member HELLO");
-  }
-
-  if (is_leader_) {
-    // Accept this node's members (they dial only after WELCOME).
-    const int node_end = std::min(rank_ + node_size_, world_);
-    std::vector<wire::Socket> by_rank(static_cast<std::size_t>(world_));
-    for (int expected = rank_ + 1; expected < node_end; ++expected) {
-      wire::Socket conn = wire::accept_from(member_listener.socket, deadline);
-      Frame hello_frame;
-      VQMC_REQUIRE(wire::recv_frame(conn, hello_frame, deadline, kHelloBytes) &&
-                       hello_frame.type == FrameType::kHello,
-                   "socket comm: member hung up before HELLO");
-      std::size_t hello_offset = 0;
-      const std::uint64_t member = get_u64(hello_frame.payload, hello_offset);
-      VQMC_REQUIRE(int(member) > rank_ && int(member) < node_end,
-                   "socket comm: HELLO from a rank outside this node");
-      VQMC_REQUIRE(!by_rank[std::size_t(member)].valid(),
-                   "socket comm: duplicate member HELLO");
-      by_rank[std::size_t(member)] = std::move(conn);
-    }
-    for (int r = rank_ + 1; r < node_end; ++r) {
-      Child child;
-      child.covered = {r};
-      child.socket = std::move(by_rank[std::size_t(r)]);
-      children_.push_back(std::move(child));
-    }
-  }
 }
 
 int SocketCommunicator::live_count() const {
@@ -334,15 +186,13 @@ void SocketCommunicator::throw_aborted() {
 
 void SocketCommunicator::handle_child_death(Child& child, const char* how) {
   telemetry::metrics().counter("comm.socket.peer_deaths").add();
-  for (const int r : child.covered) observed_deaths_.push_back(r);
+  observed_deaths_.push_back(child.rank);
   if (options_.on_peer_death == PeerDeathPolicy::kAbort) {
-    std::string who = "rank " + std::to_string(child.covered.front());
-    if (child.covered.size() > 1)
-      who += "-" + std::to_string(child.covered.back());
-    abort_group(who + " died (" + how + ") and the group policy is abort");
+    abort_group("rank " + std::to_string(child.rank) + " died (" + how +
+                ") and the group policy is abort");
     throw_aborted();
   }
-  for (const int r : child.covered) mark_dead(r);
+  mark_dead(child.rank);
   child.gone = true;
   child.socket.close();
 }
@@ -355,16 +205,16 @@ bool SocketCommunicator::contributes(Op op, int bcast_root) const {
 bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
                                           int bcast_root, unsigned char* fold) {
   const std::size_t fold_bytes = data.size() * sizeof(Real);
-  // Own contribution first: the leader is the lowest rank of its subtree, so
-  // seeding the fold with it preserves ascending-rank fold order.
+  // Rank 0's own contribution seeds the fold; the children follow in
+  // ascending rank order.
   bool have_fold = contributes(op, bcast_root);
   if (have_fold && fold_bytes > 0) std::memcpy(fold, data.data(), fold_bytes);
+  // The exact CONTRIB a child can send, or an ABORT in its place.
+  const std::size_t max_payload =
+      std::max(kContribHeader + fold_bytes, kMaxAbortReason);
 
   for (Child& child : children_) {
     if (child.gone) continue;
-    // The exact CONTRIB this child can send, or an ABORT in its place.
-    const std::size_t max_payload = std::max(
-        kContribHeader + fold_bytes + child.covered.size(), kMaxAbortReason);
     bool alive_frame;
     try {
       alive_frame = wire::recv_frame(child.socket, recv_,
@@ -388,11 +238,7 @@ bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
       throw_aborted();
     }
     if (recv_.type == FrameType::kLeave) {
-      // A LEAVE on this connection comes from the rank that owns it:
-      // covered.front() (a leaf, or a leader whose members already left —
-      // leave() forbids departing with live members). Any other covered
-      // rank is therefore already dead; fold the whole connection out.
-      for (const int r : child.covered) mark_dead(r);
+      mark_dead(child.rank);
       child.gone = true;
       continue;
     }
@@ -409,11 +255,11 @@ bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
       VQMC_REQUIRE(frame_root == std::uint64_t(bcast_root),
                    "socket comm: broadcast root mismatch across ranks");
     const std::uint64_t count = get_u64(payload, offset);
+    VQMC_REQUIRE(count == 0 || count == data.size(),
+                 "socket comm: collective payload size mismatch");
+    VQMC_REQUIRE(payload.size() == offset + count * sizeof(Real),
+                 "socket comm: CONTRIB length does not match its count");
     if (count > 0) {
-      VQMC_REQUIRE(count == data.size(),
-                   "socket comm: collective payload size mismatch");
-      VQMC_REQUIRE(offset + fold_bytes <= payload.size(),
-                   "socket comm: collective payload truncated");
       const unsigned char* incoming = payload.data() + offset;
       if (op == Op::kBcast) {
         VQMC_REQUIRE(!have_fold,
@@ -425,14 +271,6 @@ bool SocketCommunicator::collect_and_fold(Op op, std::span<const Real> data,
         fold_reals(op == Op::kMax, fold, incoming, data.size());
       }
       have_fold = true;
-      offset += fold_bytes;
-    }
-    // Trailing liveness bytes: the sender's current view of every rank it
-    // covers, in rank order.
-    VQMC_REQUIRE(offset + child.covered.size() <= payload.size(),
-                 "socket comm: liveness section truncated");
-    for (std::size_t i = 0; i < child.covered.size(); ++i) {
-      if (payload[offset + i] == 0) mark_dead(child.covered[i]);
     }
   }
   return have_fold;
@@ -495,46 +333,32 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
     wire::seal(result_);
     scatter_result(result_);
   } else {
-    // CONTRIB upward: [op][bcast_root][count][reals][liveness bytes], the
-    // liveness of every rank this endpoint covers (its whole node for a
-    // leader, itself for a leaf). A leader folds its node into the reals.
-    const int covered_end =
-        is_leader_ ? std::min(leader_rank_ + node_size_, world_) : rank_ + 1;
-    const std::size_t covered = std::size_t(covered_end - rank_);
-    contrib_.resize(kContribHeader + data_bytes + covered);
-    unsigned char* reals = contrib_.data() + kContribHeader;
-    bool have_fold = contributes(op, bcast_root);
-    if (is_leader_)
-      have_fold = collect_and_fold(op, data, bcast_root, reals);
-    else if (have_fold && data_bytes > 0)
-      std::memcpy(reals, data.data(), data_bytes);
-    const std::size_t sent_count = have_fold ? data.size() : 0;
+    // CONTRIB to the root: [op][bcast_root][count][reals].
+    const std::size_t sent_count =
+        contributes(op, bcast_root) ? data.size() : 0;
+    contrib_.resize(kContribHeader + sent_count * sizeof(Real));
     store_u64(contrib_.data(), std::uint64_t(op));
     store_u64(contrib_.data() + sizeof(std::uint64_t),
               op == Op::kBcast ? std::uint64_t(bcast_root) : kNoBcastRoot);
     store_u64(contrib_.data() + 2 * sizeof(std::uint64_t), sent_count);
-    unsigned char* liveness = reals + sent_count * sizeof(Real);
-    for (int r = rank_; r < covered_end; ++r)
-      *liveness++ = is_leader_ ? alive_[std::size_t(r)] : 1;
-    contrib_.resize(std::size_t(liveness - contrib_.data()));
+    if (sent_count > 0)
+      std::memcpy(contrib_.data() + kContribHeader, data.data(), data_bytes);
     bool sent;
     try {
       sent = wire::send_frame(upstream_, FrameType::kContrib, seq_,
                               contrib_.data(), contrib_.size(),
                               options_.timeout_seconds);
     } catch (const CommTimeoutError&) {
-      abort_group("collective timed out sending a contribution (the "
-                  "reduction parent is wedged)");
+      abort_group("collective timed out sending a contribution (the root "
+                  "is wedged)");
       throw_aborted();
     }
     if (!sent) {
-      abort_group("the reduction parent (rank " +
-                  std::to_string(is_leader_ ? 0 : leader_rank_) +
-                  ") died; this subtree cannot continue");
+      abort_group("the root (rank 0) died; the group cannot continue");
       throw_aborted();
     }
 
-    // Wait for the folded RESULT. The parent's own deadline machinery fires
+    // Wait for the folded RESULT. The root's own deadline machinery fires
     // within timeout_seconds, so give its abort time to arrive before this
     // endpoint races it with a local timeout.
     const double result_deadline =
@@ -550,9 +374,7 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
       throw_aborted();
     }
     if (!got) {
-      abort_group("the reduction parent (rank " +
-                  std::to_string(is_leader_ ? 0 : leader_rank_) +
-                  ") died; this subtree cannot continue");
+      abort_group("the root (rank 0) died; the group cannot continue");
       throw_aborted();
     }
     const std::vector<unsigned char>& result = recv_.payload;
@@ -577,9 +399,6 @@ void SocketCommunicator::round(Op op, std::span<Real> data, int bcast_root) {
                    "socket comm: result payload size mismatch");
       wire::decode_reals(result, offset, data.data(), data.size());
     }
-    // A leader relays the verified result frame, checksum included, to its
-    // live members.
-    if (is_leader_) scatter_result(recv_);
   }
 
   ++seq_;
@@ -614,16 +433,12 @@ void SocketCommunicator::leave() {
   VQMC_REQUIRE(rank_ != 0,
                "socket comm: the root cannot leave() — the group's sequencer "
                "would be orphaned (complete the run or abort instead)");
-  for (const Child& child : children_)
-    VQMC_REQUIRE(child.gone,
-                 "socket comm: a reduction leader cannot leave() while its "
-                 "node has live members — they would be orphaned");
   try {
     wire::send_frame(upstream_, FrameType::kLeave, seq_, nullptr, 0,
                      options_.timeout_seconds > 0 ? options_.timeout_seconds
                                                   : 5.0);
   } catch (const CommTimeoutError&) {
-    // The parent is wedged; closing the connection below reports this rank
+    // The root is wedged; closing the connection below reports this rank
     // as dead instead of departed — same shrink outcome for the survivors.
   }
   left_ = true;
@@ -637,19 +452,17 @@ void SocketCommunicator::interruptible_sleep(double seconds) {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
     return;
   }
-  if (rank_ != 0 && !is_leader_) {
-    // A leaf has no outstanding collective while it sleeps, so readable
-    // upstream data can only be an ABORT (or the EOF of a dead parent):
-    // wake up early and let the next collective observe it.
+  if (rank_ != 0) {
+    // A non-root rank has no outstanding collective while it sleeps, so
+    // readable data from the root can only be an ABORT (or the EOF of a dead
+    // root): wake up early and let the next collective observe it.
     wire::poll_readable(upstream_, seconds);
     return;
   }
-  // A reduction parent may legitimately receive contributions from children
-  // that are already ahead, so it only watches for hangups (peer close) —
-  // the signature of the group dissolving around a sleeping parent. A
-  // non-root leader additionally wakes on upstream data (the root's ABORT).
+  // The root may legitimately receive contributions from children that are
+  // already ahead, so it only watches for hangups (peer close) — the
+  // signature of the group dissolving around a sleeping root.
   std::vector<pollfd> fds;
-  if (rank_ != 0) fds.push_back(pollfd{upstream_.fd(), POLLIN, 0});
   for (const Child& child : children_)
     if (!child.gone) fds.push_back(pollfd{child.socket.fd(), POLLRDHUP, 0});
   if (fds.empty()) {
@@ -676,8 +489,6 @@ std::unique_ptr<SocketCommunicator> connect_socket_group_from_env(
   VQMC_REQUIRE(endpoint && rank && world,
                "socket comm: VQMC_ENDPOINT, VQMC_RANK and VQMC_RANKS must "
                "all be set (use vqmc_launch)");
-  if (const char* node_size = std::getenv("VQMC_NODE_SIZE"))
-    options.node_size = std::atoi(node_size);
   return connect_socket_group(endpoint, std::atoi(rank), std::atoi(world),
                               options);
 }

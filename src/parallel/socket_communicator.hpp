@@ -11,17 +11,13 @@
 /// everything layered on it: elastic shrink, fault injection, deterministic
 /// restart — runs unchanged on top.
 ///
-/// Topology: a two-level reduction tree. Ranks are partitioned into "nodes"
-/// of `node_size` consecutive ranks; the lowest rank of each node is its
-/// *leader* and rank 0 (always a leader) is the *root*. Members send
-/// contributions to their leader, leaders fold their node's contributions in
-/// rank order and forward one partial to the root, the root folds partials
-/// in node order and scatters the result (plus the membership bitmap) back
-/// down. With `node_size == 0` (the default) the tree degenerates to a flat
-/// star rooted at rank 0 whose fold order is exactly the thread backend's
-/// flat rank-order fold. The root doubles as the group's sequencer: every
-/// survivor receives the *same* fold and the same membership view, which is
-/// what makes shrink deterministic.
+/// Topology: a flat star rooted at rank 0. Every other rank sends its
+/// contribution to the root, which folds rank 0's own and then every live
+/// child's in ascending rank order — exactly the thread backend's fold, so
+/// the two backends agree bit for bit — and scatters the result, plus the
+/// membership bitmap, back to every child. The root doubles as the group's
+/// sequencer: every survivor receives the *same* fold and the same
+/// membership view, which is what makes shrink deterministic.
 ///
 /// Failure semantics (the same contract the thread backend implements):
 ///  * Per-collective deadline (`timeout_seconds`): a rank blocked past it
@@ -34,12 +30,11 @@
 ///    the "continue at reduced batch vs abort" policy knob.
 ///  * A hung-but-connected peer (e.g. SIGSTOP) produces no EOF; the
 ///    collective deadline is the liveness check and the group aborts.
-///  * `leave()` sends a LEAVE frame upstream: a graceful, deterministic
-///    departure at a collective boundary (leaf ranks only — a leader's death
-///    orphans its node, so leaders must run to completion or abort).
-///  * Death of the root (or of any leader, for its node's members) cannot be
-///    shrunk around: affected ranks throw CommTimeoutError; restart from the
-///    TrainingSnapshot checkpoint covers it.
+///  * `leave()` sends a LEAVE frame to the root: a graceful, deterministic
+///    departure at a collective boundary. Every rank but the root may leave.
+///  * Death of the root cannot be shrunk around: every other rank throws
+///    CommTimeoutError; restart from the TrainingSnapshot checkpoint covers
+///    it.
 
 #include <functional>
 #include <memory>
@@ -58,19 +53,15 @@ enum class PeerDeathPolicy {
   kAbort,   ///< abort the whole group (every rank throws CommTimeoutError)
 };
 
-/// Knobs shared by every rank of one socket group. Every rank must pass the
-/// same values (the WELCOME frame carries the root's view so mismatches are
-/// caught at rendezvous).
+/// Knobs of one socket group's endpoint. Every rank should pass the same
+/// values; the world size, the one value the ranks must agree on, is
+/// checked at rendezvous (the WELCOME frame carries the root's).
 struct SocketGroupOptions {
   /// Deadline for each collective; 0 disables (wait forever). Same contract
   /// as GroupOptions::timeout_seconds on the thread backend.
   double timeout_seconds = 0;
   /// Deadline for the whole rendezvous (listen/connect/welcome handshake).
   double rendezvous_timeout_seconds = 30;
-  /// Ranks per node for the hierarchical reduction tree; 0 = flat star
-  /// (every rank connects directly to rank 0, fold order identical to the
-  /// thread backend).
-  int node_size = 0;
   /// Shrink-vs-abort policy for peer process death.
   PeerDeathPolicy on_peer_death = PeerDeathPolicy::kShrink;
 };
@@ -103,8 +94,9 @@ class SocketCommunicator final : public Communicator {
   [[nodiscard]] long long connect_retries() const { return connect_retries_; }
 
   /// Ranks this endpoint has observed die un-gracefully (EOF/reset), in
-  /// detection order. Leaders observe their members; the root observes
-  /// every death that reaches a membership bitmap.
+  /// detection order. Only the root holds connections to the other ranks,
+  /// so only the root observes deaths; every other rank learns of them
+  /// through is_alive() (the RESULT's membership bitmap).
   [[nodiscard]] const std::vector<int>& observed_deaths() const {
     return observed_deaths_;
   }
@@ -116,10 +108,9 @@ class SocketCommunicator final : public Communicator {
 
   SocketCommunicator(int rank, int world, SocketGroupOptions options);
 
-  /// A downstream connection: either one member rank, or (on the root) a
-  /// whole node reached through its leader.
+  /// The root's connection to one other rank.
   struct Child {
-    std::vector<int> covered;  ///< ranks behind this connection, ascending
+    int rank = 0;
     wire::Socket socket;
     bool gone = false;  ///< left, died, or folded out
   };
@@ -131,12 +122,12 @@ class SocketCommunicator final : public Communicator {
   void round(Op op, std::span<Real> data, int bcast_root);
   /// Whether this rank's own `data` enters the fold of `op`.
   [[nodiscard]] bool contributes(Op op, int bcast_root) const;
-  /// Fold this rank's contribution and every live child's CONTRIB, in
-  /// ascending rank order, into the data.size() reals at `fold` (a wire
-  /// buffer, so unaligned). Returns whether any payload was folded.
+  /// On the root: fold its own contribution and every live child's
+  /// CONTRIB, in ascending rank order, into the data.size() reals at `fold`
+  /// (a wire buffer, so unaligned). Returns whether any payload was folded.
   bool collect_and_fold(Op op, std::span<const Real> data, int bcast_root,
                         unsigned char* fold);
-  /// Write `result` (sealed or verified once) to every live child.
+  /// Write `result` (sealed once) to every live child.
   void scatter_result(const wire::Frame& result);
   void handle_child_death(Child& child, const char* how);
   void abort_group(const std::string& reason);
@@ -146,12 +137,9 @@ class SocketCommunicator final : public Communicator {
   const int rank_;
   const int world_;
   const SocketGroupOptions options_;
-  int node_size_ = 0;    ///< effective (0 in options -> world_)
-  int leader_rank_ = 0;  ///< leader of this rank's node
-  bool is_leader_ = false;
 
-  wire::Socket upstream_;        ///< connection toward the root (leaf/leader)
-  std::vector<Child> children_;  ///< fold order (ascending covered ranks)
+  wire::Socket upstream_;        ///< connection to the root (non-root ranks)
+  std::vector<Child> children_;  ///< on the root: ranks 1..world-1, in order
 
   std::vector<char> alive_;
   std::uint64_t seq_ = 0;
@@ -177,12 +165,11 @@ std::unique_ptr<SocketCommunicator> connect_socket_group(
     const SocketGroupOptions& options = {});
 
 /// Environment-spec rendezvous (the vqmc_launch child protocol): reads
-///   VQMC_ENDPOINT  — rendezvous endpoint (required)
-///   VQMC_RANK      — this rank (required)
-///   VQMC_RANKS     — world size (required)
-///   VQMC_NODE_SIZE — hierarchical node size (optional, default flat)
-/// and connects with `options` (node_size overridden by the env when set).
-/// Throws vqmc::Error when a required variable is missing or malformed.
+///   VQMC_ENDPOINT  — rendezvous endpoint
+///   VQMC_RANK      — this rank
+///   VQMC_RANKS     — world size
+/// and connects with `options`. Throws vqmc::Error when one is missing or
+/// out of range.
 std::unique_ptr<SocketCommunicator> connect_socket_group_from_env(
     SocketGroupOptions options = {});
 

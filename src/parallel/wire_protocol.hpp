@@ -36,12 +36,12 @@ namespace vqmc::parallel::wire {
 
 /// Frame types (the `type` header field).
 enum class FrameType : std::uint32_t {
-  kHello = 1,    ///< joiner -> listener: my rank (+ optional listen address)
-  kWelcome = 2,  ///< listener -> joiner: group metadata, leader addresses
-  kContrib = 3,  ///< member -> leader / leader -> root: collective payload
-  kResult = 4,   ///< root -> leader / leader -> member: folded payload + map
-  kLeave = 5,    ///< member -> leader: graceful permanent departure
-  kAbort = 6,    ///< root -> everyone: group aborted, reason in payload
+  kHello = 1,    ///< rank -> root at rendezvous: [rank]
+  kWelcome = 2,  ///< root -> rank at rendezvous: [world]
+  kContrib = 3,  ///< rank -> root: [op][bcast_root][count][reals]
+  kResult = 4,   ///< root -> rank: [world][alive bitmap][count][reals]
+  kLeave = 5,    ///< rank -> root: graceful permanent departure
+  kAbort = 6,    ///< either way: group aborted, reason in payload
   kStatus = 7,   ///< obs client -> server: status request, format in payload
   kMetrics = 8,  ///< obs client -> server: Prometheus-text metrics request
 };

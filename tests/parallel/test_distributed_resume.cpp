@@ -20,6 +20,7 @@
 #include "parallel/thread_communicator.hpp"
 #include "rng/splitmix.hpp"
 #include "sampler/autoregressive_sampler.hpp"
+#include "support/telemetry_gate.hpp"
 
 namespace vqmc::parallel {
 namespace {
@@ -117,11 +118,11 @@ TEST(DistributedCheckpoint, ResumeReplaysTheTailBitIdentically) {
   const DistributedConfig plain = resume_config(ranks);
   const DistributedResult reference = train_distributed(tim, made, plain);
 
-  // Checkpointed run: snapshots at iterations 4 and 8; the run completes,
-  // so <base>.rank<r> holds the iteration-8 state.
+  // Checkpointed run: cadence 8 over 12 iterations writes one snapshot per
+  // rank, after iteration 8, so <base>.rank<r> holds the iteration-8 state.
   DistributedConfig checkpointed = plain;
   checkpointed.checkpoint_base = base;
-  checkpointed.checkpoint_every = 4;
+  checkpointed.checkpoint_every = 8;
   const DistributedResult first = train_distributed(tim, made, checkpointed);
   ASSERT_EQ(first.converged_energy, reference.converged_energy);
 
@@ -158,10 +159,10 @@ TEST(DistributedCheckpoint, OneRankCheckpointContinuesInTheSerialTrainer) {
   made.initialize(2);
   DistributedConfig cfg = resume_config(1);
   cfg.checkpoint_base = base;
-  cfg.checkpoint_every = 4;
+  cfg.checkpoint_every = 8;
   const DistributedResult dist = train_distributed(tim, made, cfg);
 
-  // <base>.rank0 holds the top-of-iteration-8 state.
+  // <base>.rank0 holds the iteration-8 state (cadence 8, 12 iterations).
   Made serial(6, 8);
   AutoregressiveSampler sampler(serial, cfg.seed ^ rng::splitmix64_once(1));
   Adam adam(0.01);
@@ -183,6 +184,39 @@ TEST(DistributedCheckpoint, OneRankCheckpointContinuesInTheSerialTrainer) {
         << "iteration " << m.iteration;
 
   remove_rank_checkpoints(base, 1);
+}
+
+TEST(DistributedCheckpoint, RanksCheckpointInTheStepAfterEachCadenceIteration) {
+  // Each rank's trainer writes <base>.rank<r> with the serial trainer's
+  // semantics: after every cadence iteration completes, the last one
+  // included, with an .iter<N> history, inside the step's checkpoint phase.
+  const std::string base = "/tmp/vqmc_dist_cadence_test";
+  const int ranks = 2;
+  remove_rank_checkpoints(base, ranks);
+
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(6, 1);
+  Made made(6, 8);
+  made.initialize(2);
+  DistributedConfig cfg = resume_config(ranks);
+  cfg.checkpoint_base = base;
+  cfg.checkpoint_every = 4;
+  const DistributedResult result = train_distributed(tim, made, cfg);
+
+  for (int r = 0; r < ranks; ++r) {
+    const std::string rank_base = base + ".rank" + std::to_string(r);
+    EXPECT_EQ(load_training_checkpoint(rank_base).iteration, 12) << rank_base;
+    EXPECT_EQ(load_training_checkpoint(rank_base + ".iter8").iteration, 8)
+        << rank_base;
+  }
+  remove_rank_checkpoints(base, ranks);
+
+  // Three writes per rank (after iterations 4, 8 and 12), each timed into
+  // the checkpoint phase.
+  VQMC_SKIP_WITHOUT_TELEMETRY();
+  const telemetry::HistogramSnapshot* writes =
+      result.merged_metrics.find_histogram("phase.checkpoint_seconds");
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->count, 6u);
 }
 
 TEST(DistributedCheckpoint, ResumeRejectsAForeignModel) {

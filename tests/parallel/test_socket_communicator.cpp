@@ -1,6 +1,7 @@
 // Tests for the socket-backed multi-process communicator: wire protocol
-// framing, rendezvous, collectives, hierarchical reduction, graceful leave,
-// real process death (fork + SIGKILL) and the shrink-vs-abort policy.
+// framing, rendezvous, the flat star's collectives and their bitwise match
+// with the thread backend, graceful leave, real process death (fork +
+// SIGKILL) and the shrink-vs-abort policy.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -21,6 +25,7 @@
 #include "common/error.hpp"
 #include "parallel/process_faults.hpp"
 #include "parallel/socket_communicator.hpp"
+#include "parallel/thread_communicator.hpp"
 #include "parallel/wire_protocol.hpp"
 
 namespace vqmc::parallel {
@@ -353,26 +358,39 @@ struct LoneRoot {
 constexpr std::uint64_t kLyingClaim = 0xFFFFFFFFull;  // 2^32 - 1 bytes
 
 TEST(SocketCommunicator, LyingRendezvousHeaderFailsBeforeAllocating) {
-  // Rank 0 bounds a HELLO by its largest legal size (rank + one endpoint
-  // string), so a header claiming 4 GiB is refused at once instead of
-  // being allocated and waited for until the rendezvous deadline.
-  const std::string endpoint = fresh_unix_endpoint("lyinghello");
-  SocketGroupOptions options;
-  options.rendezvous_timeout_seconds = 10;
-  LoneRoot root(endpoint, options, [](Communicator&) {});
-  wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/3);
-  send_raw(conn, raw_header(kFrameMagic, wire::FrameType::kHello, 0,
-                            kLyingClaim));
-  const std::string what = root.error_message();
-  EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
-  EXPECT_NE(what.find(std::to_string(2 * 8 + 4096)), std::string::npos)
-      << what;
-  EXPECT_LT(root.seconds, 5.0);
+  // Rank 0 bounds a HELLO by its exact size, one 8-byte rank, so a larger
+  // claim ends at once in an Error naming both sizes instead of being
+  // allocated and waited for until the rendezvous deadline. Two inputs: a
+  // header claiming 4 GiB, and a whole HELLO in the previous layout (rank,
+  // then an empty listen-endpoint string: 16 bytes) from an older build.
+  const std::uint64_t previous_layout[2] = {1, 0};
+  for (const std::uint64_t claim :
+       {kLyingClaim, std::uint64_t(sizeof(previous_layout))}) {
+    SCOPED_TRACE(claim);
+    const std::string endpoint = fresh_unix_endpoint("lyinghello");
+    SocketGroupOptions options;
+    options.rendezvous_timeout_seconds = 10;
+    LoneRoot root(endpoint, options, [](Communicator&) {});
+    wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/3);
+    if (claim == kLyingClaim) {
+      send_raw(conn, raw_header(kFrameMagic, wire::FrameType::kHello, 0,
+                                kLyingClaim));
+    } else {
+      ASSERT_TRUE(wire::send_frame(conn, wire::FrameType::kHello, 0,
+                                   previous_layout, sizeof(previous_layout),
+                                   10.0));
+    }
+    const std::string what = root.error_message();
+    EXPECT_NE(what.find(" " + std::to_string(claim) + " "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(" 8 "), std::string::npos) << what;
+    EXPECT_LT(root.seconds, 5.0);
+  }
 }
 
 TEST(SocketCommunicator, LyingCollectiveHeaderFailsBeforeAllocating) {
   // Rank 0 bounds a CONTRIB by its exact size for the collective at hand:
-  // 24 header bytes + 8 per real + one liveness byte per covered rank.
+  // 24 header bytes + 8 per real.
   constexpr std::size_t kCount = 1000;
   const std::string endpoint = fresh_unix_endpoint("lyingcontrib");
   SocketGroupOptions options;
@@ -381,10 +399,10 @@ TEST(SocketCommunicator, LyingCollectiveHeaderFailsBeforeAllocating) {
     std::vector<Real> data(kCount, 1.0);
     comm.allreduce_sum(data);
   });
-  // Rank 1 by hand: HELLO [rank 1][no listen endpoint], then WELCOME.
+  // Rank 1 by hand: HELLO [rank 1], then WELCOME.
   wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/4);
-  const std::uint64_t hello[2] = {1, 0};
-  ASSERT_TRUE(wire::send_frame(conn, wire::FrameType::kHello, 0, hello,
+  const std::uint64_t hello = 1;
+  ASSERT_TRUE(wire::send_frame(conn, wire::FrameType::kHello, 0, &hello,
                                sizeof(hello), 10.0));
   wire::Frame welcome;
   ASSERT_TRUE(wire::recv_frame(conn, welcome, 10.0, kTestMaxPayload));
@@ -393,41 +411,81 @@ TEST(SocketCommunicator, LyingCollectiveHeaderFailsBeforeAllocating) {
                             kLyingClaim));
   const std::string what = root.error_message();
   EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
-  EXPECT_NE(what.find(std::to_string(24 + 8 * kCount + 1)), std::string::npos)
+  EXPECT_NE(what.find(std::to_string(24 + 8 * kCount)), std::string::npos)
       << what;
   EXPECT_LT(root.seconds, 5.0);
 }
 
-TEST(SocketCommunicator, HierarchicalTreeReducesCorrectlyAndDeterministically) {
-  // node_size 2 over 5 ranks: nodes {0,1}, {2,3}, {4}. Partial folds at the
-  // leaders change the float association relative to the flat star, so the
-  // contract is (a) exact agreement for exactly-representable inputs and
-  // (b) bit-identical results for the *same* topology across runs, even with
-  // order-sensitive inputs.
+TEST(SocketCommunicator, StarMatchesThreadBackendBitwiseBeforeAndAfterALeave) {
+  // The star folds rank 0 and then ranks 1..L-1 in ascending order, as the
+  // thread backend does. Both inputs are order-sensitive (floating-point
+  // addition is not associative here), so any other fold order would change
+  // the bits: the two backends must agree exactly on every rank, before and
+  // after rank 2 leaves and both folds skip it.
   constexpr int kRanks = 5;
-  SocketGroupOptions hier;
-  hier.node_size = 2;
-
-  const std::vector<Real> exact = {0.25, 0.5, 1.0, 2.0, 4.75};
-  run_socket_group(kRanks, [&](Communicator& comm) {
-    std::vector<Real> data = {exact[std::size_t(comm.rank())]};
-    comm.allreduce_sum(data);
-    EXPECT_EQ(data[0], 8.5);
-  }, hier);
-
+  constexpr int kLeaver = 2;
   const std::vector<Real> touchy = {0.1, 1e16, 0.2, -1e16, 0.7};
-  std::vector<Real> first(kRanks, 0), second(kRanks, 0);
-  for (std::vector<Real>* out : {&first, &second}) {
-    run_socket_group(kRanks, [&](Communicator& comm) {
-      std::vector<Real> data = {touchy[std::size_t(comm.rank())]};
-      comm.allreduce_sum(data);
-      (*out)[std::size_t(comm.rank())] = data[0];
-    }, hier);
-  }
+  const auto inputs = [&](int r) {
+    return std::vector<Real>{touchy[std::size_t(r)],
+                             std::pow(Real(10), r - 2) + Real(1) / Real(3 + r)};
+  };
+  // Per rank: the sum then the max of both inputs, before the leave and
+  // (on the ranks that stay) after it.
+  using Results = std::vector<std::vector<Real>>;
+  const auto body = [&](Results& out) {
+    return [&inputs, results = &out](Communicator& comm) {
+      std::vector<Real>& mine = (*results)[std::size_t(comm.rank())];
+      const auto reduce = [&] {
+        std::vector<Real> sum = inputs(comm.rank());
+        std::vector<Real> max = sum;
+        comm.allreduce_sum(sum);
+        comm.allreduce_max(max);
+        mine.insert(mine.end(), sum.begin(), sum.end());
+        mine.insert(mine.end(), max.begin(), max.end());
+      };
+      reduce();
+      if (comm.rank() == kLeaver) {
+        comm.leave();
+        return;
+      }
+      reduce();
+    };
+  };
+  Results threads(kRanks), sockets(kRanks);
+  run_thread_group(kRanks, body(threads));
+  run_socket_group(kRanks, body(sockets));
+
   for (int r = 0; r < kRanks; ++r) {
-    EXPECT_EQ(first[std::size_t(r)], second[std::size_t(r)]) << "rank " << r;
-    EXPECT_EQ(first[0], first[std::size_t(r)]) << "rank " << r;
+    SCOPED_TRACE(r);
+    ASSERT_EQ(threads[std::size_t(r)].size(), r == kLeaver ? 4u : 8u);
+    ASSERT_EQ(sockets[std::size_t(r)].size(), threads[std::size_t(r)].size());
+    for (std::size_t i = 0; i < threads[std::size_t(r)].size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sockets[std::size_t(r)][i]),
+                std::bit_cast<std::uint64_t>(threads[std::size_t(r)][i]))
+          << "result " << i;
   }
+  // The inputs do tell fold orders apart: ascending rank order gives 0.7
+  // over all five ranks, descending order 0.1.
+  Real ascending = 0, descending = 0;
+  for (int r = 0; r < kRanks; ++r) ascending += touchy[std::size_t(r)];
+  for (int r = kRanks - 1; r >= 0; --r) descending += touchy[std::size_t(r)];
+  EXPECT_NE(ascending, descending);
+  EXPECT_EQ(sockets[0][0], ascending);
+}
+
+TEST(SocketCommunicator, EveryRankButTheRootMayLeave) {
+  run_socket_group(4, [](Communicator& comm) {
+    EXPECT_DOUBLE_EQ(comm.allreduce_sum(Real(1)), 4.0);
+    if (comm.rank() == 0) {
+      EXPECT_THROW(comm.leave(), Error);
+    }
+    if (comm.rank() == 1 || comm.rank() == 2) {
+      comm.leave();
+      return;
+    }
+    EXPECT_DOUBLE_EQ(comm.allreduce_sum(Real(1)), 2.0);
+    EXPECT_EQ(comm.live_count(), 2);
+  });
 }
 
 TEST(SocketCommunicator, GracefulLeaveShrinksDeterministically) {
@@ -450,20 +508,6 @@ TEST(SocketCommunicator, GracefulLeaveShrinksDeterministically) {
   EXPECT_EQ(live_after[0], 3);
   EXPECT_EQ(live_after[1], 3);
   EXPECT_EQ(live_after[3], 3);
-}
-
-TEST(SocketCommunicator, LeaderCannotLeave) {
-  SocketGroupOptions options;
-  options.node_size = 2;
-  run_socket_group(4, [](Communicator& comm) {
-    Real value = 1.0;
-    value = comm.allreduce_sum(value);
-    if (comm.rank() == 2) {
-      // Rank 2 leads node {2, 3}: leaving would orphan rank 3.
-      EXPECT_THROW(comm.leave(), Error);
-    }
-    comm.barrier();
-  }, options);
 }
 
 TEST(SocketCommunicator, HungPeerTripsCollectiveDeadlineEverywhere) {
