@@ -8,8 +8,9 @@
 ///    materialization, then scalar dense gemms over the full weight
 ///    matrices (vqmc::ref) — every multiply against a masked-out entry is
 ///    wasted work and the materialization is a fixed per-call cost.
-///  - *packed-scalar* (PR 5 era): the cached masked weights and the scalar
-///    extent kernels (vqmc::ref) — structural zeros skipped, no SIMD.
+///  - *packed-scalar* (the first masked plan): the scalar extent kernels
+///    (vqmc::ref) reading the weight blocks in place in the parameter
+///    vector — structural zeros skipped, no SIMD.
 ///  - *simd* (shipped): `Made::log_psi` over the packed panels with the
 ///    runtime-dispatched SIMD kernels.
 ///
@@ -40,6 +41,7 @@
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/made_masks.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_ref.hpp"
 #include "tensor/simd.hpp"
@@ -51,6 +53,7 @@ namespace {
 /// Scratch shared by the two scalar baselines (hoisted so they pay for
 /// multiply work, not allocator churn).
 struct ScalarScratch {
+  Matrix m1, m2;    ///< dense path only: the masks, from the degree rule
   Matrix w1m, w2m;  ///< dense path only: per-call materialization target
   Matrix a1, h1, p;
 };
@@ -66,8 +69,8 @@ void dense_scalar_log_psi(const Made& made, const Matrix& batch,
       static_cast<const WavefunctionModel&>(made).parameters();
   const std::size_t off_w2 = h * n + h;
 
-  const Real* m1 = made.mask1().data();
-  const Real* m2 = made.mask2().data();
+  const Real* m1 = s.m1.data();
+  const Real* m2 = s.m2.data();
   for (std::size_t i = 0; i < h * n; ++i)
     s.w1m.data()[i] = m1[i] * params[i];
   for (std::size_t i = 0; i < n * h; ++i)
@@ -87,16 +90,22 @@ void dense_scalar_log_psi(const Made& made, const Matrix& batch,
         2;
 }
 
-/// The PR 5 packed path: cached masked weights + scalar extent kernels.
-void packed_scalar_log_psi(const Made& made, const Made::MaskedWeights& mw,
-                           const Matrix& batch, std::span<Real> out,
-                           ScalarScratch& s) {
+/// The packed-scalar path: scalar extent kernels over the weight blocks,
+/// which they read in place (only in-mask entries are touched).
+void packed_scalar_log_psi(const Made& made, const Matrix& batch,
+                           std::span<Real> out, ScalarScratch& s) {
+  const std::size_t n = made.num_spins();
+  const std::size_t h = made.hidden_size();
   const std::size_t bs = batch.rows();
-  ref::gemm_nt_extents(batch, mw.w1m, made.w1_extents().view(), s.a1);
+  const std::span<const Real> params =
+      static_cast<const WavefunctionModel&>(made).parameters();
+  const ConstMatrixView w1(params.data(), h, n);
+  const ConstMatrixView w2(params.data() + h * n + h, n, h);
+  ref::gemm_nt_extents(batch, w1, made.w1_extents().view(), s.a1);
   add_row_broadcast(s.a1, made.bias1());
   s.h1 = s.a1;
   relu_inplace(s.h1);
-  ref::gemm_nt_extents(s.h1, mw.w2m, made.w2_extents().view(), s.p);
+  ref::gemm_nt_extents(s.h1, w2, made.w2_extents().view(), s.p);
   add_row_broadcast(s.p, made.bias2());
   ref::sigmoid_inplace(s.p);
   for (std::size_t k = 0; k < bs; ++k)
@@ -183,16 +192,20 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < batch.size(); ++i)
       batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
 
-    ScalarScratch scratch{Matrix(h, n), Matrix(n, h), Matrix(rows, h),
-                          Matrix(rows, h), Matrix(rows, n)};
+    ScalarScratch scratch{testing::made_input_mask(n, h),
+                          testing::made_output_mask(n, h),
+                          Matrix(h, n),
+                          Matrix(n, h),
+                          Matrix(rows, h),
+                          Matrix(rows, h),
+                          Matrix(rows, n)};
     Made::Workspace ws;
     Vector dense_out(rows), packed_out(rows), simd_out(rows);
-    const std::shared_ptr<const Made::MaskedWeights> mw = made.masked();
 
     // Warm every path (shapes the workspace, fills the weight cache) and
     // check the tolerance contract before timing.
     dense_scalar_log_psi(made, batch, dense_out.span(), scratch);
-    packed_scalar_log_psi(made, *mw, batch, packed_out.span(), scratch);
+    packed_scalar_log_psi(made, batch, packed_out.span(), scratch);
     made.log_psi(batch, simd_out.span(), ws);
     Real max_abs = 0;
     for (std::size_t k = 0; k < rows; ++k) {
@@ -218,9 +231,7 @@ int main(int argc, char** argv) {
         [&] { dense_scalar_log_psi(made, batch, dense_out.span(), scratch); },
         calls, repeats);
     r.packed_ms = time_per_call_ms(
-        [&] {
-          packed_scalar_log_psi(made, *mw, batch, packed_out.span(), scratch);
-        },
+        [&] { packed_scalar_log_psi(made, batch, packed_out.span(), scratch); },
         calls, repeats);
     r.simd_ms = time_per_call_ms(
         [&] { made.log_psi(batch, simd_out.span(), ws); }, calls, repeats);

@@ -474,12 +474,7 @@ void VqmcTrainer::restore(const TrainingSnapshot& snap) {
   VQMC_REQUIRE(snap.optimizer_name == optimizer_.name(),
                "trainer restore: optimizer kind mismatch ('" +
                    snap.optimizer_name + "' vs '" + optimizer_.name() + "')");
-  // "AUTO-fast" is the label the MADE engine sampler carried before it
-  // became the AUTO sampler; its state layout is unchanged, so such
-  // snapshots restore into today's AUTO.
-  const std::string stored_sampler =
-      snap.sampler_name == "AUTO-fast" ? "AUTO" : snap.sampler_name;
-  VQMC_REQUIRE(stored_sampler == sampler_.name(),
+  VQMC_REQUIRE(snap.sampler_name == sampler_.name(),
                "trainer restore: sampler kind mismatch ('" +
                    snap.sampler_name + "' vs '" + sampler_.name() + "')");
   VQMC_REQUIRE(snap.parameters.size() == model_.num_parameters(),

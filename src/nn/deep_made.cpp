@@ -21,26 +21,27 @@ DeepMade::DeepMade(std::size_t n, std::size_t hidden, std::size_t depth)
       params_(hidden * n + hidden +                       // first layer
               (depth - 1) * (hidden * hidden + hidden) +  // deeper layers
               n * hidden + n),                            // output layer
-      degrees_(hidden),
-      input_mask_(hidden, n),
-      hidden_mask_(hidden, hidden),
-      output_mask_(n, hidden) {
+      degrees_(hidden) {
   VQMC_REQUIRE(n_ >= 2, "DeepMADE: need at least 2 spins");
   VQMC_REQUIRE(h_ >= 1, "DeepMADE: hidden size must be positive");
   VQMC_REQUIRE(depth_ >= 1, "DeepMADE: depth must be >= 1");
 
   for (std::size_t k = 0; k < h_; ++k) degrees_[k] = 1 + (k % (n_ - 1));
-  for (std::size_t k = 0; k < h_; ++k) {
-    for (std::size_t j = 0; j < n_; ++j)
-      input_mask_(k, j) = (j + 1 <= degrees_[k]) ? 1 : 0;
-    for (std::size_t j = 0; j < h_; ++j)
-      hidden_mask_(k, j) = (degrees_[k] >= degrees_[j]) ? 1 : 0;
-    for (std::size_t i = 0; i < n_; ++i)
-      output_mask_(i, k) = (i + 1 > degrees_[k]) ? 1 : 0;
+  // The dense masks live only long enough to derive the extents.
+  {
+    Matrix input_mask(h_, n_), hidden_mask(h_, h_), output_mask(n_, h_);
+    for (std::size_t k = 0; k < h_; ++k) {
+      for (std::size_t j = 0; j < n_; ++j)
+        input_mask(k, j) = (j + 1 <= degrees_[k]) ? 1 : 0;
+      for (std::size_t j = 0; j < h_; ++j)
+        hidden_mask(k, j) = (degrees_[k] >= degrees_[j]) ? 1 : 0;
+      for (std::size_t i = 0; i < n_; ++i)
+        output_mask(i, k) = (i + 1 > degrees_[k]) ? 1 : 0;
+    }
+    input_ext_ = RowExtents::from_mask(input_mask);
+    hidden_ext_ = RowExtents::from_mask(hidden_mask);
+    output_ext_ = RowExtents::from_mask(output_mask);
   }
-  input_ext_ = RowExtents::from_mask(input_mask_);
-  hidden_ext_ = RowExtents::from_mask(hidden_mask_);
-  output_ext_ = RowExtents::from_mask(output_mask_);
   initialize(0);
 }
 
@@ -87,33 +88,11 @@ std::shared_ptr<const DeepMade::MaskedWeights> DeepMade::masked() const {
   return cache_.fetch(v, [&] {
     auto mw = std::make_shared<MaskedWeights>();
     mw->version = v;
-    mw->w.resize(depth_);
     mw->wp.resize(depth_);
-    for (std::size_t layer = 0; layer < depth_; ++layer) {
-      const std::size_t in_dim = layer == 0 ? n_ : h_;
-      const RowExtentsView ext = layer_extents(layer).view();
-      const Real* src = params_.data() + w_offset(layer);
-      mw->w[layer] = Matrix(h_, in_dim);  // zero-initialized
-#pragma omp parallel for schedule(static)
-      for (std::size_t r = 0; r < h_; ++r) {
-        Real* dst = mw->w[layer].row(r).data();
-        const Real* s = src + r * in_dim;
-        for (const ColSpan span : ext.row(r))
-          for (std::size_t j = span.begin; j < span.end; ++j) dst[j] = s[j];
-      }
-      mw->wp[layer] = PackedRowPanels::pack(mw->w[layer], ext);
-    }
-    const RowExtentsView ext = output_ext_.view();
-    const Real* src = params_.data() + w_out_offset();
-    mw->w_out = Matrix(n_, h_);
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < n_; ++r) {
-      Real* dst = mw->w_out.row(r).data();
-      const Real* s = src + r * h_;
-      for (const ColSpan span : ext.row(r))
-        for (std::size_t j = span.begin; j < span.end; ++j) dst[j] = s[j];
-    }
-    mw->w_out_p = PackedRowPanels::pack(mw->w_out, ext);
+    for (std::size_t layer = 0; layer < depth_; ++layer)
+      mw->wp[layer] = PackedRowPanels::pack(layer_weights(layer),
+                                            layer_extents(layer).view());
+    mw->w_out_p = PackedRowPanels::pack(out_weights(), output_ext_.view());
     return mw;
   });
 }
@@ -188,33 +167,27 @@ void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
     for (std::size_t i = 0; i < n_; ++i) g[i] = c * (x[i] - p[i]);
   }
 
-  // Output layer: weight gradient only inside the mask extents.
-  {
-    const RowExtentsView ext = output_ext_.view();
-    ensure_shape(ws.dw, n_, h_);
-    extents_zero(ws.dw, ext);
-    gemm_tn_accumulate_extents(ws.g_out, ws.post[depth_ - 1], ext, ws.dw);
-    extents_add_flat(ws.dw, ext, grad.subspan(w_out_offset(), n_ * h_));
-    column_sum_accumulate(ws.g_out, grad.subspan(b_out_offset(), n_));
-  }
+  // Output layer: weight gradient in place, only inside the mask extents.
+  gemm_tn_accumulate_extents(ws.g_out, ws.post[depth_ - 1], output_ext_.view(),
+                             MatrixView(grad.data() + w_out_offset(), n_, h_));
+  column_sum_accumulate(ws.g_out, grad.subspan(b_out_offset(), n_));
 
-  // Back through hidden layers.
+  // Back through hidden layers, reading each layer's weights in place.
   ensure_shape(ws.g, bs, h_);
-  gemm_nn_extents(ws.g_out, mw->w_out, output_ext_.view(), ws.g);
+  gemm_nn_extents(ws.g_out, out_weights(), output_ext_.view(), ws.g);
   for (std::size_t layer = depth_; layer-- > 0;) {
     relu_backward_inplace(ws.pre[layer], ws.g);
     const Matrix& input = layer == 0 ? batch : ws.post[layer - 1];
     const std::size_t in_dim = layer == 0 ? n_ : h_;
     const RowExtentsView ext = layer_extents(layer).view();
-    ensure_shape(ws.dw, h_, in_dim);
-    extents_zero(ws.dw, ext);
-    gemm_tn_accumulate_extents(ws.g, input, ext, ws.dw);
-    extents_add_flat(ws.dw, ext, grad.subspan(w_offset(layer), h_ * in_dim));
+    gemm_tn_accumulate_extents(
+        ws.g, input, ext,
+        MatrixView(grad.data() + w_offset(layer), h_, in_dim));
     column_sum_accumulate(ws.g, grad.subspan(b_offset(layer), h_));
 
     if (layer > 0) {
       ensure_shape(ws.g_prev, bs, h_);
-      gemm_nn_extents(ws.g, mw->w[layer], ext, ws.g_prev);
+      gemm_nn_extents(ws.g, layer_weights(layer), ext, ws.g_prev);
       std::swap(ws.g, ws.g_prev);
     }
   }

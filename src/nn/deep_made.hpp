@@ -18,9 +18,10 @@
 ///
 /// Like Made, evaluation runs through the masked compute plan (DESIGN.md
 /// §5f): per-mask RowExtents built once at construction drive the
-/// extent-aware kernels, and the masked weight matrices are cached behind
-/// the parameter version counter instead of re-materialized per call.  The
-/// same thread-safety and mutable-span rules as made.hpp apply.
+/// extent-aware kernels, which read weights and accumulate gradients in
+/// place; only the packed row panels are cached, behind the parameter
+/// version counter.  The same thread-safety and mutable-span rules as
+/// made.hpp apply.
 
 #include <cstdint>
 #include <memory>
@@ -39,18 +40,16 @@ class DeepMade final : public AutoregressiveModel {
   /// \param depth number of hidden layers (>= 1; depth 1 == Made)
   DeepMade(std::size_t n, std::size_t hidden, std::size_t depth);
 
-  /// Immutable packed masked weights for one parameter version, plus the
-  /// row panels the forward's gemm_nt_panels streams over (packed once per
-  /// parameter write alongside the matrices).
+  /// Immutable packed masked weights for one parameter version: each
+  /// layer's in-extent weights as the row panels the forward's
+  /// gemm_nt_panels streams over, packed from the parameter vector.
   struct MaskedWeights {
-    std::vector<Matrix> w;  ///< per hidden layer: h x n (layer 0) or h x h
-    Matrix w_out;           ///< n x h
     std::vector<PackedRowPanels> wp;  ///< per hidden layer, row-packed
     PackedRowPanels w_out_p;          ///< output layer, row-packed
     std::uint64_t version = 0;
   };
 
-  /// Caller-owned evaluation scratch (activations + gradient temporaries).
+  /// Caller-owned evaluation scratch (activations + backprop signals).
   struct Workspace final : WavefunctionModel::Workspace {
     std::vector<Matrix> pre;   ///< pre-ReLU activations per hidden layer
     std::vector<Matrix> post;  ///< post-ReLU activations per hidden layer
@@ -58,7 +57,6 @@ class DeepMade final : public AutoregressiveModel {
     Matrix g_out;              ///< output-layer signal
     Matrix g;                  ///< backprop signal (current layer)
     Matrix g_prev;             ///< backprop signal (previous layer)
-    Matrix dw;                 ///< weight-gradient scratch
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -126,6 +124,14 @@ class DeepMade final : public AutoregressiveModel {
   [[nodiscard]] std::size_t b_offset(std::size_t layer) const;
   [[nodiscard]] std::size_t w_out_offset() const;
   [[nodiscard]] std::size_t b_out_offset() const;
+  /// Hidden layer `layer`'s weights (h x n or h x h), in the parameters.
+  [[nodiscard]] ConstMatrixView layer_weights(std::size_t layer) const {
+    return {params_.data() + w_offset(layer), h_, layer == 0 ? n_ : h_};
+  }
+  /// The output layer's weights (n x h), in the parameters.
+  [[nodiscard]] ConstMatrixView out_weights() const {
+    return {params_.data() + w_out_offset(), n_, h_};
+  }
 
   /// Extents of hidden layer `layer`'s mask (input mask for layer 0).
   [[nodiscard]] const RowExtents& layer_extents(std::size_t layer) const {
@@ -140,9 +146,6 @@ class DeepMade final : public AutoregressiveModel {
   std::size_t depth_;
   Vector params_;
   std::vector<std::size_t> degrees_;  ///< hidden-unit degrees (shared by layers)
-  Matrix input_mask_;                 ///< h x n
-  Matrix hidden_mask_;                ///< h x h (between hidden layers)
-  Matrix output_mask_;                ///< n x h
   RowExtents input_ext_;
   RowExtents hidden_ext_;
   RowExtents output_ext_;

@@ -32,21 +32,21 @@ std::size_t made_default_hidden(std::size_t n) {
 }
 
 Made::Made(std::size_t n, std::size_t hidden)
-    : n_(n),
-      h_(hidden),
-      params_(2 * hidden * n + hidden + n),
-      mask1_(hidden, n),
-      mask2_(n, hidden) {
+    : n_(n), h_(hidden), params_(2 * hidden * n + hidden + n) {
   VQMC_REQUIRE(n_ >= 2, "MADE: need at least 2 spins");
   VQMC_REQUIRE(h_ >= 1, "MADE: hidden size must be positive");
   // Hidden degrees m_k cycle through 1..n-1; unit k may read inputs with
-  // (1-based) index <= m_k and feeds outputs with index > m_k.
-  for (std::size_t k = 0; k < h_; ++k) {
-    const std::size_t mk = 1 + (k % (n_ - 1));
-    for (std::size_t j = 0; j < n_; ++j) mask1_(k, j) = (j + 1 <= mk) ? 1 : 0;
-    for (std::size_t i = 0; i < n_; ++i) mask2_(i, k) = (i + 1 > mk) ? 1 : 0;
+  // (1-based) index <= m_k and feeds outputs with index > m_k.  The dense
+  // masks live only long enough to derive the plan's extents.
+  {
+    Matrix mask1(h_, n_), mask2(n_, h_);
+    for (std::size_t k = 0; k < h_; ++k) {
+      const std::size_t mk = 1 + (k % (n_ - 1));
+      for (std::size_t j = 0; j < n_; ++j) mask1(k, j) = (j + 1 <= mk) ? 1 : 0;
+      for (std::size_t i = 0; i < n_; ++i) mask2(i, k) = (i + 1 > mk) ? 1 : 0;
+    }
+    plan_.build(mask1, mask2);
   }
-  plan_.build(mask1_, mask2_);
 
   // Flip geometry: counts of units per degree, prefix-summed.
   flip_lo_.assign(n_, 0);
@@ -86,38 +86,17 @@ std::shared_ptr<const Made::MaskedWeights> Made::masked() const {
   return cache_.fetch(v, [&] {
     auto mw = std::make_shared<MaskedWeights>();
     mw->version = v;
-    // Matrices are zero-initialized; only the in-extent (mask == 1)
-    // entries are copied, so everything outside is exactly zero.
-    mw->w1m = Matrix(h_, n_);
-    mw->w2m = Matrix(n_, h_);
-    const Real* pw1 = w1();
-    const Real* pw2 = w2();
-    const RowExtentsView e1 = plan_.w1.view();
-    const RowExtentsView e2 = plan_.w2.view();
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < h_; ++r) {
-      Real* dst = mw->w1m.row(r).data();
-      const Real* src = pw1 + r * n_;
-      for (const ColSpan s : e1.row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) dst[j] = src[j];
-    }
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < n_; ++r) {
-      Real* dst = mw->w2m.row(r).data();
-      const Real* src = pw2 + r * h_;
-      for (const ColSpan s : e2.row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) dst[j] = src[j];
-    }
-    // Row panels for the forward gemms and the samplers' logit dots.
-    mw->w1p = PackedRowPanels::pack(mw->w1m, e1);
-    mw->w2p = PackedRowPanels::pack(mw->w2m, e2);
+    // Row panels for the forward gemms and the samplers' logit dots, packed
+    // from the in-extent (mask == 1) parameters.
+    mw->w1p = PackedRowPanels::pack(w1(), plan_.w1.view());
+    mw->w2p = PackedRowPanels::pack(w2(), plan_.w2.view());
     // Column-packed W1 for the samplers' rank-1 update (geometry is the
-    // construction-time plan_.w1_cols; only the values depend on the
-    // parameter version).
+    // construction-time plan_.w1_cols, whose rows all lie inside the mask;
+    // only the values depend on the parameter version).
     const ColPanelGeometry& cg = plan_.w1_cols;
     mw->w1_col_values = AlignedBuffer<Real>(cg.rows.size());
     Real* cv = mw->w1_col_values.data();
-    const Real* w1base = mw->w1m.data();
+    const Real* w1base = w1().data();
     for (std::size_t j = 0; j < n_; ++j) {
       for (std::size_t t = cg.offsets[j]; t < cg.offsets[j + 1]; ++t)
         cv[t] = w1base[std::size_t(cg.rows[t]) * n_ + j];
@@ -131,17 +110,19 @@ std::shared_ptr<const Made::FlipWeights> Made::flip_weights(
   return flip_cache_.fetch(mw.version, [&] {
     auto fw = std::make_shared<FlipWeights>();
     fw->version = mw.version;
+    // Every weight gathered here lies inside the mask: output j reads the
+    // units of degree <= j, and input i feeds the units of degree > i.
     Matrix w2s(n_, h_);
     for (std::size_t j = 0; j < n_; ++j)
       for (std::size_t t = 0; t < flip_lo_[j]; ++t)
-        w2s(j, t) = mw.w2m(j, flip_perm_[t]);
+        w2s(j, t) = w2().row(j)[flip_perm_[t]];
     fw->w2s = PackedRowPanels::pack(w2s, flip_w2_ext_.view());
     const ColPanelGeometry& cg = plan_.w1_cols;
     fw->w1s = AlignedBuffer<Real>(cg.rows.size());
     for (std::size_t i = 0; i < n_; ++i) {
       Real* dst = fw->w1s.data() + cg.offsets[i];
       for (std::size_t t = flip_lo_[i]; t < h_; ++t)
-        *dst++ = mw.w1m(flip_perm_[t], i);
+        *dst++ = w1().row(flip_perm_[t])[i];
     }
     return fw;
   });
@@ -159,7 +140,7 @@ void Made::forward_logits(const Matrix& batch, const MaskedWeights& mw,
   const std::size_t bs = batch.rows();
 
   // The packed-panel gemms stream the same in-extent values the extent
-  // forms would read from the dense masked matrices, through the identical
+  // forms would read from the weight blocks, through the identical
   // canonical dots — but over unit-stride panels packed once per parameter
   // version.
   ensure_shape(ws.a1, bs, h_);
@@ -231,24 +212,20 @@ void Made::accumulate_log_psi_gradient(const Matrix& batch,
     for (std::size_t i = 0; i < n_; ++i) g[i] = c * (x[i] - p[i]);
   }
 
-  // Layer 2 gradients: accumulate only inside the mask extents (the mask
-  // is identically 1 there, 0 elsewhere, so no mask-apply pass is needed).
-  ensure_shape(ws.dw2, n_, h_);
-  extents_zero(ws.dw2, e2);
-  gemm_tn_accumulate_extents(ws.g2, ws.h1, e2, ws.dw2);
-  extents_add_flat(ws.dw2, e2, grad.subspan(off_w2, n_ * h_));
+  // Layer 2 gradients, in place into grad's W2 block and only inside the
+  // mask extents (the mask is 1 there, 0 elsewhere: no scratch, no mask pass).
+  gemm_tn_accumulate_extents(ws.g2, ws.h1, e2,
+                             MatrixView(grad.data() + off_w2, n_, h_));
   column_sum_accumulate(ws.g2, grad.subspan(off_b2, n_));
 
-  // Backprop to the hidden layer: g1 = (g2 W2m) .* relu'(a1).
+  // Backprop to the hidden layer: g1 = (g2 (M2 .* W2)) .* relu'(a1).
   ensure_shape(ws.g1, bs, h_);
-  gemm_nn_extents(ws.g2, mw->w2m, e2, ws.g1);
+  gemm_nn_extents(ws.g2, w2(), e2, ws.g1);
   relu_backward_inplace(ws.a1, ws.g1);
 
-  // Layer 1 gradients.
-  ensure_shape(ws.dw1, h_, n_);
-  extents_zero(ws.dw1, e1);
-  gemm_tn_accumulate_extents(ws.g1, batch, e1, ws.dw1);
-  extents_add_flat(ws.dw1, e1, grad.subspan(0, h_ * n_));
+  // Layer 1 gradients, in place into grad's W1 block.
+  gemm_tn_accumulate_extents(ws.g1, batch, e1,
+                             MatrixView(grad.data(), h_, n_));
   column_sum_accumulate(ws.g1, grad.subspan(off_b1, h_));
 }
 
@@ -270,6 +247,7 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
   forward(batch, *mw, ws, ws.p);
   const RowExtentsView e1 = plan_.w1.view();
   const RowExtentsView e2 = plan_.w2.view();
+  const ConstMatrixView pw2 = w2();
 
   const std::size_t off_b1 = h_ * n_;
   const std::size_t off_w2 = off_b1 + h_;
@@ -296,7 +274,7 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
       for (std::size_t i = 0; i < n_; ++i) {
         const Real g2 = (x[i] - p[i]) / 2;
         ob2[i] = g2;
-        const Real* w2row = mw->w2m.row(i).data();
+        const Real* w2row = pw2.row(i).data();
         Real* ow2row = ow2 + i * h_;
         for (const ColSpan s : e2.row(i)) {
           for (std::size_t l = s.begin; l < s.end; ++l) {

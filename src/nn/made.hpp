@@ -24,16 +24,16 @@
 /// p(x_1 = 1) = sigmoid(b2[0]) is a learned scalar, as it must be.
 ///
 /// Masked compute plan (DESIGN.md §5f/§5g): the masks are exact prefix /
-/// cyclic-prefix patterns, so every evaluation runs the extent-aware
-/// SIMD kernels over a MaskedPlan built once at construction, skipping the
-/// ~50% of multiply-adds the masks zero out.  The masked weight matrices
-/// `M .* W` — plus their packed row panels (PackedRowPanels, fed to
-/// gemm_nt_panels in the forward) and the W1 column-value packing (fed to
-/// the samplers' rank-1 update) — are cached behind a parameter version
-/// counter (bumped whenever the mutable parameters() span is handed out)
-/// instead of being re-materialized per call; results agree with the dense
-/// masked path within the accumulation-order contract of kernels.hpp
-/// (tolerance-based parity tests pin this against the scalar references).
+/// cyclic-prefix patterns, kept only as the extents of a MaskedPlan built
+/// once at construction, and every evaluation runs the extent-aware SIMD
+/// kernels over it, skipping the ~50% of multiply-adds the masks zero out.
+/// The kernels read W1 and W2 in place in the parameter vector and
+/// accumulate their gradients in place in the caller's gradient.  Only the
+/// packed forms — row panels for the forward's gemm_nt_panels and the W1
+/// column packing for the samplers' rank-1 update — are cached, behind a
+/// parameter version counter bumped whenever the mutable parameters() span
+/// is handed out.  Results agree with the dense masked path within the
+/// accumulation-order contract of kernels.hpp.
 ///
 /// Single-flip ratios (DESIGN.md §5l): flipping input i moves only the
 /// hidden units of degree > i, and output j reads only the units of degree
@@ -79,17 +79,15 @@ class Made final : public AutoregressiveModel {
     return Made(n, made_default_hidden(n));
   }
 
-  /// Immutable packed masked weights `M .* W` for one parameter version,
-  /// shared between the cache and any evaluation still holding them.
-  /// Entries outside the mask extents are exactly zero.  The panel forms
-  /// repack exactly the in-extent values: `w1p`/`w2p` are the row panels
-  /// the forward's gemm_nt_panels streams over, and `w1_col_values` packs
-  /// W1 column-by-column (geometry: MaskedPlan::w1_cols) for the ancestral
+  /// Immutable packed masked weights for one parameter version, shared
+  /// between the cache and any evaluation still holding them.  Each form
+  /// packs exactly the in-extent (mask == 1) values of W1 or W2, read from
+  /// the parameter vector: `w1p`/`w2p` are the row panels the forward's
+  /// gemm_nt_panels streams over, and `w1_col_values` packs W1
+  /// column-by-column (geometry: MaskedPlan::w1_cols) for the ancestral
   /// samplers' rank-1 hidden-state update.  Packing amortizes to zero: it
   /// happens at most once per parameter write, never per call.
   struct MaskedWeights {
-    Matrix w1m;           ///< h x n
-    Matrix w2m;           ///< n x h
     PackedRowPanels w1p;  ///< W1 in-extent values, row-packed
     PackedRowPanels w2p;  ///< W2 in-extent values, row-packed
     AlignedBuffer<Real> w1_col_values;  ///< W1 in-extent values, column-packed
@@ -97,17 +95,15 @@ class Made final : public AutoregressiveModel {
   };
 
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace):
-  /// the forward activations plus the gradient temporaries.  Matrices are
-  /// reshaped lazily, so one Workspace serves any batch size without
-  /// reallocating once shapes stabilize.
+  /// the forward activations and gradient signals, all bs-row shaped.
+  /// Matrices are reshaped lazily, so one Workspace serves any batch size
+  /// without reallocating once shapes stabilize.
   struct Workspace final : WavefunctionModel::Workspace {
     Matrix a1;   ///< bs x h, pre-ReLU
     Matrix h1;   ///< bs x h, post-ReLU
     Matrix p;    ///< bs x n, conditionals
     Matrix g2;   ///< bs x n, output-layer signal
     Matrix g1;   ///< bs x h, hidden-layer signal
-    Matrix dw1;  ///< h x n, W1 gradient scratch
-    Matrix dw2;  ///< n x h, W2 gradient scratch
     // Batched conditional-engine scratch (sample_conditionals_batched).
     // The running pre-activation block and its rectified tail copy use a
     // pad-to-8 column stride so every row starts cache-line-aligned — the
@@ -194,17 +190,13 @@ class Made final : public AutoregressiveModel {
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
-  /// The binary masks (for tests of the autoregressive property).
-  [[nodiscard]] const Matrix& mask1() const { return mask1_; }
-  [[nodiscard]] const Matrix& mask2() const { return mask2_; }
-
   // -- Masked compute plan (used by the conditional engine, serve, tests) ----
 
-  /// Per-row extents of mask1 (prefix [0, m_k) per hidden row).
+  /// Per-row extents of M1 (prefix [0, m_k) per hidden row).
   [[nodiscard]] const RowExtents& w1_extents() const { return plan_.w1; }
-  /// Per-row extents of mask2 (cyclic prefix intervals per output row).
+  /// Per-row extents of M2 (cyclic prefix intervals per output row).
   [[nodiscard]] const RowExtents& w2_extents() const { return plan_.w2; }
-  /// Per-column active-row panels of mask1 (the rank-1 update geometry;
+  /// Per-column active-row panels of M1 (the rank-1 update geometry;
   /// values for the current parameters: MaskedWeights::w1_col_values).
   [[nodiscard]] const ColPanelGeometry& w1_col_panels() const {
     return plan_.w1_cols;
@@ -238,10 +230,10 @@ class Made final : public AutoregressiveModel {
 
  private:
   // Views into the flat parameter vector.
-  [[nodiscard]] const Real* w1() const { return params_.data(); }
+  [[nodiscard]] ConstMatrixView w1() const { return {params_.data(), h_, n_}; }
   [[nodiscard]] const Real* b1() const { return params_.data() + h_ * n_; }
-  [[nodiscard]] const Real* w2() const {
-    return params_.data() + h_ * n_ + h_;
+  [[nodiscard]] ConstMatrixView w2() const {
+    return {params_.data() + h_ * n_ + h_, n_, h_};
   }
   [[nodiscard]] const Real* b2() const {
     return params_.data() + h_ * n_ + h_ + n_ * h_;
@@ -256,7 +248,7 @@ class Made final : public AutoregressiveModel {
   void forward_logits(const Matrix& batch, const MaskedWeights& mw,
                       Workspace& ws, Matrix& z) const;
 
-  /// Degree-sorted weight copy for cyclic masks (h > n - 1), one per
+  /// Degree-sorted weight packing for cyclic masks (h > n - 1), one per
   /// parameter version: `w2s` row j packs W2[j, perm[t]] for t < lo[j], and
   /// `w1s` packs W1[perm[t], i] for t in [lo[i], h) at the offsets of
   /// plan_.w1_cols (the same counts as the natural packing).
@@ -271,8 +263,6 @@ class Made final : public AutoregressiveModel {
   std::size_t n_;
   std::size_t h_;
   Vector params_;
-  Matrix mask1_;  ///< h x n
-  Matrix mask2_;  ///< n x h
   MaskedPlan plan_;
   ParamVersion version_;
   VersionedCache<MaskedWeights> cache_;

@@ -15,15 +15,15 @@
 ///    ancestral samplers' rank-1 update walks the active rows of one W1
 ///    column per accepted spin, and the packed row lists turn that walk
 ///    into a contiguous stream instead of a strided masked column scan.
-///  * **ParamVersion / VersionedCache** — the masked weight matrices
-///    `M .* W` depend on the parameters, which do change during training.
-///    Every model in the family bumps a version counter whenever its
-///    mutable `parameters()` span is handed out (the only write path), and
-///    the packed masked weights are cached behind that counter: rebuilt at
-///    most once per parameter write, shared by every forward / gradient /
-///    serve call in between.  Before this cache the dense masked copies
-///    were re-materialized and re-allocated on *every* call (~1.9 ms per
-///    request at n = 1000 on the serve path).
+///  * **ParamVersion / VersionedCache** — the packed masked weights depend
+///    on the parameters, which do change during training.  Every model in
+///    the family bumps a version counter whenever its mutable
+///    `parameters()` span is handed out (the only write path), and the
+///    packed forms are cached behind that counter: rebuilt at most once per
+///    parameter write, shared by every forward / gradient / serve call in
+///    between.  Nothing dense is kept: the kernels read the weights in
+///    place (~1.9 ms per request at n = 1000 went to re-materializing dense
+///    masked copies on *every* call before this cache).
 ///
 /// Concurrency contract: concurrent const readers (the serve snapshot is
 /// hammered from many threads) may race only on the cache itself, which is
@@ -112,7 +112,7 @@ class VersionedCache {
 /// Column-panel geometry of a row-extent mask: for each column j, the
 /// packed ascending list of rows whose extents contain j.  This is the
 /// transpose view the ancestral samplers need — accepting spin i adds
-/// column i of W1m to the hidden pre-activations, touching exactly the
+/// column i of M1 .* W1 to the hidden pre-activations, touching exactly the
 /// rows listed for that column.  Pairing the geometry with per-version
 /// packed column values (built alongside the masked weights) makes the
 /// rank-1 update a unit-stride gather-add.  Each row appears at most once

@@ -38,27 +38,24 @@ std::shared_ptr<const Rbm::Weights> Rbm::weights() const {
   return cache_.fetch(v, [&] {
     auto cached = std::make_shared<Weights>();
     cached->version = v;
-    cached->w = Matrix(h_, n_);
-    std::copy_n(w(), h_ * n_, cached->w.data());
     cached->wt = Matrix(n_, h_);
     for (std::size_t l = 0; l < h_; ++l)
-      for (std::size_t j = 0; j < n_; ++j) cached->wt(j, l) = cached->w(l, j);
+      for (std::size_t j = 0; j < n_; ++j) cached->wt(j, l) = w().row(l)[j];
     return cached;
   });
 }
 
-void Rbm::hidden_preactivations(const Matrix& batch, const Weights& w,
-                                Workspace& ws) const {
+void Rbm::hidden_preactivations(const Matrix& batch, Workspace& ws) const {
   VQMC_REQUIRE(batch.cols() == n_, "RBM: batch has wrong spin count");
   ensure_shape(ws.theta, batch.rows(), h_);
-  gemm_nt(batch, w.w, ws.theta);
+  gemm_nt(batch, w(), ws.theta);
   add_row_broadcast(ws.theta, std::span<const Real>(c(), h_));
 }
 
 void Rbm::log_psi(const Matrix& batch, std::span<Real> out,
                   Workspace& ws) const {
   VQMC_REQUIRE(out.size() == batch.rows(), "RBM: output size mismatch");
-  hidden_preactivations(batch, *weights(), ws);
+  hidden_preactivations(batch, ws);
   const std::size_t bs = batch.rows();
   const Real* pa = a();
   const Real bias0 = a0();
@@ -88,7 +85,7 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
     VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
   if (bs == 0 || m == 0) return;
   const std::shared_ptr<const Weights> w = weights();
-  hidden_preactivations(batch, *w, ws);
+  hidden_preactivations(batch, ws);
   ensure_shape(ws.shifted, bs, h_);
   const Real* pa = a();
 #pragma omp parallel for schedule(static)
@@ -117,7 +114,7 @@ void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
   VQMC_REQUIRE(coeff.size() == bs, "RBM: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "RBM: gradient size mismatch");
 
-  hidden_preactivations(batch, *weights(), ws);
+  hidden_preactivations(batch, ws);
 
   // t(k, l) = coeff_k * tanh(theta_{k,l}) — the per-hidden-unit gradients.
   ensure_shape(ws.t, bs, h_);
@@ -128,11 +125,8 @@ void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
     for (std::size_t l = 0; l < h_; ++l) tr[l] = coeff[k] * std::tanh(th[l]);
   }
 
-  // dW = t^T X, dc = column sums of t.
-  ensure_shape(ws.dw, h_, n_);
-  ws.dw.fill(0);
-  gemm_tn_accumulate(ws.t, batch, ws.dw);
-  for (std::size_t i = 0; i < h_ * n_; ++i) grad[i] += ws.dw.data()[i];
+  // dW = t^T X, in place into grad's W block; dc = column sums of t.
+  gemm_tn_accumulate(ws.t, batch, MatrixView(grad.data(), h_, n_));
   column_sum_accumulate(ws.t, grad.subspan(h_ * n_, h_));
 
   // da_j = sum_k coeff_k x_{k,j}; da0 = sum_k coeff_k.
@@ -160,7 +154,7 @@ void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
   const std::size_t d = num_parameters();
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
                "RBM: per-sample gradient shape mismatch");
-  hidden_preactivations(batch, *weights(), ws);
+  hidden_preactivations(batch, ws);
 
   const std::size_t off_c = h_ * n_;
   const std::size_t off_a = off_c + h_;

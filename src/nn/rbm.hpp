@@ -15,11 +15,12 @@
 ///
 ///   [ W (h x n) | c (h) | a (n) | a0 (1) ]
 ///
-/// Like Made, the RBM keeps its weight matrix W and its transpose in a
-/// cache behind a parameter version (masked_plan.hpp), bumped whenever the
-/// mutable parameters() span is handed out, and evaluates over a
-/// caller-owned Workspace; a repeated evaluation allocates nothing.  The
-/// same thread-safety and mutable-span rules as made.hpp apply.
+/// The forward reads W and the gradient accumulates dW in place in the
+/// parameter and gradient vectors; like Made, the RBM caches only W's
+/// transpose (the flip path's operand) behind a parameter version
+/// (masked_plan.hpp), and evaluates over a caller-owned Workspace, so a
+/// repeated evaluation allocates nothing.  The same thread-safety and
+/// mutable-span rules as made.hpp apply.
 ///
 /// Single-flip ratios (DESIGN.md §5l): with theta = W x + c cached per row,
 /// a flip at site i moves theta by +-W[:, i] (a row of the cached W^T), so
@@ -47,7 +48,6 @@ class Rbm final : public WavefunctionModel {
     Matrix theta;    ///< bs x h, hidden pre-activations
     Matrix shifted;  ///< bs x h, theta of the current flip
     Matrix t;        ///< bs x h, coeff-weighted tanh(theta)
-    Matrix dw;       ///< h x n, W gradient scratch
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -109,19 +109,19 @@ class Rbm final : public WavefunctionModel {
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
  private:
-  /// W as an h x n matrix and its n x h transpose, for one parameter
-  /// version (see Made::MaskedWeights for the sharing rules).
+  /// W's n x h transpose for one parameter version (see
+  /// Made::MaskedWeights for the sharing rules).
   struct Weights {
-    Matrix w;   ///< h x n, the forward's gemm operand
     Matrix wt;  ///< n x h, row i = W[:, i], the flip path's shift
     std::uint64_t version = 0;
   };
 
-  /// W and W^T for the current parameters, rebuilt at most once per
-  /// parameter write; the snapshot stays valid if the parameters change.
+  /// W^T for the current parameters, rebuilt at most once per parameter
+  /// write; the snapshot stays valid if the parameters change.
   [[nodiscard]] std::shared_ptr<const Weights> weights() const;
 
-  [[nodiscard]] const Real* w() const { return params_.data(); }
+  /// W (h x n), in the parameter vector.
+  [[nodiscard]] ConstMatrixView w() const { return {params_.data(), h_, n_}; }
   [[nodiscard]] const Real* c() const { return params_.data() + h_ * n_; }
   [[nodiscard]] const Real* a() const {
     return params_.data() + h_ * n_ + h_;
@@ -129,8 +129,7 @@ class Rbm final : public WavefunctionModel {
   [[nodiscard]] Real a0() const { return params_[h_ * n_ + h_ + n_]; }
 
   /// theta = X W^T + c (bs x h): hidden pre-activations into ws.theta.
-  void hidden_preactivations(const Matrix& batch, const Weights& w,
-                             Workspace& ws) const;
+  void hidden_preactivations(const Matrix& batch, Workspace& ws) const;
 
   std::size_t n_;
   std::size_t h_;

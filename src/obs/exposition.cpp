@@ -55,7 +55,7 @@ void StatusServer::stop() {
     return;
   }
   if (thread_.joinable()) thread_.join();
-  listener_.socket.close();
+  listener_.close();  // and its unix socket file
 }
 
 void StatusServer::serve_loop() {

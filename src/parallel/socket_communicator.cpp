@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -71,6 +73,19 @@ void fold_reals(bool take_max, unsigned char* dst, const unsigned char* src,
     acc = take_max ? std::max(acc, incoming) : acc + incoming;
     std::memcpy(dst + i * sizeof(Real), &acc, sizeof(Real));
   }
+}
+
+/// Environment variable `name`'s `text` as a decimal int in [lo, hi]:
+/// an optional '-' and digits, and no other byte.
+int env_int(const char* name, const char* text, int lo, int hi) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  VQMC_REQUIRE(ec == std::errc() && stop == end && value >= lo && value <= hi,
+               std::string("socket comm: ") + name + "='" + text +
+                   "' is not a decimal int in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+  return value;
 }
 
 }  // namespace
@@ -489,8 +504,11 @@ std::unique_ptr<SocketCommunicator> connect_socket_group_from_env(
   VQMC_REQUIRE(endpoint && rank && world,
                "socket comm: VQMC_ENDPOINT, VQMC_RANK and VQMC_RANKS must "
                "all be set (use vqmc_launch)");
-  return connect_socket_group(endpoint, std::atoi(rank), std::atoi(world),
-                              options);
+  // Checked before any socket exists: a mistyped rank read as 0 would bind
+  // the rendezvous path as a second root.
+  const int world_size = env_int("VQMC_RANKS", world, 1, INT_MAX);
+  const int rank_id = env_int("VQMC_RANK", rank, 0, world_size - 1);
+  return connect_socket_group(endpoint, rank_id, world_size, options);
 }
 
 void rethrow_group_errors(const std::vector<std::exception_ptr>& errors) {

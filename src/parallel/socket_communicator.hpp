@@ -168,8 +168,10 @@ std::unique_ptr<SocketCommunicator> connect_socket_group(
 ///   VQMC_ENDPOINT  — rendezvous endpoint
 ///   VQMC_RANK      — this rank
 ///   VQMC_RANKS     — world size
-/// and connects with `options`. Throws vqmc::Error when one is missing or
-/// out of range.
+/// and connects with `options`. Throws vqmc::Error naming the variable,
+/// before any socket is created, when one is missing, is not a whole
+/// decimal int (`zero`, `2x` and the empty string are rejected), or is out
+/// of range (VQMC_RANKS < 1, VQMC_RANK outside [0, VQMC_RANKS)).
 std::unique_ptr<SocketCommunicator> connect_socket_group_from_env(
     SocketGroupOptions options = {});
 

@@ -11,6 +11,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -222,11 +223,27 @@ void Socket::close() {
   }
 }
 
+struct BoundFile {
+  std::string path;
+  std::uint64_t dev = 0;
+  std::uint64_t ino = 0;
+};
+
+void RemoveBoundFile::operator()(BoundFile* file) const {
+  struct stat st {};
+  if (::stat(file->path.c_str(), &st) == 0 &&
+      std::uint64_t(st.st_dev) == file->dev &&
+      std::uint64_t(st.st_ino) == file->ino)
+    ::unlink(file->path.c_str());
+  delete file;
+}
+
 Listener listen_on(const std::string& spec, int backlog) {
   const ParsedSpec parsed = parse_spec(spec);
   const int fd = ::socket(parsed.is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
   VQMC_REQUIRE(fd >= 0, "wire: cannot create socket for '" + spec + "'");
-  Socket socket(fd);
+  // Owned from here on: a failure below closes the fd and removes the file.
+  Listener listener{Socket(fd), spec, nullptr};
 
   if (parsed.is_unix) {
     ::unlink(parsed.path.c_str());  // stale socket file from a dead run
@@ -235,6 +252,10 @@ Listener listen_on(const std::string& spec, int backlog) {
                         sizeof(addr)) == 0,
                  "wire: cannot bind '" + spec +
                      "': " + std::strerror(errno));
+    struct stat st {};
+    if (::stat(parsed.path.c_str(), &st) == 0)
+      listener.file.reset(new BoundFile{parsed.path, std::uint64_t(st.st_dev),
+                                        std::uint64_t(st.st_ino)});
   } else {
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -248,8 +269,6 @@ Listener listen_on(const std::string& spec, int backlog) {
                "wire: cannot listen on '" + spec + "'");
   set_nonblocking(fd);
 
-  Listener listener;
-  listener.endpoint = spec;
   if (!parsed.is_unix && parsed.port == 0) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
@@ -259,7 +278,6 @@ Listener listen_on(const std::string& spec, int backlog) {
     listener.endpoint = "tcp://" + parsed.host + ":" +
                         std::to_string(ntohs(bound.sin_port));
   }
-  listener.socket = std::move(socket);
   return listener;
 }
 

@@ -27,6 +27,7 @@
 /// order (or seconds apart) still find the listener.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,11 +79,28 @@ class Socket {
   int fd_ = -1;
 };
 
+/// The unix socket file a listener bound (path, device and inode), and its
+/// deleter, which removes the file if the path still names it.
+struct BoundFile;
+struct RemoveBoundFile {
+  void operator()(BoundFile* file) const;
+};
+
 /// A bound, listening socket plus the spec peers should dial to reach it
-/// (with the kernel-assigned port substituted for `tcp://host:0`).
+/// (with the kernel-assigned port substituted for `tcp://host:0`).  A unix
+/// listener removes the socket file it bound when it closes or is
+/// destroyed, but only while the path still names that file: a later
+/// listener that re-bound the path keeps its file.
 struct Listener {
   Socket socket;
   std::string endpoint;
+  std::unique_ptr<BoundFile, RemoveBoundFile> file;  ///< null for tcp
+
+  /// Remove the bound socket file (see above) and close the socket.
+  void close() {
+    file.reset();
+    socket.close();
+  }
 };
 
 /// Bind and listen on `spec` (`unix://...` or `tcp://host:port`). For a unix

@@ -14,10 +14,11 @@
 ///  * **Prebuilt compute plan.** The snapshot's parameters never change, so
 ///    the packed masked weights are built exactly once, at construction,
 ///    via the model's version-counter cache (DESIGN.md §5f) and shared by
-///    every request thereafter — zero materialization per request.  This
-///    retains ~2x the canonical parameter footprint per pinned version
-///    (~7.6 MB at n = 1000), the deliberate trade for removing what used to
-///    be a ~1.9 ms fixed cost on every micro-batch.
+///    every request thereafter — zero materialization per request.  A
+///    pinned version retains the parameter vector plus the packing, one
+///    value per in-mask weight (W1's twice): about 6.0 MB at n = 1000
+///    (3.8 MB of parameters, 2.2 MB of packing), the deliberate trade for
+///    removing what used to be a ~1.9 ms fixed cost on every micro-batch.
 ///  * **Batching economics.** With the materialization gone, the engine's
 ///    batching window amortizes the remaining per-dispatch overheads
 ///    (queue handoff, batch assembly, the per-batch kernel-launch fixed

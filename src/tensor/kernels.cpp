@@ -113,14 +113,14 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y) {
   VQMC_DISPATCH(gemv_t(a, x, y))
 }
 
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c) {
+void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
                    c.cols() == b.rows(),
                "gemm_nt: shape mismatch");
   VQMC_DISPATCH(gemm_nt(a, b, c))
 }
 
-void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
+void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c) {
   VQMC_REQUIRE(a.rows() == b.rows() && c.rows() == a.cols() &&
                    c.cols() == b.cols(),
                "gemm_tn_accumulate: shape mismatch");
@@ -147,7 +147,7 @@ RowExtents RowExtents::from_mask(const Matrix& mask) {
   return ext;
 }
 
-PackedRowPanels PackedRowPanels::pack(const Matrix& b, RowExtentsView ext) {
+PackedRowPanels PackedRowPanels::pack(ConstMatrixView b, RowExtentsView ext) {
   VQMC_REQUIRE(ext.rows() == b.rows(),
                "PackedRowPanels::pack: extent row mismatch");
   PackedRowPanels p;
@@ -164,7 +164,7 @@ PackedRowPanels PackedRowPanels::pack(const Matrix& b, RowExtentsView ext) {
   return p;
 }
 
-void PackedRowPanels::refill(const Matrix& b, RowExtentsView ext) {
+void PackedRowPanels::refill(ConstMatrixView b, RowExtentsView ext) {
   VQMC_REQUIRE(ext.rows() == rows() && b.rows() == rows(),
                "PackedRowPanels::refill: row mismatch");
   const std::size_t nrows = rows();
@@ -186,7 +186,7 @@ void gemm_nt_panels(const Matrix& a, RowExtentsView ext,
   VQMC_DISPATCH(gemm_nt_panels(a, ext, b, c))
 }
 
-void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
+void gemm_nn_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
                      Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.rows() && c.rows() == a.rows() &&
                    c.cols() == b.cols(),
@@ -196,7 +196,7 @@ void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
 }
 
 void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, Matrix& c) {
+                                RowExtentsView ext, MatrixView c) {
   VQMC_REQUIRE(a.rows() == b.rows() && c.rows() == a.cols() &&
                    c.cols() == b.cols(),
                "gemm_tn_accumulate_extents: shape mismatch");
@@ -233,35 +233,6 @@ void accumulate_masked_cols(Real* dst, std::uint64_t mask,
 Real bernoulli_log_likelihood(std::span<const Real> x, const Real* p,
                               Real eps) {
   VQMC_DISPATCH(bernoulli_log_likelihood(x, p, eps))
-}
-
-void extents_zero(Matrix& a, RowExtentsView ext) {
-  VQMC_REQUIRE(ext.rows() == a.rows(), "extents_zero: extent row mismatch");
-  const std::size_t m = a.rows(), n = a.cols();
-  Real* pa = a.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < m; ++r) {
-    Real* row = pa + r * n;
-    for (const ColSpan& s : ext.row(r))
-      for (std::size_t c = s.begin; c < s.end; ++c) row[c] = 0;
-  }
-}
-
-void extents_add_flat(const Matrix& src, RowExtentsView ext,
-                      std::span<Real> dst) {
-  VQMC_REQUIRE(ext.rows() == src.rows(),
-               "extents_add_flat: extent row mismatch");
-  VQMC_REQUIRE(dst.size() == src.size(), "extents_add_flat: size mismatch");
-  const std::size_t m = src.rows(), n = src.cols();
-  const Real* ps = src.data();
-  Real* pd = dst.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < m; ++r) {
-    const Real* srow = ps + r * n;
-    Real* drow = pd + r * n;
-    for (const ColSpan& s : ext.row(r))
-      for (std::size_t c = s.begin; c < s.end; ++c) drow[c] += srow[c];
-  }
 }
 
 void add_row_broadcast(Matrix& a, std::span<const Real> b) {

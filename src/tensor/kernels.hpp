@@ -124,14 +124,14 @@ class PackedRowPanels {
  public:
   PackedRowPanels() = default;
 
-  /// Build geometry and values from `b` and its extents
-  /// (ext.rows() == b.rows()).
-  [[nodiscard]] static PackedRowPanels pack(const Matrix& b,
+  /// Build geometry and values from `b`'s in-extent entries
+  /// (ext.rows() == b.rows()); `b` may be an unmasked parameter block.
+  [[nodiscard]] static PackedRowPanels pack(ConstMatrixView b,
                                             RowExtentsView ext);
 
   /// Overwrite the values from `b`, reusing the existing geometry; `b` and
   /// `ext` must match the shapes given to pack().
-  void refill(const Matrix& b, RowExtentsView ext);
+  void refill(ConstMatrixView b, RowExtentsView ext);
 
   [[nodiscard]] const Real* row(std::size_t r) const {
     return values_.data() + offsets_[r];
@@ -190,11 +190,12 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 // ---------------------------------------------------------------------------
 
 /// C = A B^T    (A: m x k, B: n x k, C: m x n).
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
+void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c);
 
 /// C += A^T B   (A: k x m, B: k x n, C: m x n). Accumulating form used for
-/// weight gradients summed over the batch (k = batch) dimension.
-void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
+/// weight gradients summed over the batch (k = batch) dimension, straight
+/// into a gradient vector's weight block.
+void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c);
 
 // ---------------------------------------------------------------------------
 // Extent-aware (masked) forms.  Each takes a RowExtentsView describing the
@@ -204,25 +205,17 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
 // ---------------------------------------------------------------------------
 
 /// C = A B with per-B-row extents: B row l contributes only its interval
-/// columns (A: m x k, B: k x n, C: m x n, ext.rows() == k).
-void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
+/// columns (A: m x k, B: k x n, C: m x n, ext.rows() == k), so B may be an
+/// unmasked weight block.
+void gemm_nn_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
                      Matrix& c);
 
 /// C += A^T B restricted to each C row's extents (A: k x m, B: k x n,
 /// C: m x n, ext.rows() == m).  Entries of C outside the extents are left
-/// untouched — pair with extents_zero / extents_add_flat.
+/// untouched, so C may be a masked weight's gradient block: no scratch or
+/// mask-apply pass is needed, as the mask is 1 inside the extents.
 void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, Matrix& c);
-
-/// a(r, j) = 0 for every j inside row r's extents.
-void extents_zero(Matrix& a, RowExtentsView ext);
-
-/// dst[r * src.cols() + j] += src(r, j) for every j inside row r's extents
-/// (dst is a flat row-major block of the same shape as src).  This replaces
-/// the dense "grad += mask .* dw" mask-apply pass: inside the extents the
-/// mask is identically 1.
-void extents_add_flat(const Matrix& src, RowExtentsView ext,
-                      std::span<Real> dst);
+                                RowExtentsView ext, MatrixView c);
 
 // ---------------------------------------------------------------------------
 // Packed-panel forms: the B operand pre-packed per parameter version.

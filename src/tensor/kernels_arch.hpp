@@ -27,14 +27,14 @@ namespace vqmc {
   void axpy(Real alpha, std::span<const Real> x, std::span<Real> y);          \
   void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);     \
   void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);   \
-  void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);                  \
-  void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);       \
+  void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c);                \
+  void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c);    \
   void gemm_nt_panels(const Matrix& a, RowExtentsView ext,                    \
                       const PackedRowPanels& b, Matrix& c);                   \
-  void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,  \
-                       Matrix& c);                                            \
+  void gemm_nn_extents(const Matrix& a, ConstMatrixView b,                    \
+                       RowExtentsView ext, Matrix& c);                        \
   void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,           \
-                                  RowExtentsView ext, Matrix& c);             \
+                                  RowExtentsView ext, MatrixView c);          \
   void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,   \
                              std::size_t lda, std::size_t rows,               \
                              const Real* packed_row, Real* out);              \

@@ -99,7 +99,7 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
+void gemm_nt_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
                      Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
                    c.cols() == b.rows(),

@@ -27,7 +27,7 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nt_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
+void gemm_nt_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
                      Matrix& c);
 void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
                      Matrix& c);

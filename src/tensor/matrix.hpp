@@ -8,6 +8,7 @@
 /// `out x in`, and `row(i)` gives a contiguous span.
 
 #include <span>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "tensor/buffer.hpp"
@@ -57,6 +58,45 @@ class Matrix {
   std::size_t cols_ = 0;
   AlignedBuffer<Real> storage_;
 };
+
+/// Non-owning row-major view of `rows x cols` contiguous Reals, such as a
+/// weight or gradient block inside a model's flat parameter vector: it
+/// never allocates, and the storage must outlive it.  A Matrix converts to
+/// a MatrixView or ConstMatrixView implicitly, a MatrixView to a
+/// ConstMatrixView.
+template <typename T>
+class BasicMatrixView {
+ public:
+  BasicMatrixView(T* data, std::size_t rows, std::size_t cols)
+      : data_(data), rows_(rows), cols_(cols) {}
+  BasicMatrixView(const Matrix& m)
+    requires std::is_const_v<T>
+      : BasicMatrixView(m.data(), m.rows(), m.cols()) {}
+  BasicMatrixView(Matrix& m)
+      : BasicMatrixView(m.data(), m.rows(), m.cols()) {}
+  template <typename U>
+    requires std::is_const_v<T> && std::is_same_v<U, Real>
+  BasicMatrixView(BasicMatrixView<U> v)
+      : BasicMatrixView(v.data(), v.rows(), v.cols()) {}
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] T* data() const { return data_; }
+
+  /// Contiguous view of row r.
+  [[nodiscard]] std::span<T> row(std::size_t r) const {
+    VQMC_ASSERT(r < rows_, "row index out of range");
+    return {data_ + r * cols_, cols_};
+  }
+
+ private:
+  T* data_;
+  std::size_t rows_;
+  std::size_t cols_;
+};
+
+using MatrixView = BasicMatrixView<Real>;
+using ConstMatrixView = BasicMatrixView<const Real>;
 
 /// Give `m` the requested shape, reallocating only when it differs.
 /// Contents are unspecified afterwards (a fresh allocation is zero, a

@@ -444,10 +444,12 @@ TEST(TrainerCheckpoint, RestoreRejectsEveryIdentityMismatch) {
     bad.optimizer_name = "SGD";
     EXPECT_THROW(stack.trainer->restore(bad), Error);
   }
-  {
+  // The sampler name must match exactly: no older label, spelling or
+  // empty name stands in for the running sampler's "AUTO".
+  for (const std::string other : {"MCMC", "AUTO-fast", "auto", ""}) {
     TrainingSnapshot bad = good;
-    bad.sampler_name = "MCMC";
-    EXPECT_THROW(stack.trainer->restore(bad), Error);
+    bad.sampler_name = other;
+    EXPECT_THROW(stack.trainer->restore(bad), Error) << other;
   }
   {
     TrainingSnapshot bad = good;
@@ -522,49 +524,6 @@ TEST(TrainerCheckpoint, RestoreRejectsTheOlderDistributedTrainerStateLayout) {
   TrainingSnapshot old = stack.trainer->snapshot();
   old.trainer_state = {-7.0, 1.0, 0.0, 2.0, 1.0};
   EXPECT_THROW(stack.trainer->restore(old), Error);
-}
-
-TEST(TrainerCheckpoint, AutoFastSnapshotContinuesUnderTheFactoryAuto) {
-  // Snapshots written while the MADE engine sampler was labelled
-  // "AUTO-fast" restore into a trainer running the factory's AUTO sampler
-  // and continue bit-identically; any other sampler-name mismatch throws.
-  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(6, 21);
-  struct FactoryStack {
-    Made made{6, 8};
-    std::unique_ptr<Sampler> sampler;
-    std::unique_ptr<Optimizer> optimizer = make_adam(0.01);
-    std::unique_ptr<VqmcTrainer> trainer;
-    FactoryStack(const Hamiltonian& h, int iterations) {
-      made.initialize(13);
-      sampler = make_sampler("AUTO", made, 17);
-      TrainerConfig cfg;
-      cfg.iterations = iterations;
-      cfg.batch_size = 16;
-      trainer =
-          std::make_unique<VqmcTrainer>(h, made, *sampler, *optimizer, cfg);
-    }
-  };
-  FactoryStack reference(tim, 8);
-  reference.trainer->run();
-
-  FactoryStack first_half(tim, 4);
-  first_half.trainer->run();
-  TrainingSnapshot legacy = first_half.trainer->snapshot();
-  ASSERT_EQ(legacy.sampler_name, "AUTO");
-  legacy.sampler_name = "AUTO-fast";
-
-  FactoryStack resumed(tim, 8);
-  resumed.trainer->restore(legacy);
-  resumed.trainer->run();
-  for (std::size_t i = 0; i < reference.made.num_parameters(); ++i)
-    ASSERT_EQ(resumed.made.parameters()[i], reference.made.parameters()[i])
-        << "parameter " << i;
-
-  for (const std::string other : {"MCMC", "auto", "AUTO-fast2", ""}) {
-    TrainingSnapshot bad = first_half.trainer->snapshot();
-    bad.sampler_name = other;
-    EXPECT_THROW(resumed.trainer->restore(bad), Error) << other;
-  }
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "hamiltonian/hamiltonian.hpp"
 #include "nn/gradient_check.hpp"
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/gradient_accumulation.hpp"
+#include "support/made_masks.hpp"
 
 namespace vqmc {
 namespace {
@@ -114,6 +117,34 @@ TEST(DeepMade, PerSampleGradientsSumToBatchGradient) {
     for (std::size_t k = 0; k < bs; ++k) acc += per_sample(k, i);
     EXPECT_NEAR(acc, batch_grad[i], 1e-9);
   }
+}
+
+TEST(DeepMade, GradientAccumulatesOntoANonzeroGradient) {
+  // Every layer's weights accumulate in place into their block of grad,
+  // inside that layer's mask only.
+  constexpr Real kGradTol = 1e-10;
+  const std::size_t n = 7, h = 10;
+  DeepMade model(n, h, 2);
+  randomize_parameters(model, 141);
+  const std::size_t bs = 9;
+  const Matrix batch = random_bits(bs, n, 142);
+  Vector coeff(bs);
+  rng::Xoshiro256 gen(143);
+  for (std::size_t k = 0; k < bs; ++k) coeff[k] = rng::uniform(gen, -1.0, 1.0);
+  // Layout [W_1 | b_1 | W_2 | b_2 | W_out | b_out].
+  std::vector<bool> touched;
+  const auto add_mask = [&](const Matrix& mask) {
+    for (std::size_t i = 0; i < mask.size(); ++i)
+      touched.push_back(mask.data()[i] != 0);
+  };
+  add_mask(testing::made_input_mask(n, h));
+  touched.insert(touched.end(), h, true);
+  add_mask(testing::made_hidden_mask(n, h));
+  touched.insert(touched.end(), h, true);
+  add_mask(testing::made_output_mask(n, h));
+  touched.insert(touched.end(), n, true);
+  testing::expect_gradient_accumulates_onto(model, batch, coeff.span(),
+                                            touched, 144, kGradTol);
 }
 
 TEST(DeepMade, CloneIsDeepCopy) {

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "hamiltonian/hamiltonian.hpp"
 #include "nn/gradient_check.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/alloc_count.hpp"
+#include "support/gradient_accumulation.hpp"
+#include "support/made_masks.hpp"
 
 namespace vqmc {
 namespace {
@@ -93,14 +98,28 @@ TEST(Made, FirstConditionalIsInputIndependent) {
 }
 
 TEST(Made, MasksHaveDocumentedStructure) {
+  // The model keeps its masks only as the plan's extents; they must cover
+  // exactly the mask entries of the degree rule: unit k reads input j iff
+  // j + 1 <= m_k, and output i reads unit k iff i + 1 > m_k.
   const std::size_t n = 5, h = 9;
   const Made made(n, h);
+  const Matrix mask1 = testing::made_input_mask(n, h);
+  const Matrix mask2 = testing::made_output_mask(n, h);
+  const auto covers = [](const RowExtents& ext, std::size_t r, std::size_t c) {
+    for (const ColSpan s : ext.view().row(r))
+      if (c >= s.begin && c < s.end) return true;
+    return false;
+  };
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t mk = 1 + (k % (n - 1));
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_EQ(made.mask1()(k, j), (j + 1 <= mk) ? 1 : 0);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(made.mask2()(i, k), (i + 1 > mk) ? 1 : 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(mask1(k, j), (j + 1 <= mk) ? 1 : 0);
+      EXPECT_EQ(covers(made.w1_extents(), k, j), mask1(k, j) != 0);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(mask2(i, k), (i + 1 > mk) ? 1 : 0);
+      EXPECT_EQ(covers(made.w2_extents(), i, k), mask2(i, k) != 0);
+    }
   }
 }
 
@@ -144,6 +163,57 @@ TEST(Made, PerSampleGradientsSumToBatchGradient) {
     for (std::size_t k = 0; k < bs; ++k) acc += per_sample(k, i);
     EXPECT_NEAR(acc, batch_grad[i], 1e-9);
   }
+}
+
+TEST(Made, GradientAccumulatesOntoANonzeroGradient) {
+  // W1 and W2 accumulate in place into their blocks of grad, inside the
+  // masks only: with the natural degree order (h <= n - 1) and with cyclic
+  // degrees (h > n - 1).
+  constexpr Real kGradTol = 1e-10;
+  for (const auto& [n, h] : {std::pair<std::size_t, std::size_t>{9, 6},
+                             std::pair<std::size_t, std::size_t>{6, 13}}) {
+    SCOPED_TRACE("n " + std::to_string(n) + " h " + std::to_string(h));
+    Made made(n, h);
+    randomize_parameters(made, 17 + h);
+    const std::size_t bs = 11;
+    const Matrix batch = random_bits(bs, n, 23 + h);
+    Vector coeff(bs);
+    rng::Xoshiro256 gen(27 + h);
+    for (std::size_t k = 0; k < bs; ++k)
+      coeff[k] = rng::uniform(gen, -1.0, 1.0);
+    // Layout [W1 | b1 | W2 | b2]: the in-mask weights and every bias.
+    const Matrix m1 = testing::made_input_mask(n, h);
+    const Matrix m2 = testing::made_output_mask(n, h);
+    std::vector<bool> touched;
+    for (std::size_t i = 0; i < m1.size(); ++i)
+      touched.push_back(m1.data()[i] != 0);
+    touched.insert(touched.end(), h, true);
+    for (std::size_t i = 0; i < m2.size(); ++i)
+      touched.push_back(m2.data()[i] != 0);
+    touched.insert(touched.end(), n, true);
+    testing::expect_gradient_accumulates_onto(made, batch, coeff.span(),
+                                              touched, 29 + h, kGradTol);
+  }
+}
+
+TEST(Made, FirstGradientOnAFreshWorkspaceAllocatesOnlyBatchRows) {
+  // The weight gradients accumulate into grad, so a fresh workspace grows
+  // only its bs-row activations and signals: a1, h1, g1 (bs x h) and p, g2
+  // (bs x n); no weight-shaped scratch.
+  const std::size_t n = 40, h = 30, bs = 4;
+  Made made(n, h);
+  randomize_parameters(made, 31);
+  (void)made.masked();  // packed weights current: the gradient reuses them
+  const Matrix batch = random_bits(bs, n, 32);
+  Vector coeff(bs);
+  coeff.fill(0.5);
+  Vector grad(made.num_parameters());
+  Made::Workspace ws;
+  const std::uint64_t before = vqmc::testing::allocated_bytes();
+  made.accumulate_log_psi_gradient(batch, coeff.span(), grad.span(), ws);
+  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+  const std::uint64_t rows = (3 * bs * h + 2 * bs * n) * sizeof(Real);
+  EXPECT_LE(bytes, rows + 4096);
 }
 
 TEST(Made, CloneIsIndependentDeepCopy) {

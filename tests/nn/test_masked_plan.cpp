@@ -18,6 +18,8 @@
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/alloc_count.hpp"
+#include "support/made_masks.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_ref.hpp"
 
@@ -38,10 +40,11 @@ void randomize_parameters(WavefunctionModel& model, std::uint64_t seed) {
 }
 
 /// Dense reference replicating the pre-plan code path: materialize
-/// `M .* W`, run dense gemms, apply the mask elementwise to the weight
-/// gradients.  The packed path must match it within the tolerance contract
-/// (dense and extent kernels split accumulations differently under SIMD);
-/// the packed weight values themselves are still copied bit-for-bit.
+/// `M .* W` with the masks built from the documented degree rule, run dense
+/// gemms, apply the mask elementwise to the weight gradients.  The packed
+/// path must match it within the tolerance contract (dense and extent
+/// kernels split accumulations differently under SIMD); the packed weight
+/// values themselves are still copied bit-for-bit.
 struct DenseReference {
   std::size_t n, h;
   Matrix w1m, w2m;  ///< mask .* W, materialized the old way
@@ -50,8 +53,8 @@ struct DenseReference {
   explicit DenseReference(const Made& made)
       : n(made.num_spins()), h(made.hidden_size()), b1(h), b2(n) {
     const std::span<const Real> p = std::as_const(made).parameters();
-    const Matrix& m1 = made.mask1();
-    const Matrix& m2 = made.mask2();
+    const Matrix m1 = testing::made_input_mask(n, h);
+    const Matrix m2 = testing::made_output_mask(n, h);
     w1m = Matrix(h, n);
     w2m = Matrix(n, h);
     const std::size_t off_b1 = h * n;
@@ -109,10 +112,12 @@ struct DenseReference {
       for (std::size_t i = 0; i < n; ++i)
         g2(k, i) = coeff[k] / 2 * (batch(k, i) - p(k, i));
 
+    const Matrix m1 = testing::made_input_mask(n, made.hidden_size());
+    const Matrix m2 = testing::made_output_mask(n, made.hidden_size());
     Matrix dw2(n, h);  // zero-initialized
     gemm_tn_accumulate(g2, h1, dw2);
     for (std::size_t i = 0; i < n * h; ++i)
-      grad[off_w2 + i] += made.mask2().data()[i] * dw2.data()[i];
+      grad[off_w2 + i] += m2.data()[i] * dw2.data()[i];
     column_sum_accumulate(g2, grad.subspan(off_b2, n));
 
     Matrix g1(bs, h);
@@ -122,7 +127,7 @@ struct DenseReference {
     Matrix dw1(h, n);
     gemm_tn_accumulate(g1, batch, dw1);
     for (std::size_t i = 0; i < h * n; ++i)
-      grad[i] += made.mask1().data()[i] * dw1.data()[i];
+      grad[i] += m1.data()[i] * dw1.data()[i];
     column_sum_accumulate(g1, grad.subspan(off_b1, h));
   }
 
@@ -134,6 +139,8 @@ struct DenseReference {
     const std::size_t off_b1 = h * n;
     const std::size_t off_w2 = off_b1 + h;
     const std::size_t off_b2 = off_w2 + n * h;
+    const Matrix m1 = testing::made_input_mask(n, made.hidden_size());
+    const Matrix m2 = testing::made_output_mask(n, made.hidden_size());
     std::vector<Real> g1(h);
     for (std::size_t k = 0; k < bs; ++k) {
       Real* o = out.row(k).data();
@@ -143,7 +150,7 @@ struct DenseReference {
         const Real g2 = (batch(k, i) - pm(k, i)) / 2;
         o[off_b2 + i] = g2;
         for (std::size_t l = 0; l < h; ++l) {
-          o[off_w2 + i * h + l] = made.mask2()(i, l) * g2 * h1m(k, l);
+          o[off_w2 + i * h + l] = m2(i, l) * g2 * h1m(k, l);
           g1[l] += g2 * w2m(i, l);
         }
       }
@@ -151,7 +158,7 @@ struct DenseReference {
         const Real g = (a1m(k, l) > 0) ? g1[l] : 0;
         o[off_b1 + l] = g;
         for (std::size_t j = 0; j < n; ++j)
-          o[l * n + j] = made.mask1()(l, j) * g * batch(k, j);
+          o[l * n + j] = m1(l, j) * g * batch(k, j);
       }
     }
   }
@@ -173,6 +180,8 @@ TEST(MaskedPlan, W1ExtentsArePrefixIntervals) {
 }
 
 TEST(MaskedPlan, ExtentsRoundTripBothMasks) {
+  // The model keeps its masks only as extents; expanded back to dense 0/1
+  // matrices they must be exactly the degree rule's masks.
   const std::size_t n = 9, h = 14;
   const Made made(n, h);
   const auto rebuild = [](const RowExtents& ext, std::size_t cols) {
@@ -185,21 +194,36 @@ TEST(MaskedPlan, ExtentsRoundTripBothMasks) {
   };
   const Matrix m1 = rebuild(made.w1_extents(), n);
   const Matrix m2 = rebuild(made.w2_extents(), h);
+  const Matrix want1 = testing::made_input_mask(n, h);
+  const Matrix want2 = testing::made_output_mask(n, h);
   for (std::size_t i = 0; i < m1.size(); ++i)
-    EXPECT_EQ(m1.data()[i], made.mask1().data()[i]);
+    EXPECT_EQ(m1.data()[i], want1.data()[i]);
   for (std::size_t i = 0; i < m2.size(); ++i)
-    EXPECT_EQ(m2.data()[i], made.mask2().data()[i]);
+    EXPECT_EQ(m2.data()[i], want2.data()[i]);
 }
 
 TEST(MaskedPlan, PackedWeightsMatchMaskedParameters) {
+  // Each packed row holds the row's mask == 1 entries of `M .* W` in
+  // ascending column order, bit for bit, with M from the degree rule.
   Made made(8, 13);
   randomize_parameters(made, 31);
   const DenseReference ref(made);
   const auto mw = made.masked();
-  for (std::size_t i = 0; i < ref.w1m.size(); ++i)
-    EXPECT_EQ(mw->w1m.data()[i], ref.w1m.data()[i]);
-  for (std::size_t i = 0; i < ref.w2m.size(); ++i)
-    EXPECT_EQ(mw->w2m.data()[i], ref.w2m.data()[i]);
+  const auto expect_packed = [](const PackedRowPanels& panels,
+                                const Matrix& mask, const Matrix& masked) {
+    ASSERT_EQ(panels.rows(), mask.rows());
+    for (std::size_t r = 0; r < mask.rows(); ++r) {
+      std::size_t t = 0;
+      for (std::size_t j = 0; j < mask.cols(); ++j) {
+        if (mask(r, j) == 0) continue;
+        ASSERT_LT(t, panels.row_size(r)) << "row " << r;
+        EXPECT_EQ(panels.row(r)[t++], masked(r, j)) << r << "," << j;
+      }
+      EXPECT_EQ(t, panels.row_size(r)) << "row " << r;
+    }
+  };
+  expect_packed(mw->w1p, testing::made_input_mask(8, 13), ref.w1m);
+  expect_packed(mw->w2p, testing::made_output_mask(8, 13), ref.w2m);
 }
 
 // Tolerances for packed-vs-dense comparisons.  Activations and gradients
@@ -325,7 +349,8 @@ TEST(MaskedPlan, CacheInvalidatesOnMutableParameterAcquisition) {
   Made made(6, 9);
   randomize_parameters(made, 92);
   const auto before = made.masked();
-  const Real old_w00 = before->w1m(0, 0);
+  // W1(0,0) is in-mask and the first value of W1's first packed row.
+  const Real old_w00 = before->w1p.row(0)[0];
 
   const std::uint64_t v = made.parameter_version();
   made.parameters()[0] = old_w00 + 1.5;  // parameter 0 is W1(0,0), in-mask
@@ -333,9 +358,28 @@ TEST(MaskedPlan, CacheInvalidatesOnMutableParameterAcquisition) {
 
   const auto after = made.masked();
   EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(after->w1m(0, 0), old_w00 + 1.5);
+  EXPECT_EQ(after->w1p.row(0)[0], old_w00 + 1.5);
   // The old snapshot is immutable: readers holding it are unaffected.
-  EXPECT_EQ(before->w1m(0, 0), old_w00);
+  EXPECT_EQ(before->w1p.row(0)[0], old_w00);
+}
+
+TEST(MaskedPlan, MaskedWeightsRebuildAllocatesOnlyThePackedForms) {
+  // A rebuild packs W1 and W2 straight from the parameter vector: it builds
+  // the two row panels (values and offsets) and W1's column packing, and no
+  // dense weight copy.
+  const std::size_t n = 40, h = 30;
+  Made made(n, h);
+  randomize_parameters(made, 93);
+  (void)made.masked();
+  (void)made.parameters();  // a write: the next masked() rebuilds
+  const std::uint64_t before = vqmc::testing::allocated_bytes();
+  const auto mw = made.masked();
+  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+  const std::size_t nnz1 = made.w1_extents().nonzeros();
+  const std::size_t nnz2 = made.w2_extents().nonzeros();
+  const std::uint64_t packed = (2 * nnz1 + nnz2) * sizeof(Real) +
+                               (h + 1 + n + 1) * sizeof(std::size_t);
+  EXPECT_LE(bytes, packed + 4096);
 }
 
 TEST(MaskedPlan, CacheInvalidatesOnInitialize) {

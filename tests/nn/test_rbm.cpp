@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "nn/gradient_check.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/alloc_count.hpp"
+#include "support/gradient_accumulation.hpp"
 #include "tensor/kernels.hpp"
 
 namespace vqmc {
@@ -113,8 +115,8 @@ TEST(Rbm, CloneIsIndependentDeepCopy) {
 }
 
 TEST(Rbm, RepeatedLogPsiWsAllocatesNothing) {
-  // W lives in the version-keyed cache and theta in the workspace: after
-  // the first call shapes both, an MCMC-style evaluation is heap-free.
+  // W is read in place and theta lives in the workspace: after the first
+  // call shapes it, an MCMC-style evaluation is heap-free.
   Rbm rbm(7, 5);
   randomize_parameters(rbm, 54);
   const Matrix batch = random_bits(2, 7, 55);
@@ -126,6 +128,39 @@ TEST(Rbm, RepeatedLogPsiWsAllocatesNothing) {
   EXPECT_EQ(vqmc::testing::allocation_count(), before);
   EXPECT_EQ(first[0], again[0]);
   EXPECT_EQ(first[1], again[1]);
+}
+
+TEST(Rbm, GradientAccumulatesOntoANonzeroGradient) {
+  // dW accumulates in place into grad's W block, like the bias gradients.
+  constexpr Real kGradTol = 1e-10;
+  Rbm rbm(7, 6);
+  randomize_parameters(rbm, 151);
+  const std::size_t bs = 10;
+  const Matrix batch = random_bits(bs, 7, 152);
+  Vector coeff(bs);
+  rng::Xoshiro256 gen(153);
+  for (std::size_t k = 0; k < bs; ++k) coeff[k] = rng::uniform(gen, -1.0, 1.0);
+  const std::vector<bool> touched(rbm.num_parameters(), true);
+  testing::expect_gradient_accumulates_onto(rbm, batch, coeff.span(), touched,
+                                            154, kGradTol);
+}
+
+TEST(Rbm, WeightsRebuildAllocatesOneWeightBlock) {
+  // The forward reads W in place; a rebuild of the version cache builds
+  // only W^T, the flip path's operand: one h x n block, not two.
+  const std::size_t n = 48, h = 40, bs = 3;
+  Rbm rbm(n, h);
+  randomize_parameters(rbm, 155);
+  const Matrix batch = random_bits(bs, n, 156);
+  const std::size_t sites[] = {0, 5, 47};
+  Matrix out(bs, 3);
+  const auto ws = rbm.make_workspace();
+  ASSERT_TRUE(rbm.log_psi_flip_ratios(batch, sites, out, ws.get()));
+  (void)rbm.parameters();  // a write: the next flip-ratio call rebuilds
+  const std::uint64_t before = vqmc::testing::allocated_bytes();
+  rbm.log_psi_flip_ratios(batch, sites, out, ws.get());
+  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+  EXPECT_LE(bytes, h * n * sizeof(Real) + 4096);
 }
 
 TEST(Rbm, WriteThroughParametersReachesTheNextEvaluation) {

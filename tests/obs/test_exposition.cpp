@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -237,6 +238,18 @@ TEST(StatusServer, StopIsIdempotentAndReleasesTheEndpoint) {
   const std::vector<StatusReport> reports =
       decode_reports(fetch_status(again.endpoint(), "raw", 5.0));
   EXPECT_EQ(reports.size(), 1u);
+}
+
+TEST(StatusServer, StopRemovesItsSocketFile) {
+  const std::string dir = make_scratch_dir("unlink");
+  const std::string path = dir + "/obs.sock";
+  telemetry::MetricsRegistry registry;
+  StatusServer server({.endpoint = "unix://" + path},
+                      registry_provider(registry));
+  EXPECT_TRUE(std::filesystem::exists(path));
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -19,6 +19,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "parallel/socket_communicator.hpp"
 #include "parallel/thread_communicator.hpp"
 #include "parallel/wire_protocol.hpp"
+#include "tensor/kernels.hpp"
 
 namespace vqmc::parallel {
 namespace {
@@ -37,6 +42,11 @@ std::string fresh_unix_endpoint(const char* tag) {
   return std::string("unix://") + (tmpdir ? tmpdir : "/tmp") + "/vqmc_test_" +
          tag + "_" + std::to_string(::getpid()) + "_" +
          std::to_string(counter.fetch_add(1)) + ".sock";
+}
+
+/// The socket file of a `unix://` endpoint.
+std::string unix_path(const std::string& endpoint) {
+  return endpoint.substr(std::string("unix://").size());
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +280,22 @@ TEST(WireProtocol, ConnectDeadlineExpiresAsCommTimeout) {
   EXPECT_THROW((void)wire::connect_to(endpoint, 0.2, 1), CommTimeoutError);
 }
 
+TEST(WireProtocol, ClosingAListenerLeavesARebindersSocketFile) {
+  // A listener removes its socket file only while the path still names the
+  // file it bound: once a second listener has re-bound the path, the first
+  // one's close leaves the second one's file (and its dial) in place.
+  const std::string endpoint = fresh_unix_endpoint("rebind");
+  const std::string path = unix_path(endpoint);
+  std::optional<wire::Listener> first(wire::listen_on(endpoint));
+  std::optional<wire::Listener> second(wire::listen_on(endpoint));
+  first.reset();
+  EXPECT_TRUE(std::filesystem::exists(path));
+  wire::Socket conn = wire::connect_to(endpoint, 2.0, /*jitter_seed=*/5);
+  EXPECT_TRUE(conn.valid());
+  second.reset();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 // ---------------------------------------------------------------------------
 // Socket group collectives (threads hosting real sockets over loopback)
 
@@ -297,6 +323,13 @@ TEST(SocketCommunicator, AllreduceMaxAndBroadcastAndBarrier) {
 
     comm.barrier();  // and the group dissolves cleanly afterwards
   });
+}
+
+TEST(SocketCommunicator, GroupRemovesItsExplicitUnixSocketFile) {
+  const std::string endpoint = fresh_unix_endpoint("explicit");
+  run_socket_group(
+      3, [](Communicator& comm) { comm.barrier(); }, {}, endpoint);
+  EXPECT_FALSE(std::filesystem::exists(unix_path(endpoint)));
 }
 
 TEST(SocketCommunicator, SingleRankGroupIsSelfContained) {
@@ -372,20 +405,38 @@ TEST(SocketCommunicator, LyingRendezvousHeaderFailsBeforeAllocating) {
     options.rendezvous_timeout_seconds = 10;
     LoneRoot root(endpoint, options, [](Communicator&) {});
     wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/3);
-    if (claim == kLyingClaim) {
-      send_raw(conn, raw_header(kFrameMagic, wire::FrameType::kHello, 0,
-                                kLyingClaim));
-    } else {
-      ASSERT_TRUE(wire::send_frame(conn, wire::FrameType::kHello, 0,
-                                   previous_layout, sizeof(previous_layout),
-                                   10.0));
+    std::vector<unsigned char> raw =
+        raw_header(kFrameMagic, wire::FrameType::kHello, 0, claim);
+    if (claim != kLyingClaim) {
+      // The whole previous-layout frame in one write: rank 0 closes the
+      // connection as soon as it has read the header, so a payload written
+      // separately could meet a closed socket.
+      const auto* payload =
+          reinterpret_cast<const unsigned char*>(previous_layout);
+      raw.insert(raw.end(), payload, payload + sizeof(previous_layout));
+      const std::uint32_t crc = crc32c(0, raw.data(), raw.size());
+      const auto* trailer = reinterpret_cast<const unsigned char*>(&crc);
+      raw.insert(raw.end(), trailer, trailer + sizeof(crc));
     }
+    send_raw(conn, raw);
     const std::string what = root.error_message();
     EXPECT_NE(what.find(" " + std::to_string(claim) + " "), std::string::npos)
         << what;
     EXPECT_NE(what.find(" 8 "), std::string::npos) << what;
     EXPECT_LT(root.seconds, 5.0);
   }
+}
+
+TEST(SocketCommunicator, FailedRendezvousRemovesItsSocketFile) {
+  const std::string endpoint = fresh_unix_endpoint("failedhello");
+  SocketGroupOptions options;
+  options.rendezvous_timeout_seconds = 10;
+  LoneRoot root(endpoint, options, [](Communicator&) {});
+  wire::Socket conn = wire::connect_to(endpoint, 10.0, /*jitter_seed=*/6);
+  send_raw(conn,
+           raw_header(kFrameMagic, wire::FrameType::kHello, 0, kLyingClaim));
+  EXPECT_FALSE(root.error_message().empty());
+  EXPECT_FALSE(std::filesystem::exists(unix_path(endpoint)));
 }
 
 TEST(SocketCommunicator, LyingCollectiveHeaderFailsBeforeAllocating) {
@@ -558,6 +609,77 @@ TEST(SocketCommunicator, EnvRendezvousMatchesExplicitArguments) {
   ::unsetenv("VQMC_ENDPOINT");
   ::unsetenv("VQMC_RANK");
   ::unsetenv("VQMC_RANKS");
+}
+
+/// Sets environment variables for one scope; restores each one's previous
+/// value (or absence) when the scope ends.
+class ScopedEnv {
+ public:
+  ScopedEnv() = default;
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    for (const auto& [name, value] : saved_) {
+      if (value)
+        ::setenv(name.c_str(), value->c_str(), 1);
+      else
+        ::unsetenv(name.c_str());
+    }
+  }
+
+  void set(const std::string& name, const std::string& value) {
+    if (!saved_.contains(name)) {
+      const char* old = std::getenv(name.c_str());
+      saved_[name] = old ? std::optional<std::string>(old) : std::nullopt;
+    }
+    ::setenv(name.c_str(), value.c_str(), 1);
+  }
+
+ private:
+  std::map<std::string, std::optional<std::string>> saved_;
+};
+
+TEST(SocketCommunicator, EnvRendezvousRejectsMalformedRankAndWorld) {
+  // Each value must be a whole decimal int in range, checked before any
+  // socket exists: a mistyped rank read as 0 would bind the rendezvous
+  // path as a second root. The 1 s rendezvous timeout bounds a build that
+  // does try to rendezvous.
+  struct Case {
+    const char* rank;
+    const char* world;
+    const char* named;  ///< the variable the error must name
+  };
+  const Case cases[] = {
+      {"zero", "1", "VQMC_RANK"},  {"0", "2x", "VQMC_RANKS"},
+      {"", "1", "VQMC_RANK"},      {"0", "", "VQMC_RANKS"},
+      {"-1", "2", "VQMC_RANK"},    {"2", "2", "VQMC_RANK"},
+      {"0", "0", "VQMC_RANKS"},    {"0", "99999999999", "VQMC_RANKS"},
+  };
+  const std::string endpoint = fresh_unix_endpoint("envbad");
+  ScopedEnv env;
+  env.set("VQMC_ENDPOINT", endpoint);
+  SocketGroupOptions options;
+  options.rendezvous_timeout_seconds = 1;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("VQMC_RANK='") + c.rank + "' VQMC_RANKS='" +
+                 c.world + "'");
+    env.set("VQMC_RANK", c.rank);
+    env.set("VQMC_RANKS", c.world);
+    const auto start = std::chrono::steady_clock::now();
+    std::string what;
+    try {
+      (void)connect_socket_group_from_env(options);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_NE(what.find(std::string(c.named) + "='"), std::string::npos)
+        << "error: '" << what << "'";
+    EXPECT_LT(seconds, 2.0);
+    EXPECT_FALSE(std::filesystem::exists(unix_path(endpoint)));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -19,6 +21,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 // The aligned forms carry tensor storage (AlignedBuffer).
 void* operator new(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t bytes = (size + a - 1) / a * a;
@@ -47,6 +50,10 @@ namespace vqmc::testing {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t allocated_bytes() {
+  return g_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace vqmc::testing

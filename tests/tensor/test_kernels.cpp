@@ -388,39 +388,59 @@ TEST(Kernels, GemmTnAccumulateExtentsMatchesReferenceInsideAndPreservesOutside) 
     }
 }
 
-TEST(Kernels, ExtentsZeroClearsOnlyCoveredEntries) {
-  const std::size_t m = 6, n = 9;
-  const Matrix mask = random_mask(m, n, 71, 0.5);
+TEST(Kernels, ViewOperandsReadAndWriteBlocksInPlace) {
+  // A weight block inside a flat parameter vector and a gradient block
+  // inside a flat gradient vector, passed as views: the kernels must read
+  // and write exactly those blocks, bitwise as on owning matrices, and
+  // leave the rest of both vectors alone.
+  const std::size_t m = 5, k = 7, n = 6, off = 3;
+  const Matrix a = random_matrix(m, k, 91);
+  const Matrix b = random_matrix(n, k, 92);
+  const Matrix mask = random_mask(n, k, 93, 0.5);
   const RowExtents ext = RowExtents::from_mask(mask);
-  const Matrix a0 = random_matrix(m, n, 72);
-  Matrix a = a0;
-  extents_zero(a, ext.view());
-  for (std::size_t r = 0; r < m; ++r)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (mask(r, j) != Real(0))
-        EXPECT_EQ(a(r, j), 0.0);
-      else
-        EXPECT_EQ(a(r, j), a0(r, j));
-    }
-}
+  Vector params(off + n * k + 2);
+  params.fill(-9.0);
+  for (std::size_t i = 0; i < n * k; ++i) params[off + i] = b.data()[i];
+  const ConstMatrixView bv(params.data() + off, n, k);
 
-TEST(Kernels, ExtentsAddFlatAddsOnlyCoveredEntries) {
-  const std::size_t m = 6, n = 9;
-  const Matrix mask = random_mask(m, n, 81, 0.5);
-  const RowExtents ext = RowExtents::from_mask(mask);
-  const Matrix src = random_matrix(m, n, 82);
-  const Matrix dst0 = random_matrix(m, n, 83);
-  Vector dst(m * n);
-  for (std::size_t i = 0; i < m * n; ++i) dst[i] = dst0.data()[i];
-  extents_add_flat(src, ext.view(), dst.span());
-  for (std::size_t r = 0; r < m; ++r)
-    for (std::size_t j = 0; j < n; ++j) {
-      const Real got = dst[r * n + j];
-      if (mask(r, j) != Real(0))
-        EXPECT_EQ(got, dst0(r, j) + src(r, j));
-      else
-        EXPECT_EQ(got, dst0(r, j));
-    }
+  Matrix want(m, n), got(m, n);
+  gemm_nt(a, b, want);
+  gemm_nt(a, bv, got);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got.data()[i], want.data()[i]);
+
+  const Matrix gwant = random_matrix(m, n, 94);
+  Matrix nn_want(m, k), nn_got(m, k);
+  gemm_nn_extents(gwant, b, ext.view(), nn_want);
+  gemm_nn_extents(gwant, bv, ext.view(), nn_got);
+  for (std::size_t i = 0; i < nn_want.size(); ++i)
+    EXPECT_EQ(nn_got.data()[i], nn_want.data()[i]);
+
+  const Matrix x = random_matrix(m, k, 95);
+  const Matrix c0 = random_matrix(n, k, 96);
+  Matrix dense = c0, masked = c0;
+  Vector grad(off + n * k + 2);
+  grad.fill(4.0);
+  Vector grad_ext = grad;
+  for (std::size_t i = 0; i < n * k; ++i)
+    grad[off + i] = grad_ext[off + i] = c0.data()[i];
+  gemm_tn_accumulate(gwant, x, dense);
+  gemm_tn_accumulate(gwant, x, MatrixView(grad.data() + off, n, k));
+  gemm_tn_accumulate_extents(gwant, x, ext.view(), masked);
+  gemm_tn_accumulate_extents(gwant, x, ext.view(),
+                             MatrixView(grad_ext.data() + off, n, k));
+  for (std::size_t i = 0; i < n * k; ++i) {
+    EXPECT_EQ(grad[off + i], dense.data()[i]);
+    EXPECT_EQ(grad_ext[off + i], masked.data()[i]);
+  }
+  for (std::size_t i = 0; i < off; ++i) {
+    EXPECT_EQ(grad[i], 4.0);
+    EXPECT_EQ(grad_ext[i], 4.0);
+  }
+  for (std::size_t i = off + n * k; i < grad.size(); ++i) {
+    EXPECT_EQ(grad[i], 4.0);
+    EXPECT_EQ(grad_ext[i], 4.0);
+  }
 }
 
 /// Property sweep: the two gemm variants agree with the naive reference
