@@ -37,6 +37,7 @@
 #include <omp.h>
 #endif
 
+#include "bench_common.hpp"
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -51,6 +52,8 @@
 #endif
 
 using namespace vqmc;
+using bench::cpu_model;
+using bench::median;
 
 namespace {
 
@@ -68,26 +71,9 @@ constexpr AllreduceCase kAllreduceCases[] = {
 /// Most timed allreduce calls per case.
 constexpr int kMaxAllreduceCalls = 200;
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 double quantile(std::vector<double> v, double q) {
   std::sort(v.begin(), v.end());
   return v[std::size_t(q * double(v.size() - 1) + 0.5)];
-}
-
-std::string cpu_model() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
 }
 
 std::string compiler() {

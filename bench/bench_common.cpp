@@ -1,6 +1,8 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -119,6 +121,36 @@ std::pair<Real, Real> mean_std(const std::vector<Real>& values) {
   for (Real v : values) var += (v - mean) * (v - mean);
   var /= Real(values.size() - 1);
   return {mean, std::sqrt(var)};
+}
+
+double block_ms(const std::function<void()>& fn, std::size_t calls) {
+  Timer timer;
+  for (std::size_t c = 0; c < calls; ++c) fn();
+  return timer.milliseconds() / double(calls);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+std::string scientific(double value) {
+  std::ostringstream out;
+  out.precision(2);
+  out << std::scientific << value;
+  return out.str();
 }
 
 }  // namespace vqmc::bench

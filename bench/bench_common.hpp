@@ -10,6 +10,7 @@
 /// prints the scale factors it used so results are never mistaken for
 /// paper-scale numbers.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,5 +88,19 @@ ComboResult run_combo(const Hamiltonian& hamiltonian,
 
 /// Mean / sample-std over per-seed values (std = 0 for a single seed).
 std::pair<Real, Real> mean_std(const std::vector<Real>& values);
+
+// -- Timing helpers of the benches that write a BENCH_*.json artifact -------
+
+/// Per-call milliseconds of `fn` over one timed block of `calls`.
+double block_ms(const std::function<void()>& fn, std::size_t calls);
+
+/// The middle element of `v` (the upper one of an even count).
+double median(std::vector<double> v);
+
+/// The host CPU's model name from /proc/cpuinfo, or "unknown".
+std::string cpu_model();
+
+/// `value` in scientific notation with two decimals.
+std::string scientific(double value);
 
 }  // namespace vqmc::bench

@@ -34,6 +34,7 @@
 #include <omp.h>
 #endif
 
+#include "bench_common.hpp"
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -46,6 +47,10 @@
 #include "tensor/simd.hpp"
 
 using namespace vqmc;
+using bench::block_ms;
+using bench::cpu_model;
+using bench::median;
+using bench::scientific;
 
 namespace {
 
@@ -125,37 +130,6 @@ class AbsoluteHamiltonian final : public Hamiltonian {
  private:
   const Hamiltonian& inner_;
 };
-
-std::string scientific(double value) {
-  std::ostringstream out;
-  out.precision(2);
-  out << std::scientific << value;
-  return out.str();
-}
-
-/// Per-call milliseconds of `fn` over one timed block of `calls`.
-double block_ms(const std::function<void()>& fn, std::size_t calls) {
-  Timer timer;
-  for (std::size_t c = 0; c < calls; ++c) fn();
-  return timer.milliseconds() / double(calls);
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-std::string cpu_model() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
-}
 
 struct CaseResult {
   std::string model;

@@ -30,6 +30,15 @@ void accumulate_energy_gradient(const WavefunctionModel& model,
                              ws);
 }
 
+void energy_gradient_coefficients(std::span<const Real> local_energies,
+                                  Real batch_mean, Real batch_count,
+                                  std::span<Real> coeff) {
+  VQMC_REQUIRE(coeff.size() == local_energies.size(),
+               "energy gradient: coefficient size mismatch");
+  for (std::size_t k = 0; k < coeff.size(); ++k)
+    coeff[k] = 2 * (local_energies[k] - batch_mean) / batch_count;
+}
+
 void accumulate_energy_gradient(const WavefunctionModel& model,
                                 const Matrix& batch,
                                 std::span<const Real> local_energies,
@@ -40,8 +49,8 @@ void accumulate_energy_gradient(const WavefunctionModel& model,
   VQMC_REQUIRE(local_energies.size() == bs,
                "energy gradient: local energy size mismatch");
   Vector coeff(bs);
-  for (std::size_t k = 0; k < bs; ++k)
-    coeff[k] = 2 * (local_energies[k] - batch_mean) / batch_count;
+  energy_gradient_coefficients(local_energies, batch_mean, batch_count,
+                               coeff.span());
   model.accumulate_log_psi_gradient_ws(batch, coeff.span(), grad, ws);
 }
 

@@ -34,6 +34,13 @@ void accumulate_energy_gradient(const WavefunctionModel& model,
                                 std::span<Real> grad,
                                 WavefunctionModel::Workspace* ws = nullptr);
 
+/// The energy gradient's per-sample coefficients,
+/// coeff[k] = 2 (l_k - batch_mean) / batch_count: the gradient is
+/// sum_k coeff[k] d log psi(x_k)/d theta, and SR solves against them.
+void energy_gradient_coefficients(std::span<const Real> local_energies,
+                                  Real batch_mean, Real batch_count,
+                                  std::span<Real> coeff);
+
 /// One rank's share of a data-parallel energy gradient: the same sum over
 /// this batch, centred on `batch_mean` and divided by `batch_count`, the
 /// mean and sample count of the whole (allreduced) batch. Summing every rank's share

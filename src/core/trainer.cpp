@@ -111,10 +111,12 @@ VqmcTrainer::VqmcTrainer(const Hamiltonian& hamiltonian,
   local_energies_ = Vector(config_.batch_size);
   energy_payload_.assign(2 + 2 * ranks, Real(0));
   gradient_ = Vector(d + ranks);
+  coefficients_ = Vector(config_.batch_size);
   known_alive_.assign(ranks, 1);
   if (config_.use_sr) {
+    gram_ = Matrix(config_.batch_size, config_.batch_size);
+    sample_solution_ = Vector(config_.batch_size);
     natural_gradient_ = Vector(d);
-    per_sample_o_ = Matrix(config_.batch_size, d);
   }
   model_ws_ = model_.make_workspace();
   VQMC_REQUIRE(config_.max_grad_norm >= 0,
@@ -288,8 +290,10 @@ IterationMetrics VqmcTrainer::step() {
         have_snapshot_ = true;
       }
       gradient_.fill(0);
-      accumulate_energy_gradient(model_, batch_, local_energies_.span(),
-                                 mean, count, gradient, model_ws_.get());
+      energy_gradient_coefficients(local_energies_.span(), mean, count,
+                                   coefficients_.span());
+      model_.accumulate_log_psi_gradient_ws(batch_, coefficients_.span(),
+                                            gradient, model_ws_.get());
       bad_gradient = !health::all_finite(gradient);
       if (bad_gradient) {
         std::fill(gradient.begin(), gradient.end(), Real(0));
@@ -308,20 +312,25 @@ IterationMetrics VqmcTrainer::step() {
     }
   }
 
-  // 5. Optional SR preconditioning (one rank only), guarded against solver
+  // 5. Optional SR preconditioning (one rank only): the model's Gram, one
+  // sample-space solve against the gradient's coefficients, and the natural
+  // gradient O^T y in one more gradient pass — guarded against solver
   // breakdowns and non-finite natural gradients.
   std::span<Real> update = gradient;
   if (!tripped && config_.use_sr) {
     const PhaseScope scope(metrics.phases, &PhaseBreakdown::sr_solve);
-    model_.log_psi_gradient_per_sample_ws(batch_, per_sample_o_,
-                                          model_ws_.get());
+    model_.log_psi_gradient_gram(batch_, gram_, model_ws_.get());
     const SrReport sr =
-        sr_.precondition(per_sample_o_, gradient, natural_gradient_.span());
+        sr_.solve(gram_, coefficients_.span(), sample_solution_.span());
     if (sr.breakdown) {
       ++health_.sr_breakdowns;
       tripped = true;
       trip_reason = "SR breakdown: " + sr.reason;
     } else {
+      natural_gradient_.fill(0);
+      model_.accumulate_log_psi_gradient_ws(batch_, sample_solution_.span(),
+                                            natural_gradient_.span(),
+                                            model_ws_.get());
       update = natural_gradient_.span();
       if (!health::all_finite(update)) {
         ++health_.nonfinite_update;

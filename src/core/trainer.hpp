@@ -108,7 +108,8 @@ struct ShrinkEvent {
 /// ShrinkEvent, and the reduced count rescales the gradient by itself. On
 /// one rank both collectives are no-ops and the numbers are the serial
 /// trainer's, bit for bit. SR runs on one rank only (`use_sr` with more
-/// than one rank throws vqmc::Error).
+/// than one rank throws vqmc::Error): it solves one bs x bs system built
+/// from the model's Gram of per-sample log-derivatives (DESIGN.md §5m).
 class VqmcTrainer {
  public:
   VqmcTrainer(const Hamiltonian& hamiltonian, WavefunctionModel& model,
@@ -208,8 +209,14 @@ class VqmcTrainer {
   std::vector<Real> energy_payload_;
   /// [gradient_0..d-1, bad_0..R-1]: the second allreduce.
   Vector gradient_;
+  /// The gradient's per-sample coefficients 2 (E_k - mean) / count, kept
+  /// for the SR solve.
+  Vector coefficients_;
+  /// SR only: the bs x bs Gram, factored in place each step, the sample
+  /// coefficients y of the solve and the natural gradient O^T y.
+  Matrix gram_;
+  Vector sample_solution_;
   Vector natural_gradient_;
-  Matrix per_sample_o_;
   /// Model evaluation workspace (null for models without one), threaded
   /// through the gradient phases so their scratch survives iterations.
   std::unique_ptr<WavefunctionModel::Workspace> model_ws_;

@@ -3,23 +3,24 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "tensor/kernels.hpp"
 
 namespace vqmc::linalg {
 
 bool cholesky_factor(Matrix& a) {
   VQMC_REQUIRE(a.rows() == a.cols(), "cholesky: matrix must be square");
   const std::size_t n = a.rows();
+  // Left-looking: column j of L needs the finished columns 0..j-1 of rows
+  // j..n-1, each a contiguous row prefix, so both reductions are the
+  // dispatched dot.
   for (std::size_t j = 0; j < n; ++j) {
-    Real diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= a(j, k) * a(j, k);
-    if (diag <= Real(0)) return false;
+    const std::span<const Real> row_j = a.row(j).first(j);
+    const Real diag = a(j, j) - dot(row_j, row_j);
+    if (!(diag > Real(0))) return false;
     const Real ljj = std::sqrt(diag);
     a(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      Real v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= a(i, k) * a(j, k);
-      a(i, j) = v / ljj;
-    }
+    for (std::size_t i = j + 1; i < n; ++i)
+      a(i, j) = (a(i, j) - dot(a.row(i).first(j), row_j)) / ljj;
   }
   // Zero the strict upper triangle so the factor is unambiguous.
   for (std::size_t i = 0; i < n; ++i)

@@ -48,19 +48,20 @@ Made::Made(std::size_t n, std::size_t hidden)
     plan_.build(mask1, mask2);
   }
 
-  // Flip geometry: counts of units per degree, prefix-summed.
-  flip_lo_.assign(n_, 0);
-  for (std::size_t k = 0; k < h_; ++k) ++flip_lo_[1 + (k % (n_ - 1))];
-  for (std::size_t j = 1; j < n_; ++j) flip_lo_[j] += flip_lo_[j - 1];
+  // Degree geometry of the flip path and the Gram: counts of units per
+  // degree, prefix-summed.
+  degree_end_.assign(n_, 0);
+  for (std::size_t k = 0; k < h_; ++k) ++degree_end_[1 + (k % (n_ - 1))];
+  for (std::size_t j = 1; j < n_; ++j) degree_end_[j] += degree_end_[j - 1];
   if (h_ > n_ - 1) {
     // Cyclic degrees: a stable sort of the units by degree, and the
-    // sorted W2 rows' prefix extents [0, flip_lo_[j]).
+    // sorted W2 rows' prefix extents [0, degree_end_[j]).
     for (std::size_t d = 1; d < n_; ++d)
       for (std::size_t k = d - 1; k < h_; k += n_ - 1)
-        flip_perm_.push_back(std::uint32_t(k));
+        degree_perm_.push_back(std::uint32_t(k));
     Matrix prefix(n_, h_);
     for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t t = 0; t < flip_lo_[j]; ++t) prefix(j, t) = 1;
+      for (std::size_t t = 0; t < degree_end_[j]; ++t) prefix(j, t) = 1;
     flip_w2_ext_ = RowExtents::from_mask(prefix);
   }
   initialize(0);
@@ -114,15 +115,15 @@ std::shared_ptr<const Made::FlipWeights> Made::flip_weights(
     // units of degree <= j, and input i feeds the units of degree > i.
     Matrix w2s(n_, h_);
     for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t t = 0; t < flip_lo_[j]; ++t)
-        w2s(j, t) = w2().row(j)[flip_perm_[t]];
+      for (std::size_t t = 0; t < degree_end_[j]; ++t)
+        w2s(j, t) = w2().row(j)[degree_perm_[t]];
     fw->w2s = PackedRowPanels::pack(w2s, flip_w2_ext_.view());
     const ColPanelGeometry& cg = plan_.w1_cols;
     fw->w1s = AlignedBuffer<Real>(cg.rows.size());
     for (std::size_t i = 0; i < n_; ++i) {
       Real* dst = fw->w1s.data() + cg.offsets[i];
-      for (std::size_t t = flip_lo_[i]; t < h_; ++t)
-        *dst++ = w1().row(flip_perm_[t])[i];
+      for (std::size_t t = degree_end_[i]; t < h_; ++t)
+        *dst++ = w1().row(degree_perm_[t])[i];
     }
     return fw;
   });
@@ -184,6 +185,28 @@ void Made::log_psi(const Matrix& batch, std::span<Real> out) const {
   log_psi(batch, out, ws);
 }
 
+void Made::backward(const Matrix& batch, const MaskedWeights& mw,
+                    const Real* coeff, Workspace& ws) const {
+  forward(batch, mw, ws, ws.p);
+  const std::size_t bs = batch.rows();
+
+  // d(log psi)/d(a2)_{k,i} = coeff_k * (x_{k,i} - p_{k,i}) / 2.
+  ensure_shape(ws.g2, bs, n_);
+#pragma omp parallel for schedule(static)
+  for (std::size_t k = 0; k < bs; ++k) {
+    const Real* x = batch.row(k).data();
+    const Real* p = ws.p.row(k).data();
+    Real* g = ws.g2.row(k).data();
+    const Real c = coeff != nullptr ? coeff[k] / 2 : Real(0.5);
+    for (std::size_t i = 0; i < n_; ++i) g[i] = c * (x[i] - p[i]);
+  }
+
+  // Backprop to the hidden layer: g1 = (g2 (M2 .* W2)) .* relu'(a1).
+  ensure_shape(ws.g1, bs, h_);
+  gemm_nn_extents(ws.g2, w2(), plan_.w2.view(), ws.g1);
+  relu_backward_inplace(ws.a1, ws.g1);
+}
+
 void Made::accumulate_log_psi_gradient(const Matrix& batch,
                                        std::span<const Real> coeff,
                                        std::span<Real> grad,
@@ -193,38 +216,20 @@ void Made::accumulate_log_psi_gradient(const Matrix& batch,
   VQMC_REQUIRE(grad.size() == num_parameters(), "MADE: gradient size mismatch");
 
   const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, ws.p);
-  const RowExtentsView e1 = plan_.w1.view();
-  const RowExtentsView e2 = plan_.w2.view();
+  backward(batch, *mw, coeff.data(), ws);
 
   const std::size_t off_b1 = h_ * n_;
   const std::size_t off_w2 = off_b1 + h_;
   const std::size_t off_b2 = off_w2 + n_ * h_;
 
-  // d(log psi)/d(a2)_{k,i} = coeff_k * (x_{k,i} - p_{k,i}) / 2.
-  ensure_shape(ws.g2, bs, n_);
-#pragma omp parallel for schedule(static)
-  for (std::size_t k = 0; k < bs; ++k) {
-    const Real* x = batch.row(k).data();
-    const Real* p = ws.p.row(k).data();
-    Real* g = ws.g2.row(k).data();
-    const Real c = coeff[k] / 2;
-    for (std::size_t i = 0; i < n_; ++i) g[i] = c * (x[i] - p[i]);
-  }
-
   // Layer 2 gradients, in place into grad's W2 block and only inside the
   // mask extents (the mask is 1 there, 0 elsewhere: no scratch, no mask pass).
-  gemm_tn_accumulate_extents(ws.g2, ws.h1, e2,
+  gemm_tn_accumulate_extents(ws.g2, ws.h1, plan_.w2.view(),
                              MatrixView(grad.data() + off_w2, n_, h_));
   column_sum_accumulate(ws.g2, grad.subspan(off_b2, n_));
 
-  // Backprop to the hidden layer: g1 = (g2 (M2 .* W2)) .* relu'(a1).
-  ensure_shape(ws.g1, bs, h_);
-  gemm_nn_extents(ws.g2, w2(), e2, ws.g1);
-  relu_backward_inplace(ws.a1, ws.g1);
-
   // Layer 1 gradients, in place into grad's W1 block.
-  gemm_tn_accumulate_extents(ws.g1, batch, e1,
+  gemm_tn_accumulate_extents(ws.g1, batch, plan_.w1.view(),
                              MatrixView(grad.data(), h_, n_));
   column_sum_accumulate(ws.g1, grad.subspan(off_b1, h_));
 }
@@ -303,6 +308,38 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch,
   log_psi_gradient_per_sample(batch, out, ws);
 }
 
+void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                                 Workspace& ws) const {
+  const std::size_t bs = batch.rows();
+  VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
+               "MADE: Gram must be bs x bs");
+  const std::shared_ptr<const MaskedWeights> mw = masked();
+  backward(batch, *mw, nullptr, ws);
+
+  // made_gram's lane-major operands: one column per sample, zero padding
+  // up to a whole lane tile, hidden units in degree order.
+  const std::size_t lanes = (bs + kGramLanes - 1) / kGramLanes * kGramLanes;
+  ensure_shape(ws.gram_x, n_, lanes);
+  ensure_shape(ws.gram_g2, n_, lanes);
+  ensure_shape(ws.gram_g1, h_, lanes);
+  ensure_shape(ws.gram_h1, h_, lanes);
+  const bool natural = degree_perm_.empty();
+#pragma omp parallel for schedule(static)
+  for (std::size_t s = 0; s < lanes; ++s) {
+    const bool pad = s >= bs;
+    for (std::size_t j = 0; j < n_; ++j) {
+      ws.gram_x(j, s) = pad ? 0 : batch(s, j);
+      ws.gram_g2(j, s) = pad ? 0 : ws.g2(s, j);
+    }
+    for (std::size_t u = 0; u < h_; ++u) {
+      const std::size_t k = natural ? u : degree_perm_[u];
+      ws.gram_g1(u, s) = pad ? 0 : ws.g1(s, k);
+      ws.gram_h1(u, s) = pad ? 0 : ws.h1(s, k);
+    }
+  }
+  made_gram(ws.gram_x, ws.gram_g2, ws.gram_g1, ws.gram_h1, degree_end_, gram);
+}
+
 void Made::log_psi_flip_ratios(const Matrix& batch,
                                std::span<const std::size_t> sites,
                                Matrix& out, Workspace& ws) const {
@@ -318,7 +355,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
   // Degree-ordered operands: the forward's own packings when the natural
   // order is degree-sorted (h <= n - 1), else the lazily built sorted copy.
   const std::shared_ptr<const MaskedWeights> mw = masked();
-  const bool natural = flip_perm_.empty();
+  const bool natural = degree_perm_.empty();
   std::shared_ptr<const FlipWeights> fw;
   if (!natural) fw = flip_weights(*mw);
   const PackedRowPanels& w2s = natural ? mw->w2p : fw->w2s;
@@ -382,7 +419,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
                                 : clamped_log(x[j] != 0 ? p[j] : 1 - p[j]);
       }
       for (std::size_t c = 0; c < h_; ++c)
-        at[c * L + l] = a[natural ? c : flip_perm_[c]];
+        at[c * L + l] = a[natural ? c : degree_perm_[c]];
     }
   }
 
@@ -410,12 +447,12 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
                          : std::min((task % site_groups) * L + l, m - 1);
         site[l] = sites[q[l]];
         // Sorted units [lo, h) read input i; output j reads sorted units
-        // [0, flip_lo_[j]), so each changed logit is one dot over
-        // [lo, flip_lo_[j]) — a triangle that shrinks as i grows.
-        lo[l] = flip_lo_[site[l]];
+        // [0, degree_end_[j]), so each changed logit is one dot over
+        // [lo, degree_end_[j]) — a triangle that shrinks as i grows.
+        lo[l] = degree_end_[site[l]];
       }
       const std::size_t i0 = *std::min_element(site, site + L);
-      const std::size_t lo0 = flip_lo_[i0];
+      const std::size_t lo0 = degree_end_[i0];
       // Terms [first, last) of the lane's sum over the sites from i0: the
       // flipped site itself, and every later one when hidden units move.
       std::size_t first[L], last[L];
@@ -479,6 +516,16 @@ void Made::log_psi_gradient_per_sample_ws(
     log_psi_gradient_per_sample(batch, out, *w);
   } else {
     log_psi_gradient_per_sample(batch, out);
+  }
+}
+
+void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                                 WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi_gradient_gram(batch, gram, *w);
+  } else {
+    Workspace local;
+    log_psi_gradient_gram(batch, gram, local);
   }
 }
 

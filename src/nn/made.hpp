@@ -35,6 +35,12 @@
 /// is handed out.  Results agree with the dense masked path within the
 /// accumulation-order contract of kernels.hpp.
 ///
+/// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
+/// one masked outer product per layer, [M1.*(g1 x^T) | g1 | M2.*(g2 h1^T) |
+/// g2], so <O_s, O_t> needs only the backward signals g1, g2, the inputs
+/// and the hidden activations, swept once over the degrees (made_gram);
+/// O (bs x d) is never formed.
+///
 /// Single-flip ratios (DESIGN.md §5l): flipping input i moves only the
 /// hidden units of degree > i, and output j reads only the units of degree
 /// <= j, so with the hidden units in degree order each changed logit is one
@@ -127,6 +133,13 @@ class Made final : public AutoregressiveModel {
     Matrix wt;   ///< threads x h*L, W1 columns of the flipped sites
     Matrix dht;  ///< threads x h*L, hidden-unit changes
     Matrix znt;  ///< threads x n*L, changed logits
+    // Gram scratch (log_psi_gradient_gram): made_gram's lane-major
+    // operands, one column per sample, padded to kGramLanes columns, with
+    // the hidden units in degree order.
+    Matrix gram_x;   ///< n x pad(bs), configurations
+    Matrix gram_g2;  ///< n x pad(bs), output-layer signals
+    Matrix gram_g1;  ///< h x pad(bs), hidden-layer signals
+    Matrix gram_h1;  ///< h x pad(bs), hidden activations
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -169,6 +182,8 @@ class Made final : public AutoregressiveModel {
   void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
                                       WavefunctionModel::Workspace* ws)
       const override;
+  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                             WavefunctionModel::Workspace* ws) const override;
   bool log_psi_flip_ratios(const Matrix& batch,
                            std::span<const std::size_t> sites, Matrix& out,
                            WavefunctionModel::Workspace* ws) const override;
@@ -180,6 +195,8 @@ class Made final : public AutoregressiveModel {
                                    std::span<Real> grad, Workspace& ws) const;
   void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
                                    Workspace& ws) const;
+  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                             Workspace& ws) const;
   void conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const;
   void log_psi_flip_ratios(const Matrix& batch,
                            std::span<const std::size_t> sites, Matrix& out,
@@ -247,6 +264,12 @@ class Made final : public AutoregressiveModel {
   /// forward() up to the output logits: `z` gets the pre-sigmoid values.
   void forward_logits(const Matrix& batch, const MaskedWeights& mw,
                       Workspace& ws, Matrix& z) const;
+  /// forward(), then the backward signals of sum_k coeff_k log psi(x_k):
+  /// ws.g2 = coeff_k (x - p) / 2 at the output logits and ws.g1 =
+  /// relu'(a1) .* (g2 (M2 .* W2)) at the hidden pre-activations.  A null
+  /// `coeff` means unit coefficients: the per-sample signals of the Gram.
+  void backward(const Matrix& batch, const MaskedWeights& mw,
+                const Real* coeff, Workspace& ws) const;
 
   /// Degree-sorted weight packing for cyclic masks (h > n - 1), one per
   /// parameter version: `w2s` row j packs W2[j, perm[t]] for t < lo[j], and
@@ -267,13 +290,14 @@ class Made final : public AutoregressiveModel {
   ParamVersion version_;
   VersionedCache<MaskedWeights> cache_;
 
-  // Flip-path geometry, fixed by the masks.  flip_lo_[j] counts the hidden
-  // units of degree <= j: output j reads sorted units [0, flip_lo_[j]) and
-  // a flip at site i moves sorted units [flip_lo_[i], h).  Cyclic masks
-  // also record the degree-sorting permutation and the extents of the
-  // sorted W2 rows; the natural order leaves both empty.
-  std::vector<std::size_t> flip_lo_;
-  std::vector<std::uint32_t> flip_perm_;
+  // Degree-order geometry of the flip path and the Gram, fixed by the
+  // masks.  degree_end_[j] counts the hidden units of degree <= j: output j
+  // reads sorted units [0, degree_end_[j]) and a flip at site i moves
+  // sorted units [degree_end_[i], h).  Cyclic masks also record the
+  // degree-sorting permutation and the extents of the sorted W2 rows; the
+  // natural order leaves both empty.
+  std::vector<std::size_t> degree_end_;
+  std::vector<std::uint32_t> degree_perm_;
   RowExtents flip_w2_ext_;
   VersionedCache<FlipWeights> flip_cache_;
 };

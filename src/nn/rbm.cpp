@@ -181,6 +181,30 @@ void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
   log_psi_gradient_per_sample(batch, out, ws);
 }
 
+void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                                Workspace& ws) const {
+  const std::size_t bs = batch.rows();
+  VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
+               "RBM: Gram must be bs x bs");
+  hidden_preactivations(batch, ws);
+  ensure_shape(ws.t, bs, h_);
+#pragma omp parallel for schedule(static)
+  for (std::size_t k = 0; k < bs; ++k) {
+    const Real* th = ws.theta.row(k).data();
+    Real* tr = ws.t.row(k).data();
+    for (std::size_t l = 0; l < h_; ++l) tr[l] = std::tanh(th[l]);
+  }
+  // The W block's inner product factors: <t_s x_s^T, t_t x_t^T> =
+  // (t_s . t_t)(x_s . x_t); c, a and a0 add t_s . t_t, x_s . x_t and 1.
+  ensure_shape(ws.xx, bs, bs);
+  gemm_nt(ws.t, ws.t, gram);
+  gemm_nt(batch, batch, ws.xx);
+  Real* g = gram.data();
+  const Real* xx = ws.xx.data();
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < bs * bs; ++i) g[i] = (g[i] + 1) * (xx[i] + 1);
+}
+
 // -- Workspace-aware virtual variants ----------------------------------------
 
 void Rbm::log_psi_ws(const Matrix& batch, std::span<Real> out,
@@ -208,6 +232,16 @@ void Rbm::log_psi_gradient_per_sample_ws(
     log_psi_gradient_per_sample(batch, out, *w);
   } else {
     log_psi_gradient_per_sample(batch, out);
+  }
+}
+
+void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                                WavefunctionModel::Workspace* ws) const {
+  if (auto* w = dynamic_cast<Workspace*>(ws)) {
+    log_psi_gradient_gram(batch, gram, *w);
+  } else {
+    Workspace local;
+    log_psi_gradient_gram(batch, gram, local);
   }
 }
 

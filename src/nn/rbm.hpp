@@ -22,6 +22,12 @@
 /// repeated evaluation allocates nothing.  The same thread-safety and
 /// mutable-span rules as made.hpp apply.
 ///
+/// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
+/// [t x^T | t | x | 1] with t = tanh(theta), so
+///   O O^T = (T T^T) .* (X X^T) + T T^T + X X^T + 1
+///         = (T T^T + 1) .* (X X^T + 1),
+/// two gemm_nt calls and no bs x d matrix.
+///
 /// Single-flip ratios (DESIGN.md §5l): with theta = W x + c cached per row,
 /// a flip at site i moves theta by +-W[:, i] (a row of the cached W^T), so
 ///   log psi(x') - log psi(x) = +-a_i
@@ -47,7 +53,8 @@ class Rbm final : public WavefunctionModel {
   struct Workspace final : WavefunctionModel::Workspace {
     Matrix theta;    ///< bs x h, hidden pre-activations
     Matrix shifted;  ///< bs x h, theta of the current flip
-    Matrix t;        ///< bs x h, coeff-weighted tanh(theta)
+    Matrix t;        ///< bs x h, coeff-weighted tanh(theta) (unit for the Gram)
+    Matrix xx;       ///< bs x bs, X X^T of the Gram
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -91,6 +98,8 @@ class Rbm final : public WavefunctionModel {
   void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
                                       WavefunctionModel::Workspace* ws)
       const override;
+  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                             WavefunctionModel::Workspace* ws) const override;
   bool log_psi_flip_ratios(const Matrix& batch,
                            std::span<const std::size_t> sites, Matrix& out,
                            WavefunctionModel::Workspace* ws) const override;
@@ -102,6 +111,8 @@ class Rbm final : public WavefunctionModel {
                                    std::span<Real> grad, Workspace& ws) const;
   void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
                                    Workspace& ws) const;
+  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                             Workspace& ws) const;
   void log_psi_flip_ratios(const Matrix& batch,
                            std::span<const std::size_t> sites, Matrix& out,
                            Workspace& ws) const;

@@ -15,6 +15,10 @@
 ///    product of conditionals computable in one forward pass (MADE), which
 ///    enables exact AUTO sampling and makes the model normalized.
 ///
+/// Stochastic reconfiguration needs only the Gram matrix of the
+/// per-sample log-derivatives, O O^T, never O itself
+/// (`log_psi_gradient_gram`).
+///
 /// Local energies need log psi at every configuration connected to a
 /// sample, and most Hamiltonian entries flip one site.  A model whose
 /// amplitude changes locally under one flip overrides
@@ -52,6 +56,10 @@ class WavefunctionModel {
   class Workspace {
    public:
     virtual ~Workspace() = default;
+
+    /// bs x d scratch of the default log_psi_gradient_gram (the explicit
+    /// per-sample matrix); models that override the Gram never touch it.
+    Matrix per_sample;
   };
 
   /// Reusable scratch for the `*_ws` paths; null when the model has none
@@ -112,6 +120,19 @@ class WavefunctionModel {
     (void)ws;
     log_psi_gradient_per_sample(batch, out);
   }
+
+  /// Gram matrix of the per-sample log-derivatives, gram = O O^T (bs x bs,
+  /// uncentred): gram(s, t) = <d log psi(x_s)/d theta, d log psi(x_t)/d
+  /// theta>.  Stochastic reconfiguration solves in sample space with it
+  /// (DESIGN.md §5m).  The default fills O through
+  /// log_psi_gradient_per_sample_ws into the workspace's `per_sample`
+  /// scratch (a local matrix when `ws` is null) and multiplies it out with
+  /// gemm_nt; MADE and RBM build the Gram from their layer factors and never
+  /// form O.  Every override agrees with the default within a few ulps of
+  /// the entries' magnitude, is exactly symmetric, and does not depend on
+  /// the thread count.
+  virtual void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
+                                     Workspace* ws) const;
 
   /// Single-flip log-amplitude ratios over a caller-owned workspace:
   ///

@@ -30,10 +30,14 @@ std::string rank_endpoint(const std::string& base, int rank) {
   const std::size_t colon = base.rfind(':');
   VQMC_REQUIRE(colon != std::string::npos && colon > 5,
                "tcp obs endpoint '" + base + "' has no port");
-  const int port = std::stoi(base.substr(colon + 1));
+  const int port =
+      wire::parse_port(std::string_view(base).substr(colon + 1), base);
   VQMC_REQUIRE(port != 0,
                "tcp obs endpoint needs an explicit port to derive per-rank "
                "endpoints (got port 0)");
+  VQMC_REQUIRE(port + rank <= 65535,
+               "tcp obs endpoint '" + base + "' leaves no port for rank " +
+                   std::to_string(rank) + " (port + rank > 65535)");
   return base.substr(0, colon + 1) + std::to_string(port + rank);
 }
 

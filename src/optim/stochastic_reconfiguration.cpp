@@ -1,9 +1,10 @@
 #include "optim/stochastic_reconfiguration.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/health.hpp"
 #include "linalg/cholesky.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/tracer.hpp"
 #include "tensor/kernels.hpp"
 
@@ -15,78 +16,48 @@ StochasticReconfiguration::StochasticReconfiguration(SrConfig config)
                "SR: regularization must be positive");
 }
 
-SrReport StochasticReconfiguration::precondition(const Matrix& per_sample_o,
-                                                 std::span<const Real> grad,
-                                                 std::span<Real> delta) const {
+SrReport StochasticReconfiguration::solve(Matrix& gram,
+                                          std::span<const Real> coeff,
+                                          std::span<Real> y) const {
   TELEMETRY_SPAN("sr.solve");
-  const std::size_t bs = per_sample_o.rows();
-  const std::size_t d = per_sample_o.cols();
-  VQMC_REQUIRE(grad.size() == d && delta.size() == d,
-               "SR: gradient size mismatch");
+  const std::size_t bs = coeff.size();
+  VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs && y.size() == bs,
+               "SR: Gram, coefficient and solution sizes mismatch");
   VQMC_REQUIRE(bs >= 2, "SR: need at least 2 samples");
 
-  const auto fail = [&delta](const std::string& why) {
-    for (Real& v : delta) v = 0;
+  const auto fail = [&y](const std::string& why) {
+    std::fill(y.begin(), y.end(), Real(0));
     SrReport report;
-    report.converged = false;
     report.breakdown = true;
     report.reason = why;
     return report;
   };
-  if (!health::all_finite(grad)) return fail("non-finite gradient input");
-  if (!health::all_finite(per_sample_o))
-    return fail("non-finite per-sample log-derivatives");
+  if (!health::all_finite(coeff)) return fail("non-finite coefficients");
+  if (!health::all_finite(gram))
+    return fail("non-finite per-sample log-derivative Gram");
 
-  // Column means o_bar.
-  Vector o_bar(d);
-  column_sum_accumulate(per_sample_o, o_bar.span());
-  scale(o_bar.span(), Real(1) / Real(bs));
-
+  // Centre: K_c(s, t) = K(s, t) - r_s - r_t + mean(r) for the row means r
+  // (held in y until the solve), then scale and shift to K_c / bs + lambda I.
+  // The factorization reads only the lower triangle.
+  const Real inv_bs = Real(1) / Real(bs);
+  for (std::size_t s = 0; s < bs; ++s) y[s] = mean(gram.row(s));
+  const Real grand = mean(y);
   const Real lambda = config_.regularization;
-
-  if (d <= config_.dense_threshold) {
-    // Dense path: S = O^T O / bs - o_bar o_bar^T + lambda I.
-    Matrix s(d, d);
-    gemm_tn_accumulate(per_sample_o, per_sample_o, s);
-    for (std::size_t i = 0; i < d; ++i) {
-      for (std::size_t j = 0; j < d; ++j) {
-        s(i, j) = s(i, j) / Real(bs) - o_bar[i] * o_bar[j];
-      }
-      s(i, i) += lambda;
-    }
-    const bool ok = linalg::solve_spd(s, grad, delta);
-    if (!ok)
-      return fail("dense Cholesky failed: S + lambda I is not positive "
-                  "definite");
-    if (!health::all_finite(delta))
-      return fail("dense solve produced a non-finite solution");
-    return {};
+  for (std::size_t s = 0; s < bs; ++s) {
+    Real* row = gram.row(s).data();
+    const Real shift = grand - y[s];
+    for (std::size_t t = 0; t <= s; ++t)
+      row[t] = (row[t] - y[t] + shift) * inv_bs;
+    row[s] += lambda;
   }
-
-  // Matrix-free path: S v = O^T (O v) / bs - o_bar (o_bar . v) + lambda v.
-  Vector ov(bs);
-  const auto apply = [&](std::span<const Real> v, std::span<Real> out) {
-    gemv(per_sample_o, v, ov.span());
-    gemv_t(per_sample_o, ov.span(), out);
-    const Real inv_bs = Real(1) / Real(bs);
-    const Real ob_v = dot(o_bar.span(), v);
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = out[i] * inv_bs - o_bar[i] * ob_v + lambda * v[i];
-  };
-  for (std::size_t i = 0; i < d; ++i) delta[i] = 0;
-  const linalg::CgResult cg =
-      linalg::conjugate_gradient(apply, grad, delta, config_.cg);
-  if (cg.breakdown)
-    return fail(std::string("CG breakdown: ") + cg.breakdown_reason);
-  if (!health::all_finite(delta))
-    return fail("CG produced a non-finite iterate");
-  SrReport report;
-  report.cg_iterations = cg.iterations;
-  report.converged = cg.converged;
-  if (telemetry::enabled())
-    telemetry::metrics().histogram("sr.cg_iterations")
-        .observe(double(cg.iterations));
-  return report;
+  if (!linalg::cholesky_factor(gram))
+    return fail("Cholesky failed: S + lambda I is not positive definite");
+  linalg::cholesky_solve(gram, coeff, y);
+  if (!health::all_finite(y))
+    return fail("sample-space solve produced a non-finite solution");
+  const Real y_mean = mean(y);
+  for (Real& v : y) v -= y_mean;
+  return {};
 }
 
 }  // namespace vqmc

@@ -1,6 +1,7 @@
 #include "parallel/wire_protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -61,6 +62,21 @@ void set_nonblocking(int fd) {
                "wire: cannot set O_NONBLOCK");
 }
 
+}  // namespace
+
+int parse_port(std::string_view text, const std::string& spec) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  VQMC_REQUIRE(!text.empty() && error == std::errc() && stop == end &&
+                   value <= 65535,
+               "wire: bad port '" + std::string(text) + "' in endpoint '" +
+                   spec + "' (expected decimal digits, 0..65535)");
+  return int(value);
+}
+
+namespace {
+
 /// Parse `spec` into either a unix path or a host/port pair.
 struct ParsedSpec {
   bool is_unix = false;
@@ -86,13 +102,7 @@ ParsedSpec parse_spec(const std::string& spec) {
     VQMC_REQUIRE(colon != std::string::npos && colon > 0,
                  "wire: expected tcp://host:port, got '" + spec + "'");
     parsed.host = rest.substr(0, colon);
-    try {
-      parsed.port = std::stoi(rest.substr(colon + 1));
-    } catch (...) {
-      throw Error("wire: bad port in endpoint '" + spec + "'");
-    }
-    VQMC_REQUIRE(parsed.port >= 0 && parsed.port <= 65535,
-                 "wire: port out of range in '" + spec + "'");
+    parsed.port = parse_port(std::string_view(rest).substr(colon + 1), spec);
     return parsed;
   }
   throw Error("wire: endpoint '" + spec +

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/real.hpp"
@@ -102,6 +103,11 @@ struct Listener {
     socket.close();
   }
 };
+
+/// The port of the tcp endpoint `spec`, given as `text` (what follows its
+/// last ':'): decimal digits only — no sign, space or trailing byte — with
+/// a value in 0..65535. Throws vqmc::Error naming `spec` otherwise.
+int parse_port(std::string_view text, const std::string& spec);
 
 /// Bind and listen on `spec` (`unix://...` or `tcp://host:port`). For a unix
 /// spec any stale socket file is unlinked first. Throws vqmc::Error on

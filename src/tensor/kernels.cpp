@@ -1,5 +1,6 @@
 #include "tensor/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -314,6 +315,23 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                  "bernoulli_logit_delta_lanes: lane range out of bounds");
   VQMC_DISPATCH(
       bernoulli_logit_delta_lanes(x, z, base, len, first, last, eps, out))
+}
+
+void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,
+               const Matrix& h1, std::span<const std::size_t> level_end,
+               Matrix& k) {
+  const std::size_t n = x.rows(), lanes = x.cols();
+  VQMC_REQUIRE(g2.rows() == n && level_end.size() == n &&
+                   g1.rows() == h1.rows() && g2.cols() == lanes &&
+                   g1.cols() == lanes && h1.cols() == lanes,
+               "made_gram: operand shape mismatch");
+  VQMC_REQUIRE(lanes % kGramLanes == 0 && k.rows() == k.cols() &&
+                   k.rows() <= lanes,
+               "made_gram: lane padding or output shape mismatch");
+  VQMC_REQUIRE(std::is_sorted(level_end.begin(), level_end.end()) &&
+                   (n == 0 ? g1.rows() == 0 : level_end[n - 1] == g1.rows()),
+               "made_gram: level_end must rise to the unit count");
+  VQMC_DISPATCH(made_gram(x, g2, g1, h1, level_end, k))
 }
 
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes) {

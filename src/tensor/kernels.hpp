@@ -367,6 +367,38 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  Real* out);
 
 // ---------------------------------------------------------------------------
+// Sample-space stochastic reconfiguration (DESIGN.md §5m).
+// ---------------------------------------------------------------------------
+
+/// Column padding of made_gram's operands: their column count is a
+/// multiple of this, the lanes of one register tile.
+inline constexpr std::size_t kGramLanes = 8;
+
+/// MADE's per-sample log-derivative Gram matrix K = O O^T, from the layer
+/// factors instead of O.  The operands are lane-major: column s of each
+/// holds sample s, for s < bs = k.rows() (further columns are padding and
+/// never read into K).  `x` and `g2` are n x L (inputs and output-layer
+/// signals), `g1` and `h1` are h x L (hidden-layer signals and
+/// activations) with the hidden units in nondecreasing degree order, and
+/// level_end[i] (length n, ending at h) counts the units of degree <= i.
+/// With 1 + running sums
+///
+///   P_st(i) = 1 + sum_{j < i} x(j,s) x(j,t)
+///   Q_st(i) = 1 + sum_{u of degree <= i} h1(u,s) h1(u,t)
+///
+/// every element is accumulated in one fixed order, levels i ascending:
+/// each unit u of degree i adds g1(u,s) g1(u,t) P_st(i), then output i adds
+/// g2(i,s) g2(i,t) Q_st(i).  That is MADE's
+///   <O_s, O_t> = sum_u g1 g1 (1 + P(deg u)) + sum_i g2 g2 (1 + Q(i))
+/// for any degree assignment.  The kernel computes the lower triangle in
+/// register tiles of sample rows s against kGramLanes lanes t and stores
+/// each value at (s, t) and (t, s), so K is exactly symmetric, and no
+/// value depends on the thread count.
+void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,
+               const Matrix& h1, std::span<const std::size_t> level_end,
+               Matrix& k);
+
+// ---------------------------------------------------------------------------
 // Integrity checksum of wire frames and checkpoints (DESIGN.md §5h).
 // ---------------------------------------------------------------------------
 

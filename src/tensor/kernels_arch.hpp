@@ -61,6 +61,9 @@ namespace vqmc {
                                    const std::size_t* first,                  \
                                    const std::size_t* last, Real eps,         \
                                    Real* out);                                \
+  void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,         \
+                 const Matrix& h1, std::span<const std::size_t> level_end,    \
+                 Matrix& k);                                                  \
   std::uint32_t crc32c(std::uint32_t crc, const void* data,                   \
                        std::size_t bytes);                                    \
   }

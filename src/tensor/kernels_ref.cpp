@@ -302,6 +302,29 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
   }
 }
 
+void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,
+               const Matrix& h1, std::span<const std::size_t> level_end,
+               Matrix& k) {
+  VQMC_REQUIRE(k.rows() == k.cols() && k.rows() <= x.cols() &&
+                   level_end.size() == x.rows(),
+               "ref::made_gram: shape mismatch");
+  const std::size_t n = x.rows(), bs = k.rows();
+  for (std::size_t s = 0; s < bs; ++s)
+    for (std::size_t t = 0; t < bs; ++t) {
+      Real p = 1, q = 1, acc = 0;
+      std::size_t u = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (; u < level_end[i]; ++u) {
+          acc += g1(u, s) * g1(u, t) * p;
+          q += h1(u, s) * h1(u, t);
+        }
+        acc += g2(i, s) * g2(i, t) * q;
+        p += x(i, s) * x(i, t);
+      }
+      k(s, t) = acc;
+    }
+}
+
 namespace {
 
 /// Byte-at-a-time table of the reflected Castagnoli polynomial.

@@ -68,6 +68,11 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const std::size_t* last, Real eps,
                                  Real* out);
 
+/// The formula of made_gram, one element at a time.
+void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,
+               const Matrix& h1, std::span<const std::size_t> level_end,
+               Matrix& k);
+
 /// Table-driven CRC-32C, one byte per step: the oracle of every tier.
 std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t bytes);
 

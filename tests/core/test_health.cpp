@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,6 +18,7 @@
 #include "optim/sgd.hpp"
 #include "sampler/autoregressive_sampler.hpp"
 #include "sampler/metropolis_sampler.hpp"
+#include "support/broken_gram_model.hpp"
 
 namespace vqmc {
 namespace {
@@ -189,6 +191,66 @@ TEST(HealthGuards, SkipIterationLeavesParametersBitwiseUnchanged) {
 
   trainer.step();  // training continues after the skip
   EXPECT_EQ(trainer.health_counters().guard_trips, 1u);
+}
+
+/// An SR trainer over a healthy MADE whose Gram is broken: the energies and
+/// the gradient pass their guards, and the SR solve reports a breakdown.
+struct BrokenSrRun {
+  BrokenSrRun(testing::BrokenGramModel::Fault fault,
+              health::GuardPolicy policy)
+      : model(made, fault) {
+    made.initialize(48);
+    TrainerConfig cfg;
+    cfg.iterations = 5;
+    cfg.batch_size = 32;
+    cfg.use_sr = true;
+    cfg.guard.policy = policy;
+    trainer = std::make_unique<VqmcTrainer>(tim, model, sampler, sgd, cfg);
+  }
+
+  TransverseFieldIsing tim = TransverseFieldIsing::random_dense(5, 47);
+  Made made{5, 6};
+  testing::BrokenGramModel model;
+  AutoregressiveSampler sampler{made, 49};
+  Sgd sgd{0.05};
+  std::unique_ptr<VqmcTrainer> trainer;
+};
+
+constexpr testing::BrokenGramModel::Fault kGramFaults[] = {
+    testing::BrokenGramModel::Fault::kNaN,
+    testing::BrokenGramModel::Fault::kIndefinite};
+
+TEST(HealthGuards, SrBreakdownThrowsUnderThrowPolicy) {
+  for (const auto fault : kGramFaults) {
+    BrokenSrRun run(fault, health::GuardPolicy::Throw);
+    try {
+      run.trainer->step();
+      ADD_FAILURE() << "an SR breakdown must throw under Throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SR breakdown"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(run.trainer->health_counters().sr_breakdowns, 1u);
+    EXPECT_EQ(run.trainer->health_counters().guard_trips, 1u);
+  }
+}
+
+TEST(HealthGuards, SrBreakdownUnderSkipLeavesParametersBitwiseUnchanged) {
+  for (const auto fault : kGramFaults) {
+    BrokenSrRun run(fault, health::GuardPolicy::SkipIteration);
+    const std::vector<Real> before = snapshot_of(run.made);
+    const IterationMetrics m = run.trainer->step();
+    const std::span<const Real> after = std::as_const(run.made).parameters();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i)
+      ASSERT_EQ(after[i], before[i]) << "parameter " << i;
+    EXPECT_NE(m.guard_reason.find("SR breakdown"), std::string::npos)
+        << m.guard_reason;
+    const health::HealthCounters& counters = run.trainer->health_counters();
+    EXPECT_EQ(counters.sr_breakdowns, 1u);
+    EXPECT_EQ(counters.skipped_iterations, 1u);
+    EXPECT_EQ(counters.guard_trips, 1u);
+  }
 }
 
 TEST(HealthGuards, RollbackRestoresSnapshotAndShrinksLearningRate) {

@@ -6,15 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "core/reporting.hpp"
 #include "core/trainer.hpp"
@@ -24,6 +21,7 @@
 #include "parallel/distributed_trainer.hpp"
 #include "sampler/autoregressive_sampler.hpp"
 #include "support/mini_json.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/telemetry_gate.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/jsonl.hpp"
@@ -57,23 +55,6 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
-/// A fresh directory under the gtest temp root, removed at scope exit.
-class ScratchDir {
- public:
-  ScratchDir() : path_(::testing::TempDir() + "vqmc_phases_XXXXXX") {
-    if (::mkdtemp(path_.data()) == nullptr)
-      throw Error("test: mkdtemp failed for " + path_);
-  }
-  ~ScratchDir() { std::filesystem::remove_all(path_); }
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 TrainerConfig sr_and_checkpoint_config(const std::string& dir) {
   TrainerConfig cfg;
   cfg.batch_size = 64;
@@ -90,7 +71,7 @@ class PhaseTable : public ::testing::Test {
  protected:
   void SetUp() override { made_.initialize(4); }
 
-  ScratchDir dir_;
+  testing::ScratchDir dir_{"phases"};
   TransverseFieldIsing tim_ = TransverseFieldIsing::random_dense(5, 2);
   Made made_{5, 6};
   AutoregressiveSampler sampler_{made_, 9};

@@ -8,7 +8,12 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/error.hpp"
 #include "core/checkpoint.hpp"
@@ -112,6 +117,76 @@ TEST(Trainer, SrPathRunsAndConverges) {
   VqmcTrainer trainer(tim, made, sampler, sgd, cfg);
   trainer.run();
   EXPECT_LT(trainer.history().back().energy, trainer.history().front().energy);
+}
+
+TEST(Trainer, SrFactorGramTrainsLikeTheExplicitGram) {
+  // Two identical MADE runs with SR on Max-Cut: one builds its Gram from
+  // the layer factors, the other through a forwarding model that keeps the
+  // default Gram (the explicit per-sample matrix times its transpose).  The
+  // Grams differ by rounding only, far too little to move a draw, and
+  // Max-Cut energies depend on the samples alone, so the energies agree
+  // exactly.
+  const std::size_t n = 24;
+  const MaxCut maxcut = MaxCut::paper_instance(n, 61);
+  Made factor_made(n, made_default_hidden(n)),
+      default_made(n, made_default_hidden(n));
+  factor_made.initialize(62);
+  default_made.initialize(62);
+  vqmc::testing::ForwardingModel default_model(default_made);
+  const auto factor_sampler = make_sampler("AUTO", factor_made, 63);
+  const auto default_sampler = make_sampler("AUTO", default_made, 63);
+  Sgd factor_sgd(0.1), default_sgd(0.1);
+  TrainerConfig cfg;
+  cfg.iterations = 20;
+  cfg.batch_size = 64;
+  cfg.use_sr = true;
+  VqmcTrainer factor(maxcut, factor_made, *factor_sampler, factor_sgd, cfg);
+  VqmcTrainer explicit_gram(maxcut, default_model, *default_sampler,
+                            default_sgd, cfg);
+  factor.run();
+  explicit_gram.run();
+  ASSERT_EQ(factor.history().size(), 20u);
+  ASSERT_EQ(explicit_gram.history().size(), 20u);
+  for (std::size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ(factor.history()[i].guard_trips, 0u);
+    EXPECT_EQ(factor.history()[i].energy, explicit_gram.history()[i].energy)
+        << "iteration " << i;
+  }
+  EXPECT_LT(factor.history().back().energy, factor.history().front().energy);
+}
+
+TEST(Trainer, SrStepIsBitwiseIdenticalAtOneAndFourThreads) {
+  // The factor Gram's tiles, the Cholesky and every other kernel of an SR
+  // step compute each value in a fixed order, whatever the team size.
+  const std::size_t n = 20;
+  const MaxCut maxcut = MaxCut::paper_instance(n, 71);
+  const auto run_with = [&](int threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    Made made(n, made_default_hidden(n));
+    made.initialize(72);
+    const auto sampler = make_sampler("AUTO", made, 73);
+    Sgd sgd(0.1);
+    TrainerConfig cfg;
+    cfg.iterations = 3;
+    cfg.batch_size = 100;
+    cfg.use_sr = true;
+    VqmcTrainer trainer(maxcut, made, *sampler, sgd, cfg);
+    trainer.run();
+    const std::span<const Real> params = std::as_const(made).parameters();
+    return std::vector<Real>(params.begin(), params.end());
+  };
+  const std::vector<Real> one = run_with(1);
+  const std::vector<Real> four = run_with(4);
+#ifdef _OPENMP
+  omp_set_num_threads(omp_get_num_procs());
+#endif
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i)
+    ASSERT_EQ(one[i], four[i]) << "parameter " << i;
 }
 
 TEST(Trainer, RunUntilStopsEarly) {

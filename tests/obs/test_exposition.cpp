@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -17,18 +16,12 @@
 
 #include "common/error.hpp"
 #include "support/mini_json.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/telemetry_gate.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace vqmc::obs {
 namespace {
-
-std::string make_scratch_dir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "vqmc_obs_" + tag + "_XXXXXX";
-  if (::mkdtemp(dir.data()) == nullptr)
-    throw Error("test: mkdtemp failed for " + dir);
-  return dir;
-}
 
 /// Provider over a caller-owned registry plus a couple of fields — the same
 /// shape the trainer and serve CLIs wire up.
@@ -50,6 +43,24 @@ TEST(RankEndpoint, DerivesPerRankSpecs) {
   // Ephemeral ports cannot be derived for peers; spec errors are loud.
   EXPECT_THROW(rank_endpoint("tcp://127.0.0.1:0", 1), Error);
   EXPECT_THROW(rank_endpoint("http://host:80", 1), Error);
+}
+
+TEST(RankEndpoint, MalformedPortsAreTypedErrorsNamingTheEndpoint) {
+  for (const char* port : {"abc", "0junk", " 0", "+0", "", "-1", "65536"}) {
+    const std::string base = std::string("tcp://127.0.0.1:") + port;
+    try {
+      const std::string derived = rank_endpoint(base, 1);
+      ADD_FAILURE() << "'" << base << "' derived '" << derived << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(base), std::string::npos)
+          << e.what();
+    }
+  }
+  // The derived port must itself be a port.
+  EXPECT_EQ(rank_endpoint("tcp://127.0.0.1:65534", 1),
+            "tcp://127.0.0.1:65535");
+  EXPECT_THROW(rank_endpoint("tcp://127.0.0.1:65535", 1), Error);
+  EXPECT_THROW(rank_endpoint("tcp://127.0.0.1:65530", 6), Error);
 }
 
 TEST(StatusServer, ServesEveryFormatOverTcp) {
@@ -93,7 +104,8 @@ TEST(StatusServer, ServesEveryFormatOverTcp) {
 
 TEST(StatusServer, ServesOverUnixSocketAndSurvivesSequentialScrapes) {
   VQMC_SKIP_WITHOUT_TELEMETRY();
-  const std::string dir = make_scratch_dir("unix");
+  const testing::ScratchDir scratch("obs_unix");
+  const std::string& dir = scratch.path();
   telemetry::MetricsRegistry registry;
   telemetry::Counter& scrapes = registry.counter("scrapes");
   StatusServer server({.endpoint = "unix://" + dir + "/obs.sock"},
@@ -121,7 +133,8 @@ TEST(StatusServer, RejectsUnknownFormatWithoutDying) {
 
 TEST(StatusServer, AggregatesTheGroupAndReportsDeadRanks) {
   VQMC_SKIP_WITHOUT_TELEMETRY();
-  const std::string dir = make_scratch_dir("group");
+  const testing::ScratchDir scratch("obs_group");
+  const std::string& dir = scratch.path();
   const std::string base = "unix://" + dir + "/obs.sock";
 
   telemetry::MetricsRegistry reg0;
@@ -224,7 +237,8 @@ TEST(StatusServer, ConcurrentScrapesWhileTrainingMutatesTheRegistry) {
 }
 
 TEST(StatusServer, StopIsIdempotentAndReleasesTheEndpoint) {
-  const std::string dir = make_scratch_dir("stop");
+  const testing::ScratchDir scratch("obs_stop");
+  const std::string& dir = scratch.path();
   const std::string endpoint = "unix://" + dir + "/obs.sock";
   telemetry::MetricsRegistry registry;
   {
@@ -241,7 +255,8 @@ TEST(StatusServer, StopIsIdempotentAndReleasesTheEndpoint) {
 }
 
 TEST(StatusServer, StopRemovesItsSocketFile) {
-  const std::string dir = make_scratch_dir("unlink");
+  const testing::ScratchDir scratch("obs_unlink");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/obs.sock";
   telemetry::MetricsRegistry registry;
   StatusServer server({.endpoint = "unix://" + path},
@@ -249,7 +264,6 @@ TEST(StatusServer, StopRemovesItsSocketFile) {
   EXPECT_TRUE(std::filesystem::exists(path));
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(path));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

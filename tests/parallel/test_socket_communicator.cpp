@@ -256,6 +256,24 @@ TEST(WireProtocol, PayloadClaimAboveTheBoundFailsBeforeReading) {
   EXPECT_EQ(frame.payload.capacity(), 0u);  // nothing was allocated
 }
 
+TEST(WireProtocol, MalformedTcpPortsAreTypedErrorsNamingTheEndpoint) {
+  // std::stoi read "0junk", " 0" and "+0" as port 0 and bound an ephemeral
+  // port; the whole string must be decimal digits in 0..65535.
+  for (const char* port : {"0junk", " 0", "+0", "", "-1", "65536", "abc"}) {
+    const std::string spec = std::string("tcp://127.0.0.1:") + port;
+    try {
+      wire::Listener listener = wire::listen_on(spec);
+      ADD_FAILURE() << "'" << spec << "' bound port "
+                    << listener.endpoint;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(wire::parse_port("65535", "tcp://h:65535"), 65535);
+  EXPECT_EQ(wire::parse_port("0", "tcp://h:0"), 0);
+}
+
 TEST(WireProtocol, ConnectRetriesWithBackoffUntilListenerAppears) {
   const std::string endpoint = fresh_unix_endpoint("latebind");
   long long attempts = 0;

@@ -2,10 +2,12 @@
 
 /// \file forwarding_model.hpp
 /// \brief A WavefunctionModel that forwards every call to another model
-/// except log_psi_flip_ratios, which keeps the base class's "no such path"
-/// default.  A LocalEnergyEngine bound to it therefore evaluates every
-/// connected configuration with a full forward of the wrapped model: the
-/// reference the flip path is compared against.
+/// except log_psi_flip_ratios and log_psi_gradient_gram, which keep the
+/// base class's defaults.  A LocalEnergyEngine bound to it therefore
+/// evaluates every connected configuration with a full forward of the
+/// wrapped model, the reference the flip path is compared against, and an
+/// SR step builds its Gram from the explicit per-sample matrix, the
+/// reference the layer-factor Grams are compared against.
 
 #include <memory>
 #include <utility>
@@ -14,7 +16,7 @@
 
 namespace vqmc::testing {
 
-class ForwardingModel final : public WavefunctionModel {
+class ForwardingModel : public WavefunctionModel {
  public:
   explicit ForwardingModel(WavefunctionModel& inner) : inner_(inner) {}
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -25,19 +24,12 @@
 #include "sampler/autoregressive_sampler.hpp"
 #include "support/alloc_count.hpp"
 #include "support/mini_json.hpp"
+#include "support/scratch_dir.hpp"
 #include "support/telemetry_gate.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::telemetry {
 namespace {
-
-/// Fresh per-test scratch directory under the gtest temp root.
-std::string make_scratch_dir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "vqmc_fr_" + tag + "_XXXXXX";
-  if (::mkdtemp(dir.data()) == nullptr)
-    throw Error("test: mkdtemp failed for " + dir);
-  return dir;
-}
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::ifstream in(path);
@@ -150,7 +142,8 @@ TEST_F(FlightRecorderTest, DumpWithoutCrashDirOrEntriesWritesNothing) {
   FlightRecorder& rec = FlightRecorder::instance();
   rec.record(make_record(0));
   EXPECT_EQ(rec.dump_crash_report("no dir configured"), "");
-  const std::string dir = make_scratch_dir("empty");
+  const testing::ScratchDir scratch("fr_empty");
+  const std::string& dir = scratch.path();
   rec.clear();
   rec.set_crash_dir(dir);
   EXPECT_EQ(rec.dump_crash_report("empty ring"), "");
@@ -160,7 +153,8 @@ TEST_F(FlightRecorderTest, CrashReportFollowsTheDocumentedSchema) {
   VQMC_SKIP_WITHOUT_TELEMETRY();
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(8);
-  const std::string dir = make_scratch_dir("schema");
+  const testing::ScratchDir scratch("fr_schema");
+  const std::string& dir = scratch.path();
   rec.set_crash_dir(dir);
   EXPECT_EQ(rec.crash_dir(), dir);
   for (int i = 0; i < 12; ++i) {
@@ -218,7 +212,8 @@ TEST_F(FlightRecorderTest, CrashReportMatchesTheRunsMetricsCsv) {
   // written at a clean exit.
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(8);
-  const std::string dir = make_scratch_dir("csv");
+  const testing::ScratchDir scratch("fr_csv");
+  const std::string& dir = scratch.path();
   rec.set_crash_dir(dir);
 
   const std::size_t n = 5;
@@ -274,7 +269,8 @@ TEST_F(FlightRecorderTest, DistributedAbortDumpsCrashReports) {
   // recorder — post-mortem sinks never run on this path).
   FlightRecorder& rec = FlightRecorder::instance();
   rec.configure(64);
-  const std::string dir = make_scratch_dir("abort");
+  const testing::ScratchDir scratch("fr_abort");
+  const std::string& dir = scratch.path();
   rec.set_crash_dir(dir);
 
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(5, 2);

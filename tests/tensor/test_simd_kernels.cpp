@@ -35,6 +35,7 @@
 #include <omp.h>
 #endif
 
+#include "common/error.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/kernels.hpp"
@@ -794,6 +795,84 @@ TEST(SimdKernels, BernoulliLogitDeltaLanesMatchesReferenceForEveryTailLengthAcro
     for (std::size_t l = 0; l < kL; ++l)
       EXPECT_EQ(std::isnan(out[l]), l == 2) << simd::level_name(level);
   }
+}
+
+// ---------------------------------------------------------------------------
+// made_gram, the Gram of sample-space SR (DESIGN.md §5m).
+// ---------------------------------------------------------------------------
+
+TEST(SimdKernels, MadeGramMatchesReferenceAndIsSymmetricAcrossLevels) {
+  // Shapes from one sample to several row and lane tiles with tails;
+  // level_end covers empty levels, several units per level and degree-0
+  // units (any degree assignment is valid).  The padding lanes hold NaN:
+  // they are read, but nothing of them may reach K.
+  struct Shape {
+    std::size_t n, h, bs;
+  };
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (const Shape shape : {Shape{1, 1, 1}, Shape{3, 2, 5}, Shape{5, 9, 8},
+                              Shape{9, 4, 9}, Shape{12, 30, 19},
+                              Shape{20, 45, 37}}) {
+      const std::size_t n = shape.n, h = shape.h, bs = shape.bs;
+      const std::size_t lanes = (bs + kGramLanes - 1) / kGramLanes * kGramLanes;
+      rng::Xoshiro256 gen(900 + 31 * n + h + bs);
+      Matrix x(n, lanes), g2(n, lanes), g1(h, lanes), h1(h, lanes);
+      const Real nan = std::numeric_limits<Real>::quiet_NaN();
+      for (std::size_t s = 0; s < lanes; ++s) {
+        const bool pad = s >= bs;
+        for (std::size_t i = 0; i < n; ++i) {
+          x(i, s) = pad ? nan : (rng::bernoulli(gen, 0.5) ? 1 : 0);
+          g2(i, s) = pad ? nan : rng::uniform(gen, -0.5, 0.5);
+        }
+        for (std::size_t u = 0; u < h; ++u) {
+          g1(u, s) = pad ? nan : rng::uniform(gen, -1.0, 1.0);
+          h1(u, s) = pad ? nan : rng::uniform(gen, 0.0, 2.0);
+        }
+      }
+      std::vector<std::size_t> level_end(n);
+      for (std::size_t i = 0; i < n; ++i)
+        level_end[i] = i + 1 == n ? h
+                                  : std::max(i > 0 ? level_end[i - 1] : 0,
+                                             std::min(h, (i * h) / n + i % 2));
+      Matrix want(bs, bs), got(bs, bs);
+      ref::made_gram(x, g2, g1, h1, level_end, want);
+      made_gram(x, g2, g1, h1, level_end, got);
+      for (std::size_t s = 0; s < bs; ++s)
+        for (std::size_t t = 0; t < bs; ++t) {
+          // Each term is a product of two signals and a running 1 + sum.
+          Real p = 1, q = 1, abs_sum = 0;
+          std::size_t u = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            for (; u < level_end[i]; ++u) {
+              abs_sum += std::abs(g1(u, s) * g1(u, t)) * p;
+              q += std::abs(h1(u, s) * h1(u, t));
+            }
+            abs_sum += std::abs(g2(i, s) * g2(i, t)) * q;
+            p += x(i, s) * x(i, t);
+          }
+          EXPECT_NEAR(got(s, t), want(s, t), ulp_bound(2 * (n + h), abs_sum))
+              << simd::level_name(level) << " n=" << n << " h=" << h
+              << " bs=" << bs << " K(" << s << "," << t << ")";
+          ASSERT_EQ(got(s, t), got(t, s)) << simd::level_name(level);
+        }
+    }
+  }
+}
+
+TEST(SimdKernels, MadeGramRejectsUnpaddedOperandsAndBadLevels) {
+  Matrix x(3, 8), g2(3, 8), g1(2, 8), h1(2, 8), k(5, 5);
+  const std::vector<std::size_t> ok = {0, 1, 2};
+  EXPECT_NO_THROW(made_gram(x, g2, g1, h1, ok, k));
+  Matrix x7(3, 7), g27(3, 7), g17(2, 7), h17(2, 7);
+  EXPECT_THROW(made_gram(x7, g27, g17, h17, ok, k), Error);
+  const std::vector<std::size_t> short_end = {0, 1, 1};
+  EXPECT_THROW(made_gram(x, g2, g1, h1, short_end, k), Error);
+  const std::vector<std::size_t> falling = {2, 1, 2};
+  EXPECT_THROW(made_gram(x, g2, g1, h1, falling, k), Error);
+  Matrix too_big(9, 9);
+  EXPECT_THROW(made_gram(x, g2, g1, h1, ok, too_big), Error);
 }
 
 // ---------------------------------------------------------------------------
