@@ -47,11 +47,9 @@
 #include "tensor/kernels_ref.hpp"
 #include "tensor/simd.hpp"
 
-#ifndef VQMC_BUILD_TYPE
-#define VQMC_BUILD_TYPE "unknown"
-#endif
-
 using namespace vqmc;
+using bench::build_type;
+using bench::compiler;
 using bench::cpu_model;
 using bench::median;
 
@@ -74,16 +72,6 @@ constexpr int kMaxAllreduceCalls = 200;
 double quantile(std::vector<double> v, double q) {
   std::sort(v.begin(), v.end());
   return v[std::size_t(q * double(v.size() - 1) + 0.5)];
-}
-
-std::string compiler() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +268,7 @@ int main(int argc, char** argv) {
        << "  \"simd_level\": \"" << simd_level << "\",\n"
        << "  \"threads\": " << threads << ",\n"
        << "  \"compiler\": \"" << compiler() << "\",\n"
-       << "  \"build_type\": \"" << VQMC_BUILD_TYPE << "\",\n"
+       << "  \"build_type\": \"" << build_type() << "\",\n"
        << "  \"checksum\": [\n";
   for (std::size_t i = 0; i < checksums.size(); ++i) {
     const ChecksumResult& r = checksums[i];

@@ -6,6 +6,10 @@
 #include <iostream>
 #include <sstream>
 
+#ifndef VQMC_BUILD_TYPE
+#define VQMC_BUILD_TYPE "unknown"
+#endif
+
 namespace vqmc::bench {
 
 void add_scale_options(OptionParser& opts) {
@@ -145,6 +149,18 @@ std::string cpu_model() {
   }
   return "unknown";
 }
+
+std::string compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+std::string build_type() { return VQMC_BUILD_TYPE; }
 
 std::string scientific(double value) {
   std::ostringstream out;

@@ -100,6 +100,12 @@ double median(std::vector<double> v);
 /// The host CPU's model name from /proc/cpuinfo, or "unknown".
 std::string cpu_model();
 
+/// The compiler that built the benches, e.g. "gcc 12.2.0".
+std::string compiler();
+
+/// The CMake build type the benches were built with, or "unknown".
+std::string build_type();
+
 /// `value` in scientific notation with two decimals.
 std::string scientific(double value);
 

@@ -19,8 +19,11 @@
 /// (kernels.hpp) — verified in-run.  The headline is single-thread
 /// per-call speedup at the largest size: simd over packed-scalar
 /// (target >= 3x) and simd over dense-scalar.  Emits
-/// BENCH_masked_gemm.json; exits nonzero on a missed target or a parity
-/// failure.
+/// BENCH_masked_gemm.json with the commit, CPU, SIMD level, compiler and
+/// build type that produced it; exits nonzero on a missed target or a
+/// parity failure.  The committed artifact is a full-length run:
+///
+///   ./build/bench/bench_masked_gemm --commit $(git rev-parse --short HEAD)
 
 #include <algorithm>
 #include <cmath>
@@ -37,6 +40,7 @@
 
 #include "common/options.hpp"
 #include "common/table.hpp"
+#include "bench_common.hpp"
 #include "common/timer.hpp"
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
@@ -101,11 +105,11 @@ void packed_scalar_log_psi(const Made& made, const Matrix& batch,
       static_cast<const WavefunctionModel&>(made).parameters();
   const ConstMatrixView w1(params.data(), h, n);
   const ConstMatrixView w2(params.data() + h * n + h, n, h);
-  ref::gemm_nt_extents(batch, w1, made.w1_extents().view(), s.a1);
+  ref::gemm_nt_extents(batch, w1, made.plan().w1.view(), s.a1);
   add_row_broadcast(s.a1, made.bias1());
   s.h1 = s.a1;
   relu_inplace(s.h1);
-  ref::gemm_nt_extents(s.h1, w2, made.w2_extents().view(), s.p);
+  ref::gemm_nt_extents(s.h1, w2, made.plan().w2.view(), s.p);
   add_row_broadcast(s.p, made.bias2());
   ref::sigmoid_inplace(s.p);
   for (std::size_t k = 0; k < bs; ++k)
@@ -153,6 +157,7 @@ int main(int argc, char** argv) {
   opts.add_option("repeats", "5", "timed blocks per path (median reported)");
   opts.add_option("seconds", "0.2", "target measurement time per block");
   opts.add_option("out", "BENCH_masked_gemm.json", "JSON artifact path");
+  opts.add_option("commit", "unknown", "commit id recorded in the artifact");
   if (!opts.parse(argc, argv)) return 0;
 
 #ifdef _OPENMP
@@ -257,8 +262,13 @@ int main(int argc, char** argv) {
       });
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"masked_gemm\",\n  \"threads\": 1,\n"
+  json << "{\n  \"bench\": \"masked_gemm\",\n"
+       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
+       << "  \"cpu_model\": \"" << bench::cpu_model() << "\",\n"
        << "  \"simd_level\": \"" << simd_level << "\",\n"
+       << "  \"threads\": 1,\n"
+       << "  \"compiler\": \"" << bench::compiler() << "\",\n"
+       << "  \"build_type\": \"" << bench::build_type() << "\",\n"
        << "  \"batch_rows\": " << rows << ",\n  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];

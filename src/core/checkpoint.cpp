@@ -36,12 +36,16 @@ bool fsync_parent_directory(const std::string& path) {
 
 namespace {
 
-constexpr std::uint64_t kParamMagic = 0x56514d43'43503032ULL;  // "VQMCCP02"
+/// CRC-32C, MADE's hidden units in ascending degree order.
+constexpr std::uint64_t kParamMagic = 0x56514d43'43503033ULL;  // "VQMCCP03"
 /// The parameter format before CRC-32C (FNV-1a over the parameters only).
 constexpr std::uint64_t kParamMagicFnv = 0x56514d43'43503031ULL;  // "VQMCCP01"
+/// "VQMCCP02": CRC-32C, MADE's hidden units in cyclic degree order.
+constexpr std::uint64_t kParamMagicCyclic = 0x56514d43'43503032ULL;
 constexpr std::uint64_t kTrainMagic = 0x56514d43'54533031ULL;  // "VQMCTS01"
-/// 2: CRC-32C trailer; version 1 carried an FNV-1a one.
-constexpr std::uint64_t kTrainVersion = 2;
+/// 3: MADE's hidden units in ascending degree order; version 2 stored them
+/// in cyclic order, version 1 carried an FNV-1a trailer.
+constexpr std::uint64_t kTrainVersion = 3;
 
 struct Header {
   std::uint64_t magic = kParamMagic;
@@ -275,6 +279,10 @@ void load_checkpoint(const std::string& path, WavefunctionModel& model) {
                "checkpoint: '" + path +
                    "' is a VQMCCP01 checkpoint (FNV-1a checksum), a format "
                    "this build no longer reads");
+  VQMC_REQUIRE(header.magic != kParamMagicCyclic,
+               "checkpoint: '" + path +
+                   "' is a VQMCCP02 checkpoint (MADE hidden units in cyclic "
+                   "degree order), a format this build no longer reads");
   VQMC_REQUIRE(header.magic == kParamMagic,
                "checkpoint: '" + path + "' is not a vqmc checkpoint");
   VQMC_REQUIRE(header.num_spins == model.num_spins(),

@@ -6,10 +6,10 @@
 ///
 /// Two formats live here:
 ///
-///  * **Parameter checkpoints** ("VQMCCP02"): the flat parameter vector with
+///  * **Parameter checkpoints** ("VQMCCP03"): the flat parameter vector with
 ///    model identity (name, spin count, parameter count) — enough to
 ///    transplant trained weights.
-///  * **Training checkpoints** ("VQMCTS01", format version 2): the *entire*
+///  * **Training checkpoints** ("VQMCTS01", format version 3): the *entire*
 ///    mutable training state — parameters, optimizer moments, sampler
 ///    RNG/chain state, iteration counter and guard state — so a
 ///    killed-and-resumed run is bit-identical to an uninterrupted one
@@ -17,9 +17,12 @@
 ///    (Table 7) need to survive preemption.
 ///
 /// Each record ends in a u32 CRC-32C (`crc32c`, tensor/kernels.hpp) of
-/// every byte before it. Files of the FNV-1a formats ("VQMCCP01", training
-/// version 1) are rejected with a vqmc::Error that names the format; there
-/// is no converter.
+/// every byte before it. Files of the older formats are rejected with a
+/// vqmc::Error that names the format; there is no converter. "VQMCCP01"
+/// and training version 1 carried an FNV-1a checksum; "VQMCCP02" and
+/// training version 2 stored MADE's hidden units in cyclic degree order,
+/// which would load as a silently permuted function now that they are
+/// stored in ascending degree order (nn/masked_plan.hpp).
 ///
 /// Both writers are crash-safe: the record is serialized in memory, written
 /// to `<path>.tmp`, fsync'd and atomically renamed over `<path>`, so a crash

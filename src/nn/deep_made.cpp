@@ -20,28 +20,18 @@ DeepMade::DeepMade(std::size_t n, std::size_t hidden, std::size_t depth)
       depth_(depth),
       params_(hidden * n + hidden +                       // first layer
               (depth - 1) * (hidden * hidden + hidden) +  // deeper layers
-              n * hidden + n),                            // output layer
-      degrees_(hidden) {
+              n * hidden + n) {                           // output layer
   VQMC_REQUIRE(n_ >= 2, "DeepMADE: need at least 2 spins");
   VQMC_REQUIRE(h_ >= 1, "DeepMADE: hidden size must be positive");
   VQMC_REQUIRE(depth_ >= 1, "DeepMADE: depth must be >= 1");
 
-  for (std::size_t k = 0; k < h_; ++k) degrees_[k] = 1 + (k % (n_ - 1));
-  // The dense masks live only long enough to derive the extents.
-  {
-    Matrix input_mask(h_, n_), hidden_mask(h_, h_), output_mask(n_, h_);
-    for (std::size_t k = 0; k < h_; ++k) {
-      for (std::size_t j = 0; j < n_; ++j)
-        input_mask(k, j) = (j + 1 <= degrees_[k]) ? 1 : 0;
-      for (std::size_t j = 0; j < h_; ++j)
-        hidden_mask(k, j) = (degrees_[k] >= degrees_[j]) ? 1 : 0;
-      for (std::size_t i = 0; i < n_; ++i)
-        output_mask(i, k) = (i + 1 > degrees_[k]) ? 1 : 0;
-    }
-    input_ext_ = RowExtents::from_mask(input_mask);
-    hidden_ext_ = RowExtents::from_mask(hidden_mask);
-    output_ext_ = RowExtents::from_mask(output_mask);
-  }
+  // Made's degree order in every hidden layer: unit t of a deeper layer
+  // reads the units of degree <= m_t below it, a prefix of that layer.
+  plan_ = MaskedPlan(n_, h_);
+  std::vector<std::size_t> reads(h_);
+  for (std::size_t t = 0; t < h_; ++t)
+    reads[t] = plan_.degree_end[plan_.w1.row_end(t)];
+  hidden_ext_ = RowExtents::prefixes(reads);
   initialize(0);
 }
 
@@ -92,7 +82,7 @@ std::shared_ptr<const DeepMade::MaskedWeights> DeepMade::masked() const {
     for (std::size_t layer = 0; layer < depth_; ++layer)
       mw->wp[layer] = PackedRowPanels::pack(layer_weights(layer),
                                             layer_extents(layer).view());
-    mw->w_out_p = PackedRowPanels::pack(out_weights(), output_ext_.view());
+    mw->w_out_p = PackedRowPanels::pack(out_weights(), plan_.w2.view());
     return mw;
   });
 }
@@ -114,7 +104,7 @@ void DeepMade::forward(const Matrix& batch, const MaskedWeights& mw,
     relu_inplace(ws.post[layer]);
   }
   ensure_shape(p, bs, n_);
-  gemm_nt_panels(ws.post[depth_ - 1], output_ext_.view(), mw.w_out_p, p);
+  gemm_nt_panels(ws.post[depth_ - 1], plan_.w2.view(), mw.w_out_p, p);
   add_row_broadcast(p,
                     std::span<const Real>(params_.data() + b_out_offset(), n_));
   sigmoid_inplace(p);
@@ -168,13 +158,13 @@ void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
   }
 
   // Output layer: weight gradient in place, only inside the mask extents.
-  gemm_tn_accumulate_extents(ws.g_out, ws.post[depth_ - 1], output_ext_.view(),
+  gemm_tn_accumulate_extents(ws.g_out, ws.post[depth_ - 1], plan_.w2.view(),
                              MatrixView(grad.data() + w_out_offset(), n_, h_));
   column_sum_accumulate(ws.g_out, grad.subspan(b_out_offset(), n_));
 
   // Back through hidden layers, reading each layer's weights in place.
   ensure_shape(ws.g, bs, h_);
-  gemm_nn_extents(ws.g_out, out_weights(), output_ext_.view(), ws.g);
+  gemm_nn_extents(ws.g_out, out_weights(), plan_.w2.view(), ws.g);
   for (std::size_t layer = depth_; layer-- > 0;) {
     relu_backward_inplace(ws.pre[layer], ws.g);
     const Matrix& input = layer == 0 ? batch : ws.post[layer - 1];

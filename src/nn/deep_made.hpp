@@ -6,22 +6,26 @@
 ///
 /// The paper's production architecture uses a single masked hidden layer
 /// (see made.hpp); deeper stacks are the natural capacity extension the
-/// original MADE paper (Germain et al. 2015) describes.  Masks between
-/// hidden layers connect unit k (degree m_k) to unit j of the previous
-/// layer (degree m'_j) iff m_k >= m'_j, which preserves the autoregressive
-/// property through any depth; the same normalization / exact-sampling
-/// guarantees as the shallow model follow.
+/// original MADE paper (Germain et al. 2015) describes.  Every hidden
+/// layer stores its units in Made's ascending degree order (MaskedPlan).
+/// Masks between hidden layers connect unit k (degree m_k) to unit j of the
+/// previous layer (degree m'_j) iff m_k >= m'_j, which preserves the
+/// autoregressive property through any depth; the same normalization /
+/// exact-sampling guarantees as the shallow model follow.  In degree order
+/// every mask row is a prefix: [0, m_k) of the inputs, [0, degree_end[m_k])
+/// of the layer below, and [0, degree_end[i]) of the last layer for
+/// output i.
 ///
 /// Parameter layout:
 ///   [ W_1 (h x n) | b_1 (h) | W_2..W_D (h x h) | b_2..b_D (h) each
 ///     | W_out (n x h) | b_out (n) ]
 ///
 /// Like Made, evaluation runs through the masked compute plan (DESIGN.md
-/// §5f): per-mask RowExtents built once at construction drive the
-/// extent-aware kernels, which read weights and accumulate gradients in
-/// place; only the packed row panels are cached, behind the parameter
-/// version counter.  The same thread-safety and mutable-span rules as
-/// made.hpp apply.
+/// §5f): per-mask prefix RowExtents built from the degree counts at
+/// construction (no dense mask) drive the extent-aware kernels, which read
+/// weights and accumulate gradients in place; only the packed row panels
+/// are cached, behind the parameter version counter.  The same
+/// thread-safety and mutable-span rules as made.hpp apply.
 
 #include <cstdint>
 #include <memory>
@@ -135,7 +139,7 @@ class DeepMade final : public AutoregressiveModel {
 
   /// Extents of hidden layer `layer`'s mask (input mask for layer 0).
   [[nodiscard]] const RowExtents& layer_extents(std::size_t layer) const {
-    return layer == 0 ? input_ext_ : hidden_ext_;
+    return layer == 0 ? plan_.w1 : hidden_ext_;
   }
 
   void forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
@@ -145,10 +149,8 @@ class DeepMade final : public AutoregressiveModel {
   std::size_t h_;
   std::size_t depth_;
   Vector params_;
-  std::vector<std::size_t> degrees_;  ///< hidden-unit degrees (shared by layers)
-  RowExtents input_ext_;
-  RowExtents hidden_ext_;
-  RowExtents output_ext_;
+  MaskedPlan plan_;        ///< input (w1) and output (w2) mask geometry
+  RowExtents hidden_ext_;  ///< hidden-to-hidden mask: prefix rows
   ParamVersion version_;
   VersionedCache<MaskedWeights> cache_;
 };

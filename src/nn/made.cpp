@@ -35,35 +35,7 @@ Made::Made(std::size_t n, std::size_t hidden)
     : n_(n), h_(hidden), params_(2 * hidden * n + hidden + n) {
   VQMC_REQUIRE(n_ >= 2, "MADE: need at least 2 spins");
   VQMC_REQUIRE(h_ >= 1, "MADE: hidden size must be positive");
-  // Hidden degrees m_k cycle through 1..n-1; unit k may read inputs with
-  // (1-based) index <= m_k and feeds outputs with index > m_k.  The dense
-  // masks live only long enough to derive the plan's extents.
-  {
-    Matrix mask1(h_, n_), mask2(n_, h_);
-    for (std::size_t k = 0; k < h_; ++k) {
-      const std::size_t mk = 1 + (k % (n_ - 1));
-      for (std::size_t j = 0; j < n_; ++j) mask1(k, j) = (j + 1 <= mk) ? 1 : 0;
-      for (std::size_t i = 0; i < n_; ++i) mask2(i, k) = (i + 1 > mk) ? 1 : 0;
-    }
-    plan_.build(mask1, mask2);
-  }
-
-  // Degree geometry of the flip path and the Gram: counts of units per
-  // degree, prefix-summed.
-  degree_end_.assign(n_, 0);
-  for (std::size_t k = 0; k < h_; ++k) ++degree_end_[1 + (k % (n_ - 1))];
-  for (std::size_t j = 1; j < n_; ++j) degree_end_[j] += degree_end_[j - 1];
-  if (h_ > n_ - 1) {
-    // Cyclic degrees: a stable sort of the units by degree, and the
-    // sorted W2 rows' prefix extents [0, degree_end_[j]).
-    for (std::size_t d = 1; d < n_; ++d)
-      for (std::size_t k = d - 1; k < h_; k += n_ - 1)
-        degree_perm_.push_back(std::uint32_t(k));
-    Matrix prefix(n_, h_);
-    for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t t = 0; t < degree_end_[j]; ++t) prefix(j, t) = 1;
-    flip_w2_ext_ = RowExtents::from_mask(prefix);
-  }
+  plan_ = MaskedPlan(n_, h_);
   initialize(0);
 }
 
@@ -91,41 +63,15 @@ std::shared_ptr<const Made::MaskedWeights> Made::masked() const {
     // from the in-extent (mask == 1) parameters.
     mw->w1p = PackedRowPanels::pack(w1(), plan_.w1.view());
     mw->w2p = PackedRowPanels::pack(w2(), plan_.w2.view());
-    // Column-packed W1 for the samplers' rank-1 update (geometry is the
-    // construction-time plan_.w1_cols, whose rows all lie inside the mask;
-    // only the values depend on the parameter version).
-    const ColPanelGeometry& cg = plan_.w1_cols;
-    mw->w1_col_values = AlignedBuffer<Real>(cg.rows.size());
+    // Column-packed W1 for the samplers' rank-1 update and the flip path:
+    // column j's in-mask units are the suffix [degree_end[j], h).
+    const std::vector<std::size_t>& lo = plan_.degree_end;
+    mw->w1_col_values = AlignedBuffer<Real>(plan_.w1_col_offsets[n_]);
     Real* cv = mw->w1_col_values.data();
-    const Real* w1base = w1().data();
-    for (std::size_t j = 0; j < n_; ++j) {
-      for (std::size_t t = cg.offsets[j]; t < cg.offsets[j + 1]; ++t)
-        cv[t] = w1base[std::size_t(cg.rows[t]) * n_ + j];
-    }
-    return mw;
-  });
-}
-
-std::shared_ptr<const Made::FlipWeights> Made::flip_weights(
-    const MaskedWeights& mw) const {
-  return flip_cache_.fetch(mw.version, [&] {
-    auto fw = std::make_shared<FlipWeights>();
-    fw->version = mw.version;
-    // Every weight gathered here lies inside the mask: output j reads the
-    // units of degree <= j, and input i feeds the units of degree > i.
-    Matrix w2s(n_, h_);
+    const Real* w = w1().data();
     for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t t = 0; t < degree_end_[j]; ++t)
-        w2s(j, t) = w2().row(j)[degree_perm_[t]];
-    fw->w2s = PackedRowPanels::pack(w2s, flip_w2_ext_.view());
-    const ColPanelGeometry& cg = plan_.w1_cols;
-    fw->w1s = AlignedBuffer<Real>(cg.rows.size());
-    for (std::size_t i = 0; i < n_; ++i) {
-      Real* dst = fw->w1s.data() + cg.offsets[i];
-      for (std::size_t t = degree_end_[i]; t < h_; ++t)
-        *dst++ = w1().row(degree_perm_[t])[i];
-    }
-    return fw;
+      for (std::size_t t = lo[j]; t < h_; ++t) *cv++ = w[t * n_ + j];
+    return mw;
   });
 }
 
@@ -317,13 +263,12 @@ void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
   backward(batch, *mw, nullptr, ws);
 
   // made_gram's lane-major operands: one column per sample, zero padding
-  // up to a whole lane tile, hidden units in degree order.
+  // up to a whole lane tile; the units are already in degree order.
   const std::size_t lanes = (bs + kGramLanes - 1) / kGramLanes * kGramLanes;
   ensure_shape(ws.gram_x, n_, lanes);
   ensure_shape(ws.gram_g2, n_, lanes);
   ensure_shape(ws.gram_g1, h_, lanes);
   ensure_shape(ws.gram_h1, h_, lanes);
-  const bool natural = degree_perm_.empty();
 #pragma omp parallel for schedule(static)
   for (std::size_t s = 0; s < lanes; ++s) {
     const bool pad = s >= bs;
@@ -332,12 +277,12 @@ void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
       ws.gram_g2(j, s) = pad ? 0 : ws.g2(s, j);
     }
     for (std::size_t u = 0; u < h_; ++u) {
-      const std::size_t k = natural ? u : degree_perm_[u];
-      ws.gram_g1(u, s) = pad ? 0 : ws.g1(s, k);
-      ws.gram_h1(u, s) = pad ? 0 : ws.h1(s, k);
+      ws.gram_g1(u, s) = pad ? 0 : ws.g1(s, u);
+      ws.gram_h1(u, s) = pad ? 0 : ws.h1(s, u);
     }
   }
-  made_gram(ws.gram_x, ws.gram_g2, ws.gram_g1, ws.gram_h1, degree_end_, gram);
+  made_gram(ws.gram_x, ws.gram_g2, ws.gram_g1, ws.gram_h1, plan_.degree_end,
+            gram);
 }
 
 void Made::log_psi_flip_ratios(const Matrix& batch,
@@ -352,15 +297,11 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
     VQMC_REQUIRE(i < n_, "MADE: flip site out of range");
   if (bs == 0 || m == 0) return;
 
-  // Degree-ordered operands: the forward's own packings when the natural
-  // order is degree-sorted (h <= n - 1), else the lazily built sorted copy.
+  // The forward's own packings: W2's prefix rows and W1's suffix columns.
   const std::shared_ptr<const MaskedWeights> mw = masked();
-  const bool natural = degree_perm_.empty();
-  std::shared_ptr<const FlipWeights> fw;
-  if (!natural) fw = flip_weights(*mw);
-  const PackedRowPanels& w2s = natural ? mw->w2p : fw->w2s;
-  const Real* w1s = natural ? mw->w1_col_values.data() : fw->w1s.data();
-  const std::vector<std::size_t>& w1_off = plan_.w1_cols.offsets;
+  const Real* w1c = mw->w1_col_values.data();
+  const std::vector<std::size_t>& w1_off = plan_.w1_col_offsets;
+  const std::vector<std::size_t>& degree_end = plan_.degree_end;
 
   // One batched forward that keeps the logits; p is log_psi's p bitwise.
   forward_logits(batch, *mw, ws, ws.z);
@@ -418,8 +359,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         llt[j * L + l] = repeat ? llt[j * L + l - 1]
                                 : clamped_log(x[j] != 0 ? p[j] : 1 - p[j]);
       }
-      for (std::size_t c = 0; c < h_; ++c)
-        at[c * L + l] = a[natural ? c : degree_perm_[c]];
+      for (std::size_t c = 0; c < h_; ++c) at[c * L + l] = a[c];
     }
   }
 
@@ -446,13 +386,13 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         q[l] = row_tiles ? pass
                          : std::min((task % site_groups) * L + l, m - 1);
         site[l] = sites[q[l]];
-        // Sorted units [lo, h) read input i; output j reads sorted units
-        // [0, degree_end_[j]), so each changed logit is one dot over
-        // [lo, degree_end_[j]) — a triangle that shrinks as i grows.
-        lo[l] = degree_end_[site[l]];
+        // Units [lo, h) read input i; output j reads units
+        // [0, degree_end[j]), so each changed logit is one dot over
+        // [lo, degree_end[j]) — a triangle that shrinks as i grows.
+        lo[l] = degree_end[site[l]];
       }
       const std::size_t i0 = *std::min_element(site, site + L);
-      const std::size_t lo0 = degree_end_[i0];
+      const std::size_t lo0 = degree_end[i0];
       // Terms [first, last) of the lane's sum over the sites from i0: the
       // flipped site itself, and every later one when hidden units move.
       std::size_t first[L], last[L];
@@ -466,14 +406,14 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         for (std::size_t l = 0; l < L; ++l) {
           // A 0 -> 1 flip adds W1[:, i] to the pre-activations.
           sign[l] = 1 - 2 * xt[site[l] * L + l];
-          const Real* w = w1s + w1_off[site[l]];
+          const Real* w = w1c + w1_off[site[l]];
           for (std::size_t c = lo0; c < lo[l]; ++c) wt[c * L + l] = 0;
           for (std::size_t c = lo[l]; c < h_; ++c)
             wt[c * L + l] = w[c - lo[l]];
         }
         relu_shift_delta_lanes(at + lo0 * L, wt + lo0 * L, sign, h_ - lo0,
                                dht + lo0 * L);
-        triangle_dot_lanes(w2s, lo0, i0, dht, zt, znt);
+        triangle_dot_lanes(mw->w2p, lo0, i0, dht, zt, znt);
         bernoulli_logit_delta_lanes(xt + i0 * L, znt, llt + i0 * L, n_ - i0,
                                     first, last, kProbEps, sums);
       } else {

@@ -18,22 +18,24 @@
 /// Parameter vector layout (d = 2hn + h + n, as in Section 4):
 ///   [ W1 (h x n) | b1 (h) | W2 (n x h) | b2 (n) ]
 ///
-/// Masks use the natural ordering with hidden degrees m_k = 1 + (k mod
-/// (n-1)) assigned cyclically: M1[k][j] = 1 iff j + 1 <= m_k and
-/// M2[i][k] = 1 iff i + 1 > m_k.  Output 0 has no incoming connections, so
+/// The hidden degrees are the multiset {1 + (k mod (n-1)) : k < h}, stored
+/// in ascending order (MaskedPlan): unit t has degree m_t, M1[t][j] = 1 iff
+/// j + 1 <= m_t and M2[i][t] = 1 iff i + 1 > m_t.  Every W1 row is then a
+/// prefix of the inputs, every W2 row a prefix of the units and every W1
+/// column a suffix of them.  Output 0 has no incoming connections, so
 /// p(x_1 = 1) = sigmoid(b2[0]) is a learned scalar, as it must be.
 ///
-/// Masked compute plan (DESIGN.md §5f/§5g): the masks are exact prefix /
-/// cyclic-prefix patterns, kept only as the extents of a MaskedPlan built
-/// once at construction, and every evaluation runs the extent-aware SIMD
-/// kernels over it, skipping the ~50% of multiply-adds the masks zero out.
-/// The kernels read W1 and W2 in place in the parameter vector and
-/// accumulate their gradients in place in the caller's gradient.  Only the
-/// packed forms — row panels for the forward's gemm_nt_panels and the W1
-/// column packing for the samplers' rank-1 update — are cached, behind a
-/// parameter version counter bumped whenever the mutable parameters() span
-/// is handed out.  Results agree with the dense masked path within the
-/// accumulation-order contract of kernels.hpp.
+/// Masked compute plan (DESIGN.md §5f/§5g): the masks are kept only as the
+/// prefix extents of a MaskedPlan built from the degree counts at
+/// construction, and every evaluation runs the extent-aware SIMD kernels
+/// over it, skipping the ~50% of multiply-adds the masks zero out.  The
+/// kernels read W1 and W2 in place in the parameter vector and accumulate
+/// their gradients in place in the caller's gradient.  Only the packed
+/// forms — row panels for the forward's gemm_nt_panels and the W1 column
+/// packing for the samplers' rank-1 update and the flip path — are cached,
+/// behind a parameter version counter bumped whenever the mutable
+/// parameters() span is handed out.  Results agree with the dense masked
+/// path within the accumulation-order contract of kernels.hpp.
 ///
 /// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
 /// one masked outer product per layer, [M1.*(g1 x^T) | g1 | M2.*(g2 h1^T) |
@@ -43,11 +45,9 @@
 ///
 /// Single-flip ratios (DESIGN.md §5l): flipping input i moves only the
 /// hidden units of degree > i, and output j reads only the units of degree
-/// <= j, so with the hidden units in degree order each changed logit is one
-/// contiguous dot over a shrinking triangle.  When h <= n - 1 the natural
-/// order is already degree-sorted and the flip path reads the `w2p` /
-/// `w1_col_values` packings below; cyclic masks (h > n - 1) get a
-/// degree-sorted copy, built lazily once per parameter version.
+/// <= j, so with the units in degree order each changed logit is one
+/// contiguous dot over a shrinking triangle of the `w2p` rows, and the
+/// flipped column is a contiguous run of `w1_col_values`.
 ///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
 /// evaluations, masked()) uses only call-local scratch or a
@@ -90,8 +90,9 @@ class Made final : public AutoregressiveModel {
   /// packs exactly the in-extent (mask == 1) values of W1 or W2, read from
   /// the parameter vector: `w1p`/`w2p` are the row panels the forward's
   /// gemm_nt_panels streams over, and `w1_col_values` packs W1
-  /// column-by-column (geometry: MaskedPlan::w1_cols) for the ancestral
-  /// samplers' rank-1 hidden-state update.  Packing amortizes to zero: it
+  /// column-by-column (column j's suffix of units at
+  /// MaskedPlan::w1_col_offsets[j]) for the ancestral samplers' rank-1
+  /// hidden-state update and the flip path.  Packing amortizes to zero: it
   /// happens at most once per parameter write, never per call.
   struct MaskedWeights {
     PackedRowPanels w1p;  ///< W1 in-extent values, row-packed
@@ -129,13 +130,12 @@ class Made final : public AutoregressiveModel {
     Matrix xt;   ///< groups x n*L, configurations
     Matrix zt;   ///< groups x n*L, logits
     Matrix llt;  ///< groups x n*L, per-site Bernoulli log-likelihood terms
-    Matrix at;   ///< groups x h*L, pre-activations in degree order
+    Matrix at;   ///< groups x h*L, pre-activations
     Matrix wt;   ///< threads x h*L, W1 columns of the flipped sites
     Matrix dht;  ///< threads x h*L, hidden-unit changes
     Matrix znt;  ///< threads x n*L, changed logits
     // Gram scratch (log_psi_gradient_gram): made_gram's lane-major
-    // operands, one column per sample, padded to kGramLanes columns, with
-    // the hidden units in degree order.
+    // operands, one column per sample, padded to kGramLanes columns.
     Matrix gram_x;   ///< n x pad(bs), configurations
     Matrix gram_g2;  ///< n x pad(bs), output-layer signals
     Matrix gram_g1;  ///< h x pad(bs), hidden-layer signals
@@ -207,17 +207,10 @@ class Made final : public AutoregressiveModel {
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
-  // -- Masked compute plan (used by the conditional engine, serve, tests) ----
-
-  /// Per-row extents of M1 (prefix [0, m_k) per hidden row).
-  [[nodiscard]] const RowExtents& w1_extents() const { return plan_.w1; }
-  /// Per-row extents of M2 (cyclic prefix intervals per output row).
-  [[nodiscard]] const RowExtents& w2_extents() const { return plan_.w2; }
-  /// Per-column active-row panels of M1 (the rank-1 update geometry;
-  /// values for the current parameters: MaskedWeights::w1_col_values).
-  [[nodiscard]] const ColPanelGeometry& w1_col_panels() const {
-    return plan_.w1_cols;
-  }
+  /// The mask geometry (used by the conditional engine and the tests):
+  /// degree counts, the prefix extents of M1 and M2 and the offsets of
+  /// MaskedWeights::w1_col_values.
+  [[nodiscard]] const MaskedPlan& plan() const { return plan_; }
 
   /// Packed masked weights for the current parameters, served from the
   /// version-counter-invalidated cache (rebuilt at most once per parameter
@@ -271,35 +264,12 @@ class Made final : public AutoregressiveModel {
   void backward(const Matrix& batch, const MaskedWeights& mw,
                 const Real* coeff, Workspace& ws) const;
 
-  /// Degree-sorted weight packing for cyclic masks (h > n - 1), one per
-  /// parameter version: `w2s` row j packs W2[j, perm[t]] for t < lo[j], and
-  /// `w1s` packs W1[perm[t], i] for t in [lo[i], h) at the offsets of
-  /// plan_.w1_cols (the same counts as the natural packing).
-  struct FlipWeights {
-    PackedRowPanels w2s;
-    AlignedBuffer<Real> w1s;
-    std::uint64_t version = 0;
-  };
-  [[nodiscard]] std::shared_ptr<const FlipWeights> flip_weights(
-      const MaskedWeights& mw) const;
-
   std::size_t n_;
   std::size_t h_;
   Vector params_;
   MaskedPlan plan_;
   ParamVersion version_;
   VersionedCache<MaskedWeights> cache_;
-
-  // Degree-order geometry of the flip path and the Gram, fixed by the
-  // masks.  degree_end_[j] counts the hidden units of degree <= j: output j
-  // reads sorted units [0, degree_end_[j]) and a flip at site i moves
-  // sorted units [degree_end_[i], h).  Cyclic masks also record the
-  // degree-sorting permutation and the extents of the sorted W2 rows; the
-  // natural order leaves both empty.
-  std::vector<std::size_t> degree_end_;
-  std::vector<std::uint32_t> degree_perm_;
-  RowExtents flip_w2_ext_;
-  VersionedCache<FlipWeights> flip_cache_;
 };
 
 }  // namespace vqmc

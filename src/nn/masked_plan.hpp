@@ -6,15 +6,16 @@
 /// The autoregressive masks are fixed at construction, so everything
 /// derivable from them is computed exactly once:
 ///
-///  * **MaskedPlan** — per-row `[begin, end)` column extents of each masked
-///    weight matrix (RowExtents).  The extent-aware kernels in
-///    tensor/kernels.hpp use them to skip the ~50% of multiply-adds the
-///    masks zero out, and the gradient paths use them to accumulate weight
-///    gradients without a separate mask-apply pass.  Since PR 6 the plan
-///    also records the W1 **column-panel geometry** (ColPanelGeometry): the
-///    ancestral samplers' rank-1 update walks the active rows of one W1
-///    column per accepted spin, and the packed row lists turn that walk
-///    into a contiguous stream instead of a strided masked column scan.
+///  * **MaskedPlan** — MADE's hidden units stored in ascending degree
+///    order, and the mask geometry that order gives: every W1 row is a
+///    prefix [0, m_t), every W2 row i the prefix [0, degree_end[i]) of the
+///    units, every W1 column j the suffix [degree_end[j], h).  The plan is
+///    built from the degree counts alone (no dense mask) as per-row
+///    `[begin, end)` extents (RowExtents) for the extent-aware kernels in
+///    tensor/kernels.hpp, which skip the ~50% of multiply-adds the masks
+///    zero out and accumulate weight gradients without a mask-apply pass;
+///    the ancestral samplers' rank-1 update and the flip path read W1
+///    column by column from a packing at `w1_col_offsets`.
 ///  * **ParamVersion / VersionedCache** — the packed masked weights depend
 ///    on the parameters, which do change during training.  Every model in
 ///    the family bumps a version counter whenever its mutable
@@ -40,7 +41,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,57 +109,40 @@ class VersionedCache {
   mutable std::shared_ptr<const T> ptr_;
 };
 
-/// Column-panel geometry of a row-extent mask: for each column j, the
-/// packed ascending list of rows whose extents contain j.  This is the
-/// transpose view the ancestral samplers need — accepting spin i adds
-/// column i of M1 .* W1 to the hidden pre-activations, touching exactly the
-/// rows listed for that column.  Pairing the geometry with per-version
-/// packed column values (built alongside the masked weights) makes the
-/// rank-1 update a unit-stride gather-add.  Each row appears at most once
-/// per column, so the update order is unique and the result is bitwise
-/// identical to the strided masked column walk it replaces.
-struct ColPanelGeometry {
-  std::vector<std::size_t> offsets;  ///< size cols()+1, into `rows`
-  std::vector<std::uint32_t> rows;   ///< active row ids, packed per column
-
-  [[nodiscard]] std::size_t cols() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  /// Active rows of column j (ascending).
-  [[nodiscard]] std::span<const std::uint32_t> col(std::size_t j) const {
-    return {rows.data() + offsets[j], offsets[j + 1] - offsets[j]};
-  }
-
-  /// Invert a row-extent list into per-column row panels.
-  void build(RowExtentsView ext, std::size_t ncols) {
-    offsets.assign(ncols + 1, 0);
-    for (std::size_t r = 0; r < ext.rows(); ++r)
-      for (const ColSpan s : ext.row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) ++offsets[j + 1];
-    for (std::size_t j = 0; j < ncols; ++j) offsets[j + 1] += offsets[j];
-    rows.resize(offsets[ncols]);
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t r = 0; r < ext.rows(); ++r)
-      for (const ColSpan s : ext.row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j)
-          rows[cursor[j]++] = std::uint32_t(r);
-  }
-};
-
-/// The per-model mask geometry: extents of the first-layer (prefix) and
-/// output-layer (cyclic-prefix) masks, plus the W1 column panels for the
-/// samplers' rank-1 updates.  Computed once at construction; the
-/// per-parameter-version value packings (PackedRowPanels, column values)
-/// live in the models' MaskedWeights so they rebuild with the weights.
+/// The mask geometry of an n-spin, h-unit MADE.  The hidden degrees are
+/// the multiset {1 + (k mod (n - 1)) : k < h} (Germain et al.'s masks are
+/// valid for any assignment), stored in ascending order: unit t has degree
+/// m_t, reads inputs [0, m_t) and feeds outputs [m_t, n).  Computed once
+/// at construction in O(n + h); the per-parameter-version value packings
+/// (PackedRowPanels, column values) live in the models' MaskedWeights so
+/// they rebuild with the weights.
 struct MaskedPlan {
-  RowExtents w1;            ///< per W1 row: [0, m_k) prefix
-  RowExtents w2;            ///< per W2 row: cyclic prefix interval list
-  ColPanelGeometry w1_cols; ///< per W1 column: active hidden rows
+  /// degree_end[i] (i < n) counts the units of degree <= i: output i reads
+  /// units [0, degree_end[i]) and input i feeds units [degree_end[i], h).
+  /// degree_end[0] == 0 and degree_end[n - 1] == h.
+  std::vector<std::size_t> degree_end;
+  RowExtents w1;  ///< per W1 row t: the prefix [0, m_t)
+  RowExtents w2;  ///< per W2 row i: the prefix [0, degree_end[i])
+  /// size n + 1: W1 column j's in-mask values, units [degree_end[j], h),
+  /// sit at [w1_col_offsets[j], w1_col_offsets[j + 1]) of a column packing.
+  std::vector<std::size_t> w1_col_offsets;
 
-  void build(const Matrix& mask1, const Matrix& mask2) {
-    w1 = RowExtents::from_mask(mask1);
-    w2 = RowExtents::from_mask(mask2);
-    w1_cols.build(w1.view(), mask1.cols());
+  MaskedPlan() = default;
+  /// Requires n >= 2 and h >= 1.
+  MaskedPlan(std::size_t n, std::size_t h) : degree_end(n, 0) {
+    // Degree d holds the units k < h with k mod (n - 1) == d - 1.
+    for (std::size_t d = 1; d < n; ++d)
+      degree_end[d] = degree_end[d - 1] + h / (n - 1) +
+                      (d - 1 < h % (n - 1) ? 1 : 0);
+    std::vector<std::size_t> degree(h);
+    for (std::size_t d = 1; d < n; ++d)
+      for (std::size_t t = degree_end[d - 1]; t < degree_end[d]; ++t)
+        degree[t] = d;
+    w1 = RowExtents::prefixes(degree);
+    w2 = RowExtents::prefixes(degree_end);
+    w1_col_offsets.assign(n + 1, 0);
+    for (std::size_t j = 0; j < n; ++j)
+      w1_col_offsets[j + 1] = w1_col_offsets[j] + (h - degree_end[j]);
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
@@ -25,9 +26,10 @@ std::uint64_t sample_conditionals_batched(const Made& model,
                  "sampler: slice outside batch");
   }
 
-  const ColPanelGeometry& w1_cols = model.w1_col_panels();
+  const MaskedPlan& plan = model.plan();
+  const std::vector<std::size_t>& degree_end = plan.degree_end;
   const Real* w1_col_values = mw.w1_col_values.data();
-  const RowExtentsView w2_ext = model.w2_extents().view();
+  const RowExtentsView w2_ext = plan.w2.view();
   const std::span<const Real> b1 = model.bias1();
   const std::span<const Real> b2 = model.bias2();
 
@@ -47,14 +49,14 @@ std::uint64_t sample_conditionals_batched(const Made& model,
   if (ws.flips.capacity() < bs) ws.flips.reserve(bs);
   out.fill(0);
 
-  // First site after the last non-empty W1 column: from there on no draw
-  // can change A1, so the remaining logits are one blocked kernel pass
-  // instead of a per-site sweep that re-reads the whole activation block
-  // for every site.  MADE's cycling degrees leave every column j with no
-  // hidden degree >= j+1 empty — for h <= n-1 that is every site >= h, the
-  // large majority at paper scale (n = 1000 gives h = 239).
-  std::size_t frozen = n;
-  while (frozen > 0 && w1_cols.col(frozen - 1).empty()) --frozen;
+  // Input i feeds the units [degree_end[i], h), so from the first site
+  // whose column is empty (degree_end == h) on no draw can change A1, and
+  // the remaining logits are one blocked kernel pass instead of a per-site
+  // sweep that re-reads the whole activation block for every site.  For
+  // h <= n-1 that is every site >= h, the large majority at paper scale
+  // (n = 1000 gives h = 239).  degree_end[n - 1] == h, so frozen < n.
+  const std::size_t frozen = std::size_t(
+      std::find(degree_end.begin(), degree_end.end(), h) - degree_end.begin());
 
   std::uint64_t nonfinite = 0;
 
@@ -85,106 +87,71 @@ std::uint64_t sample_conditionals_batched(const Made& model,
     }
   };
 
-  // When every live W1 column is the contiguous suffix [i, h) — MADE's
-  // cycling degrees whenever h <= n-1 — the rank-1 pass can be blocked:
-  // inside a 64-site block only the near segment [i, block_end) is applied
-  // immediately (it feeds the very next logits), while the far segment
-  // [block_end, h) is recorded as one flip bit per row and applied at
+  // Blocked rank-1 pass.  Site j's logit reads the units [0,
+  // degree_end[j]), so inside a 64-site block [b0, b1) only the near
+  // segment [degree_end[i], degree_end[b1]) of input i's column is applied
+  // immediately (it feeds the block's logits), while the far segment
+  // [degree_end[b1], h) is recorded as one flip bit per row and applied at
   // block end row-by-row, so each activation row is updated once per block
   // while cache-resident instead of once per site from scattered lines.
   // Within every element the adds still land in ascending site order with
   // a unit fma multiplier, keeping the stream bitwise identical to the
   // naive per-site walk.
-  bool suffix_cols = true;
-  for (std::size_t i = 0; i < frozen; ++i) {
-    const std::span<const std::uint32_t> rows = w1_cols.col(i);
-    if (rows.size() != h - i || rows.empty() || rows.front() != i) {
-      suffix_cols = false;
-      break;
-    }
-  }
-
-  if (suffix_cols) {
-    constexpr std::size_t kSiteBlock = 64;
-    if (ws.flip_masks.size() != bs) ws.flip_masks.assign(bs, 0);
-    if (ws.col_ptrs.size() != kSiteBlock) ws.col_ptrs.resize(kSiteBlock);
-    for (std::size_t b0 = 0; b0 < frozen; b0 += kSiteBlock) {
-      const std::size_t b1 = std::min(b0 + kSiteBlock, frozen);
-      const std::size_t far_len = h > b1 ? h - b1 : 0;
-      std::fill(ws.flip_masks.begin(), ws.flip_masks.end(), 0);
-      for (std::size_t i = b0; i < b1; ++i) {
-        // One batched kernel call per site: logits[k] is bitwise the value
-        // of the one-row call the per-row loop used to make, so the
-        // historical draw streams are preserved exactly.
-        relu_dot_panels_batch(w2_ext.row(i), a_base, hp, bs, mw.w2p.row(i),
-                              logits);
-        ws.flips.clear();
-        draw_site(i, logits, /*record_flips=*/true);
-
-        const Real* col = w1_col_values + w1_cols.offsets[i];
-        const std::size_t near_len = std::min(b1, h) - i;
-        rank1_add_rows(a_base, hp, ws.flips, i, col, near_len);
-        if (far_len > 0) {
-          ws.col_ptrs[i - b0] = col + near_len;
-          const std::uint64_t bit = std::uint64_t(1) << (i - b0);
-          for (const std::uint32_t k : ws.flips) ws.flip_masks[k] |= bit;
-        }
-      }
-      if (far_len > 0) {
-        for (std::size_t k = 0; k < bs; ++k) {
-          if (ws.flip_masks[k] == 0) continue;
-          accumulate_masked_cols(a_base + k * hp + b1, ws.flip_masks[k],
-                                 ws.col_ptrs.data(), far_len);
-        }
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < frozen; ++i) {
+  constexpr std::size_t kSiteBlock = 64;
+  if (ws.flip_masks.size() != bs) ws.flip_masks.assign(bs, 0);
+  if (ws.col_ptrs.size() != kSiteBlock) ws.col_ptrs.resize(kSiteBlock);
+  for (std::size_t b0 = 0; b0 < frozen; b0 += kSiteBlock) {
+    const std::size_t b1 = std::min(b0 + kSiteBlock, frozen);
+    const std::size_t far_begin = degree_end[b1];
+    const std::size_t far_len = h - far_begin;
+    std::fill(ws.flip_masks.begin(), ws.flip_masks.end(), 0);
+    for (std::size_t i = b0; i < b1; ++i) {
+      // One batched kernel call per site: logits[k] is bitwise the value
+      // of the one-row call the per-row loop used to make, so the
+      // historical draw streams are preserved exactly.
       relu_dot_panels_batch(w2_ext.row(i), a_base, hp, bs, mw.w2p.row(i),
                             logits);
       ws.flips.clear();
       draw_site(i, logits, /*record_flips=*/true);
 
-      // Gathered rank-1 pass: input i flipped 0 -> 1 adds column i of W1m
-      // to the flipped rows only.  The column panel lists exactly the
-      // hidden rows whose prefix extent covers i; each row is touched
-      // once, so this is bitwise identical to updating inside the draw
-      // loop.
-      const std::span<const std::uint32_t> upd_rows = w1_cols.col(i);
-      const Real* upd_vals = w1_col_values + w1_cols.offsets[i];
-      for (const std::uint32_t k : ws.flips) {
-        Real* a_row = a_base + std::size_t(k) * hp;
-        for (std::size_t t = 0; t < upd_rows.size(); ++t)
-          a_row[upd_rows[t]] += upd_vals[t];
+      const Real* col = w1_col_values + plan.w1_col_offsets[i];
+      const std::size_t near_len = far_begin - degree_end[i];
+      rank1_add_rows(a_base, hp, ws.flips, degree_end[i], col, near_len);
+      if (far_len > 0) {
+        ws.col_ptrs[i - b0] = col + near_len;
+        const std::uint64_t bit = std::uint64_t(1) << (i - b0);
+        for (const std::uint32_t k : ws.flips) ws.flip_masks[k] |= bit;
+      }
+    }
+    if (far_len > 0) {
+      for (std::size_t k = 0; k < bs; ++k) {
+        if (ws.flip_masks[k] == 0) continue;
+        accumulate_masked_cols(a_base + k * hp + far_begin, ws.flip_masks[k],
+                               ws.col_ptrs.data(), far_len);
       }
     }
   }
 
-  if (frozen < n) {
-    // Frozen tail: A1 is final, so every remaining site's logits come from
-    // one blocked pass (bitwise identical per cell to the per-site kernel)
-    // and the draw loop just walks the precomputed rows.  No rank-1 update:
-    // these columns are empty by construction.  Rectify once into a
-    // pad-to-8 aligned-stride copy so the ~(n - h) remaining sites stream
-    // plain dots from cache-line-aligned rows instead of re-applying relu
-    // under every fma over split loads — same accumulation structure, same
-    // bits, roughly half the load-port pressure.
-    const std::size_t hp = (h + 7) & ~std::size_t(7);
-    ensure_shape(ws.h1_pad, bs, hp);
-    Real* hp_base = ws.h1_pad.data();
-    for (std::size_t k = 0; k < bs; ++k) {
-      const Real* src = a_base + k * hp;
-      Real* dst = hp_base + k * hp;
-      for (std::size_t l = 0; l < h; ++l)
-        dst[l] = src[l] > 0 ? src[l] : Real(0);
-    }
-    ensure_shape(ws.tail_logits, n - frozen, bs);
-    dot_panels_block(w2_ext, mw.w2p, frozen, hp_base, hp, bs,
-                     ws.tail_logits);
-    for (std::size_t i = frozen; i < n; ++i)
-      draw_site(i, ws.tail_logits.row(i - frozen).data(),
-                /*record_flips=*/false);
+  // Frozen tail: A1 is final, so every remaining site's logits come from
+  // one blocked pass (bitwise identical per cell to the per-site kernel)
+  // and the draw loop just walks the precomputed rows.  No rank-1 update:
+  // these columns are empty.  Rectify once into a pad-to-8 aligned-stride
+  // copy so the ~(n - h) remaining sites stream plain dots from
+  // cache-line-aligned rows instead of re-applying relu under every fma
+  // over split loads — same accumulation structure, same bits, roughly
+  // half the load-port pressure.
+  ensure_shape(ws.h1_pad, bs, hp);
+  Real* hp_base = ws.h1_pad.data();
+  for (std::size_t k = 0; k < bs; ++k) {
+    const Real* src = a_base + k * hp;
+    Real* dst = hp_base + k * hp;
+    for (std::size_t l = 0; l < h; ++l) dst[l] = src[l] > 0 ? src[l] : Real(0);
   }
+  ensure_shape(ws.tail_logits, n - frozen, bs);
+  dot_panels_block(w2_ext, mw.w2p, frozen, hp_base, hp, bs, ws.tail_logits);
+  for (std::size_t i = frozen; i < n; ++i)
+    draw_site(i, ws.tail_logits.row(i - frozen).data(),
+              /*record_flips=*/false);
   return nonfinite;
 }
 

@@ -9,11 +9,14 @@
 /// logits of the *whole* micro-batch in a single relu_dot_panels_batch
 /// kernel call, takes the Bernoulli draws in site-major / row-minor order
 /// within each slice's private RNG stream, then applies the rank-1
-/// A1 += column_i(W1m) updates as a gathered pass over exactly the rows
-/// that drew 1.  Because the batched kernel gives each row bitwise the
-/// value of a one-row call and the draw order is unchanged, the engine
-/// reproduces the historical FastMadeSampler / ModelSnapshot draw
-/// streams bit for bit.
+/// A1 += column_i(W1m) update to exactly the rows that drew 1.  MADE's
+/// units are in degree order, so column i is the contiguous run of units
+/// [degree_end[i], h): the run's head feeds the next logits and is added
+/// at once, its tail is deferred to the end of a 64-site block.  Because
+/// the batched kernel gives each row bitwise the value of a one-row call,
+/// the draw order is unchanged and every element receives its adds in
+/// ascending site order, the engine reproduces the historical
+/// FastMadeSampler / ModelSnapshot draw streams bit for bit.
 ///
 /// Non-finite conditionals (NaN/inf sigmoid output from an unhealthy
 /// parameter vector) are clamped to an unbiased coin p = 0.5 and counted,
@@ -21,9 +24,10 @@
 /// way, so a healthy run's RNG stream is bit-identical whether or not the
 /// guard ever fires.
 ///
-/// All scratch lives in the caller-owned Made::Workspace (`a1` is the
+/// All scratch lives in the caller-owned Made::Workspace (`a1_pad` is the
 /// running pre-activation block, `logits` the per-site batched logits,
-/// `flips` the gathered flip list), so steady-state calls perform zero
+/// `flips` the site's flipped rows, `flip_masks` and `col_ptrs` the
+/// deferred block updates), so steady-state calls perform zero
 /// allocations once shapes stabilize.
 
 #include <cstdint>

@@ -37,8 +37,9 @@
 /// (sampler/conditional_engine.hpp): per site, one relu_dot_panels_batch
 /// kernel call evaluates the whole batch's logits, non-finite conditionals
 /// are clamped to an unbiased coin and counted (nonfinite_rejections, as in
-/// the baseline), and the rank-1 updates run as a gathered pass over the
-/// rows that flipped.
+/// the baseline), and the rank-1 updates add each flipped input's
+/// contiguous run of hidden units to exactly the rows that flipped, in
+/// 64-site blocks.
 ///
 /// Thread safety: a FastMadeSampler instance is single-threaded — it owns
 /// mutable scratch (the engine workspace) and an RNG stream.  The borrowed

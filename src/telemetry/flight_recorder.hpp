@@ -6,7 +6,7 @@
 ///
 /// Post-mortem telemetry (CSV/JSON/Chrome-trace at exit) is useless when a
 /// run dies mid-flight: a SIGKILL'd neighbor, a hung allreduce aborting the
-/// group, or a CG breakdown under GuardPolicy::Throw all unwind before any
+/// group, or an SR breakdown under GuardPolicy::Throw all unwind before any
 /// sink is written.  The flight recorder keeps the last `capacity` iteration
 /// summaries — energy, guard trips, phase timings, live ranks — in a
 /// fixed-size, preallocated ring, and dumps them as a timestamped JSONL

@@ -3,8 +3,8 @@
 /// \file buffer.hpp
 /// \brief Cache-line-aligned owning buffer for numeric data.
 ///
-/// All tensor storage goes through AlignedBuffer so that the gemm/gemv
-/// kernels can assume 64-byte alignment (one cache line; also sufficient for
+/// All tensor storage goes through AlignedBuffer so that the gemm kernels
+/// can assume 64-byte alignment (one cache line; also sufficient for
 /// AVX-512 loads if the compiler vectorizes).  The buffer value-initializes
 /// its contents — freshly allocated tensors are zero.  Storage comes from
 /// the aligned operator new, so a replaced global allocator (the tests'

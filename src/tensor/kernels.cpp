@@ -102,18 +102,6 @@ Real variance(std::span<const Real> x) {
   return pairwise_sum_sq_dev(x.data(), x.size(), m) / Real(x.size());
 }
 
-void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y) {
-  VQMC_REQUIRE(a.cols() == x.size() && a.rows() == y.size(),
-               "gemv: shape mismatch");
-  VQMC_DISPATCH(gemv(a, x, y))
-}
-
-void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y) {
-  VQMC_REQUIRE(a.rows() == x.size() && a.cols() == y.size(),
-               "gemv_t: shape mismatch");
-  VQMC_DISPATCH(gemv_t(a, x, y))
-}
-
 void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c) {
   VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
                    c.cols() == b.rows(),
@@ -126,6 +114,18 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c) {
                    c.cols() == b.cols(),
                "gemm_tn_accumulate: shape mismatch");
   VQMC_DISPATCH(gemm_tn_accumulate(a, b, c))
+}
+
+RowExtents RowExtents::prefixes(std::span<const std::size_t> lengths) {
+  RowExtents ext;
+  ext.row_ptr_.reserve(lengths.size() + 1);
+  ext.spans_.reserve(lengths.size());
+  for (const std::size_t len : lengths) {
+    if (len > 0) ext.spans_.push_back({0, len});
+    ext.nonzeros_ += len;
+    ext.row_ptr_.push_back(ext.spans_.size());
+  }
+  return ext;
 }
 
 RowExtents RowExtents::from_mask(const Matrix& mask) {

@@ -6,19 +6,17 @@
 ///
 /// Naming follows BLAS transpose conventions: `gemm_nt` computes
 /// C = A * B^T, `gemm_tn` computes C = A^T * B, etc.  All kernels are
-/// OpenMP-parallel over the independent output dimension (`gemv_t`
-/// parallelizes its reduction with per-thread partial accumulators); they
-/// form the compute substrate that stands in for the paper's GPU matmuls
-/// (the MADE / RBM forward and backward passes are nothing but these
-/// calls).
+/// OpenMP-parallel over the independent output dimension; they form the
+/// compute substrate that stands in for the paper's GPU matmuls (the MADE /
+/// RBM forward and backward passes are nothing but these calls).
 ///
-/// Kernels either overwrite (`gemm*`, `gemv*`) or accumulate
+/// Kernels either overwrite (`gemm*`) or accumulate
 /// (`*_accumulate`); the accumulate forms are used to sum gradients over a
 /// batch without temporaries.
 ///
 /// The `*_extents` forms are the masked-compute fast path (DESIGN.md §5f):
 /// they take per-row lists of `[begin, end)` column intervals (RowExtents,
-/// typically built once from a binary mask) and visit only the columns
+/// built once per model from its mask geometry) and visit only the columns
 /// inside the intervals, skipping the ~50% of multiply-adds the MADE
 /// autoregressive masks zero out.
 ///
@@ -85,13 +83,17 @@ struct RowExtentsView {
   }
 };
 
-/// Owning per-row interval list (interval-CSR).  Built once from a binary
-/// mask; the MADE prefix masks yield one interval per row and the suffix
-/// masks a short cyclic list, but any 0/1 pattern is representable (each
-/// maximal run of nonzeros becomes one interval).
+/// Owning per-row interval list (interval-CSR).  The MADE family builds it
+/// from prefix lengths (every mask row is one interval [0, len), with the
+/// hidden units in degree order); the tests build arbitrary 0/1 patterns
+/// with from_mask (each maximal run of nonzeros becomes one interval).
 class RowExtents {
  public:
   RowExtents() = default;
+
+  /// One interval [0, lengths[r]) per row r, none where lengths[r] == 0.
+  [[nodiscard]] static RowExtents prefixes(
+      std::span<const std::size_t> lengths);
 
   /// Scan `mask` (any shape) and record the maximal runs of nonzero
   /// entries of each row as intervals.
@@ -176,16 +178,6 @@ Real mean(std::span<const Real> x);
 Real variance(std::span<const Real> x);
 
 // ---------------------------------------------------------------------------
-// Level-2: matrix-vector.
-// ---------------------------------------------------------------------------
-
-/// y = A x (A: m x k, x: k, y: m).
-void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);
-
-/// y = A^T x (A: m x k, x: m, y: k).
-void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);
-
-// ---------------------------------------------------------------------------
 // Level-3: matrix-matrix.
 // ---------------------------------------------------------------------------
 
@@ -260,8 +252,8 @@ void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
                       std::size_t rows, Matrix& out);
 
 /// a[r][col_begin + t] += vals[t] for every r in `row_ids` — the samplers'
-/// gathered rank-1 update when a masked column's active rows form one
-/// interval.  Bitwise identical to the scalar per-row += walk (the fused
+/// rank-1 update of one masked W1 column, whose active hidden units form
+/// one interval.  Bitwise identical to the scalar per-row += walk (the fused
 /// multiplier is exactly one), with one dispatched call covering all
 /// flipped rows of a site.
 void rank1_add_rows(Real* a, std::size_t lda,

@@ -25,8 +25,6 @@ namespace vqmc {
   namespace ns {                                                              \
   Real dot(std::span<const Real> x, std::span<const Real> y);                 \
   void axpy(Real alpha, std::span<const Real> x, std::span<Real> y);          \
-  void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);     \
-  void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);   \
   void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c);                \
   void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c);    \
   void gemm_nt_panels(const Matrix& a, RowExtentsView ext,                    \

@@ -4,9 +4,9 @@
 /// \brief Scalar type used throughout the library.
 ///
 /// The paper trains in single precision on GPUs; we use double on CPU so the
-/// stochastic-reconfiguration CG solve and exact-diagonalization validation
-/// are not limited by round-off.  All code is written against `Real` so a
-/// float build is a one-line change.
+/// stochastic-reconfiguration Cholesky solve and exact-diagonalization
+/// validation are not limited by round-off.  All code is written against
+/// `Real` so a float build is a one-line change.
 
 #include <cstddef>
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <utility>
 
 #include "common/error.hpp"
 #include "nn/made.hpp"
@@ -328,23 +329,35 @@ void expect_error_mentioning(const std::function<void()>& load,
 }
 
 TEST(Checkpoint, FnvEraParameterFileIsRejectedByName) {
-  // "VQMCCP01" files carried an FNV-1a checksum; this build reads only
-  // "VQMCCP02" (CRC-32C) and names the old format when it meets one.
+  // "VQMCCP01" files carried an FNV-1a checksum and "VQMCCP02" files stored
+  // MADE's hidden units in cyclic degree order; this build reads only
+  // "VQMCCP03" and names the old format when it meets one.
   CheckpointCleanup cleanup;
-  Made made(5, 3);
-  save_checkpoint(kPath, made);
-  patch_u64(kPath, 0, 0x56514d43'43503031ULL);  // "VQMCCP01"
-  Made target(5, 3);
-  expect_error_mentioning([&] { load_checkpoint(kPath, target); },
-                          "VQMCCP01");
+  for (const auto& [magic, name] :
+       {std::pair<std::uint64_t, const char*>{0x56514d43'43503031ULL,
+                                              "VQMCCP01"},
+        std::pair<std::uint64_t, const char*>{0x56514d43'43503032ULL,
+                                              "VQMCCP02"}}) {
+    SCOPED_TRACE(name);
+    Made made(5, 3);
+    save_checkpoint(kPath, made);
+    patch_u64(kPath, 0, magic);
+    Made target(5, 3);
+    expect_error_mentioning([&] { load_checkpoint(kPath, target); }, name);
+  }
 }
 
 TEST(TrainingCheckpoint, VersionOneFileIsRejected) {
+  // Version 1 carried an FNV-1a trailer and version 2 stored MADE's hidden
+  // units in cyclic degree order.
   CheckpointCleanup cleanup;
-  save_training_checkpoint(kPath, example_snapshot());
-  patch_u64(kPath, 8, 1);  // format version 1: the FNV-1a trailer
-  expect_error_mentioning([&] { (void)load_training_checkpoint(kPath); },
-                          "unsupported format version 1");
+  for (const std::uint64_t version : {1, 2}) {
+    save_training_checkpoint(kPath, example_snapshot());
+    patch_u64(kPath, 8, version);
+    expect_error_mentioning(
+        [&] { (void)load_training_checkpoint(kPath); },
+        "unsupported format version " + std::to_string(version));
+  }
 }
 
 TEST(Checkpoint, BytesAfterTheChecksumAreRejected) {

@@ -238,9 +238,9 @@ TEST(LocalEnergy, RepeatedBatchOfWholeAndPartialChunksAllocatesNothing) {
 }
 
 TEST(LocalEnergy, RepeatedBatchOnTheMadeFlipPathAllocatesNothing) {
-  Made natural(6, 5);  // h <= n - 1: the forward's own packings
+  Made natural(6, 5);  // h <= n - 1: one hidden unit per degree
   expect_repeat_compute_allocates_nothing(natural, 8, 12);
-  Made cyclic(6, 9);   // h > n - 1: the degree-sorted copy
+  Made cyclic(6, 9);   // h > n - 1: several units per degree
   expect_repeat_compute_allocates_nothing(cyclic, 11, 12);
 }
 
@@ -300,8 +300,8 @@ void expect_flip_ratios_match_flipped_copies(const WavefunctionModel& model,
 
 TEST(LocalEnergy, MadeFlipRatiosMatchFlippedCopies) {
   for (const std::size_t n : {2ul, 3ul, 7ul, 20ul, 50ul, 128ul}) {
-    // h <= n - 1 (degree-sorted natural order) and h > n - 1 (cyclic
-    // degrees, through the sorted copy).
+    // h <= n - 1 (one hidden unit per degree) and h > n - 1 (several
+    // units per degree).
     const std::size_t natural_h =
         std::min(n - 1, made_default_hidden(n));
     const std::size_t cyclic_h = std::max(n + 3, made_default_hidden(n));

@@ -17,6 +17,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_ref.hpp"
 
 namespace vqmc {
 namespace {
@@ -101,7 +102,7 @@ TEST_P(HamiltonianContract, ApplyDenseMatchesMaterializedMatrix) {
   Vector v(dim), via_apply(dim), via_gemv(dim);
   for (std::size_t i = 0; i < dim; ++i) v[i] = rng::uniform(gen, -1.0, 1.0);
   h->apply_dense(v.span(), via_apply.span());
-  gemv(m, v.span(), via_gemv.span());
+  ref::gemv(m, v.span(), via_gemv.span());
   for (std::size_t i = 0; i < dim; ++i)
     ASSERT_NEAR(via_apply[i], via_gemv[i], 1e-11);
 }

@@ -6,6 +6,7 @@
 #include "hamiltonian/transverse_field_ising.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_ref.hpp"
 
 namespace vqmc {
 namespace {
@@ -40,7 +41,7 @@ TEST(Exact, ApplyDenseMatchesToDense) {
   Vector v(dim), y_apply(dim), y_dense(dim);
   for (std::size_t i = 0; i < dim; ++i) v[i] = Real(i) - 7.5;
   tim.apply_dense(v.span(), y_apply.span());
-  gemv(h, v.span(), y_dense.span());
+  ref::gemv(h, v.span(), y_dense.span());
   for (std::size_t i = 0; i < dim; ++i)
     EXPECT_NEAR(y_apply[i], y_dense[i], 1e-11);
 }

@@ -6,6 +6,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_ref.hpp"
 
 namespace vqmc::linalg {
 namespace {
@@ -27,7 +28,8 @@ TEST(Lanczos, MatchesJacobiOnRandomSymmetric) {
   const Matrix a = random_symmetric(n, 31);
   const EigenDecomposition dense = jacobi_eigen(a);
   const LanczosResult sparse = lanczos_smallest(
-      [&a](std::span<const Real> v, std::span<Real> y) { gemv(a, v, y); }, n);
+      [&a](std::span<const Real> v, std::span<Real> y) { ref::gemv(a, v, y); },
+      n);
   EXPECT_TRUE(sparse.converged);
   EXPECT_NEAR(sparse.eigenvalue, dense.eigenvalues[0], 1e-8);
 }
@@ -36,9 +38,10 @@ TEST(Lanczos, RitzVectorIsAnEigenvector) {
   const std::size_t n = 25;
   const Matrix a = random_symmetric(n, 32);
   const LanczosResult r = lanczos_smallest(
-      [&a](std::span<const Real> v, std::span<Real> y) { gemv(a, v, y); }, n);
+      [&a](std::span<const Real> v, std::span<Real> y) { ref::gemv(a, v, y); },
+      n);
   Vector av(n);
-  gemv(a, r.eigenvector.span(), av.span());
+  ref::gemv(a, r.eigenvector.span(), av.span());
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(av[i], r.eigenvalue * r.eigenvector[i], 1e-6);
   EXPECT_NEAR(r.eigenvector.norm(), 1.0, 1e-10);

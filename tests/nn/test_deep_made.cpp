@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hamiltonian/hamiltonian.hpp"
@@ -10,6 +12,7 @@
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/alloc_count.hpp"
 #include "support/gradient_accumulation.hpp"
 #include "support/made_masks.hpp"
 
@@ -145,6 +148,22 @@ TEST(DeepMade, GradientAccumulatesOntoANonzeroGradient) {
   touched.insert(touched.end(), n, true);
   testing::expect_gradient_accumulates_onto(model, batch, coeff.span(),
                                             touched, 144, kGradTol);
+}
+
+TEST(DeepMade, ConstructorAllocatesOnlyTheParametersAndAnOrderNPlusHPlan) {
+  // Every mask is built from the degree counts as prefix extents: beyond
+  // the parameter vector the constructor allocates O(n + h), no dense
+  // h x n or h x h mask.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{1000, 239},
+                                                        {64, 86}};
+  for (const auto& [n, h] : shapes) {
+    SCOPED_TRACE("n " + std::to_string(n) + " h " + std::to_string(h));
+    const std::uint64_t before = vqmc::testing::allocated_bytes();
+    const DeepMade model(n, h, 2);
+    const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+    const std::uint64_t params = model.num_parameters() * sizeof(Real);
+    EXPECT_LE(bytes, params + 12 * sizeof(std::size_t) * (n + h) + 1024);
+  }
 }
 
 TEST(DeepMade, CloneIsDeepCopy) {

@@ -1,7 +1,8 @@
 /// \file test_gram.cpp
 /// \brief WavefunctionModel::log_psi_gradient_gram (DESIGN.md §5m): every
 /// model's Gram equals O O^T of its explicit per-sample log-derivatives,
-/// for MADE's two degree layouts, RBM and DeepMADE (the default path).
+/// for MADE with one and with several hidden units per degree, RBM and
+/// DeepMADE (the default path).
 
 #include <gtest/gtest.h>
 
@@ -82,8 +83,8 @@ TEST(ModelGram, MadeWithNaturalDegreesMatchesExplicitGram) {
 }
 
 TEST(ModelGram, MadeWithCyclicDegreesMatchesExplicitGram) {
-  // h > n - 1: degrees cycle through 1..n-1, several units per degree;
-  // n = 64, h = 86 is the maxcut_sr shape.
+  // h > n - 1: several units per degree (the sorted multiset of
+  // 1 + (k mod (n - 1))); n = 64, h = 86 is the maxcut_sr shape.
   Made small(7, 23);
   randomize_parameters(small, 2);
   for (const std::size_t bs : {3, 16, 29})

@@ -110,15 +110,16 @@ TEST(Made, MasksHaveDocumentedStructure) {
       if (c >= s.begin && c < s.end) return true;
     return false;
   };
+  const std::vector<std::size_t> degrees = testing::made_degrees(n, h);
   for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t mk = 1 + (k % (n - 1));
+    const std::size_t mk = degrees[k];
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(mask1(k, j), (j + 1 <= mk) ? 1 : 0);
-      EXPECT_EQ(covers(made.w1_extents(), k, j), mask1(k, j) != 0);
+      EXPECT_EQ(covers(made.plan().w1, k, j), mask1(k, j) != 0);
     }
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(mask2(i, k), (i + 1 > mk) ? 1 : 0);
-      EXPECT_EQ(covers(made.w2_extents(), i, k), mask2(i, k) != 0);
+      EXPECT_EQ(covers(made.plan().w2, i, k), mask2(i, k) != 0);
     }
   }
 }
@@ -214,6 +215,22 @@ TEST(Made, FirstGradientOnAFreshWorkspaceAllocatesOnlyBatchRows) {
   const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
   const std::uint64_t rows = (3 * bs * h + 2 * bs * n) * sizeof(Real);
   EXPECT_LE(bytes, rows + 4096);
+}
+
+TEST(Made, ConstructorAllocatesOnlyTheParametersAndAnOrderNPlusHPlan) {
+  // The plan is built from the degree counts: beyond the parameter vector
+  // the constructor allocates O(n + h) of extents and offsets, and no dense
+  // h x n mask (natural, cyclic and paper-default widths).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1000, 239}, {64, 86}, {130, 300}};
+  for (const auto& [n, h] : shapes) {
+    SCOPED_TRACE("n " + std::to_string(n) + " h " + std::to_string(h));
+    const std::uint64_t before = vqmc::testing::allocated_bytes();
+    const Made made(n, h);
+    const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+    const std::uint64_t params = made.num_parameters() * sizeof(Real);
+    EXPECT_LE(bytes, params + 12 * sizeof(std::size_t) * (n + h) + 1024);
+  }
 }
 
 TEST(Made, CloneIsIndependentDeepCopy) {

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/made.hpp"
@@ -167,10 +169,11 @@ struct DenseReference {
 TEST(MaskedPlan, W1ExtentsArePrefixIntervals) {
   const std::size_t n = 7, h = 15;
   const Made made(n, h);
-  const RowExtents& e1 = made.w1_extents();
+  const RowExtents& e1 = made.plan().w1;
+  const std::vector<std::size_t> degrees = testing::made_degrees(n, h);
   ASSERT_EQ(e1.rows(), h);
   for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t mk = 1 + (k % (n - 1));
+    const std::size_t mk = degrees[k];
     const auto spans = e1.view().row(k);
     ASSERT_EQ(spans.size(), 1u) << "hidden row " << k;
     EXPECT_EQ(spans[0].begin, 0u);
@@ -181,9 +184,13 @@ TEST(MaskedPlan, W1ExtentsArePrefixIntervals) {
 
 TEST(MaskedPlan, ExtentsRoundTripBothMasks) {
   // The model keeps its masks only as extents; expanded back to dense 0/1
-  // matrices they must be exactly the degree rule's masks.
-  const std::size_t n = 9, h = 14;
-  const Made made(n, h);
+  // matrices they must be exactly the degree rule's masks, with one unit
+  // per degree (h <= n - 1) and several (maxcut_sr's (64, 86), Table 1's
+  // n = 100, a (130, 300) spanning three 64-site blocks).  degree_end[i]
+  // is W2 row i's prefix length, and the column packing holds every W1
+  // mask entry.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2, 1}, {2, 5}, {9, 8}, {9, 14}, {64, 86}, {100, 106}, {130, 300}};
   const auto rebuild = [](const RowExtents& ext, std::size_t cols) {
     Matrix m(ext.rows(), cols);
     m.fill(0.0);
@@ -192,14 +199,23 @@ TEST(MaskedPlan, ExtentsRoundTripBothMasks) {
         for (std::size_t j = s.begin; j < s.end; ++j) m(r, j) = 1.0;
     return m;
   };
-  const Matrix m1 = rebuild(made.w1_extents(), n);
-  const Matrix m2 = rebuild(made.w2_extents(), h);
-  const Matrix want1 = testing::made_input_mask(n, h);
-  const Matrix want2 = testing::made_output_mask(n, h);
-  for (std::size_t i = 0; i < m1.size(); ++i)
-    EXPECT_EQ(m1.data()[i], want1.data()[i]);
-  for (std::size_t i = 0; i < m2.size(); ++i)
-    EXPECT_EQ(m2.data()[i], want2.data()[i]);
+  for (const auto& [n, h] : shapes) {
+    SCOPED_TRACE("n " + std::to_string(n) + " h " + std::to_string(h));
+    const Made made(n, h);
+    const MaskedPlan& plan = made.plan();
+    const Matrix m1 = rebuild(plan.w1, n);
+    const Matrix m2 = rebuild(plan.w2, h);
+    const Matrix want1 = testing::made_input_mask(n, h);
+    const Matrix want2 = testing::made_output_mask(n, h);
+    for (std::size_t i = 0; i < m1.size(); ++i)
+      ASSERT_EQ(m1.data()[i], want1.data()[i]) << "W1 entry " << i;
+    for (std::size_t i = 0; i < m2.size(); ++i)
+      ASSERT_EQ(m2.data()[i], want2.data()[i]) << "W2 entry " << i;
+    ASSERT_EQ(plan.degree_end.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(plan.degree_end[i], plan.w2.row_end(i)) << "i " << i;
+    EXPECT_EQ(plan.w1_col_offsets.back(), plan.w1.nonzeros());
+  }
 }
 
 TEST(MaskedPlan, PackedWeightsMatchMaskedParameters) {
@@ -224,6 +240,21 @@ TEST(MaskedPlan, PackedWeightsMatchMaskedParameters) {
   };
   expect_packed(mw->w1p, testing::made_input_mask(8, 13), ref.w1m);
   expect_packed(mw->w2p, testing::made_output_mask(8, 13), ref.w2m);
+
+  // The column packing holds each W1 column's in-mask values, ascending
+  // unit, at the plan's offsets.
+  const Matrix m1 = testing::made_input_mask(8, 13);
+  const std::vector<std::size_t>& offsets = made.plan().w1_col_offsets;
+  ASSERT_EQ(offsets.size(), 9u);
+  for (std::size_t j = 0; j < 8; ++j) {
+    std::size_t t = offsets[j];
+    for (std::size_t k = 0; k < 13; ++k) {
+      if (m1(k, j) == 0) continue;
+      ASSERT_LT(t, offsets[j + 1]) << "column " << j;
+      EXPECT_EQ(mw->w1_col_values[t++], ref.w1m(k, j)) << k << "," << j;
+    }
+    EXPECT_EQ(t, offsets[j + 1]) << "column " << j;
+  }
 }
 
 // Tolerances for packed-vs-dense comparisons.  Activations and gradients
@@ -375,8 +406,8 @@ TEST(MaskedPlan, MaskedWeightsRebuildAllocatesOnlyThePackedForms) {
   const std::uint64_t before = vqmc::testing::allocated_bytes();
   const auto mw = made.masked();
   const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
-  const std::size_t nnz1 = made.w1_extents().nonzeros();
-  const std::size_t nnz2 = made.w2_extents().nonzeros();
+  const std::size_t nnz1 = made.plan().w1.nonzeros();
+  const std::size_t nnz2 = made.plan().w2.nonzeros();
   const std::uint64_t packed = (2 * nnz1 + nnz2) * sizeof(Real) +
                                (h + 1 + n + 1) * sizeof(std::size_t);
   EXPECT_LE(bytes, packed + 4096);

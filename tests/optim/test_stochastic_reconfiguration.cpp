@@ -11,6 +11,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_ref.hpp"
 
 namespace vqmc {
 namespace {
@@ -36,7 +37,7 @@ Vector zero_sum_coefficients(std::size_t bs, std::uint64_t seed) {
 /// g = O^T c, the gradient those coefficients give.
 Vector gradient_of(const Matrix& o, const Vector& c) {
   Vector g(o.cols());
-  gemv_t(o, c.span(), g.span());
+  ref::gemv_t(o, c.span(), g.span());
   return g;
 }
 
@@ -48,7 +49,7 @@ SrReport natural_gradient(const StochasticReconfiguration& sr, const Matrix& o,
   gemm_nt(o, o, gram);
   Vector y(o.rows());
   const SrReport report = sr.solve(gram, c.span(), y.span());
-  gemv_t(o, y.span(), delta.span());
+  ref::gemv_t(o, y.span(), delta.span());
   return report;
 }
 
@@ -145,8 +146,8 @@ TEST(StochasticReconfiguration, SolutionSatisfiesTheLinearSystem) {
   column_sum_accumulate(o, o_bar.span());
   scale(o_bar.span(), Real(1) / Real(bs));
   Vector ov(bs), s_delta(d);
-  gemv(o, delta.span(), ov.span());
-  gemv_t(o, ov.span(), s_delta.span());
+  ref::gemv(o, delta.span(), ov.span());
+  ref::gemv_t(o, ov.span(), s_delta.span());
   const Real ob_v = dot(o_bar.span(), delta.span());
   for (std::size_t i = 0; i < d; ++i) {
     const Real lhs = s_delta[i] / Real(bs) - o_bar[i] * ob_v +

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include <limits>
+#include <utility>
 
 #include "hamiltonian/hamiltonian.hpp"
 #include "rng/distributions.hpp"
@@ -119,12 +120,18 @@ TEST(FastMadeSampler, WrongShapeRejected) {
 }
 
 TEST(FastMadeSampler, MatchesBaselineAcrossSizes) {
-  // AUTO vs AUTO-fast under the batched conditional engine, across spin
-  // counts from the minimum (MADE needs n >= 2) through n = 1000, with a
-  // batch size that exercises both a full 4-row kernel tile and a tail row.
-  for (const std::size_t n : {2ul, 7ul, 100ul, 300ul, 1000ul}) {
-    Made made(n, 11);
-    randomize_parameters(made, 1000 + n);
+  // The batched conditional engine against the forward-pass sampler,
+  // across spin counts from the minimum (MADE needs n >= 2) through
+  // n = 1000, with a batch size that exercises both a full 4-row kernel
+  // tile and a tail row.  The cyclic sizes (h > n - 1) put several units on
+  // each degree; (100, 205) and (130, 300) span more than one 64-site
+  // block, so they run the deferred far segment of the rank-1 update.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {2, 11}, {7, 11}, {100, 11}, {300, 11},
+      {1000, 11}, {64, 86}, {100, 205}, {130, 300}};
+  for (const auto& [n, h] : shapes) {
+    Made made(n, h);
+    randomize_parameters(made, 1000 + n + h);
     AutoregressiveSampler baseline(made, 17);
     FastMadeSampler fast(made, 17);
     Matrix a(5, n), b(5, n);
@@ -133,7 +140,7 @@ TEST(FastMadeSampler, MatchesBaselineAcrossSizes) {
     std::size_t differing = 0;
     for (std::size_t i = 0; i < a.size(); ++i)
       differing += a.data()[i] != b.data()[i] ? 1 : 0;
-    EXPECT_EQ(differing, 0u) << "n = " << n;
+    EXPECT_EQ(differing, 0u) << "n = " << n << ", h = " << h;
   }
 }
 

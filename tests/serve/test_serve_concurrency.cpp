@@ -79,9 +79,9 @@ TEST(ServeConcurrency, EightThreadsShareOneSnapshotBitForBit) {
 // one sampler instance per thread, identical streams.
 TEST(ServeConcurrency, WorkersShareOneSnapshotForLocalEnergies) {
   // Four workers run their own LocalEnergyEngine over one snapshot's
-  // model.  h > n - 1, so the first flip-ratio calls race to build the
-  // degree-sorted weight copy; every response must equal the direct
-  // engine's value bitwise (TSan in CI watches the shared cache).
+  // model (h > n - 1: several hidden units per degree); every response
+  // must equal the direct engine's value bitwise (TSan in CI watches the
+  // shared weight cache).
   constexpr std::size_t kClients = 4;
   constexpr int kRequests = 24;
   const auto tim = TransverseFieldIsing::random_dense(10, 31);

@@ -676,8 +676,8 @@ TEST(SimdKernels, ReluShiftDeltaLanesBitwiseEqualsReferenceAcrossLevels) {
   }
 }
 
-/// Panels whose row j holds a prefix of row_sizes[j] values: the
-/// degree-sorted W2 rows of the MADE flip path.
+/// Panels whose row j holds a prefix of row_sizes[j] values: MADE's W2
+/// rows, which the flip path reads.
 PackedRowPanels prefix_panels(const std::vector<std::size_t>& row_sizes,
                               std::size_t cols, std::uint64_t seed) {
   Matrix mask(row_sizes.size(), cols);
