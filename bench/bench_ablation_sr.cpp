@@ -40,6 +40,7 @@
 #include "optim/stochastic_reconfiguration.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/simd.hpp"
 
 using namespace vqmc;
@@ -263,10 +264,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"sr\",\n"
-       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
-       << "  \"cpu_model\": \"" << cpu_model() << "\",\n"
-       << "  \"simd_level\": \"" << simd_level << "\",\n"
-       << "  \"threads\": " << threads << ",\n"
+       << provenance_json(opts.get_string("commit"))
        << "  \"regularization\": " << SrConfig{}.regularization << ",\n"
        << "  \"parity_bound\": " << kGramParityBound << ",\n"
        << "  \"cases\": [\n";

@@ -48,10 +48,8 @@
 #include "tensor/simd.hpp"
 
 using namespace vqmc;
-using bench::build_type;
-using bench::compiler;
-using bench::cpu_model;
 using bench::median;
+using bench::provenance_json;
 
 namespace {
 
@@ -263,12 +261,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"collectives\",\n"
-       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
-       << "  \"cpu_model\": \"" << cpu_model() << "\",\n"
-       << "  \"simd_level\": \"" << simd_level << "\",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"compiler\": \"" << compiler() << "\",\n"
-       << "  \"build_type\": \"" << build_type() << "\",\n"
+       << provenance_json(opts.get_string("commit"))
        << "  \"checksum\": [\n";
   for (std::size_t i = 0; i < checksums.size(); ++i) {
     const ChecksumResult& r = checksums[i];

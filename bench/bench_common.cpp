@@ -6,6 +6,12 @@
 #include <iostream>
 #include <sstream>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "tensor/simd.hpp"
+
 #ifndef VQMC_BUILD_TYPE
 #define VQMC_BUILD_TYPE "unknown"
 #endif
@@ -138,6 +144,9 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
+namespace {
+
+/// The host CPU's model name from /proc/cpuinfo, or "unknown".
 std::string cpu_model() {
   std::ifstream cpuinfo("/proc/cpuinfo");
   std::string line;
@@ -150,6 +159,7 @@ std::string cpu_model() {
   return "unknown";
 }
 
+/// The compiler that built the benches, e.g. "gcc 12.2.0".
 std::string compiler() {
 #if defined(__clang__)
   return "clang " __clang_version__;
@@ -160,7 +170,34 @@ std::string compiler() {
 #endif
 }
 
-std::string build_type() { return VQMC_BUILD_TYPE; }
+/// `text` as a JSON string literal.
+std::string quoted(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+std::string provenance_json(const std::string& commit) {
+#ifdef _OPENMP
+  const int threads = omp_get_max_threads();
+#else
+  const int threads = 1;
+#endif
+  std::ostringstream json;
+  json << "  \"commit\": " << quoted(commit) << ",\n"
+       << "  \"cpu_model\": " << quoted(cpu_model()) << ",\n"
+       << "  \"simd_level\": "
+       << quoted(simd::level_name(simd::active_level())) << ",\n"
+       << "  \"threads\": " << threads << ",\n"
+       << "  \"compiler\": " << quoted(compiler()) << ",\n"
+       << "  \"build_type\": " << quoted(VQMC_BUILD_TYPE) << ",\n";
+  return json.str();
+}
 
 std::string scientific(double value) {
   std::ostringstream out;

@@ -97,14 +97,13 @@ double block_ms(const std::function<void()>& fn, std::size_t calls);
 /// The middle element of `v` (the upper one of an even count).
 double median(std::vector<double> v);
 
-/// The host CPU's model name from /proc/cpuinfo, or "unknown".
-std::string cpu_model();
-
-/// The compiler that built the benches, e.g. "gcc 12.2.0".
-std::string compiler();
-
-/// The CMake build type the benches were built with, or "unknown".
-std::string build_type();
+/// The provenance block every BENCH_*.json artifact carries: the members
+/// "commit" (the bench's --commit value), "cpu_model" (from /proc/cpuinfo),
+/// "simd_level" (the active kernel dispatch level), "threads" (the OpenMP
+/// thread count at the call), "compiler" and "build_type", one per
+/// two-space-indented line, each ending in ",\n" so the artifact's own
+/// members follow.  Call it after any omp_set_num_threads.
+std::string provenance_json(const std::string& commit);
 
 /// `value` in scientific notation with two decimals.
 std::string scientific(double value);

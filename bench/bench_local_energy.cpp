@@ -48,8 +48,8 @@
 
 using namespace vqmc;
 using bench::block_ms;
-using bench::cpu_model;
 using bench::median;
+using bench::provenance_json;
 using bench::scientific;
 
 namespace {
@@ -251,10 +251,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"local_energy\",\n"
-       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
-       << "  \"cpu_model\": \"" << cpu_model() << "\",\n"
-       << "  \"simd_level\": \"" << simd_level << "\",\n"
-       << "  \"threads\": " << threads << ",\n"
+       << provenance_json(opts.get_string("commit"))
        << "  \"hamiltonian\": \"TIM random_dense\",\n"
        << "  \"parity_bound\": " << kFlipRatioTolerance << ",\n"
        << "  \"cases\": [\n";

@@ -1,6 +1,6 @@
 /// \file bench_masked_gemm.cpp
 /// \brief Three-way masked MADE forward throughput: dense-scalar vs
-/// packed-scalar vs SIMD (DESIGN.md §5f/§5g).
+/// prefix-scalar vs SIMD (DESIGN.md §5f/§5g).
 ///
 /// The three timed paths retrace the kernel lineage:
 ///
@@ -8,20 +8,21 @@
 ///    materialization, then scalar dense gemms over the full weight
 ///    matrices (vqmc::ref) — every multiply against a masked-out entry is
 ///    wasted work and the materialization is a fixed per-call cost.
-///  - *packed-scalar* (the first masked plan): the scalar extent kernels
-///    (vqmc::ref) reading the weight blocks in place in the parameter
-///    vector — structural zeros skipped, no SIMD.
-///  - *simd* (shipped): `Made::log_psi` over the packed panels with the
-///    runtime-dispatched SIMD kernels.
+///  - *prefix-scalar* (the masked plan without SIMD): the scalar prefix
+///    kernel ref::gemm_nt_prefix reading the weight blocks in place in the
+///    parameter vector — structural zeros skipped, no SIMD.
+///  - *simd* (shipped): `Made::log_psi`, whose runtime-dispatched SIMD
+///    prefix kernels read the same weight blocks in place.
 ///
 /// All paths compute the same log psi values; the SIMD path must agree
 /// with the scalar ones within the accumulation-order tolerance contract
 /// (kernels.hpp) — verified in-run.  The headline is single-thread
-/// per-call speedup at the largest size: simd over packed-scalar
+/// per-call speedup at the largest size: simd over prefix-scalar
 /// (target >= 3x) and simd over dense-scalar.  Emits
-/// BENCH_masked_gemm.json with the commit, CPU, SIMD level, compiler and
-/// build type that produced it; exits nonzero on a missed target or a
-/// parity failure.  The committed artifact is a full-length run:
+/// BENCH_masked_gemm.json with bench_common's provenance block (commit,
+/// CPU, SIMD level, threads, compiler, build type); exits nonzero on a
+/// missed target or a parity failure.  The committed artifact is a
+/// full-length run:
 ///
 ///   ./build/bench/bench_masked_gemm --commit $(git rev-parse --short HEAD)
 
@@ -94,9 +95,9 @@ void dense_scalar_log_psi(const Made& made, const Matrix& batch,
         2;
 }
 
-/// The packed-scalar path: scalar extent kernels over the weight blocks,
-/// which they read in place (only in-mask entries are touched).
-void packed_scalar_log_psi(const Made& made, const Matrix& batch,
+/// The prefix-scalar path: the scalar prefix kernels over the weight
+/// blocks, which they read in place (only in-mask entries are touched).
+void prefix_scalar_log_psi(const Made& made, const Matrix& batch,
                            std::span<Real> out, ScalarScratch& s) {
   const std::size_t n = made.num_spins();
   const std::size_t h = made.hidden_size();
@@ -104,12 +105,11 @@ void packed_scalar_log_psi(const Made& made, const Matrix& batch,
   const std::span<const Real> params =
       static_cast<const WavefunctionModel&>(made).parameters();
   const ConstMatrixView w1(params.data(), h, n);
-  const ConstMatrixView w2(params.data() + h * n + h, n, h);
-  ref::gemm_nt_extents(batch, w1, made.plan().w1.view(), s.a1);
+  ref::gemm_nt_prefix(batch, w1, made.plan().degree, s.a1);
   add_row_broadcast(s.a1, made.bias1());
   s.h1 = s.a1;
   relu_inplace(s.h1);
-  ref::gemm_nt_extents(s.h1, w2, made.plan().w2.view(), s.p);
+  ref::gemm_nt_prefix(s.h1, made.w2(), made.plan().degree_end, s.p);
   add_row_broadcast(s.p, made.bias2());
   ref::sigmoid_inplace(s.p);
   for (std::size_t k = 0; k < bs; ++k)
@@ -136,11 +136,11 @@ struct SizeResult {
   std::size_t spins = 0;
   std::size_t hidden = 0;
   double dense_ms = 0;
-  double packed_ms = 0;
+  double prefix_ms = 0;
   double simd_ms = 0;
-  double simd_over_packed = 0;
+  double simd_over_prefix = 0;
   double simd_over_dense = 0;
-  double parity_max_abs = 0;  ///< max |simd - packed_scalar| over the batch
+  double parity_max_abs = 0;  ///< max |simd - scalar| over the batch
   bool parity_ok = false;
 };
 
@@ -148,7 +148,7 @@ struct SizeResult {
 
 int main(int argc, char** argv) {
   OptionParser opts("bench_masked_gemm",
-                    "dense-scalar vs packed-scalar vs SIMD masked MADE "
+                    "dense-scalar vs prefix-scalar vs SIMD masked MADE "
                     "forward throughput; writes BENCH_masked_gemm.json");
   opts.add_option("spins", "100,300,1000", "MADE sizes to sweep (headline "
                   "is the largest)");
@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
   if (!opts.parse(argc, argv)) return 0;
 
 #ifdef _OPENMP
-  // Single-thread headline: the win must come from skipped multiplies,
-  // packing, and vector width, not from parallel scaling differences.
+  // Single-thread headline: the win must come from skipped multiplies and
+  // vector width, not from parallel scaling differences.
   omp_set_num_threads(1);
 #endif
 
@@ -205,16 +205,16 @@ int main(int argc, char** argv) {
                           Matrix(rows, h),
                           Matrix(rows, n)};
     Made::Workspace ws;
-    Vector dense_out(rows), packed_out(rows), simd_out(rows);
+    Vector dense_out(rows), prefix_out(rows), simd_out(rows);
 
-    // Warm every path (shapes the workspace, fills the weight cache) and
-    // check the tolerance contract before timing.
+    // Warm every path (shapes the workspace) and check the tolerance
+    // contract before timing.
     dense_scalar_log_psi(made, batch, dense_out.span(), scratch);
-    packed_scalar_log_psi(made, batch, packed_out.span(), scratch);
+    prefix_scalar_log_psi(made, batch, prefix_out.span(), scratch);
     made.log_psi(batch, simd_out.span(), ws);
     Real max_abs = 0;
     for (std::size_t k = 0; k < rows; ++k) {
-      max_abs = std::max(max_abs, std::abs(simd_out[k] - packed_out[k]));
+      max_abs = std::max(max_abs, std::abs(simd_out[k] - prefix_out[k]));
       max_abs = std::max(max_abs, std::abs(simd_out[k] - dense_out[k]));
     }
     const bool parity = max_abs <= parity_tol;
@@ -235,55 +235,50 @@ int main(int argc, char** argv) {
     r.dense_ms = time_per_call_ms(
         [&] { dense_scalar_log_psi(made, batch, dense_out.span(), scratch); },
         calls, repeats);
-    r.packed_ms = time_per_call_ms(
-        [&] { packed_scalar_log_psi(made, batch, packed_out.span(), scratch); },
+    r.prefix_ms = time_per_call_ms(
+        [&] { prefix_scalar_log_psi(made, batch, prefix_out.span(), scratch); },
         calls, repeats);
     r.simd_ms = time_per_call_ms(
         [&] { made.log_psi(batch, simd_out.span(), ws); }, calls, repeats);
-    r.simd_over_packed = r.simd_ms > 0 ? r.packed_ms / r.simd_ms : 0;
+    r.simd_over_prefix = r.simd_ms > 0 ? r.prefix_ms / r.simd_ms : 0;
     r.simd_over_dense = r.simd_ms > 0 ? r.dense_ms / r.simd_ms : 0;
     results.push_back(r);
 
     std::cout << "n=" << n << " h=" << h << ": dense-scalar "
-              << format_fixed(r.dense_ms, 3) << " ms, packed-scalar "
-              << format_fixed(r.packed_ms, 3) << " ms, simd "
+              << format_fixed(r.dense_ms, 3) << " ms, prefix-scalar "
+              << format_fixed(r.prefix_ms, 3) << " ms, simd "
               << format_fixed(r.simd_ms, 3) << " ms  -> "
-              << format_fixed(r.simd_over_packed, 2) << "x over packed, "
+              << format_fixed(r.simd_over_prefix, 2) << "x over prefix, "
               << format_fixed(r.simd_over_dense, 2) << "x over dense"
               << (parity ? "" : "  [PARITY FAIL]") << "\n";
   }
 
   const SizeResult& headline = results.back();
   const double target = 3.0;
-  const bool achieved = headline.simd_over_packed >= target;
+  const bool achieved = headline.simd_over_prefix >= target;
   const bool not_slower =
       std::all_of(results.begin(), results.end(), [](const SizeResult& r) {
-        return r.simd_over_packed >= 1.0 && r.simd_over_dense >= 1.0;
+        return r.simd_over_prefix >= 1.0 && r.simd_over_dense >= 1.0;
       });
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"masked_gemm\",\n"
-       << "  \"commit\": \"" << opts.get_string("commit") << "\",\n"
-       << "  \"cpu_model\": \"" << bench::cpu_model() << "\",\n"
-       << "  \"simd_level\": \"" << simd_level << "\",\n"
-       << "  \"threads\": 1,\n"
-       << "  \"compiler\": \"" << bench::compiler() << "\",\n"
-       << "  \"build_type\": \"" << bench::build_type() << "\",\n"
+       << bench::provenance_json(opts.get_string("commit"))
        << "  \"batch_rows\": " << rows << ",\n  \"sizes\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     json << "    {\"spins\": " << r.spins << ", \"hidden\": " << r.hidden
          << ", \"dense_scalar_ms_per_call\": " << r.dense_ms
-         << ", \"packed_scalar_ms_per_call\": " << r.packed_ms
+         << ", \"prefix_scalar_ms_per_call\": " << r.prefix_ms
          << ", \"simd_ms_per_call\": " << r.simd_ms
-         << ", \"speedup_simd_over_packed\": " << r.simd_over_packed
+         << ", \"speedup_simd_over_prefix\": " << r.simd_over_prefix
          << ", \"speedup_simd_over_dense\": " << r.simd_over_dense
          << ", \"parity_max_abs_diff\": " << r.parity_max_abs
          << ", \"parity_ok\": " << (r.parity_ok ? "true" : "false") << "}"
          << (i + 1 < results.size() ? ",\n" : "\n");
   }
   json << "  ],\n  \"headline\": {\"spins\": " << headline.spins
-       << ", \"speedup_simd_over_packed\": " << headline.simd_over_packed
+       << ", \"speedup_simd_over_prefix\": " << headline.simd_over_prefix
        << ", \"speedup_simd_over_dense\": " << headline.simd_over_dense
        << ", \"target\": " << target
        << ", \"achieved\": " << (achieved ? "true" : "false") << "},\n"
@@ -295,8 +290,8 @@ int main(int argc, char** argv) {
   file << json.str();
 
   std::cout << "\nheadline n=" << headline.spins << " simd speedup "
-            << format_fixed(headline.simd_over_packed, 2)
-            << "x over packed-scalar (target >= " << format_fixed(target, 1)
+            << format_fixed(headline.simd_over_prefix, 2)
+            << "x over prefix-scalar (target >= " << format_fixed(target, 1)
             << "x: " << (achieved ? "ACHIEVED" : "MISSED") << "), "
             << format_fixed(headline.simd_over_dense, 2)
             << "x over dense-scalar; wrote " << out << "\n";

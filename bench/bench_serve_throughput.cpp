@@ -5,8 +5,8 @@
 /// while the batching policy sweeps from "no coalescing" (budget 1, window
 /// 0 — every request is its own batch) to progressively wider
 /// `max_batch_rows x max_wait_us` windows.  Since the masked compute plan
-/// landed (DESIGN.md §5f), snapshots hold prebuilt packed weights — the
-/// old ~1.9 ms-per-call materialization at n = 1000 is gone — so
+/// landed (DESIGN.md §5f), snapshots read their frozen weights in place —
+/// the old ~1.9 ms-per-call materialization at n = 1000 is gone — so
 /// coalescing now amortizes only the remaining per-request fixed costs
 /// (queue handoff, future wakeup, batch assembly, per-batch dispatch).
 /// The sweep measures how much that is still worth end to end.
@@ -301,6 +301,7 @@ int main(int argc, char** argv) {
   opts.add_option("workers", "1", "engine worker threads");
   opts.add_option("seconds", "1.5", "measurement time per configuration");
   opts.add_option("out", "BENCH_serve.json", "JSON artifact path");
+  opts.add_option("commit", "unknown", "commit id recorded in the artifact");
   if (!opts.parse(argc, argv)) return 0;
 
   const std::size_t n = std::size_t(opts.get_int("spins"));
@@ -324,7 +325,8 @@ int main(int argc, char** argv) {
       {16, 500}, {32, 1000}, {64, 2000}, {128, 4000}};
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"serve_throughput\",\n";
+  json << "{\n  \"bench\": \"serve_throughput\",\n"
+       << bench::provenance_json(opts.get_string("commit"));
   json << "  \"model\": {\"spins\": " << n << ", \"hidden\": " << h
        << ", \"parameters\": " << model.num_parameters() << "},\n";
   json << "  \"load\": {\"clients\": " << clients
@@ -479,7 +481,7 @@ int main(int argc, char** argv) {
   // the sweep may fall below the no-coalescing baseline (the adaptive
   // window close exists precisely so a wide window cannot hurt under
   // closed-loop load; the historical 3x bar assumed per-call weight
-  // materialization, which the packed plan removed — best gain is still
+  // materialization, which the masked plan removed — best gain is still
   // reported for regression tracking); (2) exact sampling must land within
   // 1.5x of log-psi p50 at some tuned point (the batched conditional
   // engine's target); (3) the fleet run must hold the interactive-lane

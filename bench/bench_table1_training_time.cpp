@@ -8,10 +8,8 @@
 ///
 /// The JSON artifact records, per measured n, both columns' total seconds
 /// and their seven-phase split (sample, local_energy, gradient, sr,
-/// allreduce, optimizer, checkpoint), plus the SIMD level and OpenMP thread
-/// count that produced them.
-
-#include <omp.h>
+/// allreduce, optimizer, checkpoint), plus bench_common's provenance block
+/// (commit, CPU, SIMD level, OpenMP thread count, compiler, build type).
 
 #include <fstream>
 #include <iostream>
@@ -21,7 +19,6 @@
 #include "nn/made.hpp"
 #include "parallel/cost_model.hpp"
 #include "sampler/metropolis_sampler.hpp"
-#include "tensor/simd.hpp"
 
 using namespace vqmc;
 using namespace vqmc::bench;
@@ -32,6 +29,7 @@ int main(int argc, char** argv) {
   add_scale_options(opts);
   opts.add_option("json", "BENCH_table1.json",
                   "machine-readable artifact path (empty disables)");
+  opts.add_option("commit", "unknown", "commit id recorded in the artifact");
   bool ok = false;
   Scale scale = parse_scale(opts, argc, argv, ok);
   if (!ok) return 0;
@@ -130,10 +128,8 @@ int main(int argc, char** argv) {
   const std::string json_path = opts.get_string("json");
   if (!json_path.empty()) {
     std::ostringstream json;
-    json << "{\n  \"bench\": \"table1_training_time\",\n";
-    json << "  \"simd_level\": \""
-         << simd::level_name(simd::active_level()) << "\",\n";
-    json << "  \"threads\": " << omp_get_max_threads() << ",\n";
+    json << "{\n  \"bench\": \"table1_training_time\",\n"
+         << provenance_json(opts.get_string("commit"));
     json << "  \"iterations\": " << scale.iterations
          << ",\n  \"batch_size\": " << scale.batch_size
          << ",\n  \"full_scale\": " << (opts.get_flag("full") ? "true" : "false")

@@ -285,7 +285,7 @@ IterationMetrics VqmcTrainer::step() {
     {
       const PhaseScope scope(metrics.phases, &PhaseBreakdown::gradient);
       if (config_.guard.policy == health::GuardPolicy::RollbackAndBackoff) {
-        std::span<const Real> params = model_.parameters();
+        std::span<const Real> params = std::as_const(model_).parameters();
         std::copy(params.begin(), params.end(), snapshot_.span().begin());
         have_snapshot_ = true;
       }
@@ -451,7 +451,7 @@ TrainingSnapshot VqmcTrainer::snapshot() const {
   snap.num_spins = model_.num_spins();
   snap.num_parameters = model_.num_parameters();
   snap.iteration = iteration_;
-  const std::span<const Real> params = model_.parameters();
+  const std::span<const Real> params = std::as_const(model_).parameters();
   snap.parameters.assign(params.begin(), params.end());
   snap.optimizer_state = optimizer_.serialize_state();
   snap.sampler_state = sampler_.serialize_state();

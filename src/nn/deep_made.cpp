@@ -28,10 +28,9 @@ DeepMade::DeepMade(std::size_t n, std::size_t hidden, std::size_t depth)
   // Made's degree order in every hidden layer: unit t of a deeper layer
   // reads the units of degree <= m_t below it, a prefix of that layer.
   plan_ = MaskedPlan(n_, h_);
-  std::vector<std::size_t> reads(h_);
+  hidden_len_.resize(h_);
   for (std::size_t t = 0; t < h_; ++t)
-    reads[t] = plan_.degree_end[plan_.w1.row_end(t)];
-  hidden_ext_ = RowExtents::prefixes(reads);
+    hidden_len_[t] = plan_.degree_end[plan_.degree[t]];
   initialize(0);
 }
 
@@ -70,25 +69,9 @@ void DeepMade::initialize(std::uint64_t seed) {
     w[i] = rng::uniform(gen, -s_hid, s_hid);
   Real* b = params_.data() + b_out_offset();
   for (std::size_t i = 0; i < n_; ++i) b[i] = 0;
-  version_.bump();
 }
 
-std::shared_ptr<const DeepMade::MaskedWeights> DeepMade::masked() const {
-  const std::uint64_t v = version_.value();
-  return cache_.fetch(v, [&] {
-    auto mw = std::make_shared<MaskedWeights>();
-    mw->version = v;
-    mw->wp.resize(depth_);
-    for (std::size_t layer = 0; layer < depth_; ++layer)
-      mw->wp[layer] = PackedRowPanels::pack(layer_weights(layer),
-                                            layer_extents(layer).view());
-    mw->w_out_p = PackedRowPanels::pack(out_weights(), plan_.w2.view());
-    return mw;
-  });
-}
-
-void DeepMade::forward(const Matrix& batch, const MaskedWeights& mw,
-                       Workspace& ws, Matrix& p) const {
+void DeepMade::forward(const Matrix& batch, Workspace& ws, Matrix& p) const {
   VQMC_REQUIRE(batch.cols() == n_, "DeepMADE: batch has wrong spin count");
   const std::size_t bs = batch.rows();
   ws.pre.resize(depth_);
@@ -96,31 +79,29 @@ void DeepMade::forward(const Matrix& batch, const MaskedWeights& mw,
 
   for (std::size_t layer = 0; layer < depth_; ++layer) {
     ensure_shape(ws.pre[layer], bs, h_);
-    gemm_nt_panels(layer == 0 ? batch : ws.post[layer - 1],
-                   layer_extents(layer).view(), mw.wp[layer], ws.pre[layer]);
+    gemm_nt_prefix(layer == 0 ? batch : ws.post[layer - 1],
+                   layer_weights(layer), layer_lengths(layer), ws.pre[layer]);
     add_row_broadcast(ws.pre[layer],
                       std::span<const Real>(params_.data() + b_offset(layer), h_));
     ws.post[layer] = ws.pre[layer];
     relu_inplace(ws.post[layer]);
   }
   ensure_shape(p, bs, n_);
-  gemm_nt_panels(ws.post[depth_ - 1], plan_.w2.view(), mw.w_out_p, p);
+  gemm_nt_prefix(ws.post[depth_ - 1], out_weights(), plan_.degree_end, p);
   add_row_broadcast(p,
                     std::span<const Real>(params_.data() + b_out_offset(), n_));
   sigmoid_inplace(p);
 }
 
 void DeepMade::conditionals(const Matrix& batch, Matrix& out) const {
-  const std::shared_ptr<const MaskedWeights> mw = masked();
   Workspace ws;
-  forward(batch, *mw, ws, out);
+  forward(batch, ws, out);
 }
 
 void DeepMade::log_psi(const Matrix& batch, std::span<Real> out,
                        Workspace& ws) const {
   VQMC_REQUIRE(out.size() == batch.rows(), "DeepMADE: output size mismatch");
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, ws.p);
+  forward(batch, ws, ws.p);
   const std::size_t bs = batch.rows();
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
@@ -143,8 +124,7 @@ void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
   VQMC_REQUIRE(grad.size() == num_parameters(),
                "DeepMADE: gradient size mismatch");
 
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, ws.p);
+  forward(batch, ws, ws.p);
 
   // Output-layer gradient signal.
   ensure_shape(ws.g_out, bs, n_);
@@ -157,27 +137,26 @@ void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
     for (std::size_t i = 0; i < n_; ++i) g[i] = c * (x[i] - p[i]);
   }
 
-  // Output layer: weight gradient in place, only inside the mask extents.
-  gemm_tn_accumulate_extents(ws.g_out, ws.post[depth_ - 1], plan_.w2.view(),
-                             MatrixView(grad.data() + w_out_offset(), n_, h_));
+  // Output layer: weight gradient in place, only inside the mask prefixes.
+  gemm_tn_accumulate_prefix(ws.g_out, ws.post[depth_ - 1], plan_.degree_end,
+                            MatrixView(grad.data() + w_out_offset(), n_, h_));
   column_sum_accumulate(ws.g_out, grad.subspan(b_out_offset(), n_));
 
   // Back through hidden layers, reading each layer's weights in place.
   ensure_shape(ws.g, bs, h_);
-  gemm_nn_extents(ws.g_out, out_weights(), plan_.w2.view(), ws.g);
+  gemm_nn_prefix(ws.g_out, out_weights(), plan_.degree_end, ws.g);
   for (std::size_t layer = depth_; layer-- > 0;) {
     relu_backward_inplace(ws.pre[layer], ws.g);
     const Matrix& input = layer == 0 ? batch : ws.post[layer - 1];
     const std::size_t in_dim = layer == 0 ? n_ : h_;
-    const RowExtentsView ext = layer_extents(layer).view();
-    gemm_tn_accumulate_extents(
-        ws.g, input, ext,
-        MatrixView(grad.data() + w_offset(layer), h_, in_dim));
+    const std::span<const std::size_t> len = layer_lengths(layer);
+    gemm_tn_accumulate_prefix(
+        ws.g, input, len, MatrixView(grad.data() + w_offset(layer), h_, in_dim));
     column_sum_accumulate(ws.g, grad.subspan(b_offset(layer), h_));
 
     if (layer > 0) {
       ensure_shape(ws.g_prev, bs, h_);
-      gemm_nn_extents(ws.g, layer_weights(layer), ext, ws.g_prev);
+      gemm_nn_prefix(ws.g, layer_weights(layer), len, ws.g_prev);
       std::swap(ws.g, ws.g_prev);
     }
   }

@@ -21,11 +21,12 @@
 ///     | W_out (n x h) | b_out (n) ]
 ///
 /// Like Made, evaluation runs through the masked compute plan (DESIGN.md
-/// §5f): per-mask prefix RowExtents built from the degree counts at
-/// construction (no dense mask) drive the extent-aware kernels, which read
-/// weights and accumulate gradients in place; only the packed row panels
-/// are cached, behind the parameter version counter.  The same
-/// thread-safety and mutable-span rules as made.hpp apply.
+/// §5f): per-mask prefix lengths built from the degree counts at
+/// construction (no dense mask) drive the prefix kernels, which read the
+/// weights and accumulate gradients in place in the flat vectors.  No
+/// derived copy of the weights is kept, so the same thread-safety rules as
+/// made.hpp apply and a write through a held parameters() span is seen by
+/// the next evaluation.
 
 #include <cstdint>
 #include <memory>
@@ -43,15 +44,6 @@ class DeepMade final : public AutoregressiveModel {
   /// \param hidden hidden width (>= 1)
   /// \param depth number of hidden layers (>= 1; depth 1 == Made)
   DeepMade(std::size_t n, std::size_t hidden, std::size_t depth);
-
-  /// Immutable packed masked weights for one parameter version: each
-  /// layer's in-extent weights as the row panels the forward's
-  /// gemm_nt_panels streams over, packed from the parameter vector.
-  struct MaskedWeights {
-    std::vector<PackedRowPanels> wp;  ///< per hidden layer, row-packed
-    PackedRowPanels w_out_p;          ///< output layer, row-packed
-    std::uint64_t version = 0;
-  };
 
   /// Caller-owned evaluation scratch (activations + backprop signals).
   struct Workspace final : WavefunctionModel::Workspace {
@@ -74,7 +66,6 @@ class DeepMade final : public AutoregressiveModel {
     return params_.size();
   }
   [[nodiscard]] std::span<Real> parameters() override {
-    version_.bump();
     return params_.span();
   }
   [[nodiscard]] std::span<const Real> parameters() const override {
@@ -116,12 +107,6 @@ class DeepMade final : public AutoregressiveModel {
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
   [[nodiscard]] std::size_t depth() const { return depth_; }
 
-  /// Packed masked weights from the version-counter cache (see made.hpp).
-  [[nodiscard]] std::shared_ptr<const MaskedWeights> masked() const;
-  [[nodiscard]] std::uint64_t parameter_version() const {
-    return version_.value();
-  }
-
  private:
   // Offsets into the flat parameter vector.
   [[nodiscard]] std::size_t w_offset(std::size_t layer) const;
@@ -137,22 +122,22 @@ class DeepMade final : public AutoregressiveModel {
     return {params_.data() + w_out_offset(), n_, h_};
   }
 
-  /// Extents of hidden layer `layer`'s mask (input mask for layer 0).
-  [[nodiscard]] const RowExtents& layer_extents(std::size_t layer) const {
-    return layer == 0 ? plan_.w1 : hidden_ext_;
+  /// Row lengths of hidden layer `layer`'s mask (input mask for layer 0).
+  [[nodiscard]] std::span<const std::size_t> layer_lengths(
+      std::size_t layer) const {
+    return layer == 0 ? plan_.degree : hidden_len_;
   }
 
-  void forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
-               Matrix& p) const;
+  void forward(const Matrix& batch, Workspace& ws, Matrix& p) const;
 
   std::size_t n_;
   std::size_t h_;
   std::size_t depth_;
   Vector params_;
-  MaskedPlan plan_;        ///< input (w1) and output (w2) mask geometry
-  RowExtents hidden_ext_;  ///< hidden-to-hidden mask: prefix rows
-  ParamVersion version_;
-  VersionedCache<MaskedWeights> cache_;
+  MaskedPlan plan_;  ///< input (degree) and output (degree_end) rows
+  /// Hidden-to-hidden row lengths: unit t reads the units of degree <= m_t
+  /// below it, degree_end[m_t] of them.
+  std::vector<std::size_t> hidden_len_;
 };
 
 }  // namespace vqmc

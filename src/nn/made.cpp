@@ -51,59 +51,43 @@ void Made::initialize(std::uint64_t seed) {
   for (std::size_t i = 0; i < n_ * h_; ++i) p[i] = rng::uniform(gen, -s2, s2);
   p += n_ * h_;
   for (std::size_t i = 0; i < n_; ++i) p[i] = 0;  // b2
-  version_.bump();
 }
 
-std::shared_ptr<const Made::MaskedWeights> Made::masked() const {
-  const std::uint64_t v = version_.value();
-  return cache_.fetch(v, [&] {
-    auto mw = std::make_shared<MaskedWeights>();
-    mw->version = v;
-    // Row panels for the forward gemms and the samplers' logit dots, packed
-    // from the in-extent (mask == 1) parameters.
-    mw->w1p = PackedRowPanels::pack(w1(), plan_.w1.view());
-    mw->w2p = PackedRowPanels::pack(w2(), plan_.w2.view());
-    // Column-packed W1 for the samplers' rank-1 update and the flip path:
-    // column j's in-mask units are the suffix [degree_end[j], h).
-    const std::vector<std::size_t>& lo = plan_.degree_end;
-    mw->w1_col_values = AlignedBuffer<Real>(plan_.w1_col_offsets[n_]);
-    Real* cv = mw->w1_col_values.data();
-    const Real* w = w1().data();
-    for (std::size_t j = 0; j < n_; ++j)
-      for (std::size_t t = lo[j]; t < h_; ++t) *cv++ = w[t * n_ + j];
-    return mw;
-  });
+void Made::pack_w1_columns(Vector& out) const {
+  const std::size_t size = plan_.w1_col_offsets[n_];
+  if (out.size() != size) out = Vector(size);
+  // Column j's in-mask units are the suffix [degree_end[j], h).
+  const std::vector<std::size_t>& lo = plan_.degree_end;
+  Real* cv = out.data();
+  const Real* w = w1().data();
+  for (std::size_t j = 0; j < n_; ++j)
+    for (std::size_t t = lo[j]; t < h_; ++t) *cv++ = w[t * n_ + j];
 }
 
-void Made::forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
-                   Matrix& p) const {
-  forward_logits(batch, mw, ws, p);
+void Made::forward(const Matrix& batch, Workspace& ws, Matrix& p) const {
+  forward_logits(batch, ws, p);
   sigmoid_inplace(p);
 }
 
-void Made::forward_logits(const Matrix& batch, const MaskedWeights& mw,
-                          Workspace& ws, Matrix& z) const {
+void Made::forward_logits(const Matrix& batch, Workspace& ws,
+                          Matrix& z) const {
   VQMC_REQUIRE(batch.cols() == n_, "MADE: batch has wrong spin count");
   const std::size_t bs = batch.rows();
 
-  // The packed-panel gemms stream the same in-extent values the extent
-  // forms would read from the weight blocks, through the identical
-  // canonical dots — but over unit-stride panels packed once per parameter
-  // version.
+  // Both layers read their weight rows in place, each over its mask prefix.
   ensure_shape(ws.a1, bs, h_);
-  gemm_nt_panels(batch, plan_.w1.view(), mw.w1p, ws.a1);
+  gemm_nt_prefix(batch, w1(), plan_.degree, ws.a1);
   add_row_broadcast(ws.a1, bias1());
   ws.h1 = ws.a1;
   relu_inplace(ws.h1);
 
   ensure_shape(z, bs, n_);
-  gemm_nt_panels(ws.h1, plan_.w2.view(), mw.w2p, z);
+  gemm_nt_prefix(ws.h1, w2(), plan_.degree_end, z);
   add_row_broadcast(z, bias2());
 }
 
 void Made::conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const {
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, out);
+  forward(batch, ws, out);
 }
 
 void Made::conditionals(const Matrix& batch, Matrix& out) const {
@@ -114,8 +98,7 @@ void Made::conditionals(const Matrix& batch, Matrix& out) const {
 void Made::log_psi(const Matrix& batch, std::span<Real> out,
                    Workspace& ws) const {
   VQMC_REQUIRE(out.size() == batch.rows(), "MADE: output size mismatch");
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, ws.p);
+  forward(batch, ws, ws.p);
   const std::size_t bs = batch.rows();
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
@@ -131,9 +114,9 @@ void Made::log_psi(const Matrix& batch, std::span<Real> out) const {
   log_psi(batch, out, ws);
 }
 
-void Made::backward(const Matrix& batch, const MaskedWeights& mw,
-                    const Real* coeff, Workspace& ws) const {
-  forward(batch, mw, ws, ws.p);
+void Made::backward(const Matrix& batch, const Real* coeff,
+                    Workspace& ws) const {
+  forward(batch, ws, ws.p);
   const std::size_t bs = batch.rows();
 
   // d(log psi)/d(a2)_{k,i} = coeff_k * (x_{k,i} - p_{k,i}) / 2.
@@ -149,7 +132,7 @@ void Made::backward(const Matrix& batch, const MaskedWeights& mw,
 
   // Backprop to the hidden layer: g1 = (g2 (M2 .* W2)) .* relu'(a1).
   ensure_shape(ws.g1, bs, h_);
-  gemm_nn_extents(ws.g2, w2(), plan_.w2.view(), ws.g1);
+  gemm_nn_prefix(ws.g2, w2(), plan_.degree_end, ws.g1);
   relu_backward_inplace(ws.a1, ws.g1);
 }
 
@@ -161,22 +144,22 @@ void Made::accumulate_log_psi_gradient(const Matrix& batch,
   VQMC_REQUIRE(coeff.size() == bs, "MADE: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "MADE: gradient size mismatch");
 
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  backward(batch, *mw, coeff.data(), ws);
+  backward(batch, coeff.data(), ws);
 
   const std::size_t off_b1 = h_ * n_;
   const std::size_t off_w2 = off_b1 + h_;
   const std::size_t off_b2 = off_w2 + n_ * h_;
 
   // Layer 2 gradients, in place into grad's W2 block and only inside the
-  // mask extents (the mask is 1 there, 0 elsewhere: no scratch, no mask pass).
-  gemm_tn_accumulate_extents(ws.g2, ws.h1, plan_.w2.view(),
-                             MatrixView(grad.data() + off_w2, n_, h_));
+  // mask prefixes (the mask is 1 there, 0 elsewhere: no scratch, no mask
+  // pass).
+  gemm_tn_accumulate_prefix(ws.g2, ws.h1, plan_.degree_end,
+                            MatrixView(grad.data() + off_w2, n_, h_));
   column_sum_accumulate(ws.g2, grad.subspan(off_b2, n_));
 
   // Layer 1 gradients, in place into grad's W1 block.
-  gemm_tn_accumulate_extents(ws.g1, batch, plan_.w1.view(),
-                             MatrixView(grad.data(), h_, n_));
+  gemm_tn_accumulate_prefix(ws.g1, batch, plan_.degree,
+                            MatrixView(grad.data(), h_, n_));
   column_sum_accumulate(ws.g1, grad.subspan(off_b1, h_));
 }
 
@@ -194,10 +177,7 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
                "MADE: per-sample gradient shape mismatch");
 
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  forward(batch, *mw, ws, ws.p);
-  const RowExtentsView e1 = plan_.w1.view();
-  const RowExtentsView e2 = plan_.w2.view();
+  forward(batch, ws, ws.p);
   const ConstMatrixView pw2 = w2();
 
   const std::size_t off_b1 = h_ * n_;
@@ -218,8 +198,8 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
       for (std::size_t i = 0; i < d; ++i) o[i] = 0;
       std::fill(g1.begin(), g1.end(), Real(0));
 
-      // g2_i = (x_i - p_i)/2; fill b2 block and the in-extent entries of
-      // the W2 block (the rest stays zero), and push back to g1.
+      // g2_i = (x_i - p_i)/2; fill b2 block and the in-mask prefix of
+      // each W2 row (the rest stays zero), and push back to g1.
       Real* ob2 = o + off_b2;
       Real* ow2 = o + off_w2;
       for (std::size_t i = 0; i < n_; ++i) {
@@ -227,11 +207,9 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
         ob2[i] = g2;
         const Real* w2row = pw2.row(i).data();
         Real* ow2row = ow2 + i * h_;
-        for (const ColSpan s : e2.row(i)) {
-          for (std::size_t l = s.begin; l < s.end; ++l) {
-            ow2row[l] = g2 * h1[l];
-            g1[l] += g2 * w2row[l];
-          }
+        for (std::size_t l = 0; l < plan_.degree_end[i]; ++l) {
+          ow2row[l] = g2 * h1[l];
+          g1[l] += g2 * w2row[l];
         }
       }
       // ReLU backward + layer 1 blocks.
@@ -240,9 +218,7 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
         const Real g = (a1[l] > 0) ? g1[l] : 0;
         ob1[l] = g;
         Real* ow1row = o + l * n_;
-        for (const ColSpan s : e1.row(l)) {
-          for (std::size_t j = s.begin; j < s.end; ++j) ow1row[j] = g * x[j];
-        }
+        for (std::size_t j = 0; j < plan_.degree[l]; ++j) ow1row[j] = g * x[j];
       }
     }
   }
@@ -259,8 +235,7 @@ void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
                "MADE: Gram must be bs x bs");
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  backward(batch, *mw, nullptr, ws);
+  backward(batch, nullptr, ws);
 
   // made_gram's lane-major operands: one column per sample, zero padding
   // up to a whole lane tile; the units are already in degree order.
@@ -297,14 +272,15 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
     VQMC_REQUIRE(i < n_, "MADE: flip site out of range");
   if (bs == 0 || m == 0) return;
 
-  // The forward's own packings: W2's prefix rows and W1's suffix columns.
-  const std::shared_ptr<const MaskedWeights> mw = masked();
-  const Real* w1c = mw->w1_col_values.data();
+  // W2's prefix rows are read in place; W1's suffix columns come from a
+  // packing of the current parameters.
+  pack_w1_columns(ws.w1_cols);
+  const Real* w1c = ws.w1_cols.data();
   const std::vector<std::size_t>& w1_off = plan_.w1_col_offsets;
   const std::vector<std::size_t>& degree_end = plan_.degree_end;
 
   // One batched forward that keeps the logits; p is log_psi's p bitwise.
-  forward_logits(batch, *mw, ws, ws.z);
+  forward_logits(batch, ws, ws.z);
   ensure_shape(ws.p, bs, n_);
   std::copy_n(ws.z.data(), bs * n_, ws.p.data());
   sigmoid_inplace(ws.p);
@@ -413,7 +389,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         }
         relu_shift_delta_lanes(at + lo0 * L, wt + lo0 * L, sign, h_ - lo0,
                                dht + lo0 * L);
-        triangle_dot_lanes(mw->w2p, lo0, i0, dht, zt, znt);
+        triangle_dot_lanes(w2(), degree_end, lo0, i0, dht, zt, znt);
         bernoulli_logit_delta_lanes(xt + i0 * L, znt, llt + i0 * L, n_ - i0,
                                     first, last, kProbEps, sums);
       } else {

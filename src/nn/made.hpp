@@ -26,16 +26,17 @@
 /// p(x_1 = 1) = sigmoid(b2[0]) is a learned scalar, as it must be.
 ///
 /// Masked compute plan (DESIGN.md §5f/§5g): the masks are kept only as the
-/// prefix extents of a MaskedPlan built from the degree counts at
-/// construction, and every evaluation runs the extent-aware SIMD kernels
-/// over it, skipping the ~50% of multiply-adds the masks zero out.  The
+/// prefix lengths of a MaskedPlan built from the degree counts at
+/// construction, and every evaluation runs the prefix SIMD kernels over
+/// them, skipping the ~50% of multiply-adds the masks zero out.  The
 /// kernels read W1 and W2 in place in the parameter vector and accumulate
-/// their gradients in place in the caller's gradient.  Only the packed
-/// forms — row panels for the forward's gemm_nt_panels and the W1 column
-/// packing for the samplers' rank-1 update and the flip path — are cached,
-/// behind a parameter version counter bumped whenever the mutable
-/// parameters() span is handed out.  Results agree with the dense masked
-/// path within the accumulation-order contract of kernels.hpp.
+/// their gradients in place in the caller's gradient; no derived copy of
+/// the weights exists.  Only W1's columns, which the vector does not store
+/// contiguously, are packed (pack_w1_columns): into the caller's workspace
+/// on each call by the paths that read them (the samplers' rank-1 update
+/// and the flip path), and once by a frozen serve snapshot.  Results agree
+/// with the dense masked path within the accumulation-order contract of
+/// kernels.hpp.
 ///
 /// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
 /// one masked outer product per layer, [M1.*(g1 x^T) | g1 | M2.*(g2 h1^T) |
@@ -46,20 +47,18 @@
 /// Single-flip ratios (DESIGN.md §5l): flipping input i moves only the
 /// hidden units of degree > i, and output j reads only the units of degree
 /// <= j, so with the units in degree order each changed logit is one
-/// contiguous dot over a shrinking triangle of the `w2p` rows, and the
-/// flipped column is a contiguous run of `w1_col_values`.
+/// contiguous dot over a shrinking triangle of W2's prefix rows, and the
+/// flipped column is a contiguous run of the W1 column packing.
 ///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
-/// evaluations, masked()) uses only call-local scratch or a
-/// caller-owned Workspace — the one piece of shared mutable state, the
-/// masked-weights cache, is rebuilt under an internal lock at most once per
-/// parameter version — so concurrent read-only use of one Made instance
-/// from multiple threads is safe as long as no thread concurrently writes
-/// parameters() or calls initialize().  The serve subsystem relies on this
-/// (a TSan-covered test hammers one frozen instance from 8 threads).
-/// Mutators must re-acquire parameters() before each round of writes; a
-/// cached mutable span bypasses the version counter and serves stale
-/// masked weights.
+/// evaluations) uses only call-local scratch or a caller-owned Workspace
+/// and reads the parameters in place; the model holds no shared mutable
+/// state and no lock.  Concurrent read-only use of one Made instance from
+/// multiple threads is therefore safe as long as no thread concurrently
+/// writes parameters() or calls initialize().  The serve subsystem relies
+/// on this (a TSan-covered test hammers one frozen instance from 8
+/// threads).  A write through a held parameters() span is seen by the next
+/// evaluation.
 
 #include <cstdint>
 #include <memory>
@@ -84,22 +83,6 @@ class Made final : public AutoregressiveModel {
   static Made with_default_hidden(std::size_t n) {
     return Made(n, made_default_hidden(n));
   }
-
-  /// Immutable packed masked weights for one parameter version, shared
-  /// between the cache and any evaluation still holding them.  Each form
-  /// packs exactly the in-extent (mask == 1) values of W1 or W2, read from
-  /// the parameter vector: `w1p`/`w2p` are the row panels the forward's
-  /// gemm_nt_panels streams over, and `w1_col_values` packs W1
-  /// column-by-column (column j's suffix of units at
-  /// MaskedPlan::w1_col_offsets[j]) for the ancestral samplers' rank-1
-  /// hidden-state update and the flip path.  Packing amortizes to zero: it
-  /// happens at most once per parameter write, never per call.
-  struct MaskedWeights {
-    PackedRowPanels w1p;  ///< W1 in-extent values, row-packed
-    PackedRowPanels w2p;  ///< W2 in-extent values, row-packed
-    AlignedBuffer<Real> w1_col_values;  ///< W1 in-extent values, column-packed
-    std::uint64_t version = 0;
-  };
 
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace):
   /// the forward activations and gradient signals, all bs-row shaped.
@@ -131,6 +114,7 @@ class Made final : public AutoregressiveModel {
     Matrix zt;   ///< groups x n*L, logits
     Matrix llt;  ///< groups x n*L, per-site Bernoulli log-likelihood terms
     Matrix at;   ///< groups x h*L, pre-activations
+    Vector w1_cols;  ///< W1's column packing (pack_w1_columns), per call
     Matrix wt;   ///< threads x h*L, W1 columns of the flipped sites
     Matrix dht;  ///< threads x h*L, hidden-unit changes
     Matrix znt;  ///< threads x n*L, changed logits
@@ -153,7 +137,6 @@ class Made final : public AutoregressiveModel {
     return params_.size();
   }
   [[nodiscard]] std::span<Real> parameters() override {
-    version_.bump();  // handing out the mutable span is the write path
     return params_.span();
   }
   [[nodiscard]] std::span<const Real> parameters() const override {
@@ -208,68 +191,61 @@ class Made final : public AutoregressiveModel {
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
   /// The mask geometry (used by the conditional engine and the tests):
-  /// degree counts, the prefix extents of M1 and M2 and the offsets of
-  /// MaskedWeights::w1_col_values.
+  /// degree counts, the prefix lengths of M1 and M2 and the offsets of the
+  /// W1 column packing.
   [[nodiscard]] const MaskedPlan& plan() const { return plan_; }
 
-  /// Packed masked weights for the current parameters, served from the
-  /// version-counter-invalidated cache (rebuilt at most once per parameter
-  /// write, never per call).  Safe to call concurrently with other const
-  /// methods; the returned snapshot stays valid even if the parameters
-  /// change afterwards.
-  [[nodiscard]] std::shared_ptr<const MaskedWeights> masked() const;
+  /// Fill `out` with W1's column packing for the current parameters:
+  /// column j's in-mask values, units [degree_end[j], h) in ascending
+  /// order, at plan().w1_col_offsets[j].  `out` is resized to
+  /// plan().w1_col_offsets[n] values only when its size differs, so a
+  /// caller-held buffer is refilled without allocating.  FastMadeSampler
+  /// and the flip path pack into their Workspace on each call;
+  /// serve::ModelSnapshot packs once, as its parameters are frozen.
+  void pack_w1_columns(Vector& out) const;
 
-  /// Current parameter version (monotone; bumps on every mutable
-  /// parameters() acquisition and on initialize()).
-  [[nodiscard]] std::uint64_t parameter_version() const {
-    return version_.value();
-  }
-
-  // -- Biases (read by the batched conditional engine) ----------------------
+  // -- Read by the batched conditional engine --------------------------------
   // Ancestral sampling only ever *appends* one spin at a time, so the
   // engine (sampler/conditional_engine.hpp) seeds its running hidden
   // pre-activations with bias1(), updates them in O(h) per flipped input
-  // from masked()->w1_col_values instead of recomputing them in O(h n), and
-  // adds bias2() to each site's logit.
+  // from the W1 column packing instead of recomputing them in O(h n), and
+  // evaluates each site's logit as a prefix dot over its W2 row plus
+  // bias2().
   [[nodiscard]] std::span<const Real> bias1() const {
     return {b1(), h_};
   }
   [[nodiscard]] std::span<const Real> bias2() const {
     return {b2(), n_};
   }
+  /// W2 (n x h), in the parameter vector.
+  [[nodiscard]] ConstMatrixView w2() const {
+    return {params_.data() + h_ * n_ + h_, n_, h_};
+  }
 
  private:
   // Views into the flat parameter vector.
   [[nodiscard]] ConstMatrixView w1() const { return {params_.data(), h_, n_}; }
   [[nodiscard]] const Real* b1() const { return params_.data() + h_ * n_; }
-  [[nodiscard]] ConstMatrixView w2() const {
-    return {params_.data() + h_ * n_ + h_, n_, h_};
-  }
   [[nodiscard]] const Real* b2() const {
     return params_.data() + h_ * n_ + h_ + n_ * h_;
   }
 
-  /// Forward pass via the packed plan; fills ws.a1 / ws.h1 and writes the
+  /// Forward pass over the prefix plan; fills ws.a1 / ws.h1 and writes the
   /// conditionals into `p` (reshaped as needed; may alias ws.p or a
   /// caller-visible output).
-  void forward(const Matrix& batch, const MaskedWeights& mw, Workspace& ws,
-               Matrix& p) const;
+  void forward(const Matrix& batch, Workspace& ws, Matrix& p) const;
   /// forward() up to the output logits: `z` gets the pre-sigmoid values.
-  void forward_logits(const Matrix& batch, const MaskedWeights& mw,
-                      Workspace& ws, Matrix& z) const;
+  void forward_logits(const Matrix& batch, Workspace& ws, Matrix& z) const;
   /// forward(), then the backward signals of sum_k coeff_k log psi(x_k):
   /// ws.g2 = coeff_k (x - p) / 2 at the output logits and ws.g1 =
   /// relu'(a1) .* (g2 (M2 .* W2)) at the hidden pre-activations.  A null
   /// `coeff` means unit coefficients: the per-sample signals of the Gram.
-  void backward(const Matrix& batch, const MaskedWeights& mw,
-                const Real* coeff, Workspace& ws) const;
+  void backward(const Matrix& batch, const Real* coeff, Workspace& ws) const;
 
   std::size_t n_;
   std::size_t h_;
   Vector params_;
   MaskedPlan plan_;
-  ParamVersion version_;
-  VersionedCache<MaskedWeights> cache_;
 };
 
 }  // namespace vqmc

@@ -30,19 +30,6 @@ void Rbm::initialize(std::uint64_t seed) {
   for (std::size_t i = 0; i < n_; ++i) p[i] = rng::uniform(gen, -0.01, 0.01);
   p += n_;
   p[0] = 0;  // a0
-  version_.bump();
-}
-
-std::shared_ptr<const Rbm::Weights> Rbm::weights() const {
-  const std::uint64_t v = version_.value();
-  return cache_.fetch(v, [&] {
-    auto cached = std::make_shared<Weights>();
-    cached->version = v;
-    cached->wt = Matrix(n_, h_);
-    for (std::size_t l = 0; l < h_; ++l)
-      for (std::size_t j = 0; j < n_; ++j) cached->wt(j, l) = w().row(l)[j];
-    return cached;
-  });
 }
 
 void Rbm::hidden_preactivations(const Matrix& batch, Workspace& ws) const {
@@ -84,7 +71,13 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
   if (bs == 0 || m == 0) return;
-  const std::shared_ptr<const Weights> w = weights();
+  // W^T, so that each flip's shift W[:, i] is one contiguous row.
+  ensure_shape(ws.wt, n_, h_);
+  const ConstMatrixView wv = w();
+  for (std::size_t l = 0; l < h_; ++l) {
+    const Real* wrow = wv.row(l).data();
+    for (std::size_t j = 0; j < n_; ++j) ws.wt(j, l) = wrow[j];
+  }
   hidden_preactivations(batch, ws);
   ensure_shape(ws.shifted, bs, h_);
   const Real* pa = a();
@@ -95,7 +88,7 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
     const Real base = sum_log_cosh(ws.theta.row(k));
     for (std::size_t q = 0; q < m; ++q) {
       const std::size_t i = sites[q];
-      const Real* col = w->wt.row(i).data();
+      const Real* col = ws.wt.row(i).data();
       // A 0 -> 1 flip adds W[:, i] to theta and a_i to the visible term.
       const bool up = batch(k, i) == 0;
       for (std::size_t l = 0; l < h_; ++l)

@@ -16,11 +16,12 @@
 ///   [ W (h x n) | c (h) | a (n) | a0 (1) ]
 ///
 /// The forward reads W and the gradient accumulates dW in place in the
-/// parameter and gradient vectors; like Made, the RBM caches only W's
-/// transpose (the flip path's operand) behind a parameter version
-/// (masked_plan.hpp), and evaluates over a caller-owned Workspace, so a
-/// repeated evaluation allocates nothing.  The same thread-safety and
-/// mutable-span rules as made.hpp apply.
+/// parameter and gradient vectors, and every evaluation runs over a
+/// caller-owned Workspace, so a repeated evaluation allocates nothing.  The
+/// model keeps no derived copy of W: the flip path transposes it into the
+/// workspace on each call.  The same thread-safety rules as made.hpp apply,
+/// and a write through a held parameters() span is seen by the next
+/// evaluation.
 ///
 /// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
 /// [t x^T | t | x | 1] with t = tanh(theta), so
@@ -28,8 +29,9 @@
 ///         = (T T^T + 1) .* (X X^T + 1),
 /// two gemm_nt calls and no bs x d matrix.
 ///
-/// Single-flip ratios (DESIGN.md §5l): with theta = W x + c cached per row,
-/// a flip at site i moves theta by +-W[:, i] (a row of the cached W^T), so
+/// Single-flip ratios (DESIGN.md §5l): with theta = W x + c computed per
+/// row, a flip at site i moves theta by +-W[:, i] (a row of the workspace's
+/// W^T, transposed once per call), so
 ///   log psi(x') - log psi(x) = +-a_i
 ///       + sum_l [log cosh(theta_l +- W_li) - log cosh theta_l],
 /// O(h) per flip through the SIMD sum_log_cosh kernel.
@@ -37,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "nn/masked_plan.hpp"
 #include "nn/wavefunction.hpp"
 
 namespace vqmc {
@@ -52,6 +53,7 @@ class Rbm final : public WavefunctionModel {
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace).
   struct Workspace final : WavefunctionModel::Workspace {
     Matrix theta;    ///< bs x h, hidden pre-activations
+    Matrix wt;       ///< n x h, W^T: row i = W[:, i], a flip's theta shift
     Matrix shifted;  ///< bs x h, theta of the current flip
     Matrix t;        ///< bs x h, coeff-weighted tanh(theta) (unit for the Gram)
     Matrix xx;       ///< bs x bs, X X^T of the Gram
@@ -68,7 +70,6 @@ class Rbm final : public WavefunctionModel {
     return params_.size();
   }
   [[nodiscard]] std::span<Real> parameters() override {
-    version_.bump();  // handing out the mutable span is the write path
     return params_.span();
   }
   [[nodiscard]] std::span<const Real> parameters() const override {
@@ -120,17 +121,6 @@ class Rbm final : public WavefunctionModel {
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
  private:
-  /// W's n x h transpose for one parameter version (see
-  /// Made::MaskedWeights for the sharing rules).
-  struct Weights {
-    Matrix wt;  ///< n x h, row i = W[:, i], the flip path's shift
-    std::uint64_t version = 0;
-  };
-
-  /// W^T for the current parameters, rebuilt at most once per parameter
-  /// write; the snapshot stays valid if the parameters change.
-  [[nodiscard]] std::shared_ptr<const Weights> weights() const;
-
   /// W (h x n), in the parameter vector.
   [[nodiscard]] ConstMatrixView w() const { return {params_.data(), h_, n_}; }
   [[nodiscard]] const Real* c() const { return params_.data() + h_ * n_; }
@@ -145,8 +135,6 @@ class Rbm final : public WavefunctionModel {
   std::size_t n_;
   std::size_t h_;
   Vector params_;
-  ParamVersion version_;
-  VersionedCache<Weights> cache_;
 };
 
 }  // namespace vqmc

@@ -71,10 +71,10 @@ class WavefunctionModel {
   [[nodiscard]] virtual std::size_t num_spins() const = 0;
   [[nodiscard]] virtual std::size_t num_parameters() const = 0;
 
-  /// Mutable parameter access is the write path: models with derived-state
-  /// caches (masked_plan.hpp) treat every call as a potential write.
-  /// Re-acquire the span before each round of writes — do not cache it
-  /// across evaluations.
+  /// The flat parameter vector, read and written in place.  No model keeps
+  /// state derived from the values, so a write through any held span is
+  /// seen by the next evaluation; a span stays valid for the model's
+  /// lifetime.  Read-only callers use the const overload.
   [[nodiscard]] virtual std::span<Real> parameters() = 0;
   [[nodiscard]] virtual std::span<const Real> parameters() const = 0;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/health.hpp"
@@ -265,11 +266,12 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
 
     // Replica-consistency check: max minus min of each parameter across
     // the surviving ranks must be zero.
-    Vector p_max(replica->num_parameters());
-    Vector p_neg_min(replica->num_parameters());
-    for (std::size_t i = 0; i < p_max.size(); ++i) {
-      p_max[i] = replica->parameters()[i];
-      p_neg_min[i] = -replica->parameters()[i];
+    const std::span<const Real> params = std::as_const(*replica).parameters();
+    Vector p_max(params.size());
+    Vector p_neg_min(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      p_max[i] = params[i];
+      p_neg_min[i] = -params[i];
     }
     comm.allreduce_max(p_max.span());
     comm.allreduce_max(p_neg_min.span());
@@ -331,8 +333,7 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
     result.guard_trips = trainer.health_counters().guard_trips;
     result.last_trip_reason = last_reason;
     result.final_live_ranks = final_live;
-    result.final_parameters.assign(replica->parameters().begin(),
-                                   replica->parameters().end());
+    result.final_parameters.assign(params.begin(), params.end());
     result.merged_metrics = std::move(merged);
     outcome.reached_end = true;
     outcome.is_final_reporter = rank == final_reporter;

@@ -11,7 +11,7 @@
 namespace vqmc {
 
 std::uint64_t sample_conditionals_batched(const Made& model,
-                                          const Made::MaskedWeights& mw,
+                                          std::span<const Real> w1_cols,
                                           Matrix& out,
                                           std::span<const DrawSlice> slices,
                                           Made::Workspace& ws) {
@@ -27,16 +27,17 @@ std::uint64_t sample_conditionals_batched(const Made& model,
   }
 
   const MaskedPlan& plan = model.plan();
+  VQMC_REQUIRE(w1_cols.size() == plan.w1_col_offsets[n],
+               "sampler: W1 column packing has the wrong size");
   const std::vector<std::size_t>& degree_end = plan.degree_end;
-  const Real* w1_col_values = mw.w1_col_values.data();
-  const RowExtentsView w2_ext = plan.w2.view();
+  const ConstMatrixView w2 = model.w2();
   const std::span<const Real> b1 = model.bias1();
   const std::span<const Real> b2 = model.bias2();
 
   // A1 starts at the bias: the initial configuration is all-zeros, which
   // contributes nothing through W1m.  The block is kept at an aligned
   // pad-to-8 stride; the pad columns are never read (every kernel walks
-  // explicit extents inside [0, h)).
+  // a prefix inside [0, h)).
   const std::size_t hp = (h + 7) & ~std::size_t(7);
   ensure_shape(ws.a1_pad, bs, hp);
   Real* a_base = ws.a1_pad.data();
@@ -109,12 +110,11 @@ std::uint64_t sample_conditionals_batched(const Made& model,
       // One batched kernel call per site: logits[k] is bitwise the value
       // of the one-row call the per-row loop used to make, so the
       // historical draw streams are preserved exactly.
-      relu_dot_panels_batch(w2_ext.row(i), a_base, hp, bs, mw.w2p.row(i),
-                            logits);
+      relu_dot_prefix_batch(w2, degree_end, i, a_base, hp, bs, logits);
       ws.flips.clear();
       draw_site(i, logits, /*record_flips=*/true);
 
-      const Real* col = w1_col_values + plan.w1_col_offsets[i];
+      const Real* col = w1_cols.data() + plan.w1_col_offsets[i];
       const std::size_t near_len = far_begin - degree_end[i];
       rank1_add_rows(a_base, hp, ws.flips, degree_end[i], col, near_len);
       if (far_len > 0) {
@@ -148,7 +148,7 @@ std::uint64_t sample_conditionals_batched(const Made& model,
     for (std::size_t l = 0; l < h; ++l) dst[l] = src[l] > 0 ? src[l] : Real(0);
   }
   ensure_shape(ws.tail_logits, n - frozen, bs);
-  dot_panels_block(w2_ext, mw.w2p, frozen, hp_base, hp, bs, ws.tail_logits);
+  dot_prefix_block(w2, degree_end, frozen, hp_base, hp, bs, ws.tail_logits);
   for (std::size_t i = frozen; i < n; ++i)
     draw_site(i, ws.tail_logits.row(i - frozen).data(),
               /*record_flips=*/false);

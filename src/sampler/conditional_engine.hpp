@@ -6,16 +6,18 @@
 /// This is the one implementation of the incremental ancestral draw loop
 /// (DESIGN.md §5k) shared by FastMadeSampler (training) and
 /// serve::ModelSnapshot (inference).  For each site i it evaluates the
-/// logits of the *whole* micro-batch in a single relu_dot_panels_batch
-/// kernel call, takes the Bernoulli draws in site-major / row-minor order
-/// within each slice's private RNG stream, then applies the rank-1
+/// logits of the *whole* micro-batch in a single relu_dot_prefix_batch
+/// kernel call over W2's row i, read in place in the parameter vector,
+/// takes the Bernoulli draws in site-major / row-minor order within each
+/// slice's private RNG stream, then applies the rank-1
 /// A1 += column_i(W1m) update to exactly the rows that drew 1.  MADE's
 /// units are in degree order, so column i is the contiguous run of units
-/// [degree_end[i], h): the run's head feeds the next logits and is added
-/// at once, its tail is deferred to the end of a 64-site block.  Because
-/// the batched kernel gives each row bitwise the value of a one-row call,
-/// the draw order is unchanged and every element receives its adds in
-/// ascending site order, the engine reproduces the historical
+/// [degree_end[i], h) of the caller's W1 column packing
+/// (Made::pack_w1_columns): the run's head feeds the next logits and is
+/// added at once, its tail is deferred to the end of a 64-site block.
+/// Because the batched kernel gives each row bitwise the value of a
+/// one-row call, the draw order is unchanged and every element receives
+/// its adds in ascending site order, the engine reproduces the historical
 /// FastMadeSampler / ModelSnapshot draw streams bit for bit.
 ///
 /// Non-finite conditionals (NaN/inf sigmoid output from an unhealthy
@@ -52,15 +54,16 @@ struct DrawSlice {
 };
 
 /// Draw exact samples from `model`'s autoregressive distribution into
-/// `out` (rows(out) x num_spins, filled with {0,1}).  `mw` must be the
-/// packed masked weights for the model's current parameters (callers hold
-/// the Made::masked() snapshot, or a serve snapshot's pinned copy).  Every
-/// slice must reference a valid generator and lie within the batch; slices
-/// need not cover every row (uncovered rows stay all-zero and consume no
+/// `out` (rows(out) x num_spins, filled with {0,1}).  `w1_cols` must be
+/// the W1 column packing of the model's current parameters
+/// (Made::pack_w1_columns; FastMadeSampler packs into its workspace on each
+/// call, a serve snapshot once at construction).  Every slice must
+/// reference a valid generator and lie within the batch; slices need not
+/// cover every row (uncovered rows stay all-zero and consume no
 /// randomness).  Returns the number of non-finite conditionals clamped to
 /// the unbiased coin.
 std::uint64_t sample_conditionals_batched(const Made& model,
-                                          const Made::MaskedWeights& mw,
+                                          std::span<const Real> w1_cols,
                                           Matrix& out,
                                           std::span<const DrawSlice> slices,
                                           Made::Workspace& ws);

@@ -20,17 +20,16 @@ void FastMadeSampler::sample_ws(Matrix& out,
   const std::size_t bs = out.rows();
   VQMC_REQUIRE(bs > 0, "AUTO: batch must be non-empty");
 
-  // Fetch the packed masked weights from the model's version-counter cache
-  // (rebuilt only when the parameters actually moved since the last call).
-  const std::shared_ptr<const Made::MaskedWeights> mw = model_.masked();
-
   // Run the shared batched conditional engine in the caller's workspace when
   // one of the right concrete type is supplied, else in internal scratch.
+  // W2 is read in place; W1's columns are packed from the current
+  // parameters, once per call.
   Made::Workspace* engine_ws = dynamic_cast<Made::Workspace*>(ws);
   if (engine_ws == nullptr) engine_ws = &scratch_;
+  model_.pack_w1_columns(engine_ws->w1_cols);
   const DrawSlice slice{0, bs, &gen_};
-  const std::uint64_t nonfinite =
-      sample_conditionals_batched(model_, *mw, out, {&slice, 1}, *engine_ws);
+  const std::uint64_t nonfinite = sample_conditionals_batched(
+      model_, engine_ws->w1_cols.span(), out, {&slice, 1}, *engine_ws);
 
   stats_.forward_passes += n;  // comparable accounting with Algorithm 1
   stats_.nonfinite_rejections += nonfinite;

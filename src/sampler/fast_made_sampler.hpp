@@ -28,13 +28,14 @@
 /// the same `sample.auto` span and `sampler.auto.*` counters, so
 /// checkpoints, rank registries and dashboards see one AUTO sampler.
 ///
-/// The masked weights come straight from the model's version-counter cache
-/// (Made::masked(), see masked_plan.hpp) — nothing is materialized per
-/// call — and the inner loops iterate only the mask extents, skipping the
+/// The logits read W2's prefix rows in place in the model's parameter
+/// vector, and each call packs W1's columns from the current parameters
+/// into the workspace (Made::pack_w1_columns, one copy of each in-mask W1
+/// entry); the inner loops iterate only the mask prefixes, skipping the
 /// structurally zero terms without changing any result bit.
 ///
 /// The draw loop itself lives in the shared batched conditional engine
-/// (sampler/conditional_engine.hpp): per site, one relu_dot_panels_batch
+/// (sampler/conditional_engine.hpp): per site, one relu_dot_prefix_batch
 /// kernel call evaluates the whole batch's logits, non-finite conditionals
 /// are clamped to an unbiased coin and counted (nonfinite_rejections, as in
 /// the baseline), and the rank-1 updates add each flipped input's
@@ -62,7 +63,7 @@ class FastMadeSampler final : public Sampler {
  public:
   /// \param model the MADE wavefunction (not owned; must outlive the
   ///        sampler). Parameter *values* may change between sample() calls
-  ///        (the masked weights are re-fetched from the model's cache).
+  ///        (each call reads the current parameters).
   FastMadeSampler(const Made& model, std::uint64_t seed);
 
   void sample(Matrix& out) override;

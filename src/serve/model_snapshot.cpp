@@ -54,21 +54,20 @@ void ModelSnapshot::log_psi(const Matrix& batch, std::span<Real> out) const {
 void ModelSnapshot::log_psi(const Matrix& batch, std::span<Real> out,
                             Made::Workspace& ws) const {
   // Per-row arithmetic is independent of the batch composition, so
-  // coalescing requests cannot perturb any row's value.  The packed masked
-  // weights were built once at snapshot construction; this call touches
-  // only the model's prebuilt plan plus the caller's workspace.
+  // coalescing requests cannot perturb any row's value.  The forward reads
+  // the frozen weights in place; all scratch is the caller's workspace.
   model_.log_psi(batch, out, ws);
 }
 
 std::uint64_t ModelSnapshot::sample(Matrix& out,
                                     std::span<const SampleSlice> slices,
                                     Made::Workspace& ws) const {
-  // The shared batched conditional engine runs over the snapshot's pinned
-  // packed weights (masked_, built once at construction) — nothing is
+  // The shared batched conditional engine runs over the snapshot's column
+  // packing (built once at construction) and W2 in place — nothing is
   // materialized per request, and all scratch lives in the caller's
   // workspace.  FastMadeSampler drives the identical engine, so the two
   // draw streams stay mutually bit-identical under the same stream.
-  return sample_conditionals_batched(model_, *masked_, out, slices, ws);
+  return sample_conditionals_batched(model_, w1_cols_.span(), out, slices, ws);
 }
 
 std::uint64_t ModelSnapshot::sample(Matrix& out,

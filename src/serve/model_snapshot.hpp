@@ -11,23 +11,23 @@
 ///    call-local (or caller-owned) scratch, so any number of worker threads
 ///    can evaluate the same snapshot concurrently (the TSan-covered serve
 ///    concurrency test hammers one snapshot from 8 threads).
-///  * **Prebuilt compute plan.** The snapshot's parameters never change, so
-///    the packed masked weights are built exactly once, at construction,
-///    via the model's version-counter cache (DESIGN.md §5f) and shared by
-///    every request thereafter — zero materialization per request.  A
-///    pinned version retains the parameter vector plus the packing, one
-///    value per in-mask weight (W1's twice): about 6.0 MB at n = 1000
-///    (3.8 MB of parameters, 2.2 MB of packing), the deliberate trade for
-///    removing what used to be a ~1.9 ms fixed cost on every micro-batch.
-///  * **Batching economics.** With the materialization gone, the engine's
-///    batching window amortizes the remaining per-dispatch overheads
-///    (queue handoff, batch assembly, the per-batch kernel-launch fixed
-///    costs) and improves cache reuse of the shared packed weights across
-///    coalesced rows (bench_serve_throughput measures the effect).
+///  * **Frozen column packing.**  The snapshot's parameters never change,
+///    so the one derived operand the sampling path needs, W1's column
+///    packing (Made::pack_w1_columns), is built exactly once, at
+///    construction, and shared by every request thereafter.  Everything
+///    else — both forward layers and the sampler's logit rows of W2 — is
+///    read in place in the parameter vector.  A snapshot retains the
+///    parameters, the packing and the mask plan: about 4.1 MB at n = 1000
+///    (3.8 MB of parameters, 0.23 MB of packing).
+///  * **Batching economics.** The engine's batching window amortizes the
+///    per-dispatch overheads (queue handoff, batch assembly, the per-batch
+///    kernel-launch fixed costs) and improves cache reuse of the shared
+///    weights across coalesced rows (bench_serve_throughput measures the
+///    effect).
 ///
 /// Numerical parity is a hard contract, not an aspiration: `log_psi` *is*
-/// `Made::log_psi` (same packed kernels, same clamp), and `sample` replays
-/// `FastMadeSampler`'s site-major/row-minor draw order over the same packed
+/// `Made::log_psi` (same prefix kernels, same clamp), and `sample` replays
+/// `FastMadeSampler`'s site-major/row-minor draw order over the same
 /// weights, so results are bit-for-bit identical to the in-trainer paths
 /// under the same seed (tests pin this).
 
@@ -43,7 +43,7 @@
 
 namespace vqmc::serve {
 
-/// Frozen MADE weights plus the prebuilt packed masked weights; shareable
+/// Frozen MADE weights plus their prebuilt W1 column packing; shareable
 /// across threads, immutable after construction.
 class ModelSnapshot {
  public:
@@ -102,13 +102,13 @@ class ModelSnapshot {
   std::uint64_t sample(Matrix& out, std::uint64_t seed) const;
 
  private:
-  explicit ModelSnapshot(Made model)
-      : model_(std::move(model)), masked_(model_.masked()) {}
+  explicit ModelSnapshot(Made model) : model_(std::move(model)) {
+    model_.pack_w1_columns(w1_cols_);
+  }
 
   Made model_;
-  /// Packed masked weights, force-built at construction (the parameters
-  /// are frozen, so this stays the model cache's sole entry forever).
-  std::shared_ptr<const Made::MaskedWeights> masked_;
+  /// W1's column packing, built once: the parameters are frozen.
+  Vector w1_cols_;
 };
 
 }  // namespace vqmc::serve

@@ -87,6 +87,15 @@ Real pairwise_sum_sq_dev(const Real* x, std::size_t count, Real center) {
          pairwise_sum_sq_dev(x + half, count - half, center);
 }
 
+/// True when `len` holds one prefix length per row of a rows x cols
+/// operand and none runs past its last column.
+bool prefixes_fit(std::span<const std::size_t> len, std::size_t rows,
+                  std::size_t cols) {
+  return len.size() == rows &&
+         std::all_of(len.begin(), len.end(),
+                     [cols](std::size_t l) { return l <= cols; });
+}
+
 }  // namespace
 
 Real sum(std::span<const Real> x) { return pairwise_sum(x.data(), x.size()); }
@@ -116,108 +125,54 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c) {
   VQMC_DISPATCH(gemm_tn_accumulate(a, b, c))
 }
 
-RowExtents RowExtents::prefixes(std::span<const std::size_t> lengths) {
-  RowExtents ext;
-  ext.row_ptr_.reserve(lengths.size() + 1);
-  ext.spans_.reserve(lengths.size());
-  for (const std::size_t len : lengths) {
-    if (len > 0) ext.spans_.push_back({0, len});
-    ext.nonzeros_ += len;
-    ext.row_ptr_.push_back(ext.spans_.size());
-  }
-  return ext;
+void gemm_nt_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c) {
+  VQMC_REQUIRE(a.cols() == w.cols() && c.rows() == a.rows() &&
+                   c.cols() == w.rows(),
+               "gemm_nt_prefix: shape mismatch");
+  VQMC_REQUIRE(prefixes_fit(len, w.rows(), w.cols()),
+               "gemm_nt_prefix: row lengths do not fit the weights");
+  VQMC_DISPATCH(gemm_nt_prefix(a, w, len, c))
 }
 
-RowExtents RowExtents::from_mask(const Matrix& mask) {
-  RowExtents ext;
-  const std::size_t rows = mask.rows(), cols = mask.cols();
-  ext.row_ptr_.reserve(rows + 1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const Real* row = mask.data() + r * cols;
-    std::size_t c = 0;
-    while (c < cols) {
-      while (c < cols && row[c] == Real(0)) ++c;
-      if (c == cols) break;
-      const std::size_t begin = c;
-      while (c < cols && row[c] != Real(0)) ++c;
-      ext.spans_.push_back({begin, c});
-      ext.nonzeros_ += c - begin;
-    }
-    ext.row_ptr_.push_back(ext.spans_.size());
-  }
-  return ext;
+void gemm_nn_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c) {
+  VQMC_REQUIRE(a.cols() == w.rows() && c.rows() == a.rows() &&
+                   c.cols() == w.cols(),
+               "gemm_nn_prefix: shape mismatch");
+  VQMC_REQUIRE(prefixes_fit(len, w.rows(), w.cols()),
+               "gemm_nn_prefix: row lengths do not fit the weights");
+  VQMC_DISPATCH(gemm_nn_prefix(a, w, len, c))
 }
 
-PackedRowPanels PackedRowPanels::pack(ConstMatrixView b, RowExtentsView ext) {
-  VQMC_REQUIRE(ext.rows() == b.rows(),
-               "PackedRowPanels::pack: extent row mismatch");
-  PackedRowPanels p;
-  const std::size_t rows = ext.rows();
-  p.offsets_.resize(rows + 1);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    p.offsets_[r] = total;
-    for (const ColSpan& s : ext.row(r)) total += s.end - s.begin;
-  }
-  p.offsets_[rows] = total;
-  p.values_ = AlignedBuffer<Real>(total);
-  p.refill(b, ext);
-  return p;
-}
-
-void PackedRowPanels::refill(ConstMatrixView b, RowExtentsView ext) {
-  VQMC_REQUIRE(ext.rows() == rows() && b.rows() == rows(),
-               "PackedRowPanels::refill: row mismatch");
-  const std::size_t nrows = rows();
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const Real* brow = b.data() + r * b.cols();
-    Real* dst = values_.data() + offsets_[r];
-    for (const ColSpan& s : ext.row(r))
-      for (std::size_t c = s.begin; c < s.end; ++c) *dst++ = brow[c];
-    VQMC_REQUIRE(dst == values_.data() + offsets_[r + 1],
-                 "PackedRowPanels::refill: extent geometry changed");
-  }
-}
-
-void gemm_nt_panels(const Matrix& a, RowExtentsView ext,
-                    const PackedRowPanels& b, Matrix& c) {
-  VQMC_REQUIRE(c.rows() == a.rows() && c.cols() == b.rows(),
-               "gemm_nt_panels: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == b.rows(), "gemm_nt_panels: extent row mismatch");
-  VQMC_DISPATCH(gemm_nt_panels(a, ext, b, c))
-}
-
-void gemm_nn_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
-                     Matrix& c) {
-  VQMC_REQUIRE(a.cols() == b.rows() && c.rows() == a.rows() &&
-                   c.cols() == b.cols(),
-               "gemm_nn_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == b.rows(), "gemm_nn_extents: extent row mismatch");
-  VQMC_DISPATCH(gemm_nn_extents(a, b, ext, c))
-}
-
-void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, MatrixView c) {
+void gemm_tn_accumulate_prefix(const Matrix& a, const Matrix& b,
+                               std::span<const std::size_t> len,
+                               MatrixView c) {
   VQMC_REQUIRE(a.rows() == b.rows() && c.rows() == a.cols() &&
                    c.cols() == b.cols(),
-               "gemm_tn_accumulate_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == c.rows(),
-               "gemm_tn_accumulate_extents: extent row mismatch");
-  VQMC_DISPATCH(gemm_tn_accumulate_extents(a, b, ext, c))
+               "gemm_tn_accumulate_prefix: shape mismatch");
+  VQMC_REQUIRE(prefixes_fit(len, c.rows(), c.cols()),
+               "gemm_tn_accumulate_prefix: row lengths do not fit the output");
+  VQMC_DISPATCH(gemm_tn_accumulate_prefix(a, b, len, c))
 }
 
-void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
-                           std::size_t lda, std::size_t rows,
-                           const Real* packed_row, Real* out) {
-  VQMC_DISPATCH(relu_dot_panels_batch(spans, a, lda, rows, packed_row, out))
+void relu_dot_prefix_batch(ConstMatrixView w, std::span<const std::size_t> len,
+                           std::size_t row, const Real* a, std::size_t lda,
+                           std::size_t rows, Real* out) {
+  VQMC_REQUIRE(row < w.rows() && len.size() == w.rows() &&
+                   len[row] <= w.cols(),
+               "relu_dot_prefix_batch: row out of range");
+  VQMC_DISPATCH(relu_dot_prefix_batch(w, len, row, a, lda, rows, out))
 }
 
-void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+void dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out) {
-  VQMC_REQUIRE(out.rows() == ext.rows() - row_begin && out.cols() == rows,
-               "dot_panels_block: output shape mismatch");
-  VQMC_DISPATCH(dot_panels_block(ext, panels, row_begin, a, lda, rows, out))
+  VQMC_REQUIRE(row_begin <= w.rows() && prefixes_fit(len, w.rows(), w.cols()),
+               "dot_prefix_block: row lengths do not fit the weights");
+  VQMC_REQUIRE(out.rows() == w.rows() - row_begin && out.cols() == rows,
+               "dot_prefix_block: output shape mismatch");
+  VQMC_DISPATCH(dot_prefix_block(w, len, row_begin, a, lda, rows, out))
 }
 
 void rank1_add_rows(Real* a, std::size_t lda,
@@ -297,12 +252,12 @@ void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
   VQMC_DISPATCH(relu_shift_delta_lanes(a, w, sign, len, out))
 }
 
-void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
-                        std::size_t j_begin, const Real* a, const Real* base,
-                        Real* out) {
-  VQMC_REQUIRE(j_begin <= panels.rows(),
+void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
+                        std::size_t lo, std::size_t j_begin, const Real* a,
+                        const Real* base, Real* out) {
+  VQMC_REQUIRE(j_begin <= w.rows() && len.size() == w.rows(),
                "triangle_dot_lanes: first row out of range");
-  VQMC_DISPATCH(triangle_dot_lanes(panels, lo, j_begin, a, base, out))
+  VQMC_DISPATCH(triangle_dot_lanes(w, len, lo, j_begin, a, base, out))
 }
 
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,

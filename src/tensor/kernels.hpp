@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file kernels.hpp
-/// \brief BLAS-like dense and extent-aware structured kernels on
+/// \brief BLAS-like dense and prefix-masked structured kernels on
 /// Matrix / Vector.
 ///
 /// Naming follows BLAS transpose conventions: `gemm_nt` computes
@@ -14,11 +14,12 @@
 /// (`*_accumulate`); the accumulate forms are used to sum gradients over a
 /// batch without temporaries.
 ///
-/// The `*_extents` forms are the masked-compute fast path (DESIGN.md §5f):
-/// they take per-row lists of `[begin, end)` column intervals (RowExtents,
-/// built once per model from its mask geometry) and visit only the columns
-/// inside the intervals, skipping the ~50% of multiply-adds the MADE
-/// autoregressive masks zero out.
+/// The `*_prefix` forms are the masked-compute path (DESIGN.md §5f): with
+/// MADE's hidden units in degree order every mask row is a prefix, so they
+/// take the weight block as a view into the parameter (or gradient) vector
+/// plus one length per weight row, visit only columns [0, len[r]) of row r,
+/// and skip the ~50% of multiply-adds the autoregressive masks zero out.
+/// No packed or masked copy of the weights exists anywhere.
 ///
 /// Accumulation-order contract (DESIGN.md §5g).  Since PR 6 the kernels
 /// are SIMD-blocked (runtime-dispatched generic / AVX2 / AVX-512
@@ -52,106 +53,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "tensor/matrix.hpp"
 #include "tensor/vector.hpp"
 
 namespace vqmc {
-
-// ---------------------------------------------------------------------------
-// Structured sparsity descriptors (per-row column extents).
-// ---------------------------------------------------------------------------
-
-/// One half-open column interval [begin, end).
-struct ColSpan {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Non-owning view: row r's nonzero columns are the (sorted, disjoint)
-/// intervals `spans[row_ptr[r] .. row_ptr[r+1])`.
-struct RowExtentsView {
-  std::span<const std::size_t> row_ptr;  ///< size rows()+1
-  std::span<const ColSpan> spans;
-
-  [[nodiscard]] std::size_t rows() const {
-    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
-  }
-  [[nodiscard]] std::span<const ColSpan> row(std::size_t r) const {
-    return spans.subspan(row_ptr[r], row_ptr[r + 1] - row_ptr[r]);
-  }
-};
-
-/// Owning per-row interval list (interval-CSR).  The MADE family builds it
-/// from prefix lengths (every mask row is one interval [0, len), with the
-/// hidden units in degree order); the tests build arbitrary 0/1 patterns
-/// with from_mask (each maximal run of nonzeros becomes one interval).
-class RowExtents {
- public:
-  RowExtents() = default;
-
-  /// One interval [0, lengths[r]) per row r, none where lengths[r] == 0.
-  [[nodiscard]] static RowExtents prefixes(
-      std::span<const std::size_t> lengths);
-
-  /// Scan `mask` (any shape) and record the maximal runs of nonzero
-  /// entries of each row as intervals.
-  [[nodiscard]] static RowExtents from_mask(const Matrix& mask);
-
-  [[nodiscard]] RowExtentsView view() const { return {row_ptr_, spans_}; }
-  [[nodiscard]] std::size_t rows() const { return row_ptr_.size() - 1; }
-  /// Total number of covered (nonzero) positions.
-  [[nodiscard]] std::size_t nonzeros() const { return nonzeros_; }
-  /// One past the last nonzero column of row r (0 when the row is empty).
-  /// For a prefix mask this is exactly the row's degree bound m_r.
-  [[nodiscard]] std::size_t row_end(std::size_t r) const {
-    const std::size_t hi = row_ptr_[r + 1];
-    return hi == row_ptr_[r] ? 0 : spans_[hi - 1].end;
-  }
-
- private:
-  std::vector<std::size_t> row_ptr_{0};
-  std::vector<ColSpan> spans_;
-  std::size_t nonzeros_ = 0;
-};
-
-/// CSR-like packing of the in-extent entries of a row-extent matrix: row
-/// r's in-extent values, concatenated span by span, stored contiguously at
-/// values[offset[r] .. offset[r+1]).  Packing the masked weights once per
-/// parameter version turns the gemm_nt inner loops into unit-stride
-/// streams over exactly the touched entries (no dead columns fetched, no
-/// span-relative addressing on the B side).  64-byte aligned storage.
-class PackedRowPanels {
- public:
-  PackedRowPanels() = default;
-
-  /// Build geometry and values from `b`'s in-extent entries
-  /// (ext.rows() == b.rows()); `b` may be an unmasked parameter block.
-  [[nodiscard]] static PackedRowPanels pack(ConstMatrixView b,
-                                            RowExtentsView ext);
-
-  /// Overwrite the values from `b`, reusing the existing geometry; `b` and
-  /// `ext` must match the shapes given to pack().
-  void refill(ConstMatrixView b, RowExtentsView ext);
-
-  [[nodiscard]] const Real* row(std::size_t r) const {
-    return values_.data() + offsets_[r];
-  }
-  /// Number of packed values in row r.
-  [[nodiscard]] std::size_t row_size(std::size_t r) const {
-    return offsets_[r + 1] - offsets_[r];
-  }
-  [[nodiscard]] std::size_t rows() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
-  [[nodiscard]] std::size_t nonzeros() const { return values_.size(); }
-  [[nodiscard]] bool empty() const { return offsets_.empty(); }
-
- private:
-  std::vector<std::size_t> offsets_;  ///< size rows()+1
-  AlignedBuffer<Real> values_;
-};
 
 // ---------------------------------------------------------------------------
 // Level-1: vector-vector.
@@ -190,64 +96,61 @@ void gemm_nt(const Matrix& a, ConstMatrixView b, Matrix& c);
 void gemm_tn_accumulate(const Matrix& a, const Matrix& b, MatrixView c);
 
 // ---------------------------------------------------------------------------
-// Extent-aware (masked) forms.  Each takes a RowExtentsView describing the
-// structurally nonzero columns and agrees with its dense counterpart run on
-// the masked operand within the accumulation-order contract above (the
-// scalar references in kernels_ref.hpp are the exact ground truth).
+// Prefix-length (masked) forms.  Each takes a weight block W as a view into
+// the parameter vector (gemm_tn_accumulate_prefix: a gradient block C in the
+// gradient vector) plus `len`, one length per row of that block: row r's
+// in-mask entries are its columns [0, len[r]), and no entry past them is
+// read or written, so the block may be an unmasked slice of the vector.
+// Each agrees with its dense counterpart run on the masked operand within
+// the accumulation-order contract above (the scalar references in
+// kernels_ref.hpp are the exact ground truth).
 // ---------------------------------------------------------------------------
 
-/// C = A B with per-B-row extents: B row l contributes only its interval
-/// columns (A: m x k, B: k x n, C: m x n, ext.rows() == k), so B may be an
-/// unmasked weight block.
-void gemm_nn_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
-                     Matrix& c);
+/// C = A W^T with W row j read over [0, len[j]): C(r, j) = sum over
+/// l < len[j] of A(r, l) W(j, l) (A: m x k, W: n x k, C: m x n, len.size()
+/// == n).  The MADE forward's two layers; a row of length 0 gives 0.
+void gemm_nt_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c);
 
-/// C += A^T B restricted to each C row's extents (A: k x m, B: k x n,
-/// C: m x n, ext.rows() == m).  Entries of C outside the extents are left
-/// untouched, so C may be a masked weight's gradient block: no scratch or
-/// mask-apply pass is needed, as the mask is 1 inside the extents.
-void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, MatrixView c);
+/// C = A W with W row l read over [0, len[l]) (A: m x k, W: k x n, C: m x n,
+/// len.size() == k): the MADE backward's signal through a masked layer.
+void gemm_nn_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c);
 
-// ---------------------------------------------------------------------------
-// Packed-panel forms: the B operand pre-packed per parameter version.
-// ---------------------------------------------------------------------------
+/// C += A^T B restricted to each C row's prefix [0, len[r]) (A: k x m,
+/// B: k x n, C: m x n, len.size() == m).  Entries of C past the prefix are
+/// left untouched, so C may be a masked weight's gradient block: no scratch
+/// or mask-apply pass is needed, as the mask is 1 inside the prefix.
+void gemm_tn_accumulate_prefix(const Matrix& a, const Matrix& b,
+                               std::span<const std::size_t> len, MatrixView c);
 
-/// C = A B^T with per-B-row extents, B's in-extent entries given as packed
-/// panels: C(r, j) reduces only over B row j's intervals (A: m x k, C: m x
-/// n, ext.rows() == b.rows() == n).  `ext` must be the extents the panels
-/// were packed with.
-void gemm_nt_panels(const Matrix& a, RowExtentsView ext,
-                    const PackedRowPanels& b, Matrix& c);
+/// Fused prefix dot with ReLU applied to the activations on the fly, over
+/// `rows` activation rows sharing W's row `row`:
+///   out[r] = sum over c < len[row] of max(a[r * lda + c], 0) * W(row, c).
+/// `a` is a row-major block with leading dimension `lda`.  This is the
+/// ancestral samplers' logit primitive — the batched conditional engine
+/// evaluates site i's logit for the whole micro-batch in one call with
+/// 4-row register blocking, and each out[r] is bitwise the value of a
+/// one-row call, so batching never perturbs a row's value (FastMadeSampler
+/// and ModelSnapshot::sample share it and stay mutually bit-identical).
+void relu_dot_prefix_batch(ConstMatrixView w, std::span<const std::size_t> len,
+                           std::size_t row, const Real* a, std::size_t lda,
+                           std::size_t rows, Real* out);
 
-/// Fused extent-restricted dot with ReLU applied to the activations on the
-/// fly, over `rows` activation rows sharing one packed panel row:
-/// out[r] = sum over spans of max(a[r * lda + c], 0) * packed value.
-/// `a` is a row-major block with leading dimension `lda`; `packed_row`
-/// points at one panel row (PackedRowPanels::row).  This is the ancestral
-/// samplers' logit primitive — the batched conditional engine evaluates
-/// site i's logit for the whole micro-batch in one call with 4-row register
-/// blocking, and each out[r] is bitwise the value of a one-row call, so
-/// batching never perturbs a row's value (FastMadeSampler and
-/// ModelSnapshot::sample share it and stay mutually bit-identical).
-void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
-                           std::size_t lda, std::size_t rows,
-                           const Real* packed_row, Real* out);
-
-/// Blocked extent-restricted dot over panel rows [row_begin, ext.rows())
-/// and a fixed block of already-rectified activations: out(i - row_begin,
-/// r) = sum over panel row i's spans of a[r * lda + c] * packed value.
-/// `out` must be pre-shaped (ext.rows() - row_begin) x rows.  On a = relu(x)
-/// every cell is bitwise identical to the one-row relu_dot_panels_batch of
-/// x's row r against panel row i — the dot4/dot accumulation structure is
-/// the same, only the per-element vmax is gone from the inner loop.  This
-/// is the conditional engine's frozen-tail kernel: once no remaining site
-/// can change the pre-activations, the engine rectifies them once and
-/// computes all remaining logits in one blocked pass with row-tile-outer
-/// ordering (activation rows stay cache-resident while the packed panels
-/// stream once per tile) instead of a per-site sweep that re-reads the
-/// whole activation block for every site.
-void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+/// Blocked prefix dot over W's rows [row_begin, w.rows()) and a fixed block
+/// of already-rectified activations:
+///   out(i - row_begin, r) = sum over c < len[i] of a[r * lda + c] W(i, c).
+/// `out` must be pre-shaped (w.rows() - row_begin) x rows.  On a = relu(x)
+/// every cell is bitwise identical to the one-row relu_dot_prefix_batch of
+/// x's row r against W row i — the dot4/dot accumulation structure is the
+/// same, only the per-element vmax is gone from the inner loop.  This is the
+/// conditional engine's frozen-tail kernel: once no remaining site can
+/// change the pre-activations, the engine rectifies them once and computes
+/// all remaining logits in one blocked pass with row-tile-outer ordering
+/// (activation rows stay cache-resident while W's rows stream once per
+/// block) instead of a per-site sweep that re-reads the whole activation
+/// block for every site.
+void dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out);
 
@@ -329,19 +232,19 @@ void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
                             std::size_t len, Real* out);
 
 /// MADE flip path's suffix-triangle logit update over one lane-major tile.
-/// Panel row j holds a degree-sorted prefix of output j's weights
-/// (row_size(j) values); `a` holds the hidden-unit changes (row_size
-/// bound x kFlipLanes) and `base` the old logits (panels.rows() x
-/// kFlipLanes).  For every j in [j_begin, panels.rows()) and every lane:
+/// W row j holds output j's weights, in-mask over its prefix [0, len[j]);
+/// `a` holds the hidden-unit changes (w.cols() x kFlipLanes) and `base` the
+/// old logits (w.rows() x kFlipLanes).  For every j in [j_begin, w.rows())
+/// and every lane:
 ///
 ///   out[(j - j_begin) * L + lane] = base[j * L + lane]
-///       + sum_{c in [lo, row_size(j))} panels.row(j)[c] * a[c * L + lane]
+///       + sum_{c in [lo, len[j])} W(j, c) * a[c * L + lane]
 ///
-/// with the sum accumulated in ascending c.  Requires row_size(j) >= lo
-/// for every such j.
-void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
-                        std::size_t j_begin, const Real* a, const Real* base,
-                        Real* out);
+/// with the sum accumulated in ascending c.  Requires len[j] >= lo for
+/// every such j.
+void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
+                        std::size_t lo, std::size_t j_begin, const Real* a,
+                        const Real* base, Real* out);
 
 /// Per lane, sum over t in [first[lane], last[lane]) of
 ///   log(max(x'_t != 0 ? s_t : 1 - s_t, eps)) - base_t,  s_t = sigmoid(z_t),

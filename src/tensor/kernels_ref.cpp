@@ -99,115 +99,88 @@ void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-void gemm_nt_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
-                     Matrix& c) {
-  VQMC_REQUIRE(a.cols() == b.cols() && c.rows() == a.rows() &&
-                   c.cols() == b.rows(),
-               "ref::gemm_nt_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == b.rows(),
-               "ref::gemm_nt_extents: extent row mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const Real* pa = a.data();
-  const Real* pb = b.data();
-  Real* pc = c.data();
+void gemm_nt_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c) {
+  VQMC_REQUIRE(a.cols() == w.cols() && c.rows() == a.rows() &&
+                   c.cols() == w.rows() && len.size() == w.rows(),
+               "ref::gemm_nt_prefix: shape mismatch");
+  const std::size_t m = a.rows(), k = a.cols(), n = w.rows();
   for (std::size_t r = 0; r < m; ++r) {
-    const Real* arow = pa + r * k;
-    Real* crow = pc + r * n;
+    const Real* arow = a.data() + r * k;
     for (std::size_t j = 0; j < n; ++j) {
-      const Real* brow = pb + j * k;
+      const Real* wrow = w.data() + j * k;
       Real acc = 0;
-      for (const ColSpan& s : ext.row(j))
-        for (std::size_t l = s.begin; l < s.end; ++l) acc += arow[l] * brow[l];
-      crow[j] = acc;
+      for (std::size_t l = 0; l < len[j]; ++l) acc += arow[l] * wrow[l];
+      c(r, j) = acc;
     }
   }
 }
 
-void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
-                     Matrix& c) {
-  VQMC_REQUIRE(a.cols() == b.rows() && c.rows() == a.rows() &&
-                   c.cols() == b.cols(),
-               "ref::gemm_nn_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == b.rows(),
-               "ref::gemm_nn_extents: extent row mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  const Real* pa = a.data();
-  const Real* pb = b.data();
-  Real* pc = c.data();
+void gemm_nn_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c) {
+  VQMC_REQUIRE(a.cols() == w.rows() && c.rows() == a.rows() &&
+                   c.cols() == w.cols() && len.size() == w.rows(),
+               "ref::gemm_nn_prefix: shape mismatch");
+  const std::size_t m = a.rows(), k = a.cols(), n = w.cols();
   for (std::size_t r = 0; r < m; ++r) {
-    Real* crow = pc + r * n;
+    Real* crow = c.data() + r * n;
     for (std::size_t j = 0; j < n; ++j) crow[j] = 0;
-    const Real* arow = pa + r * k;
     for (std::size_t l = 0; l < k; ++l) {
-      const Real av = arow[l];
-      const Real* brow = pb + l * n;
-      for (const ColSpan& s : ext.row(l))
-        for (std::size_t j = s.begin; j < s.end; ++j) crow[j] += av * brow[j];
+      const Real av = a(r, l);
+      const Real* wrow = w.data() + l * n;
+      for (std::size_t j = 0; j < len[l]; ++j) crow[j] += av * wrow[j];
     }
   }
 }
 
-void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, Matrix& c) {
+void gemm_tn_accumulate_prefix(const Matrix& a, const Matrix& b,
+                               std::span<const std::size_t> len,
+                               MatrixView c) {
   VQMC_REQUIRE(a.rows() == b.rows() && c.rows() == a.cols() &&
-                   c.cols() == b.cols(),
-               "ref::gemm_tn_accumulate_extents: shape mismatch");
-  VQMC_REQUIRE(ext.rows() == c.rows(),
-               "ref::gemm_tn_accumulate_extents: extent row mismatch");
+                   c.cols() == b.cols() && len.size() == c.rows(),
+               "ref::gemm_tn_accumulate_prefix: shape mismatch");
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  const Real* pa = a.data();
-  const Real* pb = b.data();
-  Real* pc = c.data();
   for (std::size_t r = 0; r < m; ++r) {
-    Real* crow = pc + r * n;
-    const std::span<const ColSpan> spans = ext.row(r);
+    Real* crow = c.data() + r * n;
     for (std::size_t l = 0; l < k; ++l) {
-      const Real av = pa[l * m + r];
+      const Real av = a(l, r);
       if (av == Real(0)) continue;
-      const Real* brow = pb + l * n;
-      for (const ColSpan& s : spans)
-        for (std::size_t j = s.begin; j < s.end; ++j) crow[j] += av * brow[j];
+      const Real* brow = b.data() + l * n;
+      for (std::size_t j = 0; j < len[r]; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-Real relu_dot_panels(std::span<const ColSpan> spans, const Real* a,
-                     const Real* packed_row) {
-  Real acc = 0;
-  const Real* bp = packed_row;
-  for (const ColSpan& s : spans)
-    for (std::size_t c = s.begin; c < s.end; ++c)
-      acc += (a[c] > 0 ? a[c] : Real(0)) * *bp++;
-  return acc;
+void relu_dot_prefix_batch(ConstMatrixView w, std::span<const std::size_t> len,
+                           std::size_t row, const Real* a, std::size_t lda,
+                           std::size_t rows, Real* out) {
+  const Real* wrow = w.row(row).data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Real* arow = a + r * lda;
+    Real acc = 0;
+    for (std::size_t c = 0; c < len[row]; ++c)
+      acc += (arow[c] > 0 ? arow[c] : Real(0)) * wrow[c];
+    out[r] = acc;
+  }
 }
 
-void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
-                           std::size_t lda, std::size_t rows,
-                           const Real* packed_row, Real* out) {
-  for (std::size_t r = 0; r < rows; ++r)
-    out[r] = ref::relu_dot_panels(spans, a + r * lda, packed_row);
-}
-
-void relu_dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+void relu_dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                            std::size_t row_begin, const Real* a,
                            std::size_t lda, std::size_t rows, Matrix& out) {
-  for (std::size_t site = row_begin; site < ext.rows(); ++site)
-    for (std::size_t r = 0; r < rows; ++r)
-      out(site - row_begin, r) =
-          ref::relu_dot_panels(ext.row(site), a + r * lda, panels.row(site));
+  for (std::size_t site = row_begin; site < w.rows(); ++site)
+    ref::relu_dot_prefix_batch(w, len, site, a, lda, rows,
+                               out.row(site - row_begin).data());
 }
 
-void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+void dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out) {
-  for (std::size_t site = row_begin; site < ext.rows(); ++site)
+  for (std::size_t site = row_begin; site < w.rows(); ++site)
     for (std::size_t r = 0; r < rows; ++r) {
       const Real* arow = a + r * lda;
+      const Real* wrow = w.row(site).data();
       Real acc = 0;
-      const Real* bp = panels.row(site);
-      for (const ColSpan& sp : ext.row(site)) {
-        for (std::size_t c = sp.begin; c < sp.end; ++c) acc += arow[c] * *bp++;
-      }
+      for (std::size_t c = 0; c < len[site]; ++c) acc += arow[c] * wrow[c];
       out(site - row_begin, r) = acc;
     }
 }
@@ -270,16 +243,15 @@ void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
     }
 }
 
-void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
-                        std::size_t j_begin, const Real* a, const Real* base,
-                        Real* out) {
+void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
+                        std::size_t lo, std::size_t j_begin, const Real* a,
+                        const Real* base, Real* out) {
   constexpr std::size_t L = kFlipLanes;
   for (std::size_t lane = 0; lane < L; ++lane)
-    for (std::size_t j = j_begin; j < panels.rows(); ++j) {
-      const Real* w = panels.row(j);
+    for (std::size_t j = j_begin; j < w.rows(); ++j) {
+      const Real* wrow = w.row(j).data();
       Real acc = 0;
-      for (std::size_t c = lo; c < panels.row_size(j); ++c)
-        acc += w[c] * a[c * L + lane];
+      for (std::size_t c = lo; c < len[j]; ++c) acc += wrow[c] * a[c * L + lane];
       out[(j - j_begin) * L + lane] = base[j * L + lane] + acc;
     }
 }

@@ -27,21 +27,21 @@ void gemv_t(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 void gemm_nn(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nt_extents(const Matrix& a, ConstMatrixView b, RowExtentsView ext,
-                     Matrix& c);
-void gemm_nn_extents(const Matrix& a, const Matrix& b, RowExtentsView ext,
-                     Matrix& c);
-void gemm_tn_accumulate_extents(const Matrix& a, const Matrix& b,
-                                RowExtentsView ext, Matrix& c);
-Real relu_dot_panels(std::span<const ColSpan> spans, const Real* a,
-                     const Real* packed_row);
-void relu_dot_panels_batch(std::span<const ColSpan> spans, const Real* a,
-                           std::size_t lda, std::size_t rows,
-                           const Real* packed_row, Real* out);
-void relu_dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+void gemm_nt_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c);
+void gemm_nn_prefix(const Matrix& a, ConstMatrixView w,
+                    std::span<const std::size_t> len, Matrix& c);
+void gemm_tn_accumulate_prefix(const Matrix& a, const Matrix& b,
+                               std::span<const std::size_t> len, MatrixView c);
+void relu_dot_prefix_batch(ConstMatrixView w, std::span<const std::size_t> len,
+                           std::size_t row, const Real* a, std::size_t lda,
+                           std::size_t rows, Real* out);
+/// dot_prefix_block on relu(a): the value every cell of the blocked
+/// frozen-tail kernel must reproduce from the pre-activations.
+void relu_dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                            std::size_t row_begin, const Real* a,
                            std::size_t lda, std::size_t rows, Matrix& out);
-void dot_panels_block(RowExtentsView ext, const PackedRowPanels& panels,
+void dot_prefix_block(ConstMatrixView w, std::span<const std::size_t> len,
                       std::size_t row_begin, const Real* a, std::size_t lda,
                       std::size_t rows, Matrix& out);
 void rank1_add_rows(Real* a, std::size_t lda,
@@ -59,9 +59,9 @@ Real log_cosh(Real x);
 Real sum_log_cosh(std::span<const Real> x);
 void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
                             std::size_t len, Real* out);
-void triangle_dot_lanes(const PackedRowPanels& panels, std::size_t lo,
-                        std::size_t j_begin, const Real* a, const Real* base,
-                        Real* out);
+void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
+                        std::size_t lo, std::size_t j_begin, const Real* a,
+                        const Real* base, Real* out);
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const Real* base, std::size_t len,
                                  const std::size_t* first,

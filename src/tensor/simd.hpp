@@ -3,7 +3,7 @@
 /// \file simd.hpp
 /// \brief Runtime SIMD dispatch for the tensor kernels (DESIGN.md §5g).
 ///
-/// The hot gemm and extent kernels are compiled three times — a generic C++
+/// The hot gemm and prefix kernels are compiled three times — a generic C++
 /// build, an AVX2+FMA build, and an AVX-512 build — and the public entry
 /// points in kernels.hpp pick one implementation at runtime from the CPU's
 /// capabilities.  The per-ISA translation units are gated at configure

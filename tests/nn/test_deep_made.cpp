@@ -151,7 +151,7 @@ TEST(DeepMade, GradientAccumulatesOntoANonzeroGradient) {
 }
 
 TEST(DeepMade, ConstructorAllocatesOnlyTheParametersAndAnOrderNPlusHPlan) {
-  // Every mask is built from the degree counts as prefix extents: beyond
+  // Every mask is built from the degree counts as prefix lengths: beyond
   // the parameter vector the constructor allocates O(n + h), no dense
   // h x n or h x h mask.
   const std::pair<std::size_t, std::size_t> shapes[] = {{1000, 239},
@@ -173,6 +173,41 @@ TEST(DeepMade, CloneIsDeepCopy) {
   EXPECT_EQ(copy->name(), "DeepMADE");
   copy->parameters()[0] += 1;
   EXPECT_NE(copy->parameters()[0], model.parameters()[0]);
+}
+
+TEST(DeepMade, HeldSpanWritesReachTheNextLogPsi) {
+  // Acquire parameters() once, evaluate, write one in-mask entry of the
+  // input layer, of a hidden-to-hidden layer and of the output layer
+  // through the held span: the next log_psi must be bitwise that of a
+  // fresh model built from the new parameters.
+  const std::size_t n = 6, h = 8, depth = 2, bs = 10;
+  DeepMade model(n, h, depth);
+  const std::span<Real> params = model.parameters();
+  rng::Xoshiro256 gen(161);
+  for (Real& p : params) p = rng::uniform(gen, -0.8, 0.8);
+  const Matrix batch = random_bits(bs, n, 162);
+  DeepMade::Workspace ws;
+  Vector before(bs), after(bs), want(bs);
+  model.log_psi(batch, before.span(), ws);
+
+  // Layout [W_1 | b_1 | W_2 | b_2 | W_out | b_out]; the last unit of each
+  // hidden layer has the top degree, and the last output reads every unit.
+  const std::size_t w2 = h * n + h, w_out = w2 + h * h + h;
+  params[(h - 1) * n] += 1.5;          // W_1(h - 1, 0)
+  params[w2 + (h - 1) * h] -= 1.0;     // W_2(h - 1, 0)
+  params[w_out + (n - 1) * h] += 2.0;  // W_out(n - 1, 0)
+  model.log_psi(batch, after.span(), ws);
+
+  DeepMade fresh(n, h, depth);
+  const std::span<const Real> src = std::as_const(model).parameters();
+  std::copy(src.begin(), src.end(), fresh.parameters().begin());
+  fresh.log_psi(batch, want.span());
+  bool moved = false;
+  for (std::size_t k = 0; k < bs; ++k) {
+    EXPECT_EQ(after[k], want[k]) << "row " << k;
+    moved |= after[k] != before[k];
+  }
+  EXPECT_TRUE(moved) << "the writes must change log psi";
 }
 
 TEST(DeepMade, RejectsDegenerateShapes) {

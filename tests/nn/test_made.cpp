@@ -98,28 +98,23 @@ TEST(Made, FirstConditionalIsInputIndependent) {
 }
 
 TEST(Made, MasksHaveDocumentedStructure) {
-  // The model keeps its masks only as the plan's extents; they must cover
-  // exactly the mask entries of the degree rule: unit k reads input j iff
-  // j + 1 <= m_k, and output i reads unit k iff i + 1 > m_k.
+  // The model keeps its masks only as the plan's prefix lengths; they must
+  // cover exactly the mask entries of the degree rule: unit k reads input j
+  // iff j + 1 <= m_k, and output i reads unit k iff i + 1 > m_k.
   const std::size_t n = 5, h = 9;
   const Made made(n, h);
   const Matrix mask1 = testing::made_input_mask(n, h);
   const Matrix mask2 = testing::made_output_mask(n, h);
-  const auto covers = [](const RowExtents& ext, std::size_t r, std::size_t c) {
-    for (const ColSpan s : ext.view().row(r))
-      if (c >= s.begin && c < s.end) return true;
-    return false;
-  };
   const std::vector<std::size_t> degrees = testing::made_degrees(n, h);
   for (std::size_t k = 0; k < h; ++k) {
     const std::size_t mk = degrees[k];
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_EQ(mask1(k, j), (j + 1 <= mk) ? 1 : 0);
-      EXPECT_EQ(covers(made.plan().w1, k, j), mask1(k, j) != 0);
+      EXPECT_EQ(j < made.plan().degree[k], mask1(k, j) != 0);
     }
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(mask2(i, k), (i + 1 > mk) ? 1 : 0);
-      EXPECT_EQ(covers(made.plan().w2, i, k), mask2(i, k) != 0);
+      EXPECT_EQ(k < made.plan().degree_end[i], mask2(i, k) != 0);
     }
   }
 }
@@ -204,7 +199,6 @@ TEST(Made, FirstGradientOnAFreshWorkspaceAllocatesOnlyBatchRows) {
   const std::size_t n = 40, h = 30, bs = 4;
   Made made(n, h);
   randomize_parameters(made, 31);
-  (void)made.masked();  // packed weights current: the gradient reuses them
   const Matrix batch = random_bits(bs, n, 32);
   Vector coeff(bs);
   coeff.fill(0.5);
@@ -219,8 +213,8 @@ TEST(Made, FirstGradientOnAFreshWorkspaceAllocatesOnlyBatchRows) {
 
 TEST(Made, ConstructorAllocatesOnlyTheParametersAndAnOrderNPlusHPlan) {
   // The plan is built from the degree counts: beyond the parameter vector
-  // the constructor allocates O(n + h) of extents and offsets, and no dense
-  // h x n mask (natural, cyclic and paper-default widths).
+  // the constructor allocates O(n + h) of prefix lengths and offsets, and
+  // no dense h x n mask (natural, cyclic and paper-default widths).
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {1000, 239}, {64, 86}, {130, 300}};
   for (const auto& [n, h] : shapes) {

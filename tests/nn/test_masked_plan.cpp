@@ -1,12 +1,13 @@
 /// \file test_masked_plan.cpp
-/// \brief Pins the masked compute plan (DESIGN.md §5f/§5g): the packed
-/// extent-kernel path must match the dense masked path it replaced within
-/// the accumulation-order tolerance contract of kernels.hpp (the SIMD
-/// kernels re-associate sums, so bit-for-bit equality against the dense
-/// path no longer holds — but results stay deterministic and
-/// batch-position independent), the autoregressive property must survive
-/// the rewrite, and the version-counter weight cache must invalidate on
-/// every parameter write and tolerate concurrent readers.
+/// \brief Pins the masked compute plan (DESIGN.md §5f/§5g): the prefix
+/// kernel path must match the dense masked path it replaced within the
+/// accumulation-order tolerance contract of kernels.hpp (the SIMD kernels
+/// re-associate sums, so bit-for-bit equality against the dense path no
+/// longer holds — but results stay deterministic and batch-position
+/// independent), the autoregressive property must survive the rewrite,
+/// and, with no derived copy of the weights anywhere, a write through a
+/// held parameters() span must reach the next evaluation, allocate
+/// nothing on a warm workspace and tolerate concurrent readers.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,10 @@
 #include "nn/made.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "sampler/fast_made_sampler.hpp"
 #include "support/alloc_count.hpp"
 #include "support/made_masks.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_ref.hpp"
 
@@ -43,10 +46,10 @@ void randomize_parameters(WavefunctionModel& model, std::uint64_t seed) {
 
 /// Dense reference replicating the pre-plan code path: materialize
 /// `M .* W` with the masks built from the documented degree rule, run dense
-/// gemms, apply the mask elementwise to the weight gradients.  The packed
-/// path must match it within the tolerance contract (dense and extent
-/// kernels split accumulations differently under SIMD); the packed weight
-/// values themselves are still copied bit-for-bit.
+/// gemms, apply the mask elementwise to the weight gradients.  The prefix
+/// path must match it within the tolerance contract (dense and prefix
+/// kernels split accumulations differently under SIMD); the W1 column
+/// packing still copies its values bit-for-bit.
 struct DenseReference {
   std::size_t n, h;
   Matrix w1m, w2m;  ///< mask .* W, materialized the old way
@@ -167,97 +170,74 @@ struct DenseReference {
 };
 
 TEST(MaskedPlan, W1ExtentsArePrefixIntervals) {
+  // W1 row k's length is unit k's degree m_k, ascending.
   const std::size_t n = 7, h = 15;
   const Made made(n, h);
-  const RowExtents& e1 = made.plan().w1;
   const std::vector<std::size_t> degrees = testing::made_degrees(n, h);
-  ASSERT_EQ(e1.rows(), h);
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t mk = degrees[k];
-    const auto spans = e1.view().row(k);
-    ASSERT_EQ(spans.size(), 1u) << "hidden row " << k;
-    EXPECT_EQ(spans[0].begin, 0u);
-    EXPECT_EQ(spans[0].end, mk);
-    EXPECT_EQ(e1.row_end(k), mk);
-  }
+  ASSERT_EQ(made.plan().degree.size(), h);
+  for (std::size_t k = 0; k < h; ++k)
+    EXPECT_EQ(made.plan().degree[k], degrees[k]) << "hidden row " << k;
 }
 
 TEST(MaskedPlan, ExtentsRoundTripBothMasks) {
-  // The model keeps its masks only as extents; expanded back to dense 0/1
-  // matrices they must be exactly the degree rule's masks, with one unit
-  // per degree (h <= n - 1) and several (maxcut_sr's (64, 86), Table 1's
-  // n = 100, a (130, 300) spanning three 64-site blocks).  degree_end[i]
-  // is W2 row i's prefix length, and the column packing holds every W1
-  // mask entry.
+  // The model keeps its masks only as prefix lengths; expanded back to
+  // dense 0/1 matrices they must be exactly the degree rule's masks, with
+  // one unit per degree (h <= n - 1) and several (maxcut_sr's (64, 86),
+  // Table 1's n = 100, a (130, 300) spanning three 64-site blocks).  The
+  // column packing holds every W1 mask entry.
   const std::pair<std::size_t, std::size_t> shapes[] = {
       {2, 1}, {2, 5}, {9, 8}, {9, 14}, {64, 86}, {100, 106}, {130, 300}};
-  const auto rebuild = [](const RowExtents& ext, std::size_t cols) {
-    Matrix m(ext.rows(), cols);
-    m.fill(0.0);
-    for (std::size_t r = 0; r < ext.rows(); ++r)
-      for (const ColSpan s : ext.view().row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) m(r, j) = 1.0;
+  const auto rebuild = [](const std::vector<std::size_t>& len,
+                          std::size_t cols) {
+    Matrix m(len.size(), cols);
+    for (std::size_t r = 0; r < len.size(); ++r)
+      for (std::size_t j = 0; j < len[r]; ++j) m(r, j) = 1.0;
     return m;
   };
   for (const auto& [n, h] : shapes) {
     SCOPED_TRACE("n " + std::to_string(n) + " h " + std::to_string(h));
     const Made made(n, h);
     const MaskedPlan& plan = made.plan();
-    const Matrix m1 = rebuild(plan.w1, n);
-    const Matrix m2 = rebuild(plan.w2, h);
+    ASSERT_EQ(plan.degree.size(), h);
+    ASSERT_EQ(plan.degree_end.size(), n);
+    const Matrix m1 = rebuild(plan.degree, n);
+    const Matrix m2 = rebuild(plan.degree_end, h);
     const Matrix want1 = testing::made_input_mask(n, h);
     const Matrix want2 = testing::made_output_mask(n, h);
     for (std::size_t i = 0; i < m1.size(); ++i)
       ASSERT_EQ(m1.data()[i], want1.data()[i]) << "W1 entry " << i;
     for (std::size_t i = 0; i < m2.size(); ++i)
       ASSERT_EQ(m2.data()[i], want2.data()[i]) << "W2 entry " << i;
-    ASSERT_EQ(plan.degree_end.size(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(plan.degree_end[i], plan.w2.row_end(i)) << "i " << i;
-    EXPECT_EQ(plan.w1_col_offsets.back(), plan.w1.nonzeros());
+    std::size_t nnz1 = 0;
+    for (const std::size_t m : plan.degree) nnz1 += m;
+    EXPECT_EQ(plan.w1_col_offsets.back(), nnz1);
   }
 }
 
 TEST(MaskedPlan, PackedWeightsMatchMaskedParameters) {
-  // Each packed row holds the row's mask == 1 entries of `M .* W` in
-  // ascending column order, bit for bit, with M from the degree rule.
+  // The column packing holds each W1 column's in-mask values, ascending
+  // unit, at the plan's offsets, bit for bit, with M from the degree rule.
   Made made(8, 13);
   randomize_parameters(made, 31);
   const DenseReference ref(made);
-  const auto mw = made.masked();
-  const auto expect_packed = [](const PackedRowPanels& panels,
-                                const Matrix& mask, const Matrix& masked) {
-    ASSERT_EQ(panels.rows(), mask.rows());
-    for (std::size_t r = 0; r < mask.rows(); ++r) {
-      std::size_t t = 0;
-      for (std::size_t j = 0; j < mask.cols(); ++j) {
-        if (mask(r, j) == 0) continue;
-        ASSERT_LT(t, panels.row_size(r)) << "row " << r;
-        EXPECT_EQ(panels.row(r)[t++], masked(r, j)) << r << "," << j;
-      }
-      EXPECT_EQ(t, panels.row_size(r)) << "row " << r;
-    }
-  };
-  expect_packed(mw->w1p, testing::made_input_mask(8, 13), ref.w1m);
-  expect_packed(mw->w2p, testing::made_output_mask(8, 13), ref.w2m);
-
-  // The column packing holds each W1 column's in-mask values, ascending
-  // unit, at the plan's offsets.
+  Vector packed;
+  made.pack_w1_columns(packed);
   const Matrix m1 = testing::made_input_mask(8, 13);
   const std::vector<std::size_t>& offsets = made.plan().w1_col_offsets;
   ASSERT_EQ(offsets.size(), 9u);
+  ASSERT_EQ(packed.size(), offsets.back());
   for (std::size_t j = 0; j < 8; ++j) {
     std::size_t t = offsets[j];
     for (std::size_t k = 0; k < 13; ++k) {
       if (m1(k, j) == 0) continue;
       ASSERT_LT(t, offsets[j + 1]) << "column " << j;
-      EXPECT_EQ(mw->w1_col_values[t++], ref.w1m(k, j)) << k << "," << j;
+      EXPECT_EQ(packed[t++], ref.w1m(k, j)) << k << "," << j;
     }
     EXPECT_EQ(t, offsets[j + 1]) << "column " << j;
   }
 }
 
-// Tolerances for packed-vs-dense comparisons.  Activations and gradients
+// Tolerances for prefix-vs-dense comparisons.  Activations and gradients
 // are O(1) sums of at most max(n, h) ~ 20 O(1) terms, so the
 // accumulation-order bound 2*L*eps*sum|t| sits around 1e-14; log_psi adds
 // the vector-log's ~4-ulp core on values as large as |log eps| ~ 28.  The
@@ -367,59 +347,110 @@ TEST(MaskedPlan, AutoregressivePropertySurvivesPackedPath) {
   }
 }
 
-TEST(MaskedPlan, CacheReturnsSameSnapshotWhileParametersUnchanged) {
-  Made made(6, 9);
-  randomize_parameters(made, 91);
-  const auto a = made.masked();
-  const auto b = made.masked();
-  EXPECT_EQ(a.get(), b.get());  // no rebuild, no copy
-  EXPECT_EQ(a->version, made.parameter_version());
+/// The results of every Made evaluation that reads the parameters, and
+/// the gradient's coefficients.
+struct MadeRound {
+  Vector coeff, log_psi, grad;
+  Matrix ratios, draw;
+};
+
+/// log_psi, a gradient, flip ratios and one FastMadeSampler draw on `ws`
+/// into `round`, with the sampler's generator restored to `rng_state`
+/// first, so that two models draw from the same stream.
+void evaluate_made(const Made& made, FastMadeSampler& sampler,
+                   const std::vector<std::uint64_t>& rng_state,
+                   const Matrix& batch, Made::Workspace& ws, MadeRound& round) {
+  const std::size_t sites[] = {0, 3, made.num_spins() - 1};
+  round.coeff.fill(0.25);
+  round.grad.fill(0);
+  made.log_psi(batch, round.log_psi.span(), ws);
+  made.accumulate_log_psi_gradient(batch, round.coeff.span(),
+                                   round.grad.span(), ws);
+  made.log_psi_flip_ratios(batch, sites, round.ratios, ws);
+  sampler.restore_state(rng_state);
+  sampler.sample_ws(round.draw, &ws);
 }
 
-TEST(MaskedPlan, CacheInvalidatesOnMutableParameterAcquisition) {
-  Made made(6, 9);
-  randomize_parameters(made, 92);
-  const auto before = made.masked();
-  // W1(0,0) is in-mask and the first value of W1's first packed row.
-  const Real old_w00 = before->w1p.row(0)[0];
-
-  const std::uint64_t v = made.parameter_version();
-  made.parameters()[0] = old_w00 + 1.5;  // parameter 0 is W1(0,0), in-mask
-  EXPECT_GT(made.parameter_version(), v);
-
-  const auto after = made.masked();
-  EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(after->w1p.row(0)[0], old_w00 + 1.5);
-  // The old snapshot is immutable: readers holding it are unaffected.
-  EXPECT_EQ(before->w1p.row(0)[0], old_w00);
+MadeRound make_round(const Made& made, std::size_t bs) {
+  return {Vector(bs), Vector(bs), Vector(made.num_parameters()),
+          Matrix(bs, 3), Matrix(bs, made.num_spins())};
 }
 
-TEST(MaskedPlan, MaskedWeightsRebuildAllocatesOnlyThePackedForms) {
-  // A rebuild packs W1 and W2 straight from the parameter vector: it builds
-  // the two row panels (values and offsets) and W1's column packing, and no
-  // dense weight copy.
-  const std::size_t n = 40, h = 30;
+void expect_rounds_bitwise_equal(const MadeRound& got, const MadeRound& want) {
+  for (std::size_t k = 0; k < want.log_psi.size(); ++k)
+    EXPECT_EQ(got.log_psi[k], want.log_psi[k]) << "log_psi row " << k;
+  for (std::size_t i = 0; i < want.grad.size(); ++i)
+    EXPECT_EQ(got.grad[i], want.grad[i]) << "gradient entry " << i;
+  for (std::size_t i = 0; i < want.ratios.size(); ++i)
+    EXPECT_EQ(got.ratios.data()[i], want.ratios.data()[i]) << "ratio " << i;
+  for (std::size_t i = 0; i < want.draw.size(); ++i)
+    EXPECT_EQ(got.draw.data()[i], want.draw.data()[i]) << "draw " << i;
+}
+
+TEST(MaskedPlan, HeldSpanWritesReachEveryEvaluation) {
+  // Acquire parameters() once, evaluate, then write one in-mask W1 entry
+  // and one in-mask W2 entry through the held span: the next evaluation of
+  // log_psi, the gradient, the flip ratios and a FastMadeSampler draw must
+  // be bitwise that of a fresh model built from the new parameters.
+  const std::size_t n = 9, h = 14, bs = 24;
+  Made made(n, h);
+  const std::span<Real> params = made.parameters();
+  rng::Xoshiro256 gen(131);
+  for (Real& p : params) p = rng::uniform(gen, -0.8, 0.8);
+  const Matrix batch = random_bits(bs, n, 132);
+  FastMadeSampler sampler(made, 133);
+  const std::vector<std::uint64_t> state = sampler.serialize_state();
+  Made::Workspace ws;
+  MadeRound before = make_round(made, bs);
+  evaluate_made(made, sampler, state, batch, ws, before);
+
+  // W1(0, 0) and W2(1, 0): unit 0 has degree 1, so it reads input 0 and
+  // feeds output 1 onwards; every later conditional, and so the draw,
+  // moves with them.
+  params[0] += 3.0;
+  params[h * n + h + h] -= 3.0;
+  MadeRound after = make_round(made, bs);
+  evaluate_made(made, sampler, state, batch, ws, after);
+
+  Made fresh(n, h);
+  const std::span<const Real> src = std::as_const(made).parameters();
+  std::copy(src.begin(), src.end(), fresh.parameters().begin());
+  FastMadeSampler fresh_sampler(fresh, 0);
+  Made::Workspace fresh_ws;
+  MadeRound want = make_round(fresh, bs);
+  evaluate_made(fresh, fresh_sampler, state, batch, fresh_ws, want);
+  expect_rounds_bitwise_equal(after, want);
+
+  bool moved = false;
+  for (std::size_t k = 0; k < bs; ++k)
+    moved |= after.log_psi[k] != before.log_psi[k];
+  EXPECT_TRUE(moved) << "the writes must change log psi";
+}
+
+TEST(MaskedPlan, WarmWorkspaceAllocatesNothingAfterAParameterWrite) {
+  // Nothing is derived from the parameter values but W1's column packing,
+  // which lives in the workspace: once a round of evaluations has shaped
+  // the workspace, a parameter write and the same round allocate nothing.
+  // Telemetry is off so that the sampler's instrument lookups, which build
+  // their name strings, do not count.
+  struct TelemetryOff {
+    bool was = telemetry::enabled();
+    TelemetryOff() { telemetry::set_enabled(false); }
+    ~TelemetryOff() { telemetry::set_enabled(was); }
+  } telemetry_off;
+  const std::size_t n = 40, h = 30, bs = 12;
   Made made(n, h);
   randomize_parameters(made, 93);
-  (void)made.masked();
-  (void)made.parameters();  // a write: the next masked() rebuilds
-  const std::uint64_t before = vqmc::testing::allocated_bytes();
-  const auto mw = made.masked();
-  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
-  const std::size_t nnz1 = made.plan().w1.nonzeros();
-  const std::size_t nnz2 = made.plan().w2.nonzeros();
-  const std::uint64_t packed = (2 * nnz1 + nnz2) * sizeof(Real) +
-                               (h + 1 + n + 1) * sizeof(std::size_t);
-  EXPECT_LE(bytes, packed + 4096);
-}
-
-TEST(MaskedPlan, CacheInvalidatesOnInitialize) {
-  Made made(6, 9);
-  const auto before = made.masked();
-  made.initialize(123);
-  const auto after = made.masked();
-  EXPECT_NE(before.get(), after.get());
-  EXPECT_GT(after->version, before->version);
+  const Matrix batch = random_bits(bs, n, 94);
+  FastMadeSampler sampler(made, 95);
+  const std::vector<std::uint64_t> state = sampler.serialize_state();
+  Made::Workspace ws;
+  MadeRound round = make_round(made, bs);
+  evaluate_made(made, sampler, state, batch, ws, round);
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  made.parameters()[0] += 0.5;  // W1(0, 0), in-mask
+  evaluate_made(made, sampler, state, batch, ws, round);
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
 }
 
 TEST(MaskedPlan, WorkspaceReuseAcrossShapesGivesIdenticalResults) {
@@ -473,15 +504,14 @@ TEST(MaskedPlan, MakeWorkspaceFeedsVirtualWsPath) {
 }
 
 TEST(MaskedPlan, ConcurrentReadersShareOneCacheRebuild) {
-  // Frozen parameters, many threads: every reader must observe the same
-  // immutable masked-weight snapshot and identical evaluations.  Run under
+  // Frozen parameters, many threads: the model holds no shared mutable
+  // state, so every reader must observe identical evaluations.  Run under
   // TSan in CI.
   Made made(12, 18);
   randomize_parameters(made, 121);
   const Matrix batch = random_bits(24, 12, 122);
   Vector expected(24);
   made.log_psi(batch, expected.span());
-  const auto canonical = made.masked();
 
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -491,8 +521,6 @@ TEST(MaskedPlan, ConcurrentReadersShareOneCacheRebuild) {
     threads.emplace_back([&, t] {
       bool good = true;
       for (int iter = 0; iter < 20; ++iter) {
-        const auto mw = made.masked();
-        good &= mw.get() == canonical.get();
         Made::Workspace ws;
         Vector out(24);
         made.log_psi(batch, out.span(), ws);

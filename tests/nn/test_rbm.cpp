@@ -145,22 +145,60 @@ TEST(Rbm, GradientAccumulatesOntoANonzeroGradient) {
                                             154, kGradTol);
 }
 
-TEST(Rbm, WeightsRebuildAllocatesOneWeightBlock) {
-  // The forward reads W in place; a rebuild of the version cache builds
-  // only W^T, the flip path's operand: one h x n block, not two.
+TEST(Rbm, WarmWorkspaceAllocatesNothingAfterAParameterWrite) {
+  // The model keeps no derived copy of W; the flip path transposes it into
+  // the workspace on each call.  Once a round of evaluations has shaped the
+  // workspace, a parameter write and the same round allocate nothing.
   const std::size_t n = 48, h = 40, bs = 3;
   Rbm rbm(n, h);
   randomize_parameters(rbm, 155);
   const Matrix batch = random_bits(bs, n, 156);
   const std::size_t sites[] = {0, 5, 47};
   Matrix out(bs, 3);
+  Vector log_psi(bs), coeff(bs), grad(rbm.num_parameters());
+  coeff.fill(0.5);
   const auto ws = rbm.make_workspace();
-  ASSERT_TRUE(rbm.log_psi_flip_ratios(batch, sites, out, ws.get()));
-  (void)rbm.parameters();  // a write: the next flip-ratio call rebuilds
-  const std::uint64_t before = vqmc::testing::allocated_bytes();
-  rbm.log_psi_flip_ratios(batch, sites, out, ws.get());
-  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
-  EXPECT_LE(bytes, h * n * sizeof(Real) + 4096);
+  const auto round = [&] {
+    rbm.log_psi_ws(batch, log_psi.span(), ws.get());
+    rbm.accumulate_log_psi_gradient_ws(batch, coeff.span(), grad.span(),
+                                       ws.get());
+    ASSERT_TRUE(rbm.log_psi_flip_ratios(batch, sites, out, ws.get()));
+  };
+  round();
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  rbm.parameters()[1] += 0.25;  // a W entry
+  round();
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
+}
+
+TEST(Rbm, HeldSpanWritesReachTheNextFlipRatios) {
+  // Acquire parameters() once, evaluate the flip ratios, write a W entry
+  // through the held span: the next ratios must be bitwise those of a fresh
+  // model built from the new parameters.
+  const std::size_t n = 6, h = 5, bs = 4;
+  Rbm rbm(n, h);
+  const std::span<Real> params = rbm.parameters();
+  rng::Xoshiro256 gen(157);
+  for (Real& p : params) p = rng::uniform(gen, -0.5, 0.5);
+  const Matrix batch = random_bits(bs, n, 158);
+  const std::size_t sites[] = {0, 2, 5};
+  const auto ws = rbm.make_workspace();
+  Matrix before(bs, 3), after(bs, 3), want(bs, 3);
+  ASSERT_TRUE(rbm.log_psi_flip_ratios(batch, sites, before, ws.get()));
+  params[2 * n + 2] += 1.5;  // W(2, 2): site 2's shift of hidden unit 2
+  ASSERT_TRUE(rbm.log_psi_flip_ratios(batch, sites, after, ws.get()));
+
+  Rbm fresh(n, h);
+  const std::span<const Real> src = std::as_const(rbm).parameters();
+  std::copy(src.begin(), src.end(), fresh.parameters().begin());
+  const auto fresh_ws = fresh.make_workspace();
+  ASSERT_TRUE(fresh.log_psi_flip_ratios(batch, sites, want, fresh_ws.get()));
+  bool moved = false;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(after.data()[i], want.data()[i]) << "ratio " << i;
+    moved |= after.data()[i] != before.data()[i];
+  }
+  EXPECT_TRUE(moved) << "the write must change the ratios";
 }
 
 TEST(Rbm, WriteThroughParametersReachesTheNextEvaluation) {
@@ -169,8 +207,8 @@ TEST(Rbm, WriteThroughParametersReachesTheNextEvaluation) {
   const Matrix batch = random_bits(3, 4, 57);
   const auto ws = rbm.make_workspace();
   Vector before(3), after(3), fresh(3);
-  rbm.log_psi_ws(batch, before.span(), ws.get());  // caches W
-  rbm.parameters()[1] += 0.5;                        // a W entry
+  rbm.log_psi_ws(batch, before.span(), ws.get());
+  rbm.parameters()[1] += 0.5;  // a W entry
   rbm.log_psi_ws(batch, after.span(), ws.get());
   Rbm copy(4, 3);
   std::span<Real> dst = copy.parameters();
@@ -188,7 +226,7 @@ TEST(Rbm, CloneEvaluatesIndependentlyOfTheOriginal) {
   randomize_parameters(rbm, 58);
   const Matrix batch = random_bits(4, 5, 59);
   Vector original(4);
-  rbm.log_psi(batch, original.span());  // the clone shares this cache entry
+  rbm.log_psi(batch, original.span());
   const auto copy = rbm.clone();
   copy->parameters()[0] += 1.0;
   Vector cloned(4), again(4);

@@ -177,6 +177,26 @@ TEST(ModelSnapshot, SampleAndLogPsiSteadyStateAllocateNothing) {
   EXPECT_EQ(vqmc::testing::allocation_count(), before);
 }
 
+TEST(ModelSnapshot, FromModelRetainsOnlyTheParametersColumnPackingAndPlan) {
+  // A frozen snapshot keeps one derived operand, W1's column packing; both
+  // forward layers and the sampler's logit rows read the parameters in
+  // place.  At the serving shape n = 1000 that is about 0.23 MB of packing
+  // next to 3.8 MB of parameters.
+  const std::size_t n = 1000, h = 239;
+  const Made made(n, h);
+  const std::uint64_t before = vqmc::testing::allocated_bytes();
+  const auto snapshot = ModelSnapshot::from_model(made);
+  const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
+  const MaskedPlan& plan = made.plan();
+  const std::uint64_t params = made.num_parameters() * sizeof(Real);
+  const std::uint64_t packing = plan.w1_col_offsets.back() * sizeof(Real);
+  const std::uint64_t plan_bytes =
+      (plan.degree.size() + plan.degree_end.size() +
+       plan.w1_col_offsets.size()) *
+      sizeof(std::size_t);
+  EXPECT_LE(bytes, params + packing + plan_bytes + 4096);
+}
+
 TEST(ModelSnapshot, RoundTripThroughTrainingSnapshot) {
   // Loading a checkpointed MADE must reproduce the in-trainer sampler's
   // stream bit-for-bit at a fixed seed (the serving<->training parity the

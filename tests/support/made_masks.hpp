@@ -3,9 +3,10 @@
 /// \file made_masks.hpp
 /// \brief Dense MADE masks built from the documented degree rule.
 ///
-/// Made and DeepMade keep their masks only as row extents (MaskedPlan); the
-/// dense 0/1 matrices here are the oracle that tests and
-/// bench_masked_gemm check those extents and the packed weights against.
+/// Made and DeepMade keep their masks only as prefix lengths (MaskedPlan);
+/// the dense 0/1 matrices here are the oracle that tests and
+/// bench_masked_gemm check those lengths and the W1 column packing
+/// against.
 /// The hidden degrees are the multiset {1 + (k mod (n - 1)) : k < h},
 /// stored in ascending order (made.hpp); this file sorts that multiset
 /// itself instead of reading the model's degree counts.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
@@ -246,25 +247,19 @@ TEST(Kernels, PairwiseSumMatchesLongDoubleReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Extent-aware (masked) kernels.
+// Prefix-length (masked) kernels.
 // ---------------------------------------------------------------------------
 
-Matrix random_mask(std::size_t r, std::size_t c, std::uint64_t seed,
-                   double density) {
+/// Random prefix lengths for a rows x cols operand: row 0 empty, row 1
+/// whole, the rest uniform in [0, cols].
+std::vector<std::size_t> random_lengths(std::size_t rows, std::size_t cols,
+                                        std::uint64_t seed) {
   rng::Xoshiro256 gen(seed);
-  Matrix m(r, c);
-  for (std::size_t i = 0; i < m.size(); ++i)
-    m.data()[i] = rng::uniform(gen, 0.0, 1.0) < density ? 1.0 : 0.0;
-  return m;
-}
-
-/// w with exact +0.0 written wherever the mask is zero (what Made's packed
-/// weight cache produces).
-Matrix apply_mask(const Matrix& w, const Matrix& mask) {
-  Matrix out(w.rows(), w.cols());
-  for (std::size_t i = 0; i < w.size(); ++i)
-    out.data()[i] = mask.data()[i] != Real(0) ? w.data()[i] : Real(0);
-  return out;
+  std::vector<std::size_t> len(rows);
+  for (std::size_t& l : len) l = std::size_t(rng::uniform_index(gen, cols + 1));
+  if (rows > 0) len[0] = 0;
+  if (rows > 1) len[1] = cols;
+  return len;
 }
 
 void expect_matrix_bitwise_equal(const Matrix& got, const Matrix& want) {
@@ -274,102 +269,49 @@ void expect_matrix_bitwise_equal(const Matrix& got, const Matrix& want) {
     EXPECT_EQ(got.data()[i], want.data()[i]) << "flat index " << i;
 }
 
-TEST(RowExtents, FromMaskRecordsMaximalRuns) {
-  Matrix mask(4, 6);
-  mask.fill(0.0);
-  // row 0: empty.  row 1: full.  row 2: [1,3) and [4,6).  row 3: {5}.
-  for (std::size_t j = 0; j < 6; ++j) mask(1, j) = 1;
-  mask(2, 1) = mask(2, 2) = 1;
-  mask(2, 4) = mask(2, 5) = 1;
-  mask(3, 5) = 1;
-
-  const RowExtents ext = RowExtents::from_mask(mask);
-  const RowExtentsView v = ext.view();
-  ASSERT_EQ(ext.rows(), 4u);
-  EXPECT_EQ(ext.nonzeros(), 11u);
-
-  EXPECT_TRUE(v.row(0).empty());
-  EXPECT_EQ(ext.row_end(0), 0u);
-
-  ASSERT_EQ(v.row(1).size(), 1u);
-  EXPECT_EQ(v.row(1)[0].begin, 0u);
-  EXPECT_EQ(v.row(1)[0].end, 6u);
-
-  ASSERT_EQ(v.row(2).size(), 2u);
-  EXPECT_EQ(v.row(2)[0].begin, 1u);
-  EXPECT_EQ(v.row(2)[0].end, 3u);
-  EXPECT_EQ(v.row(2)[1].begin, 4u);
-  EXPECT_EQ(v.row(2)[1].end, 6u);
-  EXPECT_EQ(ext.row_end(2), 6u);
-
-  ASSERT_EQ(v.row(3).size(), 1u);
-  EXPECT_EQ(v.row(3)[0].begin, 5u);
-  EXPECT_EQ(v.row(3)[0].end, 6u);
-  EXPECT_EQ(ext.row_end(3), 6u);
-}
-
-TEST(RowExtents, FromMaskRoundTripsRandomMasks) {
-  for (std::uint64_t seed : {11, 12, 13}) {
-    const Matrix mask = random_mask(9, 13, seed, 0.4);
-    const RowExtents ext = RowExtents::from_mask(mask);
-    Matrix rebuilt(9, 13);
-    rebuilt.fill(0.0);
-    std::size_t nnz = 0;
-    for (std::size_t r = 0; r < 9; ++r)
-      for (const ColSpan s : ext.view().row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) {
-          rebuilt(r, j) = 1.0;
-          ++nnz;
-        }
-    EXPECT_EQ(nnz, ext.nonzeros());
-    expect_matrix_bitwise_equal(rebuilt, mask);
-  }
-}
-
-// The extent kernels follow the tolerance contract of kernels.hpp: SIMD
+// The prefix kernels follow the tolerance contract of kernels.hpp: SIMD
 // accumulation reorders the sum (vector lanes + FMA), so they agree with
 // the scalar reference within the documented ULP bound instead of
 // bit-for-bit.  Values here are O(1) with k <= 23 terms, so 1e-12 is many
-// orders above the 2*L*eps*sum|t| bound.  What stays EXACT: rows with no
-// extents are overwritten with 0.0, entries outside the mask are never
-// touched, and each kernel is bitwise-deterministic run to run.
-constexpr Real kExtentTol = 1e-12;
+// orders above the 2*L*eps*sum|t| bound.  What stays EXACT: entries past
+// a row's prefix are never read or touched, and each kernel is
+// bitwise-deterministic run to run.
+constexpr Real kPrefixTol = 1e-12;
 
 TEST(Kernels, GemmNnExtentsMatchesScalarReferenceOnMaskedMatrix) {
   const std::size_t m = 9, k = 13, n = 15;
-  const Matrix mask = random_mask(k, n, 51, 0.5);
+  const std::vector<std::size_t> len = random_lengths(k, n, 51);
   const Matrix a = random_matrix(m, k, 52);
-  const Matrix b = apply_mask(random_matrix(k, n, 53), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
+  // Unmasked: the entries past each row's prefix must not be read.
+  const Matrix b = random_matrix(k, n, 53);
 
-  Matrix want(m, n), packed(m, n), again(m, n);
-  ref::gemm_nn_extents(a, b, ext.view(), want);
-  gemm_nn_extents(a, b, ext.view(), packed);
-  expect_matrix_near(packed, want, kExtentTol);
+  Matrix want(m, n), got(m, n), again(m, n);
+  ref::gemm_nn_prefix(a, b, len, want);
+  gemm_nn_prefix(a, b, len, got);
+  expect_matrix_near(got, want, kPrefixTol);
 
-  gemm_nn_extents(a, b, ext.view(), again);  // deterministic
-  expect_matrix_bitwise_equal(packed, again);
+  gemm_nn_prefix(a, b, len, again);  // deterministic
+  expect_matrix_bitwise_equal(got, again);
 }
 
 TEST(Kernels, GemmTnAccumulateExtentsMatchesReferenceInsideAndPreservesOutside) {
   const std::size_t k = 12, m = 8, n = 10;
-  const Matrix mask = random_mask(m, n, 61, 0.5);
+  const std::vector<std::size_t> len = random_lengths(m, n, 61);
   const Matrix a = random_matrix(k, m, 62);
   const Matrix b = random_matrix(k, n, 63);
-  const RowExtents ext = RowExtents::from_mask(mask);
 
   const Matrix c0 = random_matrix(m, n, 64);
-  Matrix want = c0, packed = c0, again = c0;
-  ref::gemm_tn_accumulate_extents(a, b, ext.view(), want);
-  gemm_tn_accumulate_extents(a, b, ext.view(), packed);
-  gemm_tn_accumulate_extents(a, b, ext.view(), again);
+  Matrix want = c0, got = c0, again = c0;
+  ref::gemm_tn_accumulate_prefix(a, b, len, want);
+  gemm_tn_accumulate_prefix(a, b, len, got);
+  gemm_tn_accumulate_prefix(a, b, len, again);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t j = 0; j < n; ++j) {
-      if (mask(r, j) != Real(0))
-        EXPECT_NEAR(packed(r, j), want(r, j), kExtentTol) << r << "," << j;
+      if (j < len[r])
+        EXPECT_NEAR(got(r, j), want(r, j), kPrefixTol) << r << "," << j;
       else
-        EXPECT_EQ(packed(r, j), c0(r, j)) << r << "," << j;  // untouched
-      EXPECT_EQ(packed(r, j), again(r, j)) << r << "," << j;  // deterministic
+        EXPECT_EQ(got(r, j), c0(r, j)) << r << "," << j;  // untouched
+      EXPECT_EQ(got(r, j), again(r, j)) << r << "," << j;  // deterministic
     }
 }
 
@@ -381,8 +323,7 @@ TEST(Kernels, ViewOperandsReadAndWriteBlocksInPlace) {
   const std::size_t m = 5, k = 7, n = 6, off = 3;
   const Matrix a = random_matrix(m, k, 91);
   const Matrix b = random_matrix(n, k, 92);
-  const Matrix mask = random_mask(n, k, 93, 0.5);
-  const RowExtents ext = RowExtents::from_mask(mask);
+  const std::vector<std::size_t> len = random_lengths(n, k, 93);
   Vector params(off + n * k + 2);
   params.fill(-9.0);
   for (std::size_t i = 0; i < n * k; ++i) params[off + i] = b.data()[i];
@@ -393,11 +334,15 @@ TEST(Kernels, ViewOperandsReadAndWriteBlocksInPlace) {
   gemm_nt(a, bv, got);
   for (std::size_t i = 0; i < want.size(); ++i)
     EXPECT_EQ(got.data()[i], want.data()[i]);
+  gemm_nt_prefix(a, b, len, want);
+  gemm_nt_prefix(a, bv, len, got);
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(got.data()[i], want.data()[i]);
 
   const Matrix gwant = random_matrix(m, n, 94);
   Matrix nn_want(m, k), nn_got(m, k);
-  gemm_nn_extents(gwant, b, ext.view(), nn_want);
-  gemm_nn_extents(gwant, bv, ext.view(), nn_got);
+  gemm_nn_prefix(gwant, b, len, nn_want);
+  gemm_nn_prefix(gwant, bv, len, nn_got);
   for (std::size_t i = 0; i < nn_want.size(); ++i)
     EXPECT_EQ(nn_got.data()[i], nn_want.data()[i]);
 
@@ -406,26 +351,36 @@ TEST(Kernels, ViewOperandsReadAndWriteBlocksInPlace) {
   Matrix dense = c0, masked = c0;
   Vector grad(off + n * k + 2);
   grad.fill(4.0);
-  Vector grad_ext = grad;
+  Vector grad_prefix = grad;
   for (std::size_t i = 0; i < n * k; ++i)
-    grad[off + i] = grad_ext[off + i] = c0.data()[i];
+    grad[off + i] = grad_prefix[off + i] = c0.data()[i];
   gemm_tn_accumulate(gwant, x, dense);
   gemm_tn_accumulate(gwant, x, MatrixView(grad.data() + off, n, k));
-  gemm_tn_accumulate_extents(gwant, x, ext.view(), masked);
-  gemm_tn_accumulate_extents(gwant, x, ext.view(),
-                             MatrixView(grad_ext.data() + off, n, k));
+  gemm_tn_accumulate_prefix(gwant, x, len, masked);
+  gemm_tn_accumulate_prefix(gwant, x, len,
+                            MatrixView(grad_prefix.data() + off, n, k));
   for (std::size_t i = 0; i < n * k; ++i) {
     EXPECT_EQ(grad[off + i], dense.data()[i]);
-    EXPECT_EQ(grad_ext[off + i], masked.data()[i]);
+    EXPECT_EQ(grad_prefix[off + i], masked.data()[i]);
   }
   for (std::size_t i = 0; i < off; ++i) {
     EXPECT_EQ(grad[i], 4.0);
-    EXPECT_EQ(grad_ext[i], 4.0);
+    EXPECT_EQ(grad_prefix[i], 4.0);
   }
   for (std::size_t i = off + n * k; i < grad.size(); ++i) {
     EXPECT_EQ(grad[i], 4.0);
-    EXPECT_EQ(grad_ext[i], 4.0);
+    EXPECT_EQ(grad_prefix[i], 4.0);
   }
+}
+
+TEST(Kernels, PrefixKernelsRejectRowLengthsThatDoNotFit) {
+  const Matrix a = random_matrix(2, 4, 97);
+  const Matrix w = random_matrix(3, 4, 98);
+  Matrix c(2, 3);
+  const std::vector<std::size_t> too_long = {1, 5, 2};
+  const std::vector<std::size_t> too_few = {1, 2};
+  EXPECT_THROW(gemm_nt_prefix(a, w, too_long, c), Error);
+  EXPECT_THROW(gemm_nt_prefix(a, w, too_few, c), Error);
 }
 
 /// Property sweep: the two gemm variants agree with the naive reference

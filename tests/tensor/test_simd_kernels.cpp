@@ -16,10 +16,11 @@
 ///  3. Batch-position independence: a row's value is bitwise the same
 ///     whether it is computed alone or inside any larger batch.
 ///
-/// Edge cases the blocking must survive (exercised at every level, and by
-/// the sanitizer CI leg): empty extents (rows with no intervals),
-/// single-column rows, spans shorter than a vector, and sub-vector tails
-/// at every length around the register width.
+/// The masked kernels take one prefix length per weight row.  Edge cases
+/// the blocking must survive (exercised at every level, and by the
+/// sanitizer CI leg): rows of length 0, whole rows, single-column rows,
+/// prefixes shorter than a vector, and sub-vector tails at every length
+/// around the register width.
 
 #include <gtest/gtest.h>
 
@@ -55,20 +56,17 @@ Matrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
-Matrix random_mask(std::size_t r, std::size_t c, std::uint64_t seed,
-                   double density) {
+/// Random prefix lengths for a rows x cols operand, uniform in [0, cols],
+/// with row 0 empty, row 1 whole and row 2 a single column (when present).
+std::vector<std::size_t> random_lengths(std::size_t rows, std::size_t cols,
+                                        std::uint64_t seed) {
   rng::Xoshiro256 gen(seed);
-  Matrix m(r, c);
-  for (std::size_t i = 0; i < m.size(); ++i)
-    m.data()[i] = rng::uniform(gen, 0.0, 1.0) < density ? 1.0 : 0.0;
-  return m;
-}
-
-Matrix apply_mask(const Matrix& w, const Matrix& mask) {
-  Matrix out(w.rows(), w.cols());
-  for (std::size_t i = 0; i < w.size(); ++i)
-    out.data()[i] = mask.data()[i] != Real(0) ? w.data()[i] : Real(0);
-  return out;
+  std::vector<std::size_t> len(rows);
+  for (std::size_t& l : len) l = std::size_t(rng::uniform_index(gen, cols + 1));
+  if (rows > 0) len[0] = 0;
+  if (rows > 1) len[1] = cols;
+  if (rows > 2) len[2] = 1;
+  return len;
 }
 
 /// The contract's worst-case re-association bound for one reduction.
@@ -91,65 +89,92 @@ std::vector<simd::Level> testable_levels() {
   return levels;
 }
 
-/// C = A B^T over B's extents through the packed-panel kernel, the form
-/// production calls (B packed the way the MADE plan packs its weights).
-void gemm_nt_packed(const Matrix& a, const Matrix& b, RowExtentsView ext,
-                    Matrix& c) {
-  gemm_nt_panels(a, ext, PackedRowPanels::pack(b, ext), c);
-}
-
 /// One activation row through the batched ReLU-dot kernel (rows = 1, so
 /// the leading dimension is never read).
-Real relu_dot_one_row(std::span<const ColSpan> spans, const Real* a,
-                      const Real* packed_row) {
+Real relu_dot_one_row(ConstMatrixView w, std::span<const std::size_t> len,
+                      std::size_t row, const Real* a) {
   Real out = 0;
-  relu_dot_panels_batch(spans, a, 0, 1, packed_row, &out);
+  relu_dot_prefix_batch(w, len, row, a, 0, 1, &out);
   return out;
 }
 
-/// One masked problem instance: a (m x k), b (n x k) masked, extents over
-/// b's rows — shapes chosen per test.
-struct MaskedCase {
-  Matrix mask, a, b;
-  RowExtents ext;
+/// The same through the scalar reference.
+Real ref_relu_dot_one_row(ConstMatrixView w, std::span<const std::size_t> len,
+                          std::size_t row, const Real* a) {
+  Real out = 0;
+  ref::relu_dot_prefix_batch(w, len, row, a, 0, 1, &out);
+  return out;
+}
 
-  MaskedCase(std::size_t m, std::size_t n, std::size_t k, std::uint64_t seed,
-             double density) {
-    mask = random_mask(n, k, seed, density);
-    if (n > 2) {
-      for (std::size_t j = 0; j < k; ++j) mask(1, j) = 0;  // empty row
-      for (std::size_t j = 0; j < k; ++j) mask(2, j) = 0;  // single column
-      mask(2, k / 2) = 1;
-    }
-    a = random_matrix(m, k, seed + 1);
-    b = apply_mask(random_matrix(n, k, seed + 2), mask);
-    ext = RowExtents::from_mask(mask);
-  }
+/// sum over c < len[row] of |max(a[c], 0) w(row, c)|, the terms' magnitude
+/// for the ULP bound of a ReLU dot.
+Real relu_dot_abs_sum(ConstMatrixView w, std::span<const std::size_t> len,
+                      std::size_t row, const Real* a) {
+  Real abs_sum = 0;
+  for (std::size_t c = 0; c < len[row]; ++c)
+    abs_sum += std::abs(std::max(a[c], Real(0)) * w.row(row)[c]);
+  return abs_sum;
+}
+
+/// One masked problem instance: a (m x k), an unmasked b (n x k) and one
+/// prefix length per b row — shapes chosen per test.  Entries of b past a
+/// row's prefix are live values, so reading one shows up in the result.
+struct MaskedCase {
+  Matrix a, b;
+  std::vector<std::size_t> len;
+
+  MaskedCase(std::size_t m, std::size_t n, std::size_t k, std::uint64_t seed)
+      : a(random_matrix(m, k, seed + 1)),
+        b(random_matrix(n, k, seed + 2)),
+        len(random_lengths(n, k, seed)) {}
 };
 
 // ---------------------------------------------------------------------------
 // Parity sweep: every dispatch level vs the scalar reference, sizes from
-// single elements through n = 1000, random masks, empty and single-column
-// rows, thread counts 1 and 8.
+// single elements through n = 1000, random prefix lengths with empty,
+// whole and single-column rows, thread counts 1 and 8.
 // ---------------------------------------------------------------------------
 
 void expect_gemm_parity_at_current_level(const MaskedCase& mc,
                                          const char* label) {
-  const std::size_t m = mc.a.rows(), n = mc.b.rows();
+  const std::size_t m = mc.a.rows(), n = mc.b.rows(), k = mc.b.cols();
   Matrix want(m, n), got(m, n);
-  ref::gemm_nt_extents(mc.a, mc.b, mc.ext.view(), want);
-  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), got);
+  ref::gemm_nt_prefix(mc.a, mc.b, mc.len, want);
+  gemm_nt_prefix(mc.a, mc.b, mc.len, got);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t j = 0; j < n; ++j) {
       Real abs_sum = 0;
-      std::size_t terms = 0;
-      for (const ColSpan s : mc.ext.view().row(j))
-        for (std::size_t c = s.begin; c < s.end; ++c) {
-          abs_sum += std::abs(mc.a(r, c) * mc.b(j, c));
-          ++terms;
-        }
-      EXPECT_NEAR(got(r, j), want(r, j), ulp_bound(terms, abs_sum))
-          << label << " C(" << r << "," << j << ") L=" << terms;
+      for (std::size_t c = 0; c < mc.len[j]; ++c)
+        abs_sum += std::abs(mc.a(r, c) * mc.b(j, c));
+      EXPECT_NEAR(got(r, j), want(r, j), ulp_bound(mc.len[j], abs_sum))
+          << label << " C(" << r << "," << j << ") L=" << mc.len[j];
+    }
+
+  // The axpy-form kernels over the same lengths: C = A' B with B = mc.b
+  // (n x k) read over each row's prefix, and C += A'^T B' restricted to
+  // each C row's prefix.  Axpy chains add O(1) terms; the bound takes a
+  // conservative |t| <= 1 per term.
+  const Matrix a_nn = random_matrix(m, n, 7 + n);
+  Matrix nn_want(m, k), nn_got(m, k);
+  ref::gemm_nn_prefix(a_nn, mc.b, mc.len, nn_want);
+  gemm_nn_prefix(a_nn, mc.b, mc.len, nn_got);
+  for (std::size_t i = 0; i < nn_got.size(); ++i)
+    EXPECT_NEAR(nn_got.data()[i], nn_want.data()[i], ulp_bound(n, Real(n)))
+        << label << " nn flat " << i;
+
+  const Matrix a_tn = random_matrix(m, n, 8 + n);
+  const Matrix b_tn = random_matrix(m, k, 9 + n);
+  const Matrix c0 = random_matrix(n, k, 10 + n);
+  Matrix tn_want = c0, tn_got = c0;
+  ref::gemm_tn_accumulate_prefix(a_tn, b_tn, mc.len, tn_want);
+  gemm_tn_accumulate_prefix(a_tn, b_tn, mc.len, tn_got);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j < mc.len[r])
+        EXPECT_NEAR(tn_got(r, j), tn_want(r, j), ulp_bound(m + 1, Real(m + 2)))
+            << label << " tn " << r << "," << j;
+      else
+        ASSERT_EQ(tn_got(r, j), c0(r, j)) << label << " touched past prefix";
     }
 }
 
@@ -159,7 +184,7 @@ TEST(SimdKernels, GemmNtPanelsParitySweepAcrossLevelsSizesAndThreads) {
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     for (const std::size_t n : sizes) {
-      const MaskedCase mc(3, n, n, 1000 + n, 0.5);
+      const MaskedCase mc(3, n, n, 1000 + n);
 #ifdef _OPENMP
       for (const int threads : {1, 8}) {
         omp_set_num_threads(threads);
@@ -177,15 +202,14 @@ TEST(SimdKernels, AxpyFormExtentsKernelsMatchReferenceAcrossLevels) {
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     for (const std::size_t n : {7ul, 100ul, 300ul}) {
-      // gemm_nn_extents: a (m x k), b (k x n) masked, ext over b's rows.
+      // gemm_nn_prefix: a (m x k), b (k x n), one length per b row.
       const std::size_t m = 3, k = n;
-      const Matrix mask = random_mask(k, n, 3000 + n, 0.5);
+      const std::vector<std::size_t> len = random_lengths(k, n, 3000 + n);
       const Matrix a = random_matrix(m, k, 3001 + n);
-      const Matrix b = apply_mask(random_matrix(k, n, 3002 + n), mask);
-      const RowExtents ext = RowExtents::from_mask(mask);
+      const Matrix b = random_matrix(k, n, 3002 + n);
       Matrix want(m, n), got(m, n);
-      ref::gemm_nn_extents(a, b, ext.view(), want);
-      gemm_nn_extents(a, b, ext.view(), got);
+      ref::gemm_nn_prefix(a, b, len, want);
+      gemm_nn_prefix(a, b, len, got);
       for (std::size_t i = 0; i < got.size(); ++i) {
         // Axpy chains add k O(1) terms; reuse the same re-association bound
         // with a conservative |t| <= 1 per term.
@@ -193,30 +217,30 @@ TEST(SimdKernels, AxpyFormExtentsKernelsMatchReferenceAcrossLevels) {
             << simd::level_name(level) << " nn flat " << i;
       }
 
-      // gemm_tn_accumulate_extents: a (k2 x m2), b (k2 x n), ext over c rows.
+      // gemm_tn_accumulate_prefix: a (k2 x m2), b (k2 x n), one length per
+      // c row.
       const std::size_t k2 = 5, m2 = n;
-      const Matrix mask2 = random_mask(m2, n, 3100 + n, 0.5);
+      const std::vector<std::size_t> len2 = random_lengths(m2, n, 3100 + n);
       const Matrix a2 = random_matrix(k2, m2, 3101 + n);
       const Matrix b2 = random_matrix(k2, n, 3102 + n);
-      const RowExtents ext2 = RowExtents::from_mask(mask2);
       const Matrix c0 = random_matrix(m2, n, 3103 + n);
       Matrix want2 = c0, got2 = c0;
-      ref::gemm_tn_accumulate_extents(a2, b2, ext2.view(), want2);
-      gemm_tn_accumulate_extents(a2, b2, ext2.view(), got2);
+      ref::gemm_tn_accumulate_prefix(a2, b2, len2, want2);
+      gemm_tn_accumulate_prefix(a2, b2, len2, got2);
       for (std::size_t r = 0; r < m2; ++r)
         for (std::size_t j = 0; j < n; ++j) {
-          if (mask2(r, j) != Real(0))
+          if (j < len2[r])
             EXPECT_NEAR(got2(r, j), want2(r, j), ulp_bound(k2 + 1, Real(k2 + 2)))
                 << simd::level_name(level) << " tn " << r << "," << j;
           else
-            EXPECT_EQ(got2(r, j), c0(r, j)) << "outside-mask touched";
+            EXPECT_EQ(got2(r, j), c0(r, j)) << "past-prefix entry touched";
         }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Edge cases: all-empty extents, spans shorter than a vector, and every
+// Edge cases: all rows empty, prefixes shorter than a vector, and every
 // tail length around the widest register (8 doubles).
 // ---------------------------------------------------------------------------
 
@@ -225,26 +249,30 @@ TEST(SimdKernels, AllEmptyExtentsZeroOutputsAndTouchNothing) {
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     const std::size_t m = 4, n = 6, k = 9;
-    Matrix mask(n, k);
-    mask.fill(0.0);
+    const std::vector<std::size_t> len(n, 0);
     const Matrix a = random_matrix(m, k, 41);
-    Matrix b(n, k);
-    b.fill(0.0);
-    const RowExtents ext = RowExtents::from_mask(mask);
+    const Matrix b = random_matrix(n, k, 45);
 
     const Matrix c1 = random_matrix(n, k, 42);
     Matrix acc = c1;
-    gemm_tn_accumulate_extents(random_matrix(3, n, 43), random_matrix(3, k, 44),
-                               ext.view(), acc);
+    gemm_tn_accumulate_prefix(random_matrix(3, n, 43), random_matrix(3, k, 44),
+                              len, acc);
     for (std::size_t i = 0; i < acc.size(); ++i)
       EXPECT_EQ(acc.data()[i], c1.data()[i]);  // accumulator untouched
 
-    const PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
-    EXPECT_EQ(panels.nonzeros(), 0u);
     Matrix cp(m, n);
     cp.fill(9.0);
-    gemm_nt_panels(a, ext.view(), panels, cp);
+    gemm_nt_prefix(a, b, len, cp);
     for (std::size_t i = 0; i < cp.size(); ++i) EXPECT_EQ(cp.data()[i], 0.0);
+
+    Real dots[m];
+    relu_dot_prefix_batch(b, len, 0, a.data(), k, m, dots);
+    for (const Real v : dots) EXPECT_EQ(v, 0.0);
+    Matrix block(n, m);
+    block.fill(9.0);
+    dot_prefix_block(b, len, 0, a.data(), k, m, block);
+    for (std::size_t i = 0; i < block.size(); ++i)
+      EXPECT_EQ(block.data()[i], 0.0);
   }
 }
 
@@ -253,23 +281,24 @@ TEST(SimdKernels, EveryTailLengthAroundTheVectorWidthMatchesReference) {
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     // k sweeps through every sub-vector tail: shorter than one AVX2 lane
-    // set, exact multiples, one over, and past the unrolled 2x width.
+    // set, exact multiples, one over, and past the unrolled 2x width; the
+    // second row's prefix stops one short of the first's.
     for (std::size_t k = 1; k <= 36; ++k) {
-      Matrix mask(1, k);
-      for (std::size_t j = 0; j < k; ++j) mask(0, j) = 1.0;
+      const std::vector<std::size_t> len = {k, k - 1};
       const Matrix a = random_matrix(2, k, 500 + k);
-      const Matrix b = apply_mask(random_matrix(1, k, 600 + k), mask);
-      const RowExtents ext = RowExtents::from_mask(mask);
-      Matrix want(2, 1), got(2, 1);
-      ref::gemm_nt_extents(a, b, ext.view(), want);
-      gemm_nt_packed(a, b, ext.view(), got);
-      for (std::size_t r = 0; r < 2; ++r) {
-        Real abs_sum = 0;
-        for (std::size_t c = 0; c < k; ++c)
-          abs_sum += std::abs(a(r, c) * b(0, c));
-        EXPECT_NEAR(got(r, 0), want(r, 0), ulp_bound(k, abs_sum))
-            << simd::level_name(level) << " k=" << k << " row " << r;
-      }
+      const Matrix b = random_matrix(2, k, 600 + k);
+      Matrix want(2, 2), got(2, 2);
+      ref::gemm_nt_prefix(a, b, len, want);
+      gemm_nt_prefix(a, b, len, got);
+      for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t j = 0; j < 2; ++j) {
+          Real abs_sum = 0;
+          for (std::size_t c = 0; c < len[j]; ++c)
+            abs_sum += std::abs(a(r, c) * b(j, c));
+          EXPECT_NEAR(got(r, j), want(r, j), ulp_bound(len[j], abs_sum))
+              << simd::level_name(level) << " k=" << k << " C(" << r << ","
+              << j << ")";
+        }
     }
   }
 }
@@ -279,14 +308,14 @@ TEST(SimdKernels, EveryTailLengthAroundTheVectorWidthMatchesReference) {
 // ---------------------------------------------------------------------------
 
 TEST(SimdKernels, RepeatedRunsAreBitwiseIdenticalIncludingAcrossThreadCounts) {
-  const MaskedCase mc(16, 300, 300, 77, 0.5);
+  const MaskedCase mc(16, 300, 300, 77);
   Matrix first(16, 300), repeat(16, 300);
-  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), first);
+  gemm_nt_prefix(mc.a, mc.b, mc.len, first);
   for (int run = 0; run < 3; ++run) {
 #ifdef _OPENMP
     omp_set_num_threads(run % 2 == 0 ? 1 : 8);
 #endif
-    gemm_nt_packed(mc.a, mc.b, mc.ext.view(), repeat);
+    gemm_nt_prefix(mc.a, mc.b, mc.len, repeat);
     for (std::size_t i = 0; i < first.size(); ++i)
       ASSERT_EQ(first.data()[i], repeat.data()[i])
           << "run " << run << " flat " << i;
@@ -300,13 +329,13 @@ TEST(SimdKernels, RowValuesAreIndependentOfBatchPosition) {
   // Contract property 3: compute a 9-row batch, then each row alone; every
   // row must be bitwise identical either way (the serving path coalesces
   // rows into batches and must never perturb a value).
-  const MaskedCase mc(9, 100, 100, 88, 0.5);
+  const MaskedCase mc(9, 100, 100, 88);
   Matrix full(9, 100);
-  gemm_nt_packed(mc.a, mc.b, mc.ext.view(), full);
+  gemm_nt_prefix(mc.a, mc.b, mc.len, full);
   for (std::size_t r = 0; r < 9; ++r) {
     Matrix one(1, 100), out(1, 100);
     for (std::size_t c = 0; c < 100; ++c) one(0, c) = mc.a(r, c);
-    gemm_nt_packed(one, mc.b, mc.ext.view(), out);
+    gemm_nt_prefix(one, mc.b, mc.len, out);
     for (std::size_t j = 0; j < 100; ++j)
       ASSERT_EQ(out(0, j), full(r, j)) << "row " << r << " col " << j;
   }
@@ -325,60 +354,21 @@ TEST(SimdKernels, RowValuesAreIndependentOfBatchPosition) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed panels: geometry, refill, and the fused sampler primitives.
+// The fused sampler primitives.
 // ---------------------------------------------------------------------------
-
-TEST(SimdKernels, PackedRowPanelsRoundTripAndRefill) {
-  const Matrix mask = random_mask(11, 17, 91, 0.4);
-  const Matrix b = apply_mask(random_matrix(11, 17, 92), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-
-  PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
-  ASSERT_EQ(panels.rows(), 11u);
-  EXPECT_EQ(panels.nonzeros(), ext.nonzeros());
-  for (std::size_t r = 0; r < 11; ++r) {
-    const Real* p = panels.row(r);
-    std::size_t t = 0;
-    for (const ColSpan s : ext.view().row(r))
-      for (std::size_t j = s.begin; j < s.end; ++j)
-        EXPECT_EQ(p[t++], b(r, j)) << "row " << r << " col " << j;
-  }
-
-  const Matrix b2 = apply_mask(random_matrix(11, 17, 93), mask);
-  panels.refill(b2, ext.view());
-  for (std::size_t r = 0; r < 11; ++r) {
-    const Real* p = panels.row(r);
-    std::size_t t = 0;
-    for (const ColSpan s : ext.view().row(r))
-      for (std::size_t j = s.begin; j < s.end; ++j)
-        EXPECT_EQ(p[t++], b2(r, j)) << "refilled row " << r;
-  }
-}
 
 TEST(SimdKernels, ReluDotPanelsMatchesReferenceAcrossLevels) {
   LevelGuard guard;
-  const Matrix mask = random_mask(5, 29, 95, 0.6);
-  const Matrix b = apply_mask(random_matrix(5, 29, 96), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-  const PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
+  const Matrix w = random_matrix(5, 29, 96);
+  const std::vector<std::size_t> len = random_lengths(5, 29, 95);
   const Matrix a = random_matrix(1, 29, 97);
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     for (std::size_t r = 0; r < 5; ++r) {
-      const Real want =
-          ref::relu_dot_panels(ext.view().row(r), a.row(0).data(),
-                               panels.row(r));
-      const Real got =
-          relu_dot_one_row(ext.view().row(r), a.row(0).data(), panels.row(r));
-      Real abs_sum = 0;
-      std::size_t terms = 0;
-      const Real* pv = panels.row(r);
-      for (const ColSpan s : ext.view().row(r))
-        for (std::size_t j = s.begin; j < s.end; ++j) {
-          abs_sum += std::abs(std::max(a(0, j), Real(0)) * *pv++);
-          ++terms;
-        }
-      EXPECT_NEAR(got, want, ulp_bound(terms, abs_sum))
+      const Real want = ref_relu_dot_one_row(w, len, r, a.row(0).data());
+      const Real got = relu_dot_one_row(w, len, r, a.row(0).data());
+      EXPECT_NEAR(got, want,
+                  ulp_bound(len[r], relu_dot_abs_sum(w, len, r, a.data())))
           << simd::level_name(level) << " row " << r;
     }
   }
@@ -389,36 +379,23 @@ TEST(SimdKernels, ReluDotPanelsBatchBitwiseEqualsSingleRowAcrossLevels) {
   // *bitwise* the value of a one-row call, for every batch size and row-tile
   // split — plus reference parity within the documented ULP bound.
   LevelGuard guard;
-  const Matrix mask = random_mask(6, 41, 143, 0.6);
-  const Matrix b = apply_mask(random_matrix(6, 41, 144), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-  const PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
+  const Matrix w = random_matrix(6, 41, 144);
+  const std::vector<std::size_t> len = random_lengths(6, 41, 143);
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     for (const std::size_t rows : {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 9ul, 70ul}) {
       const Matrix a = random_matrix(rows, 41, 145 + rows);
       std::vector<Real> got(rows);
-      for (std::size_t pr = 0; pr < 6; ++pr) {
-        relu_dot_panels_batch(ext.view().row(pr), a.data(), 41, rows,
-                              panels.row(pr), got.data());
+      for (std::size_t wr = 0; wr < 6; ++wr) {
+        relu_dot_prefix_batch(w, len, wr, a.data(), 41, rows, got.data());
         for (std::size_t r = 0; r < rows; ++r) {
-          const Real single = relu_dot_one_row(
-              ext.view().row(pr), a.row(r).data(), panels.row(pr));
-          EXPECT_EQ(got[r], single)
-              << simd::level_name(level) << " rows " << rows << " panel row "
-              << pr << " batch row " << r;
-          const Real want = ref::relu_dot_panels(
-              ext.view().row(pr), a.row(r).data(), panels.row(pr));
-          Real abs_sum = 0;
-          std::size_t terms = 0;
-          const Real* pv = panels.row(pr);
-          for (const ColSpan s : ext.view().row(pr))
-            for (std::size_t j = s.begin; j < s.end; ++j) {
-              abs_sum += std::abs(std::max(a(r, j), Real(0)) * *pv++);
-              ++terms;
-            }
-          EXPECT_NEAR(got[r], want, ulp_bound(terms, abs_sum))
-              << simd::level_name(level) << " vs reference, panel row " << pr;
+          const Real* ar = a.row(r).data();
+          EXPECT_EQ(got[r], relu_dot_one_row(w, len, wr, ar))
+              << simd::level_name(level) << " rows " << rows << " W row "
+              << wr << " batch row " << r;
+          EXPECT_NEAR(got[r], ref_relu_dot_one_row(w, len, wr, ar),
+                      ulp_bound(len[wr], relu_dot_abs_sum(w, len, wr, ar)))
+              << simd::level_name(level) << " vs reference, W row " << wr;
         }
       }
     }
@@ -427,52 +404,41 @@ TEST(SimdKernels, ReluDotPanelsBatchBitwiseEqualsSingleRowAcrossLevels) {
 
 TEST(SimdKernels, ReluDotPanelsBatchSubVectorTailSweepAcrossLevels) {
   // Every reduction tail length around the register width (1..36 columns,
-  // one full-width span), at every level: bitwise vs a one-row call,
-  // tolerance vs the scalar reference.
+  // one whole row), at every level: bitwise vs a one-row call, tolerance
+  // vs the scalar reference.
   LevelGuard guard;
   constexpr std::size_t kRows = 5;
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
-    for (std::size_t len = 1; len <= 36; ++len) {
-      Matrix mask(1, len);
-      for (std::size_t j = 0; j < len; ++j) mask(0, j) = 1;
-      const Matrix b = random_matrix(1, len, 500 + len);
-      const RowExtents ext = RowExtents::from_mask(mask);
-      const PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
-      const Matrix a = random_matrix(kRows, len, 600 + len);
+    for (std::size_t n = 1; n <= 36; ++n) {
+      const Matrix w = random_matrix(1, n, 500 + n);
+      const std::vector<std::size_t> len = {n};
+      const Matrix a = random_matrix(kRows, n, 600 + n);
       Real got[kRows];
-      relu_dot_panels_batch(ext.view().row(0), a.data(), len, kRows,
-                            panels.row(0), got);
+      relu_dot_prefix_batch(w, len, 0, a.data(), n, kRows, got);
       for (std::size_t r = 0; r < kRows; ++r) {
-        EXPECT_EQ(got[r], relu_dot_one_row(ext.view().row(0),
-                                           a.row(r).data(), panels.row(0)))
-            << simd::level_name(level) << " len " << len << " row " << r;
-        Real abs_sum = 0;
-        for (std::size_t j = 0; j < len; ++j)
-          abs_sum += std::abs(std::max(a(r, j), Real(0)) * b(0, j));
-        EXPECT_NEAR(got[r],
-                    ref::relu_dot_panels(ext.view().row(0), a.row(r).data(),
-                                         panels.row(0)),
-                    ulp_bound(len, abs_sum))
-            << simd::level_name(level) << " len " << len << " row " << r;
+        const Real* ar = a.row(r).data();
+        EXPECT_EQ(got[r], relu_dot_one_row(w, len, 0, ar))
+            << simd::level_name(level) << " len " << n << " row " << r;
+        EXPECT_NEAR(got[r], ref_relu_dot_one_row(w, len, 0, ar),
+                    ulp_bound(n, relu_dot_abs_sum(w, len, 0, ar)))
+            << simd::level_name(level) << " len " << n << " row " << r;
       }
     }
   }
 }
 
 TEST(SimdKernels, DotPanelsBlockKernelsBitwiseEqualSingleRowAcrossLevels) {
-  // The conditional engine's frozen-tail kernel: dot_panels_block on the
+  // The conditional engine's frozen-tail kernel: dot_prefix_block on the
   // materialized relu of a block of rows must reproduce a one-row
-  // relu_dot_panels_batch call on the pre-activations bitwise for every
+  // relu_dot_prefix_batch call on the pre-activations bitwise for every
   // (site, row) cell — the blocked loops only reorder *which* cells are
   // computed when, never the per-cell reduction.  nsites > kColBlock so the
-  // panel-block loop takes more than one trip.
+  // W-block loop takes more than one trip.
   LevelGuard guard;
   constexpr std::size_t kSites = 300, kCols = 37, kBegin = 41;
-  const Matrix mask = random_mask(kSites, kCols, 7321, 0.55);
-  const Matrix b = apply_mask(random_matrix(kSites, kCols, 7322), mask);
-  const RowExtents ext = RowExtents::from_mask(mask);
-  const PackedRowPanels panels = PackedRowPanels::pack(b, ext.view());
+  const Matrix w = random_matrix(kSites, kCols, 7322);
+  const std::vector<std::size_t> len = random_lengths(kSites, kCols, 7321);
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
     for (const std::size_t rows : {1ul, 3ul, 4ul, 7ul, 8ul, 9ul, 21ul}) {
@@ -481,28 +447,17 @@ TEST(SimdKernels, DotPanelsBlockKernelsBitwiseEqualSingleRowAcrossLevels) {
       for (std::size_t i = 0; i < a.size(); ++i)
         relu_a.data()[i] = a.data()[i] > 0 ? a.data()[i] : Real(0);
       Matrix got(kSites - kBegin, rows);
-      dot_panels_block(ext.view(), panels, kBegin, relu_a.data(), kCols, rows,
-                       got);
+      dot_prefix_block(w, len, kBegin, relu_a.data(), kCols, rows, got);
       Matrix want(kSites - kBegin, rows);
-      ref::relu_dot_panels_block(ext.view(), panels, kBegin, a.data(), kCols,
-                                 rows, want);
+      ref::relu_dot_prefix_block(w, len, kBegin, a.data(), kCols, rows, want);
       for (std::size_t s = kBegin; s < kSites; ++s)
         for (std::size_t r = 0; r < rows; ++r) {
-          const Real single = relu_dot_one_row(
-              ext.view().row(s), a.row(r).data(), panels.row(s));
-          EXPECT_EQ(got(s - kBegin, r), single)
+          const Real* ar = a.row(r).data();
+          EXPECT_EQ(got(s - kBegin, r), relu_dot_one_row(w, len, s, ar))
               << simd::level_name(level) << " rows " << rows << " site " << s
               << " row " << r;
-          Real abs_sum = 0;
-          std::size_t terms = 0;
-          const Real* pv = panels.row(s);
-          for (const ColSpan sp : ext.view().row(s))
-            for (std::size_t j = sp.begin; j < sp.end; ++j) {
-              abs_sum += std::abs(std::max(a(r, j), Real(0)) * *pv++);
-              ++terms;
-            }
           EXPECT_NEAR(got(s - kBegin, r), want(s - kBegin, r),
-                      ulp_bound(terms, abs_sum))
+                      ulp_bound(len[s], relu_dot_abs_sum(w, len, s, ar)))
               << simd::level_name(level) << " vs reference, site " << s;
         }
     }
@@ -676,19 +631,6 @@ TEST(SimdKernels, ReluShiftDeltaLanesBitwiseEqualsReferenceAcrossLevels) {
   }
 }
 
-/// Panels whose row j holds a prefix of row_sizes[j] values: MADE's W2
-/// rows, which the flip path reads.
-PackedRowPanels prefix_panels(const std::vector<std::size_t>& row_sizes,
-                              std::size_t cols, std::uint64_t seed) {
-  Matrix mask(row_sizes.size(), cols);
-  for (std::size_t j = 0; j < row_sizes.size(); ++j)
-    for (std::size_t c = 0; c < row_sizes[j]; ++c) mask(j, c) = 1;
-  const RowExtents ext = RowExtents::from_mask(mask);
-  return PackedRowPanels::pack(
-      apply_mask(random_matrix(row_sizes.size(), cols, seed), mask),
-      ext.view());
-}
-
 TEST(SimdKernels, TriangleDotLanesMatchesReferenceForEveryTailLengthAcrossLevels) {
   LevelGuard guard;
   for (const simd::Level level : testable_levels()) {
@@ -701,21 +643,22 @@ TEST(SimdKernels, TriangleDotLanesMatchesReferenceForEveryTailLengthAcrossLevels
         sizes.push_back(std::min(len, j * len / (len + 1) + j % 2));
       std::sort(sizes.begin(), sizes.end());
       const std::size_t rows = sizes.size();
-      const PackedRowPanels panels = prefix_panels(sizes, len, 1200 + len);
+      // W2-like rows, in-mask over their prefixes and live past them.
+      const Matrix w = random_matrix(rows, len, 1200 + len);
       const std::vector<Real> a = random_lanes(len, 1300 + len, -1.0, 1.0);
       const std::vector<Real> base = random_lanes(rows, 1400 + len, -2, 2);
       for (const std::size_t j_begin : {std::size_t(0), rows / 2}) {
         const std::size_t lo = std::min(sizes[j_begin], len / 3);
         std::vector<Real> want((rows - j_begin) * kL), got(want.size());
-        ref::triangle_dot_lanes(panels, lo, j_begin, a.data(), base.data(),
+        ref::triangle_dot_lanes(w, sizes, lo, j_begin, a.data(), base.data(),
                                 want.data());
-        triangle_dot_lanes(panels, lo, j_begin, a.data(), base.data(),
+        triangle_dot_lanes(w, sizes, lo, j_begin, a.data(), base.data(),
                            got.data());
         for (std::size_t j = j_begin; j < rows; ++j)
           for (std::size_t l = 0; l < kL; ++l) {
             Real abs_sum = std::abs(base[j * kL + l]);
             for (std::size_t c = lo; c < sizes[j]; ++c)
-              abs_sum += std::abs(panels.row(j)[c] * a[c * kL + l]);
+              abs_sum += std::abs(w(j, c) * a[c * kL + l]);
             const std::size_t at = (j - j_begin) * kL + l;
             EXPECT_NEAR(got[at], want[at], ulp_bound(len + 1, abs_sum))
                 << simd::level_name(level) << " len=" << len << " j=" << j;
@@ -723,7 +666,7 @@ TEST(SimdKernels, TriangleDotLanesMatchesReferenceForEveryTailLengthAcrossLevels
         // Each lane is one row: reversing the lanes reverses the results
         // bit for bit.
         std::vector<Real> flipped(got.size());
-        triangle_dot_lanes(panels, lo, j_begin, reverse_lanes(a).data(),
+        triangle_dot_lanes(w, sizes, lo, j_begin, reverse_lanes(a).data(),
                            reverse_lanes(base).data(), flipped.data());
         const std::vector<Real> expect = reverse_lanes(got);
         for (std::size_t i = 0; i < got.size(); ++i)
