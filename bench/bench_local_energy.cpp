@@ -13,15 +13,22 @@
 /// relative to |H_xx| + sum_y |H_xy| psi(y)/psi(x).
 ///
 /// Cases: MADE and RBM at n = 20, 50, 100, 128 with 256 rows, plus one
-/// 1-row MADE case at n = 1000 (the serving shape).  Writes
-/// BENCH_local_energy.json; exits nonzero when the paths disagree beyond
-/// the bound or when the flip path is slower than the full-forward path
-/// at n = 128.
+/// 1-row MADE case at n = 1000 (the serving shape).  A last case times
+/// TIM's batched diagonal (one ising_diagonal call) against the per-row
+/// loop (Hamiltonian::diagonal_batch's default, one diagonal call per row)
+/// on 256 rows at n = 128, in alternating blocks, and checks that the two
+/// agree bit for bit.  Writes BENCH_local_energy.json; exits nonzero when
+/// the paths disagree beyond the bound, when the flip path is slower than
+/// the full-forward path at n = 128, when RBM's flip path is less than
+/// kRbmGateSpeedup times the full-forward path at n = 128, or when the
+/// batched diagonal differs from the row loop.
 ///
 ///   ./build/bench/bench_local_energy --commit $(git rev-parse --short HEAD)
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -58,6 +65,9 @@ constexpr std::size_t kSpins[] = {20, 50, 100, 128};
 constexpr std::size_t kRows = 256;
 constexpr std::size_t kServeSpins = 1000;  ///< the 1-row case
 constexpr std::size_t kGateSpins = 128;
+/// RBM's product-form flip path must beat the full-forward path by this
+/// in-run factor at n = kGateSpins (DESIGN.md §5l).
+constexpr double kRbmGateSpeedup = 5.0;
 
 /// Forwards everything but log_psi_flip_ratios, so an engine bound to it
 /// takes the full-forward path on the wrapped model's own evaluations.
@@ -166,7 +176,7 @@ CaseResult run_case(const std::string& kind, std::size_t n, std::size_t rows,
   LocalEnergyEngine flip(tim, *model);
   LocalEnergyEngine full(tim, full_model);
   Vector flip_out(rows), full_out(rows), scale(rows);
-  // Warm both paths (shapes the scratch, fills the weight caches).
+  // Warm both paths (shapes the scratch).
   flip.compute(batch, flip_out.span());
   full.compute(batch, full_out.span());
   const AbsoluteHamiltonian abs_tim(tim);
@@ -204,6 +214,51 @@ CaseResult run_case(const std::string& kind, std::size_t n, std::size_t rows,
   return r;
 }
 
+struct DiagonalResult {
+  double batched_ms = 0;
+  double row_loop_ms = 0;
+  double ratio = 0;  ///< median of paired row-loop / batched blocks
+  bool bitwise_equal = false;
+};
+
+/// TIM's batched diagonal against the per-row loop on one batch.
+DiagonalResult run_diagonal_case(std::size_t n, std::size_t rows,
+                                 double block_seconds, int repeats) {
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 7);
+  rng::Xoshiro256 gen(n * 37 + rows);
+  Matrix batch(rows, n);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+  Vector batched(rows), looped(rows);
+  const auto batched_call = [&] { tim.diagonal_batch(batch, batched.span()); };
+  const auto loop_call = [&] {
+    tim.Hamiltonian::diagonal_batch(batch, looped.span());
+  };
+  batched_call();
+  loop_call();
+  DiagonalResult r;
+  r.bitwise_equal = std::equal(batched.data(), batched.data() + rows,
+                               looped.data(), [](Real a, Real b) {
+                                 return std::bit_cast<std::uint64_t>(a) ==
+                                        std::bit_cast<std::uint64_t>(b);
+                               });
+  Timer probe;
+  loop_call();
+  const double probe_s = std::max(probe.seconds(), 1e-6);
+  const std::size_t calls =
+      std::max<std::size_t>(2, std::size_t(block_seconds / probe_s));
+  std::vector<double> batched_ms, loop_ms, ratios;
+  for (int rep = 0; rep < repeats; ++rep) {
+    batched_ms.push_back(block_ms(batched_call, calls));
+    loop_ms.push_back(block_ms(loop_call, calls));
+    ratios.push_back(loop_ms.back() / batched_ms.back());
+  }
+  r.batched_ms = median(batched_ms);
+  r.row_loop_ms = median(loop_ms);
+  r.ratio = median(ratios);
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -233,12 +288,15 @@ int main(int argc, char** argv) {
     for (const char* kind : {"MADE", "RBM"})
       results.push_back(run_case(kind, n, kRows, block_seconds, repeats));
   results.push_back(run_case("MADE", kServeSpins, 1, block_seconds, repeats));
+  const DiagonalResult diagonal =
+      run_diagonal_case(kGateSpins, kRows, block_seconds, repeats);
 
   Table table("Local energy per compute() call");
   table.set_header({"model", "n", "h", "rows", "flip ms", "full ms",
                     "full/flip", "max rel diff"});
   bool parity_ok = true;
   bool gate_ok = true;
+  bool rbm_gate_ok = true;
   for (const CaseResult& r : results) {
     table.add_row({r.model, std::to_string(r.spins), std::to_string(r.hidden),
                    std::to_string(r.rows), format_fixed(r.flip_ms, 3),
@@ -246,8 +304,16 @@ int main(int argc, char** argv) {
                    scientific(r.max_rel_diff)});
     parity_ok &= r.parity_ok;
     if (r.spins == kGateSpins) gate_ok &= r.ratio >= 1.0;
+    if (r.spins == kGateSpins && r.model == "RBM")
+      rbm_gate_ok &= r.ratio >= kRbmGateSpeedup;
   }
   std::cout << table.to_string();
+  std::cout << "\nTIM diagonal, n = " << kGateSpins << ", " << kRows
+            << " rows: batched " << format_fixed(diagonal.batched_ms, 3)
+            << " ms, row loop " << format_fixed(diagonal.row_loop_ms, 3)
+            << " ms, row loop/batched " << format_fixed(diagonal.ratio, 2)
+            << ", bitwise equal: " << (diagonal.bitwise_equal ? "yes" : "NO")
+            << "\n";
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"local_energy\",\n"
@@ -266,8 +332,18 @@ int main(int argc, char** argv) {
          << ", \"parity_ok\": " << (r.parity_ok ? "true" : "false") << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"gate_spins\": " << kGateSpins
+  json << "  ],\n  \"tim_diagonal\": {\"spins\": " << kGateSpins
+       << ", \"rows\": " << kRows
+       << ", \"batched_ms_per_call\": " << diagonal.batched_ms
+       << ", \"row_loop_ms_per_call\": " << diagonal.row_loop_ms
+       << ", \"speedup_batched_over_row_loop\": " << diagonal.ratio
+       << ", \"bitwise_equal\": "
+       << (diagonal.bitwise_equal ? "true" : "false") << "}"
+       << ",\n  \"gate_spins\": " << kGateSpins
        << ",\n  \"flip_not_slower_at_gate\": " << (gate_ok ? "true" : "false")
+       << ",\n  \"rbm_gate_speedup\": " << kRbmGateSpeedup
+       << ",\n  \"rbm_flip_speedup_at_gate_ok\": "
+       << (rbm_gate_ok ? "true" : "false")
        << ",\n  \"parity_ok\": " << (parity_ok ? "true" : "false") << "\n}\n";
   const std::string out_path = opts.get_string("out");
   std::ofstream(out_path) << json.str();
@@ -281,6 +357,15 @@ int main(int argc, char** argv) {
   if (!gate_ok) {
     std::cerr << "FAIL: flip path slower than full-forward at n = "
               << kGateSpins << "\n";
+    return 1;
+  }
+  if (!rbm_gate_ok) {
+    std::cerr << "FAIL: RBM flip path less than " << kRbmGateSpeedup
+              << "x the full-forward path at n = " << kGateSpins << "\n";
+    return 1;
+  }
+  if (!diagonal.bitwise_equal) {
+    std::cerr << "FAIL: TIM's batched diagonal differs from the row loop\n";
     return 1;
   }
   return 0;

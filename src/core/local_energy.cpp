@@ -99,9 +99,8 @@ void LocalEnergyEngine::compute(const Matrix& batch, std::span<Real> out) {
   VQMC_REQUIRE(n == hamiltonian_.num_spins(),
                "local energy: batch has wrong spin count");
 
-  // Diagonal part (always needed).
-  for (std::size_t k = 0; k < bs; ++k)
-    out[k] = hamiltonian_.diagonal(batch.row(k));
+  // Diagonal part (always needed), one call for the batch.
+  hamiltonian_.diagonal_batch(batch, out);
 
   if (hamiltonian_.is_diagonal()) return;
 

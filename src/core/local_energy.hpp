@@ -16,7 +16,9 @@
 ///    WavefunctionModel::log_psi_flip_ratios: one batched call per
 ///    compute() returns the ratios of every requested site for every row.
 ///    MADE and RBM implement it incrementally — O(h n^2 / 6) and O(h n)
-///    per sample instead of one full forward per flipped copy.
+///    per sample instead of one full forward per flipped copy — and take
+///    one log per chunk of multiplied factors (RBM's cosh ratios in
+///    product form, MADE's clamped Bernoulli probabilities).
 ///  * **Full-forward path.**  Multi-site entries (XXZ pair exchanges), and
 ///    every entry of a model whose log_psi_flip_ratios reports no such
 ///    path (DeepMADE, RNN), are copied into chunks of connected
@@ -25,10 +27,13 @@
 ///    forward passes for physical quantity measurements".  Its buffers are
 ///    allocated only when it runs.
 ///
-/// Per row, the terms are added in a fixed order — the diagonal, then the
-/// full-forward entries, then the single-site entries, each in the
-/// Hamiltonian's visiting order — so a row's local energy is bitwise the
-/// same alone, inside any batch, at any position and at any thread count.
+/// The diagonal comes from one Hamiltonian::diagonal_batch call per
+/// compute() (TIM: a kernel whose vector lanes are rows, bitwise its
+/// per-row diagonal).  Per row, the terms are added in a fixed order — the
+/// diagonal, then the full-forward entries, then the single-site entries,
+/// each in the Hamiltonian's visiting order — so a row's local energy is
+/// bitwise the same alone, inside any batch, at any position and at any
+/// thread count.
 ///
 /// Diagonal Hamiltonians (Max-Cut / QUBO) short-circuit: no wavefunction
 /// evaluation is needed at all, and VQMC degenerates to the

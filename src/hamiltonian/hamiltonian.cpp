@@ -22,6 +22,14 @@ std::uint64_t encode_basis_state(std::span<const Real> x) {
   return idx;
 }
 
+void Hamiltonian::diagonal_batch(const Matrix& batch,
+                                 std::span<Real> out) const {
+  VQMC_REQUIRE(batch.cols() == num_spins() && out.size() == batch.rows(),
+               "diagonal_batch: batch or output shape mismatch");
+  for (std::size_t k = 0; k < batch.rows(); ++k)
+    out[k] = diagonal(batch.row(k));
+}
+
 void Hamiltonian::apply_dense(std::span<const Real> v,
                               std::span<Real> y) const {
   const std::size_t n = num_spins();

@@ -9,6 +9,8 @@
 /// {(y, H_xy)} of row x can be enumerated in O(s) time.  For the families in
 /// the paper (Eq. 11) every off-diagonal column y differs from x on a small
 /// set of flipped sites, so entries are reported as (flip set, value) pairs.
+/// The diagonal comes per row (diagonal) or per batch (diagonal_batch,
+/// bitwise the same values), which is how the local-energy engine reads it.
 ///
 /// Spin configurations are stored as Real vectors with entries in {0, 1}
 /// (bit convention; the Ising sign is s_i = 1 - 2 x_i) because they are fed
@@ -46,6 +48,12 @@ class Hamiltonian {
 
   /// H_xx for configuration x (entries in {0,1}).
   [[nodiscard]] virtual Real diagonal(std::span<const Real> x) const = 0;
+
+  /// H_xx of every row of `batch` into `out` (length batch.rows()), each
+  /// bitwise diagonal(row).  The default loops over the rows; an override
+  /// evaluates the whole batch at once (TIM: one kernel whose vector lanes
+  /// are rows).  The local-energy engine makes one call per batch.
+  virtual void diagonal_batch(const Matrix& batch, std::span<Real> out) const;
 
   /// Enumerate the non-zero off-diagonal entries of row x.
   virtual void for_each_off_diagonal(std::span<const Real> x,

@@ -42,7 +42,9 @@ class Qubo final : public Hamiltonian {
 
   [[nodiscard]] const std::vector<Term>& terms() const { return terms_; }
 
-  /// Energy change from flipping `site` (O(degree); used by MCMC).
+  /// Energy change from flipping `site`, O(degree).  Nothing in the
+  /// library calls it (the samplers and the local-energy engine evaluate
+  /// the diagonal whole); it serves callers that move one spin at a time.
   [[nodiscard]] Real diagonal_flip_delta(std::span<const Real> x,
                                          std::size_t site) const;
 

@@ -23,8 +23,18 @@ TransverseFieldIsing::TransverseFieldIsing(std::vector<Real> alpha,
     VQMC_REQUIRE(c.i < c.j, "TIM: couplings must satisfy i < j");
     VQMC_REQUIRE(c.j < alpha_.size(), "TIM: coupling index out of range");
   }
-  build_adjacency();
 }
+
+namespace {
+
+/// Sites fit the couplings' 32-bit indices (every instance the memory can
+/// hold does).
+std::uint32_t site_index(std::size_t i) {
+  VQMC_REQUIRE(i <= UINT32_MAX, "TIM: site index exceeds 32 bits");
+  return std::uint32_t(i);
+}
+
+}  // namespace
 
 TransverseFieldIsing TransverseFieldIsing::random_dense(std::size_t n,
                                                         std::uint64_t seed) {
@@ -36,7 +46,8 @@ TransverseFieldIsing TransverseFieldIsing::random_dense(std::size_t n,
   couplings.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
-      couplings.push_back({i, j, rng::uniform(gen, -1.0, 1.0)});
+      couplings.push_back(
+          {site_index(i), site_index(j), rng::uniform(gen, -1.0, 1.0)});
   return TransverseFieldIsing(std::move(alpha), std::move(beta),
                               std::move(couplings));
 }
@@ -57,7 +68,8 @@ TransverseFieldIsing TransverseFieldIsing::random_sparse(std::size_t n,
       std::size_t j = std::size_t(rng::uniform_index(gen, n - 1));
       if (j >= i) ++j;
       const std::size_t lo = std::min(i, j), hi = std::max(i, j);
-      couplings.push_back({lo, hi, rng::uniform(gen, -1.0, 1.0)});
+      couplings.push_back(
+          {site_index(lo), site_index(hi), rng::uniform(gen, -1.0, 1.0)});
     }
   }
   // Remove duplicate pairs, keeping the first draw.
@@ -82,8 +94,9 @@ TransverseFieldIsing TransverseFieldIsing::uniform_chain(std::size_t n,
   VQMC_REQUIRE(field >= 0, "TIM chain: field must be non-negative");
   std::vector<Real> alpha(n, field), beta(n, Real(0));
   std::vector<Coupling> couplings;
-  for (std::size_t i = 0; i + 1 < n; ++i) couplings.push_back({i, i + 1, coupling});
-  if (periodic && n > 2) couplings.push_back({0, n - 1, coupling});
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    couplings.push_back({site_index(i), site_index(i + 1), coupling});
+  if (periodic && n > 2) couplings.push_back({0, site_index(n - 1), coupling});
   return TransverseFieldIsing(std::move(alpha), std::move(beta),
                               std::move(couplings));
 }
@@ -104,30 +117,19 @@ Real tfim_chain_ground_energy(std::size_t n, Real coupling, Real field) {
   return energy;
 }
 
-void TransverseFieldIsing::build_adjacency() {
-  const std::size_t n = alpha_.size();
-  adj_offsets_.assign(n + 1, 0);
-  for (const Coupling& c : couplings_) {
-    ++adj_offsets_[c.i + 1];
-    ++adj_offsets_[c.j + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) adj_offsets_[i] += adj_offsets_[i - 1];
-  adjacency_.assign(adj_offsets_.back(), {0, 0});
-  std::vector<std::size_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
-  for (const Coupling& c : couplings_) {
-    adjacency_[cursor[c.i]++] = {c.j, c.beta};
-    adjacency_[cursor[c.j]++] = {c.i, c.beta};
-  }
+Real TransverseFieldIsing::diagonal(std::span<const Real> x) const {
+  VQMC_REQUIRE(x.size() == num_spins(), "TIM: configuration size mismatch");
+  Real value = 0;
+  ising_diagonal(x.data(), 1, x.size(), beta_, couplings_, &value);
+  return value;
 }
 
-Real TransverseFieldIsing::diagonal(std::span<const Real> x) const {
-  VQMC_ASSERT(x.size() == num_spins(), "TIM: configuration size mismatch");
-  Real acc = 0;
-  for (std::size_t i = 0; i < beta_.size(); ++i)
-    acc -= beta_[i] * ising_sign(x[i]);
-  for (const Coupling& c : couplings_)
-    acc -= c.beta * ising_sign(x[c.i]) * ising_sign(x[c.j]);
-  return acc;
+void TransverseFieldIsing::diagonal_batch(const Matrix& batch,
+                                          std::span<Real> out) const {
+  VQMC_REQUIRE(batch.cols() == num_spins() && out.size() == batch.rows(),
+               "TIM: batch or output shape mismatch");
+  ising_diagonal(batch.data(), batch.rows(), batch.cols(), beta_, couplings_,
+                 out.data());
 }
 
 void TransverseFieldIsing::for_each_off_diagonal(
@@ -140,21 +142,6 @@ void TransverseFieldIsing::for_each_off_diagonal(
     flip[0] = i;
     visit(std::span<const std::size_t>(flip, 1), -alpha_[i]);
   }
-}
-
-Real TransverseFieldIsing::diagonal_flip_delta(std::span<const Real> x,
-                                               std::size_t site) const {
-  VQMC_ASSERT(site < num_spins(), "TIM: site out of range");
-  // Flipping site changes s_site -> -s_site; the diagonal terms containing
-  // that spin flip sign, so the delta is twice their current value.
-  const Real s = ising_sign(x[site]);
-  Real delta = 2 * beta_[site] * s;  // -beta s -> +beta s
-  const std::size_t begin = adj_offsets_[site], end = adj_offsets_[site + 1];
-  for (std::size_t k = begin; k < end; ++k) {
-    const auto& [other, beta] = adjacency_[k];
-    delta += 2 * beta * s * ising_sign(x[other]);
-  }
-  return delta;
 }
 
 }  // namespace vqmc

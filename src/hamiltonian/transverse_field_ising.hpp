@@ -18,12 +18,19 @@
 /// experiments we therefore also support a sparse disorder variant with a
 /// fixed expected degree (see DESIGN.md substitution table); the dense
 /// variant is bit-faithful to the paper and is the default for n <= 2048.
+///
+/// The couplings are stored once, as the list of 16-byte (uint32 i,
+/// uint32 j, beta) terms the ising_diagonal kernel reads (8 MB at dense
+/// n = 1000), and the factories build that list directly.  diagonal and
+/// diagonal_batch both run that kernel, so a row's H_xx is bitwise the same
+/// alone or in any batch (DESIGN.md §5l).
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "hamiltonian/hamiltonian.hpp"
+#include "tensor/kernels.hpp"
 
 namespace vqmc {
 
@@ -31,12 +38,8 @@ namespace vqmc {
 /// pairwise disorder.
 class TransverseFieldIsing final : public Hamiltonian {
  public:
-  /// A single Z_i Z_j coupling term.
-  struct Coupling {
-    std::size_t i;
-    std::size_t j;
-    Real beta;
-  };
+  /// A single Z_i Z_j coupling term (i < j).
+  using Coupling = IsingCoupling;
 
   /// Construct from explicit fields and couplings (i < j required).
   TransverseFieldIsing(std::vector<Real> alpha, std::vector<Real> beta,
@@ -66,6 +69,8 @@ class TransverseFieldIsing final : public Hamiltonian {
     return alpha_.size() + 1;
   }
   [[nodiscard]] Real diagonal(std::span<const Real> x) const override;
+  void diagonal_batch(const Matrix& batch,
+                      std::span<Real> out) const override;
   void for_each_off_diagonal(std::span<const Real> x,
                              const OffDiagonalVisitor& visit) const override;
   [[nodiscard]] std::string name() const override { return "TIM"; }
@@ -80,18 +85,6 @@ class TransverseFieldIsing final : public Hamiltonian {
   std::vector<Real> alpha_;  ///< transverse fields (non-negative)
   std::vector<Real> beta_;   ///< longitudinal fields
   std::vector<Coupling> couplings_;
-  // Per-site coupling adjacency for O(degree) single-flip diagonal updates
-  // used by the Metropolis sampler.
-  std::vector<std::size_t> adj_offsets_;
-  std::vector<std::pair<std::size_t, Real>> adjacency_;
-
-  void build_adjacency();
-
- public:
-  /// Change in diagonal energy when flipping `site` of configuration x.
-  /// O(degree(site)) — used by the MCMC sampler's incremental updates.
-  [[nodiscard]] Real diagonal_flip_delta(std::span<const Real> x,
-                                         std::size_t site) const;
 };
 
 /// Exact ground energy of the *periodic* uniform TFIM chain

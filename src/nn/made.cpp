@@ -21,8 +21,9 @@ namespace {
 /// the (x - p) form which needs no clamping.
 constexpr Real kProbEps = 1e-12;
 
-/// log(max(sel, eps)): one clamped Bernoulli log-likelihood term.
-Real clamped_log(Real sel) { return std::log(sel < kProbEps ? kProbEps : sel); }
+/// max(sel, eps): the clamped probability of one Bernoulli term, whose log
+/// the log-likelihood adds (NaN stays NaN).
+Real clamped(Real sel) { return sel < kProbEps ? kProbEps : sel; }
 
 }  // namespace
 
@@ -305,7 +306,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
 #endif
   ensure_shape(ws.xt, groups, n_ * L);
   ensure_shape(ws.zt, groups, n_ * L);
-  ensure_shape(ws.llt, groups, n_ * L);
+  ensure_shape(ws.pt, groups, n_ * L);
   ensure_shape(ws.at, groups, h_ * L);
   ensure_shape(ws.wt, threads, h_ * L);
   ensure_shape(ws.dht, threads, h_ * L);
@@ -320,11 +321,10 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
   for (std::size_t g = 0; g < groups; ++g) {
     Real* xt = ws.xt.row(g).data();
     Real* zt = ws.zt.row(g).data();
-    Real* llt = ws.llt.row(g).data();
+    Real* pt = ws.pt.row(g).data();
     Real* at = ws.at.row(g).data();
     for (std::size_t l = 0; l < L; ++l) {
       const std::size_t r = lane_row(g, l);
-      const bool repeat = l > 0 && r == lane_row(g, l - 1);
       const Real* x = batch.row(r).data();
       const Real* z = ws.z.row(r).data();
       const Real* p = ws.p.row(r).data();
@@ -332,8 +332,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
       for (std::size_t j = 0; j < n_; ++j) {
         xt[j * L + l] = x[j];
         zt[j * L + l] = z[j];
-        llt[j * L + l] = repeat ? llt[j * L + l - 1]
-                                : clamped_log(x[j] != 0 ? p[j] : 1 - p[j]);
+        pt[j * L + l] = clamped(x[j] != 0 ? p[j] : 1 - p[j]);
       }
       for (std::size_t c = 0; c < h_; ++c) at[c * L + l] = a[c];
     }
@@ -349,7 +348,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
     const std::size_t g = row_tiles ? task : task / site_groups;
     const Real* xt = ws.xt.row(g).data();
     const Real* zt = ws.zt.row(g).data();
-    const Real* llt = ws.llt.row(g).data();
+    const Real* pt = ws.pt.row(g).data();
     const Real* at = ws.at.row(g).data();
     Real* wt = ws.wt.row(thread).data();
     Real* dht = ws.dht.row(thread).data();
@@ -390,12 +389,12 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         relu_shift_delta_lanes(at + lo0 * L, wt + lo0 * L, sign, h_ - lo0,
                                dht + lo0 * L);
         triangle_dot_lanes(w2(), degree_end, lo0, i0, dht, zt, znt);
-        bernoulli_logit_delta_lanes(xt + i0 * L, znt, llt + i0 * L, n_ - i0,
-                                    first, last, kProbEps, sums);
+        bernoulli_logit_delta_lanes(xt + i0 * L, znt, pt + i0 * L, n_ - i0,
+                                    i0, first, last, kProbEps, sums);
       } else {
         const std::size_t len = *std::max_element(site, site + L) - i0 + 1;
-        bernoulli_logit_delta_lanes(xt + i0 * L, zt + i0 * L, llt + i0 * L,
-                                    len, first, last, kProbEps, sums);
+        bernoulli_logit_delta_lanes(xt + i0 * L, zt + i0 * L, pt + i0 * L,
+                                    len, i0, first, last, kProbEps, sums);
       }
       for (std::size_t l = 0; l < L; ++l) {
         const std::size_t r = row_tiles ? g * L + l : g;

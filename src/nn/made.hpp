@@ -48,7 +48,11 @@
 /// hidden units of degree > i, and output j reads only the units of degree
 /// <= j, so with the units in degree order each changed logit is one
 /// contiguous dot over a shrinking triangle of W2's prefix rows, and the
-/// flipped column is a contiguous run of the W1 column packing.
+/// flipped column is a contiguous run of the W1 column packing.  The
+/// changed Bernoulli terms enter as their clamped probabilities, new and
+/// old multiplied per chunk of kBernoulliChunk outputs with one log per
+/// chunk; chunks break at absolute output indices, so a row's ratios are
+/// bitwise the same in either lane layout.
 ///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
 /// evaluations) uses only call-local scratch or a caller-owned Workspace
@@ -112,7 +116,7 @@ class Made final : public AutoregressiveModel {
     Matrix z;    ///< bs x n, logits of the sample rows
     Matrix xt;   ///< groups x n*L, configurations
     Matrix zt;   ///< groups x n*L, logits
-    Matrix llt;  ///< groups x n*L, per-site Bernoulli log-likelihood terms
+    Matrix pt;   ///< groups x n*L, clamped probabilities of the bits
     Matrix at;   ///< groups x h*L, pre-activations
     Vector w1_cols;  ///< W1's column packing (pack_w1_columns), per call
     Matrix wt;   ///< threads x h*L, W1 columns of the flipped sites

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/error.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
@@ -71,30 +75,52 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
   if (bs == 0 || m == 0) return;
-  // W^T, so that each flip's shift W[:, i] is one contiguous row.
+  // The factor table g(i, l) = copysign(e^{-2|W_li|}, W_li) in W^T's
+  // layout, so each flip reads one contiguous row, and sum_l |W_li|.
   ensure_shape(ws.wt, n_, h_);
+  if (ws.abs_w.size() != n_) ws.abs_w = Vector(n_);
+  ws.abs_w.fill(0);
+  Real max_abs = 0;
   const ConstMatrixView wv = w();
   for (std::size_t l = 0; l < h_; ++l) {
     const Real* wrow = wv.row(l).data();
-    for (std::size_t j = 0; j < n_; ++j) ws.wt(j, l) = wrow[j];
+    for (std::size_t j = 0; j < n_; ++j) {
+      const Real mag = std::fabs(wrow[j]);
+      ws.wt(j, l) = std::copysign(std::exp(-2 * mag), wrow[j]);
+      ws.abs_w[j] += mag;
+      max_abs = std::max(max_abs, mag);
+    }
   }
+  // Every factor is at least e^{-2 max|W|}, so a product of `chunk` of
+  // them stays normal while 2 chunk max|W| <= 700.
+  std::size_t chunk = kMaxFlipChunk;
+  if (2 * Real(kMaxFlipChunk) * max_abs > 700)
+    chunk = std::max<std::size_t>(1, std::size_t(350 / max_abs));
+
   hidden_preactivations(batch, ws);
-  ensure_shape(ws.shifted, bs, h_);
+#ifdef _OPENMP
+  const std::size_t threads = std::size_t(omp_get_max_threads());
+#else
+  const std::size_t threads = 1;
+#endif
+  ensure_shape(ws.pq, threads, 2 * h_);
   const Real* pa = a();
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
-    const Real* theta = ws.theta.row(k).data();
-    Real* shifted = ws.shifted.row(k).data();
-    const Real base = sum_log_cosh(ws.theta.row(k));
+#ifdef _OPENMP
+    const std::size_t thread = std::size_t(omp_get_thread_num());
+#else
+    const std::size_t thread = 0;
+#endif
+    const Real* x = batch.row(k).data();
+    Real* ratio = out.row(k).data();
+    rbm_flip_log_sums(ws.theta.row(k), ws.wt, sites, x, chunk,
+                      ws.pq.row(thread).data(), ratio);
+    // A 0 -> 1 flip adds a_i to the visible term.
     for (std::size_t q = 0; q < m; ++q) {
       const std::size_t i = sites[q];
-      const Real* col = ws.wt.row(i).data();
-      // A 0 -> 1 flip adds W[:, i] to theta and a_i to the visible term.
-      const bool up = batch(k, i) == 0;
-      for (std::size_t l = 0; l < h_; ++l)
-        shifted[l] = up ? theta[l] + col[l] : theta[l] - col[l];
-      const Real change = sum_log_cosh(ws.shifted.row(k)) - base;
-      out(k, q) = up ? change + pa[i] : change - pa[i];
+      const Real hidden = ws.abs_w[i] + ratio[q];
+      ratio[q] = x[i] == 0 ? hidden + pa[i] : hidden - pa[i];
     }
   }
 }

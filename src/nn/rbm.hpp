@@ -29,12 +29,16 @@
 ///         = (T T^T + 1) .* (X X^T + 1),
 /// two gemm_nt calls and no bs x d matrix.
 ///
-/// Single-flip ratios (DESIGN.md §5l): with theta = W x + c computed per
-/// row, a flip at site i moves theta by +-W[:, i] (a row of the workspace's
-/// W^T, transposed once per call), so
-///   log psi(x') - log psi(x) = +-a_i
-///       + sum_l [log cosh(theta_l +- W_li) - log cosh theta_l],
-/// O(h) per flip through the SIMD sum_log_cosh kernel.
+/// Single-flip ratios (DESIGN.md §5l): a flip at site i moves theta by
+/// v = +-W[:, i], and with p = sigmoid(2 theta), q = sigmoid(-2 theta),
+/// F = e^{-2|v|},
+///   cosh(theta + v) / cosh(theta) = e^{|v|} y,
+///   y = p + q F (v >= 0),  p F + q (v < 0),
+/// so log psi(x') - log psi(x) = +-a_i + sum_l |W_li| + sum_l log y_l.
+/// Per call the workspace gets F with W's sign pattern in W^T's layout
+/// (n x h) and sum_l |W_li| per site; per row, theta, p and q; per flip,
+/// one fma and one multiply per unit and one log per chunk of factors
+/// (rbm_flip_log_sums).
 
 #include <cstdint>
 #include <memory>
@@ -52,11 +56,13 @@ class Rbm final : public WavefunctionModel {
 
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace).
   struct Workspace final : WavefunctionModel::Workspace {
-    Matrix theta;    ///< bs x h, hidden pre-activations
-    Matrix wt;       ///< n x h, W^T: row i = W[:, i], a flip's theta shift
-    Matrix shifted;  ///< bs x h, theta of the current flip
-    Matrix t;        ///< bs x h, coeff-weighted tanh(theta) (unit for the Gram)
-    Matrix xx;       ///< bs x bs, X X^T of the Gram
+    Matrix theta;  ///< bs x h, hidden pre-activations
+    Matrix t;      ///< bs x h, coeff-weighted tanh(theta) (unit for the Gram)
+    Matrix xx;     ///< bs x bs, X X^T of the Gram
+    // Flip-ratio scratch (log_psi_flip_ratios), O(n h) set-up per call.
+    Matrix wt;     ///< n x h, copysign(e^{-2|W_li|}, W_li) at (i, l)
+    Vector abs_w;  ///< n, sum_l |W_li|
+    Matrix pq;     ///< threads x 2h, one row's sigmoid(+-2 theta)
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -119,6 +125,10 @@ class Rbm final : public WavefunctionModel {
                            Workspace& ws) const;
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
+
+  /// Factors per lane and log of the flip path while 16 max|W| <= 700
+  /// (max|W| up to 43.75); larger weights take shorter chunks.
+  static constexpr std::size_t kMaxFlipChunk = 8;
 
  private:
   /// W (h x n), in the parameter vector.

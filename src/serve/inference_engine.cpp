@@ -21,14 +21,16 @@ namespace {
 /// at most one slice of idle wait instead of the whole window.
 constexpr std::size_t kWindowSlices = 8;
 
-const char* kind_name(int kind) {
+/// Per-kind batch counter names, literals so that the lookup builds no
+/// string.
+const char* batches_metric(int kind) {
   switch (kind) {
     case 0:
-      return "sample";
+      return "serve.batches.sample";
     case 1:
-      return "log_psi";
+      return "serve.batches.log_psi";
     default:
-      return "local_energy";
+      return "serve.batches.local_energy";
   }
 }
 
@@ -442,8 +444,7 @@ void InferenceEngine::execute_batch(BatchPlan& plan, Made::Workspace& ws,
   if (telemetry::enabled()) {
     telemetry::MetricsRegistry& registry = telemetry::metrics();
     registry.counter("serve.batches").add();
-    registry.counter(std::string("serve.batches.") + kind_name(int(kind)))
-        .add();
+    registry.counter(batches_metric(int(kind))).add();
     registry.histogram("serve.batch_rows").observe(double(plan.rows));
     registry.histogram(model_state.batch_rows_metric)
         .observe(double(plan.rows));

@@ -252,25 +252,35 @@ std::string MetricsSnapshot::to_json() const {
   return oss.str();
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+namespace {
+
+/// The instrument named `name` in `map`, created on first lookup: find
+/// first, so an existing name is looked up without building a key.
+template <typename Instrument>
+Instrument& find_or_create(
+    std::map<std::string, std::unique_ptr<Instrument>, std::less<>>& map,
+    std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end())
+    it = map.emplace(std::string(name), std::make_unique<Instrument>()).first;
+  return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_create(counters_, name);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
+Gauge& MetricsRegistry::gauge(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_create(gauges_, name);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return find_or_create(histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

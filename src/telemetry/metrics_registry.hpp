@@ -8,7 +8,8 @@
 /// registry; updates are single relaxed atomics (plus one master-switch
 /// load), so the hot path never blocks.  The registry itself takes a mutex
 /// only around name lookup/creation — call sites on per-batch (not
-/// per-sample) granularity, so the map find is noise.
+/// per-sample) granularity, so the map find is noise — and a lookup by
+/// std::string_view of an existing name allocates nothing.
 ///
 /// Per-rank scoping: `metrics()` resolves to a thread-local current registry
 /// that defaults to the process-global one.  A distributed rank thread
@@ -24,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -211,9 +213,12 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  /// The named instrument, created on first lookup.  Lookup is
+  /// transparent: finding an existing instrument builds no std::string, so
+  /// it allocates nothing whatever the name's length.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
@@ -226,9 +231,9 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 /// The calling thread's current registry (global() unless a

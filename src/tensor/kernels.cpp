@@ -262,14 +262,31 @@ void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
 
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const Real* base, std::size_t len,
-                                 const std::size_t* first,
+                                 std::size_t origin, const std::size_t* first,
                                  const std::size_t* last, Real eps,
                                  Real* out) {
   for (std::size_t lane = 0; lane < kFlipLanes; ++lane)
     VQMC_REQUIRE(first[lane] < last[lane] && last[lane] <= len,
                  "bernoulli_logit_delta_lanes: lane range out of bounds");
-  VQMC_DISPATCH(
-      bernoulli_logit_delta_lanes(x, z, base, len, first, last, eps, out))
+  VQMC_DISPATCH(bernoulli_logit_delta_lanes(x, z, base, len, origin, first,
+                                            last, eps, out))
+}
+
+void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+                       std::span<const std::size_t> sites, const Real* x,
+                       std::size_t chunk, Real* pq, Real* out) {
+  VQMC_REQUIRE(g.cols() == theta.size() && chunk >= 1,
+               "rbm_flip_log_sums: factor table or chunk mismatch");
+  for (const std::size_t i : sites)
+    VQMC_REQUIRE(i < g.rows(), "rbm_flip_log_sums: site out of range");
+  VQMC_DISPATCH(rbm_flip_log_sums(theta, g, sites, x, chunk, pq, out))
+}
+
+void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,
+                    std::span<const Real> field,
+                    std::span<const IsingCoupling> couplings, Real* out) {
+  VQMC_REQUIRE(field.size() == n, "ising_diagonal: one field per site");
+  VQMC_DISPATCH(ising_diagonal(x, rows, n, field, couplings, out))
 }
 
 void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,

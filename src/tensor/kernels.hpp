@@ -44,11 +44,18 @@
 ///     (the serving path) can never perturb any row's value.
 ///
 /// Vectorized transcendentals (sigmoid_inplace, bernoulli_log_likelihood,
-/// sum_log_cosh) use polynomial exp/log accurate to a few ulp; they
-/// vectorize per row so property 3 holds for them too.  The MADE flip
-/// kernels (relu_shift_delta_lanes, triangle_dot_lanes,
-/// bernoulli_logit_delta_lanes) vectorize across (row, site) lanes
-/// instead, which gives property 3 by construction.
+/// sum_log_cosh, rbm_flip_log_sums) use polynomial exp/log accurate to a
+/// few ulp; they vectorize per row so property 3 holds for them too.  The
+/// MADE flip kernels (relu_shift_delta_lanes, triangle_dot_lanes,
+/// bernoulli_logit_delta_lanes) vectorize across (row, site) lanes, and
+/// ising_diagonal across rows, which gives property 3 by construction.
+///
+/// The flip kernels take one log per chunk of factors (DESIGN.md §5l):
+/// RBM's cosh ratios and MADE's clamped Bernoulli probabilities are
+/// multiplied in chunks short enough that no product leaves the normal
+/// range, and a chunk's boundaries depend only on the row's own data (RBM:
+/// the unit index; MADE: the absolute output index), never on the batch or
+/// the lane a row occupies.
 
 #include <cstddef>
 #include <cstdint>
@@ -208,9 +215,8 @@ Real sigmoid(Real x);
 
 /// sum_t log cosh(x_t), each term computed stably as
 /// |x| + log(1 + e^{-2|x|}) - log 2 (finite for every finite x; NaN
-/// propagates).  The RBM's log-psi and flip-ratio reduction.  Vectorized
-/// with the polynomial exp/log; per-row primitive (batch-position
-/// independent).
+/// propagates).  The RBM's log-psi reduction.  Vectorized with the
+/// polynomial exp/log; per-row primitive (batch-position independent).
 Real sum_log_cosh(std::span<const Real> x);
 
 /// Lanes per tile of the MADE flip kernels below.  A tile stores a
@@ -246,20 +252,78 @@ void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
                         std::size_t lo, std::size_t j_begin, const Real* a,
                         const Real* base, Real* out);
 
+/// Output indices per product chunk of bernoulli_logit_delta_lanes: 24
+/// factors in [1e-12, 1] multiply to at least 1e-288, inside the normal
+/// range.
+inline constexpr std::size_t kBernoulliChunk = 24;
+
 /// Per lane, sum over t in [first[lane], last[lane]) of
-///   log(max(x'_t != 0 ? s_t : 1 - s_t, eps)) - base_t,  s_t = sigmoid(z_t),
-/// over a lane-major tile (len x kFlipLanes each; `out` gets kFlipLanes
-/// sums, accumulated in ascending t), where x' is x with the lane's entry
-/// at t = first[lane] flipped: the change of a row's Bernoulli
-/// log-likelihood when its site first[lane] flips and the conditionals
-/// after it move to logits z, given the old per-term values `base`.  The
-/// MADE flip path evaluates every changed conditional of a tile in one
-/// call.  NaN logits give NaN.
+///   log(max(x'_t != 0 ? s_t : 1 - s_t, eps)) - log(base_t),
+/// s_t = sigmoid(z_t), over a lane-major tile (len x kFlipLanes each; `out`
+/// gets kFlipLanes sums), where x' is x with the lane's entry at
+/// t = first[lane] flipped and base_t is the old term's clamped
+/// probability max(x_t != 0 ? p_t : 1 - p_t, eps): the change of a row's
+/// Bernoulli log-likelihood when its site first[lane] flips and the
+/// conditionals after it move to logits z.  The MADE flip path evaluates
+/// every changed conditional of a tile in one call.
+///
+/// The new and old clamped probabilities are multiplied per chunk and each
+/// chunk adds one log(new product / old product).  A chunk is the set of
+/// t whose absolute output index origin + t falls in one block
+/// [k kBernoulliChunk, (k + 1) kBernoulliChunk); terms outside a lane's
+/// range enter as exact factors of 1, so a lane's value depends only on
+/// its own terms and origin + first[lane], never on its neighbours or on
+/// where the tile starts.  NaN logits give NaN.
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const Real* base, std::size_t len,
-                                 const std::size_t* first,
+                                 std::size_t origin, const std::size_t* first,
                                  const std::size_t* last, Real eps,
                                  Real* out);
+
+/// The RBM flip path's cosh-ratio sums of one sample row (DESIGN.md §5l).
+/// With p_l = sigmoid(2 theta_l) and q_l = sigmoid(-2 theta_l) (both
+/// formed directly, neither as one minus the other) and the factor table
+/// g (n x h, g(i, l) = copysign(e^{-2|W_li|}, W_li)), writes for every
+/// q < sites.size(), with i = sites[q] and v_l = +-W_li the flip's shift
+/// of theta_l (+ when x[i] == 0),
+///
+///   out[q] = sum_l log y_l,   y_l = p_l + q_l |g(i, l)|  if v_l >= 0,
+///                                   p_l |g(i, l)| + q_l  otherwise,
+///
+/// so that log cosh(theta_l + v_l) - log cosh(theta_l) = |v_l| + log y_l.
+/// Every y_l lies in [|g(i, l)|, 1] and is a sum of non-negative terms.
+/// The factors are multiplied `chunk` at a time per vector lane (lane k
+/// owns the units l = k mod the vector width) before one log, so a caller
+/// must keep chunk * 2 max|W| <= 700 (chunk >= 1): every product then
+/// stays normal.  `pq` is 2 h caller scratch.  NaN in theta or g gives NaN.
+void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+                       std::span<const std::size_t> sites, const Real* x,
+                       std::size_t chunk, Real* pq, Real* out);
+
+// ---------------------------------------------------------------------------
+// Ising diagonal (DESIGN.md §5l).
+// ---------------------------------------------------------------------------
+
+/// One Z_i Z_j term of an Ising diagonal: sites i < j and weight beta, 16
+/// bytes.  TransverseFieldIsing stores its couplings in this form.
+struct IsingCoupling {
+  std::uint32_t i;
+  std::uint32_t j;
+  Real beta;
+};
+
+/// out[r] = -sum_i field[i] s_i - sum_c beta_c s_{i_c} s_{j_c} for every
+/// row r of the rows x n block x (entries in {0, 1}, s = 1 - 2 x), each
+/// row's terms subtracted in that order: the fields by site, then the
+/// couplings in list order.  A product of +-1 signs is exact, so every term
+/// is exactly +-beta and each row's value is bitwise the scalar loop's.
+/// Rows run in vector lanes, whole register tiles at a time, each site's
+/// bits packed into one word per group of tiles on a 64 KB stack buffer;
+/// a row of a short last tile, and every row when n > 16384, runs the
+/// scalar loop alone.  Sites i, j of every coupling must be < n.
+void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,
+                    std::span<const Real> field,
+                    std::span<const IsingCoupling> couplings, Real* out);
 
 // ---------------------------------------------------------------------------
 // Sample-space stochastic reconfiguration (DESIGN.md §5m).

@@ -59,9 +59,16 @@ namespace vqmc {
                           const Real* base, Real* out);                       \
   void bernoulli_logit_delta_lanes(const Real* x, const Real* z,              \
                                    const Real* base, std::size_t len,         \
+                                   std::size_t origin,                        \
                                    const std::size_t* first,                  \
                                    const std::size_t* last, Real eps,         \
                                    Real* out);                                \
+  void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,      \
+                         std::span<const std::size_t> sites, const Real* x,   \
+                         std::size_t chunk, Real* pq, Real* out);             \
+  void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,         \
+                      std::span<const Real> field,                            \
+                      std::span<const IsingCoupling> couplings, Real* out);   \
   void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,         \
                  const Matrix& h1, std::span<const std::size_t> level_end,    \
                  Matrix& k);                                                  \

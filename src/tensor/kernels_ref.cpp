@@ -258,6 +258,7 @@ void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
 
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const Real* base, std::size_t len,
+                                 std::size_t /*origin*/,
                                  const std::size_t* first,
                                  const std::size_t* last, Real eps,
                                  Real* out) {
@@ -268,9 +269,43 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
       const Real p = sigmoid(z[t * L + lane]);
       const bool bit = (x[t * L + lane] != 0) != (t == first[lane]);
       const Real sel = bit ? p : 1 - p;
-      acc += std::log(sel < eps ? eps : sel) - base[t * L + lane];
+      acc += std::log(sel < eps ? eps : sel) - std::log(base[t * L + lane]);
     }
     out[lane] = acc;
+  }
+}
+
+void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+                       std::span<const std::size_t> sites, const Real* x,
+                       Real* out) {
+  const std::size_t h = theta.size();
+  for (std::size_t s = 0; s < sites.size(); ++s) {
+    const std::size_t i = sites[s];
+    const Real* gi = g.row(i).data();
+    Real acc = 0;
+    for (std::size_t l = 0; l < h; ++l) {
+      const Real p = sigmoid(2 * theta[l]);
+      const Real q = sigmoid(-2 * theta[l]);
+      const Real f = std::fabs(gi[l]);
+      // The flip's shift of theta_l is +-W_li: + for a 0 -> 1 flip.
+      const bool shift_up = (x[i] == 0) != std::signbit(gi[l]);
+      acc += std::log(shift_up ? p + q * f : p * f + q);
+    }
+    out[s] = acc;
+  }
+}
+
+void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,
+                    std::span<const Real> field,
+                    std::span<const IsingCoupling> couplings, Real* out) {
+  const auto sign = [](Real v) { return 1 - 2 * v; };
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Real* xr = x + r * n;
+    Real acc = 0;
+    for (std::size_t i = 0; i < n; ++i) acc -= field[i] * sign(xr[i]);
+    for (const IsingCoupling& c : couplings)
+      acc -= c.beta * sign(xr[c.i]) * sign(xr[c.j]);
+    out[r] = acc;
   }
 }
 

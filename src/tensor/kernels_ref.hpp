@@ -62,11 +62,21 @@ void relu_shift_delta_lanes(const Real* a, const Real* w, const Real* sign,
 void triangle_dot_lanes(ConstMatrixView w, std::span<const std::size_t> len,
                         std::size_t lo, std::size_t j_begin, const Real* a,
                         const Real* base, Real* out);
+/// One log per term, base_t entering as -log(base_t): the definition the
+/// chunked products of the dispatched kernel re-associate.
 void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const Real* base, std::size_t len,
-                                 const std::size_t* first,
+                                 std::size_t origin, const std::size_t* first,
                                  const std::size_t* last, Real eps,
                                  Real* out);
+/// One log per factor y_l, p and q from the scalar sigmoid: no chunking.
+void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+                       std::span<const std::size_t> sites, const Real* x,
+                       Real* out);
+/// The scalar loop with s = 1 - 2 x and the products beta s_i s_j.
+void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,
+                    std::span<const Real> field,
+                    std::span<const IsingCoupling> couplings, Real* out);
 
 /// The formula of made_gram, one element at a time.
 void made_gram(const Matrix& x, const Matrix& g2, const Matrix& g1,

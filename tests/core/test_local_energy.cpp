@@ -326,6 +326,88 @@ TEST(LocalEnergy, RbmFlipRatiosMatchFlippedCopies) {
   }
 }
 
+TEST(LocalEnergy, RbmFlipRatiosMatchFlippedCopiesAtLargeWeights) {
+  // |W| up to 40 keeps the full chunk of Rbm::kMaxFlipChunk factors; 100
+  // and 300 force shorter chunks (the products must stay normal).  The
+  // hidden biases push |theta| to about 400.
+  const Real full_chunk_limit = Real(350) / Real(Rbm::kMaxFlipChunk);
+  for (const Real w_scale : {Real(1), Real(40), Real(100), Real(300)}) {
+    const std::size_t n = 20, h = 20;
+    Rbm rbm(n, h);
+    randomize_parameters(rbm, 700 + std::uint64_t(w_scale));
+    const std::span<Real> p = rbm.parameters();
+    for (std::size_t k = 0; k < h * n; ++k) p[k] *= 2 * w_scale;  // W
+    for (std::size_t k = h * n; k < h * n + h; ++k) p[k] *= 400;  // c
+    Real max_w = 0;
+    for (std::size_t k = 0; k < h * n; ++k)
+      max_w = std::max(max_w, std::abs(p[k]));
+    EXPECT_EQ(max_w < full_chunk_limit, w_scale < full_chunk_limit);
+    expect_flip_ratios_match_flipped_copies(rbm, 11, 800 + n);
+  }
+}
+
+TEST(LocalEnergy, MadeFlipRatiosMatchFlippedCopiesWithSaturatedConditionals) {
+  // Weights scaled by up to 16 saturate the conditionals at the 1e-12
+  // clamp; n spans several product chunks of kBernoulliChunk outputs.
+  const std::size_t n = 3 * kBernoulliChunk + 5;
+  for (const Real scale : {1, 4, 8, 12, 16}) {
+    for (const std::size_t h : {n - 1, n + 9}) {
+      Made made(n, h);
+      randomize_parameters(made, 900 + h);
+      for (Real& p : made.parameters()) p *= scale;
+      expect_flip_ratios_match_flipped_copies(made, 9, 1000 + h);
+      expect_flip_ratios_match_flipped_copies(made, 3, 1100 + h);
+    }
+  }
+}
+
+TEST(LocalEnergy, FlipRatiosAndBatchedDiagonalAreBitwiseEqualAtOneAndFourThreads) {
+  // The three local-energy kernels — RBM's and MADE's flip ratios and
+  // TIM's batched diagonal — give every row the same bits at any thread
+  // count.
+  const std::size_t n = 24, bs = 70;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 55);
+  Rbm rbm(n, 21);
+  Made made(n, 31);
+  randomize_parameters(rbm, 56);
+  randomize_parameters(made, 57);
+  const Matrix batch = random_bits(bs, n, 58);
+  std::vector<std::size_t> sites(n);
+  std::iota(sites.begin(), sites.end(), 0);
+  std::vector<Matrix> ratios;
+  std::vector<Vector> diagonals;
+#ifdef _OPENMP
+  const int threads_before = omp_get_max_threads();
+#endif
+  for (const int threads : {1, 4}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    for (const WavefunctionModel* model :
+         std::initializer_list<const WavefunctionModel*>{&rbm, &made}) {
+      Matrix out(bs, n);
+      const auto ws = model->make_workspace();
+      ASSERT_TRUE(model->log_psi_flip_ratios(batch, sites, out, ws.get()));
+      ratios.push_back(out);
+    }
+    Vector diagonal(bs);
+    tim.diagonal_batch(batch, diagonal.span());
+    diagonals.push_back(diagonal);
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(threads_before);
+#endif
+  for (std::size_t m = 0; m < 2; ++m)
+    for (std::size_t i = 0; i < bs * n; ++i)
+      ASSERT_EQ(ratios[m].data()[i], ratios[m + 2].data()[i]) << m << " " << i;
+  for (std::size_t k = 0; k < bs; ++k) {
+    ASSERT_EQ(diagonals[0][k], diagonals[1][k]) << k;
+    ASSERT_EQ(diagonals[0][k], tim.diagonal(batch.row(k))) << k;
+  }
+}
+
 TEST(LocalEnergy, FlipPathMatchesFullForwardPathWithinTheBound) {
   const std::size_t n = 20, bs = 21;
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 40);

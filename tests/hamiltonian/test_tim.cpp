@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,10 @@
 #include "hamiltonian/exact.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/lanczos.hpp"
+#include "rng/distributions.hpp"
+#include "rng/xoshiro.hpp"
+#include "tensor/kernels_ref.hpp"
+#include "tensor/simd.hpp"
 
 namespace vqmc {
 namespace {
@@ -84,19 +90,67 @@ TEST(Tim, RowSparsityIsNPlusOne) {
   EXPECT_EQ(entries, 6u);
 }
 
-TEST(Tim, DiagonalFlipDeltaMatchesRecomputation) {
-  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(8, 5);
-  Vector x(8);
-  decode_basis_state(0b10110101, x.span());
-  for (std::size_t site = 0; site < 8; ++site) {
-    const Real before = tim.diagonal(x.span());
-    Vector flipped = x;
-    flipped[site] = 1 - flipped[site];
-    const Real after = tim.diagonal(flipped.span());
-    EXPECT_NEAR(tim.diagonal_flip_delta(x.span(), site), after - before,
-                1e-12)
-        << "site " << site;
+/// Random bit rows for the batched-diagonal checks.
+Matrix random_bit_rows(std::size_t rows, std::size_t n, std::uint64_t seed) {
+  rng::Xoshiro256 gen(seed);
+  Matrix batch(rows, n);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+  return batch;
+}
+
+TEST(Tim, BatchedDiagonalIsBitwiseTheRowLoopAtEveryLevel) {
+  // Products of +-1 signs are exact, so the kernel's rows must equal the
+  // scalar per-row loop bit for bit: whole register tiles, short groups
+  // and the lone rows of a short last tile alike, at every dispatch level.
+  // The sparse instance past the kernel's stack buffer runs the row loop.
+  struct Restore {
+    ~Restore() { simd::force_level(simd::detected_level()); }
+  } restore;
+  std::vector<simd::Level> levels = {simd::Level::kGeneric};
+  if (simd::detected_level() >= simd::Level::kAvx2)
+    levels.push_back(simd::Level::kAvx2);
+  if (simd::detected_level() >= simd::Level::kAvx512)
+    levels.push_back(simd::Level::kAvx512);
+  const std::vector<TransverseFieldIsing> instances = {
+      TransverseFieldIsing::random_dense(37, 3),
+      TransverseFieldIsing::random_sparse(300, 5, 4),
+      TransverseFieldIsing::uniform_chain(50, 0.7, 1.1),
+      TransverseFieldIsing::random_sparse(17000, 1, 5)};
+  for (const simd::Level level : levels) {
+    simd::force_level(level);
+    for (const TransverseFieldIsing& tim : instances) {
+      const std::size_t n = tim.num_spins();
+      for (const std::size_t bs : {1ul, 31ul, 32ul, 33ul, 256ul}) {
+        if (n > 1000 && bs > 33) continue;
+        const Matrix batch = random_bit_rows(bs, n, 7 * n + bs);
+        Vector batched(bs), looped(bs), oracle(bs);
+        tim.diagonal_batch(batch, batched.span());
+        tim.Hamiltonian::diagonal_batch(batch, looped.span());
+        ref::ising_diagonal(batch.data(), bs, n, tim.beta(), tim.couplings(),
+                            oracle.data());
+        for (std::size_t k = 0; k < bs; ++k) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[k]),
+                    std::bit_cast<std::uint64_t>(oracle[k]))
+              << simd::level_name(level) << " n=" << n << " bs=" << bs
+              << " row " << k;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(looped[k]),
+                    std::bit_cast<std::uint64_t>(oracle[k]));
+        }
+      }
+    }
   }
+}
+
+TEST(Tim, CouplingsAreStoredOnceAsSixteenByteTerms) {
+  // (uint32 i, uint32 j, beta): what the diagonal kernel reads, and the
+  // only coupling storage a TIM keeps.
+  static_assert(sizeof(TransverseFieldIsing::Coupling) == 16);
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(40, 9);
+  EXPECT_EQ(tim.couplings().size(), 40u * 39u / 2u);
+  EXPECT_EQ(tim.couplings().capacity(), tim.couplings().size());
+  EXPECT_THROW(TransverseFieldIsing({0.5, 0.5}, {0.0, 0.0}, {{1, 0, 1.0}}),
+               Error);
 }
 
 TEST(Tim, RandomDenseRespectsParameterRanges) {

@@ -24,7 +24,6 @@
 #include "sampler/fast_made_sampler.hpp"
 #include "support/alloc_count.hpp"
 #include "support/made_masks.hpp"
-#include "telemetry/telemetry.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_ref.hpp"
 
@@ -430,14 +429,8 @@ TEST(MaskedPlan, HeldSpanWritesReachEveryEvaluation) {
 TEST(MaskedPlan, WarmWorkspaceAllocatesNothingAfterAParameterWrite) {
   // Nothing is derived from the parameter values but W1's column packing,
   // which lives in the workspace: once a round of evaluations has shaped
-  // the workspace, a parameter write and the same round allocate nothing.
-  // Telemetry is off so that the sampler's instrument lookups, which build
-  // their name strings, do not count.
-  struct TelemetryOff {
-    bool was = telemetry::enabled();
-    TelemetryOff() { telemetry::set_enabled(false); }
-    ~TelemetryOff() { telemetry::set_enabled(was); }
-  } telemetry_off;
+  // the workspace, a parameter write and the same round allocate nothing,
+  // the sampler's instrument lookups included.
   const std::size_t n = 40, h = 30, bs = 12;
   Made made(n, h);
   randomize_parameters(made, 93);

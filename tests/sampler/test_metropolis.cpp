@@ -10,6 +10,9 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "sampler/diagnostics.hpp"
+#include "support/alloc_count.hpp"
+#include "telemetry/metrics_registry.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace vqmc {
 namespace {
@@ -182,6 +185,36 @@ TEST(MetropolisSampler, SampleWsMatchesSampleBitwise) {
       ASSERT_EQ(xa.data()[i], xb.data()[i]) << "call " << call;
   }
   EXPECT_EQ(plain.statistics().accepted, with_ws.statistics().accepted);
+}
+
+TEST(MetropolisSampler, WarmWorkspaceDrawAllocatesNothingWithTelemetryOn) {
+  // A draw records two counters and two histograms by name; with
+  // telemetry on, looking the existing instruments up again must not
+  // allocate, so a warm draw through a shaped workspace stays off the heap.
+  struct TelemetryOn {
+    bool was = telemetry::enabled();
+    TelemetryOn() { telemetry::set_enabled(true); }
+    ~TelemetryOn() { telemetry::set_enabled(was); }
+  } telemetry_on;
+  Rbm rbm(10, 7);
+  randomize_parameters(rbm, 11);
+  MetropolisConfig cfg;
+  cfg.burn_in = 20;
+  cfg.seed = 12;
+  cfg.persistent_chains = true;
+  MetropolisSampler sampler(rbm, cfg);
+  const auto ws = rbm.make_workspace();
+  Matrix out(16, 10);
+  sampler.sample_ws(out, ws.get());
+  sampler.sample_ws(out, ws.get());
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  sampler.sample_ws(out, ws.get());
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
+  if (VQMC_TELEMETRY_COMPILED) {  // the lookups really ran
+    const telemetry::MetricsSnapshot snap = telemetry::metrics().snapshot();
+    ASSERT_NE(snap.find_counter("sampler.mcmc.batches"), nullptr);
+    EXPECT_GE(snap.find_counter("sampler.mcmc.batches")->value, 3u);
+  }
 }
 
 TEST(MetropolisSampler, PairExchangeConservesMagnetization) {

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "support/alloc_count.hpp"
 #include "support/mini_json.hpp"
 #include "support/telemetry_gate.hpp"
 
@@ -101,6 +105,25 @@ TEST(MetricsRegistry, InstrumentsAreStableAndNamed) {
   EXPECT_EQ(snap.counters[0].name, "x");
   EXPECT_EQ(snap.counters[0].value, 3u);
   EXPECT_EQ(snap.histograms[0].count, 1u);
+}
+
+TEST(MetricsRegistry, LookingUpAnExistingLongNameAllocatesNothing) {
+  // Names past the small-string buffer (the samplers' and the socket
+  // communicator's) are found by string_view: the first lookup creates the
+  // instrument, every later one returns it without building a key.
+  MetricsRegistry registry;
+  const std::string_view name = "sampler.auto.forward_passes.long_name";
+  Counter& counter = registry.counter(name);
+  Gauge& gauge = registry.gauge(name);
+  Histogram& histogram = registry.histogram(name);
+  const std::uint64_t before = vqmc::testing::allocation_count();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(&registry.counter(name), &counter);
+    EXPECT_EQ(&registry.gauge(std::string_view(name)), &gauge);
+    EXPECT_EQ(&registry.histogram(name.data()), &histogram);
+  }
+  EXPECT_EQ(vqmc::testing::allocation_count(), before);
+  EXPECT_EQ(registry.snapshot().counters.size(), 1u);
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedByName) {

@@ -681,15 +681,18 @@ TEST(SimdKernels, BernoulliLogitDeltaLanesMatchesReferenceForEveryTailLengthAcro
   constexpr Real kProbEps = 1e-12;
   for (const simd::Level level : testable_levels()) {
     simd::force_level(level);
-    for (std::size_t len = 1; len <= 36; ++len) {
+    for (std::size_t len = 1; len <= 60; ++len) {
       std::vector<Real> x = random_lanes(len, 1500 + len, 0.0, 1.0);
       for (Real& v : x) v = v < 0.5 ? 0 : 1;
       std::vector<Real> z = random_lanes(len, 1600 + len, -8.0, 8.0);
       z[0] = 40;   // 1 - p rounds to 0: the eps clamp
       if (len > 1) z[kL + 1] = -40;
-      const std::vector<Real> base = random_lanes(len, 1700 + len, -3, 0);
+      // The old terms' clamped probabilities, some at the clamp.
+      std::vector<Real> base = random_lanes(len, 1700 + len, 0.05, 1.0);
+      base[kL - 1] = kProbEps;
       // Whole-tile ranges (a row tile), and staggered per-lane ranges with
-      // single-term lanes (a site tile).
+      // single-term lanes (a site tile); tiles starting at output 0 and at
+      // 19, so the chunk blocks of 24 split the terms differently.
       std::size_t first_all[kL], last_all[kL], first_mix[kL], last_mix[kL];
       for (std::size_t l = 0; l < kL; ++l) {
         first_all[l] = 0;
@@ -697,46 +700,266 @@ TEST(SimdKernels, BernoulliLogitDeltaLanesMatchesReferenceForEveryTailLengthAcro
         first_mix[l] = (l * 5) % len;
         last_mix[l] = l % 3 == 0 ? first_mix[l] + 1 : len;
       }
-      for (const auto& [first, last] :
-           {std::pair{first_all, last_all}, std::pair{first_mix, last_mix}}) {
-        Real want[kL], got[kL];
-        ref::bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
-                                         first, last, kProbEps, want);
-        bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
-                                    first, last, kProbEps, got);
-        for (std::size_t l = 0; l < kL; ++l) {
-          // Terms are logs in [log eps, 0] minus |base| <= 3, each off by a
-          // few ulp (polynomial exp/log and sigmoid).
-          EXPECT_NEAR(got[l], want[l], ulp_bound(len + 8, Real(len) * 31))
-              << simd::level_name(level) << " len=" << len << " lane " << l;
+      for (const std::size_t origin : {std::size_t(0), std::size_t(19)})
+        for (const auto& [first, last] : {std::pair{first_all, last_all},
+                                          std::pair{first_mix, last_mix}}) {
+          Real want[kL], got[kL];
+          ref::bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(),
+                                           len, origin, first, last, kProbEps,
+                                           want);
+          bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
+                                      origin, first, last, kProbEps, got);
+          for (std::size_t l = 0; l < kL; ++l) {
+            // Terms are logs in [log eps, 0] minus logs in [log eps, 0],
+            // each off by a few ulp (polynomial exp/log and sigmoid), and
+            // a chunk's log carries the ulp of its sum.
+            EXPECT_NEAR(got[l], want[l], ulp_bound(len + 8, Real(len) * 56))
+                << simd::level_name(level) << " len=" << len << " lane "
+                << l;
+          }
+          // Each lane is one (row, site) pair: reversing the lanes reverses
+          // the results bit for bit.
+          std::size_t rfirst[kL], rlast[kL];
+          for (std::size_t l = 0; l < kL; ++l) {
+            rfirst[l] = first[kL - 1 - l];
+            rlast[l] = last[kL - 1 - l];
+          }
+          Real flipped[kL];
+          bernoulli_logit_delta_lanes(
+              reverse_lanes(x).data(), reverse_lanes(z).data(),
+              reverse_lanes(base).data(), len, origin, rfirst, rlast,
+              kProbEps, flipped);
+          for (std::size_t l = 0; l < kL; ++l)
+            ASSERT_EQ(flipped[l], got[kL - 1 - l]) << simd::level_name(level);
         }
-        // Each lane is one (row, site) pair: reversing the lanes reverses
-        // the results bit for bit.
-        std::size_t rfirst[kL], rlast[kL];
-        for (std::size_t l = 0; l < kL; ++l) {
-          rfirst[l] = first[kL - 1 - l];
-          rlast[l] = last[kL - 1 - l];
-        }
-        Real flipped[kL];
-        bernoulli_logit_delta_lanes(reverse_lanes(x).data(),
-                                    reverse_lanes(z).data(),
-                                    reverse_lanes(base).data(), len, rfirst,
-                                    rlast, kProbEps, flipped);
-        for (std::size_t l = 0; l < kL; ++l)
-          ASSERT_EQ(flipped[l], got[kL - 1 - l]) << simd::level_name(level);
-      }
     }
     // A NaN logit poisons its own lane only, and only inside its range.
-    std::vector<Real> x(3 * kL, 1), z(3 * kL, 0.5), base(3 * kL, -0.4);
+    std::vector<Real> x(3 * kL, 1), z(3 * kL, 0.5), base(3 * kL, 0.6);
     z[kL + 2] = std::numeric_limits<Real>::quiet_NaN();
     z[2 * kL + 5] = std::numeric_limits<Real>::quiet_NaN();
     std::size_t first[kL] = {0, 0, 0, 0, 0, 0, 0, 0};
     std::size_t last[kL] = {3, 3, 3, 3, 3, 2, 3, 3};
     Real out[kL];
-    bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), 3, first,
+    bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), 3, 0, first,
                                 last, kProbEps, out);
     for (std::size_t l = 0; l < kL; ++l)
       EXPECT_EQ(std::isnan(out[l]), l == 2) << simd::level_name(level);
+  }
+}
+
+TEST(SimdKernels, BernoulliLogitDeltaLanesChunksFollowAbsoluteOutputIndices) {
+  // A lane's products break at absolute output indices (origin + t) that
+  // are multiples of kBernoulliChunk, so its value is bitwise the same
+  // whether its range starts the tile (a row tile, origin = its site) or
+  // sits at any offset behind other lanes' ranges (a site tile).  Long
+  // saturated runs exercise the clamp inside full chunks.
+  LevelGuard guard;
+  constexpr Real kProbEps = 1e-12;
+  const std::size_t n = 3 * kBernoulliChunk + 7;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (const std::size_t site : {0ul, 5ul, 23ul, 24ul, 40ul}) {
+      // One lane's data over absolute outputs [site, n), logits saturated
+      // every third output.
+      rng::Xoshiro256 gen(1800 + site);
+      std::vector<Real> xs(n), zs(n), bs(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        xs[j] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+        zs[j] = j % 3 == 0 ? 35.0 : rng::uniform(gen, -6.0, 6.0);
+        bs[j] = j % 4 == 0 ? kProbEps : rng::uniform(gen, 0.01, 1.0);
+      }
+      Real reference = 0;
+      for (const std::size_t shift : {0ul, 1ul, 7ul, 24ul, 30ul}) {
+        if (shift > site) continue;
+        const std::size_t origin = site - shift;
+        const std::size_t len = n - origin;
+        // Lane 3 holds the data from t = shift; the other lanes are noise
+        // over [0, len).
+        std::vector<Real> x = random_lanes(len, 1900 + shift, 0.0, 1.0);
+        for (Real& v : x) v = v < 0.5 ? 0 : 1;
+        std::vector<Real> z = random_lanes(len, 2000 + shift, -5.0, 5.0);
+        std::vector<Real> base = random_lanes(len, 2100 + shift, 0.1, 1.0);
+        std::size_t first[kL], last[kL];
+        for (std::size_t l = 0; l < kL; ++l) {
+          first[l] = 0;
+          last[l] = len;
+        }
+        first[3] = shift;
+        for (std::size_t t = shift; t < len; ++t) {
+          x[t * kL + 3] = xs[origin + t];
+          z[t * kL + 3] = zs[origin + t];
+          base[t * kL + 3] = bs[origin + t];
+        }
+        Real out[kL];
+        bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
+                                    origin, first, last, kProbEps, out);
+        if (shift == 0) reference = out[3];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[3]),
+                  std::bit_cast<std::uint64_t>(reference))
+            << simd::level_name(level) << " site " << site << " shift "
+            << shift;
+        Real want[kL];
+        ref::bernoulli_logit_delta_lanes(x.data(), z.data(), base.data(), len,
+                                         origin, first, last, kProbEps, want);
+        EXPECT_NEAR(out[3], want[3], ulp_bound(n + 8, Real(n) * 56))
+            << simd::level_name(level) << " site " << site;
+      }
+    }
+  }
+}
+
+/// The RBM flip path's factor table for W (h x n): n x h,
+/// g(i, l) = copysign(e^{-2|W_li|}, W_li).
+Matrix rbm_factor_table(const Matrix& w) {
+  Matrix g(w.cols(), w.rows());
+  for (std::size_t l = 0; l < w.rows(); ++l)
+    for (std::size_t i = 0; i < w.cols(); ++i)
+      g(i, l) = std::copysign(std::exp(-2 * std::abs(w(l, i))), w(l, i));
+  return g;
+}
+
+TEST(SimdKernels, RbmFlipLogSumsMatchReferenceAcrossLevels) {
+  // Unit counts around both vector widths (kW - 1, kW, kW + 1 for 4 and 8),
+  // small and large weights (|W| up to 40, |theta| up to 400), chunks of
+  // 1, 3 and 8 factors, and both flip directions with W's sign in both
+  // positions: every factor form of y = p + q F / p F + q appears.
+  LevelGuard guard;
+  const std::size_t n = 6;
+  const std::vector<std::size_t> sites = {0, 1, 2, 3, 4, 5, 2, 0};
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (const std::size_t h : {1ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 24ul,
+                                128ul}) {
+      for (const Real scale : {0.5, 40.0}) {
+        Matrix w = random_matrix(h, n, 2200 + h);
+        for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] *= scale;
+        w(0, 1) = 0;
+        w(h - 1, 2) = -0.0;
+        const Matrix g = rbm_factor_table(w);
+        const Matrix theta = random_matrix(1, h, 2300 + h);
+        std::vector<Real> t(h);
+        for (std::size_t l = 0; l < h; ++l) t[l] = theta(0, l) * 10 * scale;
+        const Real x[n] = {0, 1, 1, 0, 0, 1};
+        std::vector<Real> want(sites.size());
+        ref::rbm_flip_log_sums(t, g, sites, x, want.data());
+        for (const std::size_t chunk : {1ul, 3ul, 8ul}) {
+          std::vector<Real> got(sites.size()), pq(2 * h);
+          rbm_flip_log_sums(t, g, sites, x, chunk, pq.data(), got.data());
+          for (std::size_t q = 0; q < sites.size(); ++q) {
+            // Each factor's log is off by a few ulp of itself (p, q and
+            // y round, the polynomial log), and a chunk's log by the ulp of
+            // its sum.
+            Real abs_sum = Real(h);
+            for (std::size_t l = 0; l < h; ++l)
+              abs_sum += 2 * std::abs(w(l, sites[q]));
+            EXPECT_NEAR(got[q], want[q], ulp_bound(h + 16, abs_sum))
+                << simd::level_name(level) << " h=" << h << " scale "
+                << scale << " chunk " << chunk << " site " << sites[q];
+          }
+          std::vector<Real> again(sites.size());
+          rbm_flip_log_sums(t, g, sites, x, chunk, pq.data(), again.data());
+          for (std::size_t q = 0; q < sites.size(); ++q)
+            ASSERT_EQ(again[q], got[q]);  // deterministic
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RbmFlipLogSumsStayFiniteOnFiniteInputsAndPropagateNan) {
+  LevelGuard guard;
+  const std::size_t h = 19, n = 4;
+  const std::vector<std::size_t> sites = {0, 1, 2, 3};
+  const Real x[n] = {0, 1, 0, 1};
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    // Huge weights and pre-activations: factors of e^{-2000} and below
+    // underflow; the sums must stay finite, with chunks of one factor.
+    Matrix w = random_matrix(h, n, 2400);
+    for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] *= 1000;
+    w(3, 0) = 1e300;
+    w(4, 1) = -1e300;
+    const Matrix g = rbm_factor_table(w);
+    std::vector<Real> t(h);
+    for (std::size_t l = 0; l < h; ++l)
+      t[l] = l % 3 == 0 ? 1e300 : (l % 3 == 1 ? -1e300 : -400.0);
+    std::vector<Real> out(n), pq(2 * h);
+    rbm_flip_log_sums(t, g, sites, x, 1, pq.data(), out.data());
+    for (std::size_t q = 0; q < n; ++q)
+      EXPECT_TRUE(std::isfinite(out[q])) << simd::level_name(level) << " "
+                                         << q;
+    // NaN in theta reaches every site; NaN in the table only its own.
+    t[5] = std::numeric_limits<Real>::quiet_NaN();
+    rbm_flip_log_sums(t, g, sites, x, 8, pq.data(), out.data());
+    for (std::size_t q = 0; q < n; ++q)
+      EXPECT_TRUE(std::isnan(out[q])) << simd::level_name(level) << " " << q;
+    t[5] = 0.25;
+    Matrix poisoned = g;
+    poisoned(2, 7) = std::numeric_limits<Real>::quiet_NaN();
+    rbm_flip_log_sums(t, poisoned, sites, x, 8, pq.data(), out.data());
+    for (std::size_t q = 0; q < n; ++q)
+      EXPECT_EQ(std::isnan(out[q]), q == 2) << simd::level_name(level);
+  }
+}
+
+/// Lane arithmetic of the vector tiers' polynomial exp (exp_vec in
+/// kernels_arch.inc), one IEEE operation at a time: round(z / ln 2), a
+/// two-part reduction, the degree-13 Taylor core in fused multiply-adds
+/// and an exact scaling by 2^k.
+Real exp_vec_lane(Real z) {
+  const Real kd = std::nearbyint(z * 1.4426950408889634);
+  Real r = z - kd * 6.93147180369123816490e-01;
+  r = r - kd * 1.90821492927058770002e-10;
+  const Real coeff[] = {1.0 / 479001600.0, 1.0 / 39916800.0,
+                        1.0 / 3628800.0,   1.0 / 362880.0,
+                        1.0 / 40320.0,     1.0 / 5040.0,
+                        1.0 / 720.0,       1.0 / 120.0,
+                        1.0 / 24.0,        1.0 / 6.0,
+                        0.5,               1.0,
+                        1.0};
+  Real p = 1.0 / 6227020800.0;
+  for (const Real c : coeff) p = std::fma(p, r, c);
+  return p * std::ldexp(1.0, int(kd));
+}
+
+/// The vector tiers' max(a, b): a > b ? a : b, so a NaN gives b.
+Real vector_max(Real a, Real b) { return a > b ? a : b; }
+
+TEST(SimdKernels, SigmoidOneDivisionIsBitwiseTheTwoDivisionForm) {
+  // sigmoid_vec divides the blended numerator (1 or e) by 1 + e once.
+  // Division is correctly rounded, so every lane must equal the
+  // two-division form 1/(1+e) or e/(1+e) bit for bit; rows of 16 put every
+  // value in a vector lane at every tier.  The generic tier is the scalar
+  // sigmoid, already one division per branch.
+  LevelGuard guard;
+  constexpr Real kInf = std::numeric_limits<Real>::infinity();
+  std::vector<Real> values = {0.0,   -0.0,   kInf,  -kInf,
+                              std::numeric_limits<Real>::quiet_NaN(),
+                              708.0, -708.0, 709.0, -709.0};
+  rng::Xoshiro256 gen(2500);
+  while (values.size() % 16 != 0 || values.size() < 4096)
+    values.push_back(rng::uniform(gen, -40.0, 40.0));
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    Matrix a(values.size() / 16, 16);
+    std::copy(values.begin(), values.end(), a.data());
+    sigmoid_inplace(a);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const Real v = values[i];
+      Real want;
+      if (level == simd::Level::kGeneric) {
+        want = sigmoid(v);
+      } else if (v != v) {
+        want = v;
+      } else {
+        const Real e = exp_vec_lane(
+            vector_max(0.0 - vector_max(v, 0.0 - v), -708.0));
+        want = v >= 0 ? 1 / (1 + e) : e / (1 + e);
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.data()[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << simd::level_name(level) << " x=" << v;
+    }
   }
 }
 
