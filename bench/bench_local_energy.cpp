@@ -69,8 +69,9 @@ constexpr std::size_t kGateSpins = 128;
 /// in-run factor at n = kGateSpins (DESIGN.md §5l).
 constexpr double kRbmGateSpeedup = 5.0;
 
-/// Forwards everything but log_psi_flip_ratios, so an engine bound to it
-/// takes the full-forward path on the wrapped model's own evaluations.
+/// Forwards log psi and the gradient but not log_psi_flip_ratios, so an
+/// engine bound to it takes the full-forward path on the wrapped model's
+/// own evaluations.
 class FullForwardModel final : public WavefunctionModel {
  public:
   explicit FullForwardModel(WavefunctionModel& inner) : inner_(inner) {}
@@ -87,23 +88,16 @@ class FullForwardModel final : public WavefunctionModel {
     return std::as_const(inner_).parameters();
   }
   void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
-  void log_psi(const Matrix& batch, std::span<Real> out) const override {
-    inner_.log_psi(batch, out);
-  }
   void log_psi_ws(const Matrix& batch, std::span<Real> out,
                   Workspace* ws) const override {
     inner_.log_psi_ws(batch, out, ws);
   }
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override {
-    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      Workspace* ws) const override {
+    inner_.accumulate_log_psi_gradient_ws(batch, coeff, grad, ws);
   }
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override {
-    inner_.log_psi_gradient_per_sample(batch, out);
-  }
-  bool is_normalized() const override { return inner_.is_normalized(); }
   std::string name() const override { return inner_.name(); }
   std::unique_ptr<WavefunctionModel> clone() const override {
     return inner_.clone();

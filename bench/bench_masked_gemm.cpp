@@ -11,7 +11,7 @@
 ///  - *prefix-scalar* (the masked plan without SIMD): the scalar prefix
 ///    kernel ref::gemm_nt_prefix reading the weight blocks in place in the
 ///    parameter vector — structural zeros skipped, no SIMD.
-///  - *simd* (shipped): `Made::log_psi`, whose runtime-dispatched SIMD
+///  - *simd* (shipped): `Made::log_psi_ws`, whose runtime-dispatched SIMD
 ///    prefix kernels read the same weight blocks in place.
 ///
 /// All paths compute the same log psi values; the SIMD path must agree
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     // contract before timing.
     dense_scalar_log_psi(made, batch, dense_out.span(), scratch);
     prefix_scalar_log_psi(made, batch, prefix_out.span(), scratch);
-    made.log_psi(batch, simd_out.span(), ws);
+    made.log_psi_ws(batch, simd_out.span(), &ws);
     Real max_abs = 0;
     for (std::size_t k = 0; k < rows; ++k) {
       max_abs = std::max(max_abs, std::abs(simd_out[k] - prefix_out[k]));
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
         [&] { prefix_scalar_log_psi(made, batch, prefix_out.span(), scratch); },
         calls, repeats);
     r.simd_ms = time_per_call_ms(
-        [&] { made.log_psi(batch, simd_out.span(), ws); }, calls, repeats);
+        [&] { made.log_psi_ws(batch, simd_out.span(), &ws); }, calls, repeats);
     r.simd_over_prefix = r.simd_ms > 0 ? r.prefix_ms / r.simd_ms : 0;
     r.simd_over_dense = r.simd_ms > 0 ? r.dense_ms / r.simd_ms : 0;
     results.push_back(r);

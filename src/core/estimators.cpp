@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/vector.hpp"
 
 namespace vqmc {
 
@@ -20,16 +19,6 @@ EnergyEstimate estimate_energy(std::span<const Real> local_energies) {
   return est;
 }
 
-void accumulate_energy_gradient(const WavefunctionModel& model,
-                                const Matrix& batch,
-                                std::span<const Real> local_energies,
-                                std::span<Real> grad,
-                                WavefunctionModel::Workspace* ws) {
-  accumulate_energy_gradient(model, batch, local_energies,
-                             mean(local_energies), Real(batch.rows()), grad,
-                             ws);
-}
-
 void energy_gradient_coefficients(std::span<const Real> local_energies,
                                   Real batch_mean, Real batch_count,
                                   std::span<Real> coeff) {
@@ -37,21 +26,6 @@ void energy_gradient_coefficients(std::span<const Real> local_energies,
                "energy gradient: coefficient size mismatch");
   for (std::size_t k = 0; k < coeff.size(); ++k)
     coeff[k] = 2 * (local_energies[k] - batch_mean) / batch_count;
-}
-
-void accumulate_energy_gradient(const WavefunctionModel& model,
-                                const Matrix& batch,
-                                std::span<const Real> local_energies,
-                                Real batch_mean, Real batch_count,
-                                std::span<Real> grad,
-                                WavefunctionModel::Workspace* ws) {
-  const std::size_t bs = batch.rows();
-  VQMC_REQUIRE(local_energies.size() == bs,
-               "energy gradient: local energy size mismatch");
-  Vector coeff(bs);
-  energy_gradient_coefficients(local_energies, batch_mean, batch_count,
-                               coeff.span());
-  model.accumulate_log_psi_gradient_ws(batch, coeff.span(), grad, ws);
 }
 
 }  // namespace vqmc

@@ -5,7 +5,6 @@
 
 #include <span>
 
-#include "nn/wavefunction.hpp"
 #include "tensor/real.hpp"
 
 namespace vqmc {
@@ -23,34 +22,15 @@ struct EnergyEstimate {
 /// Mean/variance/extreme of a batch of local energies.
 EnergyEstimate estimate_energy(std::span<const Real> local_energies);
 
-/// Energy gradient (Eq. 5): grad = 2 E[(l - L) d log psi] estimated as
-/// grad += (2/bs) sum_k (l_k - mean(l)) d log psi(x_k)/d theta.
-/// `grad` must be zeroed by the caller if a fresh gradient is wanted.
-/// `ws` (optional, from model.make_workspace()) reuses the model's
-/// evaluation scratch across calls.
-void accumulate_energy_gradient(const WavefunctionModel& model,
-                                const Matrix& batch,
-                                std::span<const Real> local_energies,
-                                std::span<Real> grad,
-                                WavefunctionModel::Workspace* ws = nullptr);
-
-/// The energy gradient's per-sample coefficients,
-/// coeff[k] = 2 (l_k - batch_mean) / batch_count: the gradient is
-/// sum_k coeff[k] d log psi(x_k)/d theta, and SR solves against them.
+/// The energy gradient's per-sample coefficients (Eq. 5),
+/// coeff[k] = 2 (l_k - batch_mean) / batch_count: the gradient
+/// 2 E[(l - L) d log psi] is sum_k coeff[k] d log psi(x_k)/d theta, which
+/// the model's accumulate_log_psi_gradient forms, and SR solves against
+/// them.  On N ranks `batch_mean` and `batch_count` are the mean and
+/// sample count of the whole (allreduced) batch, so summing every rank's
+/// share gives the gradient over the whole batch.
 void energy_gradient_coefficients(std::span<const Real> local_energies,
                                   Real batch_mean, Real batch_count,
                                   std::span<Real> coeff);
-
-/// One rank's share of a data-parallel energy gradient: the same sum over
-/// this batch, centred on `batch_mean` and divided by `batch_count`, the
-/// mean and sample count of the whole (allreduced) batch. Summing every rank's share
-/// gives the gradient over the whole batch; with this batch's own mean and
-/// size it is the overload above, bit for bit.
-void accumulate_energy_gradient(const WavefunctionModel& model,
-                                const Matrix& batch,
-                                std::span<const Real> local_energies,
-                                Real batch_mean, Real batch_count,
-                                std::span<Real> grad,
-                                WavefunctionModel::Workspace* ws = nullptr);
 
 }  // namespace vqmc

@@ -93,13 +93,16 @@ void DeepMade::forward(const Matrix& batch, Workspace& ws, Matrix& p) const {
   sigmoid_inplace(p);
 }
 
-void DeepMade::conditionals(const Matrix& batch, Matrix& out) const {
-  Workspace ws;
-  forward(batch, ws, out);
+void DeepMade::conditionals(const Matrix& batch, Matrix& out,
+                            WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  forward(batch, workspace_or(caller_ws, local), out);
 }
 
-void DeepMade::log_psi(const Matrix& batch, std::span<Real> out,
-                       Workspace& ws) const {
+void DeepMade::log_psi_ws(const Matrix& batch, std::span<Real> out,
+                          WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   VQMC_REQUIRE(out.size() == batch.rows(), "DeepMADE: output size mismatch");
   forward(batch, ws, ws.p);
   const std::size_t bs = batch.rows();
@@ -110,15 +113,11 @@ void DeepMade::log_psi(const Matrix& batch, std::span<Real> out,
   }
 }
 
-void DeepMade::log_psi(const Matrix& batch, std::span<Real> out) const {
-  Workspace ws;
-  log_psi(batch, out, ws);
-}
-
-void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
-                                           std::span<const Real> coeff,
-                                           std::span<Real> grad,
-                                           Workspace& ws) const {
+void DeepMade::accumulate_log_psi_gradient_ws(
+    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(coeff.size() == bs, "DeepMADE: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(),
@@ -160,62 +159,6 @@ void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
       std::swap(ws.g, ws.g_prev);
     }
   }
-}
-
-void DeepMade::accumulate_log_psi_gradient(const Matrix& batch,
-                                           std::span<const Real> coeff,
-                                           std::span<Real> grad) const {
-  Workspace ws;
-  accumulate_log_psi_gradient(batch, coeff, grad, ws);
-}
-
-void DeepMade::log_psi_gradient_per_sample(const Matrix& batch,
-                                           Matrix& out) const {
-  // Depth-general per-sample gradients reuse the batch machinery one sample
-  // at a time. O(bs) small forward passes — fine for the SR experiments
-  // this model participates in (SR is quadratic in d anyway).
-  const std::size_t bs = batch.rows();
-  const std::size_t d = num_parameters();
-  VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
-               "DeepMADE: per-sample gradient shape mismatch");
-  Matrix single(1, n_);
-  Vector coeff(1);
-  coeff[0] = 1;
-  Workspace ws;
-  for (std::size_t k = 0; k < bs; ++k) {
-    auto src = batch.row(k);
-    std::copy(src.begin(), src.end(), single.row(0).begin());
-    auto dst = out.row(k);
-    std::fill(dst.begin(), dst.end(), Real(0));
-    accumulate_log_psi_gradient(single, coeff.span(), dst, ws);
-  }
-}
-
-// -- Workspace-aware virtual variants ----------------------------------------
-
-void DeepMade::log_psi_ws(const Matrix& batch, std::span<Real> out,
-                          WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi(batch, out, *w);
-  } else {
-    log_psi(batch, out);
-  }
-}
-
-void DeepMade::accumulate_log_psi_gradient_ws(
-    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
-    WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    accumulate_log_psi_gradient(batch, coeff, grad, *w);
-  } else {
-    accumulate_log_psi_gradient(batch, coeff, grad);
-  }
-}
-
-void DeepMade::log_psi_gradient_per_sample_ws(
-    const Matrix& batch, Matrix& out, WavefunctionModel::Workspace* ws) const {
-  (void)ws;  // the per-sample path owns its per-call workspace already
-  log_psi_gradient_per_sample(batch, out);
 }
 
 }  // namespace vqmc

@@ -27,6 +27,12 @@
 /// derived copy of the weights is kept, so the same thread-safety rules as
 /// made.hpp apply and a write through a held parameters() span is seen by
 /// the next evaluation.
+///
+/// Evaluations (wavefunction.hpp): log psi, the gradient and the
+/// conditionals run on the caller's DeepMade::Workspace when it passes one
+/// (workspace_or), else on call-local scratch.  Per-sample gradients and
+/// the Gram are WavefunctionModel's defaults, one one-row gradient per
+/// sample.
 
 #include <cstdint>
 #include <memory>
@@ -72,18 +78,14 @@ class DeepMade final : public AutoregressiveModel {
     return params_.span();
   }
   void initialize(std::uint64_t seed) override;
-  void log_psi(const Matrix& batch, std::span<Real> out) const override;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override;
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override;
   [[nodiscard]] std::string name() const override { return "DeepMADE"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
     return std::make_unique<DeepMade>(*this);
   }
 
-  // Workspace-aware variants (identical results, reused scratch).
+  // Evaluations (wavefunction.hpp): scratch from workspace_or, so a null
+  // or foreign `ws` works in call-local scratch.  Per-sample gradients and
+  // the Gram are the base class's defaults.
   void log_psi_ws(const Matrix& batch, std::span<Real> out,
                   WavefunctionModel::Workspace* ws) const override;
   void accumulate_log_psi_gradient_ws(const Matrix& batch,
@@ -91,18 +93,11 @@ class DeepMade final : public AutoregressiveModel {
                                       std::span<Real> grad,
                                       WavefunctionModel::Workspace* ws)
       const override;
-  void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
-                                      WavefunctionModel::Workspace* ws)
-      const override;
-
-  // Concrete-type overloads for callers that own a DeepMade::Workspace.
-  void log_psi(const Matrix& batch, std::span<Real> out, Workspace& ws) const;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad, Workspace& ws) const;
 
   // AutoregressiveModel interface.
-  void conditionals(const Matrix& batch, Matrix& out) const override;
+  using AutoregressiveModel::conditionals;
+  void conditionals(const Matrix& batch, Matrix& out,
+                    WavefunctionModel::Workspace* ws) const override;
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
   [[nodiscard]] std::size_t depth() const { return depth_; }

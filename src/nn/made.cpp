@@ -87,17 +87,16 @@ void Made::forward_logits(const Matrix& batch, Workspace& ws,
   add_row_broadcast(z, bias2());
 }
 
-void Made::conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const {
-  forward(batch, ws, out);
+void Made::conditionals(const Matrix& batch, Matrix& out,
+                        WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  forward(batch, workspace_or(caller_ws, local), out);
 }
 
-void Made::conditionals(const Matrix& batch, Matrix& out) const {
-  Workspace ws;
-  conditionals(batch, out, ws);
-}
-
-void Made::log_psi(const Matrix& batch, std::span<Real> out,
-                   Workspace& ws) const {
+void Made::log_psi_ws(const Matrix& batch, std::span<Real> out,
+                      WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   VQMC_REQUIRE(out.size() == batch.rows(), "MADE: output size mismatch");
   forward(batch, ws, ws.p);
   const std::size_t bs = batch.rows();
@@ -108,11 +107,6 @@ void Made::log_psi(const Matrix& batch, std::span<Real> out,
     out[k] = bernoulli_log_likelihood(batch.row(k), ws.p.row(k).data(),
                                       kProbEps) / 2;
   }
-}
-
-void Made::log_psi(const Matrix& batch, std::span<Real> out) const {
-  Workspace ws;
-  log_psi(batch, out, ws);
 }
 
 void Made::backward(const Matrix& batch, const Real* coeff,
@@ -137,10 +131,11 @@ void Made::backward(const Matrix& batch, const Real* coeff,
   relu_backward_inplace(ws.a1, ws.g1);
 }
 
-void Made::accumulate_log_psi_gradient(const Matrix& batch,
-                                       std::span<const Real> coeff,
-                                       std::span<Real> grad,
-                                       Workspace& ws) const {
+void Made::accumulate_log_psi_gradient_ws(
+    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(coeff.size() == bs, "MADE: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "MADE: gradient size mismatch");
@@ -164,15 +159,11 @@ void Made::accumulate_log_psi_gradient(const Matrix& batch,
   column_sum_accumulate(ws.g1, grad.subspan(off_b1, h_));
 }
 
-void Made::accumulate_log_psi_gradient(const Matrix& batch,
-                                       std::span<const Real> coeff,
-                                       std::span<Real> grad) const {
-  Workspace ws;
-  accumulate_log_psi_gradient(batch, coeff, grad, ws);
-}
-
-void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
-                                       Workspace& ws) const {
+void Made::log_psi_gradient_per_sample_ws(
+    const Matrix& batch, Matrix& out,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   const std::size_t d = num_parameters();
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
@@ -225,14 +216,11 @@ void Made::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
   }
 }
 
-void Made::log_psi_gradient_per_sample(const Matrix& batch,
-                                       Matrix& out) const {
-  Workspace ws;
-  log_psi_gradient_per_sample(batch, out, ws);
-}
-
-void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                                 Workspace& ws) const {
+void Made::log_psi_gradient_gram(
+    const Matrix& batch, Matrix& gram,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
                "MADE: Gram must be bs x bs");
@@ -261,9 +249,11 @@ void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
             gram);
 }
 
-void Made::log_psi_flip_ratios(const Matrix& batch,
-                               std::span<const std::size_t> sites,
-                               Matrix& out, Workspace& ws) const {
+bool Made::log_psi_flip_ratios(const Matrix& batch,
+                               std::span<const std::size_t> sites, Matrix& out,
+                               WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   VQMC_REQUIRE(batch.cols() == n_, "MADE: batch has wrong spin count");
   const std::size_t bs = batch.rows();
   const std::size_t m = sites.size();
@@ -271,7 +261,7 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
                "MADE: flip-ratio output shape mismatch");
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < n_, "MADE: flip site out of range");
-  if (bs == 0 || m == 0) return;
+  if (bs == 0 || m == 0) return true;
 
   // W2's prefix rows are read in place; W1's suffix columns come from a
   // packing of the current parameters.
@@ -401,58 +391,6 @@ void Made::log_psi_flip_ratios(const Matrix& batch,
         if (r < bs) out(r, q[l]) = sums[l] / 2;
       }
     }
-  }
-}
-
-// -- Workspace-aware virtual variants ----------------------------------------
-
-void Made::log_psi_ws(const Matrix& batch, std::span<Real> out,
-                      WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi(batch, out, *w);
-  } else {
-    log_psi(batch, out);
-  }
-}
-
-void Made::accumulate_log_psi_gradient_ws(
-    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
-    WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    accumulate_log_psi_gradient(batch, coeff, grad, *w);
-  } else {
-    accumulate_log_psi_gradient(batch, coeff, grad);
-  }
-}
-
-void Made::log_psi_gradient_per_sample_ws(
-    const Matrix& batch, Matrix& out, WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_gradient_per_sample(batch, out, *w);
-  } else {
-    log_psi_gradient_per_sample(batch, out);
-  }
-}
-
-void Made::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                                 WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_gradient_gram(batch, gram, *w);
-  } else {
-    Workspace local;
-    log_psi_gradient_gram(batch, gram, local);
-  }
-}
-
-bool Made::log_psi_flip_ratios(const Matrix& batch,
-                               std::span<const std::size_t> sites,
-                               Matrix& out,
-                               WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_flip_ratios(batch, sites, out, *w);
-  } else {
-    Workspace local;
-    log_psi_flip_ratios(batch, sites, out, local);
   }
   return true;
 }

@@ -54,6 +54,10 @@
 /// chunk; chunks break at absolute output indices, so a row's ratios are
 /// bitwise the same in either lane layout.
 ///
+/// Evaluations (wavefunction.hpp): each is one virtual over a nullable
+/// workspace, and its body runs on the caller's Made::Workspace when it
+/// passes one (workspace_or), else on call-local scratch.
+///
 /// Thread safety: every const method (log_psi, conditionals, the gradient
 /// evaluations) uses only call-local scratch or a caller-owned Workspace
 /// and reads the parameters in place; the model holds no shared mutable
@@ -147,18 +151,13 @@ class Made final : public AutoregressiveModel {
     return params_.span();
   }
   void initialize(std::uint64_t seed) override;
-  void log_psi(const Matrix& batch, std::span<Real> out) const override;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override;
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override;
   [[nodiscard]] std::string name() const override { return "MADE"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
     return std::make_unique<Made>(*this);
   }
 
-  // Workspace-aware variants (identical results, reused scratch).
+  // Evaluations (wavefunction.hpp): scratch from workspace_or, so a null
+  // or foreign `ws` works in call-local scratch.
   void log_psi_ws(const Matrix& batch, std::span<Real> out,
                   WavefunctionModel::Workspace* ws) const override;
   void accumulate_log_psi_gradient_ws(const Matrix& batch,
@@ -175,22 +174,10 @@ class Made final : public AutoregressiveModel {
                            std::span<const std::size_t> sites, Matrix& out,
                            WavefunctionModel::Workspace* ws) const override;
 
-  // Concrete-type overloads for callers that own a Made::Workspace.
-  void log_psi(const Matrix& batch, std::span<Real> out, Workspace& ws) const;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad, Workspace& ws) const;
-  void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
-                                   Workspace& ws) const;
-  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                             Workspace& ws) const;
-  void conditionals(const Matrix& batch, Matrix& out, Workspace& ws) const;
-  void log_psi_flip_ratios(const Matrix& batch,
-                           std::span<const std::size_t> sites, Matrix& out,
-                           Workspace& ws) const;
-
   // AutoregressiveModel interface.
-  void conditionals(const Matrix& batch, Matrix& out) const override;
+  using AutoregressiveModel::conditionals;
+  void conditionals(const Matrix& batch, Matrix& out,
+                    WavefunctionModel::Workspace* ws) const override;
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 

@@ -43,8 +43,10 @@ void Rbm::hidden_preactivations(const Matrix& batch, Workspace& ws) const {
   add_row_broadcast(ws.theta, std::span<const Real>(c(), h_));
 }
 
-void Rbm::log_psi(const Matrix& batch, std::span<Real> out,
-                  Workspace& ws) const {
+void Rbm::log_psi_ws(const Matrix& batch, std::span<Real> out,
+                     WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   VQMC_REQUIRE(out.size() == batch.rows(), "RBM: output size mismatch");
   hidden_preactivations(batch, ws);
   const std::size_t bs = batch.rows();
@@ -59,14 +61,11 @@ void Rbm::log_psi(const Matrix& batch, std::span<Real> out,
   }
 }
 
-void Rbm::log_psi(const Matrix& batch, std::span<Real> out) const {
-  Workspace ws;
-  log_psi(batch, out, ws);
-}
-
-void Rbm::log_psi_flip_ratios(const Matrix& batch,
+bool Rbm::log_psi_flip_ratios(const Matrix& batch,
                               std::span<const std::size_t> sites, Matrix& out,
-                              Workspace& ws) const {
+                              WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   VQMC_REQUIRE(batch.cols() == n_, "RBM: batch has wrong spin count");
   const std::size_t bs = batch.rows();
   const std::size_t m = sites.size();
@@ -74,7 +73,7 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
                "RBM: flip-ratio output shape mismatch");
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
-  if (bs == 0 || m == 0) return;
+  if (bs == 0 || m == 0) return true;
   // The factor table g(i, l) = copysign(e^{-2|W_li|}, W_li) in W^T's
   // layout, so each flip reads one contiguous row, and sum_l |W_li|.
   ensure_shape(ws.wt, n_, h_);
@@ -123,12 +122,14 @@ void Rbm::log_psi_flip_ratios(const Matrix& batch,
       ratio[q] = x[i] == 0 ? hidden + pa[i] : hidden - pa[i];
     }
   }
+  return true;
 }
 
-void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
-                                      std::span<const Real> coeff,
-                                      std::span<Real> grad,
-                                      Workspace& ws) const {
+void Rbm::accumulate_log_psi_gradient_ws(
+    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(coeff.size() == bs, "RBM: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "RBM: gradient size mismatch");
@@ -160,15 +161,11 @@ void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
   grad[h_ * n_ + h_ + n_] += c_sum;
 }
 
-void Rbm::accumulate_log_psi_gradient(const Matrix& batch,
-                                      std::span<const Real> coeff,
-                                      std::span<Real> grad) const {
-  Workspace ws;
-  accumulate_log_psi_gradient(batch, coeff, grad, ws);
-}
-
-void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
-                                      Workspace& ws) const {
+void Rbm::log_psi_gradient_per_sample_ws(
+    const Matrix& batch, Matrix& out,
+    WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   const std::size_t d = num_parameters();
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
@@ -195,13 +192,10 @@ void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
   }
 }
 
-void Rbm::log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
-  Workspace ws;
-  log_psi_gradient_per_sample(batch, out, ws);
-}
-
 void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                                Workspace& ws) const {
+                                WavefunctionModel::Workspace* caller_ws) const {
+  Workspace local;
+  Workspace& ws = workspace_or(caller_ws, local);
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
                "RBM: Gram must be bs x bs");
@@ -222,58 +216,6 @@ void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
   const Real* xx = ws.xx.data();
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < bs * bs; ++i) g[i] = (g[i] + 1) * (xx[i] + 1);
-}
-
-// -- Workspace-aware virtual variants ----------------------------------------
-
-void Rbm::log_psi_ws(const Matrix& batch, std::span<Real> out,
-                     WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi(batch, out, *w);
-  } else {
-    log_psi(batch, out);
-  }
-}
-
-void Rbm::accumulate_log_psi_gradient_ws(
-    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
-    WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    accumulate_log_psi_gradient(batch, coeff, grad, *w);
-  } else {
-    accumulate_log_psi_gradient(batch, coeff, grad);
-  }
-}
-
-void Rbm::log_psi_gradient_per_sample_ws(
-    const Matrix& batch, Matrix& out, WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_gradient_per_sample(batch, out, *w);
-  } else {
-    log_psi_gradient_per_sample(batch, out);
-  }
-}
-
-void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                                WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_gradient_gram(batch, gram, *w);
-  } else {
-    Workspace local;
-    log_psi_gradient_gram(batch, gram, local);
-  }
-}
-
-bool Rbm::log_psi_flip_ratios(const Matrix& batch,
-                              std::span<const std::size_t> sites, Matrix& out,
-                              WavefunctionModel::Workspace* ws) const {
-  if (auto* w = dynamic_cast<Workspace*>(ws)) {
-    log_psi_flip_ratios(batch, sites, out, *w);
-  } else {
-    Workspace local;
-    log_psi_flip_ratios(batch, sites, out, local);
-  }
-  return true;
 }
 
 }  // namespace vqmc

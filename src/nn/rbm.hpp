@@ -16,8 +16,11 @@
 ///   [ W (h x n) | c (h) | a (n) | a0 (1) ]
 ///
 /// The forward reads W and the gradient accumulates dW in place in the
-/// parameter and gradient vectors, and every evaluation runs over a
-/// caller-owned Workspace, so a repeated evaluation allocates nothing.  The
+/// parameter and gradient vectors.  Each evaluation is one virtual over a
+/// nullable workspace (wavefunction.hpp) and runs on the caller's
+/// Rbm::Workspace when it passes one (workspace_or), so a repeated
+/// evaluation allocates nothing; a null or foreign one gets call-local
+/// scratch.  The
 /// model keeps no derived copy of W: the flip path transposes it into the
 /// workspace on each call.  The same thread-safety rules as made.hpp apply,
 /// and a write through a held parameters() span is seen by the next
@@ -82,19 +85,13 @@ class Rbm final : public WavefunctionModel {
     return params_.span();
   }
   void initialize(std::uint64_t seed) override;
-  void log_psi(const Matrix& batch, std::span<Real> out) const override;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override;
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override;
-  [[nodiscard]] bool is_normalized() const override { return false; }
   [[nodiscard]] std::string name() const override { return "RBM"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
     return std::make_unique<Rbm>(*this);
   }
 
-  // Workspace-aware variants (identical results, reused scratch).
+  // Evaluations (wavefunction.hpp): scratch from workspace_or, so a null
+  // or foreign `ws` works in call-local scratch.
   void log_psi_ws(const Matrix& batch, std::span<Real> out,
                   WavefunctionModel::Workspace* ws) const override;
   void accumulate_log_psi_gradient_ws(const Matrix& batch,
@@ -110,19 +107,6 @@ class Rbm final : public WavefunctionModel {
   bool log_psi_flip_ratios(const Matrix& batch,
                            std::span<const std::size_t> sites, Matrix& out,
                            WavefunctionModel::Workspace* ws) const override;
-
-  // Concrete-type overloads for callers that own an Rbm::Workspace.
-  void log_psi(const Matrix& batch, std::span<Real> out, Workspace& ws) const;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad, Workspace& ws) const;
-  void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out,
-                                   Workspace& ws) const;
-  void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
-                             Workspace& ws) const;
-  void log_psi_flip_ratios(const Matrix& batch,
-                           std::span<const std::size_t> sites, Matrix& out,
-                           Workspace& ws) const;
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 

@@ -81,12 +81,16 @@ void RnnWavefunction::forward(const Matrix& batch, std::vector<Matrix>& hidden,
   }
 }
 
-void RnnWavefunction::conditionals(const Matrix& batch, Matrix& out) const {
+void RnnWavefunction::conditionals(const Matrix& batch, Matrix& out,
+                                   Workspace* ws) const {
+  (void)ws;
   std::vector<Matrix> hidden;
   forward(batch, hidden, out);
 }
 
-void RnnWavefunction::log_psi(const Matrix& batch, std::span<Real> out) const {
+void RnnWavefunction::log_psi_ws(const Matrix& batch, std::span<Real> out,
+                                 Workspace* ws) const {
+  (void)ws;
   VQMC_REQUIRE(out.size() == batch.rows(), "RNN: output size mismatch");
   std::vector<Matrix> hidden;
   Matrix p;
@@ -103,9 +107,10 @@ void RnnWavefunction::log_psi(const Matrix& batch, std::span<Real> out) const {
   }
 }
 
-void RnnWavefunction::accumulate_log_psi_gradient(const Matrix& batch,
-                                                  std::span<const Real> coeff,
-                                                  std::span<Real> grad) const {
+void RnnWavefunction::accumulate_log_psi_gradient_ws(
+    const Matrix& batch, std::span<const Real> coeff, std::span<Real> grad,
+    Workspace* ws) const {
+  (void)ws;
   const std::size_t bs = batch.rows();
   VQMC_REQUIRE(coeff.size() == bs, "RNN: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "RNN: gradient size mismatch");
@@ -182,24 +187,6 @@ void RnnWavefunction::accumulate_log_psi_gradient(const Matrix& batch,
       }
       dh = std::move(dh_prev);
     }
-  }
-}
-
-void RnnWavefunction::log_psi_gradient_per_sample(const Matrix& batch,
-                                                  Matrix& out) const {
-  const std::size_t bs = batch.rows();
-  const std::size_t d = num_parameters();
-  VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
-               "RNN: per-sample gradient shape mismatch");
-  Matrix single(1, n_);
-  Vector coeff(1);
-  coeff[0] = 1;
-  for (std::size_t k = 0; k < bs; ++k) {
-    auto src = batch.row(k);
-    std::copy(src.begin(), src.end(), single.row(0).begin());
-    auto dst = out.row(k);
-    std::fill(dst.begin(), dst.end(), Real(0));
-    accumulate_log_psi_gradient(single, coeff.span(), dst);
   }
 }
 

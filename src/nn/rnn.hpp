@@ -42,19 +42,26 @@ class RnnWavefunction final : public AutoregressiveModel {
     return params_.span();
   }
   void initialize(std::uint64_t seed) override;
-  void log_psi(const Matrix& batch, std::span<Real> out) const override;
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override;
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override;
   [[nodiscard]] std::string name() const override { return "RNN"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
     return std::make_unique<RnnWavefunction>(*this);
   }
 
+  // Evaluations (wavefunction.hpp).  The RNN has no workspace: every
+  // evaluation keeps its hidden states in call-local scratch and ignores
+  // `ws`.  Per-sample gradients and the Gram are the base class's
+  // defaults.
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  Workspace* ws) const override;
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      Workspace* ws) const override;
+
   // AutoregressiveModel interface (teacher-forced; n recurrence steps).
-  void conditionals(const Matrix& batch, Matrix& out) const override;
+  using AutoregressiveModel::conditionals;
+  void conditionals(const Matrix& batch, Matrix& out,
+                    Workspace* ws) const override;
 
   [[nodiscard]] std::size_t hidden_size() const { return h_; }
 

@@ -15,6 +15,14 @@
 ///    product of conditionals computable in one forward pass (MADE), which
 ///    enables exact AUTO sampling and makes the model normalized.
 ///
+/// Each evaluation is one virtual that takes a nullable, caller-owned
+/// `Workspace*` (DESIGN.md §5f).  A model gets its scratch from
+/// `workspace_or`: the caller's workspace when it belongs to the model's
+/// family, else a call-local one.  The plain `log_psi`,
+/// `accumulate_log_psi_gradient` and `log_psi_gradient_per_sample` are
+/// non-virtual one-liners that pass null; the virtuals keep their `_ws`
+/// suffix, so a plain call and an override never share a name.
+///
 /// Stochastic reconfiguration needs only the Gram matrix of the
 /// per-sample log-derivatives, O O^T, never O itself
 /// (`log_psi_gradient_gram`).
@@ -48,11 +56,12 @@ class WavefunctionModel {
 
   /// Opaque caller-owned evaluation scratch.  Models that allocate
   /// per-call temporaries (the MADE family's activation and gradient
-  /// matrices) can reuse them across calls when the caller threads one of
-  /// these through the `*_ws` evaluation variants.  A workspace may be used
-  /// by one call at a time; per-thread workspaces keep the const-method
-  /// concurrency contract intact (the scratch moves from the callee's stack
-  /// to the caller, it never becomes shared model state).
+  /// matrices, RBM's hidden pre-activations) keep them in a subclass of
+  /// this and reuse them across calls when the caller threads one through
+  /// the evaluations.  A workspace may be used by one call at a time;
+  /// per-thread workspaces keep the const-method concurrency contract
+  /// intact (the scratch moves from the callee's stack to the caller, it
+  /// never becomes shared model state).
   class Workspace {
    public:
     virtual ~Workspace() = default;
@@ -62,8 +71,7 @@ class WavefunctionModel {
     Matrix per_sample;
   };
 
-  /// Reusable scratch for the `*_ws` paths; null when the model has none
-  /// (then the `*_ws` variants simply forward to the plain calls).
+  /// Reusable scratch for the evaluations; null when the model has none.
   [[nodiscard]] virtual std::unique_ptr<Workspace> make_workspace() const {
     return nullptr;
   }
@@ -81,45 +89,35 @@ class WavefunctionModel {
   /// Random parameter initialization (uniform +- 1/sqrt(fan_in) per layer).
   virtual void initialize(std::uint64_t seed) = 0;
 
+  // -- Evaluations -----------------------------------------------------------
+  // One virtual per evaluation.  `ws` is scratch from make_workspace(); it
+  // may be null or belong to another model family, and a model then works
+  // in call-local scratch (workspace_or below), so the results are
+  // bitwise the same whatever is passed.  The trainer, the samplers and
+  // the local-energy engine pass their workspace; the plain log_psi,
+  // accumulate_log_psi_gradient and log_psi_gradient_per_sample pass null.
+
   /// log |psi_theta(x_k)| for each row x_k of the batch (bs x n) into
   /// `out` (length bs).
-  virtual void log_psi(const Matrix& batch, std::span<Real> out) const = 0;
+  virtual void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                          Workspace* ws) const = 0;
 
   /// grad += sum_k coeff[k] * d(log psi(x_k))/d(theta).
   /// This single primitive implements the energy gradient of Eq. 5: pass
   /// coeff[k] = 2 (l_k - L) / bs.
-  virtual void accumulate_log_psi_gradient(const Matrix& batch,
-                                           std::span<const Real> coeff,
-                                           std::span<Real> grad) const = 0;
-
-  /// Per-sample log-derivatives O(k, :) = d(log psi(x_k))/d(theta), the
-  /// ingredients of the Fisher/SR matrix (Eq. 5).  `out` must be bs x d.
-  virtual void log_psi_gradient_per_sample(const Matrix& batch,
-                                           Matrix& out) const = 0;
-
-  // -- Workspace-aware variants ----------------------------------------------
-  // Identical results to the plain calls; `ws` (from make_workspace(), may
-  // be null) lets the model reuse its evaluation scratch instead of
-  // allocating it per call.  The trainer and the local-energy engine route
-  // their per-iteration evaluations through these.
-
-  virtual void log_psi_ws(const Matrix& batch, std::span<Real> out,
-                          Workspace* ws) const {
-    (void)ws;
-    log_psi(batch, out);
-  }
   virtual void accumulate_log_psi_gradient_ws(const Matrix& batch,
                                               std::span<const Real> coeff,
                                               std::span<Real> grad,
-                                              Workspace* ws) const {
-    (void)ws;
-    accumulate_log_psi_gradient(batch, coeff, grad);
-  }
+                                              Workspace* ws) const = 0;
+
+  /// Per-sample log-derivatives O(k, :) = d(log psi(x_k))/d(theta), the
+  /// ingredients of the Fisher/SR matrix (Eq. 5).  `out` must be bs x d.
+  /// The default accumulates one row at a time with a unit coefficient
+  /// through accumulate_log_psi_gradient_ws, on `ws` or, when it is null,
+  /// on a workspace from make_workspace(); MADE and RBM fill O in closed
+  /// form.
   virtual void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
-                                              Workspace* ws) const {
-    (void)ws;
-    log_psi_gradient_per_sample(batch, out);
-  }
+                                              Workspace* ws) const;
 
   /// Gram matrix of the per-sample log-derivatives, gram = O O^T (bs x bs,
   /// uncentred): gram(s, t) = <d log psi(x_s)/d theta, d log psi(x_t)/d
@@ -134,7 +132,7 @@ class WavefunctionModel {
   virtual void log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
                                      Workspace* ws) const;
 
-  /// Single-flip log-amplitude ratios over a caller-owned workspace:
+  /// Single-flip log-amplitude ratios:
   ///
   ///   out(k, q) = log|psi(x_k with site sites[q] flipped)| - log|psi(x_k)|
   ///
@@ -155,8 +153,18 @@ class WavefunctionModel {
     return false;
   }
 
-  /// True if sum_x psi(x)^2 == 1 by construction.
-  [[nodiscard]] virtual bool is_normalized() const = 0;
+  /// The evaluations in call-local scratch.
+  void log_psi(const Matrix& batch, std::span<Real> out) const {
+    log_psi_ws(batch, out, nullptr);
+  }
+  void accumulate_log_psi_gradient(const Matrix& batch,
+                                   std::span<const Real> coeff,
+                                   std::span<Real> grad) const {
+    accumulate_log_psi_gradient_ws(batch, coeff, grad, nullptr);
+  }
+  void log_psi_gradient_per_sample(const Matrix& batch, Matrix& out) const {
+    log_psi_gradient_per_sample_ws(batch, out, nullptr);
+  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -165,15 +173,31 @@ class WavefunctionModel {
 };
 
 /// Wavefunction whose Born distribution factorizes autoregressively
-/// (Eq. 7): pi(x) = prod_i p_i(x_i | x_{<i}).
+/// (Eq. 7): pi(x) = prod_i p_i(x_i | x_{<i}), which makes it normalized
+/// and lets AUTO draw exact samples.
 class AutoregressiveModel : public WavefunctionModel {
  public:
   /// All conditionals in one forward pass (the MADE trick): out(k, i) =
   /// p(x_i = 1 | x_{k,1}, ..., x_{k,i-1}).  Only entries j < i of row k
   /// influence out(k, i) — the autoregressive property, which tests verify.
-  virtual void conditionals(const Matrix& batch, Matrix& out) const = 0;
+  /// `ws` as for the evaluations above.
+  virtual void conditionals(const Matrix& batch, Matrix& out,
+                            Workspace* ws) const = 0;
 
-  [[nodiscard]] bool is_normalized() const final { return true; }
+  /// conditionals() in call-local scratch.  A model that overrides the
+  /// virtual brings this back into scope with a using-declaration.
+  void conditionals(const Matrix& batch, Matrix& out) const {
+    conditionals(batch, out, nullptr);
+  }
 };
+
+/// The caller's workspace when it is a `W` (the calling model's family),
+/// else `local`: the one place where a model's evaluation falls back to
+/// call-local scratch for a null or foreign workspace.
+template <class W>
+W& workspace_or(WavefunctionModel::Workspace* ws, W& local) {
+  W* own = dynamic_cast<W*>(ws);
+  return own != nullptr ? *own : local;
+}
 
 }  // namespace vqmc

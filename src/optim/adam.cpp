@@ -1,6 +1,7 @@
 #include "optim/adam.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -52,8 +53,18 @@ std::vector<Real> Adam::serialize_state() const {
 void Adam::restore_state(const std::vector<Real>& state) {
   VQMC_REQUIRE(state.size() >= 2 && (state.size() - 2) % 2 == 0,
                "Adam: optimizer state size mismatch");
+  // Both scalars come from a file.  Casting NaN, inf or an out-of-range
+  // double to long is undefined, and a negative or fractional count or a
+  // negative rate would corrupt every later step, so they are checked
+  // before anything is restored.
+  VQMC_REQUIRE(std::isfinite(state[0]) && state[0] >= 0,
+               "Adam: restored learning rate must be finite and >= 0");
+  const Real steps = state[1];
+  VQMC_REQUIRE(steps >= 0 && steps <= Real(std::uint64_t(1) << 53) &&
+                   steps == std::floor(steps),
+               "Adam: restored step count must be an integer in [0, 2^53]");
   lr_ = state[0];
-  step_count_ = long(state[1]);
+  step_count_ = long(steps);
   const std::size_t d = (state.size() - 2) / 2;
   m_ = Vector(d);
   v_ = Vector(d);

@@ -1,5 +1,7 @@
 #include "optim/sgd.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace vqmc {
@@ -36,6 +38,8 @@ std::vector<Real> Sgd::serialize_state() const {
 
 void Sgd::restore_state(const std::vector<Real>& state) {
   VQMC_REQUIRE(!state.empty(), "SGD: optimizer state size mismatch");
+  VQMC_REQUIRE(std::isfinite(state[0]) && state[0] >= 0,
+               "SGD: restored learning rate must be finite and >= 0");
   lr_ = state[0];
   velocity_ = state.size() > 1 ? Vector(state.size() - 1) : Vector();
   for (std::size_t i = 0; i < velocity_.size(); ++i)

@@ -13,7 +13,8 @@ AutoregressiveSampler::AutoregressiveSampler(const AutoregressiveModel& model,
                                              std::uint64_t seed)
     : model_(model), gen_(seed) {}
 
-void AutoregressiveSampler::sample(Matrix& out) {
+void AutoregressiveSampler::sample_ws(Matrix& out,
+                                      WavefunctionModel::Workspace* ws) {
   TELEMETRY_SPAN("sample.auto");
   const std::uint64_t nonfinite_before = stats_.nonfinite_rejections;
   const std::size_t n = model_.num_spins();
@@ -26,7 +27,7 @@ void AutoregressiveSampler::sample(Matrix& out) {
   // final. Conditionals for site i only read sites < i (masked), so the
   // not-yet-sampled zero entries are never consumed.
   for (std::size_t i = 0; i < n; ++i) {
-    model_.conditionals(out, conditionals_);
+    model_.conditionals(out, conditionals_, ws);
     ++stats_.forward_passes;
     for (std::size_t k = 0; k < bs; ++k) {
       Real p1 = conditionals_(k, i);

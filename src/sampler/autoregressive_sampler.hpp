@@ -25,13 +25,12 @@ class AutoregressiveSampler final : public Sampler {
   /// \param seed RNG seed for this sampler's private stream
   AutoregressiveSampler(const AutoregressiveModel& model, std::uint64_t seed);
 
-  void sample(Matrix& out) override;
+  /// The n conditionals passes run on `ws` (model.conditionals).
+  void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) override;
 
   [[nodiscard]] const SamplerStatistics& statistics() const override {
     return stats_;
   }
-  void reset_statistics() override { stats_ = {}; }
-  [[nodiscard]] bool is_exact() const override { return true; }
   [[nodiscard]] std::string name() const override { return "AUTO"; }
 
   /// State layout: the 4 RNG words (AUTO draws are otherwise stateless).

@@ -10,8 +10,6 @@ namespace vqmc {
 FastMadeSampler::FastMadeSampler(const Made& model, std::uint64_t seed)
     : model_(model), gen_(seed) {}
 
-void FastMadeSampler::sample(Matrix& out) { sample_ws(out, nullptr); }
-
 void FastMadeSampler::sample_ws(Matrix& out,
                                 WavefunctionModel::Workspace* ws) {
   TELEMETRY_SPAN("sample.auto");
@@ -21,15 +19,13 @@ void FastMadeSampler::sample_ws(Matrix& out,
   VQMC_REQUIRE(bs > 0, "AUTO: batch must be non-empty");
 
   // Run the shared batched conditional engine in the caller's workspace when
-  // one of the right concrete type is supplied, else in internal scratch.
-  // W2 is read in place; W1's columns are packed from the current
-  // parameters, once per call.
-  Made::Workspace* engine_ws = dynamic_cast<Made::Workspace*>(ws);
-  if (engine_ws == nullptr) engine_ws = &scratch_;
-  model_.pack_w1_columns(engine_ws->w1_cols);
+  // it is a Made's, else in internal scratch.  W2 is read in place; W1's
+  // columns are packed from the current parameters, once per call.
+  Made::Workspace& engine_ws = workspace_or(ws, scratch_);
+  model_.pack_w1_columns(engine_ws.w1_cols);
   const DrawSlice slice{0, bs, &gen_};
   const std::uint64_t nonfinite = sample_conditionals_batched(
-      model_, engine_ws->w1_cols.span(), out, {&slice, 1}, *engine_ws);
+      model_, engine_ws.w1_cols.span(), out, {&slice, 1}, engine_ws);
 
   stats_.forward_passes += n;  // comparable accounting with Algorithm 1
   stats_.nonfinite_rejections += nonfinite;

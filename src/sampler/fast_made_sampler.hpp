@@ -42,6 +42,10 @@
 /// contiguous run of hidden units to exactly the rows that flipped, in
 /// 64-site blocks.
 ///
+/// sample_ws, the sampler's one draw virtual, runs the engine in the
+/// caller's Made::Workspace when it passes one (workspace_or; the trainer
+/// passes its model workspace), else in the sampler's own.
+///
 /// Thread safety: a FastMadeSampler instance is single-threaded — it owns
 /// mutable scratch (the engine workspace) and an RNG stream.  The borrowed
 /// Made, however, is only ever read through const methods, so any number of
@@ -66,14 +70,11 @@ class FastMadeSampler final : public Sampler {
   ///        (each call reads the current parameters).
   FastMadeSampler(const Made& model, std::uint64_t seed);
 
-  void sample(Matrix& out) override;
   void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) override;
 
   [[nodiscard]] const SamplerStatistics& statistics() const override {
     return stats_;
   }
-  void reset_statistics() override { stats_ = {}; }
-  [[nodiscard]] bool is_exact() const override { return true; }
   [[nodiscard]] std::string name() const override { return "AUTO"; }
 
   /// State layout: the 4 RNG words (draws are otherwise stateless).
@@ -91,8 +92,7 @@ class FastMadeSampler final : public Sampler {
   rng::Xoshiro256 gen_;
   SamplerStatistics stats_;
 
-  // Engine scratch reused across calls when the caller supplies no
-  // workspace (sample_ws threads a caller-owned Made::Workspace instead).
+  // Engine scratch for a null or foreign caller workspace (workspace_or).
   Made::Workspace scratch_;
 };
 

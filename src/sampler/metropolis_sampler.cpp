@@ -146,8 +146,6 @@ void MetropolisSampler::step() {
   }
 }
 
-void MetropolisSampler::sample(Matrix& out) { sample_ws(out, nullptr); }
-
 void MetropolisSampler::sample_ws(Matrix& out,
                                   WavefunctionModel::Workspace* ws) {
   TELEMETRY_SPAN("sample.mcmc");

@@ -87,14 +87,11 @@ class MetropolisSampler final : public Sampler {
  public:
   MetropolisSampler(const WavefunctionModel& model, MetropolisConfig config);
 
-  void sample(Matrix& out) override;
   void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) override;
 
   [[nodiscard]] const SamplerStatistics& statistics() const override {
     return stats_;
   }
-  void reset_statistics() override { stats_ = {}; }
-  [[nodiscard]] bool is_exact() const override { return false; }
   [[nodiscard]] std::string name() const override {
     return config_.rule == AcceptanceRule::HeatBath ? "GIBBS" : "MCMC";
   }

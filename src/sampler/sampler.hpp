@@ -4,10 +4,16 @@
 /// \brief Sampler interface: draw configurations from a model's Born
 /// distribution pi_theta(x) = psi_theta(x)^2 / <psi, psi>.
 ///
-/// The two implementations mirror Figure 1 of the paper:
-///  * AutoregressiveSampler (AUTO) — exact sampling in n forward passes.
+/// The implementations mirror Figure 1 of the paper:
+///  * AUTO — exact sampling in n forward passes: FastMadeSampler for a
+///    Made (the batched conditional engine), AutoregressiveSampler
+///    (Algorithm 1) for the other autoregressive models.
 ///  * MetropolisSampler (MCMC) — random-walk Metropolis–Hastings with
 ///    burn-in and thinning, k + j*bs/c forward passes.
+///
+/// Each sampler draws through one virtual, sample_ws, which takes a
+/// nullable model workspace like the model evaluations do
+/// (wavefunction.hpp); sample() passes null.
 ///
 /// Samplers count their forward passes so benches can report the
 /// parallel-efficiency accounting of Eq. 14 directly.
@@ -45,25 +51,18 @@ class Sampler {
   virtual ~Sampler() = default;
 
   /// Fill `out` (batch x n, entries in {0,1}) with (approximate or exact)
-  /// samples from the current model distribution.
-  virtual void sample(Matrix& out) = 0;
+  /// samples from the current model distribution.  Samplers that evaluate
+  /// the model (or run the batched conditional engine) reuse the caller's
+  /// model workspace `ws` for all scratch, so steady-state batches
+  /// allocate nothing once shapes stabilize.  `ws` may be null or of a
+  /// foreign concrete type — samplers fall back to internal scratch;
+  /// results are identical either way.
+  virtual void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) = 0;
 
-  /// sample() with a caller-owned model workspace: samplers that evaluate
-  /// the model (or run the batched conditional engine) reuse `ws` for all
-  /// scratch, so steady-state batches allocate nothing once shapes
-  /// stabilize.  `ws` may be null or of a foreign concrete type — samplers
-  /// fall back to internal scratch; results are identical either way.
-  virtual void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) {
-    (void)ws;
-    sample(out);
-  }
+  /// sample_ws() on the sampler's own scratch.
+  void sample(Matrix& out) { sample_ws(out, nullptr); }
 
   [[nodiscard]] virtual const SamplerStatistics& statistics() const = 0;
-  virtual void reset_statistics() = 0;
-
-  /// True if samples are exact draws from pi_theta (AUTO); false when they
-  /// are asymptotic (MCMC).
-  [[nodiscard]] virtual bool is_exact() const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 

@@ -47,8 +47,7 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::from_training_snapshot(
 }
 
 void ModelSnapshot::log_psi(const Matrix& batch, std::span<Real> out) const {
-  Made::Workspace ws;
-  log_psi(batch, out, ws);
+  model_.log_psi(batch, out);
 }
 
 void ModelSnapshot::log_psi(const Matrix& batch, std::span<Real> out,
@@ -56,7 +55,7 @@ void ModelSnapshot::log_psi(const Matrix& batch, std::span<Real> out,
   // Per-row arithmetic is independent of the batch composition, so
   // coalescing requests cannot perturb any row's value.  The forward reads
   // the frozen weights in place; all scratch is the caller's workspace.
-  model_.log_psi(batch, out, ws);
+  model_.log_psi_ws(batch, out, &ws);
 }
 
 std::uint64_t ModelSnapshot::sample(Matrix& out,

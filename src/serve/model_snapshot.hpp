@@ -26,10 +26,11 @@
 ///    effect).
 ///
 /// Numerical parity is a hard contract, not an aspiration: `log_psi` *is*
-/// `Made::log_psi` (same prefix kernels, same clamp), and `sample` replays
-/// `FastMadeSampler`'s site-major/row-minor draw order over the same
-/// weights, so results are bit-for-bit identical to the in-trainer paths
-/// under the same seed (tests pin this).
+/// Made's `log_psi_ws` on the caller's workspace (same prefix kernels,
+/// same clamp), and `sample` replays `FastMadeSampler`'s
+/// site-major/row-minor draw order over the same weights, so results are
+/// bit-for-bit identical to the in-trainer paths under the same seed
+/// (tests pin this).
 
 #include <cstdint>
 #include <memory>
@@ -67,7 +68,7 @@ class ModelSnapshot {
   }
 
   /// log |psi(x)| for each row of `batch` into `out` (length batch.rows()).
-  /// Bit-identical to Made::log_psi; safe to call concurrently.
+  /// Bit-identical to Made's log_psi; safe to call concurrently.
   void log_psi(const Matrix& batch, std::span<Real> out) const;
 
   /// Same, reusing a caller-owned (per-worker) workspace for the

@@ -13,6 +13,16 @@
 namespace vqmc {
 namespace {
 
+/// The trainer's energy gradient: the Eq. 5 coefficients of `local`,
+/// centred on its own mean, through the model's gradient accumulation.
+void add_energy_gradient(const WavefunctionModel& model, const Matrix& batch,
+                         const Vector& local, Vector& grad) {
+  Vector coeff(local.size());
+  energy_gradient_coefficients(local.span(), mean(local.span()),
+                               Real(batch.rows()), coeff.span());
+  model.accumulate_log_psi_gradient(batch, coeff.span(), grad.span());
+}
+
 TEST(Estimators, EnergyStatisticsOfKnownBatch) {
   Vector l{1.0, 2.0, 3.0, 4.0};
   const EnergyEstimate est = estimate_energy(l.span());
@@ -49,7 +59,7 @@ TEST(Estimators, GradientIsZeroWhenLocalEnergiesAreConstant) {
   Vector local(6);
   local.fill(7.0);
   Vector grad(made.num_parameters());
-  accumulate_energy_gradient(made, batch, local.span(), grad.span());
+  add_energy_gradient(made, batch, local, grad);
   for (std::size_t i = 0; i < grad.size(); ++i) EXPECT_EQ(grad[i], 0.0);
 }
 
@@ -65,7 +75,7 @@ TEST(Estimators, GradientMatchesManualEquationFive) {
   for (std::size_t k = 0; k < bs; ++k) local[k] = rng::uniform(gen, -2.0, 2.0);
 
   Vector grad(made.num_parameters());
-  accumulate_energy_gradient(made, batch, local.span(), grad.span());
+  add_energy_gradient(made, batch, local, grad);
 
   // Manual: grad = (2/bs) sum_k (l_k - mean) O_k via per-sample gradients.
   Matrix per_sample(bs, made.num_parameters());
@@ -85,9 +95,9 @@ TEST(Estimators, GradientAccumulates) {
   batch(0, 0) = 1;
   Vector local{1.0, 2.0};
   Vector grad(made.num_parameters());
-  accumulate_energy_gradient(made, batch, local.span(), grad.span());
+  add_energy_gradient(made, batch, local, grad);
   Vector once = grad;
-  accumulate_energy_gradient(made, batch, local.span(), grad.span());
+  add_energy_gradient(made, batch, local, grad);
   for (std::size_t i = 0; i < grad.size(); ++i)
     EXPECT_NEAR(grad[i], 2 * once[i], 1e-12);
 }

@@ -56,11 +56,9 @@ TEST(Factory, SamplerKinds) {
   const auto made = make_model("MADE", 8, 6);
   const auto auto_sampler = make_sampler("AUTO", *made, 1);
   EXPECT_EQ(auto_sampler->name(), "AUTO");
-  EXPECT_TRUE(auto_sampler->is_exact());
 
   const auto mcmc = make_sampler("MCMC", *made, 1);
   EXPECT_EQ(mcmc->name(), "MCMC");
-  EXPECT_FALSE(mcmc->is_exact());
 
   const auto rbm = make_model("RBM", 8);
   EXPECT_THROW(make_sampler("AUTO", *rbm, 1), Error);  // RBM is not AR

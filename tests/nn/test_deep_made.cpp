@@ -188,7 +188,7 @@ TEST(DeepMade, HeldSpanWritesReachTheNextLogPsi) {
   const Matrix batch = random_bits(bs, n, 162);
   DeepMade::Workspace ws;
   Vector before(bs), after(bs), want(bs);
-  model.log_psi(batch, before.span(), ws);
+  model.log_psi_ws(batch, before.span(), &ws);
 
   // Layout [W_1 | b_1 | W_2 | b_2 | W_out | b_out]; the last unit of each
   // hidden layer has the top degree, and the last output reads every unit.
@@ -196,7 +196,7 @@ TEST(DeepMade, HeldSpanWritesReachTheNextLogPsi) {
   params[(h - 1) * n] += 1.5;          // W_1(h - 1, 0)
   params[w2 + (h - 1) * h] -= 1.0;     // W_2(h - 1, 0)
   params[w_out + (n - 1) * h] += 2.0;  // W_out(n - 1, 0)
-  model.log_psi(batch, after.span(), ws);
+  model.log_psi_ws(batch, after.span(), &ws);
 
   DeepMade fresh(n, h, depth);
   const std::span<const Real> src = std::as_const(model).parameters();

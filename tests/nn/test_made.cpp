@@ -205,7 +205,7 @@ TEST(Made, FirstGradientOnAFreshWorkspaceAllocatesOnlyBatchRows) {
   Vector grad(made.num_parameters());
   Made::Workspace ws;
   const std::uint64_t before = vqmc::testing::allocated_bytes();
-  made.accumulate_log_psi_gradient(batch, coeff.span(), grad.span(), ws);
+  made.accumulate_log_psi_gradient_ws(batch, coeff.span(), grad.span(), &ws);
   const std::uint64_t bytes = vqmc::testing::allocated_bytes() - before;
   const std::uint64_t rows = (3 * bs * h + 2 * bs * n) * sizeof(Real);
   EXPECT_LE(bytes, rows + 4096);

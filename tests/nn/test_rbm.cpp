@@ -59,11 +59,6 @@ TEST(Rbm, LogPsiMatchesHandComputedFormula) {
   }
 }
 
-TEST(Rbm, IsNotNormalized) {
-  const Rbm rbm(4, 4);
-  EXPECT_FALSE(rbm.is_normalized());
-}
-
 TEST(Rbm, GradientMatchesFiniteDifferences) {
   Rbm rbm(5, 4);
   randomize_parameters(rbm, 43);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "optim/adam.hpp"
@@ -162,6 +164,49 @@ TEST(OptimizerState, AdamSerializesMomentsAndStepCount) {
 TEST(OptimizerState, SgdRejectsEmptyState) {
   Sgd sgd(0.1);
   EXPECT_THROW(sgd.restore_state({}), Error);
+}
+
+/// `opt` after one step, whose state is then restored with entry `field`
+/// replaced by `value`.  Returns whether the restore threw a vqmc::Error,
+/// and checks that a rejected restore left the state as it was.
+template <typename Opt>
+bool restore_rejects(Opt opt, std::size_t field, Real value) {
+  Vector p{1.0, 2.0};
+  Vector g{0.5, -0.5};
+  opt.step(p.span(), g.span());
+  const std::vector<Real> before = opt.serialize_state();
+  std::vector<Real> state = before;
+  state[field] = value;
+  try {
+    opt.restore_state(state);
+  } catch (const Error&) {
+    EXPECT_EQ(opt.serialize_state(), before) << "restore mutated the state";
+    return true;
+  }
+  return false;
+}
+
+TEST(OptimizerState, AdamRejectsAStepCountThatIsNotACount) {
+  // The step count is a double read from a checkpoint.  Casting NaN, inf
+  // or a value beyond long's range is undefined; -1 makes the first step's
+  // bias correction divide by zero; 2^60 is past the integers a double
+  // holds exactly.
+  const Real inf = std::numeric_limits<Real>::infinity();
+  for (const Real steps : {std::numeric_limits<Real>::quiet_NaN(), inf,
+                           Real(-1), Real(2.5), std::ldexp(Real(1), 60)})
+    EXPECT_TRUE(restore_rejects(Adam(0.01), 1, steps)) << steps;
+  for (const Real steps : {Real(0), std::ldexp(Real(1), 53)})
+    EXPECT_FALSE(restore_rejects(Adam(0.01), 1, steps)) << steps;
+}
+
+TEST(OptimizerState, RestoreRejectsANegativeOrNonFiniteLearningRate) {
+  for (const Real lr : {std::numeric_limits<Real>::quiet_NaN(), Real(-0.1)}) {
+    EXPECT_TRUE(restore_rejects(Adam(0.01), 0, lr)) << lr;
+    EXPECT_TRUE(restore_rejects(Sgd(0.1, 0.5), 0, lr)) << lr;
+  }
+  // Zero stays legal: a cosine schedule's floor defaults to 0.
+  EXPECT_FALSE(restore_rejects(Adam(0.01), 0, 0));
+  EXPECT_FALSE(restore_rejects(Sgd(0.1, 0.5), 0, 0));
 }
 
 }  // namespace

@@ -258,21 +258,24 @@ class OneBadCloneModel final : public AutoregressiveModel {
     return inner_.parameters();
   }
   void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
-  void log_psi(const Matrix& batch, std::span<Real> out) const override {
-    inner_.log_psi(batch, out);
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  Workspace* ws) const override {
+    inner_.log_psi_ws(batch, out, ws);
     if (faulty_) out[0] = std::numeric_limits<Real>::quiet_NaN();
   }
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override {
-    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      Workspace* ws) const override {
+    inner_.accumulate_log_psi_gradient_ws(batch, coeff, grad, ws);
   }
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override {
-    inner_.log_psi_gradient_per_sample(batch, out);
+  void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
+                                      Workspace* ws) const override {
+    inner_.log_psi_gradient_per_sample_ws(batch, out, ws);
   }
-  void conditionals(const Matrix& batch, Matrix& out) const override {
-    inner_.conditionals(batch, out);
+  void conditionals(const Matrix& batch, Matrix& out,
+                    Workspace* ws) const override {
+    inner_.conditionals(batch, out, ws);
   }
   [[nodiscard]] std::string name() const override { return "OneBadClone"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {
@@ -347,21 +350,24 @@ class ScriptedNanModel final : public AutoregressiveModel {
     return inner_.parameters();
   }
   void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
-  void log_psi(const Matrix& batch, std::span<Real> out) const override {
-    inner_.log_psi(batch, out);
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  Workspace* ws) const override {
+    inner_.log_psi_ws(batch, out, ws);
     if (*poison_) out[0] = std::numeric_limits<Real>::quiet_NaN();
   }
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override {
-    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      Workspace* ws) const override {
+    inner_.accumulate_log_psi_gradient_ws(batch, coeff, grad, ws);
   }
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override {
-    inner_.log_psi_gradient_per_sample(batch, out);
+  void log_psi_gradient_per_sample_ws(const Matrix& batch, Matrix& out,
+                                      Workspace* ws) const override {
+    inner_.log_psi_gradient_per_sample_ws(batch, out, ws);
   }
-  void conditionals(const Matrix& batch, Matrix& out) const override {
-    inner_.conditionals(batch, out);
+  void conditionals(const Matrix& batch, Matrix& out,
+                    Workspace* ws) const override {
+    inner_.conditionals(batch, out, ws);
   }
   [[nodiscard]] std::string name() const override { return "ScriptedNan"; }
   [[nodiscard]] std::unique_ptr<WavefunctionModel> clone() const override {

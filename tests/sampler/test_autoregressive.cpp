@@ -54,7 +54,6 @@ TEST(AutoSampler, ExactlyNForwardPassesPerBatch) {
   sampler.sample(large);
   EXPECT_EQ(sampler.statistics().forward_passes, 14u);
   EXPECT_EQ(sampler.statistics().proposals, 0u);
-  EXPECT_TRUE(sampler.is_exact());
 }
 
 TEST(AutoSampler, EmpiricalDistributionMatchesExactModel) {
@@ -100,16 +99,6 @@ TEST(AutoSampler, DeterministicPerSeed) {
   b.sample(xb);
   for (std::size_t i = 0; i < xa.size(); ++i)
     EXPECT_EQ(xa.data()[i], xb.data()[i]);
-}
-
-TEST(AutoSampler, StatisticsResetWorks) {
-  Made made(3, 2);
-  AutoregressiveSampler sampler(made, 1);
-  Matrix out(2, 3);
-  sampler.sample(out);
-  EXPECT_GT(sampler.statistics().forward_passes, 0u);
-  sampler.reset_statistics();
-  EXPECT_EQ(sampler.statistics().forward_passes, 0u);
 }
 
 TEST(AutoSampler, AgreesWithMcmcOnTheSameModel) {

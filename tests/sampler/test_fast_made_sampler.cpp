@@ -88,7 +88,6 @@ TEST(FastMadeSampler, AccountingMatchesAlgorithmOne) {
   Matrix out(16, 7);
   sampler.sample(out);
   EXPECT_EQ(sampler.statistics().forward_passes, 7u);
-  EXPECT_TRUE(sampler.is_exact());
   EXPECT_EQ(sampler.name(), "AUTO");
 }
 

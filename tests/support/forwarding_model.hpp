@@ -32,18 +32,6 @@ class ForwardingModel : public WavefunctionModel {
     return std::as_const(inner_).parameters();
   }
   void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
-  void log_psi(const Matrix& batch, std::span<Real> out) const override {
-    inner_.log_psi(batch, out);
-  }
-  void accumulate_log_psi_gradient(const Matrix& batch,
-                                   std::span<const Real> coeff,
-                                   std::span<Real> grad) const override {
-    inner_.accumulate_log_psi_gradient(batch, coeff, grad);
-  }
-  void log_psi_gradient_per_sample(const Matrix& batch,
-                                   Matrix& out) const override {
-    inner_.log_psi_gradient_per_sample(batch, out);
-  }
   void log_psi_ws(const Matrix& batch, std::span<Real> out,
                   Workspace* ws) const override {
     inner_.log_psi_ws(batch, out, ws);
@@ -58,7 +46,6 @@ class ForwardingModel : public WavefunctionModel {
                                       Workspace* ws) const override {
     inner_.log_psi_gradient_per_sample_ws(batch, out, ws);
   }
-  bool is_normalized() const override { return inner_.is_normalized(); }
   std::string name() const override { return inner_.name(); }
   std::unique_ptr<WavefunctionModel> clone() const override {
     return inner_.clone();
