@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/options.hpp"
@@ -22,6 +23,7 @@
 #include "core/trainer.hpp"
 #include "hamiltonian/maxcut.hpp"
 #include "hamiltonian/transverse_field_ising.hpp"
+#include "nn/wavefunction.hpp"
 
 namespace vqmc::bench {
 
@@ -107,5 +109,46 @@ std::string provenance_json(const std::string& commit);
 
 /// `value` in scientific notation with two decimals.
 std::string scientific(double value);
+
+/// Forwards log psi and the gradient of another model and nothing else, so
+/// every other evaluation takes the base class's full-forward default: a
+/// LocalEnergyEngine bound to it evaluates every connected configuration
+/// with a full forward, and a MetropolisSampler over it scores each MH
+/// step with one batched log_psi over the c proposals.  The benches time
+/// the wrapped model's fast paths against it in the same run.
+class FullForwardModel final : public WavefunctionModel {
+ public:
+  explicit FullForwardModel(WavefunctionModel& inner) : inner_(inner) {}
+
+  std::unique_ptr<Workspace> make_workspace() const override {
+    return inner_.make_workspace();
+  }
+  std::size_t num_spins() const override { return inner_.num_spins(); }
+  std::size_t num_parameters() const override {
+    return inner_.num_parameters();
+  }
+  std::span<Real> parameters() override { return inner_.parameters(); }
+  std::span<const Real> parameters() const override {
+    return std::as_const(inner_).parameters();
+  }
+  void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
+  void log_psi_ws(const Matrix& batch, std::span<Real> out,
+                  Workspace* ws) const override {
+    inner_.log_psi_ws(batch, out, ws);
+  }
+  void accumulate_log_psi_gradient_ws(const Matrix& batch,
+                                      std::span<const Real> coeff,
+                                      std::span<Real> grad,
+                                      Workspace* ws) const override {
+    inner_.accumulate_log_psi_gradient_ws(batch, coeff, grad, ws);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::unique_ptr<WavefunctionModel> clone() const override {
+    return inner_.clone();
+  }
+
+ private:
+  WavefunctionModel& inner_;
+};
 
 }  // namespace vqmc::bench

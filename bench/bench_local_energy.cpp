@@ -55,6 +55,7 @@
 
 using namespace vqmc;
 using bench::block_ms;
+using bench::FullForwardModel;
 using bench::median;
 using bench::provenance_json;
 using bench::scientific;
@@ -68,44 +69,6 @@ constexpr std::size_t kGateSpins = 128;
 /// RBM's product-form flip path must beat the full-forward path by this
 /// in-run factor at n = kGateSpins (DESIGN.md §5l).
 constexpr double kRbmGateSpeedup = 5.0;
-
-/// Forwards log psi and the gradient but not log_psi_flip_ratios, so an
-/// engine bound to it takes the full-forward path on the wrapped model's
-/// own evaluations.
-class FullForwardModel final : public WavefunctionModel {
- public:
-  explicit FullForwardModel(WavefunctionModel& inner) : inner_(inner) {}
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return inner_.make_workspace();
-  }
-  std::size_t num_spins() const override { return inner_.num_spins(); }
-  std::size_t num_parameters() const override {
-    return inner_.num_parameters();
-  }
-  std::span<Real> parameters() override { return inner_.parameters(); }
-  std::span<const Real> parameters() const override {
-    return std::as_const(inner_).parameters();
-  }
-  void initialize(std::uint64_t seed) override { inner_.initialize(seed); }
-  void log_psi_ws(const Matrix& batch, std::span<Real> out,
-                  Workspace* ws) const override {
-    inner_.log_psi_ws(batch, out, ws);
-  }
-  void accumulate_log_psi_gradient_ws(const Matrix& batch,
-                                      std::span<const Real> coeff,
-                                      std::span<Real> grad,
-                                      Workspace* ws) const override {
-    inner_.accumulate_log_psi_gradient_ws(batch, coeff, grad, ws);
-  }
-  std::string name() const override { return inner_.name(); }
-  std::unique_ptr<WavefunctionModel> clone() const override {
-    return inner_.clone();
-  }
-
- private:
-  WavefunctionModel& inner_;
-};
 
 /// |H| entrywise: its local energy |H_xx| + sum_y |H_xy| psi(y)/psi(x) is
 /// the scale of the documented parity bound.

@@ -509,10 +509,21 @@ void VqmcTrainer::restore(const TrainingSnapshot& snap) {
                    std::all_of(tallies, state.end(), is_tally),
                "trainer restore: count field out of range");
 
+  // Each restore_state checks its whole state before it writes, so a
+  // rejected sampler state changes nothing; when the optimizer then
+  // rejects its own, the sampler goes back to its live state.  The
+  // parameters and the trainer's fields are written only after both
+  // succeeded, so a rejected restore leaves the trainer as it was.
+  const std::vector<std::uint64_t> live_sampler = sampler_.serialize_state();
+  sampler_.restore_state(snap.sampler_state);
+  try {
+    optimizer_.restore_state(snap.optimizer_state);
+  } catch (...) {
+    sampler_.restore_state(live_sampler);
+    throw;
+  }
   std::span<Real> params = model_.parameters();
   std::copy(snap.parameters.begin(), snap.parameters.end(), params.begin());
-  optimizer_.restore_state(snap.optimizer_state);
-  sampler_.restore_state(snap.sampler_state);
 
   iteration_ = int(snap.iteration);
   base_learning_rate_ = state[0];

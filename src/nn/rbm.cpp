@@ -61,6 +61,20 @@ void Rbm::log_psi_ws(const Matrix& batch, std::span<Real> out,
   }
 }
 
+std::size_t Rbm::flip_table(Workspace& ws, bool transpose) const {
+  // g(i, l) = copysign(e^{-2|W_li|}, W_li) in W^T's layout, so each flip
+  // reads one contiguous row, and sum_l |W_li|.
+  ensure_shape(ws.wt, n_, h_);
+  if (ws.abs_w.size() != n_) ws.abs_w = Vector(n_);
+  if (transpose) ensure_shape(ws.w_t, n_, h_);
+  const Real max_abs = rbm_flip_table(w(), ws.wt, ws.abs_w.span(),
+                                      transpose ? &ws.w_t : nullptr);
+  // Every factor is at least e^{-2 max|W|}, so a product of `chunk` of
+  // them stays normal while 2 chunk max|W| <= 700.
+  if (2 * Real(kMaxFlipChunk) * max_abs <= 700) return kMaxFlipChunk;
+  return std::max<std::size_t>(1, std::size_t(350 / max_abs));
+}
+
 bool Rbm::log_psi_flip_ratios(const Matrix& batch,
                               std::span<const std::size_t> sites, Matrix& out,
                               WavefunctionModel::Workspace* caller_ws) const {
@@ -74,28 +88,7 @@ bool Rbm::log_psi_flip_ratios(const Matrix& batch,
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < n_, "RBM: flip site out of range");
   if (bs == 0 || m == 0) return true;
-  // The factor table g(i, l) = copysign(e^{-2|W_li|}, W_li) in W^T's
-  // layout, so each flip reads one contiguous row, and sum_l |W_li|.
-  ensure_shape(ws.wt, n_, h_);
-  if (ws.abs_w.size() != n_) ws.abs_w = Vector(n_);
-  ws.abs_w.fill(0);
-  Real max_abs = 0;
-  const ConstMatrixView wv = w();
-  for (std::size_t l = 0; l < h_; ++l) {
-    const Real* wrow = wv.row(l).data();
-    for (std::size_t j = 0; j < n_; ++j) {
-      const Real mag = std::fabs(wrow[j]);
-      ws.wt(j, l) = std::copysign(std::exp(-2 * mag), wrow[j]);
-      ws.abs_w[j] += mag;
-      max_abs = std::max(max_abs, mag);
-    }
-  }
-  // Every factor is at least e^{-2 max|W|}, so a product of `chunk` of
-  // them stays normal while 2 chunk max|W| <= 700.
-  std::size_t chunk = kMaxFlipChunk;
-  if (2 * Real(kMaxFlipChunk) * max_abs > 700)
-    chunk = std::max<std::size_t>(1, std::size_t(350 / max_abs));
-
+  const std::size_t chunk = flip_table(ws, false);
   hidden_preactivations(batch, ws);
 #ifdef _OPENMP
   const std::size_t threads = std::size_t(omp_get_max_threads());
@@ -113,8 +106,9 @@ bool Rbm::log_psi_flip_ratios(const Matrix& batch,
 #endif
     const Real* x = batch.row(k).data();
     Real* ratio = out.row(k).data();
-    rbm_flip_log_sums(ws.theta.row(k), ws.wt, sites, x, chunk,
-                      ws.pq.row(thread).data(), ratio);
+    Real* pq = ws.pq.row(thread).data();
+    rbm_flip_pq(ws.theta.row(k), pq);
+    rbm_flip_log_sums(pq, ws.wt, sites, x, chunk, ratio);
     // A 0 -> 1 flip adds a_i to the visible term.
     for (std::size_t q = 0; q < m; ++q) {
       const std::size_t i = sites[q];
@@ -135,6 +129,7 @@ void Rbm::accumulate_log_psi_gradient_ws(
   VQMC_REQUIRE(grad.size() == num_parameters(), "RBM: gradient size mismatch");
 
   hidden_preactivations(batch, ws);
+  tanh_inplace(ws.theta);
 
   // t(k, l) = coeff_k * tanh(theta_{k,l}) — the per-hidden-unit gradients.
   ensure_shape(ws.t, bs, h_);
@@ -142,7 +137,7 @@ void Rbm::accumulate_log_psi_gradient_ws(
   for (std::size_t k = 0; k < bs; ++k) {
     const Real* th = ws.theta.row(k).data();
     Real* tr = ws.t.row(k).data();
-    for (std::size_t l = 0; l < h_; ++l) tr[l] = coeff[k] * std::tanh(th[l]);
+    for (std::size_t l = 0; l < h_; ++l) tr[l] = coeff[k] * th[l];
   }
 
   // dW = t^T X, in place into grad's W block; dc = column sums of t.
@@ -171,6 +166,7 @@ void Rbm::log_psi_gradient_per_sample_ws(
   VQMC_REQUIRE(out.rows() == bs && out.cols() == d,
                "RBM: per-sample gradient shape mismatch");
   hidden_preactivations(batch, ws);
+  tanh_inplace(ws.theta);
 
   const std::size_t off_c = h_ * n_;
   const std::size_t off_a = off_c + h_;
@@ -179,10 +175,10 @@ void Rbm::log_psi_gradient_per_sample_ws(
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
     const Real* x = batch.row(k).data();
-    const Real* th = ws.theta.row(k).data();
+    const Real* t = ws.theta.row(k).data();
     Real* o = out.row(k).data();
     for (std::size_t l = 0; l < h_; ++l) {
-      const Real tl = std::tanh(th[l]);
+      const Real tl = t[l];
       o[off_c + l] = tl;
       Real* row = o + l * n_;
       for (std::size_t j = 0; j < n_; ++j) row[j] = tl * x[j];
@@ -200,22 +196,91 @@ void Rbm::log_psi_gradient_gram(const Matrix& batch, Matrix& gram,
   VQMC_REQUIRE(gram.rows() == bs && gram.cols() == bs,
                "RBM: Gram must be bs x bs");
   hidden_preactivations(batch, ws);
-  ensure_shape(ws.t, bs, h_);
-#pragma omp parallel for schedule(static)
-  for (std::size_t k = 0; k < bs; ++k) {
-    const Real* th = ws.theta.row(k).data();
-    Real* tr = ws.t.row(k).data();
-    for (std::size_t l = 0; l < h_; ++l) tr[l] = std::tanh(th[l]);
-  }
+  tanh_inplace(ws.theta);
   // The W block's inner product factors: <t_s x_s^T, t_t x_t^T> =
   // (t_s . t_t)(x_s . x_t); c, a and a0 add t_s . t_t, x_s . x_t and 1.
   ensure_shape(ws.xx, bs, bs);
-  gemm_nt(ws.t, ws.t, gram);
+  gemm_nt(ws.theta, ws.theta, gram);
   gemm_nt(batch, batch, ws.xx);
   Real* g = gram.data();
   const Real* xx = ws.xx.data();
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < bs * bs; ++i) g[i] = (g[i] + 1) * (xx[i] + 1);
+}
+
+namespace {
+
+/// A walk keeps theta per chain in its workspace between calls, so a null
+/// or foreign one is an error rather than a call-local fallback.
+Rbm::Workspace& walk_workspace(WavefunctionModel::Workspace* ws) {
+  auto* own = dynamic_cast<Rbm::Workspace*>(ws);
+  VQMC_REQUIRE(own != nullptr,
+               "RBM: a chain walk runs on a workspace from make_workspace()");
+  return *own;
+}
+
+/// theta += the shift of `move` from state x: +-W[:, i] per moved site
+/// (+ for a 0 -> 1 flip), read from W^T's row i, a pair's two columns
+/// summed first.
+void add_move_shift(const WavefunctionModel::ChainMove& move, const Real* x,
+                    const Matrix& w_t, Real* theta) {
+  const std::size_t h = w_t.cols();
+  const Real* wi = w_t.row(move.site).data();
+  const Real si = x[move.site] == 0 ? 1 : -1;
+  if (move.partner == move.site) {
+    for (std::size_t l = 0; l < h; ++l) theta[l] += si * wi[l];
+    return;
+  }
+  const Real* wj = w_t.row(move.partner).data();
+  const Real sj = x[move.partner] == 0 ? 1 : -1;
+  for (std::size_t l = 0; l < h; ++l) theta[l] += si * wi[l] + sj * wj[l];
+}
+
+}  // namespace
+
+void Rbm::walk_start(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
+  Workspace& own = walk_workspace(ws);
+  hidden_preactivations(walk.states, own);
+  own.walk_chunk = flip_table(own, true);
+  const std::size_t chains = walk.states.rows();
+  ensure_shape(own.pq, chains, 2 * h_);
+  for (std::size_t chain = 0; chain < chains; ++chain)
+    rbm_flip_pq(own.theta.row(chain), own.pq.row(chain).data());
+  if (own.shifted.size() != h_) own.shifted = Vector(h_);
+}
+
+void Rbm::walk_score(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
+  Workspace& own = walk_workspace(ws);
+  const Real* pa = a();
+  for (std::size_t chain = 0; chain < walk.moves.size(); ++chain) {
+    const ChainMove& move = walk.moves[chain];
+    const Real* x = walk.states.row(chain).data();
+    const std::span<const Real> theta = own.theta.row(chain);
+    // A 0 -> 1 flip adds a_i to the visible term.
+    const auto visible = [&](std::size_t i) {
+      return x[i] == 0 ? pa[i] : -pa[i];
+    };
+    Real& ratio = walk.ratio[chain];
+    if (move.partner == move.site) {
+      const std::size_t i = move.site;
+      rbm_flip_log_sums(own.pq.row(chain).data(), own.wt, {&i, 1}, x,
+                        own.walk_chunk, &ratio);
+      ratio = own.abs_w[i] + ratio + visible(i);
+    } else {
+      std::copy(theta.begin(), theta.end(), own.shifted.begin());
+      add_move_shift(move, x, own.w_t, own.shifted.data());
+      ratio = sum_log_cosh(own.shifted.span()) - sum_log_cosh(theta) +
+              (visible(move.site) + visible(move.partner));
+    }
+  }
+}
+
+void Rbm::walk_accept(ChainWalk& walk, std::size_t chain,
+                      WavefunctionModel::Workspace* ws) const {
+  Workspace& own = walk_workspace(ws);
+  add_move_shift(walk.moves[chain], walk.states.row(chain).data(), own.w_t,
+                 own.theta.row(chain).data());
+  rbm_flip_pq(own.theta.row(chain), own.pq.row(chain).data());
 }
 
 }  // namespace vqmc

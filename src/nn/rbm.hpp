@@ -20,14 +20,14 @@
 /// nullable workspace (wavefunction.hpp) and runs on the caller's
 /// Rbm::Workspace when it passes one (workspace_or), so a repeated
 /// evaluation allocates nothing; a null or foreign one gets call-local
-/// scratch.  The
-/// model keeps no derived copy of W: the flip path transposes it into the
-/// workspace on each call.  The same thread-safety rules as made.hpp apply,
-/// and a write through a held parameters() span is seen by the next
-/// evaluation.
+/// scratch.  The model keeps no derived copy of W: the flip path and the
+/// chain walk build their factor table in the workspace on each call.  The
+/// same thread-safety rules as made.hpp apply, and a write through a held
+/// parameters() span is seen by the next evaluation.
 ///
-/// Gram of the per-sample log-derivatives (DESIGN.md §5m): a row of O is
-/// [t x^T | t | x | 1] with t = tanh(theta), so
+/// Gradients: a row of O is [t x^T | t | x | 1] with t = tanh(theta), one
+/// tanh_inplace over the batch's theta.  Gram of the per-sample
+/// log-derivatives (DESIGN.md §5m):
 ///   O O^T = (T T^T) .* (X X^T) + T T^T + X X^T + 1
 ///         = (T T^T + 1) .* (X X^T + 1),
 /// two gemm_nt calls and no bs x d matrix.
@@ -39,9 +39,17 @@
 ///   y = p + q F (v >= 0),  p F + q (v < 0),
 /// so log psi(x') - log psi(x) = +-a_i + sum_l |W_li| + sum_l log y_l.
 /// Per call the workspace gets F with W's sign pattern in W^T's layout
-/// (n x h) and sum_l |W_li| per site; per row, theta, p and q; per flip,
-/// one fma and one multiply per unit and one log per chunk of factors
-/// (rbm_flip_log_sums).
+/// (n x h) and sum_l |W_li| per site (rbm_flip_table, one vector exp per
+/// lane); per row, theta, p and q; per flip, one fma and one multiply per
+/// unit and one log per chunk of factors (rbm_flip_log_sums).
+///
+/// Chain walk (DESIGN.md §5n, Carleo and Troyer's look-up table): per
+/// draw, walk_start builds theta and the p/q row of the c chains (one
+/// c-row gemm) and the flip table with W^T; a single flip is scored by
+/// rbm_flip_log_sums on its chain's p/q row for its one site, a pair
+/// exchange by one two-site shift of theta and two sum_log_cosh, both
+/// O(h); an accepted move adds its shift (rows of W^T) to theta and
+/// recomputes the chain's p/q row.
 
 #include <cstdint>
 #include <memory>
@@ -57,15 +65,27 @@ class Rbm final : public WavefunctionModel {
   /// \param hidden number of hidden units (the paper uses h = n)
   Rbm(std::size_t n, std::size_t hidden);
 
+  /// Factors per lane and log of the flip path while 16 max|W| <= 700
+  /// (max|W| up to 43.75); larger weights take shorter chunks.
+  static constexpr std::size_t kMaxFlipChunk = 8;
+
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace).
   struct Workspace final : WavefunctionModel::Workspace {
-    Matrix theta;  ///< bs x h, hidden pre-activations
-    Matrix t;      ///< bs x h, coeff-weighted tanh(theta) (unit for the Gram)
+    /// bs x h hidden pre-activations (a chain walk: c x h, one per chain;
+    /// the gradients overwrite them with tanh(theta))
+    Matrix theta;
+    Matrix t;      ///< bs x h, coeff-weighted tanh(theta)
     Matrix xx;     ///< bs x bs, X X^T of the Gram
-    // Flip-ratio scratch (log_psi_flip_ratios), O(n h) set-up per call.
+    // Flip-ratio and chain-walk scratch, O(n h) set-up per call or draw.
     Matrix wt;     ///< n x h, copysign(e^{-2|W_li|}, W_li) at (i, l)
     Vector abs_w;  ///< n, sum_l |W_li|
-    Matrix pq;     ///< threads x 2h, one row's sigmoid(+-2 theta)
+    /// threads x 2h, one row's sigmoid(+-2 theta) (rbm_flip_pq); a chain
+    /// walk: c x 2h, one per chain
+    Matrix pq;
+    // Chain-walk state, rebuilt by walk_start.
+    Matrix w_t;      ///< n x h, W^T: row i is the shift of a flip at site i
+    std::size_t walk_chunk = kMaxFlipChunk;  ///< the walk's product chunk
+    Vector shifted;  ///< h, theta of a pair-exchange proposal
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()
@@ -108,11 +128,16 @@ class Rbm final : public WavefunctionModel {
                            std::span<const std::size_t> sites, Matrix& out,
                            WavefunctionModel::Workspace* ws) const override;
 
-  [[nodiscard]] std::size_t hidden_size() const { return h_; }
+  // Chain walk: `ws` must be an Rbm::Workspace (from make_workspace()),
+  // which holds theta per chain between the calls.
+  void walk_start(ChainWalk& walk,
+                  WavefunctionModel::Workspace* ws) const override;
+  void walk_score(ChainWalk& walk,
+                  WavefunctionModel::Workspace* ws) const override;
+  void walk_accept(ChainWalk& walk, std::size_t chain,
+                   WavefunctionModel::Workspace* ws) const override;
 
-  /// Factors per lane and log of the flip path while 16 max|W| <= 700
-  /// (max|W| up to 43.75); larger weights take shorter chunks.
-  static constexpr std::size_t kMaxFlipChunk = 8;
+  [[nodiscard]] std::size_t hidden_size() const { return h_; }
 
  private:
   /// W (h x n), in the parameter vector.
@@ -125,6 +150,11 @@ class Rbm final : public WavefunctionModel {
 
   /// theta = X W^T + c (bs x h): hidden pre-activations into ws.theta.
   void hidden_preactivations(const Matrix& batch, Workspace& ws) const;
+
+  /// The flip path's factor table and site sums into ws.wt and ws.abs_w,
+  /// and W^T into ws.w_t when `transpose`; returns the product chunk for
+  /// rbm_flip_log_sums.
+  std::size_t flip_table(Workspace& ws, bool transpose) const;
 
   std::size_t n_;
   std::size_t h_;

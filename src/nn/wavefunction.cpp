@@ -1,6 +1,8 @@
 #include "nn/wavefunction.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "tensor/kernels.hpp"
@@ -41,6 +43,25 @@ void WavefunctionModel::log_psi_gradient_gram(const Matrix& batch,
   ensure_shape(o, bs, num_parameters());
   log_psi_gradient_per_sample_ws(batch, o, ws);
   gemm_nt(o, o, gram);
+}
+
+void WavefunctionModel::walk_start(ChainWalk& walk, Workspace* ws) const {
+  log_psi_ws(walk.states, walk.log_psi.span(), ws);
+}
+
+void WavefunctionModel::walk_score(ChainWalk& walk, Workspace* ws) const {
+  log_psi_ws(walk.proposals, walk.proposal_log_psi.span(), ws);
+  for (std::size_t chain = 0; chain < walk.ratio.size(); ++chain) {
+    const Real proposed = walk.proposal_log_psi[chain];
+    walk.ratio[chain] = std::isfinite(proposed)
+                            ? proposed - walk.log_psi[chain]
+                            : std::numeric_limits<Real>::quiet_NaN();
+  }
+}
+
+void WavefunctionModel::walk_accept(ChainWalk& walk, std::size_t chain,
+                                    Workspace* /*ws*/) const {
+  walk.log_psi[chain] = walk.proposal_log_psi[chain];
 }
 
 }  // namespace vqmc

@@ -34,11 +34,18 @@
 /// every single-site entry through it and evaluates flipped copies with
 /// log_psi only for multi-site entries and for models without it
 /// (DESIGN.md §5l).
+///
+/// Metropolis chains move one or two sites per proposal.  The chain walk
+/// (`walk_start`, `walk_score`, `walk_accept`, DESIGN.md §5n) is
+/// MetropolisSampler's one way to score proposals: the default runs one
+/// batched log_psi over the c proposals and subtracts the chains' log psi,
+/// and the RBM keeps theta per chain and scores a move in O(h).
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "tensor/matrix.hpp"
 #include "tensor/vector.hpp"
@@ -152,6 +159,49 @@ class WavefunctionModel {
     (void)ws;
     return false;
   }
+
+  // -- Chain walk (MetropolisSampler, DESIGN.md §5n) --------------------------
+
+  /// One chain's proposal: flip `site`, and `partner` as well unless it
+  /// equals `site` (a pair exchange).
+  struct ChainMove {
+    std::size_t site = 0;
+    std::size_t partner = 0;
+  };
+
+  /// The state of one chain walk, owned by the sampler.  A walk lasts one
+  /// draw: walk_start rebuilds everything a model derives from its
+  /// parameters, so nothing carries over a parameter write between draws.
+  struct ChainWalk {
+    Matrix states;     ///< c x n chain states, entries 0 or 1
+    Matrix proposals;  ///< c x n: each state with its chain's move applied
+    std::vector<ChainMove> moves;  ///< c, the moves being scored
+    /// c: log|psi(proposal)| - log|psi(state)| per chain, NaN when the
+    /// proposal's log psi is not finite (the sampler rejects it).
+    Vector ratio;
+    Vector log_psi;           ///< c: the default walk's log psi per chain
+    Vector proposal_log_psi;  ///< c: the default walk's log psi per proposal
+  };
+
+  /// Begins a walk from walk.states.  `ws` comes from this model's
+  /// make_workspace() (null when that returns null); the sampler passes
+  /// the same one to every walk call of a draw and to nothing else, so a
+  /// model may keep per-chain state in it.  Default: walk.log_psi from one
+  /// log_psi_ws over the states.
+  virtual void walk_start(ChainWalk& walk, Workspace* ws) const;
+
+  /// Fills walk.ratio for walk.moves (walk.proposals holds the moved
+  /// states).  Agrees with two full log_psi evaluations within
+  /// kFlipRatioTolerance (core/local_energy.hpp) times max(1, |log psi|).
+  /// Default: one batched log_psi_ws over the proposals minus
+  /// walk.log_psi.
+  virtual void walk_score(ChainWalk& walk, Workspace* ws) const;
+
+  /// Chain `chain` moves to its scored proposal.  Called before the sampler
+  /// writes the move into walk.states.  Default: walk.log_psi[chain] takes
+  /// the proposal's log psi.
+  virtual void walk_accept(ChainWalk& walk, std::size_t chain,
+                           Workspace* ws) const;
 
   /// The evaluations in call-local scratch.
   void log_psi(const Matrix& batch, std::span<Real> out) const {

@@ -47,7 +47,8 @@ class Optimizer {
   }
 
   /// Inverse of serialize_state(). Throws vqmc::Error on a state vector
-  /// that cannot belong to this optimizer kind.
+  /// that cannot belong to this optimizer kind, and then changes nothing
+  /// (VqmcTrainer::restore relies on it).
   virtual void restore_state(const std::vector<Real>& state) {
     VQMC_REQUIRE(state.size() == 1,
                  name() + ": optimizer state size mismatch");

@@ -14,12 +14,19 @@
 /// Table 4's ablations map to `burn_in` (Scheme 1: discard the first
 /// {n, 10n}) and `thinning` (Scheme 2: keep every {2, 5, 10}-th sample).
 ///
-/// Forward-pass accounting: one batched model evaluation per MH step across
-/// all chains, so a call costs k + j * ceil(bs/c) forward passes (Figure 1).
+/// Every proposal is scored through the model's chain walk
+/// (WavefunctionModel::walk_start / walk_score / walk_accept, DESIGN.md
+/// §5n): the default is one batched log_psi over the c proposals per MH
+/// step, the RBM scores a move in O(h) from theta kept per chain.  The
+/// walk is rebuilt at the start of every draw, so no state derived from the
+/// parameters outlives one.  It runs on a workspace the sampler makes from
+/// the model once, where a model keeps its per-chain state between the
+/// walk's calls, so a warm draw allocates nothing; the caller's workspace is
+/// not used.
 ///
-/// Every evaluation of a call runs over one model workspace: the caller's
-/// (sample_ws; the trainer passes its own) or one the sampler keeps, so a
-/// chain step allocates nothing once the workspace is shaped.
+/// Forward-pass accounting: one model evaluation per MH step across all
+/// chains, whichever walk scores it, so a call costs k + j * ceil(bs/c)
+/// of them (Figure 1, Eq. 14).
 
 #include <cstdint>
 #include <memory>
@@ -98,20 +105,25 @@ class MetropolisSampler final : public Sampler {
 
   [[nodiscard]] const MetropolisConfig& config() const { return config_; }
 
-  /// State layout: [4 RNG words, chains_initialized, then — only when the
-  /// chains are live — the c x n chain states and c log-psi values
-  /// (bit-cast)]. Persistent chains therefore survive checkpoint/restart
-  /// exactly; note the restored log-psi values are only consistent if the
-  /// model parameters are restored to the same point (the training
-  /// checkpoint does both).
+  /// State layout: [4 RNG words, chain flag, then — only when the flag is
+  /// kLiveChains — the c x n chain states (bit-cast 0.0 / 1.0)].
+  /// Persistent chains therefore survive checkpoint/restart exactly.  Flag
+  /// 1 marked the layout before the chain walk, which also carried c
+  /// log-psi words (recomputed at every draw, never read); restore_state
+  /// rejects it with a typed Error, as it does any state it cannot resume,
+  /// before it changes anything.
   [[nodiscard]] std::vector<std::uint64_t> serialize_state() const override;
   void restore_state(const std::vector<std::uint64_t>& state) override;
+
+  /// serialize_state's chain flags.
+  static constexpr std::uint64_t kNoChains = 0;
+  static constexpr std::uint64_t kLiveChains = 2;
 
  private:
   /// (Re-)initialize chains uniformly at random.
   void restart_chains();
 
-  /// One MH step across all chains (one batched forward pass).
+  /// One MH step across all chains (one model evaluation).
   void step();
 
   const WavefunctionModel& model_;
@@ -119,15 +131,11 @@ class MetropolisSampler final : public Sampler {
   rng::Xoshiro256 gen_;
   SamplerStatistics stats_;
 
-  Matrix states_;             ///< c x n current chain states
-  Vector state_log_psi_;      ///< log psi of each chain state
-  Matrix proposals_;          ///< scratch c x n
-  Vector proposal_log_psi_;   ///< scratch
-  std::vector<std::size_t> flip_sites_;  ///< scratch
-  /// Model workspace of the sample call in progress (never null inside
-  /// one), and the sampler's own for callers that pass none.
-  WavefunctionModel::Workspace* ws_ = nullptr;
-  std::unique_ptr<WavefunctionModel::Workspace> own_ws_;
+  /// Chain states, proposals, moves and ratios (walk_.states is the
+  /// sampler's chain state; the rest is per-draw scratch).
+  WavefunctionModel::ChainWalk walk_;
+  /// The walk's workspace, from model_.make_workspace().
+  std::unique_ptr<WavefunctionModel::Workspace> walk_ws_;
   bool chains_initialized_ = false;
 };
 

@@ -9,7 +9,8 @@
 ///    Made (the batched conditional engine), AutoregressiveSampler
 ///    (Algorithm 1) for the other autoregressive models.
 ///  * MetropolisSampler (MCMC) — random-walk Metropolis–Hastings with
-///    burn-in and thinning, k + j*bs/c forward passes.
+///    burn-in and thinning, k + j*bs/c model evaluations, each scored
+///    through the model's chain walk (wavefunction.hpp).
 ///
 /// Each sampler draws through one virtual, sample_ws, which takes a
 /// nullable model workspace like the model evaluations do
@@ -51,12 +52,13 @@ class Sampler {
   virtual ~Sampler() = default;
 
   /// Fill `out` (batch x n, entries in {0,1}) with (approximate or exact)
-  /// samples from the current model distribution.  Samplers that evaluate
-  /// the model (or run the batched conditional engine) reuse the caller's
-  /// model workspace `ws` for all scratch, so steady-state batches
-  /// allocate nothing once shapes stabilize.  `ws` may be null or of a
-  /// foreign concrete type — samplers fall back to internal scratch;
-  /// results are identical either way.
+  /// samples from the current model distribution.  The AUTO samplers
+  /// reuse the caller's model workspace `ws` for all scratch, so
+  /// steady-state batches allocate nothing once shapes stabilize; `ws`
+  /// may be null or of a foreign concrete type, and they then fall back
+  /// to internal scratch.  MetropolisSampler keeps its chain walk's state
+  /// in a workspace of its own and does not use `ws`.  Results are
+  /// identical either way.
   virtual void sample_ws(Matrix& out, WavefunctionModel::Workspace* ws) = 0;
 
   /// sample_ws() on the sampler's own scratch.
@@ -76,7 +78,8 @@ class Sampler {
   }
 
   /// Inverse of serialize_state(). Throws vqmc::Error on a state vector that
-  /// cannot belong to this sampler kind.
+  /// cannot belong to this sampler kind, and then changes nothing
+  /// (VqmcTrainer::restore relies on it).
   virtual void restore_state(const std::vector<std::uint64_t>& state) {
     VQMC_REQUIRE(state.empty(), name() + ": sampler state size mismatch");
   }

@@ -223,6 +223,8 @@ void relu_backward_inplace(const Matrix& pre, Matrix& grad) {
 
 void sigmoid_inplace(Matrix& a) { VQMC_DISPATCH(sigmoid_inplace(a)) }
 
+void tanh_inplace(Matrix& a) { VQMC_DISPATCH(tanh_inplace(a)) }
+
 void column_sum_accumulate(const Matrix& a, std::span<Real> out) {
   VQMC_REQUIRE(a.cols() == out.size(), "column_sum: shape mismatch");
   const std::size_t m = a.rows(), n = a.cols();
@@ -272,14 +274,28 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                             last, eps, out))
 }
 
-void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
+                    Matrix* w_t) {
+  VQMC_REQUIRE(g.rows() == w.cols() && g.cols() == w.rows() &&
+                   abs_w.size() == w.cols(),
+               "rbm_flip_table: table or sum shape mismatch");
+  VQMC_REQUIRE(w_t == nullptr ||
+                   (w_t->rows() == w.cols() && w_t->cols() == w.rows()),
+               "rbm_flip_table: transpose shape mismatch");
+  VQMC_DISPATCH(rbm_flip_table(w, g, abs_w, w_t))
+}
+
+void rbm_flip_pq(std::span<const Real> theta, Real* pq) {
+  VQMC_DISPATCH(rbm_flip_pq(theta, pq))
+}
+
+void rbm_flip_log_sums(const Real* pq, ConstMatrixView g,
                        std::span<const std::size_t> sites, const Real* x,
-                       std::size_t chunk, Real* pq, Real* out) {
-  VQMC_REQUIRE(g.cols() == theta.size() && chunk >= 1,
-               "rbm_flip_log_sums: factor table or chunk mismatch");
+                       std::size_t chunk, Real* out) {
+  VQMC_REQUIRE(chunk >= 1, "rbm_flip_log_sums: chunk must be >= 1");
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < g.rows(), "rbm_flip_log_sums: site out of range");
-  VQMC_DISPATCH(rbm_flip_log_sums(theta, g, sites, x, chunk, pq, out))
+  VQMC_DISPATCH(rbm_flip_log_sums(pq, g, sites, x, chunk, out))
 }
 
 void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,

@@ -43,10 +43,11 @@
 ///     row block, a block tail, or alone — coalescing rows into a batch
 ///     (the serving path) can never perturb any row's value.
 ///
-/// Vectorized transcendentals (sigmoid_inplace, bernoulli_log_likelihood,
-/// sum_log_cosh, rbm_flip_log_sums) use polynomial exp/log accurate to a
-/// few ulp; they vectorize per row so property 3 holds for them too.  The
-/// MADE flip kernels (relu_shift_delta_lanes, triangle_dot_lanes,
+/// Vectorized transcendentals (sigmoid_inplace, tanh_inplace,
+/// bernoulli_log_likelihood, sum_log_cosh, rbm_flip_table, rbm_flip_pq,
+/// rbm_flip_log_sums) use polynomial exp/log accurate to a few ulp; they
+/// vectorize per row so property 3 holds for them too.  The MADE flip
+/// kernels (relu_shift_delta_lanes, triangle_dot_lanes,
 /// bernoulli_logit_delta_lanes) vectorize across (row, site) lanes, and
 /// ising_diagonal across rows, which gives property 3 by construction.
 ///
@@ -203,6 +204,13 @@ void relu_backward_inplace(const Matrix& pre, Matrix& grad);
 /// A := sigmoid(A) elementwise, numerically stable for large |x|.
 void sigmoid_inplace(Matrix& a);
 
+/// A := tanh(A) elementwise: the RBM's hidden-unit log-derivatives.  The
+/// vector lanes use exp's reduction for e^{-2|x|} - 1 without cancelling
+/// at small |x|, within 4 ulp of std::tanh; +-0 stays +-0, large |x| gives
+/// exactly +-1 and NaN stays NaN.  Vectorized per row (a column's vector /
+/// tail split does not depend on the batch).
+void tanh_inplace(Matrix& a);
+
 /// Column sums of A into out (length cols), accumulated: out += sum_r A(r,:).
 void column_sum_accumulate(const Matrix& a, std::span<Real> out);
 
@@ -280,12 +288,27 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  const std::size_t* last, Real eps,
                                  Real* out);
 
-/// The RBM flip path's cosh-ratio sums of one sample row (DESIGN.md §5l).
-/// With p_l = sigmoid(2 theta_l) and q_l = sigmoid(-2 theta_l) (both
-/// formed directly, neither as one minus the other) and the factor table
-/// g (n x h, g(i, l) = copysign(e^{-2|W_li|}, W_li)), writes for every
-/// q < sites.size(), with i = sites[q] and v_l = +-W_li the flip's shift
-/// of theta_l (+ when x[i] == 0),
+/// The RBM flip path's per-call tables from W (h x n, DESIGN.md §5l): the
+/// factor table g (n x h, W^T's layout, pre-shaped),
+/// g(i, l) = copysign(e^{max(-2|W_li|, -708)}, W_li), one vector exp per
+/// lane, and abs_w[i] = sum_l |W_li| (length n, accumulated in ascending
+/// l); when `w_t` is not null, W^T itself into it (n x h, pre-shaped), the
+/// chain walk's columns of W.  Returns max |W| over the non-NaN weights; a
+/// NaN weight gives a NaN factor.
+Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
+                    Matrix* w_t);
+
+/// One sample row's p_l = sigmoid(2 theta_l) and q_l = sigmoid(-2 theta_l)
+/// into pq (2h: p, then q), both formed directly, neither as one minus the
+/// other: the per-row half of the RBM flip path (DESIGN.md §5l).  NaN in
+/// theta gives NaN.
+void rbm_flip_pq(std::span<const Real> theta, Real* pq);
+
+/// The RBM flip path's cosh-ratio sums of one sample row (DESIGN.md §5l),
+/// from its p and q (rbm_flip_pq) and the factor table g (n x h,
+/// g(i, l) = copysign(e^{-2|W_li|}, W_li), rbm_flip_table).  Writes for
+/// every q < sites.size(), with i = sites[q] and v_l = +-W_li the flip's
+/// shift of theta_l (+ when x[i] == 0),
 ///
 ///   out[q] = sum_l log y_l,   y_l = p_l + q_l |g(i, l)|  if v_l >= 0,
 ///                                   p_l |g(i, l)| + q_l  otherwise,
@@ -295,10 +318,10 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
 /// The factors are multiplied `chunk` at a time per vector lane (lane k
 /// owns the units l = k mod the vector width) before one log, so a caller
 /// must keep chunk * 2 max|W| <= 700 (chunk >= 1): every product then
-/// stays normal.  `pq` is 2 h caller scratch.  NaN in theta or g gives NaN.
-void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
+/// stays normal.  NaN in p, q or g gives NaN.
+void rbm_flip_log_sums(const Real* pq, ConstMatrixView g,
                        std::span<const std::size_t> sites, const Real* x,
-                       std::size_t chunk, Real* pq, Real* out);
+                       std::size_t chunk, Real* out);
 
 // ---------------------------------------------------------------------------
 // Ising diagonal (DESIGN.md §5l).

@@ -50,6 +50,7 @@ namespace vqmc {
   Real bernoulli_log_likelihood(std::span<const Real> x, const Real* p,       \
                                 Real eps);                                    \
   void sigmoid_inplace(Matrix& a);                                            \
+  void tanh_inplace(Matrix& a);                                               \
   Real sum_log_cosh(std::span<const Real> x);                                 \
   void relu_shift_delta_lanes(const Real* a, const Real* w,                   \
                               const Real* sign, std::size_t len, Real* out);  \
@@ -63,9 +64,12 @@ namespace vqmc {
                                    const std::size_t* first,                  \
                                    const std::size_t* last, Real eps,         \
                                    Real* out);                                \
-  void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,      \
+  Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,    \
+                      Matrix* w_t);                                           \
+  void rbm_flip_pq(std::span<const Real> theta, Real* pq);                    \
+  void rbm_flip_log_sums(const Real* pq, ConstMatrixView g,                   \
                          std::span<const std::size_t> sites, const Real* x,   \
-                         std::size_t chunk, Real* pq, Real* out);             \
+                         std::size_t chunk, Real* out);                       \
   void ising_diagonal(const Real* x, std::size_t rows, std::size_t n,         \
                       std::span<const Real> field,                            \
                       std::span<const IsingCoupling> couplings, Real* out);   \

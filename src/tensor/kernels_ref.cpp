@@ -1,5 +1,6 @@
 #include "tensor/kernels_ref.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -219,6 +220,12 @@ void sigmoid_inplace(Matrix& a) {
   for (std::size_t i = 0; i < total; ++i) p[i] = sigmoid(p[i]);
 }
 
+void tanh_inplace(Matrix& a) {
+  Real* p = a.data();
+  const std::size_t total = a.size();
+  for (std::size_t i = 0; i < total; ++i) p[i] = std::tanh(p[i]);
+}
+
 Real log_cosh(Real x) {
   const Real ax = std::fabs(x);
   // log cosh x = |x| + log(1 + exp(-2|x|)) - log 2.
@@ -273,6 +280,22 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
     }
     out[lane] = acc;
   }
+}
+
+Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
+                    Matrix* w_t) {
+  std::fill(abs_w.begin(), abs_w.end(), Real(0));
+  Real peak = 0;
+  for (std::size_t l = 0; l < w.rows(); ++l)
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+      const Real wlj = w.row(l)[j];
+      const Real mag = std::fabs(wlj);
+      g(j, l) = std::copysign(std::exp(std::max(-2 * mag, Real(-708))), wlj);
+      if (w_t != nullptr) (*w_t)(j, l) = wlj;
+      abs_w[j] += mag;
+      peak = std::max(peak, mag);
+    }
+  return peak;
 }
 
 void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,

@@ -52,6 +52,8 @@ void accumulate_masked_cols(Real* dst, std::uint64_t mask,
 Real bernoulli_log_likelihood(std::span<const Real> x, const Real* p,
                               Real eps);
 void sigmoid_inplace(Matrix& a);
+/// std::tanh per element.
+void tanh_inplace(Matrix& a);
 
 /// log(cosh(x)) computed stably for large |x| (|x| + log((1+e^-2|x|)/2)):
 /// the scalar element of sum_log_cosh.
@@ -69,6 +71,10 @@ void bernoulli_logit_delta_lanes(const Real* x, const Real* z,
                                  std::size_t origin, const std::size_t* first,
                                  const std::size_t* last, Real eps,
                                  Real* out);
+/// The scalar std::exp per weight (the exponent floored at -708, as the
+/// dispatched kernel's).
+Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
+                    Matrix* w_t);
 /// One log per factor y_l, p and q from the scalar sigmoid: no chunking.
 void rbm_flip_log_sums(std::span<const Real> theta, ConstMatrixView g,
                        std::span<const std::size_t> sites, const Real* x,

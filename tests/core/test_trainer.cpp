@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -30,6 +32,7 @@
 #include "optim/adam.hpp"
 #include "optim/sgd.hpp"
 #include "sampler/autoregressive_sampler.hpp"
+#include "sampler/metropolis_sampler.hpp"
 #include "support/forwarding_model.hpp"
 
 namespace vqmc {
@@ -599,6 +602,71 @@ TEST(TrainerCheckpoint, RestoreRejectsTheOlderDistributedTrainerStateLayout) {
   TrainingSnapshot old = stack.trainer->snapshot();
   old.trainer_state = {-7.0, 1.0, 0.0, 2.0, 1.0};
   EXPECT_THROW(stack.trainer->restore(old), Error);
+}
+
+/// RBM + persistent MCMC + Adam: a restore touches all three states.
+struct McmcStack {
+  TransverseFieldIsing tim = TransverseFieldIsing::random_dense(6, 41);
+  Rbm rbm{6, 6};
+  MetropolisSampler sampler;
+  Adam adam{0.01};
+  std::unique_ptr<VqmcTrainer> trainer;
+
+  explicit McmcStack(TrainerConfig cfg)
+      : sampler((rbm.initialize(42), rbm), sampler_config()) {
+    trainer = std::make_unique<VqmcTrainer>(tim, rbm, sampler, adam, cfg);
+  }
+  static MetropolisConfig sampler_config() {
+    MetropolisConfig mc;
+    mc.burn_in = 20;
+    mc.persistent_chains = true;
+    mc.seed = 43;
+    return mc;
+  }
+};
+
+/// Bit patterns of a real vector (NaN fields compare too).
+std::vector<std::uint64_t> bits_of(const std::vector<Real>& values) {
+  std::vector<std::uint64_t> out;
+  for (const Real v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Snapshot `bad` (taken one step back) is rejected, and the trainer's
+/// parameters, iteration, optimizer and sampler states stay bitwise as
+/// they were.
+void expect_rejected_restore_changes_nothing(McmcStack& stack,
+                                             const TrainingSnapshot& bad) {
+  const TrainingSnapshot live = stack.trainer->snapshot();
+  EXPECT_THROW(stack.trainer->restore(bad), Error);
+  const TrainingSnapshot after = stack.trainer->snapshot();
+  EXPECT_EQ(after.iteration, live.iteration);
+  EXPECT_EQ(bits_of(after.parameters), bits_of(live.parameters));
+  EXPECT_EQ(bits_of(after.optimizer_state), bits_of(live.optimizer_state));
+  EXPECT_EQ(after.sampler_state, live.sampler_state);
+  EXPECT_EQ(bits_of(after.trainer_state), bits_of(live.trainer_state));
+}
+
+TEST(TrainerCheckpoint, RejectedOptimizerStateChangesNothing) {
+  TrainerConfig cfg;
+  cfg.batch_size = 16;
+  McmcStack stack(cfg);
+  for (int i = 0; i < 4; ++i) stack.trainer->step();
+  TrainingSnapshot bad = stack.trainer->snapshot();
+  stack.trainer->step();
+  bad.optimizer_state[1] = std::numeric_limits<Real>::quiet_NaN();  // steps
+  expect_rejected_restore_changes_nothing(stack, bad);
+}
+
+TEST(TrainerCheckpoint, RejectedSamplerStateChangesNothing) {
+  TrainerConfig cfg;
+  cfg.batch_size = 16;
+  McmcStack stack(cfg);
+  for (int i = 0; i < 4; ++i) stack.trainer->step();
+  TrainingSnapshot bad = stack.trainer->snapshot();
+  stack.trainer->step();
+  bad.sampler_state.pop_back();  // a truncated chain state
+  expect_rejected_restore_changes_nothing(stack, bad);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "hamiltonian/hamiltonian.hpp"
 #include "nn/made.hpp"
@@ -306,6 +310,84 @@ TEST(MetropolisSampler, StateRoundTripResumesPersistentChains) {
       EXPECT_EQ(batch_a(k, j), batch_b(k, j));
 
   EXPECT_THROW(restored.restore_state({1, 2}), Error);
+}
+
+/// A sampler over a 5-spin RBM with 2 chains, live after one draw: the
+/// state `good` it serializes then restores, and every rejected restore
+/// below must leave serialize_state() as it was.
+struct LiveSampler {
+  Rbm rbm{5, 4};
+  MetropolisSampler sampler;
+  std::vector<std::uint64_t> good;
+
+  LiveSampler() : sampler((randomize_parameters(rbm, 30), rbm), config()) {
+    Matrix out(4, 5);
+    sampler.sample(out);
+    good = sampler.serialize_state();
+  }
+  static MetropolisConfig config() {
+    MetropolisConfig cfg;
+    cfg.burn_in = 10;
+    cfg.persistent_chains = true;
+    cfg.seed = 31;
+    return cfg;
+  }
+  void expect_rejected(const std::vector<std::uint64_t>& bad) {
+    const std::vector<std::uint64_t> before = sampler.serialize_state();
+    EXPECT_THROW(sampler.restore_state(bad), Error);
+    EXPECT_EQ(sampler.serialize_state(), before);
+    EXPECT_NO_THROW(sampler.restore_state(good));
+    EXPECT_EQ(sampler.serialize_state(), good);
+  }
+};
+
+TEST(MetropolisSampler, RestoreOfALiveFlagWithoutChainsChangesNothing) {
+  // Five words whose flag says the chains follow.
+  Rbm rbm(5, 4);
+  MetropolisSampler sampler(rbm, LiveSampler::config());
+  const std::vector<std::uint64_t> before = sampler.serialize_state();
+  ASSERT_EQ(before.size(), 5u);
+  for (const std::uint64_t flag : {std::uint64_t(1),
+                                   MetropolisSampler::kLiveChains}) {
+    EXPECT_THROW(sampler.restore_state({1, 2, 3, 4, flag}), Error);
+    EXPECT_EQ(sampler.serialize_state(), before) << "flag " << flag;
+  }
+  LiveSampler live;
+  live.expect_rejected({1, 2, 3, 4, MetropolisSampler::kLiveChains});
+}
+
+TEST(MetropolisSampler, RestoreRejectsAnUnknownChainFlag) {
+  LiveSampler live;
+  ASSERT_EQ(live.good[4], MetropolisSampler::kLiveChains);
+  ASSERT_EQ(live.good.size(), 5u + 2u * 5u);
+  // Flag 7 over the chain words alone and with two more words after them.
+  std::vector<std::uint64_t> bad = live.good;
+  bad[4] = 7;
+  live.expect_rejected(bad);
+  bad.push_back(0);
+  bad.push_back(0);
+  live.expect_rejected(bad);
+}
+
+TEST(MetropolisSampler, RestoreRejectsAChainEntryThatIsNotABit) {
+  LiveSampler live;
+  for (const Real entry : {Real(2), Real(0.5), Real(-1),
+                           std::numeric_limits<Real>::quiet_NaN()}) {
+    std::vector<std::uint64_t> bad = live.good;
+    bad[5 + 3] = std::bit_cast<std::uint64_t>(entry);
+    live.expect_rejected(bad);
+  }
+}
+
+TEST(MetropolisSampler, RestoreRejectsTheLayoutWithChainLogPsiWords) {
+  // The layout before the chain walk: flag 1, the c x n chain states, then
+  // c log-psi words.
+  LiveSampler live;
+  std::vector<std::uint64_t> old = live.good;
+  old[4] = 1;
+  old.push_back(std::bit_cast<std::uint64_t>(Real(-1.25)));
+  old.push_back(std::bit_cast<std::uint64_t>(Real(-2.5)));
+  live.expect_rejected(old);
 }
 
 }  // namespace

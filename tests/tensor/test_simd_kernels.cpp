@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -844,7 +845,8 @@ TEST(SimdKernels, RbmFlipLogSumsMatchReferenceAcrossLevels) {
         ref::rbm_flip_log_sums(t, g, sites, x, want.data());
         for (const std::size_t chunk : {1ul, 3ul, 8ul}) {
           std::vector<Real> got(sites.size()), pq(2 * h);
-          rbm_flip_log_sums(t, g, sites, x, chunk, pq.data(), got.data());
+          rbm_flip_pq(t, pq.data());
+          rbm_flip_log_sums(pq.data(), g, sites, x, chunk, got.data());
           for (std::size_t q = 0; q < sites.size(); ++q) {
             // Each factor's log is off by a few ulp of itself (p, q and
             // y round, the polynomial log), and a chunk's log by the ulp of
@@ -857,7 +859,8 @@ TEST(SimdKernels, RbmFlipLogSumsMatchReferenceAcrossLevels) {
                 << scale << " chunk " << chunk << " site " << sites[q];
           }
           std::vector<Real> again(sites.size());
-          rbm_flip_log_sums(t, g, sites, x, chunk, pq.data(), again.data());
+          rbm_flip_pq(t, pq.data());
+          rbm_flip_log_sums(pq.data(), g, sites, x, chunk, again.data());
           for (std::size_t q = 0; q < sites.size(); ++q)
             ASSERT_EQ(again[q], got[q]);  // deterministic
         }
@@ -884,22 +887,160 @@ TEST(SimdKernels, RbmFlipLogSumsStayFiniteOnFiniteInputsAndPropagateNan) {
     for (std::size_t l = 0; l < h; ++l)
       t[l] = l % 3 == 0 ? 1e300 : (l % 3 == 1 ? -1e300 : -400.0);
     std::vector<Real> out(n), pq(2 * h);
-    rbm_flip_log_sums(t, g, sites, x, 1, pq.data(), out.data());
+    rbm_flip_pq(t, pq.data());
+    rbm_flip_log_sums(pq.data(), g, sites, x, 1, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_TRUE(std::isfinite(out[q])) << simd::level_name(level) << " "
                                          << q;
     // NaN in theta reaches every site; NaN in the table only its own.
     t[5] = std::numeric_limits<Real>::quiet_NaN();
-    rbm_flip_log_sums(t, g, sites, x, 8, pq.data(), out.data());
+    rbm_flip_pq(t, pq.data());
+    rbm_flip_log_sums(pq.data(), g, sites, x, 8, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_TRUE(std::isnan(out[q])) << simd::level_name(level) << " " << q;
     t[5] = 0.25;
     Matrix poisoned = g;
     poisoned(2, 7) = std::numeric_limits<Real>::quiet_NaN();
-    rbm_flip_log_sums(t, poisoned, sites, x, 8, pq.data(), out.data());
+    rbm_flip_pq(t, pq.data());
+    rbm_flip_log_sums(pq.data(), poisoned, sites, x, 8, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_EQ(std::isnan(out[q]), q == 2) << simd::level_name(level);
   }
+}
+
+TEST(SimdKernels, RbmFlipTableMatchesReferenceAcrossLevels) {
+  // Shapes around both vector widths, weights up to |W| = 400 (factors
+  // floored at e^{-708} past 354), signed zeros and a NaN weight.
+  LevelGuard guard;
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    for (const std::size_t h : {1ul, 3ul, 8ul, 9ul, 128ul})
+      for (const std::size_t n : {1ul, 3ul, 4ul, 5ul, 7ul, 8ul, 9ul, 17ul,
+                                  128ul})
+        for (const Real scale : {0.5, 40.0, 400.0}) {
+          Matrix w = random_matrix(h, n, 2500 + 7 * h + n);
+          for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] *= scale;
+          w(0, 0) = -0.0;
+          if (w.size() > 1) w.data()[w.size() - 1] = 0;
+          Matrix want(n, h), got(n, h), want_t(n, h), got_t(n, h);
+          std::vector<Real> want_abs(n), got_abs(n);
+          const Real want_peak =
+              ref::rbm_flip_table(w, want, want_abs, &want_t);
+          const Real got_peak = rbm_flip_table(w, got, got_abs, &got_t);
+          Matrix alone(n, h);
+          std::vector<Real> alone_abs(n);
+          ASSERT_EQ(rbm_flip_table(w, alone, alone_abs, nullptr), got_peak);
+          const std::string where = std::string(simd::level_name(level)) +
+                                    " h=" + std::to_string(h) +
+                                    " n=" + std::to_string(n);
+          ASSERT_EQ(got_peak, want_peak) << where;
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(got_abs[i], want_abs[i]) << where << " site " << i;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            const Real ref_value = want.data()[i];
+            const Real value = got.data()[i];
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(alone.data()[i]),
+                      std::bit_cast<std::uint64_t>(value))
+                << where;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got_t.data()[i]),
+                      std::bit_cast<std::uint64_t>(want_t.data()[i]))
+                << where << " transpose entry " << i;
+            ASSERT_EQ(std::signbit(value), std::signbit(ref_value)) << where;
+            // The polynomial exp is within a few ulp of std::exp.
+            ASSERT_LE(std::abs(value - ref_value), 4 * kEps * std::abs(ref_value))
+                << where << " entry " << i;
+          }
+          EXPECT_EQ(got(0, 0), Real(-1)) << where;  // copysign(e^0, -0)
+        }
+    Matrix w = random_matrix(3, 9, 2600);
+    w(1, 4) = std::numeric_limits<Real>::quiet_NaN();
+    w(2, 8) = 5;
+    Matrix g(9, 3);
+    std::vector<Real> abs_w(9);
+    EXPECT_EQ(rbm_flip_table(w, g, abs_w, nullptr), Real(5))
+        << simd::level_name(level);
+    for (std::size_t i = 0; i < 9; ++i)
+      for (std::size_t l = 0; l < 3; ++l)
+        EXPECT_EQ(std::isnan(g(i, l)), i == 4 && l == 1)
+            << simd::level_name(level);
+    EXPECT_TRUE(std::isnan(abs_w[4])) << simd::level_name(level);
+  }
+}
+
+/// Distance of `got` from `want` in units of want's ulp.
+Real ulps_from(Real got, Real want) {
+  const Real mag = std::abs(want);
+  const Real ulp = std::nextafter(mag, std::numeric_limits<Real>::infinity()) -
+                   mag;
+  return std::abs(got - want) / ulp;
+}
+
+TEST(SimdKernels, TanhStaysWithinFourUlpOfStdTanhAcrossLevels) {
+  // 13 columns: one 8-wide vector plus a tail at AVX-512, three 4-wide
+  // vectors plus a tail at AVX2.  |x| log-uniform over [2^-30, 40], where
+  // 1 - 2 / (1 + e^{2x}) would cancel at the small end, plus a uniform
+  // sweep of [-40, 40].
+  LevelGuard guard;
+  constexpr std::size_t kCols = 13;
+  const std::size_t rows = 8192;
+  rng::Xoshiro256 gen(2700);
+  Matrix x(rows, kCols);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Real mag = std::exp2(rng::uniform(gen, -30.0, std::log2(40.0)));
+    x.data()[i] = i % 2 == 0 ? mag : -mag;
+  }
+  for (std::size_t i = 0; i < x.size() / 4; ++i)
+    x.data()[i] = -40 + 80 * Real(i) / Real(x.size() / 4);
+  for (const simd::Level level : testable_levels()) {
+    simd::force_level(level);
+    Matrix got = x;
+    tanh_inplace(got);
+    Real worst = 0;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      worst = std::max(worst, ulps_from(got.data()[i], std::tanh(x.data()[i])));
+    EXPECT_LE(worst, 4) << simd::level_name(level);
+
+    // Signed zeros, saturation to exactly +-1 and NaN, in vector lanes
+    // (columns 0-7) and in the tail (columns 8-12).
+    const Real inf = std::numeric_limits<Real>::infinity();
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    const Real special[kCols] = {0.0,   -0.0,  25, -25,  40,  1e300, -inf,
+                                 nan,   -0.0,  0.0, 300, -inf, nan};
+    Matrix s(2, kCols);
+    for (std::size_t c = 0; c < kCols; ++c) {
+      s(0, c) = special[c];
+      s(1, c) = special[kCols - 1 - c];
+    }
+    tanh_inplace(s);
+    for (std::size_t r = 0; r < 2; ++r)
+      for (std::size_t c = 0; c < kCols; ++c) {
+        const Real in = r == 0 ? special[c] : special[kCols - 1 - c];
+        const Real out = s(r, c);
+        const std::string where = std::string(simd::level_name(level)) +
+                                  " x=" + std::to_string(in);
+        if (std::isnan(in)) {
+          EXPECT_TRUE(std::isnan(out)) << where;
+        } else if (in == 0) {
+          EXPECT_EQ(out, 0) << where;
+          EXPECT_EQ(std::signbit(out), std::signbit(in)) << where;
+        } else {
+          EXPECT_EQ(out, in > 0 ? 1 : -1) << where;
+        }
+      }
+
+    // A row's values do not depend on the rows around it.
+    for (std::size_t r = 0; r < 5; ++r) {
+      Matrix one(1, kCols);
+      for (std::size_t c = 0; c < kCols; ++c) one(0, c) = x(r, c);
+      tanh_inplace(one);
+      for (std::size_t c = 0; c < kCols; ++c)
+        ASSERT_EQ(one(0, c), got(r, c)) << simd::level_name(level);
+    }
+  }
+  Matrix want = x;
+  ref::tanh_inplace(want);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    ASSERT_EQ(want.data()[i], std::tanh(x.data()[i]));
 }
 
 /// Lane arithmetic of the vector tiers' polynomial exp (exp_vec in
