@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   opts.add_option("repeats", "7", "timed blocks per walk (median reported)");
   opts.add_option("seconds", "0.3", "target measurement time per block");
   opts.add_option("commit", "unknown", "commit id recorded in the artifact");
-  opts.add_option("out", "BENCH_mcmc.json", "JSON artifact path");
   if (!opts.parse(argc, argv)) return 0;
   const std::size_t per_unit = std::size_t(opts.get_int("samples-per-unit"));
   const std::size_t thinning = std::size_t(opts.get_int("thinning"));
@@ -210,9 +209,8 @@ int main(int argc, char** argv) {
        << ",\n  \"accounting_ok\": " << (accounting_ok ? "true" : "false")
        << ",\n  \"gate_speedup\": " << kGateSpeedup
        << ",\n  \"gate_ok\": " << (gate_ok ? "true" : "false") << "\n}\n";
-  const std::string out_path = opts.get_string("out");
-  std::ofstream(out_path) << json.str();
-  std::cout << "\nwrote " << out_path << "\n";
+  std::ofstream("BENCH_mcmc.json") << json.str();
+  std::cout << "\nwrote BENCH_mcmc.json\n";
 
   if (!accounting_ok) {
     std::cerr << "FAIL: forward passes differ from Eq. 14's accounting\n";

@@ -106,7 +106,7 @@ bool Rbm::log_psi_flip_ratios(const Matrix& batch,
 #endif
     const Real* x = batch.row(k).data();
     Real* ratio = out.row(k).data();
-    Real* pq = ws.pq.row(thread).data();
+    const std::span<Real> pq = ws.pq.row(thread);
     rbm_flip_pq(ws.theta.row(k), pq);
     rbm_flip_log_sums(pq, ws.wt, sites, x, chunk, ratio);
     // A 0 -> 1 flip adds a_i to the visible term.
@@ -128,21 +128,19 @@ void Rbm::accumulate_log_psi_gradient_ws(
   VQMC_REQUIRE(coeff.size() == bs, "RBM: coefficient size mismatch");
   VQMC_REQUIRE(grad.size() == num_parameters(), "RBM: gradient size mismatch");
 
+  // t(k, l) = coeff_k * tanh(theta_{k,l}), the per-hidden-unit gradients,
+  // in place over theta.
   hidden_preactivations(batch, ws);
   tanh_inplace(ws.theta);
-
-  // t(k, l) = coeff_k * tanh(theta_{k,l}) — the per-hidden-unit gradients.
-  ensure_shape(ws.t, bs, h_);
 #pragma omp parallel for schedule(static)
   for (std::size_t k = 0; k < bs; ++k) {
-    const Real* th = ws.theta.row(k).data();
-    Real* tr = ws.t.row(k).data();
-    for (std::size_t l = 0; l < h_; ++l) tr[l] = coeff[k] * th[l];
+    Real* t = ws.theta.row(k).data();
+    for (std::size_t l = 0; l < h_; ++l) t[l] *= coeff[k];
   }
 
   // dW = t^T X, in place into grad's W block; dc = column sums of t.
-  gemm_tn_accumulate(ws.t, batch, MatrixView(grad.data(), h_, n_));
-  column_sum_accumulate(ws.t, grad.subspan(h_ * n_, h_));
+  gemm_tn_accumulate(ws.theta, batch, MatrixView(grad.data(), h_, n_));
+  column_sum_accumulate(ws.theta, grad.subspan(h_ * n_, h_));
 
   // da_j = sum_k coeff_k x_{k,j}; da0 = sum_k coeff_k.
   Real* ga = grad.data() + h_ * n_ + h_;
@@ -220,20 +218,12 @@ Rbm::Workspace& walk_workspace(WavefunctionModel::Workspace* ws) {
 }
 
 /// theta += the shift of `move` from state x: +-W[:, i] per moved site
-/// (+ for a 0 -> 1 flip), read from W^T's row i, a pair's two columns
-/// summed first.
+/// (+ for a 0 -> 1 flip), read from W^T's row i, one axpy per site.
 void add_move_shift(const WavefunctionModel::ChainMove& move, const Real* x,
-                    const Matrix& w_t, Real* theta) {
-  const std::size_t h = w_t.cols();
-  const Real* wi = w_t.row(move.site).data();
-  const Real si = x[move.site] == 0 ? 1 : -1;
-  if (move.partner == move.site) {
-    for (std::size_t l = 0; l < h; ++l) theta[l] += si * wi[l];
-    return;
-  }
-  const Real* wj = w_t.row(move.partner).data();
-  const Real sj = x[move.partner] == 0 ? 1 : -1;
-  for (std::size_t l = 0; l < h; ++l) theta[l] += si * wi[l] + sj * wj[l];
+                    const Matrix& w_t, std::span<Real> theta) {
+  axpy(x[move.site] == 0 ? 1 : -1, w_t.row(move.site), theta);
+  if (move.partner != move.site)
+    axpy(x[move.partner] == 0 ? 1 : -1, w_t.row(move.partner), theta);
 }
 
 }  // namespace
@@ -245,7 +235,7 @@ void Rbm::walk_start(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
   const std::size_t chains = walk.states.rows();
   ensure_shape(own.pq, chains, 2 * h_);
   for (std::size_t chain = 0; chain < chains; ++chain)
-    rbm_flip_pq(own.theta.row(chain), own.pq.row(chain).data());
+    rbm_flip_pq(own.theta.row(chain), own.pq.row(chain));
   if (own.shifted.size() != h_) own.shifted = Vector(h_);
 }
 
@@ -263,12 +253,12 @@ void Rbm::walk_score(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
     Real& ratio = walk.ratio[chain];
     if (move.partner == move.site) {
       const std::size_t i = move.site;
-      rbm_flip_log_sums(own.pq.row(chain).data(), own.wt, {&i, 1}, x,
+      rbm_flip_log_sums(own.pq.row(chain), own.wt, {&i, 1}, x,
                         own.walk_chunk, &ratio);
       ratio = own.abs_w[i] + ratio + visible(i);
     } else {
       std::copy(theta.begin(), theta.end(), own.shifted.begin());
-      add_move_shift(move, x, own.w_t, own.shifted.data());
+      add_move_shift(move, x, own.w_t, own.shifted.span());
       ratio = sum_log_cosh(own.shifted.span()) - sum_log_cosh(theta) +
               (visible(move.site) + visible(move.partner));
     }
@@ -279,8 +269,8 @@ void Rbm::walk_accept(ChainWalk& walk, std::size_t chain,
                       WavefunctionModel::Workspace* ws) const {
   Workspace& own = walk_workspace(ws);
   add_move_shift(walk.moves[chain], walk.states.row(chain).data(), own.w_t,
-                 own.theta.row(chain).data());
-  rbm_flip_pq(own.theta.row(chain), own.pq.row(chain).data());
+                 own.theta.row(chain));
+  rbm_flip_pq(own.theta.row(chain), own.pq.row(chain));
 }
 
 }  // namespace vqmc

@@ -72,9 +72,9 @@ class Rbm final : public WavefunctionModel {
   /// Caller-owned evaluation scratch (see WavefunctionModel::Workspace).
   struct Workspace final : WavefunctionModel::Workspace {
     /// bs x h hidden pre-activations (a chain walk: c x h, one per chain;
-    /// the gradients overwrite them with tanh(theta))
+    /// the gradients overwrite them with tanh(theta), the batch gradient
+    /// then with coeff_k tanh(theta))
     Matrix theta;
-    Matrix t;      ///< bs x h, coeff-weighted tanh(theta)
     Matrix xx;     ///< bs x bs, X X^T of the Gram
     // Flip-ratio and chain-walk scratch, O(n h) set-up per call or draw.
     Matrix wt;     ///< n x h, copysign(e^{-2|W_li|}, W_li) at (i, l)

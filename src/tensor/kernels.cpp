@@ -285,14 +285,17 @@ Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
   VQMC_DISPATCH(rbm_flip_table(w, g, abs_w, w_t))
 }
 
-void rbm_flip_pq(std::span<const Real> theta, Real* pq) {
+void rbm_flip_pq(std::span<const Real> theta, std::span<Real> pq) {
+  VQMC_REQUIRE(pq.size() == 2 * theta.size(),
+               "rbm_flip_pq: p/q row must be 2h long");
   VQMC_DISPATCH(rbm_flip_pq(theta, pq))
 }
 
-void rbm_flip_log_sums(const Real* pq, ConstMatrixView g,
+void rbm_flip_log_sums(std::span<const Real> pq, ConstMatrixView g,
                        std::span<const std::size_t> sites, const Real* x,
                        std::size_t chunk, Real* out) {
-  VQMC_REQUIRE(chunk >= 1, "rbm_flip_log_sums: chunk must be >= 1");
+  VQMC_REQUIRE(pq.size() == 2 * g.cols() && chunk >= 1,
+               "rbm_flip_log_sums: p/q row or chunk mismatch");
   for (const std::size_t i : sites)
     VQMC_REQUIRE(i < g.rows(), "rbm_flip_log_sums: site out of range");
   VQMC_DISPATCH(rbm_flip_log_sums(pq, g, sites, x, chunk, out))

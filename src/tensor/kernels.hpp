@@ -301,8 +301,8 @@ Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,
 /// One sample row's p_l = sigmoid(2 theta_l) and q_l = sigmoid(-2 theta_l)
 /// into pq (2h: p, then q), both formed directly, neither as one minus the
 /// other: the per-row half of the RBM flip path (DESIGN.md §5l).  NaN in
-/// theta gives NaN.
-void rbm_flip_pq(std::span<const Real> theta, Real* pq);
+/// theta gives NaN.  Throws Error unless pq.size() == 2 theta.size().
+void rbm_flip_pq(std::span<const Real> theta, std::span<Real> pq);
 
 /// The RBM flip path's cosh-ratio sums of one sample row (DESIGN.md §5l),
 /// from its p and q (rbm_flip_pq) and the factor table g (n x h,
@@ -318,8 +318,9 @@ void rbm_flip_pq(std::span<const Real> theta, Real* pq);
 /// The factors are multiplied `chunk` at a time per vector lane (lane k
 /// owns the units l = k mod the vector width) before one log, so a caller
 /// must keep chunk * 2 max|W| <= 700 (chunk >= 1): every product then
-/// stays normal.  NaN in p, q or g gives NaN.
-void rbm_flip_log_sums(const Real* pq, ConstMatrixView g,
+/// stays normal.  NaN in p, q or g gives NaN.  Throws Error unless
+/// pq.size() == 2 g.cols(), chunk >= 1 and every site is a row of g.
+void rbm_flip_log_sums(std::span<const Real> pq, ConstMatrixView g,
                        std::span<const std::size_t> sites, const Real* x,
                        std::size_t chunk, Real* out);
 

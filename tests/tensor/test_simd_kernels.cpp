@@ -845,8 +845,8 @@ TEST(SimdKernels, RbmFlipLogSumsMatchReferenceAcrossLevels) {
         ref::rbm_flip_log_sums(t, g, sites, x, want.data());
         for (const std::size_t chunk : {1ul, 3ul, 8ul}) {
           std::vector<Real> got(sites.size()), pq(2 * h);
-          rbm_flip_pq(t, pq.data());
-          rbm_flip_log_sums(pq.data(), g, sites, x, chunk, got.data());
+          rbm_flip_pq(t, pq);
+          rbm_flip_log_sums(pq, g, sites, x, chunk, got.data());
           for (std::size_t q = 0; q < sites.size(); ++q) {
             // Each factor's log is off by a few ulp of itself (p, q and
             // y round, the polynomial log), and a chunk's log by the ulp of
@@ -859,14 +859,35 @@ TEST(SimdKernels, RbmFlipLogSumsMatchReferenceAcrossLevels) {
                 << scale << " chunk " << chunk << " site " << sites[q];
           }
           std::vector<Real> again(sites.size());
-          rbm_flip_pq(t, pq.data());
-          rbm_flip_log_sums(pq.data(), g, sites, x, chunk, again.data());
+          rbm_flip_pq(t, pq);
+          rbm_flip_log_sums(pq, g, sites, x, chunk, again.data());
           for (std::size_t q = 0; q < sites.size(); ++q)
             ASSERT_EQ(again[q], got[q]);  // deterministic
         }
       }
     }
   }
+}
+
+TEST(SimdKernels, RbmFlipKernelsRejectAPqRowOfTheWrongLength) {
+  // A p/q row is 2h long; one built for another h is a typed error, never
+  // an out-of-bounds read or write.
+  const std::size_t h = 5, n = 3;
+  const Matrix g = rbm_factor_table(random_matrix(h, n, 2450));
+  const std::vector<Real> t(h, 0.5);
+  const std::vector<std::size_t> sites = {0, 2};
+  const Real x[n] = {0, 1, 0};
+  std::vector<Real> out(sites.size());
+  for (const std::size_t len : {2 * h - 1, 2 * h + 1, h}) {
+    std::vector<Real> pq(len);
+    EXPECT_THROW(rbm_flip_pq(t, pq), Error) << len;
+    EXPECT_THROW(rbm_flip_log_sums(pq, g, sites, x, 8, out.data()), Error)
+        << len;
+  }
+  std::vector<Real> pq(2 * h);
+  rbm_flip_pq(t, pq);
+  rbm_flip_log_sums(pq, g, sites, x, 8, out.data());
+  EXPECT_TRUE(std::isfinite(out[0]) && std::isfinite(out[1]));
 }
 
 TEST(SimdKernels, RbmFlipLogSumsStayFiniteOnFiniteInputsAndPropagateNan) {
@@ -887,22 +908,22 @@ TEST(SimdKernels, RbmFlipLogSumsStayFiniteOnFiniteInputsAndPropagateNan) {
     for (std::size_t l = 0; l < h; ++l)
       t[l] = l % 3 == 0 ? 1e300 : (l % 3 == 1 ? -1e300 : -400.0);
     std::vector<Real> out(n), pq(2 * h);
-    rbm_flip_pq(t, pq.data());
-    rbm_flip_log_sums(pq.data(), g, sites, x, 1, out.data());
+    rbm_flip_pq(t, pq);
+    rbm_flip_log_sums(pq, g, sites, x, 1, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_TRUE(std::isfinite(out[q])) << simd::level_name(level) << " "
                                          << q;
     // NaN in theta reaches every site; NaN in the table only its own.
     t[5] = std::numeric_limits<Real>::quiet_NaN();
-    rbm_flip_pq(t, pq.data());
-    rbm_flip_log_sums(pq.data(), g, sites, x, 8, out.data());
+    rbm_flip_pq(t, pq);
+    rbm_flip_log_sums(pq, g, sites, x, 8, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_TRUE(std::isnan(out[q])) << simd::level_name(level) << " " << q;
     t[5] = 0.25;
     Matrix poisoned = g;
     poisoned(2, 7) = std::numeric_limits<Real>::quiet_NaN();
-    rbm_flip_pq(t, pq.data());
-    rbm_flip_log_sums(pq.data(), poisoned, sites, x, 8, out.data());
+    rbm_flip_pq(t, pq);
+    rbm_flip_log_sums(pq, poisoned, sites, x, 8, out.data());
     for (std::size_t q = 0; q < n; ++q)
       EXPECT_EQ(std::isnan(out[q]), q == 2) << simd::level_name(level);
   }
