@@ -66,7 +66,7 @@ namespace vqmc {
                                    Real* out);                                \
   Real rbm_flip_table(ConstMatrixView w, Matrix& g, std::span<Real> abs_w,    \
                       Matrix* w_t);                                           \
-  void rbm_flip_pq(std::span<const Real> theta, std::span<Real> pq);         \
+  void rbm_flip_pq(std::span<const Real> theta, std::span<Real> pq);          \
   void rbm_flip_log_sums(std::span<const Real> pq, ConstMatrixView g,         \
                          std::span<const std::size_t> sites, const Real* x,   \
                          std::size_t chunk, Real* out);                       \
