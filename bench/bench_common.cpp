@@ -10,6 +10,7 @@
 #include <omp.h>
 #endif
 
+#include "telemetry/metrics_registry.hpp"
 #include "tensor/simd.hpp"
 
 #ifndef VQMC_BUILD_TYPE
@@ -70,9 +71,16 @@ ComboResult run_combo(const Hamiltonian& hamiltonian,
   cfg.batch_size = scale.batch_size;
   cfg.use_sr = optimizer_label_uses_sr(optimizer_kind);
   VqmcTrainer trainer(hamiltonian, *model, *sampler, *optimizer, cfg);
+  telemetry::Counter& rows = telemetry::metrics().counter("local_energy.rows");
+  telemetry::Counter& distinct =
+      telemetry::metrics().counter("local_energy.distinct_rows");
+  const std::uint64_t rows_before = rows.value();
+  const std::uint64_t distinct_before = distinct.value();
   trainer.run();
 
   ComboResult result;
+  result.local_energy_rows = rows.value() - rows_before;
+  result.local_energy_distinct_rows = distinct.value() - distinct_before;
   result.history = trainer.history();
   result.train_seconds = trainer.training_seconds();
   for (const IterationMetrics& m : result.history)

@@ -10,6 +10,7 @@
 /// prints the scale factors it used so results are never mistaken for
 /// paper-scale numbers.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -66,7 +67,13 @@ struct ComboResult {
   /// DESIGN.md §5d attribution).
   PhaseBreakdown phase_totals;
   std::vector<IterationMetrics> history;
+  /// Rows the local-energy engine saw during training, and how many of
+  /// them were distinct (the local_energy.rows and
+  /// local_energy.distinct_rows counters; both 0 with telemetry off).
+  std::uint64_t local_energy_rows = 0;
+  std::uint64_t local_energy_distinct_rows = 0;
 };
+
 
 /// One-line phase attribution in kPhases order, e.g.
 /// "sample 42% | local_energy 31% | gradient 18% | optimizer 9%" (phases

@@ -13,15 +13,23 @@
 /// relative to |H_xx| + sum_y |H_xy| psi(y)/psi(x).
 ///
 /// Cases: MADE and RBM at n = 20, 50, 100, 128 with 256 rows, plus one
-/// 1-row MADE case at n = 1000 (the serving shape).  A last case times
+/// 1-row MADE case at n = 1000 (the serving shape).  A further case times
 /// TIM's batched diagonal (one ising_diagonal call) against the per-row
 /// loop (Hamiltonian::diagonal_batch's default, one diagonal call per row)
 /// on 256 rows at n = 128, in alternating blocks, and checks that the two
-/// agree bit for bit.  Writes BENCH_local_energy.json; exits nonzero when
-/// the paths disagree beyond the bound, when the flip path is slower than
-/// the full-forward path at n = 128, when RBM's flip path is less than
-/// kRbmGateSpeedup times the full-forward path at n = 128, or when the
-/// batched diagonal differs from the row loop.
+/// agree bit for bit.  The repeats case builds, for MADE and RBM at
+/// n = 128, 256-row batches drawn from D = 256, 32 and 4 distinct
+/// configurations in shuffled order, and times each batch against its D
+/// distinct rows alone, in alternating blocks: compute() evaluates each
+/// distinct row once, so a batch should cost about what its distinct rows
+/// cost.  Writes BENCH_local_energy.json; exits nonzero when the paths
+/// disagree beyond the bound, when the flip path is slower than the
+/// full-forward path at n = 128, when RBM's flip path is less than
+/// kRbmGateSpeedup times the full-forward path at n = 128, when the
+/// batched diagonal differs from the row loop, when a repeated row's
+/// energy differs bitwise from its distinct row's, or when a batch at
+/// D = kRepeatsGateDistinct costs more than kRepeatsGateRatio times its
+/// distinct rows alone.
 ///
 ///   ./build/bench/bench_local_energy --commit $(git rev-parse --short HEAD)
 
@@ -69,6 +77,13 @@ constexpr std::size_t kGateSpins = 128;
 /// RBM's product-form flip path must beat the full-forward path by this
 /// in-run factor at n = kGateSpins (DESIGN.md §5l).
 constexpr double kRbmGateSpeedup = 5.0;
+/// Distinct configurations per 256-row batch in the repeats case.
+constexpr std::size_t kRepeatsDistinct[] = {256, 32, 4};
+/// A batch of kRepeatsGateDistinct distinct configurations may cost at most
+/// kRepeatsGateRatio times its distinct rows alone: the grouping's hash,
+/// gather and scatter are small next to one row's evaluation.
+constexpr std::size_t kRepeatsGateDistinct = 32;
+constexpr double kRepeatsGateRatio = 1.25;
 
 /// |H| entrywise: its local energy |H_xx| + sum_y |H_xy| psi(y)/psi(x) is
 /// the scale of the documented parity bound.
@@ -216,6 +231,131 @@ DiagonalResult run_diagonal_case(std::size_t n, std::size_t rows,
   return r;
 }
 
+struct RepeatsResult {
+  std::string model;
+  std::size_t distinct = 0;
+  double batch_ms = 0;     ///< the 256-row batch with repeats
+  double distinct_ms = 0;  ///< its distinct rows alone
+  /// Median of paired all-distinct batch / this batch blocks.
+  double all_distinct_over_batch = 0;
+  /// Median of paired this batch / its distinct rows blocks.
+  double batch_over_distinct = 0;
+  bool bitwise_equal = false;
+};
+
+/// Random 0/1 rows, redrawn until no two are equal.
+Matrix distinct_rows(std::size_t rows, std::size_t n, rng::Xoshiro256& gen) {
+  Matrix out(rows, n);
+  for (std::size_t k = 0; k < rows; ++k) {
+    bool repeat = true;
+    while (repeat) {
+      for (std::size_t j = 0; j < n; ++j)
+        out(k, j) = rng::bernoulli(gen, 0.5) ? 1 : 0;
+      repeat = false;
+      for (std::size_t i = 0; i < k && !repeat; ++i)
+        repeat = std::equal(out.row(i).begin(), out.row(i).end(),
+                            out.row(k).begin());
+    }
+  }
+  return out;
+}
+
+/// The repeats case of one model at n = kGateSpins, every D in one loop of
+/// alternating blocks so that host-speed drift cancels in the ratios.
+std::vector<RepeatsResult> run_repeats_case(const std::string& kind,
+                                            double block_seconds,
+                                            int repeats) {
+  const std::size_t n = kGateSpins;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 7);
+  std::unique_ptr<WavefunctionModel> model;
+  if (kind == "MADE")
+    model = std::make_unique<Made>(n, made_default_hidden(n));
+  else
+    model = std::make_unique<Rbm>(n, n);
+  model->initialize(11);
+
+  struct Case {
+    Matrix distinct;
+    Matrix batch;
+    std::unique_ptr<LocalEnergyEngine> batch_engine, distinct_engine;
+    Vector batch_out, distinct_out;
+    std::size_t batch_calls = 0, distinct_calls = 0;
+    std::vector<double> batch_ms, distinct_ms;
+  };
+  std::vector<Case> cases;
+  rng::Xoshiro256 gen(n * 41 + kRows);
+  std::vector<RepeatsResult> results;
+  for (const std::size_t d : kRepeatsDistinct) {
+    Case c;
+    c.distinct = distinct_rows(d, n, gen);
+    std::vector<std::size_t> source(kRows);
+    for (std::size_t k = 0; k < kRows; ++k) source[k] = k % d;
+    for (std::size_t k = kRows; k-- > 1;)
+      std::swap(source[k], source[std::size_t(rng::uniform_index(gen, k + 1))]);
+    c.batch = Matrix(kRows, n);
+    for (std::size_t k = 0; k < kRows; ++k) {
+      const std::span<const Real> row = c.distinct.row(source[k]);
+      std::copy(row.begin(), row.end(), c.batch.row(k).begin());
+    }
+    c.batch_engine = std::make_unique<LocalEnergyEngine>(tim, *model);
+    c.distinct_engine = std::make_unique<LocalEnergyEngine>(tim, *model);
+    c.batch_out = Vector(kRows);
+    c.distinct_out = Vector(d);
+    c.batch_engine->compute(c.batch, c.batch_out.span());
+    c.distinct_engine->compute(c.distinct, c.distinct_out.span());
+
+    RepeatsResult r;
+    r.model = kind;
+    r.distinct = d;
+    r.bitwise_equal = true;
+    for (std::size_t k = 0; k < kRows; ++k)
+      r.bitwise_equal &= std::bit_cast<std::uint64_t>(c.batch_out[k]) ==
+                         std::bit_cast<std::uint64_t>(
+                             c.distinct_out[source[k]]);
+    results.push_back(r);
+
+    // Calls per block off one call of each.
+    Timer probe;
+    c.batch_engine->compute(c.batch, c.batch_out.span());
+    c.batch_calls = std::max<std::size_t>(
+        2, std::size_t(block_seconds / std::max(probe.seconds(), 1e-6)));
+    Timer probe_distinct;
+    c.distinct_engine->compute(c.distinct, c.distinct_out.span());
+    c.distinct_calls = std::max<std::size_t>(
+        2,
+        std::size_t(block_seconds / std::max(probe_distinct.seconds(), 1e-6)));
+    cases.push_back(std::move(c));
+  }
+
+  std::vector<std::vector<double>> all_over_batch(cases.size()),
+      batch_over_distinct(cases.size());
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (Case& c : cases) {
+      c.batch_ms.push_back(block_ms(
+          [&] { c.batch_engine->compute(c.batch, c.batch_out.span()); },
+          c.batch_calls));
+      c.distinct_ms.push_back(block_ms(
+          [&] {
+            c.distinct_engine->compute(c.distinct, c.distinct_out.span());
+          },
+          c.distinct_calls));
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      all_over_batch[i].push_back(cases[0].batch_ms.back() /
+                                  cases[i].batch_ms.back());
+      batch_over_distinct[i].push_back(cases[i].batch_ms.back() /
+                                       cases[i].distinct_ms.back());
+    }
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    results[i].batch_ms = median(cases[i].batch_ms);
+    results[i].distinct_ms = median(cases[i].distinct_ms);
+    results[i].all_distinct_over_batch = median(all_over_batch[i]);
+    results[i].batch_over_distinct = median(batch_over_distinct[i]);
+  }
+  return results;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -247,6 +387,10 @@ int main(int argc, char** argv) {
   results.push_back(run_case("MADE", kServeSpins, 1, block_seconds, repeats));
   const DiagonalResult diagonal =
       run_diagonal_case(kGateSpins, kRows, block_seconds, repeats);
+  std::vector<RepeatsResult> repeat_results;
+  for (const char* kind : {"MADE", "RBM"})
+    for (const RepeatsResult& r : run_repeats_case(kind, block_seconds, repeats))
+      repeat_results.push_back(r);
 
   Table table("Local energy per compute() call");
   table.set_header({"model", "n", "h", "rows", "flip ms", "full ms",
@@ -270,7 +414,28 @@ int main(int argc, char** argv) {
             << " ms, row loop " << format_fixed(diagonal.row_loop_ms, 3)
             << " ms, row loop/batched " << format_fixed(diagonal.ratio, 2)
             << ", bitwise equal: " << (diagonal.bitwise_equal ? "yes" : "NO")
-            << "\n";
+            << "\n\n";
+
+  Table repeats_table("Batches of " + std::to_string(kRows) +
+                      " rows drawn from D distinct configurations, n = " +
+                      std::to_string(kGateSpins));
+  repeats_table.set_header({"model", "D", "batch ms", "D rows alone ms",
+                            "all-distinct/batch", "batch/D rows",
+                            "bitwise"});
+  bool repeats_bitwise = true;
+  bool repeats_gate_ok = true;
+  for (const RepeatsResult& r : repeat_results) {
+    repeats_table.add_row(
+        {r.model, std::to_string(r.distinct), format_fixed(r.batch_ms, 3),
+         format_fixed(r.distinct_ms, 3),
+         format_fixed(r.all_distinct_over_batch, 2),
+         format_fixed(r.batch_over_distinct, 2),
+         r.bitwise_equal ? "yes" : "NO"});
+    repeats_bitwise &= r.bitwise_equal;
+    if (r.distinct == kRepeatsGateDistinct)
+      repeats_gate_ok &= r.batch_over_distinct <= kRepeatsGateRatio;
+  }
+  std::cout << repeats_table.to_string();
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"local_energy\",\n"
@@ -296,6 +461,23 @@ int main(int argc, char** argv) {
        << ", \"speedup_batched_over_row_loop\": " << diagonal.ratio
        << ", \"bitwise_equal\": "
        << (diagonal.bitwise_equal ? "true" : "false") << "}"
+       << ",\n  \"repeats\": [\n";
+  for (std::size_t i = 0; i < repeat_results.size(); ++i) {
+    const RepeatsResult& r = repeat_results[i];
+    json << "    {\"model\": \"" << r.model << "\", \"spins\": " << kGateSpins
+         << ", \"rows\": " << kRows << ", \"distinct\": " << r.distinct
+         << ", \"batch_ms_per_call\": " << r.batch_ms
+         << ", \"distinct_rows_ms_per_call\": " << r.distinct_ms
+         << ", \"speedup_all_distinct_over_batch\": "
+         << r.all_distinct_over_batch
+         << ", \"batch_over_distinct_rows\": " << r.batch_over_distinct
+         << ", \"bitwise_equal\": " << (r.bitwise_equal ? "true" : "false")
+         << "}" << (i + 1 < repeat_results.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"repeats_gate_distinct\": " << kRepeatsGateDistinct
+       << ",\n  \"repeats_gate_ratio\": " << kRepeatsGateRatio
+       << ",\n  \"repeats_ok\": "
+       << (repeats_bitwise && repeats_gate_ok ? "true" : "false")
        << ",\n  \"gate_spins\": " << kGateSpins
        << ",\n  \"flip_not_slower_at_gate\": " << (gate_ok ? "true" : "false")
        << ",\n  \"rbm_gate_speedup\": " << kRbmGateSpeedup
@@ -323,6 +505,17 @@ int main(int argc, char** argv) {
   }
   if (!diagonal.bitwise_equal) {
     std::cerr << "FAIL: TIM's batched diagonal differs from the row loop\n";
+    return 1;
+  }
+  if (!repeats_bitwise) {
+    std::cerr << "FAIL: a repeated row's local energy differs from its "
+                 "distinct row's\n";
+    return 1;
+  }
+  if (!repeats_gate_ok) {
+    std::cerr << "FAIL: a batch of " << kRepeatsGateDistinct
+              << " distinct configurations costs more than "
+              << kRepeatsGateRatio << "x its distinct rows alone\n";
     return 1;
   }
   return 0;

@@ -6,10 +6,13 @@
 /// every size, and both columns grow with n — MADE roughly linearly in its
 /// sampling dimension, RBM&MCMC with the burn-in length k = 3n + 100.
 ///
-/// The JSON artifact records, per measured n, both columns' total seconds
-/// and their seven-phase split (sample, local_energy, gradient, sr,
-/// allreduce, optimizer, checkpoint), plus bench_common's provenance block
-/// (commit, CPU, SIMD level, OpenMP thread count, compiler, build type).
+/// The JSON artifact records, per measured n, both columns' total seconds,
+/// their seven-phase split (sample, local_energy, gradient, sr, allreduce,
+/// optimizer, checkpoint) and the share of their training rows that the
+/// local-energy engine found distinct (the local_energy.distinct_rows and
+/// local_energy.rows counters; null with telemetry off), plus
+/// bench_common's provenance block (commit, CPU, SIMD level, OpenMP
+/// thread count, compiler, build type).
 
 #include <fstream>
 #include <iostream>
@@ -22,6 +25,18 @@
 
 using namespace vqmc;
 using namespace vqmc::bench;
+
+namespace {
+
+/// distinct / rows as a JSON number, or null when nothing was counted.
+std::string distinct_share_json(std::uint64_t distinct, std::uint64_t rows) {
+  if (rows == 0) return "null";
+  std::ostringstream out;
+  out << double(distinct) / double(rows);
+  return out.str();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   OptionParser opts("bench_table1_training_time",
@@ -62,7 +77,14 @@ int main(int argc, char** argv) {
                   << ",\n     \"rbm_mcmc_phases\": "
                   << phases_to_json(rbm.phase_totals)
                   << ",\n     \"made_auto_phases\": "
-                  << phases_to_json(made.phase_totals) << "}";
+                  << phases_to_json(made.phase_totals)
+                  << ",\n     \"rbm_mcmc_distinct_row_share\": "
+                  << distinct_share_json(rbm.local_energy_distinct_rows,
+                                         rbm.local_energy_rows)
+                  << ", \"made_auto_distinct_row_share\": "
+                  << distinct_share_json(made.local_energy_distinct_rows,
+                                         made.local_energy_rows)
+                  << "}";
     std::cout << "n=" << n << ": RBM&MCMC " << format_fixed(rbm.train_seconds, 2)
               << "s, MADE&AUTO " << format_fixed(made.train_seconds, 2)
               << "s (speedup "
@@ -77,6 +99,15 @@ int main(int argc, char** argv) {
       std::cout << "      RBM&MCMC phases:  " << rbm_phases << "\n";
     if (!made_phases.empty())
       std::cout << "      MADE&AUTO phases: " << made_phases << "\n";
+    // Local energy evaluates each distinct row once (DESIGN.md §5l).
+    if (rbm.local_energy_rows > 0 && made.local_energy_rows > 0)
+      std::cout << "      distinct rows:    RBM&MCMC "
+                << distinct_share_json(rbm.local_energy_distinct_rows,
+                                       rbm.local_energy_rows)
+                << ", MADE&AUTO "
+                << distinct_share_json(made.local_energy_distinct_rows,
+                                       made.local_energy_rows)
+                << "\n";
   }
   table.add_row(rbm_row);
   table.add_row(made_row);

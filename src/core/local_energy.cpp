@@ -1,16 +1,41 @@
 #include "core/local_energy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/error.hpp"
+#include "telemetry/metrics_registry.hpp"
 
 namespace vqmc {
 
 namespace {
 
 constexpr std::size_t kNoColumn = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kEmptySlot = std::numeric_limits<std::size_t>::max();
+
+/// Hash of a row's 64-bit words: four independent multiply-rotate lanes
+/// (no carried dependency between neighbouring words), folded and
+/// finalized with splitmix64's mixer so every bit reaches the table index.
+std::uint64_t row_hash(std::span<const Real> row) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t lane[4] = {1, 2, 3, 4};
+  const std::size_t n = row.size();
+  const auto step = [](std::uint64_t h, Real x) {
+    return std::rotl((h ^ std::bit_cast<std::uint64_t>(x)) * kMul, 31);
+  };
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4)
+    for (std::size_t l = 0; l < 4; ++l) lane[l] = step(lane[l], row[j + l]);
+  for (; j < n; ++j) lane[0] = step(lane[0], row[j]);
+  std::uint64_t z = lane[0] ^ std::rotl(lane[1], 16) ^
+                    std::rotl(lane[2], 32) ^ std::rotl(lane[3], 48);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 }  // namespace
 
@@ -63,8 +88,8 @@ void LocalEnergyEngine::flush_chunk(const Matrix& batch, std::span<Real> out) {
   if (chunk_fill_ == 0) return;
   // log psi at the sample rows (the ratios' denominator), once per batch.
   if (!have_log_psi_x_) {
-    if (log_psi_x_.size() != batch.rows()) log_psi_x_ = Vector(batch.rows());
-    model_->log_psi_ws(batch, log_psi_x_.span(), batch_ws_.get());
+    log_psi_x_.resize(batch.rows());
+    model_->log_psi_ws(batch, log_psi_x_, batch_ws_.get());
     ++forward_passes_;
     have_log_psi_x_ = true;
   }
@@ -92,6 +117,37 @@ void LocalEnergyEngine::flush_chunk(const Matrix& batch, std::span<Real> out) {
   chunk_fill_ = 0;
 }
 
+std::size_t LocalEnergyEngine::group_rows(const Matrix& batch) {
+  const std::size_t bs = batch.rows();
+  const std::size_t row_bytes = batch.cols() * sizeof(Real);
+  std::size_t table = 16;
+  while (table < 2 * bs) table *= 2;
+  slots_.assign(table, kEmptySlot);
+  row_group_.resize(bs);
+  group_first_.clear();
+  group_hash_.clear();
+  for (std::size_t k = 0; k < bs; ++k) {
+    const std::uint64_t hash = row_hash(batch.row(k));
+    for (std::size_t slot = hash & (table - 1);;
+         slot = (slot + 1) & (table - 1)) {
+      const std::size_t group = slots_[slot];
+      if (group == kEmptySlot) {
+        slots_[slot] = row_group_[k] = group_first_.size();
+        group_first_.push_back(k);
+        group_hash_.push_back(hash);
+        break;
+      }
+      if (group_hash_[group] == hash &&
+          std::memcmp(batch.row(group_first_[group]).data(),
+                      batch.row(k).data(), row_bytes) == 0) {
+        row_group_[k] = group;
+        break;
+      }
+    }
+  }
+  return group_first_.size();
+}
+
 void LocalEnergyEngine::compute(const Matrix& batch, std::span<Real> out) {
   const std::size_t bs = batch.rows();
   const std::size_t n = batch.cols();
@@ -99,10 +155,43 @@ void LocalEnergyEngine::compute(const Matrix& batch, std::span<Real> out) {
   VQMC_REQUIRE(n == hamiltonian_.num_spins(),
                "local energy: batch has wrong spin count");
 
-  // Diagonal part (always needed), one call for the batch.
-  hamiltonian_.diagonal_batch(batch, out);
+  // A diagonal Hamiltonian evaluates no model: one diagonal call, no
+  // grouping.
+  const bool diagonal = hamiltonian_.is_diagonal();
+  const std::size_t distinct = diagonal ? bs : group_rows(batch);
+  if (telemetry::enabled()) {
+    telemetry::MetricsRegistry& registry = telemetry::metrics();
+    registry.counter("local_energy.rows").add(bs);
+    registry.counter("local_energy.distinct_rows").add(distinct);
+  }
+  if (diagonal) {
+    hamiltonian_.diagonal_batch(batch, out);
+    return;
+  }
+  if (distinct == bs) {
+    // Shape the gather storage anyway, so that a later batch with repeats
+    // and no more rows than this one allocates nothing.
+    ensure_shape(distinct_rows_, bs, n);
+    distinct_out_.reserve(bs);
+    evaluate(batch, out);
+    return;
+  }
+  ensure_shape(distinct_rows_, distinct, n);
+  for (std::size_t group = 0; group < distinct; ++group) {
+    const std::span<const Real> row = batch.row(group_first_[group]);
+    std::copy(row.begin(), row.end(), distinct_rows_.row(group).begin());
+  }
+  distinct_out_.resize(distinct);
+  evaluate(distinct_rows_, distinct_out_);
+  for (std::size_t k = 0; k < bs; ++k) out[k] = distinct_out_[row_group_[k]];
+}
 
-  if (hamiltonian_.is_diagonal()) return;
+void LocalEnergyEngine::evaluate(const Matrix& batch, std::span<Real> out) {
+  const std::size_t bs = batch.rows();
+  const std::size_t n = batch.cols();
+
+  // Diagonal part, one call for the batch.
+  hamiltonian_.diagonal_batch(batch, out);
 
   have_log_psi_x_ = false;
   chunk_fill_ = 0;

@@ -294,10 +294,14 @@ bool Made::log_psi_flip_ratios(const Matrix& batch,
 #else
   const std::size_t threads = 1;
 #endif
-  ensure_shape(ws.xt, groups, n_ * L);
-  ensure_shape(ws.zt, groups, n_ * L);
-  ensure_shape(ws.pt, groups, n_ * L);
-  ensure_shape(ws.at, groups, h_ * L);
+  // Rows for either layout of any batch up to this one (site tiles of up
+  // to L - 1 rows need one group per row), so a later call with fewer rows
+  // reuses the storage.
+  const std::size_t lane_rows = std::max(groups, std::min(bs, L - 1));
+  ensure_shape(ws.xt, lane_rows, n_ * L);
+  ensure_shape(ws.zt, lane_rows, n_ * L);
+  ensure_shape(ws.pt, lane_rows, n_ * L);
+  ensure_shape(ws.at, lane_rows, h_ * L);
   ensure_shape(ws.wt, threads, h_ * L);
   ensure_shape(ws.dht, threads, h_ * L);
   ensure_shape(ws.znt, threads, n_ * L);

@@ -115,8 +115,9 @@ class Made final : public AutoregressiveModel {
     std::vector<const Real*> col_ptrs;      ///< per block site, far column segment
     // Flip-ratio scratch (log_psi_flip_ratios), O(bs (h + n)) in all: the
     // logits, lane-major copies of each row group's inputs (one matrix row
-    // per group, L = kFlipLanes lanes), and per-thread scratch of the
-    // flip being evaluated.
+    // per group, L = kFlipLanes lanes, and at least min(bs, L - 1) rows so
+    // that a smaller batch's site tiles fit), and per-thread scratch of
+    // the flip being evaluated.
     Matrix z;    ///< bs x n, logits of the sample rows
     Matrix xt;   ///< groups x n*L, configurations
     Matrix zt;   ///< groups x n*L, logits

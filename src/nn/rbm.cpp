@@ -234,8 +234,13 @@ void Rbm::walk_start(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
   own.walk_chunk = flip_table(own, true);
   const std::size_t chains = walk.states.rows();
   ensure_shape(own.pq, chains, 2 * h_);
-  for (std::size_t chain = 0; chain < chains; ++chain)
+  own.log_cosh.resize(chains);
+  own.log_cosh_fresh.assign(chains, 1);
+  own.proposal_log_cosh.resize(chains);
+  for (std::size_t chain = 0; chain < chains; ++chain) {
     rbm_flip_pq(own.theta.row(chain), own.pq.row(chain));
+    own.log_cosh[chain] = sum_log_cosh(own.theta.row(chain));
+  }
   if (own.shifted.size() != h_) own.shifted = Vector(h_);
 }
 
@@ -259,7 +264,12 @@ void Rbm::walk_score(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
     } else {
       std::copy(theta.begin(), theta.end(), own.shifted.begin());
       add_move_shift(move, x, own.w_t, own.shifted.span());
-      ratio = sum_log_cosh(own.shifted.span()) - sum_log_cosh(theta) +
+      if (!own.log_cosh_fresh[chain]) {
+        own.log_cosh[chain] = sum_log_cosh(theta);
+        own.log_cosh_fresh[chain] = 1;
+      }
+      own.proposal_log_cosh[chain] = sum_log_cosh(own.shifted.span());
+      ratio = own.proposal_log_cosh[chain] - own.log_cosh[chain] +
               (visible(move.site) + visible(move.partner));
     }
   }
@@ -268,9 +278,16 @@ void Rbm::walk_score(ChainWalk& walk, WavefunctionModel::Workspace* ws) const {
 void Rbm::walk_accept(ChainWalk& walk, std::size_t chain,
                       WavefunctionModel::Workspace* ws) const {
   Workspace& own = walk_workspace(ws);
-  add_move_shift(walk.moves[chain], walk.states.row(chain).data(), own.w_t,
+  const ChainMove& move = walk.moves[chain];
+  add_move_shift(move, walk.states.row(chain).data(), own.w_t,
                  own.theta.row(chain));
   rbm_flip_pq(own.theta.row(chain), own.pq.row(chain));
+  // The same axpys walk_score applied to `shifted`, so theta now equals
+  // the scored proposal's theta bitwise and a pair exchange keeps its sum.
+  if (move.partner != move.site)
+    own.log_cosh[chain] = own.proposal_log_cosh[chain];
+  else
+    own.log_cosh_fresh[chain] = 0;
 }
 
 }  // namespace vqmc

@@ -44,12 +44,13 @@
 /// unit and one log per chunk of factors (rbm_flip_log_sums).
 ///
 /// Chain walk (DESIGN.md §5n, Carleo and Troyer's look-up table): per
-/// draw, walk_start builds theta and the p/q row of the c chains (one
-/// c-row gemm) and the flip table with W^T; a single flip is scored by
-/// rbm_flip_log_sums on its chain's p/q row for its one site, a pair
-/// exchange by one two-site shift of theta and two sum_log_cosh, both
-/// O(h); an accepted move adds its shift (rows of W^T) to theta and
-/// recomputes the chain's p/q row.
+/// draw, walk_start builds theta, the p/q row and sum log cosh theta of the
+/// c chains (one c-row gemm) and the flip table with W^T; a single flip is
+/// scored by rbm_flip_log_sums on its chain's p/q row for its one site, a
+/// pair exchange by one two-site shift of theta and one sum_log_cosh
+/// against the chain's kept sum, both O(h); an accepted move adds its
+/// shift (rows of W^T) to theta and recomputes the chain's p/q row, and an
+/// accepted pair exchange keeps its scored sum.
 
 #include <cstdint>
 #include <memory>
@@ -86,6 +87,13 @@ class Rbm final : public WavefunctionModel {
     Matrix w_t;      ///< n x h, W^T: row i is the shift of a flip at site i
     std::size_t walk_chunk = kMaxFlipChunk;  ///< the walk's product chunk
     Vector shifted;  ///< h, theta of a pair-exchange proposal
+    /// c: sum_l log cosh theta_l per chain, bitwise sum_log_cosh of the
+    /// chain's theta row while log_cosh_fresh is set (walk_start, a pair
+    /// exchange's accept); a single-flip accept clears the flag, and the
+    /// chain's next pair exchange recomputes the sum.
+    std::vector<Real> log_cosh;
+    std::vector<char> log_cosh_fresh;  ///< c, 1 while log_cosh is exact
+    std::vector<Real> proposal_log_cosh;  ///< c, the scored pair's sum
   };
 
   [[nodiscard]] std::unique_ptr<WavefunctionModel::Workspace> make_workspace()

@@ -148,6 +148,8 @@ RankOutcome run_rank(const Hamiltonian& hamiltonian,
   rank_registry.counter("sampler.auto.forward_passes");
   rank_registry.counter("sampler.auto.samples");
   rank_registry.counter("sampler.nonfinite_rejections");
+  rank_registry.counter("local_energy.rows");
+  rank_registry.counter("local_energy.distinct_rows");
   rank_registry.counter("trainer.iterations");
   rank_registry.counter("trainer.guard_trips");
   rank_registry.counter("comm.socket.connect_retries");

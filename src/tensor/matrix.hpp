@@ -7,8 +7,10 @@
 /// n-spin configurations is a `bs x n` Matrix, weight matrices are
 /// `out x in`, and `row(i)` gives a contiguous span.
 
+#include <algorithm>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "tensor/buffer.hpp"
@@ -16,12 +18,46 @@
 
 namespace vqmc {
 
-/// Dense, aligned, row-major matrix of Real. Elements are zero-initialized.
+/// Dense, aligned, row-major matrix of Real.  A constructed matrix is
+/// zero-initialized.  Its storage may hold more elements than its shape
+/// uses: ensure_shape and copy-assignment keep storage that is already
+/// large enough, so scratch matrices whose row count varies between calls
+/// stop allocating at the largest shape seen.
 class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), storage_(rows * cols) {}
+
+  /// Copies the shape and the elements; the copy's storage holds exactly
+  /// size() elements.
+  Matrix(const Matrix& other)
+      : rows_(other.rows_), cols_(other.cols_), storage_(other.size()) {
+    std::copy_n(other.data(), other.size(), storage_.data());
+  }
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        storage_(std::move(other.storage_)) {}
+
+  /// Takes the shape and the elements of `other`, reallocating only when
+  /// this storage holds fewer than other.size() elements.
+  Matrix& operator=(const Matrix& other) {
+    if (this == &other) return *this;
+    if (storage_.size() < other.size())
+      storage_ = AlignedBuffer<Real>(other.size());
+    rows_ = other.rows_;
+    cols_ = other.cols_;
+    std::copy_n(other.data(), other.size(), storage_.data());
+    return *this;
+  }
+  Matrix& operator=(Matrix&& other) noexcept {
+    if (this == &other) return *this;
+    rows_ = std::exchange(other.rows_, 0);
+    cols_ = std::exchange(other.cols_, 0);
+    storage_ = std::move(other.storage_);
+    return *this;
+  }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -52,6 +88,8 @@ class Matrix {
   void fill(Real value) {
     for (std::size_t i = 0; i < size(); ++i) storage_[i] = value;
   }
+
+  friend void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols);
 
  private:
   std::size_t rows_ = 0;
@@ -98,13 +136,18 @@ class BasicMatrixView {
 using MatrixView = BasicMatrixView<Real>;
 using ConstMatrixView = BasicMatrixView<const Real>;
 
-/// Give `m` the requested shape, reallocating only when it differs.
-/// Contents are unspecified afterwards (a fresh allocation is zero, a
-/// reused one keeps stale values) — callers must fully overwrite.  This is
-/// the workspace-reuse primitive: scratch matrices held across trainer
-/// iterations or serve requests stop allocating once shapes stabilize.
+/// Give `m` the requested shape, reallocating only when its storage holds
+/// fewer than rows * cols elements.  Contents are unspecified afterwards (a
+/// fresh allocation is zero, reused storage keeps stale values at shifted
+/// positions) — callers must write every element they read.  This is the
+/// workspace-reuse primitive: scratch matrices held across trainer
+/// iterations or serve requests stop allocating at the largest shape seen,
+/// whatever the row count of a later call.
 inline void ensure_shape(Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) m = Matrix(rows, cols);
+  if (m.storage_.size() < rows * cols)
+    m.storage_ = AlignedBuffer<Real>(rows * cols);
+  m.rows_ = rows;
+  m.cols_ = cols;
 }
 
 }  // namespace vqmc

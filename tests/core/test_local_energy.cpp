@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -18,10 +22,13 @@
 #include "nn/deep_made.hpp"
 #include "nn/made.hpp"
 #include "nn/rbm.hpp"
+#include "nn/rnn.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
 #include "support/alloc_count.hpp"
 #include "support/forwarding_model.hpp"
+#include "support/telemetry_gate.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "tensor/kernels.hpp"
 
 namespace vqmc {
@@ -30,6 +37,22 @@ namespace {
 void randomize_parameters(WavefunctionModel& model, std::uint64_t seed) {
   rng::Xoshiro256 gen(seed);
   for (Real& p : model.parameters()) p = rng::uniform(gen, -0.5, 0.5);
+}
+
+Matrix random_bits(std::size_t bs, std::size_t n, std::uint64_t seed) {
+  rng::Xoshiro256 gen(seed);
+  Matrix batch(bs, n);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
+  return batch;
+}
+
+/// Number of distinct rows of `batch`.
+std::size_t count_distinct(const Matrix& batch) {
+  std::set<std::vector<Real>> rows;
+  for (std::size_t k = 0; k < batch.rows(); ++k)
+    rows.emplace(batch.row(k).begin(), batch.row(k).end());
+  return rows.size();
 }
 
 Matrix all_configurations(std::size_t n) {
@@ -117,18 +140,22 @@ TEST(LocalEnergy, ChunkSizeDoesNotChangeResults) {
 
 TEST(LocalEnergy, ForwardPassCountIsAsDocumented) {
   // TIM connects each sample to n flips; with chunk c the full-forward
-  // path (DeepMADE has no flip path) does 1 + ceil(bs * n_nonzero_alpha / c)
-  // passes.
+  // path (DeepMADE has no flip path) does 1 + ceil(d * n / c) passes over
+  // a batch of d distinct rows.
   const std::size_t n = 6, bs = 8;
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 8);
   DeepMade made(n, 4, 2);
   LocalEnergyEngine engine(tim, made, 16);
-  Matrix batch(bs, n);
+  const Matrix batch = random_bits(bs, n, 22);
+  ASSERT_EQ(count_distinct(batch), bs);
   Vector local(bs);
   engine.compute(batch, local.span());
   EXPECT_EQ(engine.forward_passes(), 1u + (bs * n + 15u) / 16u);
   engine.reset_statistics();
   EXPECT_EQ(engine.forward_passes(), 0u);
+  // Eight all-zero rows are one distinct row.
+  engine.compute(Matrix(bs, n), local.span());
+  EXPECT_EQ(engine.forward_passes(), 1u + (n + 15u) / 16u);
 }
 
 TEST(LocalEnergy, MeanOverExactDistributionEqualsRayleighQuotient) {
@@ -252,14 +279,6 @@ TEST(LocalEnergy, RepeatedBatchOnTheRbmFlipPathAllocatesNothing) {
 // ---------------------------------------------------------------------------
 // The single-flip ratio path (DESIGN.md §5l).
 // ---------------------------------------------------------------------------
-
-Matrix random_bits(std::size_t bs, std::size_t n, std::uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
-  Matrix batch(bs, n);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    batch.data()[i] = rng::bernoulli(gen, 0.5) ? 1 : 0;
-  return batch;
-}
 
 /// Checks model.log_psi_flip_ratios against log_psi on explicitly flipped
 /// copies, within the bound stated in local_energy.hpp, for every site in
@@ -462,34 +481,46 @@ void expect_rows_independent_of_batch(const Hamiltonian& h,
     for (std::size_t j = 0; j < n; ++j) row(0, j) = batch(k, j);
     Vector alone(1);
     engine.compute(row, alone.span());
-    EXPECT_EQ(all[k], reference[k]) << model.name() << " row " << k;
-    EXPECT_EQ(alone[0], reference[k]) << model.name() << " row " << k;
-    EXPECT_EQ(rev[bs - 1 - k], reference[k]) << model.name() << " row " << k;
+    EXPECT_EQ(all[k], reference[k])
+        << h.name() << " " << model.name() << " row " << k;
+    EXPECT_EQ(alone[0], reference[k])
+        << h.name() << " " << model.name() << " row " << k;
+    EXPECT_EQ(rev[bs - 1 - k], reference[k])
+        << h.name() << " " << model.name() << " row " << k;
   }
 }
 
 TEST(LocalEnergy, FlipPathRowsAreBitwiseIndependentOfBatchAndThreads) {
+  // The contract that lets compute() evaluate a repeated row once, on both
+  // paths: MADE and RBM take the flip path on TIM; DeepMADE and RNN on TIM,
+  // and the XXZ chain's pair exchanges, take full forwards.
   const std::size_t n = 20, bs = 19;  // two full lane tiles and a short one
   const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 50);
+  const XxzHeisenberg xxz = XxzHeisenberg::chain(n, 1.0, 1.0);
   Made natural(n, 17);
   Made cyclic(n, 45);
   Rbm rbm(n, 24);
+  DeepMade deep(n, 23, 2);
+  RnnWavefunction rnn(n, 8);
   const Matrix batch = random_bits(bs, n, 51);
+  ASSERT_EQ(count_distinct(batch), bs);
+  const std::pair<const Hamiltonian*, WavefunctionModel*> cases[] = {
+      {&tim, &natural}, {&tim, &cyclic},  {&tim, &rbm}, {&tim, &deep},
+      {&tim, &rnn},     {&xxz, &natural}, {&xxz, &rbm}};
 #ifdef _OPENMP
   const int threads_before = omp_get_max_threads();
 #endif
-  for (WavefunctionModel* model : std::initializer_list<WavefunctionModel*>{
-           &natural, &cyclic, &rbm}) {
+  for (const auto& [h, model] : cases) {
     randomize_parameters(*model, 52);
     Vector reference(bs);
 #ifdef _OPENMP
     omp_set_num_threads(1);
 #endif
-    LocalEnergyEngine(tim, *model).compute(batch, reference.span());
-    expect_rows_independent_of_batch(tim, *model, batch, reference);
+    LocalEnergyEngine(*h, *model).compute(batch, reference.span());
+    expect_rows_independent_of_batch(*h, *model, batch, reference);
 #ifdef _OPENMP
     omp_set_num_threads(4);
-    expect_rows_independent_of_batch(tim, *model, batch, reference);
+    expect_rows_independent_of_batch(*h, *model, batch, reference);
     omp_set_num_threads(threads_before);
 #endif
   }
@@ -614,6 +645,206 @@ TEST(LocalEnergy, BindSwitchesModelsAndKeepsResults) {
   }
   Made wrong(n + 1, 4);
   EXPECT_THROW(engine.bind(wrong), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Distinct rows: compute() evaluates each distinct configuration once.
+// ---------------------------------------------------------------------------
+
+bool same_bits(Real a, Real b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Runs `fn` with telemetry on and this thread's metrics in a fresh
+/// registry; returns the local_energy.rows and local_energy.distinct_rows
+/// it counted (zeros when telemetry is compiled out).
+template <class F>
+std::pair<std::uint64_t, std::uint64_t> counted_rows(F&& fn) {
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  telemetry::MetricsRegistry registry;
+  {
+    const telemetry::ScopedMetricsRegistry scope(registry);
+    fn();
+  }
+  telemetry::set_enabled(was_enabled);
+  const telemetry::MetricsSnapshot snap = registry.snapshot();
+  const auto* rows = snap.find_counter("local_energy.rows");
+  const auto* distinct = snap.find_counter("local_energy.distinct_rows");
+  return {rows != nullptr ? rows->value : 0,
+          distinct != nullptr ? distinct->value : 0};
+}
+
+/// `distinct` (d distinct rows) three times over in a shuffled order gives
+/// each row bitwise the energy of its distinct row, with the forward
+/// passes of the unrepeated batch; the counters see 3d rows, d distinct.
+void expect_repeats_copy_their_distinct_row(const Hamiltonian& h,
+                                            const WavefunctionModel& model,
+                                            const Matrix& distinct) {
+  const std::size_t d = distinct.rows(), n = distinct.cols();
+  ASSERT_EQ(count_distinct(distinct), d);
+  std::vector<std::size_t> source(3 * d);
+  for (std::size_t k = 0; k < 3 * d; ++k) source[k] = k % d;
+  rng::Xoshiro256 gen(d * 131 + n);
+  for (std::size_t k = source.size(); k-- > 1;)
+    std::swap(source[k], source[std::size_t(rng::uniform_index(gen, k + 1))]);
+  Matrix batch(3 * d, n);
+  for (std::size_t k = 0; k < 3 * d; ++k)
+    for (std::size_t j = 0; j < n; ++j) batch(k, j) = distinct(source[k], j);
+
+  LocalEnergyEngine once(h, model, 16), repeated(h, model, 16);
+  Vector want(d), got(3 * d);
+  once.compute(distinct, want.span());
+  const auto [rows, distinct_rows] =
+      counted_rows([&] { repeated.compute(batch, got.span()); });
+  for (std::size_t k = 0; k < 3 * d; ++k)
+    EXPECT_TRUE(same_bits(got[k], want[source[k]]))
+        << h.name() << " " << model.name() << " d=" << d << " row " << k;
+  EXPECT_EQ(repeated.forward_passes(), once.forward_passes())
+      << h.name() << " " << model.name() << " d=" << d;
+  if (VQMC_TELEMETRY_COMPILED) {
+    EXPECT_EQ(rows, 3 * d);
+    EXPECT_EQ(distinct_rows, d);
+  }
+}
+
+TEST(LocalEnergy, RepeatedRowsGetTheirDistinctRowsEnergyBitwise) {
+  const std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 110);
+  const XxzHeisenberg xxz = XxzHeisenberg::chain(n, 1.0, 1.0);
+  Made made(n, 9);
+  Rbm rbm(n, 5);
+  DeepMade deep(n, 7, 2);
+  randomize_parameters(made, 111);
+  randomize_parameters(rbm, 112);
+  randomize_parameters(deep, 113);
+  const Matrix every = all_configurations(n);
+  // Five distinct rows: fewer than kFlipLanes, so MADE's flip path runs
+  // site tiles on the distinct rows though the batch has 15.
+  Matrix five(5, n);
+  for (std::size_t k = 0; k < 5; ++k)
+    for (std::size_t j = 0; j < n; ++j) five(k, j) = every(9 * k + 3, j);
+  static_assert(kFlipLanes > 5 && kFlipLanes < 64);
+  expect_repeats_copy_their_distinct_row(tim, made, every);
+  expect_repeats_copy_their_distinct_row(tim, made, five);
+  expect_repeats_copy_their_distinct_row(tim, rbm, every);
+  expect_repeats_copy_their_distinct_row(tim, deep, every);
+  expect_repeats_copy_their_distinct_row(xxz, made, every);
+}
+
+TEST(LocalEnergy, ARowAndItsSingleFlipNeighboursTwiceAreNPlusOneDistinctRows) {
+  // Rows one bit apart must never share a group.  DeepMADE's forward
+  // passes show the distinct count even with telemetry compiled out:
+  // 1 + ceil((n + 1) n / chunk).
+  const std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 120);
+  DeepMade deep(n, 7, 2);
+  randomize_parameters(deep, 121);
+  Matrix distinct(n + 1, n);
+  const Matrix x = random_bits(1, n, 122);
+  for (std::size_t k = 0; k <= n; ++k) {
+    for (std::size_t j = 0; j < n; ++j) distinct(k, j) = x(0, j);
+    if (k > 0) distinct(k, k - 1) = 1 - x(0, k - 1);
+  }
+  Matrix batch(2 * (n + 1), n);
+  for (std::size_t k = 0; k < batch.rows(); ++k)
+    for (std::size_t j = 0; j < n; ++j) batch(k, j) = distinct(k / 2, j);
+
+  LocalEnergyEngine once(tim, deep, 16), twice(tim, deep, 16);
+  Vector want(n + 1), got(batch.rows());
+  once.compute(distinct, want.span());
+  const auto [rows, distinct_rows] =
+      counted_rows([&] { twice.compute(batch, got.span()); });
+  for (std::size_t k = 0; k < batch.rows(); ++k)
+    EXPECT_TRUE(same_bits(got[k], want[k / 2])) << "row " << k;
+  EXPECT_EQ(twice.forward_passes(), 1u + ((n + 1) * n + 15u) / 16u);
+  if (VQMC_TELEMETRY_COMPILED) {
+    EXPECT_EQ(rows, 2 * (n + 1));
+    EXPECT_EQ(distinct_rows, n + 1);
+  }
+}
+
+/// After a warm call on 8 distinct rows, 8-row batches of 5 and then 3
+/// distinct rows allocate nothing (telemetry on), give the energies of a
+/// fresh engine and are counted as 5 and 3 distinct rows.
+void expect_fewer_distinct_rows_allocate_nothing(WavefunctionModel& model) {
+  constexpr std::size_t n = 6, bs = 8;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 130);
+  randomize_parameters(model, 131);
+  const Matrix every = all_configurations(n);
+  std::vector<Matrix> batches;
+  std::vector<Vector> want;
+  for (const std::size_t distinct : {8ul, 5ul, 3ul}) {
+    Matrix batch(bs, n);
+    for (std::size_t k = 0; k < bs; ++k)
+      for (std::size_t j = 0; j < n; ++j)
+        batch(k, j) = every(7 * (k % distinct) + 2, j);
+    ASSERT_EQ(count_distinct(batch), distinct);
+    want.emplace_back(bs);
+    LocalEnergyEngine(tim, model).compute(batch, want.back().span());
+    batches.push_back(std::move(batch));
+  }
+  LocalEnergyEngine engine(tim, model);
+  std::vector<Vector> got(3, Vector(bs));
+  std::uint64_t allocations = 0;
+  const auto [rows, distinct_rows] = counted_rows([&] {
+    engine.compute(batches[0], got[0].span());
+    const std::uint64_t before = vqmc::testing::allocation_count();
+    engine.compute(batches[1], got[1].span());
+    engine.compute(batches[2], got[2].span());
+    allocations = vqmc::testing::allocation_count() - before;
+  });
+  EXPECT_EQ(allocations, 0u) << model.name();
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t k = 0; k < bs; ++k)
+      EXPECT_TRUE(same_bits(got[b][k], want[b][k]))
+          << model.name() << " batch " << b << " row " << k;
+  if (VQMC_TELEMETRY_COMPILED) {
+    EXPECT_EQ(rows, 3 * bs) << model.name();
+    EXPECT_EQ(distinct_rows, 8u + 5u + 3u) << model.name();
+  }
+}
+
+TEST(LocalEnergy, FewerDistinctRowsThanTheWarmCallAllocateNothing) {
+  Made made(6, 9);     // flip path; 5 and 3 distinct rows run site tiles
+  Rbm rbm(6, 7);       // flip path
+  DeepMade deep(6, 9, 2);  // full-forward path
+  expect_fewer_distinct_rows_allocate_nothing(made);
+  expect_fewer_distinct_rows_allocate_nothing(rbm);
+  expect_fewer_distinct_rows_allocate_nothing(deep);
+}
+
+TEST(LocalEnergy, CountsRowsAndDistinctRowsAndWarmCallsAllocateNothing) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
+  // 12 rows, 4 distinct; a diagonal Hamiltonian is not grouped and counts
+  // every row as distinct.
+  const std::size_t n = 6;
+  const TransverseFieldIsing tim = TransverseFieldIsing::random_dense(n, 140);
+  const MaxCut maxcut{Graph::bernoulli_symmetrized(n, 141)};
+  Made made(n, 9);
+  randomize_parameters(made, 142);
+  const Matrix distinct = random_bits(4, n, 143);
+  ASSERT_EQ(count_distinct(distinct), 4u);
+  Matrix batch(12, n);
+  for (std::size_t k = 0; k < 12; ++k)
+    for (std::size_t j = 0; j < n; ++j) batch(k, j) = distinct((5 * k) % 4, j);
+  LocalEnergyEngine engine(tim, made);
+  LocalEnergyEngine diagonal(maxcut, made);
+  Vector out(12);
+  std::uint64_t warm_allocations = 1;
+  const auto [rows, distinct_rows] = counted_rows([&] {
+    engine.compute(batch, out.span());
+    const std::uint64_t before = vqmc::testing::allocation_count();
+    engine.compute(batch, out.span());
+    warm_allocations = vqmc::testing::allocation_count() - before;
+  });
+  EXPECT_EQ(rows, 24u);
+  EXPECT_EQ(distinct_rows, 8u);
+  EXPECT_EQ(warm_allocations, 0u);
+  const auto [diagonal_rows, diagonal_distinct] =
+      counted_rows([&] { diagonal.compute(batch, out.span()); });
+  EXPECT_EQ(diagonal_rows, 12u);
+  EXPECT_EQ(diagonal_distinct, 12u);
 }
 
 TEST(LocalEnergy, MismatchedSpinCountsRejected) {

@@ -102,6 +102,17 @@ TEST(DistributedTrainer, MergedGaugesTakeTheMaxAcrossRanksNotTheSum) {
       r.merged_metrics.find_counter("trainer.iterations");
   ASSERT_NE(iters, nullptr);
   EXPECT_EQ(iters->value, std::uint64_t(ranks) * iterations);
+  // So do the local-energy engine's: each rank's training batches and its
+  // final evaluation batch, and at most as many distinct rows.
+  const telemetry::CounterSnapshot* rows =
+      r.merged_metrics.find_counter("local_energy.rows");
+  const telemetry::CounterSnapshot* distinct =
+      r.merged_metrics.find_counter("local_energy.distinct_rows");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_NE(distinct, nullptr);
+  EXPECT_EQ(rows->value, std::uint64_t(ranks) * (iterations * 8 + 32));
+  EXPECT_GT(distinct->value, 0u);
+  EXPECT_LE(distinct->value, rows->value);
 }
 
 TEST(DistributedTrainer, EnergyDecreasesWithTraining) {

@@ -169,6 +169,46 @@ TEST(ChainWalk, RbmThetaEqualsAFreshForwardAfterTenThousandSteps) {
   }
 }
 
+TEST(ChainWalk, RbmKeptLogCoshIsBitwiseTheSumOfThetaAfterPairExchanges) {
+  // 10^4 pair exchanges, a single flip every tenth step, each proposal
+  // accepted with probability 1/2.  After every step a chain's kept
+  // sum log cosh theta, whenever it is marked exact, is bitwise
+  // sum_log_cosh of its theta row; a pair exchange's score marks it exact,
+  // so after the last pair step every chain's is.
+  const std::size_t n = 24, h = 20, chains = 3;
+  Rbm rbm(n, h);
+  randomize_parameters(rbm, 60, 0.5);
+  const auto ws = rbm.make_workspace();
+  const Rbm::Workspace& own = dynamic_cast<Rbm::Workspace&>(*ws);
+  ChainWalk walk = random_walk(chains, n, 61);
+  rbm.walk_start(walk, ws.get());
+  rng::Xoshiro256 gen(62);
+  const auto expect_kept_sums = [&](std::size_t step) {
+    for (std::size_t chain = 0; chain < chains; ++chain) {
+      if (!own.log_cosh_fresh[chain]) continue;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(own.log_cosh[chain]),
+                std::bit_cast<std::uint64_t>(
+                    sum_log_cosh(own.theta.row(chain))))
+          << "step " << step << " chain " << chain;
+    }
+  };
+  std::size_t pair_steps = 0;
+  for (std::size_t step = 0; pair_steps < 10000; ++step) {
+    const bool pair = step % 10 != 9;
+    pair_steps += pair ? 1 : 0;
+    propose(walk, pair, gen);
+    rbm.walk_score(walk, ws.get());
+    std::vector<bool> accept(chains);
+    for (std::size_t chain = 0; chain < chains; ++chain)
+      accept[chain] = rng::uniform01(gen) < 0.5;
+    settle(rbm, walk, accept, ws.get());
+    expect_kept_sums(step);
+    if (HasFatalFailure()) return;
+  }
+  for (std::size_t chain = 0; chain < chains; ++chain)
+    EXPECT_TRUE(own.log_cosh_fresh[chain]) << "chain " << chain;
+}
+
 TEST(ChainWalk, DefaultWalkIsOneBatchedForwardMinusTheChainsLogPsi) {
   Made made(6, 9);
   made.initialize(60);

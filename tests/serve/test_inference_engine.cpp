@@ -16,6 +16,8 @@
 #include "rng/xoshiro.hpp"
 #include "sampler/fast_made_sampler.hpp"
 #include "support/alloc_count.hpp"
+#include "support/telemetry_gate.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vqmc::serve {
@@ -200,6 +202,43 @@ TEST(InferenceEngine, LocalEnergyMatchesEngineDirect) {
   ASSERT_EQ(result.values.size(), 12u);
   for (std::size_t k = 0; k < 12; ++k)
     EXPECT_EQ(expected[k], result.values[k]);
+}
+
+TEST(InferenceEngine, LocalEnergyBatchesCountRowsAndDistinctRows) {
+  VQMC_SKIP_WITHOUT_TELEMETRY();
+  // A served batch takes the trainer's local-energy path: its repeats are
+  // evaluated once and counted under the trainer's instrument names.
+  struct TelemetryOn {
+    bool was = telemetry::enabled();
+    TelemetryOn() { telemetry::set_enabled(true); }
+    ~TelemetryOn() { telemetry::set_enabled(was); }
+  } telemetry_on;
+  const auto tim = TransverseFieldIsing::random_dense(6, 31);
+  Made made(6, 8);
+  randomize_parameters(made, 32);
+  ServeConfig config;
+  config.hamiltonian = &tim;
+  config.workers = 1;
+  InferenceEngine engine(config);
+  engine.publish_model(made);
+  const Matrix distinct = random_configs(4, 6, 33);
+  Matrix configs(12, 6);
+  for (std::size_t k = 0; k < 12; ++k)
+    for (std::size_t i = 0; i < 6; ++i) configs(k, i) = distinct(k % 4, i);
+  std::vector<Real> expected(4);
+  LocalEnergyEngine(tim, made).compute(distinct, expected);
+
+  telemetry::MetricsRegistry& registry = telemetry::metrics();
+  const std::uint64_t rows = registry.counter("local_energy.rows").value();
+  const std::uint64_t unique =
+      registry.counter("local_energy.distinct_rows").value();
+  const EvalResult result = engine.submit_local_energy(configs).get();
+  ASSERT_EQ(result.values.size(), 12u);
+  for (std::size_t k = 0; k < 12; ++k)
+    EXPECT_EQ(result.values[k], expected[k % 4]) << "row " << k;
+  EXPECT_EQ(registry.counter("local_energy.rows").value() - rows, 12u);
+  EXPECT_EQ(registry.counter("local_energy.distinct_rows").value() - unique,
+            4u);
 }
 
 TEST(InferenceEngine, RepeatedLocalEnergyBatchAllocatesOnlyThePayloads) {

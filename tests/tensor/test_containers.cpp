@@ -105,5 +105,40 @@ TEST(Matrix, FillSetsEveryElement) {
   for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], -1);
 }
 
+TEST(Matrix, EnsureShapeKeepsStorageThatIsLargeEnough) {
+  Matrix m(8, 6);
+  m.fill(1);
+  const Real* storage = m.data();
+  ensure_shape(m, 5, 6);
+  EXPECT_EQ(m.rows(), 5u);
+  EXPECT_EQ(m.cols(), 6u);
+  EXPECT_EQ(m.data(), storage);
+  ensure_shape(m, 3, 16);  // 48 elements, as many as the storage holds
+  EXPECT_EQ(m.size(), 48u);
+  EXPECT_EQ(m.data(), storage);
+  ensure_shape(m, 7, 7);  // 49: a fresh, zeroed allocation
+  EXPECT_NE(m.data(), storage);
+  for (std::size_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0);
+}
+
+TEST(Matrix, CopyAssignmentKeepsStorageThatIsLargeEnough) {
+  Matrix big(4, 5), small(2, 3);
+  for (std::size_t i = 0; i < small.size(); ++i) small.data()[i] = Real(i + 1);
+  const Real* storage = big.data();
+  big = small;
+  EXPECT_EQ(big.rows(), 2u);
+  EXPECT_EQ(big.cols(), 3u);
+  EXPECT_EQ(big.data(), storage);
+  for (std::size_t i = 0; i < small.size(); ++i)
+    EXPECT_EQ(big.data()[i], small.data()[i]);
+  // A moved-from matrix is empty, so ensure_shape allocates for it.
+  Matrix moved = std::move(big);
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_EQ(big.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(big.data(), nullptr);
+  ensure_shape(big, 2, 3);
+  EXPECT_NE(big.data(), nullptr);
+}
+
 }  // namespace
 }  // namespace vqmc
