@@ -74,7 +74,6 @@ struct ComboResult {
   std::uint64_t local_energy_distinct_rows = 0;
 };
 
-
 /// One-line phase attribution in kPhases order, e.g.
 /// "sample 42% | local_energy 31% | gradient 18% | optimizer 9%" (phases
 /// below 0.5% of the total are omitted; empty string when nothing was

@@ -313,32 +313,33 @@ std::vector<RepeatsResult> run_repeats_case(const std::string& kind,
                          std::bit_cast<std::uint64_t>(
                              c.distinct_out[source[k]]);
     results.push_back(r);
-
-    // Calls per block off one call of each.
-    Timer probe;
-    c.batch_engine->compute(c.batch, c.batch_out.span());
-    c.batch_calls = std::max<std::size_t>(
-        2, std::size_t(block_seconds / std::max(probe.seconds(), 1e-6)));
-    Timer probe_distinct;
-    c.distinct_engine->compute(c.distinct, c.distinct_out.span());
-    c.distinct_calls = std::max<std::size_t>(
-        2,
-        std::size_t(block_seconds / std::max(probe_distinct.seconds(), 1e-6)));
     cases.push_back(std::move(c));
   }
 
+  // Calls per block off one call of each.
+  const auto calls_per_block = [&](const std::function<void()>& call) {
+    Timer probe;
+    call();
+    return std::max<std::size_t>(
+        2, std::size_t(block_seconds / std::max(probe.seconds(), 1e-6)));
+  };
+  std::vector<std::function<void()>> batch_call, distinct_call;
+  for (Case& c : cases) {
+    batch_call.push_back(
+        [&c] { c.batch_engine->compute(c.batch, c.batch_out.span()); });
+    distinct_call.push_back([&c] {
+      c.distinct_engine->compute(c.distinct, c.distinct_out.span());
+    });
+    c.batch_calls = calls_per_block(batch_call.back());
+    c.distinct_calls = calls_per_block(distinct_call.back());
+  }
   std::vector<std::vector<double>> all_over_batch(cases.size()),
       batch_over_distinct(cases.size());
   for (int rep = 0; rep < repeats; ++rep) {
-    for (Case& c : cases) {
-      c.batch_ms.push_back(block_ms(
-          [&] { c.batch_engine->compute(c.batch, c.batch_out.span()); },
-          c.batch_calls));
-      c.distinct_ms.push_back(block_ms(
-          [&] {
-            c.distinct_engine->compute(c.distinct, c.distinct_out.span());
-          },
-          c.distinct_calls));
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      Case& c = cases[i];
+      c.batch_ms.push_back(block_ms(batch_call[i], c.batch_calls));
+      c.distinct_ms.push_back(block_ms(distinct_call[i], c.distinct_calls));
     }
     for (std::size_t i = 0; i < cases.size(); ++i) {
       all_over_batch[i].push_back(cases[0].batch_ms.back() /
